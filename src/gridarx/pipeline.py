@@ -2,8 +2,12 @@
 trajectory and deviation distance out.
 
 Glue between the simulator (or recorded CSV data), the recursive estimator,
-and the detector. Operates on uniform arrays for speed; the per-sample
-semantics are exactly those of the step-by-step API in `rls` and `signals`.
+and the detector. `identify` builds the lagged regressors of a block and
+hands the whole block to the one RLS kernel, `rls.rls_run`, which validates
+it once and then steps through it. A run split into blocks, with the final
+state carried from one block to the next, gives the same trajectory bitwise
+as one whole run; the per-sample semantics are those of `rls.rls_update`
+and the step-by-step API in `signals`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rls import ArxConfig, IdentifierState, init_identifier, rls_update
+from .rls import ArxConfig, IdentifierState, init_identifier, rls_run
+# Not called here: kept as a module attribute so that tools which wrap
+# `gridarx.pipeline.rls_update` by name still resolve it.
+from .rls import rls_update  # noqa: F401
 from .simulate import SimResult
 
 
@@ -93,14 +100,11 @@ def identify(sim: SimResult, config: ArxConfig,
 
     if state is None:
         state = init_identifier(config)
-    theta_traj = np.empty((m, config.output_dim, config.regressor_len))
-    innovation = np.empty((m, config.output_dim))
-    calibrated = np.empty(m, dtype=bool)
-    for k in range(m):
-        innovation[k] = y_all[k] - state.theta @ phi_all[k]
-        state = rls_update(state, y_all[k], phi_all[k])
-        theta_traj[k] = state.theta
-        calibrated[k] = state.calibrated
+    theta_traj, innovation, final_state = rls_run(state, y_all, phi_all)
+    # update k brings the sample count to state.sample_count + k + 1
+    first_calibrated = state.config.burn_in - state.sample_count - 1
+    calibrated = np.zeros(m, dtype=bool)
+    calibrated[max(0, first_calibrated):] = True
 
     return IdentRun(
         t=t,
@@ -110,5 +114,5 @@ def identify(sim: SimResult, config: ArxConfig,
         phi=phi_all,
         innovation=innovation,
         calibrated=calibrated,
-        final_state=state,
+        final_state=final_state,
     )

@@ -4,11 +4,15 @@ Maintains a multi-output predictor matrix theta and a shared covariance P,
 consuming one (output, regressor) pair per step. Both output rows regress on
 the same regressor with the same forgetting factor, so the Kalman gain and
 covariance are shared and the theta update is a joint rank-1 correction.
+
+The recursion exists once, in the block kernel `rls_run`: it validates a
+block of rows once (shapes, finiteness), then updates theta and P in place.
+`rls_update` is its one-row call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,53 +110,114 @@ def init_identifier(config: ArxConfig) -> IdentifierState:
     )
 
 
+def rls_run(state: IdentifierState, Y, Phi):
+    """Run the recursion over a block of (output, regressor) rows.
+
+    Y is (m, output_dim), Phi is (m, regressor_len); row k is one step:
+
+    K    = P phi / (lambda + phi' P phi)
+    e    = y - theta phi
+    theta <- theta + e K'
+    P    <- (P - K phi' P) / lambda, re-symmetrized
+
+    Returns (theta_traj, innovation, final_state): theta_traj[k] is the
+    estimate after row k, innovation[k] the one-step prediction error e of
+    row k. The block is validated once, before any step; a rejected block or
+    step raises UpdateRejectedError. The input state is never modified.
+    """
+    cfg = state.config
+    Y = np.ascontiguousarray(Y, dtype=float)
+    Phi = np.ascontiguousarray(Phi, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != cfg.output_dim:
+        raise UpdateRejectedError(
+            f"output has dim {Y.shape[-1]}, expected {cfg.output_dim}"
+        )
+    if Phi.ndim != 2 or Phi.shape[1] != cfg.regressor_len:
+        raise UpdateRejectedError(
+            f"regressor has length {Phi.shape[-1]}, expected {cfg.regressor_len}"
+        )
+    m = Y.shape[0]
+    if Phi.shape[0] != m:
+        raise UpdateRejectedError(
+            f"{m} outputs but {Phi.shape[0]} regressors in the block"
+        )
+    finite = np.isfinite(Y).all(axis=1) & np.isfinite(Phi).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise UpdateRejectedError(
+            f"non-finite value in update input at sample {k} of the block"
+        )
+
+    lam = cfg.forgetting
+    ceiling = cfg.covariance_ceiling
+    count0 = state.sample_count
+    theta_traj = np.empty((m, cfg.output_dim, cfg.regressor_len))
+    innovation = np.empty((m, cfg.output_dim))
+    # theta is written straight into its trajectory slot and P is updated in
+    # place through fixed buffers. The operation order is that of the
+    # formulas above, so every step is bitwise the same as computing it with
+    # fresh arrays; np.dot is the same BLAS gemv/dot as the @ operator, with
+    # less dispatch.
+    theta = state.theta.copy()
+    P = state.P.copy()
+    P_T = P.T
+    P_phi = np.empty(cfg.regressor_len)
+    K = np.empty(cfg.regressor_len)
+    K_col = K[:, None]
+    KP = np.empty_like(P)
+    eK = np.empty_like(theta)
+    dot, multiply, subtract = np.dot, np.multiply, np.subtract
+    add, divide = np.add, np.divide
+
+    count = count0
+    for y, phi, e, e_col, theta_next in zip(
+        Y, Phi, innovation, innovation[:, :, None], theta_traj
+    ):
+        dot(P, phi, P_phi)
+        denom = lam + dot(phi, P_phi)
+        if denom <= MIN_GAIN_DENOMINATOR:
+            raise UpdateRejectedError(
+                f"gain denominator {denom:.3e} is not positive "
+                f"at sample {count - count0} of the block"
+            )
+        divide(P_phi, denom, K)
+        dot(theta, phi, e)
+        subtract(y, e, e)
+        multiply(e_col, K, eK)
+        add(theta, eK, theta_next)
+        theta = theta_next
+        multiply(K_col, P_phi, KP)
+        subtract(P, KP, P)
+        divide(P, lam, P)
+        add(P, P_T, KP)
+        divide(KP, 2.0, P)
+        count += 1
+
+        # Forgetting inflates P exponentially along directions the stream
+        # never excites (covariance windup), which eventually destroys the
+        # update in floating point. Clamp P's spectrum at the ceiling on a
+        # fixed cadence of the absolute sample count, so block boundaries do
+        # not move it: uncertainty stays bounded while weakly excited
+        # directions keep enough gain to track.
+        if count % COV_CLAMP_INTERVAL == 0:
+            eigvals, eigvecs = np.linalg.eigh(P)
+            if eigvals[-1] > ceiling * (1.0 + 1e-9):
+                clamped = (eigvecs * np.minimum(eigvals, ceiling)) @ eigvecs.T
+                P[...] = (clamped + clamped.T) / 2.0
+
+    final = IdentifierState(config=cfg, theta=theta.copy(), P=P,
+                            sample_count=count)
+    return theta_traj, innovation, final
+
+
 def rls_update(state: IdentifierState, y, phi) -> IdentifierState:
     """One recursive step; returns the updated state, input state untouched.
 
-    K    = P phi / (lambda + phi' P phi)
-    P    <- (P - K phi' P) / lambda, re-symmetrized
-    theta <- theta + (y - theta phi) K'
+    A one-row call into `rls_run`.
     """
-    cfg = state.config
-    y = np.asarray(y, dtype=float).reshape(-1)
-    phi = np.asarray(phi, dtype=float).reshape(-1)
-    if y.shape[0] != cfg.output_dim:
-        raise UpdateRejectedError(
-            f"output has dim {y.shape[0]}, expected {cfg.output_dim}"
-        )
-    if phi.shape[0] != cfg.regressor_len:
-        raise UpdateRejectedError(
-            f"regressor has length {phi.shape[0]}, expected {cfg.regressor_len}"
-        )
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(phi))):
-        raise UpdateRejectedError("non-finite value in update input")
-
-    lam = cfg.forgetting
-    P_phi = state.P @ phi
-    denom = lam + phi @ P_phi
-    if denom <= MIN_GAIN_DENOMINATOR:
-        raise UpdateRejectedError(f"gain denominator {denom:.3e} is not positive")
-
-    K = P_phi / denom
-    innovation = y - state.theta @ phi
-    theta = state.theta + np.outer(innovation, K)
-    P = (state.P - np.outer(K, P_phi)) / lam
-    P = (P + P.T) / 2.0
-
-    count = state.sample_count + 1
-    # Forgetting inflates P exponentially along directions the stream never
-    # excites (covariance windup), which eventually destroys the update in
-    # floating point. Clamp P's spectrum at the ceiling on a fixed cadence:
-    # uncertainty stays bounded while weakly excited directions keep enough
-    # gain to track.
-    if count % COV_CLAMP_INTERVAL == 0:
-        ceiling = cfg.covariance_ceiling
-        eigvals, eigvecs = np.linalg.eigh(P)
-        if eigvals[-1] > ceiling * (1.0 + 1e-9):
-            P = (eigvecs * np.minimum(eigvals, ceiling)) @ eigvecs.T
-            P = (P + P.T) / 2.0
-
-    return replace(state, theta=theta, P=P, sample_count=count)
+    y = np.asarray(y, dtype=float).reshape(1, -1)
+    phi = np.asarray(phi, dtype=float).reshape(1, -1)
+    return rls_run(state, y, phi)[2]
 
 
 def batch_weighted_ls(history, forgetting: float) -> np.ndarray:

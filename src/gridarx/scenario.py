@@ -163,17 +163,22 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
             t_start = sec.getfloat("t_start", 10.0)
             t_end = sec.getfloat("t_end", 20.0)
             if kind == "fault":
-                if "r_fault_pu" in sec:
-                    value = sec.getfloat("r_fault_pu")
-                else:
-                    value = circuit.ohms_to_pu(sec.getfloat("r_fault_ohm"))
+                pu_key, si_key, to_pu = ("r_fault_pu", "r_fault_ohm",
+                                         circuit.ohms_to_pu)
             elif kind == "load":
-                if "l_load_pu" in sec:
-                    value = sec.getfloat("l_load_pu")
-                else:
-                    value = circuit.henries_to_pu(sec.getfloat("l_load_h"))
+                pu_key, si_key, to_pu = ("l_load_pu", "l_load_h",
+                                         circuit.henries_to_pu)
             else:
                 raise ValueError(f"unknown disturbance kind {kind!r} in {path}")
+            if pu_key in sec:
+                value = sec.getfloat(pu_key)
+            elif si_key in sec:
+                value = to_pu(sec.getfloat(si_key))
+            else:
+                raise ValueError(
+                    f"{path}: [disturbance] kind = {kind} needs a value: "
+                    f"set {pu_key} or {si_key}"
+                )
             disturbance = DisturbanceSpec(kind, value, t_start, t_end)
 
     excitation = base.excitation
@@ -236,10 +241,33 @@ def write_samples_csv(path: str, sim: SimResult) -> None:
                header="t,v_d,v_q,i_d,i_q", comments="")
 
 
+# Relative tolerance on the sample step of a recorded time grid: a grid
+# computed as arange * ts has steps that differ by a few ulps of t.
+TIME_GRID_RTOL = 1e-6
+
+
 def read_samples_csv(path: str) -> SimResult:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """Read a samples.csv written by `write_samples_csv`.
+
+    The time column must be a uniform grid of at least two samples; ts is
+    its first step.
+    """
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] < 2:
+        raise ValueError(f"{path}: need at least 2 samples, got {data.shape[0]}")
     t = data[:, 0]
-    ts = float(t[1] - t[0]) if t.shape[0] > 1 else 0.0
+    steps = np.diff(t)
+    ts = float(steps[0])
+    if not np.all(steps > 0.0):
+        k = int(np.argmin(steps > 0.0)) + 1
+        raise ValueError(f"{path}: t does not increase at sample {k}")
+    off_grid = np.abs(steps - ts) > TIME_GRID_RTOL * ts
+    if np.any(off_grid):
+        k = int(np.argmax(off_grid)) + 1
+        raise ValueError(
+            f"{path}: non-uniform time grid at sample {k}: step "
+            f"{steps[k - 1]:.17g}, expected {ts:.17g}"
+        )
     return SimResult(t=t, v_dq=data[:, 1:3], i_dq=data[:, 3:5], ts=ts)
 
 
@@ -486,7 +514,7 @@ def run_scenario(
     # the band test.
     v_eq = _nominal_pcc_voltage(config)
     limits = VoltageLimits.around(v_eq, config.limit_fraction)
-    v_rms = _cycle_average(sim.v_dq, config.ts)
+    v_rms = _cycle_average(sim.v_dq, config.ts, config.circuit.f_base)
     viol = (
         (v_rms[:, 0] <= limits.vd_min) | (v_rms[:, 0] >= limits.vd_max)
         | (v_rms[:, 1] <= limits.vq_min) | (v_rms[:, 1] >= limits.vq_max)
@@ -532,12 +560,9 @@ def run_scenario(
     return report
 
 
-BASELINE_AVG_WINDOW_S = 0.02  # one fundamental cycle at 50 Hz
-
-
-def _cycle_average(v: np.ndarray, ts: float) -> np.ndarray:
+def _cycle_average(v: np.ndarray, ts: float, f_base: float) -> np.ndarray:
     """Causal moving average over one fundamental cycle, per column."""
-    n = max(1, int(round(BASELINE_AVG_WINDOW_S / ts)))
+    n = max(1, int(round(1.0 / (f_base * ts))))
     if n == 1:
         return v
     kern = np.ones(n) / n

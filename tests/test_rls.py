@@ -99,6 +99,28 @@ class TestUpdate:
         assert np.array_equal(state.theta, before)
         assert state.sample_count == 0
 
+    @pytest.mark.parametrize("y, phi", [
+        ([0.0, np.inf], np.zeros(12)),
+        (np.zeros(2), np.r_[np.zeros(11), np.nan]),
+    ])
+    def test_non_finite_message_names_sample(self, y, phi):
+        state = rls_update(init_identifier(ArxConfig()), np.ones(2),
+                           np.ones(12))
+        before = state.theta.copy(), state.P.copy()
+        with pytest.raises(UpdateRejectedError, match="at sample 0 of"):
+            rls_update(state, y, phi)
+        assert np.array_equal(state.theta, before[0])
+        assert np.array_equal(state.P, before[1])
+        assert state.sample_count == 1
+
+    def test_config_dims_mismatch_state_unchanged(self):
+        state = init_identifier(ArxConfig(order=3, input_dim=3))
+        P = state.P.copy()
+        with pytest.raises(UpdateRejectedError, match="regressor has length"):
+            rls_update(state, np.zeros(2), np.zeros(12))
+        assert np.array_equal(state.P, P)
+        assert state.sample_count == 0
+
     def test_update_is_functional(self):
         state = init_identifier(ArxConfig())
         out = rls_update(state, np.ones(2), np.ones(12))

@@ -12,6 +12,7 @@ from gridarx.detector import Thresholds, Verdict
 from gridarx.scenario import (
     ScenarioConfig,
     StageError,
+    _cycle_average,
     calibration_from_json,
     calibration_to_json,
     load_scenario,
@@ -24,7 +25,7 @@ from gridarx.scenario import (
     write_samples_csv,
     write_theta_csv,
 )
-from gridarx.simulate import DisturbanceSpec, simulate
+from gridarx.simulate import DisturbanceSpec, SimResult, simulate
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -76,6 +77,19 @@ class TestLoadScenario:
         with pytest.raises(ValueError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("kind, keys", [
+        ("fault", ("r_fault_pu", "r_fault_ohm")),
+        ("load", ("l_load_pu", "l_load_h")),
+    ])
+    def test_missing_disturbance_value(self, tmp_path, kind, keys):
+        path = write_ini(tmp_path, "novalue.ini",
+                         f"[disturbance]\nkind = {kind}\nt_start = 1.0\n")
+        with pytest.raises(ValueError) as err:
+            load_scenario(path)
+        msg = str(err.value)
+        assert path in msg and "[disturbance]" in msg
+        assert all(key in msg for key in keys)
+
     def test_overrides(self, tmp_path):
         path = write_ini(tmp_path, "ovr.ini", "[run]\nduration = 2.0\n")
         cfg = load_scenario(path, {"seed": 9, "rho": 2, "forgetting": 0.99})
@@ -103,6 +117,31 @@ class TestCsvRoundTrips:
         assert np.array_equal(back.v_dq, sim.v_dq)
         assert np.array_equal(back.i_dq, sim.i_dq)
         assert back.ts == pytest.approx(sim.ts)
+
+    def test_samples_long_grid_accepted(self, tmp_path):
+        # arange * ts is uniform only to a few ulps of t; still one grid
+        n, ts = 50_000, 2e-4
+        sim = SimResult(t=np.arange(n) * ts, v_dq=np.zeros((n, 2)),
+                        i_dq=np.zeros((n, 2)), ts=ts)
+        path = str(tmp_path / "samples.csv")
+        write_samples_csv(path, sim)
+        assert np.array_equal(read_samples_csv(path).t, sim.t)
+
+    @pytest.mark.parametrize("t, match", [
+        ([0.0], "at least 2 samples"),
+        ([], "at least 2 samples"),
+        ([0.0, 1e-3, 1e-3, 2e-3], "does not increase at sample 2"),
+        ([0.0, 1e-3, 0.5e-3, 1.5e-3], "does not increase at sample 2"),
+        ([0.0, 1e-3, 2e-3, 4e-3, 5e-3], "non-uniform time grid at sample 3"),
+        ([0.0, 1e-3, 2e-3 + 1e-8], "non-uniform time grid at sample 2"),
+    ])
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    def test_samples_bad_time_grid_rejected(self, tmp_path, t, match):
+        path = tmp_path / "samples.csv"
+        rows = "".join(f"{tk!r},1,0,1,0\n" for tk in t)
+        path.write_text("t,v_d,v_q,i_d,i_q\n" + rows)
+        with pytest.raises(ValueError, match=match):
+            read_samples_csv(str(path))
 
     def test_theta_stride_and_exactness(self, tmp_path, rng):
         t = np.arange(20) * 1e-3
@@ -244,3 +283,22 @@ class TestRunSuite:
         assert os.path.exists(os.path.join(out, "comparison.csv"))
         assert os.path.exists(
             os.path.join(out, "mini_fault", "report.json"))
+
+
+class TestCycleAverage:
+    def test_50hz_window_is_100_samples(self):
+        v = np.zeros((400, 2))
+        v[200] = 1.0
+        out = _cycle_average(v, 2e-4, 50.0)
+        assert np.allclose(out[200:300], 0.01, rtol=0, atol=1e-15)
+        assert np.all(out[300:] == 0.0)
+
+    def test_60hz_averages_out_one_cycle(self):
+        # 100 samples per cycle at 60 Hz; a fixed 20 ms window would span
+        # 1.2 cycles and leave the ripple in
+        ts, f = 1.0 / 6000.0, 60.0
+        t = np.arange(1200) * ts
+        ripple = 0.1 * np.sin(2 * np.pi * f * t)
+        v = np.column_stack([1.0 + ripple, ripple])
+        out = _cycle_average(v, ts, f)
+        assert np.allclose(out[100:], [1.0, 0.0], rtol=0, atol=1e-12)
