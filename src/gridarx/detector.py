@@ -38,6 +38,19 @@ class Verdict(str, Enum):
     UNCLASSIFIED = "unclassified"
 
 
+# Array code carries a verdict as an integer code, the member's position in
+# Verdict; VERDICTS[codes] turns codes back into members.
+VERDICTS = np.array(list(Verdict), dtype=object)
+VERDICT_CODE = {v: code for code, v in enumerate(Verdict)}
+
+
+def verdict_codes(verdicts) -> np.ndarray:
+    """Integer codes of a sequence of verdicts: VERDICTS[codes] gives them
+    back."""
+    return np.fromiter(map(VERDICT_CODE.__getitem__, verdicts), np.intp,
+                       len(verdicts))
+
+
 @dataclass(frozen=True)
 class NominalPredictor:
     """Reference predictor from fault-free operation."""
@@ -231,19 +244,16 @@ def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
     deltas = thetas - nominal.theta_star
     d = np.linalg.norm(deltas, axis=(1, 2))
     m = thetas.shape[0]
-    verdicts = [Verdict.NORMAL] * m
+    codes = np.full(m, VERDICT_CODE[Verdict.NORMAL])
     similarity = np.full(m, np.nan)
 
     in_band = (d > thresholds.d_low) & (d <= thresholds.d_high)
-    above = d > thresholds.d_high
-    for k in np.nonzero(above)[0]:
-        verdicts[k] = Verdict.FAULT
+    codes[d > thresholds.d_high] = VERDICT_CODE[Verdict.FAULT]
 
     band_idx = np.nonzero(in_band)[0]
     if band_idx.size:
         if not library.signatures:
-            for k in band_idx:
-                verdicts[k] = Verdict.UNCLASSIFIED
+            codes[band_idx] = VERDICT_CODE[Verdict.UNCLASSIFIED]
         else:
             flat = deltas[band_idx].reshape(band_idx.size, -1)
             sig_mat = np.stack(
@@ -258,16 +268,15 @@ def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
             best = np.argmax(sims, axis=1)
             best_sim = sims[np.arange(band_idx.size), best]
             similarity[band_idx] = best_sim
-            for row, k in enumerate(band_idx):
-                if best_sim[row] < match_floor:
-                    verdicts[k] = Verdict.UNCLASSIFIED
-                else:
-                    label = library.signatures[best[row]].label
-                    verdicts[k] = (
-                        Verdict.FAULT if label is Verdict.FAULT
-                        else Verdict.LOAD_INCREASE
-                    )
-    return d, verdicts, similarity
+            sig_codes = np.array([
+                VERDICT_CODE[Verdict.FAULT if s.label is Verdict.FAULT
+                             else Verdict.LOAD_INCREASE]
+                for s in library.signatures
+            ])
+            codes[band_idx] = np.where(
+                best_sim < match_floor, VERDICT_CODE[Verdict.UNCLASSIFIED],
+                sig_codes[best])
+    return d, VERDICTS[codes].tolist(), similarity
 
 
 def detection_times(t, d, t_start: float, t_end: float,
@@ -299,7 +308,8 @@ def debounce(verdicts, hold: int = DEFAULT_HOLD):
     """Suppress single-sample verdict chatter.
 
     The reported verdict changes only after the raw verdict has held its new
-    value for `hold` consecutive samples.
+    value for `hold` consecutive samples. Verdicts may be any values that
+    compare with ==, such as Verdict members or their integer codes.
     """
     if hold < 1:
         raise ValueError(f"hold must be >= 1, got {hold}")

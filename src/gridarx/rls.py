@@ -157,17 +157,21 @@ def rls_run(state: IdentifierState, Y, Phi):
     # place through fixed buffers. The operation order is that of the
     # formulas above, so every step is bitwise the same as computing it with
     # fresh arrays; np.dot is the same BLAS gemv/dot as the @ operator, with
-    # less dispatch.
+    # less dispatch. lambda and 2.0 are 0-d arrays, so that the ufuncs do
+    # not convert a Python float on every call.
     theta = state.theta.copy()
     P = state.P.copy()
     P_T = P.T
+    P_flat = P.reshape(-1)
     P_phi = np.empty(cfg.regressor_len)
+    P_phi_row = P_phi[None, :]
     K = np.empty(cfg.regressor_len)
-    K_col = K[:, None]
+    K_col, K_row = K[:, None], K[None, :]
     KP = np.empty_like(P)
     eK = np.empty_like(theta)
-    dot, multiply, subtract = np.dot, np.multiply, np.subtract
-    add, divide = np.add, np.divide
+    lam_0d, two_0d = np.array(lam), np.array(2.0)
+    ceiling_sq = ceiling * ceiling
+    dot, subtract, add, divide = np.dot, np.subtract, np.add, np.divide
 
     count = count0
     for y, phi, e, e_col, theta_next in zip(
@@ -183,14 +187,22 @@ def rls_run(state: IdentifierState, Y, Phi):
         divide(P_phi, denom, K)
         dot(theta, phi, e)
         subtract(y, e, e)
-        multiply(e_col, K, eK)
+        # e K' and K (P phi)' are k=1 matrix products. Each entry is one
+        # rounded product, as with np.multiply, but an exact zero comes out
+        # +0.0 where multiply may give -0.0. That sign only matters where
+        # the term meets a -0.0 entry of theta or P, since x + y and x - y
+        # are -0.0 only when x is. The zero prior holds none, and the
+        # updates make one only from one or by underflow; the tests compare
+        # these steps with the multiply form bit for bit.
+        dot(e_col, K_row, eK)
         add(theta, eK, theta_next)
         theta = theta_next
-        multiply(K_col, P_phi, KP)
+        dot(K_col, P_phi_row, KP)
         subtract(P, KP, P)
-        divide(P, lam, P)
-        add(P, P_T, KP)
-        divide(KP, 2.0, P)
+        divide(P, lam_0d, P)
+        KP[...] = P_T  # a contiguous copy adds faster than the strided view
+        add(P, KP, KP)
+        divide(KP, two_0d, P)
         count += 1
 
         # Forgetting inflates P exponentially along directions the stream
@@ -199,7 +211,14 @@ def rls_run(state: IdentifierState, Y, Phi):
         # fixed cadence of the absolute sample count, so block boundaries do
         # not move it: uncertainty stays bounded while weakly excited
         # directions keep enough gain to track.
-        if count % COV_CLAMP_INTERVAL == 0:
+        #
+        # For symmetric P, lambda_max <= ||P||_F, so while ||P||_F^2 <=
+        # ceiling^2 the clamp cannot fire and eigh is skipped. The rounding
+        # of the sum of squares (relative ~n^2 eps) is far inside the
+        # clamp's 1e-9 margin, so no skipped check could have clamped. The
+        # test is written as `not <=` so that a NaN still reaches eigh.
+        if count % COV_CLAMP_INTERVAL == 0 and \
+                not dot(P_flat, P_flat) <= ceiling_sq:
             eigvals, eigvecs = np.linalg.eigh(P)
             if eigvals[-1] > ceiling * (1.0 + 1e-9):
                 clamped = (eigvecs * np.minimum(eigvals, ceiling)) @ eigvecs.T

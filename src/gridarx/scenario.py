@@ -89,9 +89,7 @@ class ScenarioConfig:
         return {
             "name": self.name,
             "circuit": {
-                k: getattr(self.circuit, k)
-                for k in ("v_base", "s_base", "f_base", "r1", "c1", "r2", "l2",
-                          "r3", "l3", "lf1", "lf2", "cf")
+                k: getattr(self.circuit, k) for k in CIRCUIT_KEYS
             },
             "disturbance": dist,
             "excitation": exc,
@@ -121,32 +119,78 @@ def default_profile(name: str = "default_profile") -> ScenarioConfig:
     return ScenarioConfig(name=name)
 
 
+CIRCUIT_KEYS = ("v_base", "s_base", "f_base", "r1", "c1", "r2", "l2", "r3",
+                "l3", "lf1", "lf2", "cf")
+
+# The keys each scenario section accepts; anything else is an error.
+SCENARIO_SCHEMA = {
+    "run": ("duration", "ts", "noise_std", "noise_seed", "match_floor",
+            "hold", "limit_fraction", "calibration_window"),
+    "circuit": CIRCUIT_KEYS,
+    "disturbance": ("kind", "t_start", "t_end", "r_fault_pu", "r_fault_ohm",
+                    "l_load_pu", "l_load_h"),
+    "excitation": ("enabled", "amplitude", "chip_rate", "seed"),
+    "identifier": ("order", "forgetting", "p0_scale", "p_max"),
+    "thresholds": ("mode", "d_high", "d_low"),
+}
+
+
+def _check_schema(path: str, parser: configparser.ConfigParser) -> None:
+    """Reject sections and keys outside SCENARIO_SCHEMA."""
+    sections = parser.sections()
+    if parser.defaults():
+        sections = [parser.default_section] + sections
+    for section in sections:
+        if section not in SCENARIO_SCHEMA:
+            raise ValueError(
+                f"{path}: [{section}]: unknown section; expected one of "
+                f"{', '.join(f'[{s}]' for s in SCENARIO_SCHEMA)}"
+            )
+        allowed = SCENARIO_SCHEMA[section]
+        for key in parser[section]:
+            if key not in allowed:
+                raise ValueError(
+                    f"{path}: [{section}] {key}: unknown key; expected one "
+                    f"of {', '.join(allowed)}"
+                )
+
+
+def _to_bool(text: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+
+
 def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
     """Parse an INI scenario file on top of the default profile.
 
-    Recognized sections: [run], [circuit], [disturbance], [excitation],
-    [identifier], [thresholds]. Disturbance impedance may be given in p.u.
-    (r_fault_pu / l_load_pu) or physical units (r_fault_ohm / l_load_h).
+    Recognized sections and keys are those of SCENARIO_SCHEMA; an unknown
+    section or key, a value that does not parse, or a missing required
+    value raises ValueError naming the file, the section and the key.
+    Disturbance impedance may be given in p.u. (r_fault_pu / l_load_pu) or
+    physical units (r_fault_ohm / l_load_h).
     """
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_file(fh)
+    _check_schema(path, parser)
     base = default_profile(name=os.path.splitext(os.path.basename(path))[0])
     overrides = overrides or {}
 
-    def fget(section, key, fallback):
-        if section in parser and key in parser[section]:
-            return parser[section].getfloat(key)
-        return fallback
+    def fget(section, key, fallback, convert=float, expected="a number"):
+        if section not in parser or key not in parser[section]:
+            return fallback
+        raw = parser[section][key]
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"{path}: [{section}] {key}: expected {expected}, got {raw!r}"
+            ) from None
 
     def iget(section, key, fallback):
-        if section in parser and key in parser[section]:
-            return parser[section].getint(key)
-        return fallback
+        return fget(section, key, fallback, int, "an integer")
 
     circ_kwargs = {}
-    for key in ("v_base", "s_base", "f_base", "r1", "c1", "r2", "l2", "r3",
-                "l3", "lf1", "lf2", "cf"):
+    for key in CIRCUIT_KEYS:
         val = fget("circuit", key, None)
         if val is not None:
             circ_kwargs[key] = val
@@ -160,8 +204,8 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
         if kind in ("none", "off"):
             disturbance = None
         else:
-            t_start = sec.getfloat("t_start", 10.0)
-            t_end = sec.getfloat("t_end", 20.0)
+            t_start = fget("disturbance", "t_start", 10.0)
+            t_end = fget("disturbance", "t_end", 20.0)
             if kind == "fault":
                 pu_key, si_key, to_pu = ("r_fault_pu", "r_fault_ohm",
                                          circuit.ohms_to_pu)
@@ -169,28 +213,34 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
                 pu_key, si_key, to_pu = ("l_load_pu", "l_load_h",
                                          circuit.henries_to_pu)
             else:
-                raise ValueError(f"unknown disturbance kind {kind!r} in {path}")
+                raise ValueError(
+                    f"{path}: [disturbance] kind: unknown kind {kind!r}; "
+                    "expected one of fault, load, none"
+                )
             if pu_key in sec:
-                value = sec.getfloat(pu_key)
+                value = fget("disturbance", pu_key, None)
             elif si_key in sec:
-                value = to_pu(sec.getfloat(si_key))
+                value = to_pu(fget("disturbance", si_key, None))
             else:
                 raise ValueError(
                     f"{path}: [disturbance] kind = {kind} needs a value: "
                     f"set {pu_key} or {si_key}"
                 )
-            disturbance = DisturbanceSpec(kind, value, t_start, t_end)
+            try:
+                disturbance = DisturbanceSpec(kind, value, t_start, t_end)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [disturbance] {exc}") from None
 
     excitation = base.excitation
     if "excitation" in parser:
-        sec = parser["excitation"]
-        if sec.get("enabled", "true").strip().lower() in ("false", "no", "0"):
+        if not fget("excitation", "enabled", True, _to_bool,
+                    "true or false"):
             excitation = None
         else:
             excitation = RbsConfig(
-                amplitude=sec.getfloat("amplitude", 0.1),
-                chip_rate=sec.getfloat("chip_rate", 5000.0),
-                seed=sec.getint("seed", 1),
+                amplitude=fget("excitation", "amplitude", 0.1),
+                chip_rate=fget("excitation", "chip_rate", 5000.0),
+                seed=iget("excitation", "seed", 1),
             )
     if "seed" in overrides and excitation is not None:
         excitation = replace(excitation, seed=int(overrides["seed"]))
@@ -206,10 +256,24 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
 
     thresholds = None
     if "thresholds" in parser:
-        sec = parser["thresholds"]
-        if sec.get("mode", "auto").strip().lower() != "auto":
-            thresholds = Thresholds(
-                d_high=sec.getfloat("d_high"), d_low=sec.getfloat("d_low")
+        mode = parser["thresholds"].get("mode", "auto").strip().lower()
+        if mode == "manual":
+            bounds = {}
+            for key in ("d_high", "d_low"):
+                bounds[key] = fget("thresholds", key, None)
+                if bounds[key] is None:
+                    raise ValueError(
+                        f"{path}: [thresholds] {key}: mode = manual needs "
+                        "a value"
+                    )
+            try:
+                thresholds = Thresholds(**bounds)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [thresholds] {exc}") from None
+        elif mode != "auto":
+            raise ValueError(
+                f"{path}: [thresholds] mode: unknown mode {mode!r}; "
+                "expected auto or manual"
             )
 
     return ScenarioConfig(
@@ -235,10 +299,33 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
 # artifact writers
 
 
+# Rows formatted per string operation by `_write_csv`.
+CSV_CHUNK_ROWS = 1024
+
+
+def _write_csv(path: str, header: str, data: np.ndarray) -> None:
+    """Write a header line and the rows of a 2-D float array as CSV.
+
+    Every value is written with FLOAT_FMT, so the bytes are those of
+    `np.savetxt(path, data, fmt=FLOAT_FMT, delimiter=",", header=header,
+    comments="")`; a chunk of rows is formatted by one `%` operation on its
+    values as Python floats.
+    """
+    n_rows, n_cols = data.shape
+    row_fmt = ",".join([FLOAT_FMT] * n_cols) + "\n"
+    chunk_fmt = row_fmt * CSV_CHUNK_ROWS
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+            chunk = data[lo:lo + CSV_CHUNK_ROWS]
+            fmt = (chunk_fmt if chunk.shape[0] == CSV_CHUNK_ROWS
+                   else row_fmt * chunk.shape[0])
+            fh.write(fmt % tuple(chunk.ravel().tolist()))
+
+
 def write_samples_csv(path: str, sim: SimResult) -> None:
-    data = np.column_stack([sim.t, sim.v_dq, sim.i_dq])
-    np.savetxt(path, data, fmt=FLOAT_FMT, delimiter=",",
-               header="t,v_d,v_q,i_d,i_q", comments="")
+    _write_csv(path, "t,v_d,v_q,i_d,i_q",
+               np.column_stack([sim.t, sim.v_dq, sim.i_dq]))
 
 
 # Relative tolerance on the sample step of a recorded time grid: a grid
@@ -272,8 +359,7 @@ def read_samples_csv(path: str) -> SimResult:
 
 
 def write_distance_csv(path: str, t, d) -> None:
-    np.savetxt(path, np.column_stack([t, d]), fmt=FLOAT_FMT, delimiter=",",
-               header="t,d", comments="")
+    _write_csv(path, "t,d", np.column_stack([t, d]))
 
 
 def write_theta_csv(path: str, t, thetas, stride: int = 50) -> None:
@@ -283,9 +369,8 @@ def write_theta_csv(path: str, t, thetas, stride: int = 50) -> None:
     header = "t," + ",".join(
         f"theta_{'dq'[r]}_{c + 1}" for r in range(rows) for c in range(cols)
     )
-    data = np.column_stack([np.asarray(t)[sel], thetas[sel].reshape(sel.size, -1)])
-    np.savetxt(path, data, fmt=FLOAT_FMT, delimiter=",", header=header,
-               comments="")
+    _write_csv(path, header, np.column_stack(
+        [np.asarray(t)[sel], thetas[sel].reshape(sel.size, -1)]))
 
 
 def read_theta_csv(path: str, rows: int = 2):
@@ -410,14 +495,12 @@ def _first_time(t, mask, t_start):
     return float(t[hits][0] - t_start) if np.any(hits) else None
 
 
-def _transitions(t, verdicts):
-    out = []
-    prev = None
-    for tk, v in zip(t, verdicts):
-        if v != prev:
-            out.append((float(tk), v.value))
-            prev = v
-    return out
+def _transitions(t, codes):
+    """(t, verdict value) at the first snapshot and at each change of the
+    verdict code series."""
+    change = np.flatnonzero(np.diff(codes, prepend=-1))
+    return [(tk, det.VERDICTS[c].value)
+            for tk, c in zip(t[change].tolist(), codes[change].tolist())]
 
 
 def run_scenario(
@@ -463,9 +546,9 @@ def run_scenario(
     # detector disarmed over that initial stretch.
     armed = run.calibrated.copy()
     armed[: config.calibration_window] = False
-    for k in np.nonzero(~armed)[0]:
-        verdicts[k] = Verdict.NORMAL
-    stable = debounce(verdicts, config.hold)
+    codes = det.verdict_codes(verdicts)
+    codes[~armed] = det.VERDICT_CODE[Verdict.NORMAL]
+    stable = np.array(debounce(codes.tolist(), config.hold), dtype=np.intp)
 
     if config.disturbance is not None:
         t_start, t_end = config.disturbance.t_start, config.disturbance.t_end
@@ -483,8 +566,8 @@ def run_scenario(
                                  t_end, thresholds, trip="low")
     # debounced delays: first stable fault verdict / first stable
     # non-normal verdict after t_start
-    is_fault = np.array([v is Verdict.FAULT for v in stable])
-    not_normal = np.array([v is not Verdict.NORMAL for v in stable])
+    is_fault = stable == det.VERDICT_CODE[Verdict.FAULT]
+    not_normal = stable != det.VERDICT_CODE[Verdict.NORMAL]
     dt1_high_db = _first_time(run.t, is_fault & armed, t_start)
     dt1_low_db = _first_time(run.t, not_normal & armed, t_start)
 

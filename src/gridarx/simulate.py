@@ -161,6 +161,7 @@ def simulate(
     x = equilibrium(nominal, np.asarray(i_op, float), vg)
     prev_model = nominal
     v = np.empty((n, 2))
+    dot, add = np.dot, np.add
     for k0, k1, model in segments:
         if k1 <= k0:
             prev_model = model
@@ -170,9 +171,16 @@ def simulate(
         F, Gb, Ge = _discretize(model, ts)
         drive = i_inj[k0:k1] @ Gb.T + vg @ Ge.T  # per-step forcing, (m, nx)
         Cv = model.C
-        for k in range(k0, k1):
-            v[k] = Cv @ x
-            x = F @ x + drive[k - k0]
+        # v[k] = Cv x; x <- F x + drive[k], written into preallocated rows:
+        # the next state overwrites the forcing row it consumes. np.dot is
+        # the same BLAS gemv as the @ operator, so the values are bitwise
+        # those of the plain expressions.
+        Fx = np.empty_like(x)
+        for v_k, x_next in zip(v[k0:k1], drive):
+            dot(Cv, x, v_k)
+            dot(F, x, Fx)
+            add(Fx, x_next, x_next)
+            x = x_next
         prev_model = model
 
     if not np.all(np.isfinite(v)):

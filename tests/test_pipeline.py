@@ -19,10 +19,12 @@ from gridarx.signals import RbsConfig
 from gridarx.simulate import SimResult, simulate
 
 
-def oracle_identify(sim, config, state=None):
+def oracle_identify(sim, config, state=None, stats=None):
     """Per-sample reference: the step formulas written out with fresh arrays
     every step, as a plain loop. Returns (theta trajectory, innovations,
-    calibrated flags, final theta, final P, final count, clamps fired)."""
+    calibrated flags, final theta, final P, final count, clamps fired).
+    When a `stats` dict is given, it counts in "negative_zero_terms" the
+    -0.0 entries of the outer products."""
     dv = np.diff(np.asarray(sim.v_dq, float), axis=0)
     di = np.diff(np.asarray(sim.i_dq, float), axis=0)
     phi_all, y_all = build_lagged_regressors(dv, di, config.order)
@@ -38,8 +40,14 @@ def oracle_identify(sim, config, state=None):
         assert denom > 1e-12
         K = P_phi / denom
         innovation = y - theta @ phi
-        theta = theta + np.outer(innovation, K)
-        P = (P - np.outer(K, P_phi)) / lam
+        eK, KP = np.outer(innovation, K), np.outer(K, P_phi)
+        if stats is not None:
+            stats["negative_zero_terms"] = stats.get(
+                "negative_zero_terms", 0) + sum(
+                int(np.count_nonzero((a == 0.0) & np.signbit(a)))
+                for a in (eK, KP))
+        theta = theta + eK
+        P = (P - KP) / lam
         P = (P + P.T) / 2.0
         count += 1
         if count % COV_CLAMP_INTERVAL == 0:
@@ -236,3 +244,81 @@ class TestBlockErrors:
         with pytest.raises(UpdateRejectedError, match="at sample 1 of"):
             rls_run(state, Y, Phi)
         assert_unchanged(state, snap)
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
+def assert_run_bits_match_oracle(run, ref):
+    thetas, innovations, _, theta, P, count, _ = ref
+    assert_bits_equal(run.theta, thetas)
+    assert_bits_equal(run.innovation, innovations)
+    assert_bits_equal(run.final_state.theta, theta)
+    assert_bits_equal(run.final_state.P, P)
+    assert run.final_state.sample_count == count
+
+
+class EighCalls:
+    """Counts np.linalg.eigh calls while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            self.calls += 1
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+
+
+class TestBitPatterns:
+    """The kernel against the multiply-form oracle, compared as uint64 bit
+    patterns, so that a +0.0/-0.0 difference fails too."""
+
+    def test_exact_zero_regressor_column(self):
+        sim = windup_stream(n_still=0)
+        sim.i_dq[:, 1] = 1.0  # di_q == 0: its lags are exact-zero columns
+        config = ArxConfig()
+        stats = {}
+        ref = oracle_identify(sim, config, stats=stats)
+        # the multiply form does produce -0.0 terms on this stream
+        assert stats["negative_zero_terms"] > 0
+        assert_run_bits_match_oracle(identify(sim, config), ref)
+
+    def test_windup_clamp_stretch(self):
+        sim = windup_stream()
+        ref = oracle_identify(sim, WINDUP_CONFIG)
+        assert ref[-1] >= 5
+        assert_run_bits_match_oracle(identify(sim, WINDUP_CONFIG), ref)
+
+    def test_frobenius_above_ceiling_runs_eigh_without_clamp(self,
+                                                            monkeypatch):
+        # ||P||_F = 0.9 c sqrt(8) > c >= lambda_max = 0.9 c: the pre-check
+        # cannot rule the clamp out, eigh runs and finds nothing to clamp.
+        config = WINDUP_CONFIG
+        ceiling = config.covariance_ceiling
+        n = config.regressor_len
+        state = IdentifierState(
+            config=config, theta=np.zeros((2, n)),
+            P=0.9 * ceiling * np.eye(n),
+            sample_count=COV_CLAMP_INTERVAL - 1)
+        assert np.linalg.norm(state.P) > ceiling
+        sim = windup_stream(n_excited=10, n_still=0)
+        ref = oracle_identify(sim, config, state)
+        assert ref[-1] == 0  # no clamp
+        eigh = EighCalls(monkeypatch)
+        run = identify(sim, config, state)
+        assert eigh.calls == 1  # the check at sample count 50
+        assert_run_bits_match_oracle(run, ref)
+
+    def test_eigh_skipped_on_excited_stream(self, simulated, monkeypatch):
+        config = ArxConfig()
+        eigh = EighCalls(monkeypatch)
+        run = identify(simulated, config)
+        assert run.final_state.sample_count >= 10 * COV_CLAMP_INTERVAL
+        assert eigh.calls == 0

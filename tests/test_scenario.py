@@ -1,6 +1,7 @@
 """Scenario configuration files, artifact round-trips, and reproducibility
 of end-to-end runs."""
 
+import configparser
 import filecmp
 import os
 from dataclasses import replace
@@ -8,11 +9,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridarx.detector import Thresholds, Verdict
+from gridarx.detector import Thresholds, Verdict, verdict_codes
 from gridarx.scenario import (
+    CSV_CHUNK_ROWS,
+    FLOAT_FMT,
     ScenarioConfig,
     StageError,
     _cycle_average,
+    _transitions,
+    _write_csv,
     calibration_from_json,
     calibration_to_json,
     load_scenario,
@@ -102,6 +107,65 @@ class TestLoadScenario:
                          "[excitation]\nenabled = false\n")
         assert load_scenario(path).excitation is None
 
+    @pytest.mark.parametrize("text, where", [
+        ("[run]\ndurtion = 1\n",
+         "[run] durtion: unknown key; expected one of duration"),
+        ("[rnu]\nduration = 1\n", "[rnu]: unknown section; expected one of"),
+        ("[DEFAULT]\nduration = 1\n", "[DEFAULT]: unknown section"),
+        ("[disturbance]\nkind = fault\nr_fault_ohms = 20\n",
+         "[disturbance] r_fault_ohms: unknown key"),
+    ])
+    def test_unknown_section_or_key_rejected(self, tmp_path, text, where):
+        path = write_ini(tmp_path, "typo.ini", text)
+        with pytest.raises(ValueError) as err:
+            load_scenario(path)
+        assert str(err.value).startswith(f"{path}: {where}")
+
+    @pytest.mark.parametrize("text, where", [
+        ("[run]\nduration = abc\n",
+         "[run] duration: expected a number, got 'abc'"),
+        ("[run]\nnoise_seed = 2.5\n",
+         "[run] noise_seed: expected an integer, got '2.5'"),
+        ("[excitation]\nenabled = maybe\n",
+         "[excitation] enabled: expected true or false"),
+        ("[thresholds]\nmode = manual\nd_low = 0.1\n",
+         "[thresholds] d_high: mode = manual needs a value"),
+        ("[thresholds]\nmode = manual\nd_high = 4.5\n",
+         "[thresholds] d_low: mode = manual needs a value"),
+        ("[thresholds]\nmode = manul\n",
+         "[thresholds] mode: unknown mode 'manul'"),
+        ("[thresholds]\nmode = manual\nd_high = 1\nd_low = 2\n",
+         "[thresholds] need 0 < d_low < d_high"),
+    ])
+    def test_bad_value_names_file_section_key(self, tmp_path, text, where):
+        path = write_ini(tmp_path, "bad.ini", text)
+        with pytest.raises(ValueError) as err:
+            load_scenario(path)
+        assert str(err.value).startswith(f"{path}: {where}")
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in os.listdir(SCENARIO_DIR) if n.endswith(".ini")))
+    def test_shipped_and_rewritten_scenarios_load(self, tmp_path, name):
+        """Every shipped file loads, also after a configparser rewrite with
+        scaled durations and new seeds, as the benchmark makes them."""
+        src = os.path.join(SCENARIO_DIR, name)
+        cfg = load_scenario(src)
+        parser = configparser.ConfigParser()
+        parser.read(src)
+        for section, key in (("run", "duration"), ("disturbance", "t_start"),
+                             ("disturbance", "t_end")):
+            if parser.has_option(section, key):
+                parser.set(section, key,
+                           repr(parser.getfloat(section, key) * 0.5))
+        parser.set("excitation", "seed", "3")
+        parser.set("run", "noise_seed", "4")
+        path = tmp_path / name
+        with open(path, "w") as fh:
+            parser.write(fh)
+        again = load_scenario(str(path))
+        assert again.duration == cfg.duration * 0.5
+        assert (again.excitation.seed, again.noise_seed) == (3, 4)
+
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_scenario("/nonexistent/scenario.ini")
@@ -142,6 +206,23 @@ class TestCsvRoundTrips:
         path.write_text("t,v_d,v_q,i_d,i_q\n" + rows)
         with pytest.raises(ValueError, match=match):
             read_samples_csv(str(path))
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS - 1,
+                                      CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    def test_writer_bytes_equal_savetxt(self, tmp_path, rows):
+        specials = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e-310,
+                    0.1, 2.0**53 + 2]
+        rng = np.random.default_rng(rows)
+        data = (rng.standard_normal((rows, len(specials)))
+                * 10.0 ** rng.integers(-300, 300, (rows, len(specials))))
+        if rows:
+            data[0], data[-1] = specials, specials[::-1]
+        header = ",".join(f"c{k}" for k in range(len(specials)))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        _write_csv(str(got), header, data)
+        np.savetxt(str(want), data, fmt=FLOAT_FMT, delimiter=",",
+                   header=header, comments="")
+        assert got.read_bytes() == want.read_bytes()
 
     def test_theta_stride_and_exactness(self, tmp_path, rng):
         t = np.arange(20) * 1e-3
@@ -260,6 +341,22 @@ class TestRunScenario:
         report = run_scenario(cfg, nominal, thresholds)
         assert report.thresholds == pinned
         assert report.dt1_high is None  # nothing reaches 1e6
+
+
+class TestVerdictTimeline:
+    @pytest.mark.parametrize("m", [0, 1, 200])
+    def test_transitions_match_loop(self, m):
+        rng = np.random.default_rng(m)
+        t = np.arange(m) * 2e-4
+        members = list(Verdict)
+        verdicts = [members[k]
+                    for k in rng.choice(4, m, p=[0.7, 0.1, 0.1, 0.1])]
+        want, prev = [], None
+        for tk, v in zip(t, verdicts):  # the per-snapshot reference loop
+            if v != prev:
+                want.append((float(tk), v.value))
+                prev = v
+        assert _transitions(t, verdict_codes(verdicts)) == want
 
 
 class TestRunSuite:

@@ -16,10 +16,11 @@ from gridarx.simulate import (
     DisturbanceSpec,
     SimResult,
     _discretize,
+    _map_state,
     equilibrium,
     simulate,
 )
-from gridarx.signals import RbsConfig
+from gridarx.signals import RbsConfig, rbs_generate
 
 
 def scalar_nominal_model(params):
@@ -199,6 +200,45 @@ class TestTopologySwitch:
         sim = simulate(params, dist, None, 1.5, noise_std=0.0)
         during = sim.v_dq[(sim.t >= 0.9) & (sim.t < 1.0)]
         assert np.max(np.abs(during - sim.v_dq[0])) > 0.05
+
+
+def oracle_voltage(params, disturbance, excitation, duration, ts=2e-4,
+                   i_op=(1.0, 0.0), vg=(1.0, 0.0)):
+    """Noiseless PCC voltage by the step loop written out with fresh arrays
+    every step: per topology segment, the forcing of all its steps, then
+    v[k] = C x and x = F x + drive[k]."""
+    n = int(round(duration / ts)) + 1
+    i_inj = np.asarray(i_op, float) + rbs_generate(excitation, n, fs=1.0 / ts)
+    vg = np.asarray(vg, float)
+    nominal = full_circuit_model(params, None)
+    disturbed = full_circuit_model(params, (disturbance.kind,
+                                            disturbance.value_pu))
+    k_on = int(round(disturbance.t_start / ts))
+    k_off = int(round(disturbance.t_end / ts))
+    x = equilibrium(nominal, np.asarray(i_op, float), vg)
+    v = np.empty((n, 2))
+    prev = nominal
+    for k0, k1, model in ((0, k_on, nominal), (k_on, k_off, disturbed),
+                          (k_off, n, nominal)):
+        if model is not prev:
+            x = _map_state(x, prev, model, params)
+        F, Gb, Ge = _discretize(model, ts)
+        drive = i_inj[k0:k1] @ Gb.T + vg @ Ge.T
+        for k in range(k0, k1):
+            v[k] = model.C @ x
+            x = F @ x + drive[k - k0]
+        prev = model
+    return v
+
+
+class TestStepLoopExactness:
+    @pytest.mark.parametrize("kind, value", [("fault", 0.3), ("load", 0.35)])
+    def test_bitwise_equal_to_fresh_array_loop(self, params, kind, value):
+        exc = RbsConfig(seed=4)
+        dist = DisturbanceSpec(kind, value, 0.05, 0.12)
+        sim = simulate(params, dist, exc, 0.2, noise_std=0.0)
+        want = oracle_voltage(params, dist, exc, 0.2)
+        assert np.array_equal(sim.v_dq.view(np.uint64), want.view(np.uint64))
 
 
 class TestIdentificationResidual:
