@@ -1,7 +1,7 @@
 """Streaming recursive-ARX identification and grid-edge fault detection,
 with a dq-frame small-signal simulator of the reference test circuit."""
 
-from .baseline import Violation, VoltageLimits, limit_check
+from .baseline import VoltageLimits, limit_check
 from .circuit import (
     CircuitParams,
     DqImpedance,
@@ -28,8 +28,7 @@ from .detector import (
     classify,
     classify_series,
     detection_times,
-    frobenius_distance,
-    match_signature,
+    distances,
 )
 from .pipeline import IdentRun, identify
 from .rls import (
@@ -39,17 +38,7 @@ from .rls import (
     init_identifier,
     rls_update,
 )
-from .signals import (
-    AbcSample,
-    DiffSample,
-    DqSample,
-    RbsConfig,
-    RegressorBuilder,
-    abc_to_dq,
-    difference_stream,
-    dq_to_abc,
-    rbs_generate,
-)
+from .signals import RbsConfig, abc_to_dq, dq_to_abc, rbs_generate
 from .simulate import DisturbanceSpec, SimResult, simulate
 
 __version__ = "0.1.0"

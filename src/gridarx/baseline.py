@@ -34,26 +34,15 @@ class VoltageLimits:
         )
 
 
-@dataclass(frozen=True)
-class Violation:
-    axis: str  # "d" | "q"
-    side: str  # "lower" | "upper"
-
-
 def limit_check(v_dq, limits: VoltageLimits):
-    """Strict-inequality window test; None means within limits.
+    """Open-band test on dq voltage samples: True where a sample violates.
 
-    Boundary values count as violations (the band is open).
+    `v_dq` is one (2,) sample or an (n, 2) array of them. A value on a band
+    edge counts as a violation (the band is open).
     """
     v_dq = np.asarray(v_dq, float)
     if not np.all(np.isfinite(v_dq)):
         raise ValueError("non-finite voltage sample")
-    if v_dq[0] <= limits.vd_min:
-        return Violation("d", "lower")
-    if v_dq[0] >= limits.vd_max:
-        return Violation("d", "upper")
-    if v_dq[1] <= limits.vq_min:
-        return Violation("q", "lower")
-    if v_dq[1] >= limits.vq_max:
-        return Violation("q", "upper")
-    return None
+    vd, vq = v_dq[..., 0], v_dq[..., 1]
+    return ((vd <= limits.vd_min) | (vd >= limits.vd_max)
+            | (vq <= limits.vq_min) | (vq >= limits.vq_max))

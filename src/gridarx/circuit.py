@@ -34,9 +34,8 @@ class SingularMatrixError(ValueError):
 class CircuitParams:
     """Electrical parameters of the test circuit (per-unit on the given base).
 
-    lf1, lf2, cf describe the converter's LCL filter; they are carried for
-    completeness but unused, since the converter is modeled as an ideal
-    controlled current source.
+    The converter is modeled as an ideal controlled current source, so its
+    output filter has no parameters here.
     """
 
     v_base: float = 380.0  # V
@@ -48,9 +47,6 @@ class CircuitParams:
     l2: float = 0.15  # p.u., line 1
     r3: float = 0.015  # p.u., line 2
     l3: float = 0.15  # p.u., line 2
-    lf1: float = 0.08  # p.u., carried, unused
-    lf2: float = 0.05  # p.u., carried, unused
-    cf: float = 0.08  # p.u., carried, unused
 
     def __post_init__(self):
         for name in ("r1", "r2", "r3"):

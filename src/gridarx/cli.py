@@ -100,7 +100,7 @@ def cmd_run(args) -> int:
 def cmd_suite(args) -> int:
     with open(args.manifest) as fh:
         paths = [line.strip() for line in fh if line.strip()
-                 and not line.startswith("#")]
+                 and not line.lstrip().startswith("#")]
     base = os.path.dirname(os.path.abspath(args.manifest))
     paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in paths]
     nominal, thresholds = _load_calibration(args.calibration)

@@ -27,10 +27,6 @@ class InsufficientDataError(ValueError):
     """Not enough snapshots to calibrate or build from."""
 
 
-class EmptyLibraryError(ValueError):
-    """Signature matching requested against an empty library."""
-
-
 class Verdict(str, Enum):
     NORMAL = "normal"
     FAULT = "fault"
@@ -146,14 +142,17 @@ def calibrate_nominal(theta_stream, window: int) -> NominalPredictor:
     )
 
 
-def frobenius_distance(theta, theta_star) -> float:
-    theta = np.asarray(theta, float)
+def distances(thetas, theta_star) -> np.ndarray:
+    """Frobenius distance of each predictor snapshot in `thetas` (m, rows,
+    cols) to the reference `theta_star` (rows, cols)."""
+    thetas = np.asarray(thetas, float)
     theta_star = np.asarray(theta_star, float)
-    if theta.shape != theta_star.shape:
+    if thetas.shape[1:] != theta_star.shape:
         raise ValueError(
-            f"shape mismatch: {theta.shape} vs {theta_star.shape}"
+            f"snapshot shape {thetas.shape[1:]} does not match the reference "
+            f"predictor shape {theta_star.shape}"
         )
-    return float(np.linalg.norm(theta - theta_star))
+    return np.linalg.norm(thetas - theta_star, axis=(1, 2))
 
 
 def calibrate_thresholds(
@@ -171,78 +170,25 @@ def calibrate_thresholds(
     return Thresholds(d_high=high_factor * d_max, d_low=low_factor * d_max)
 
 
-def match_signature(delta_theta, library: SignatureLibrary,
-                    match_floor: float = DEFAULT_MATCH_FLOOR):
-    """Best cosine match of the flattened deviation against the library.
-
-    Cosine similarity is scale-free, so one recorded signature covers a
-    range of disturbance severities. Returns (label, similarity); the label
-    is None when the best similarity is below `match_floor`.
-    """
-    if not library.signatures:
-        raise EmptyLibraryError("signature library is empty")
-    v = np.asarray(delta_theta, float).flatten()
-    norm_v = np.linalg.norm(v)
-    best_label, best_sim = None, -np.inf
-    for sig in library.signatures:
-        w = sig.delta_theta.flatten()
-        denom = norm_v * np.linalg.norm(w)
-        sim = float(v @ w / denom) if denom > 0 else 0.0
-        if sim > best_sim:
-            best_label, best_sim = sig.label, sim
-    if best_sim < match_floor:
-        return None, best_sim
-    return best_label, best_sim
-
-
-def classify(
-    theta,
-    nominal: NominalPredictor,
-    thresholds: Thresholds,
-    library: SignatureLibrary,
-    t: float = 0.0,
-    match_floor: float = DEFAULT_MATCH_FLOOR,
-) -> DetectionEvent:
-    """Two-criterion decision on one predictor snapshot.
-
-    d > d_high trips the fault verdict without consulting the library.
-    d_low < d <= d_high consults the signature library; an empty or
-    non-matching library yields the unclassified verdict. Otherwise normal.
-    """
-    if nominal is None:
-        raise ValueError("nominal predictor is not calibrated")
-    d = frobenius_distance(theta, nominal.theta_star)
-    if d > thresholds.d_high:
-        return DetectionEvent(verdict=Verdict.FAULT, d=d, t=t)
-    if d > thresholds.d_low:
-        delta = np.asarray(theta, float) - nominal.theta_star
-        if not library.signatures:
-            return DetectionEvent(verdict=Verdict.UNCLASSIFIED, d=d, t=t)
-        label, sim = match_signature(delta, library, match_floor)
-        if label is Verdict.FAULT:
-            verdict = Verdict.FAULT
-        elif label is Verdict.LOAD_INCREASE:
-            verdict = Verdict.LOAD_INCREASE
-        else:
-            verdict = Verdict.UNCLASSIFIED
-        return DetectionEvent(
-            verdict=verdict, d=d, t=t, matched_label=label, matched_similarity=sim
-        )
-    return DetectionEvent(verdict=Verdict.NORMAL, d=d, t=t)
-
-
 def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
                     library: SignatureLibrary,
                     match_floor: float = DEFAULT_MATCH_FLOOR):
-    """Vectorized `classify` over a trajectory of predictor snapshots.
+    """Two-criterion decision on each snapshot of a predictor trajectory.
 
-    Returns (d array, verdict list, similarity array) with per-snapshot
-    semantics identical to `classify`; similarity is NaN outside the
-    criterion-2 band.
+    d > d_high trips the fault verdict without consulting the library.
+    d_low < d <= d_high compares the deviation theta - theta* with the
+    library by cosine similarity, which is scale-free, so one recorded
+    signature covers a range of disturbance severities: the best match
+    gives its label, a best similarity below `match_floor` or an empty
+    library gives the unclassified verdict. Otherwise normal.
+
+    Returns (d array, verdict list, similarity array); similarity is the
+    best match's, NaN outside the criterion-2 band or with an empty library.
     """
+    if nominal is None:
+        raise ValueError("nominal predictor is not calibrated")
     thetas = np.asarray(thetas, float)
-    deltas = thetas - nominal.theta_star
-    d = np.linalg.norm(deltas, axis=(1, 2))
+    d = distances(thetas, nominal.theta_star)
     m = thetas.shape[0]
     codes = np.full(m, VERDICT_CODE[Verdict.NORMAL])
     similarity = np.full(m, np.nan)
@@ -255,7 +201,8 @@ def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
         if not library.signatures:
             codes[band_idx] = VERDICT_CODE[Verdict.UNCLASSIFIED]
         else:
-            flat = deltas[band_idx].reshape(band_idx.size, -1)
+            flat = (thetas[band_idx] - nominal.theta_star).reshape(
+                band_idx.size, -1)
             sig_mat = np.stack(
                 [s.delta_theta.flatten() for s in library.signatures]
             )
@@ -277,6 +224,30 @@ def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
                 best_sim < match_floor, VERDICT_CODE[Verdict.UNCLASSIFIED],
                 sig_codes[best])
     return d, VERDICTS[codes].tolist(), similarity
+
+
+def classify(
+    theta,
+    nominal: NominalPredictor,
+    thresholds: Thresholds,
+    library: SignatureLibrary,
+    t: float = 0.0,
+    match_floor: float = DEFAULT_MATCH_FLOOR,
+) -> DetectionEvent:
+    """`classify_series` on one predictor snapshot.
+
+    The matched label is set only for a criterion-2 match at or above
+    `match_floor`; the similarity is None where the series gives NaN.
+    """
+    d, verdicts, similarity = classify_series(
+        np.asarray(theta, float)[None], nominal, thresholds, library,
+        match_floor)
+    verdict, sim = verdicts[0], float(similarity[0])
+    if np.isnan(sim):
+        return DetectionEvent(verdict=verdict, d=float(d[0]), t=t)
+    label = None if verdict is Verdict.UNCLASSIFIED else verdict
+    return DetectionEvent(verdict=verdict, d=float(d[0]), t=t,
+                          matched_label=label, matched_similarity=sim)
 
 
 def detection_times(t, d, t_start: float, t_end: float,
@@ -354,9 +325,7 @@ def build_library(scenario_runs, nominal: NominalPredictor,
             raise InsufficientDataError(
                 f"run {source!r}: no snapshots inside the disturbance window"
             )
-        d_window = np.linalg.norm(
-            thetas[in_window] - nominal.theta_star, axis=(1, 2)
-        )
+        d_window = distances(thetas[in_window], nominal.theta_star)
         if float(np.max(d_window)) <= thresholds.d_low:
             raise InsufficientDataError(
                 f"run {source!r}: distance never exceeded d_low inside the "

@@ -6,8 +6,7 @@ and the detector. `identify` builds the lagged regressors of a block and
 hands the whole block to the one RLS kernel, `rls.rls_run`, which validates
 it once and then steps through it. A run split into blocks, with the final
 state carried from one block to the next, gives the same trajectory bitwise
-as one whole run; the per-sample semantics are those of `rls.rls_update`
-and the step-by-step API in `signals`.
+as one whole run; the per-sample semantics are those of `rls.rls_update`.
 """
 
 from __future__ import annotations
@@ -41,11 +40,6 @@ class IdentRun:
     calibrated: np.ndarray  # (m,) bool, past burn-in
     final_state: IdentifierState
 
-    def distances(self, theta_star: np.ndarray) -> np.ndarray:
-        """Frobenius distance of every snapshot to a reference predictor."""
-        return np.linalg.norm(self.theta - np.asarray(theta_star, float),
-                              axis=(1, 2))
-
     def residual_ratio(self, theta: np.ndarray, mask=None) -> float:
         """Normalized one-step residual variance of a fixed predictor.
 
@@ -69,6 +63,8 @@ def build_lagged_regressors(dv: np.ndarray, di: np.ndarray, order: int):
     [dv(k-1)..dv(k-order), di(k-1)..di(k-order)] for k = order + m, i.e. the
     regressor paired with output dv(k). Returns (phi matrix, y matrix).
     """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     n_d = dv.shape[0]
     if n_d <= order:
         return np.zeros((0, 4 * order)), np.zeros((0, 2))

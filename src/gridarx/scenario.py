@@ -12,12 +12,12 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import detector as det
-from .baseline import VoltageLimits
+from .baseline import VoltageLimits, limit_check
 from .circuit import CircuitParams
 from .detector import (
     NominalPredictor,
@@ -30,6 +30,7 @@ from .detector import (
     classify_series,
     debounce,
     detection_times,
+    distances,
 )
 from .pipeline import identify
 from .rls import ArxConfig
@@ -68,50 +69,11 @@ class ScenarioConfig:
     calibration_window: int = DEFAULT_CAL_WINDOW
 
     def echo(self) -> dict:
-        dist = None
-        if self.disturbance is not None:
-            dist = {
-                "kind": self.disturbance.kind,
-                "value_pu": self.disturbance.value_pu,
-                "t_start": self.disturbance.t_start,
-                "t_end": self.disturbance.t_end,
-            }
-        exc = None
-        if self.excitation is not None:
-            exc = {
-                "amplitude": self.excitation.amplitude,
-                "chip_rate": self.excitation.chip_rate,
-                "seed": self.excitation.seed,
-            }
-        thr = None
-        if self.thresholds is not None:
-            thr = {"d_high": self.thresholds.d_high, "d_low": self.thresholds.d_low}
-        return {
-            "name": self.name,
-            "circuit": {
-                k: getattr(self.circuit, k) for k in CIRCUIT_KEYS
-            },
-            "disturbance": dist,
-            "excitation": exc,
-            "identifier": {
-                "order": self.identifier.order,
-                "input_dim": self.identifier.input_dim,
-                "output_dim": self.identifier.output_dim,
-                "forgetting": self.identifier.forgetting,
-                "p0_scale": self.identifier.p0_scale,
-                "p_max": self.identifier.covariance_ceiling,
-            },
-            "thresholds": thr,
-            "duration": self.duration,
-            "ts": self.ts,
-            "noise_std": self.noise_std,
-            "noise_seed": self.noise_seed,
-            "i_op": list(self.i_op),
-            "match_floor": self.match_floor,
-            "hold": self.hold,
-            "limit_fraction": self.limit_fraction,
-            "calibration_window": self.calibration_window,
-        }
+        """The config as plain JSON-ready data; the identifier reports the
+        effective covariance ceiling as p_max."""
+        doc = asdict(self)
+        doc["identifier"]["p_max"] = self.identifier.covariance_ceiling
+        return doc
 
 
 def default_profile(name: str = "default_profile") -> ScenarioConfig:
@@ -119,8 +81,7 @@ def default_profile(name: str = "default_profile") -> ScenarioConfig:
     return ScenarioConfig(name=name)
 
 
-CIRCUIT_KEYS = ("v_base", "s_base", "f_base", "r1", "c1", "r2", "l2", "r3",
-                "l3", "lf1", "lf2", "cf")
+CIRCUIT_KEYS = tuple(f.name for f in fields(CircuitParams))
 
 # The keys each scenario section accepts; anything else is an error.
 SCENARIO_SCHEMA = {
@@ -194,8 +155,7 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
         val = fget("circuit", key, None)
         if val is not None:
             circ_kwargs[key] = val
-    circuit = CircuitParams(**{**CircuitParams().__dict__, **circ_kwargs}) \
-        if circ_kwargs else base.circuit
+    circuit = replace(base.circuit, **circ_kwargs)
 
     disturbance = base.disturbance
     if "disturbance" in parser:
@@ -411,6 +371,24 @@ def calibration_from_json(text: str):
 # end-to-end runs
 
 
+def _simulate_identify(config: ScenarioConfig):
+    """Simulate the scenario and identify over its stream: (sim, run). A
+    failure raises StageError tagged with the stage that failed."""
+    try:
+        sim = simulate(
+            config.circuit, config.disturbance, config.excitation,
+            config.duration, config.ts, config.noise_std, config.noise_seed,
+            config.i_op,
+        )
+    except Exception as exc:
+        raise StageError("simulate", str(exc)) from exc
+    try:
+        run = identify(sim, config.identifier)
+    except Exception as exc:
+        raise StageError("identify", str(exc)) from exc
+    return sim, run
+
+
 def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     """Fault-free run producing the nominal predictor and auto thresholds.
 
@@ -419,15 +397,7 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     portion of the same run.
     """
     cal_config = replace(config, disturbance=None)
-    try:
-        sim = simulate(
-            cal_config.circuit, None, cal_config.excitation,
-            cal_config.duration, cal_config.ts, cal_config.noise_std,
-            cal_config.noise_seed, cal_config.i_op,
-        )
-    except Exception as exc:
-        raise StageError("simulate", str(exc)) from exc
-    run = identify(sim, cal_config.identifier)
+    _, run = _simulate_identify(cal_config)
     if not run.final_state.calibrated:
         raise StageError(
             "identify",
@@ -436,11 +406,11 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
         )
     mask = run.calibrated
     window = min(cal_config.calibration_window, int(np.sum(mask)))
-    snapshots = list(zip(run.t[mask], run.theta[mask]))
-    nominal = calibrate_nominal(snapshots, window)
+    thetas = run.theta[mask]
+    nominal = calibrate_nominal(zip(run.t[mask], thetas), window)
     # threshold calibration uses the settled window only: the estimator's
     # cold-start convergence transient is not nominal operation
-    d_nominal = run.distances(nominal.theta_star)[mask][-window:]
+    d_nominal = distances(thetas[-window:], nominal.theta_star)
     thresholds = (config.thresholds if config.thresholds is not None
                   else calibrate_thresholds(d_nominal))
     if out_dir is not None:
@@ -509,7 +479,6 @@ def run_scenario(
     thresholds: Thresholds,
     library: SignatureLibrary | None = None,
     out_dir: str | None = None,
-    theta_stride: int = 50,
 ) -> RunReport:
     """Full pipeline for one scenario: simulate, identify, classify, report.
 
@@ -521,18 +490,7 @@ def run_scenario(
         thresholds = config.thresholds
     library = library or SignatureLibrary(order=config.identifier.order)
     warnings = []
-    try:
-        sim = simulate(
-            config.circuit, config.disturbance, config.excitation,
-            config.duration, config.ts, config.noise_std, config.noise_seed,
-            config.i_op,
-        )
-    except Exception as exc:
-        raise StageError("simulate", str(exc)) from exc
-    try:
-        run = identify(sim, config.identifier)
-    except Exception as exc:
-        raise StageError("identify", str(exc)) from exc
+    sim, run = _simulate_identify(config)
 
     try:
         d, verdicts, similarity = classify_series(
@@ -598,12 +556,8 @@ def run_scenario(
     v_eq = _nominal_pcc_voltage(config)
     limits = VoltageLimits.around(v_eq, config.limit_fraction)
     v_rms = _cycle_average(sim.v_dq, config.ts, config.circuit.f_base)
-    viol = (
-        (v_rms[:, 0] <= limits.vd_min) | (v_rms[:, 0] >= limits.vd_max)
-        | (v_rms[:, 1] <= limits.vq_min) | (v_rms[:, 1] >= limits.vq_max)
-    )
     in_window = (sim.t >= t_start) & (sim.t < t_end)
-    baseline_hits = viol & in_window
+    baseline_hits = limit_check(v_rms, limits) & in_window
     baseline_detected = bool(np.any(baseline_hits))
     baseline_first = (
         float(sim.t[baseline_hits][0]) if baseline_detected else None
@@ -630,8 +584,7 @@ def run_scenario(
         os.makedirs(out_dir, exist_ok=True)
         write_samples_csv(os.path.join(out_dir, "samples.csv"), sim)
         write_distance_csv(os.path.join(out_dir, "distance.csv"), run.t, d)
-        write_theta_csv(os.path.join(out_dir, "theta.csv"), run.t, run.theta,
-                        stride=theta_stride)
+        write_theta_csv(os.path.join(out_dir, "theta.csv"), run.t, run.theta)
         with open(os.path.join(out_dir, "events.jsonl"), "w") as fh:
             for tk, v in report.verdict_timeline:
                 idx = int(np.searchsorted(run.t, tk))
@@ -680,12 +633,7 @@ def build_library_from_scenarios(
             )
         label = (Verdict.FAULT if config.disturbance.kind == "fault"
                  else Verdict.LOAD_INCREASE)
-        sim = simulate(
-            config.circuit, config.disturbance, config.excitation,
-            config.duration, config.ts, config.noise_std, config.noise_seed,
-            config.i_op,
-        )
-        run = identify(sim, config.identifier)
+        _, run = _simulate_identify(config)
         runs.append((
             label, run.t, run.theta,
             config.disturbance.t_start, config.disturbance.t_end, config.name,

@@ -1,5 +1,5 @@
-"""dq-frame signal preparation: Park transforms, difference streams,
-regressor assembly, and random binary excitation.
+"""dq-frame signal preparation: Park transforms and random binary
+excitation.
 
 Park convention used throughout the package: amplitude-invariant, d axis
 aligned with the synchronization angle, q axis lagging d by 90 degrees. A
@@ -12,33 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class SequencingError(ValueError):
-    """Samples arrived out of time order."""
-
-
-@dataclass(frozen=True)
-class AbcSample:
-    v_abc: np.ndarray  # (3,), volts
-    i_abc: np.ndarray  # (3,), amps
-    t: float
-
-
-@dataclass(frozen=True)
-class DqSample:
-    v_dq: np.ndarray  # (2,), p.u.
-    i_dq: np.ndarray  # (2,), p.u.
-    t: float
-
-
-@dataclass(frozen=True)
-class DiffSample:
-    """First differences of consecutive DqSamples."""
-
-    dv_dq: np.ndarray
-    di_dq: np.ndarray
-    t: float
 
 
 _PHASE_SHIFTS = np.array([0.0, -2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0])
@@ -62,53 +35,6 @@ def dq_to_abc(x_dq, angle: float) -> np.ndarray:
     x_dq = np.asarray(x_dq, dtype=float)
     a = angle + _PHASE_SHIFTS
     return x_dq[0] * np.cos(a) - x_dq[1] * np.sin(a)
-
-
-def difference_stream(current: DqSample, previous: DqSample) -> DiffSample:
-    """Componentwise first difference of two consecutive samples."""
-    if current.t <= previous.t:
-        raise SequencingError(
-            f"current sample t={current.t} is not after previous t={previous.t}"
-        )
-    return DiffSample(
-        dv_dq=np.asarray(current.v_dq, float) - np.asarray(previous.v_dq, float),
-        di_dq=np.asarray(current.i_dq, float) - np.asarray(previous.i_dq, float),
-        t=current.t,
-    )
-
-
-class RegressorBuilder:
-    """Ring buffer that assembles the lagged-difference regressor.
-
-    The regressor at step k stacks the most recent `order` differences,
-    newest first, voltages before currents:
-
-        phi(k) = [dv(k-1) .. dv(k-order), di(k-1) .. di(k-order)]
-
-    `regressor()` returns None until `order` samples have been pushed.
-    """
-
-    def __init__(self, order: int):
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
-        self.order = order
-        self._dv = []  # newest first
-        self._di = []
-
-    def push(self, diff: DiffSample) -> None:
-        self._dv.insert(0, np.asarray(diff.dv_dq, dtype=float))
-        self._di.insert(0, np.asarray(diff.di_dq, dtype=float))
-        del self._dv[self.order:]
-        del self._di[self.order:]
-
-    @property
-    def ready(self) -> bool:
-        return len(self._dv) == self.order
-
-    def regressor(self):
-        if not self.ready:
-            return None
-        return np.concatenate(self._dv + self._di)
 
 
 @dataclass(frozen=True)

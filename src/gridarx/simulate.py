@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitParams, StateSpaceModel, full_circuit_model
-from .signals import DqSample, RbsConfig, rbs_generate
+from .signals import RbsConfig, rbs_generate
 
 
 class IntegrationError(RuntimeError):
@@ -62,10 +62,6 @@ class SimResult:
     v_dq: np.ndarray  # (n, 2) measured PCC voltage, p.u.
     i_dq: np.ndarray  # (n, 2) measured injected current, p.u.
     ts: float
-
-    def samples(self):
-        for k in range(self.t.shape[0]):
-            yield DqSample(v_dq=self.v_dq[k], i_dq=self.i_dq[k], t=float(self.t[k]))
 
 
 def equilibrium(model: StateSpaceModel, u0, vg) -> np.ndarray:

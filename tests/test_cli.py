@@ -85,6 +85,18 @@ class TestBuildLibrary:
         assert sorted(e["label"] for e in doc["signatures"]) == \
             ["fault", "load_increase"]
 
+    def test_stage_failure_exits_2_with_message(self, workspace, tmp_path,
+                                                capsys):
+        bad = tmp_path / "bad_ts.ini"
+        bad.write_text(MINI_FAULT.replace("[run]\n", "[run]\nts = -2e-4\n"))
+        rc = main(["build-library", "--config", str(bad),
+                   "--calibration", workspace["calibration.json"],
+                   "--out", str(tmp_path / "lib")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [simulate] ")
+        assert "duration and ts must be positive" in err
+
 
 class TestRun:
     def test_report_artifacts(self, workspace, tmp_path):
@@ -113,6 +125,18 @@ class TestSuite:
         assert lines[0] == "scenario,method,detected,verdict,dt1,dt2"
         methods = {line.split(",")[1] for line in lines[1:]}
         assert methods == {"rarx", "limit_check"}
+
+    def test_indented_comment_lines_skipped(self, workspace, tmp_path):
+        manifest = tmp_path / "commented_manifest.txt"
+        manifest.write_text(f"  # indented note\n\t# tab note\n"
+                            f"{workspace['fault.ini']}\n")
+        out = tmp_path / "suite"
+        rc = main(["suite", "--manifest", str(manifest),
+                   "--calibration", workspace["calibration.json"],
+                   "--out", str(out)])
+        assert rc == 0
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["fault", "fault"]
 
     def test_failing_scenario_propagates_exit_code(self, workspace,
                                                    tmp_path):

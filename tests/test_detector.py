@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridarx.detector import (
-    EmptyLibraryError,
+    DetectionEvent,
     InsufficientDataError,
     Signature,
     SignatureLibrary,
@@ -17,12 +17,51 @@ from gridarx.detector import (
     classify_series,
     debounce,
     detection_times,
-    frobenius_distance,
-    match_signature,
+    distances,
 )
 
 ORDER = 3
 SHAPE = (2, 4 * ORDER)
+
+
+def oracle_classify(theta, nominal, thresholds, library, t=0.0,
+                    match_floor=0.8):
+    """Reference two-criterion decision on one snapshot: a flattened
+    distance and a loop over the signatures, independent of the vectorized
+    classifier."""
+    delta = np.asarray(theta, float) - nominal.theta_star
+    d = float(np.linalg.norm(delta))
+    if d > thresholds.d_high:
+        return DetectionEvent(verdict=Verdict.FAULT, d=d, t=t)
+    if d <= thresholds.d_low:
+        return DetectionEvent(verdict=Verdict.NORMAL, d=d, t=t)
+    if not library.signatures:
+        return DetectionEvent(verdict=Verdict.UNCLASSIFIED, d=d, t=t)
+    v = delta.flatten()
+    best_label, best_sim = None, -np.inf
+    for sig in library.signatures:
+        w = sig.delta_theta.flatten()
+        denom = np.linalg.norm(v) * np.linalg.norm(w)
+        sim = float(v @ w / denom) if denom > 0 else 0.0
+        if sim > best_sim:
+            best_label, best_sim = sig.label, sim
+    label = best_label if best_sim >= match_floor else None
+    return DetectionEvent(verdict=label or Verdict.UNCLASSIFIED, d=d, t=t,
+                          matched_label=label, matched_similarity=best_sim)
+
+
+def assert_same_event(got, want):
+    """Verdict and label exactly; d and similarity to rounding (a norm over
+    axes and a flattened dot product sum in different orders)."""
+    assert got.verdict is want.verdict
+    assert got.matched_label is want.matched_label
+    assert got.t == want.t
+    assert got.d == pytest.approx(want.d, rel=1e-14, abs=0.0)
+    if want.matched_similarity is None:
+        assert got.matched_similarity is None
+    else:
+        assert got.matched_similarity == pytest.approx(
+            want.matched_similarity, rel=1e-14, abs=1e-15)
 
 
 def flat_library(vectors_labels):
@@ -78,18 +117,20 @@ class TestCalibrateNominal:
 class TestFrobeniusDistance:
     def test_zero_for_identical(self):
         theta = np.arange(24.0).reshape(SHAPE)
-        assert frobenius_distance(theta, theta) == 0.0
+        assert np.array_equal(distances(theta[None], theta), [0.0])
 
     def test_known_value(self):
-        a = np.zeros(SHAPE)
         b = np.zeros(SHAPE)
         b[0, 0] = 3.0
         b[1, 1] = 4.0
-        assert frobenius_distance(a, b) == pytest.approx(5.0)
+        thetas = np.stack([np.zeros(SHAPE), b, 2.0 * b])
+        assert distances(thetas, b) == pytest.approx([5.0, 0.0, 5.0])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            frobenius_distance(np.zeros((2, 8)), np.zeros(SHAPE))
+        with pytest.raises(ValueError, match="does not match"):
+            distances(np.zeros((1, 2, 8)), np.zeros(SHAPE))
+        with pytest.raises(ValueError, match="does not match"):
+            distances(np.zeros(SHAPE), np.zeros(SHAPE))
 
 
 class TestCalibrateThresholds:
@@ -114,18 +155,29 @@ class TestCalibrateThresholds:
 
 
 class TestMatchSignature:
+    """Criterion-2 matching through the one-row classifier: the snapshot
+    sits in the band, so the library decides."""
+
+    thresholds = Thresholds(d_high=10.0, d_low=1e-6)
+    nominal = calibrate_nominal([(0.0, np.zeros(SHAPE))], window=1)
+
+    def _match(self, theta, lib):
+        ev = classify(theta, self.nominal, self.thresholds, lib)
+        return ev.matched_label, ev.matched_similarity
+
     def test_self_match_is_unity(self, rng):
         v = rng.standard_normal(SHAPE)
         lib = flat_library([(v, Verdict.FAULT)])
-        label, sim = match_signature(v, lib)
+        label, sim = self._match(v, lib)
         assert label is Verdict.FAULT
         assert sim == pytest.approx(1.0)
 
     def test_scale_invariance(self, rng):
         v = rng.standard_normal(SHAPE)
+        v *= 0.5 / np.linalg.norm(v)
         lib = flat_library([(v, Verdict.LOAD_INCREASE)])
-        for scale in [1e-3, 1.0, 1e3]:
-            label, sim = match_signature(scale * v, lib)
+        for scale in [1e-3, 1.0, 1e1]:
+            label, sim = self._match(scale * v, lib)
             assert label is Verdict.LOAD_INCREASE
             assert sim == pytest.approx(1.0)
 
@@ -135,9 +187,10 @@ class TestMatchSignature:
         b = np.zeros(SHAPE)
         b[0, 1] = 1.0
         lib = flat_library([(a, Verdict.FAULT)])
-        label, sim = match_signature(b, lib)
-        assert label is None
-        assert sim == pytest.approx(0.0)
+        ev = classify(b, self.nominal, self.thresholds, lib)
+        assert ev.verdict is Verdict.UNCLASSIFIED
+        assert ev.matched_label is None
+        assert ev.matched_similarity == pytest.approx(0.0)
 
     def test_best_of_several(self):
         a = np.zeros(SHAPE)
@@ -146,13 +199,16 @@ class TestMatchSignature:
         b[0, 1] = 1.0
         lib = flat_library([(a, Verdict.FAULT), (b, Verdict.LOAD_INCREASE)])
         probe = 0.9 * a + 0.1 * b
-        label, sim = match_signature(probe, lib)
+        label, sim = self._match(probe, lib)
         assert label is Verdict.FAULT
         assert sim > 0.9
 
     def test_empty_library(self):
-        with pytest.raises(EmptyLibraryError):
-            match_signature(np.ones(SHAPE), SignatureLibrary(order=ORDER))
+        ev = classify(np.ones(SHAPE), self.nominal, self.thresholds,
+                      SignatureLibrary(order=ORDER))
+        assert ev.verdict is Verdict.UNCLASSIFIED
+        assert ev.matched_label is None
+        assert ev.matched_similarity is None
 
 
 class TestClassify:
@@ -228,10 +284,28 @@ class TestClassify:
 
 
 class TestClassifySeries:
+    thr = Thresholds(d_high=1.0, d_low=0.1)
+    nom = calibrate_nominal([(0.0, np.zeros(SHAPE))], window=1)
+
+    def _check(self, thetas, lib, match_floor=0.8):
+        """The series and the one-row call both agree with the oracle."""
+        d, verdicts, sims = classify_series(thetas, self.nom, self.thr, lib,
+                                            match_floor)
+        for k, theta in enumerate(thetas):
+            want = oracle_classify(theta, self.nom, self.thr, lib,
+                                   match_floor=match_floor)
+            got = classify(theta, self.nom, self.thr, lib,
+                           match_floor=match_floor)
+            assert_same_event(got, want)
+            assert verdicts[k] is want.verdict
+            assert d[k] == pytest.approx(want.d, rel=1e-14, abs=0.0)
+            if want.matched_similarity is None:
+                assert np.isnan(sims[k])
+            else:
+                assert sims[k] == pytest.approx(want.matched_similarity,
+                                                rel=1e-14, abs=1e-15)
+
     def test_agrees_with_pointwise(self, rng):
-        stream = [(0.0, np.zeros(SHAPE))]
-        nom = calibrate_nominal(stream, window=1)
-        thr = Thresholds(d_high=1.0, d_low=0.1)
         sig = rng.standard_normal(SHAPE)
         lib = flat_library([(sig, Verdict.FAULT),
                             (rng.standard_normal(SHAPE), Verdict.LOAD_INCREASE)])
@@ -241,20 +315,72 @@ class TestClassifySeries:
             0.5 * sig / np.linalg.norm(sig), # band, matching
             0.5 * rng.standard_normal(SHAPE),  # band, generic
         ])
-        d, verdicts, sims = classify_series(thetas, nom, thr, lib)
-        for k in range(thetas.shape[0]):
-            ev = classify(thetas[k], nom, thr, lib)
-            assert verdicts[k] == ev.verdict
-            assert d[k] == pytest.approx(ev.d)
-            if ev.matched_similarity is not None:
-                assert sims[k] == pytest.approx(ev.matched_similarity)
+        self._check(thetas, lib)
+
+    def test_random_snapshots_agree_with_oracle(self, rng):
+        """10k snapshots spread over all three distance regimes, against a
+        library with a near-duplicate pair so that the best match varies."""
+        a, b = rng.standard_normal((2,) + SHAPE)
+        lib = flat_library([(a, Verdict.FAULT),
+                            (b, Verdict.LOAD_INCREASE),
+                            (a + 0.3 * b, Verdict.LOAD_INCREASE)])
+        n = 10_000
+        scale = 10.0 ** rng.uniform(-2.0, 0.5, size=n)
+        mix = rng.uniform(-1.0, 1.0, size=(n, 3))
+        thetas = (mix[:, 0, None, None] * a + mix[:, 1, None, None] * b
+                  + mix[:, 2, None, None] * rng.standard_normal((n,) + SHAPE))
+        thetas *= (scale / np.linalg.norm(thetas, axis=(1, 2)))[:, None, None]
+        d, verdicts, sims = classify_series(thetas, self.nom, self.thr, lib)
+        want = [oracle_classify(th, self.nom, self.thr, lib) for th in thetas]
+        assert verdicts == [w.verdict for w in want]
+        assert d == pytest.approx([w.d for w in want], rel=1e-14, abs=0.0)
+        band = np.array([w.matched_similarity is not None for w in want])
+        assert np.array_equal(band, ~np.isnan(sims))
+        assert sims[band] == pytest.approx(
+            [w.matched_similarity for w in want if w.matched_similarity
+             is not None], rel=1e-14, abs=1e-15)
+        # every regime and outcome is exercised
+        assert set(verdicts) == set(Verdict)
+        for theta, w in zip(thetas[:500], want):
+            assert_same_event(classify(theta, self.nom, self.thr, lib), w)
+
+    def test_hand_made_edges(self):
+        e0 = np.zeros(SHAPE)
+        e0[0, 0] = 1.0
+        e1 = np.zeros(SHAPE)
+        e1[1, 2] = 1.0
+        lib = flat_library([(e0, Verdict.FAULT), (e1, Verdict.LOAD_INCREASE)])
+        thetas = np.stack([
+            1.0 * e1,            # d exactly d_high: band, load match
+            0.1 * e0,            # d exactly d_low: normal
+            np.zeros(SHAPE),     # zero deviation
+            0.5 * (e0 + e1),     # below the floor (similarity 0.707)
+        ])
+        assert distances(thetas[:2], self.nom.theta_star).tolist() == \
+            [1.0, 0.1]
+        self._check(thetas, lib)
+        self._check(thetas, SignatureLibrary(order=ORDER))
+        _, verdicts, _ = classify_series(thetas, self.nom, self.thr, lib)
+        assert verdicts == [Verdict.LOAD_INCREASE, Verdict.NORMAL,
+                            Verdict.NORMAL, Verdict.UNCLASSIFIED]
+
+    def test_two_signature_tie_goes_to_the_first(self):
+        e0 = np.zeros(SHAPE)
+        e0[0, 0] = 1.0
+        e1 = np.zeros(SHAPE)
+        e1[1, 2] = 1.0
+        probe = 0.5 * (e0 + e1)  # similarity 1/sqrt(2) to each
+        for first, second in [(Verdict.FAULT, Verdict.LOAD_INCREASE),
+                              (Verdict.LOAD_INCREASE, Verdict.FAULT)]:
+            lib = flat_library([(e0, first), (e1, second)])
+            self._check(probe[None], lib, match_floor=0.7)
+            ev = classify(probe, self.nom, self.thr, lib, match_floor=0.7)
+            assert ev.verdict is first
 
     def test_empty_library_band(self):
-        nom = calibrate_nominal([(0.0, np.zeros(SHAPE))], window=1)
-        thr = Thresholds(d_high=1.0, d_low=0.1)
         theta = np.zeros(SHAPE)
         theta[0, 0] = 0.5
-        _, verdicts, sims = classify_series(theta[None], nom, thr,
+        _, verdicts, sims = classify_series(theta[None], self.nom, self.thr,
                                             SignatureLibrary(order=ORDER))
         assert verdicts[0] is Verdict.UNCLASSIFIED
         assert np.isnan(sims[0])

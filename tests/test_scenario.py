@@ -3,12 +3,14 @@ of end-to-end runs."""
 
 import configparser
 import filecmp
+import json
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gridarx import scenario as scenario_module
 from gridarx.detector import Thresholds, Verdict, verdict_codes
 from gridarx.scenario import (
     CSV_CHUNK_ROWS,
@@ -18,6 +20,7 @@ from gridarx.scenario import (
     _cycle_average,
     _transitions,
     _write_csv,
+    build_library_from_scenarios,
     calibration_from_json,
     calibration_to_json,
     load_scenario,
@@ -114,6 +117,8 @@ class TestLoadScenario:
         ("[DEFAULT]\nduration = 1\n", "[DEFAULT]: unknown section"),
         ("[disturbance]\nkind = fault\nr_fault_ohms = 20\n",
          "[disturbance] r_fault_ohms: unknown key"),
+        ("[circuit]\nlf1 = 0.08\n",
+         "[circuit] lf1: unknown key; expected one of v_base, s_base"),
     ])
     def test_unknown_section_or_key_rejected(self, tmp_path, text, where):
         path = write_ini(tmp_path, "typo.ini", text)
@@ -258,6 +263,63 @@ class TestCalibrationArtifacts:
     def test_config_echo_reports_effective_ceiling(self):
         echo = ScenarioConfig().echo()
         assert echo["identifier"]["p_max"] == pytest.approx(1e5)
+
+    @pytest.mark.parametrize("name", ["calibration.ini", "hif_1000ohm.ini"])
+    def test_config_echo_lists_every_field(self, name):
+        cfg = load_scenario(os.path.join(SCENARIO_DIR, name))
+        c, i, e = cfg.circuit, cfg.identifier, cfg.excitation
+        d, thr = cfg.disturbance, cfg.thresholds
+        want = {
+            "name": cfg.name,
+            "circuit": {k: getattr(c, k) for k in (
+                "v_base", "s_base", "f_base", "r1", "c1", "r2", "l2", "r3",
+                "l3")},
+            "disturbance": d and {"kind": d.kind, "value_pu": d.value_pu,
+                                  "t_start": d.t_start, "t_end": d.t_end},
+            "excitation": {"amplitude": e.amplitude,
+                           "chip_rate": e.chip_rate, "seed": e.seed},
+            "identifier": {"order": i.order, "input_dim": i.input_dim,
+                           "output_dim": i.output_dim,
+                           "forgetting": i.forgetting,
+                           "p0_scale": i.p0_scale,
+                           "p_max": i.covariance_ceiling},
+            "thresholds": thr and {"d_high": thr.d_high, "d_low": thr.d_low},
+            "duration": cfg.duration, "ts": cfg.ts,
+            "noise_std": cfg.noise_std, "noise_seed": cfg.noise_seed,
+            "i_op": cfg.i_op, "match_floor": cfg.match_floor,
+            "hold": cfg.hold, "limit_fraction": cfg.limit_fraction,
+            "calibration_window": cfg.calibration_window,
+        }
+        echo = cfg.echo()
+        assert json.dumps(echo, indent=2) == json.dumps(want, indent=2)
+        assert cfg.echo() == echo  # echo does not alias the config
+
+    def test_simulate_failure_tagged_in_calibration(self):
+        with pytest.raises(StageError, match=r"^\[simulate\]") as err:
+            run_calibration(ScenarioConfig(ts=-1e-4, duration=1.0))
+        assert err.value.stage == "simulate"
+
+    def test_library_build_failures_tagged(self, default_cal, monkeypatch):
+        nominal, thresholds, _, _ = default_cal
+        dist = DisturbanceSpec("fault", 0.2077, 0.5, 0.8)
+        bad = ScenarioConfig(ts=-1e-4, duration=1.0, disturbance=dist)
+        with pytest.raises(StageError) as err:
+            build_library_from_scenarios([bad], nominal, thresholds)
+        assert err.value.stage == "simulate"
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("estimator broke")
+
+        # the stages are looked up as module globals, where tools wrap them
+        monkeypatch.setattr(scenario_module, "identify", broken)
+        good = replace(bad, ts=2e-4)
+        for call in (lambda: build_library_from_scenarios(
+                         [good], nominal, thresholds),
+                     lambda: run_calibration(good),
+                     lambda: run_scenario(good, nominal, thresholds)):
+            with pytest.raises(StageError,
+                               match=r"^\[identify\] estimator broke"):
+                call()
 
 
 @pytest.fixture(scope="module")

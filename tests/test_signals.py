@@ -1,22 +1,17 @@
 """Signal preparation: Park transforms, difference streams, regressor
-assembly, and random binary excitation."""
+assembly, and random binary excitation. The difference streams and the
+regressor assembly are those of `pipeline.identify` and
+`pipeline.build_lagged_regressors`."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridarx.signals import (
-    DiffSample,
-    DqSample,
-    RbsConfig,
-    RegressorBuilder,
-    SequencingError,
-    abc_to_dq,
-    difference_stream,
-    dq_to_abc,
-    rbs_generate,
-)
+from gridarx.pipeline import build_lagged_regressors, identify
+from gridarx.rls import ArxConfig
+from gridarx.signals import RbsConfig, abc_to_dq, dq_to_abc, rbs_generate
+from gridarx.simulate import SimResult
 
 
 def balanced_cosine(peak, omega_t, phase=0.0):
@@ -56,66 +51,73 @@ class TestPark:
         assert np.allclose(back, dq, atol=1e-12)
 
 
+def identify_samples(v, i, order=1):
+    v = np.asarray(v, float)
+    i = np.asarray(i, float)
+    t = np.arange(v.shape[0]) * 1e-3
+    return identify(SimResult(t=t, v_dq=v, i_dq=i, ts=1e-3),
+                    ArxConfig(order=order))
+
+
 class TestDifferenceStream:
+    """`identify` regresses first differences of consecutive samples."""
+
     def test_arithmetic(self):
-        prev = DqSample(v_dq=np.array([1.00, 0.00]),
-                        i_dq=np.array([0.5, 0.1]), t=0.0)
-        cur = DqSample(v_dq=np.array([1.01, -0.02]),
-                       i_dq=np.array([0.5, 0.1]), t=2e-4)
-        diff = difference_stream(cur, prev)
-        assert np.allclose(diff.dv_dq, [0.01, -0.02])
-        assert np.allclose(diff.di_dq, [0.0, 0.0])
+        v = [[1.00, 0.00], [1.01, -0.02], [1.04, -0.02]]
+        i = [[0.5, 0.1], [0.5, 0.1], [0.7, 0.0]]
+        run = identify_samples(v, i)
+        assert np.allclose(run.y, [[0.03, 0.0]])
+        assert np.allclose(run.phi, [[0.01, -0.02, 0.0, 0.0]])
+        assert np.array_equal(run.index, [2])
 
     def test_identical_samples_zero(self):
-        prev = DqSample(np.ones(2), np.ones(2), 0.0)
-        cur = DqSample(np.ones(2), np.ones(2), 1.0)
-        diff = difference_stream(cur, prev)
-        assert np.allclose(diff.dv_dq, 0.0)
-
-    def test_out_of_order_rejected(self):
-        a = DqSample(np.ones(2), np.ones(2), 1.0)
-        b = DqSample(np.ones(2), np.ones(2), 1.0)
-        with pytest.raises(SequencingError):
-            difference_stream(b, a)
+        run = identify_samples(np.ones((6, 2)), np.ones((6, 2)), order=2)
+        assert run.y.shape == (3, 2)
+        assert np.array_equal(run.y, np.zeros((3, 2)))
+        assert np.array_equal(run.phi, np.zeros((3, 8)))
 
     def test_summed_diffs_recover_signal(self, rng):
         v = rng.normal(size=(50, 2))
         i = rng.normal(size=(50, 2))
-        t = np.arange(50) * 1e-3
-        samples = [DqSample(v[k], i[k], t[k]) for k in range(50)]
-        acc = np.zeros(2)
-        for k in range(1, 50):
-            acc = acc + difference_stream(samples[k], samples[k - 1]).dv_dq
-        assert np.allclose(acc, v[-1] - v[0], atol=1e-10)
+        run = identify_samples(v, i, order=3)
+        assert np.allclose(run.y.sum(axis=0), v[-1] - v[3], atol=1e-10)
+        # output m is the difference ending at sample index[m]
+        assert np.array_equal(run.y, v[run.index] - v[run.index - 1])
 
 
 class TestRegressorBuilder:
+    """`build_lagged_regressors` against hand-written layouts: newest lag
+    first, voltages before currents."""
+
     def test_not_ready_until_full(self):
-        rb = RegressorBuilder(order=3)
-        for k in range(2):
-            rb.push(DiffSample(np.zeros(2), np.zeros(2), float(k)))
-            assert not rb.ready
-            assert rb.regressor() is None
-        rb.push(DiffSample(np.zeros(2), np.zeros(2), 2.0))
-        assert rb.ready
+        for n_d in range(4):
+            phi, y = build_lagged_regressors(np.ones((n_d, 2)),
+                                             np.ones((n_d, 2)), 3)
+            assert phi.shape == (0, 12) and y.shape == (0, 2)
+        phi, y = build_lagged_regressors(np.ones((4, 2)), np.ones((4, 2)), 3)
+        assert phi.shape == (1, 12) and y.shape == (1, 2)
 
     def test_order_one_layout(self):
-        rb = RegressorBuilder(order=1)
-        rb.push(DiffSample(np.array([1.0, 2.0]), np.array([3.0, 4.0]), 0.0))
-        assert np.array_equal(rb.regressor(), [1.0, 2.0, 3.0, 4.0])
+        dv = np.array([[1.0, 2.0], [5.0, 6.0]])
+        di = np.array([[3.0, 4.0], [7.0, 8.0]])
+        phi, y = build_lagged_regressors(dv, di, 1)
+        assert np.array_equal(phi, [[1.0, 2.0, 3.0, 4.0]])
+        assert np.array_equal(y, [[5.0, 6.0]])
 
     def test_order_three_layout_newest_first(self):
-        rb = RegressorBuilder(order=3)
-        for k in range(1, 4):
-            rb.push(DiffSample(np.array([10.0 * k, 10.0 * k + 1]),
-                               np.array([20.0 * k, 20.0 * k + 1]), float(k)))
-        phi = rb.regressor()
-        expected = [30, 31, 20, 21, 10, 11, 60, 61, 40, 41, 20.0 * 1, 21]
-        assert np.array_equal(phi, expected)
+        k = np.arange(1.0, 6.0)[:, None]
+        dv = np.hstack([10.0 * k, 10.0 * k + 1])  # difference k at row k-1
+        di = np.hstack([20.0 * k, 20.0 * k + 1])
+        phi, y = build_lagged_regressors(dv, di, 3)
+        assert np.array_equal(phi, [
+            [30, 31, 20, 21, 10, 11, 60, 61, 40, 41, 20, 21],
+            [40, 41, 30, 31, 20, 21, 80, 81, 60, 61, 40, 41],
+        ])
+        assert np.array_equal(y, [[40, 41], [50, 51]])
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
-            RegressorBuilder(order=0)
+            build_lagged_regressors(np.ones((4, 2)), np.ones((4, 2)), 0)
 
 
 class TestRbs:

@@ -245,9 +245,3 @@ class TestIdentificationResidual:
     def test_noiseless_residual_under_five_percent(self, noiseless_run):
         _, run = noiseless_run
         assert run.residual_ratio(run.final_state.theta) < 0.05
-
-    def test_samples_iterator_round_trip(self, params):
-        sim = simulate(params, None, None, 0.01, noise_std=0.0)
-        first = next(iter(sim.samples()))
-        assert np.array_equal(first.v_dq, sim.v_dq[0])
-        assert first.t == 0.0
