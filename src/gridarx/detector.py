@@ -39,6 +39,9 @@ class Verdict(str, Enum):
 VERDICTS = np.array(list(Verdict), dtype=object)
 VERDICT_CODE = {v: code for code, v in enumerate(Verdict)}
 
+# The verdicts a library signature may carry.
+SIGNATURE_LABELS = (Verdict.FAULT, Verdict.LOAD_INCREASE)
+
 
 def verdict_codes(verdicts) -> np.ndarray:
     """Integer codes of a sequence of verdicts: VERDICTS[codes] gives them
@@ -67,6 +70,22 @@ class Thresholds:
                 f"need 0 < d_low < d_high, got d_low={self.d_low}, "
                 f"d_high={self.d_high}"
             )
+
+
+def _signature_label(label, entry: str) -> Verdict:
+    """`label` (a Verdict or its value) as a signature label; anything but
+    fault or load_increase raises ValueError naming `entry`."""
+    value = getattr(label, "value", label)
+    try:
+        verdict = Verdict(value)
+    except ValueError:
+        verdict = None
+    if verdict not in SIGNATURE_LABELS:
+        raise ValueError(
+            f"{entry}: label {value!r} is not a signature label; expected "
+            "fault or load_increase"
+        )
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -101,16 +120,18 @@ class SignatureLibrary:
 
     @classmethod
     def from_json(cls, text: str) -> "SignatureLibrary":
+        """Parse `to_json` output; a signature labelled other than fault or
+        load_increase raises ValueError naming the entry and the label."""
         doc = json.loads(text)
         lib = cls(order=doc["order"])
-        for entry in doc["signatures"]:
+        for k, entry in enumerate(doc["signatures"]):
+            source = entry.get("source_scenario", "")
+            label = _signature_label(entry["label"],
+                                     f"library entry {k} ({source!r})")
             delta = np.array(entry["delta_theta"]).reshape(entry["shape"])
             lib.signatures.append(
-                Signature(
-                    label=Verdict(entry["label"]),
-                    delta_theta=delta,
-                    source_scenario=entry.get("source_scenario", ""),
-                )
+                Signature(label=label, delta_theta=delta,
+                          source_scenario=source)
             )
         return lib
 
@@ -142,9 +163,17 @@ def calibrate_nominal(theta_stream, window: int) -> NominalPredictor:
     )
 
 
+# Snapshots per chunk in `distances`: bounds its temporaries to a chunk.
+DISTANCE_CHUNK = 4096
+
+
 def distances(thetas, theta_star) -> np.ndarray:
     """Frobenius distance of each predictor snapshot in `thetas` (m, rows,
-    cols) to the reference `theta_star` (rows, cols)."""
+    cols) to the reference `theta_star` (rows, cols).
+
+    Computed DISTANCE_CHUNK snapshots at a time; each distance depends on
+    its own row only, so the result is bitwise that of one whole-array norm.
+    """
     thetas = np.asarray(thetas, float)
     theta_star = np.asarray(theta_star, float)
     if thetas.shape[1:] != theta_star.shape:
@@ -152,7 +181,11 @@ def distances(thetas, theta_star) -> np.ndarray:
             f"snapshot shape {thetas.shape[1:]} does not match the reference "
             f"predictor shape {theta_star.shape}"
         )
-    return np.linalg.norm(thetas - theta_star, axis=(1, 2))
+    d = np.empty(thetas.shape[0])
+    for lo in range(0, thetas.shape[0], DISTANCE_CHUNK):
+        hi = lo + DISTANCE_CHUNK
+        d[lo:hi] = np.linalg.norm(thetas[lo:hi] - theta_star, axis=(1, 2))
+    return d
 
 
 def calibrate_thresholds(
@@ -310,7 +343,8 @@ def build_library(scenario_runs, nominal: NominalPredictor,
                   thresholds: Thresholds, order: int) -> SignatureLibrary:
     """Record one unit-norm deviation signature per offline scenario run.
 
-    Each run is (label, t array, theta trajectory, t_start, t_end). The
+    Each run is (label, t array, theta trajectory, t_start, t_end, source);
+    the label must be fault or load_increase, else ValueError. The
     signature averages theta over the second half of the disturbance window
     (the settled segment, past the estimator transient). Runs whose distance
     never exceeds d_low inside the window are rejected: their deviation
@@ -318,6 +352,7 @@ def build_library(scenario_runs, nominal: NominalPredictor,
     """
     lib = SignatureLibrary(order=order)
     for label, t, thetas, t_start, t_end, source in scenario_runs:
+        label = _signature_label(label, f"run {str(source)!r}")
         t = np.asarray(t, float)
         thetas = np.asarray(thetas, float)
         in_window = (t >= t_start) & (t < t_end)
@@ -338,7 +373,7 @@ def build_library(scenario_runs, nominal: NominalPredictor,
             raise InsufficientDataError(f"run {source!r}: zero deviation")
         lib.signatures.append(
             Signature(
-                label=Verdict(label) if not isinstance(label, Verdict) else label,
+                label=label,
                 delta_theta=delta / norm,
                 source_scenario=str(source),
             )

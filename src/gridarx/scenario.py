@@ -5,6 +5,15 @@ to the built-in `default_profile` (reference circuit values, 5 kHz
 sampling, 0.1 p.u. excitation, disturbance window 10 s to 20 s). All
 randomness flows from the seeds in the config, so a run is reproducible
 byte-for-byte.
+
+A run is simulated once, then identified and classified in blocks of
+IDENTIFY_BLOCK updates with the estimator state carried from block to
+block, which gives bitwise the trajectory of one call over the whole run.
+Per update a run keeps only scalars (t, d, verdict, armed); of the
+predictor trajectory it keeps the rows an artifact needs: every
+THETA_STRIDE-th row for theta.csv and the settle-window rows for the final
+verdict. Its memory therefore grows by about 90 bytes per sample, the
+simulated input included, instead of holding the whole trajectory.
 """
 
 from __future__ import annotations
@@ -40,6 +49,14 @@ from .simulate import DisturbanceSpec, SimResult, simulate
 FLOAT_FMT = "%.17g"
 
 DEFAULT_CAL_WINDOW = 5000  # snapshots averaged into theta*
+
+# Updates identified and classified per block by `run_scenario` and
+# `build_library_from_scenarios`: bounds the predictor trajectory held at
+# once to one block.
+IDENTIFY_BLOCK = 8192
+
+# theta.csv holds the predictor after every THETA_STRIDE-th update.
+THETA_STRIDE = 50
 
 
 class StageError(RuntimeError):
@@ -322,7 +339,7 @@ def write_distance_csv(path: str, t, d) -> None:
     _write_csv(path, "t,d", np.column_stack([t, d]))
 
 
-def write_theta_csv(path: str, t, thetas, stride: int = 50) -> None:
+def write_theta_csv(path: str, t, thetas, stride: int = THETA_STRIDE) -> None:
     thetas = np.asarray(thetas)
     m, rows, cols = thetas.shape
     sel = np.arange(0, m, stride)
@@ -371,9 +388,17 @@ def calibration_from_json(text: str):
 # end-to-end runs
 
 
-def _simulate_identify(config: ScenarioConfig):
-    """Simulate the scenario and identify over its stream: (sim, run). A
-    failure raises StageError tagged with the stage that failed."""
+def _simulate_identify(config: ScenarioConfig, block: int | None = None):
+    """Simulate the scenario and identify over its stream: (sim, blocks).
+
+    `blocks` yields the IdentRun of each `block` consecutive updates, or of
+    the whole run when `block` is None. Each block's samples start
+    `order + 1` early, where its first regressor begins, and its estimator
+    starts from the state the previous block left, so the blocks together
+    are bitwise one whole-run identification; a block's `index` counts from
+    its own first sample. A failure raises StageError tagged with the stage
+    that failed.
+    """
     try:
         sim = simulate(
             config.circuit, config.disturbance, config.excitation,
@@ -382,11 +407,28 @@ def _simulate_identify(config: ScenarioConfig):
         )
     except Exception as exc:
         raise StageError("simulate", str(exc)) from exc
-    try:
-        run = identify(sim, config.identifier)
-    except Exception as exc:
-        raise StageError("identify", str(exc)) from exc
-    return sim, run
+    return sim, _identify_blocks(sim, config.identifier, block)
+
+
+def _identify_blocks(sim: SimResult, identifier: ArxConfig,
+                     block: int | None):
+    overlap = identifier.order + 1
+    # at least one block: a run too short for any update still goes
+    # through identify once and yields its empty IdentRun
+    updates = max(1, sim.t.size - overlap)
+    step = updates if block is None else block
+    state = None
+    for lo in range(0, updates, step):
+        hi = lo + step + overlap
+        part = SimResult(t=sim.t[lo:hi], v_dq=sim.v_dq[lo:hi],
+                         i_dq=sim.i_dq[lo:hi], ts=sim.ts)
+        try:
+            run = identify(part, identifier, state)
+        except Exception as exc:
+            raise StageError(
+                "identify", f"{exc} (block from update {lo})") from exc
+        state = run.final_state
+        yield run
 
 
 def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
@@ -397,7 +439,7 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     portion of the same run.
     """
     cal_config = replace(config, disturbance=None)
-    _, run = _simulate_identify(cal_config)
+    _, (run,) = _simulate_identify(cal_config)
     if not run.final_state.calibrated:
         raise StageError(
             "identify",
@@ -473,6 +515,41 @@ def _transitions(t, codes):
             for tk, c in zip(t[change].tolist(), codes[change].tolist())]
 
 
+def _classify_blocks(config: ScenarioConfig, blocks, nominal, thresholds,
+                     library, settle_from: float, settle_to: float):
+    """Classify each identified block as it arrives and join what a run
+    keeps of them: (t, d, codes, armed, theta_t, thetas, settled).
+
+    t, d, the verdict code (normal where disarmed) and armed are per
+    update; thetas holds the predictor after every THETA_STRIDE-th update,
+    at times theta_t, and settled the predictor of each armed update with
+    settle_from <= t < settle_to, in update order.
+    """
+    kept = []
+    lo = 0  # run index of the block's first update
+    for run in blocks:
+        try:
+            d, verdicts, _ = classify_series(
+                run.theta, nominal, thresholds, library, config.match_floor
+            )
+        except Exception as exc:
+            raise StageError("detector", str(exc)) from exc
+        # The estimator restarts from scratch in each run and needs the
+        # same settling time the nominal predictor was calibrated with;
+        # until then the distance reflects cold-start convergence, not the
+        # grid. Keep the detector disarmed over that initial stretch.
+        armed = run.calibrated.copy()
+        armed[: max(0, config.calibration_window - lo)] = False
+        codes = det.verdict_codes(verdicts)
+        codes[~armed] = det.VERDICT_CODE[Verdict.NORMAL]
+        rows = slice(-lo % THETA_STRIDE, None, THETA_STRIDE)
+        settle = (run.t >= settle_from) & (run.t < settle_to) & armed
+        kept.append((run.t, d, codes, armed, run.t[rows],
+                     run.theta[rows].copy(), run.theta[settle]))
+        lo += run.t.size
+    return [np.concatenate(parts) for parts in zip(*kept)]
+
+
 def run_scenario(
     config: ScenarioConfig,
     nominal: NominalPredictor,
@@ -482,6 +559,8 @@ def run_scenario(
 ) -> RunReport:
     """Full pipeline for one scenario: simulate, identify, classify, report.
 
+    Identification and classification stream over the run in blocks of
+    IDENTIFY_BLOCK updates; the outputs are those of one whole-run pass.
     Writes samples/distance/theta CSVs, an events JSON-lines stream, and a
     JSON report when `out_dir` is given. Thresholds pinned in the scenario
     config take precedence over the calibration-supplied ones.
@@ -490,23 +569,6 @@ def run_scenario(
         thresholds = config.thresholds
     library = library or SignatureLibrary(order=config.identifier.order)
     warnings = []
-    sim, run = _simulate_identify(config)
-
-    try:
-        d, verdicts, similarity = classify_series(
-            run.theta, nominal, thresholds, library, config.match_floor
-        )
-    except Exception as exc:
-        raise StageError("detector", str(exc)) from exc
-    # The estimator restarts from scratch in each run and needs the same
-    # settling time the nominal predictor was calibrated with; until then
-    # the distance reflects cold-start convergence, not the grid. Keep the
-    # detector disarmed over that initial stretch.
-    armed = run.calibrated.copy()
-    armed[: config.calibration_window] = False
-    codes = det.verdict_codes(verdicts)
-    codes[~armed] = det.VERDICT_CODE[Verdict.NORMAL]
-    stable = np.array(debounce(codes.tolist(), config.hold), dtype=np.intp)
 
     if config.disturbance is not None:
         t_start, t_end = config.disturbance.t_start, config.disturbance.t_end
@@ -517,32 +579,35 @@ def run_scenario(
             "disturbance window starts at or after the run end; "
             "detection delays are reported as never"
         )
-
-    dt1_high, dt2 = detection_times(run.t[armed], d[armed], t_start,
-                                    t_end, thresholds, trip="high")
-    dt1_low, _ = detection_times(run.t[armed], d[armed], t_start,
-                                 t_end, thresholds, trip="low")
-    # debounced delays: first stable fault verdict / first stable
-    # non-normal verdict after t_start
-    is_fault = stable == det.VERDICT_CODE[Verdict.FAULT]
-    not_normal = stable != det.VERDICT_CODE[Verdict.NORMAL]
-    dt1_high_db = _first_time(run.t, is_fault & armed, t_start)
-    dt1_low_db = _first_time(run.t, not_normal & armed, t_start)
-
     # Final classification from the quasi-steady estimate: the mean theta
     # over the settled half of the disturbance window (or the run tail when
     # there is no disturbance), classified once. Averaging suppresses the
     # sample-to-sample estimator jitter that makes per-sample verdicts
     # flicker near the thresholds.
     if config.disturbance is not None and t_start < config.duration:
-        settle = (run.t >= (t_start + t_end) / 2.0) & (run.t < t_end)
+        settle_from, settle_to = (t_start + t_end) / 2.0, t_end
     else:
-        settle = run.t >= config.duration / 2.0
-    settle &= armed
-    if np.any(settle):
-        theta_settled = run.theta[settle].mean(axis=0)
+        settle_from, settle_to = config.duration / 2.0, np.inf
+
+    sim, blocks = _simulate_identify(config, IDENTIFY_BLOCK)
+    t, d, codes, armed, theta_t, thetas, settled = _classify_blocks(
+        config, blocks, nominal, thresholds, library, settle_from, settle_to)
+    stable = np.array(debounce(codes.tolist(), config.hold), dtype=np.intp)
+
+    dt1_high, dt2 = detection_times(t[armed], d[armed], t_start,
+                                    t_end, thresholds, trip="high")
+    dt1_low, _ = detection_times(t[armed], d[armed], t_start,
+                                 t_end, thresholds, trip="low")
+    # debounced delays: first stable fault verdict / first stable
+    # non-normal verdict after t_start
+    is_fault = stable == det.VERDICT_CODE[Verdict.FAULT]
+    not_normal = stable != det.VERDICT_CODE[Verdict.NORMAL]
+    dt1_high_db = _first_time(t, is_fault & armed, t_start)
+    dt1_low_db = _first_time(t, not_normal & armed, t_start)
+
+    if settled.shape[0]:
         final_event = det.classify(
-            theta_settled, nominal, thresholds, library,
+            settled.mean(axis=0), nominal, thresholds, library,
             match_floor=config.match_floor,
         )
         final_verdict = final_event.verdict
@@ -572,7 +637,7 @@ def run_scenario(
         dt1_high_debounced=dt1_high_db,
         dt1_low_debounced=dt1_low_db,
         final_verdict=final_verdict,
-        verdict_timeline=_transitions(run.t, stable),
+        verdict_timeline=_transitions(t, stable),
         baseline_detected=baseline_detected,
         baseline_first_violation=baseline_first,
         config_echo=config.echo(),
@@ -583,11 +648,12 @@ def run_scenario(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_samples_csv(os.path.join(out_dir, "samples.csv"), sim)
-        write_distance_csv(os.path.join(out_dir, "distance.csv"), run.t, d)
-        write_theta_csv(os.path.join(out_dir, "theta.csv"), run.t, run.theta)
+        write_distance_csv(os.path.join(out_dir, "distance.csv"), t, d)
+        write_theta_csv(os.path.join(out_dir, "theta.csv"), theta_t, thetas,
+                        stride=1)
         with open(os.path.join(out_dir, "events.jsonl"), "w") as fh:
             for tk, v in report.verdict_timeline:
-                idx = int(np.searchsorted(run.t, tk))
+                idx = int(np.searchsorted(t, tk))
                 fh.write(json.dumps({
                     "t": tk, "verdict": v, "d": float(d[min(idx, d.size - 1)]),
                 }) + "\n")
@@ -623,7 +689,11 @@ def _nominal_pcc_voltage(config: ScenarioConfig) -> np.ndarray:
 def build_library_from_scenarios(
     configs, nominal: NominalPredictor, thresholds: Thresholds
 ) -> SignatureLibrary:
-    """Run each labeled offline scenario and record its signature."""
+    """Run each labeled offline scenario and record its signature.
+
+    Of each run only the (t, theta) rows inside the disturbance window are
+    kept, the only ones `build_library` reads.
+    """
     runs = []
     order = None
     for config in configs:
@@ -633,11 +703,14 @@ def build_library_from_scenarios(
             )
         label = (Verdict.FAULT if config.disturbance.kind == "fault"
                  else Verdict.LOAD_INCREASE)
-        _, run = _simulate_identify(config)
-        runs.append((
-            label, run.t, run.theta,
-            config.disturbance.t_start, config.disturbance.t_end, config.name,
-        ))
+        t_start, t_end = config.disturbance.t_start, config.disturbance.t_end
+        _, blocks = _simulate_identify(config, IDENTIFY_BLOCK)
+        kept = []
+        for run in blocks:
+            window = (run.t >= t_start) & (run.t < t_end)
+            kept.append((run.t[window], run.theta[window]))
+        t, thetas = (np.concatenate(parts) for parts in zip(*kept))
+        runs.append((label, t, thetas, t_start, t_end, config.name))
         order = config.identifier.order
     return build_library(runs, nominal, thresholds, order)
 

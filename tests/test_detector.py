@@ -1,9 +1,12 @@
 """Detector unit behavior plus end-to-end discrimination on held-out runs."""
 
+import json
+
 import numpy as np
 import pytest
 
 from gridarx.detector import (
+    DISTANCE_CHUNK,
     DetectionEvent,
     InsufficientDataError,
     Signature,
@@ -131,6 +134,18 @@ class TestFrobeniusDistance:
             distances(np.zeros((1, 2, 8)), np.zeros(SHAPE))
         with pytest.raises(ValueError, match="does not match"):
             distances(np.zeros(SHAPE), np.zeros(SHAPE))
+
+    @pytest.mark.parametrize("m", [0, 1, DISTANCE_CHUNK - 1, DISTANCE_CHUNK,
+                                   DISTANCE_CHUNK + 1])
+    def test_chunks_bitwise_equal_one_shot_norm(self, m):
+        rng = np.random.default_rng(m)
+        star = rng.standard_normal(SHAPE)
+        thetas = star + rng.standard_normal((m,) + SHAPE) * 10.0 ** \
+            rng.integers(-12, 3, (m, 1, 1))
+        want = np.linalg.norm(thetas - star, axis=(1, 2))
+        got = distances(thetas, star)
+        assert got.shape == (m,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestCalibrateThresholds:
@@ -477,6 +492,46 @@ class TestBuildLibrary:
         with pytest.raises(InsufficientDataError):
             build_library([(Verdict.FAULT, t, thetas, 5.0, 6.0, "late")],
                           nom, thr, order=ORDER)
+
+
+class TestSignatureLabels:
+    """A signature is a fault or load-increase pattern; any other label
+    would be classified as load_increase, so it is refused."""
+
+    def library_json(self, label):
+        lib = SignatureLibrary(order=ORDER, signatures=[Signature(
+            label=Verdict.FAULT, delta_theta=np.ones(SHAPE),
+            source_scenario="src_run")])
+        doc = json.loads(lib.to_json())
+        doc["signatures"][0]["label"] = label
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("label", ["normal", "unclassified", "bogus", 3])
+    def test_from_json_rejects_label(self, label):
+        with pytest.raises(ValueError) as err:
+            SignatureLibrary.from_json(self.library_json(label))
+        assert str(err.value).startswith(
+            f"library entry 0 ('src_run'): label {label!r} is not a "
+            "signature label")
+
+    @pytest.mark.parametrize("label", [Verdict.NORMAL, Verdict.UNCLASSIFIED,
+                                       "normal", "bogus"])
+    def test_build_library_rejects_label(self, label):
+        nom = calibrate_nominal([(0.0, np.zeros(SHAPE))], window=1)
+        thr = Thresholds(d_high=1.0, d_low=0.01)
+        t = np.linspace(0.0, 1.0, 11)
+        thetas = np.full((11,) + SHAPE, 0.1)
+        with pytest.raises(ValueError) as err:
+            build_library([(label, t, thetas, 0.2, 0.8, "src_run")], nom,
+                          thr, order=ORDER)
+        value = getattr(label, "value", label)
+        assert str(err.value).startswith(
+            f"run 'src_run': label {value!r} is not a signature label")
+
+    @pytest.mark.parametrize("label", ["fault", "load_increase"])
+    def test_accepted_labels(self, label):
+        lib = SignatureLibrary.from_json(self.library_json(label))
+        assert lib.signatures[0].label is Verdict(label)
 
 
 class TestLibrarySerialization:

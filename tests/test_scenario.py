@@ -5,6 +5,7 @@ import configparser
 import filecmp
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -403,6 +404,100 @@ class TestRunScenario:
         report = run_scenario(cfg, nominal, thresholds)
         assert report.thresholds == pinned
         assert report.dt1_high is None  # nothing reaches 1e6
+
+
+# Block sizes for the streaming tests. The small odd size puts block edges
+# on the arming index (calibration_window is a multiple of it) and, as
+# 999 = -1 mod 50, on most offsets from the theta.csv rows; the mid size
+# puts them on theta.csv rows and on both settle-window edges; the last is
+# one block for the whole run.
+SMALL_BLOCK, MID_BLOCK, WHOLE_BLOCK = 999, 4000, 10**6
+
+
+@pytest.fixture(scope="module")
+def block_edge_config():
+    """A fault run whose settle window runs from update 7 * MID_BLOCK up to
+    update 8 * MID_BLOCK: each edge sits half a sample before the time of
+    its update."""
+    cfg = ScenarioConfig(name="block_edges", duration=7.0,
+                         calibration_window=5 * SMALL_BLOCK)
+    first = cfg.identifier.order + 1  # sample index of update 0
+    t_mid = (7 * MID_BLOCK + first - 0.5) * cfg.ts
+    half = MID_BLOCK * cfg.ts
+    return replace(cfg, disturbance=DisturbanceSpec(
+        "fault", 0.2077, t_mid - half, t_mid + half))
+
+
+@pytest.fixture(scope="module")
+def block_runs(default_cal, block_edge_config, tmp_path_factory):
+    """The run artifacts and the library JSON at each block size."""
+    nominal, thresholds, _, _ = default_cal
+    root = tmp_path_factory.mktemp("blocks")
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for size in (SMALL_BLOCK, MID_BLOCK, WHOLE_BLOCK):
+            mp.setattr(scenario_module, "IDENTIFY_BLOCK", size)
+            library = build_library_from_scenarios(
+                [block_edge_config], nominal, thresholds)
+            run_dir = str(root / str(size))
+            run_scenario(block_edge_config, nominal, thresholds, library,
+                         out_dir=run_dir)
+            out[size] = (run_dir, library.to_json())
+    return out
+
+
+class TestBlockSize:
+    """Streaming a run in blocks must not change a byte of its outputs."""
+
+    def test_block_edges_land_where_intended(self, block_edge_config,
+                                             block_runs):
+        run_dir, _ = block_runs[WHOLE_BLOCK]
+        t = np.loadtxt(os.path.join(run_dir, "distance.csv"),
+                       delimiter=",", skiprows=1)[:, 0]
+        dist = block_edge_config.disturbance
+        settle = ((dist.t_start + dist.t_end) / 2.0, dist.t_end)
+        assert np.searchsorted(t, settle).tolist() == [7 * MID_BLOCK,
+                                                       8 * MID_BLOCK]
+        assert t.size > 8 * MID_BLOCK
+        assert block_edge_config.calibration_window % SMALL_BLOCK == 0
+        assert MID_BLOCK % scenario_module.THETA_STRIDE == 0
+
+    @pytest.mark.parametrize("name", ["report.json", "distance.csv",
+                                      "theta.csv", "events.jsonl"])
+    def test_run_artifacts_equal_across_block_sizes(self, block_runs, name):
+        whole = os.path.join(block_runs[WHOLE_BLOCK][0], name)
+        for size in (SMALL_BLOCK, MID_BLOCK):
+            got = os.path.join(block_runs[size][0], name)
+            assert filecmp.cmp(got, whole, shallow=False), (name, size)
+
+    def test_library_equal_across_block_sizes(self, block_runs):
+        whole = block_runs[WHOLE_BLOCK][1]
+        for size in (SMALL_BLOCK, MID_BLOCK):
+            assert block_runs[size][1] == whole, size
+
+
+class TestRunMemory:
+    def test_peak_grows_by_at_most_300_bytes_per_sample(self, default_cal,
+                                                        tmp_path):
+        """A run keeps per update only scalars and the predictor rows its
+        artifacts need: about 90 B per sample under tracemalloc, where
+        holding the whole predictor trajectory costs about 770 B."""
+        nominal, thresholds, _, _ = default_cal
+        base = ScenarioConfig(name="memory", disturbance=DisturbanceSpec(
+            "fault", 0.2077, 2.0, 3.0))
+        peaks = {}
+        # the long run first, so one-time allocations raise only its peak
+        for duration in (8.0, 4.0):
+            cfg = replace(base, duration=duration)
+            tracemalloc.start()
+            try:
+                run_scenario(cfg, nominal, thresholds,
+                             out_dir=str(tmp_path / str(duration)))
+                peaks[duration] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        extra_samples = 4.0 / base.ts
+        assert (peaks[8.0] - peaks[4.0]) / extra_samples <= 300.0, peaks
 
 
 class TestVerdictTimeline:
