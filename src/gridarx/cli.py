@@ -54,6 +54,21 @@ def _load_calibration(path):
         return calibration_from_json(fh.read())
 
 
+def _load_library(path):
+    """The signature library in `path`, None for no path; a malformed
+    library raises ValueError naming the file."""
+    if path is None:
+        return None
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return SignatureLibrary.from_json(text)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _add_common(parser):
     parser.add_argument("--out", default="out", help="artifact directory")
     parser.add_argument("--seed", type=int, default=None,
@@ -87,10 +102,7 @@ def cmd_build_library(args) -> int:
 def cmd_run(args) -> int:
     config = load_scenario(args.config, _overrides(args))
     nominal, thresholds = _load_calibration(args.calibration)
-    library = None
-    if args.library is not None:
-        with open(args.library) as fh:
-            library = SignatureLibrary.from_json(fh.read())
+    library = _load_library(args.library)
     report = run_scenario(config, nominal, thresholds, library,
                           out_dir=args.out)
     print(report.to_json())
@@ -104,10 +116,7 @@ def cmd_suite(args) -> int:
     base = os.path.dirname(os.path.abspath(args.manifest))
     paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in paths]
     nominal, thresholds = _load_calibration(args.calibration)
-    library = None
-    if args.library is not None:
-        with open(args.library) as fh:
-            library = SignatureLibrary.from_json(fh.read())
+    library = _load_library(args.library)
     reports, rows = run_suite(paths, nominal, thresholds, library,
                               out_dir=args.out, overrides=_overrides(args))
     for row in rows:

@@ -145,21 +145,26 @@ class DetectionEvent:
     matched_similarity: float | None = None
 
 
-def calibrate_nominal(theta_stream, window: int) -> NominalPredictor:
-    """Elementwise mean of the last `window` (t, theta) snapshots."""
-    snapshots = list(theta_stream)
+def calibrate_nominal(t, thetas, window: int) -> NominalPredictor:
+    """Elementwise mean of the last `window` predictor snapshots: thetas
+    (m, rows, cols) taken at times t (m,)."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if len(snapshots) < window:
-        raise InsufficientDataError(
-            f"need {window} snapshots, have {len(snapshots)}"
+    t = np.asarray(t, float)
+    thetas = np.asarray(thetas, float)
+    if thetas.ndim != 3 or t.shape != thetas.shape[:1]:
+        raise ValueError(
+            f"need t (m,) and thetas (m, rows, cols), got {t.shape} and "
+            f"{thetas.shape}"
         )
-    tail = snapshots[-window:]
-    theta_star = np.mean([np.asarray(th, float) for _, th in tail], axis=0)
+    if thetas.shape[0] < window:
+        raise InsufficientDataError(
+            f"need {window} snapshots, have {thetas.shape[0]}"
+        )
     return NominalPredictor(
-        theta_star=theta_star,
+        theta_star=np.mean(thetas[-window:], axis=0),
         calibration_window=window,
-        calibrated_at=float(tail[-1][0]),
+        calibrated_at=float(t[-1]),
     )
 
 
@@ -284,28 +289,25 @@ def classify(
 
 
 def detection_times(t, d, t_start: float, t_end: float,
-                    thresholds: Thresholds, trip: str = "high"):
-    """Detection and recovery delays from a distance time series.
+                    thresholds: Thresholds):
+    """Detection and recovery delays from a distance time series:
+    (dt1_high, dt1_low, dt2).
 
-    dt1: first time after t_start at which d crosses the trip threshold
-    (d_high for low-impedance runs, d_low for high-impedance runs), minus
-    t_start. dt2: first time after t_end at which d falls back to d_low or
-    below, minus t_end. Either is None when no crossing occurs.
+    dt1_high / dt1_low: first time at or after t_start at which d exceeds
+    d_high (the low-impedance trip) / d_low (the high-impedance trip),
+    minus t_start. dt2: first time at or after t_end at which d is back at
+    d_low or below, minus t_end. Each is None when no crossing occurs.
     """
     t = np.asarray(t, float)
     d = np.asarray(d, float)
-    if trip == "high":
-        level = thresholds.d_high
-    elif trip == "low":
-        level = thresholds.d_low
-    else:
-        raise ValueError(f"trip must be 'high' or 'low', got {trip!r}")
 
-    after_start = (t >= t_start) & (d > level)
-    dt1 = float(t[after_start][0] - t_start) if np.any(after_start) else None
-    after_end = (t >= t_end) & (d <= thresholds.d_low)
-    dt2 = float(t[after_end][0] - t_end) if np.any(after_end) else None
-    return dt1, dt2
+    def first(mask, t0):
+        return float(t[mask][0] - t0) if np.any(mask) else None
+
+    after_start = t >= t_start
+    return (first(after_start & (d > thresholds.d_high), t_start),
+            first(after_start & (d > thresholds.d_low), t_start),
+            first((t >= t_end) & (d <= thresholds.d_low), t_end))
 
 
 def debounce(verdicts, hold: int = DEFAULT_HOLD):

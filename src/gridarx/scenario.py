@@ -14,6 +14,17 @@ predictor trajectory it keeps the rows an artifact needs: every
 THETA_STRIDE-th row for theta.csv and the settle-window rows for the final
 verdict. Its memory therefore grows by about 90 bytes per sample, the
 simulated input included, instead of holding the whole trajectory.
+
+Runs of one `run_suite` or `build_library_from_scenarios` call share their
+start when they have the same simulate arguments apart from the
+disturbance's kind, value and end, the same disturbance t_start and the
+same ArxConfig (`_prefix_key`). The first such run records it (`_Prefix`):
+the simulator's samples before t_start, the estimator state at the last
+block edge before the first update that reads a later sample and, in a
+suite, that stretch's per-update rows and the byte length of each CSV's
+head. The others resume from the record. The outputs do not change: every
+artifact is bitwise that of the run on its own. The record lives only for
+the call that made it.
 """
 
 from __future__ import annotations
@@ -21,7 +32,9 @@ from __future__ import annotations
 import configparser
 import json
 import os
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,9 +55,9 @@ from .detector import (
     distances,
 )
 from .pipeline import identify
-from .rls import ArxConfig
+from .rls import ArxConfig, IdentifierState
 from .signals import RbsConfig
-from .simulate import DisturbanceSpec, SimResult, simulate
+from .simulate import DisturbanceSpec, SimPrefix, SimResult, simulate
 
 FLOAT_FMT = "%.17g"
 
@@ -280,29 +293,65 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
 CSV_CHUNK_ROWS = 1024
 
 
-def _write_csv(path: str, header: str, data: np.ndarray) -> None:
+def _write_csv(path: str, header: str, data: np.ndarray, split: int = 0,
+               copy_from: tuple[str, int] | None = None) -> int:
     """Write a header line and the rows of a 2-D float array as CSV.
 
     Every value is written with FLOAT_FMT, so the bytes are those of
     `np.savetxt(path, data, fmt=FLOAT_FMT, delimiter=",", header=header,
     comments="")`; a chunk of rows is formatted by one `%` operation on its
-    values as Python floats.
+    values as Python floats. Returns the size in bytes of the header and the
+    first `split` rows. `copy_from` is `(path, size)` of an earlier file
+    that starts with those same bytes: they are copied from it instead of
+    formatted again.
     """
     n_rows, n_cols = data.shape
     row_fmt = ",".join([FLOAT_FMT] * n_cols) + "\n"
     chunk_fmt = row_fmt * CSV_CHUNK_ROWS
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = data[lo:lo + CSV_CHUNK_ROWS]
+
+    def write_rows(fh, lo, hi):
+        for k in range(lo, hi, CSV_CHUNK_ROWS):
+            chunk = data[k:min(hi, k + CSV_CHUNK_ROWS)]
             fmt = (chunk_fmt if chunk.shape[0] == CSV_CHUNK_ROWS
                    else row_fmt * chunk.shape[0])
-            fh.write(fmt % tuple(chunk.ravel().tolist()))
+            fh.write((fmt % tuple(chunk.ravel().tolist())).encode("ascii"))
+
+    with open(path, "wb") as fh:
+        if copy_from is None:
+            fh.write((header + "\n").encode("ascii"))
+            write_rows(fh, 0, split)
+        else:
+            _copy_head(copy_from, fh)
+        head_size = fh.tell()
+        write_rows(fh, split, n_rows)
+    return head_size
 
 
-def write_samples_csv(path: str, sim: SimResult) -> None:
-    _write_csv(path, "t,v_d,v_q,i_d,i_q",
-               np.column_stack([sim.t, sim.v_dq, sim.i_dq]))
+# Bytes per read when `_copy_head` copies the start of an earlier artifact.
+COPY_CHUNK_BYTES = 1 << 20
+
+
+def _copy_head(source: tuple[str, int], out) -> None:
+    """Copy the first `size` bytes of the file at `path`, for `source` =
+    (path, size), to the binary file `out`."""
+    path, size = source
+    with open(path, "rb") as src:
+        while size > 0:
+            chunk = src.read(min(size, COPY_CHUNK_BYTES))
+            if not chunk:
+                raise OSError(f"{path}: ends {size} bytes short of the "
+                              "shared rows it was recorded with")
+            out.write(chunk)
+            size -= len(chunk)
+
+
+def write_samples_csv(path: str, sim: SimResult, split: int = 0,
+                      copy_from: tuple[str, int] | None = None) -> int:
+    """samples.csv of a simulated stream; `split`, `copy_from` and the
+    return value as in `_write_csv`."""
+    return _write_csv(path, "t,v_d,v_q,i_d,i_q",
+                      np.column_stack([sim.t, sim.v_dq, sim.i_dq]),
+                      split, copy_from)
 
 
 # Relative tolerance on the sample step of a recorded time grid: a grid
@@ -335,19 +384,28 @@ def read_samples_csv(path: str) -> SimResult:
     return SimResult(t=t, v_dq=data[:, 1:3], i_dq=data[:, 3:5], ts=ts)
 
 
-def write_distance_csv(path: str, t, d) -> None:
-    _write_csv(path, "t,d", np.column_stack([t, d]))
+def write_distance_csv(path: str, t, d, split: int = 0,
+                       copy_from: tuple[str, int] | None = None) -> int:
+    """distance.csv; `split`, `copy_from` and the return value as in
+    `_write_csv`."""
+    return _write_csv(path, "t,d", np.column_stack([t, d]), split, copy_from)
 
 
-def write_theta_csv(path: str, t, thetas, stride: int = THETA_STRIDE) -> None:
+def write_theta_csv(path: str, t, thetas, stride: int = THETA_STRIDE,
+                    split: int = 0,
+                    copy_from: tuple[str, int] | None = None) -> int:
+    """theta.csv of every `stride`-th predictor; `split` counts written
+    rows, and it, `copy_from` and the return value are as in
+    `_write_csv`."""
     thetas = np.asarray(thetas)
     m, rows, cols = thetas.shape
     sel = np.arange(0, m, stride)
     header = "t," + ",".join(
         f"theta_{'dq'[r]}_{c + 1}" for r in range(rows) for c in range(cols)
     )
-    _write_csv(path, header, np.column_stack(
-        [np.asarray(t)[sel], thetas[sel].reshape(sel.size, -1)]))
+    return _write_csv(path, header, np.column_stack(
+        [np.asarray(t)[sel], thetas[sel].reshape(sel.size, -1)]),
+        split, copy_from)
 
 
 def read_theta_csv(path: str, rows: int = 2):
@@ -388,8 +446,86 @@ def calibration_from_json(text: str):
 # end-to-end runs
 
 
-def _simulate_identify(config: ScenarioConfig, block: int | None = None):
-    """Simulate the scenario and identify over its stream: (sim, blocks).
+def _prefix_key(config: ScenarioConfig):
+    """What a run's samples before its disturbance starts depend on, and so
+    the identify updates that read only those: every `simulate` argument
+    except the disturbance's kind, value and end, and the ArxConfig. None
+    when no disturbance starts inside the run."""
+    dist = config.disturbance
+    if dist is None or dist.t_start >= config.duration:
+        return None
+    return (config.circuit, config.excitation, config.duration, config.ts,
+            config.noise_std, config.noise_seed, tuple(config.i_op),
+            dist.t_start, config.identifier)
+
+
+@dataclass
+class _Prefix:
+    """The start of a run, which every run with the same `_prefix_key`
+    shares bitwise: recorded by the first of them in one `run_suite` or
+    `build_library_from_scenarios` call and resumed by the others.
+
+    `sim` holds the samples before the disturbance start k_on. Update u
+    reads samples u to u + order + 1, so the updates below
+    k_on - order - 1 read only those; `updates` is the last identify block
+    edge at or below that, and `state` the estimator's state there. A
+    record of `run_suite` also keeps the run's rows before `updates`: t,
+    theta and calibrated per update, and d and the verdict codes (before
+    disarming) as classified under `classified_with`, (thresholds,
+    match_floor). `heads` is (directory, {artifact: size}) when the
+    artifacts in that directory start with their header and their rows of
+    the prefix, those before k_on in samples.csv and before `updates` in
+    distance.csv and theta.csv, in `size` bytes.
+    """
+
+    key: tuple
+    sim: SimPrefix
+    updates: int
+    state: IdentifierState | None = None
+    t: np.ndarray | None = None
+    theta: np.ndarray | None = None
+    calibrated: np.ndarray | None = None
+    d: np.ndarray | None = None
+    codes: np.ndarray | None = None
+    classified_with: tuple | None = None
+    heads: tuple | None = None
+
+    def store(self, lo: int, run, d, codes, classified_with) -> None:
+        """Keep the rows of the block `run`, whose first update is lo, that
+        lie before `updates`."""
+        n = min(run.t.size, self.updates - lo)
+        if n <= 0:
+            return
+        if self.t is None:
+            self.t = np.empty(self.updates)
+            self.theta = np.empty((self.updates,) + run.theta.shape[1:])
+            self.calibrated = np.empty(self.updates, dtype=bool)
+            self.d = np.empty(self.updates)
+            self.codes = np.empty(self.updates, dtype=codes.dtype)
+            self.classified_with = classified_with
+        rows = slice(lo, lo + n)
+        self.t[rows], self.theta[rows] = run.t[:n], run.theta[:n]
+        self.calibrated[rows] = run.calibrated[:n]
+        self.d[rows], self.codes[rows] = d[:n], codes[:n]
+
+
+class _SuitePrefixes(NamedTuple):
+    """The prefix records of one `run_suite` call, by `_prefix_key`, and
+    the nominal predictor and library it passes every run."""
+
+    nominal: NominalPredictor
+    library: SignatureLibrary | None
+    records: dict
+
+
+# The records of the `run_suite` call in progress; None outside one.
+_SUITE_PREFIXES = ContextVar("gridarx_suite_prefixes", default=None)
+
+
+def _simulate_identify(config: ScenarioConfig, block: int | None = None,
+                       records: dict | None = None):
+    """Simulate the scenario and identify over its stream:
+    (sim, blocks, resumed, recording).
 
     `blocks` yields the IdentRun of each `block` consecutive updates, or of
     the whole run when `block` is None. Each block's samples start
@@ -398,27 +534,48 @@ def _simulate_identify(config: ScenarioConfig, block: int | None = None):
     are bitwise one whole-run identification; a block's `index` counts from
     its own first sample. A failure raises StageError tagged with the stage
     that failed.
+
+    `records` maps `_prefix_key` to the _Prefix records of earlier runs.
+    When it holds this run's key, `resumed` is that record: the simulation
+    resumes from its samples, and the blocks start at its block edge from
+    its state, so they omit the updates before it. Otherwise `recording`
+    is a new _Prefix of this run, whose state the blocks fill in as they
+    pass its edge, for the caller to add to `records` once the run has
+    succeeded; it is None when the run has no disturbance inside it or no
+    whole block before one.
     """
+    key = _prefix_key(config) if records is not None else None
+    resumed = records.get(key) if key is not None else None
     try:
         sim = simulate(
             config.circuit, config.disturbance, config.excitation,
             config.duration, config.ts, config.noise_std, config.noise_seed,
-            config.i_op,
+            config.i_op, prefix=None if resumed is None else resumed.sim,
         )
     except Exception as exc:
         raise StageError("simulate", str(exc)) from exc
-    return sim, _identify_blocks(sim, config.identifier, block)
+    recording = None
+    if key is not None and resumed is None and block is not None:
+        shared = sim.prefix.v.shape[0] - config.identifier.order - 1
+        edge = max(0, shared) // block * block
+        if edge:
+            recording = _Prefix(key, sim.prefix, edge)
+    blocks = _identify_blocks(sim, config.identifier, block, resumed,
+                              recording)
+    return sim, blocks, resumed, recording
 
 
 def _identify_blocks(sim: SimResult, identifier: ArxConfig,
-                     block: int | None):
+                     block: int | None, resumed: _Prefix | None = None,
+                     recording: _Prefix | None = None):
     overlap = identifier.order + 1
     # at least one block: a run too short for any update still goes
     # through identify once and yields its empty IdentRun
     updates = max(1, sim.t.size - overlap)
     step = updates if block is None else block
-    state = None
-    for lo in range(0, updates, step):
+    first, state = ((0, None) if resumed is None
+                    else (resumed.updates, resumed.state))
+    for lo in range(first, updates, step):
         hi = lo + step + overlap
         part = SimResult(t=sim.t[lo:hi], v_dq=sim.v_dq[lo:hi],
                          i_dq=sim.i_dq[lo:hi], ts=sim.ts)
@@ -428,6 +585,8 @@ def _identify_blocks(sim: SimResult, identifier: ArxConfig,
             raise StageError(
                 "identify", f"{exc} (block from update {lo})") from exc
         state = run.final_state
+        if recording is not None and lo + step == recording.updates:
+            recording.state = state
         yield run
 
 
@@ -439,7 +598,7 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     portion of the same run.
     """
     cal_config = replace(config, disturbance=None)
-    _, (run,) = _simulate_identify(cal_config)
+    _, (run,), _, _ = _simulate_identify(cal_config)
     if not run.final_state.calibrated:
         raise StageError(
             "identify",
@@ -449,7 +608,7 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     mask = run.calibrated
     window = min(cal_config.calibration_window, int(np.sum(mask)))
     thetas = run.theta[mask]
-    nominal = calibrate_nominal(zip(run.t[mask], thetas), window)
+    nominal = calibrate_nominal(run.t[mask], thetas, window)
     # threshold calibration uses the settled window only: the estimator's
     # cold-start convergence transient is not nominal operation
     d_nominal = distances(thetas[-window:], nominal.theta_star)
@@ -516,7 +675,9 @@ def _transitions(t, codes):
 
 
 def _classify_blocks(config: ScenarioConfig, blocks, nominal, thresholds,
-                     library, settle_from: float, settle_to: float):
+                     library, settle_from: float, settle_to: float,
+                     resumed: _Prefix | None = None,
+                     recording: _Prefix | None = None):
     """Classify each identified block as it arrives and join what a run
     keeps of them: (t, d, codes, armed, theta_t, thetas, settled).
 
@@ -524,28 +685,55 @@ def _classify_blocks(config: ScenarioConfig, blocks, nominal, thresholds,
     update; thetas holds the predictor after every THETA_STRIDE-th update,
     at times theta_t, and settled the predictor of each armed update with
     settle_from <= t < settle_to, in update order.
+
+    A `resumed` prefix's rows stand for the updates before its edge, where
+    the blocks start; they are classified again, block by block, when its
+    thresholds or match floor differ from this run's. `recording` keeps
+    this run's rows before its edge.
     """
-    kept = []
-    lo = 0  # run index of the block's first update
-    for run in blocks:
+    classified_with = (thresholds, config.match_floor)
+
+    def classify(thetas):
         try:
             d, verdicts, _ = classify_series(
-                run.theta, nominal, thresholds, library, config.match_floor
+                thetas, nominal, thresholds, library, config.match_floor
             )
         except Exception as exc:
             raise StageError("detector", str(exc)) from exc
+        return d, det.verdict_codes(verdicts)
+
+    kept = []
+
+    def keep(lo, t, thetas, calibrated, d, codes):
+        """What the run keeps of its updates from lo on."""
         # The estimator restarts from scratch in each run and needs the
         # same settling time the nominal predictor was calibrated with;
         # until then the distance reflects cold-start convergence, not the
         # grid. Keep the detector disarmed over that initial stretch.
-        armed = run.calibrated.copy()
+        armed = calibrated.copy()
         armed[: max(0, config.calibration_window - lo)] = False
-        codes = det.verdict_codes(verdicts)
-        codes[~armed] = det.VERDICT_CODE[Verdict.NORMAL]
+        codes = np.where(armed, codes, det.VERDICT_CODE[Verdict.NORMAL])
         rows = slice(-lo % THETA_STRIDE, None, THETA_STRIDE)
-        settle = (run.t >= settle_from) & (run.t < settle_to) & armed
-        kept.append((run.t, d, codes, armed, run.t[rows],
-                     run.theta[rows].copy(), run.theta[settle]))
+        settle = (t >= settle_from) & (t < settle_to) & armed
+        kept.append((t, d, codes, armed, t[rows], thetas[rows].copy(),
+                     thetas[settle]))
+
+    lo = 0  # run index of the next update
+    if resumed is not None:
+        if resumed.classified_with != classified_with:
+            parts = [classify(resumed.theta[k:k + IDENTIFY_BLOCK])
+                     for k in range(0, resumed.updates, IDENTIFY_BLOCK)]
+            resumed.d, resumed.codes = (np.concatenate(p)
+                                        for p in zip(*parts))
+            resumed.classified_with = classified_with
+        keep(0, resumed.t, resumed.theta, resumed.calibrated, resumed.d,
+             resumed.codes)
+        lo = resumed.updates
+    for run in blocks:
+        d, codes = classify(run.theta)
+        if recording is not None:
+            recording.store(lo, run, d, codes, classified_with)
+        keep(lo, run.t, run.theta, run.calibrated, d, codes)
         lo += run.t.size
     return [np.concatenate(parts) for parts in zip(*kept)]
 
@@ -564,7 +752,14 @@ def run_scenario(
     Writes samples/distance/theta CSVs, an events JSON-lines stream, and a
     JSON report when `out_dir` is given. Thresholds pinned in the scenario
     config take precedence over the calibration-supplied ones.
+
+    Inside `run_suite`, runs that share a prefix (see `_prefix_key`) compute
+    it once: the first records it, the others resume from it and copy its
+    artifact rows. The outputs are bitwise those of a lone run.
     """
+    suite = _SUITE_PREFIXES.get()
+    records = (suite.records if suite is not None and suite.nominal is nominal
+               and suite.library is library else None)
     if config.thresholds is not None:
         thresholds = config.thresholds
     library = library or SignatureLibrary(order=config.identifier.order)
@@ -589,15 +784,15 @@ def run_scenario(
     else:
         settle_from, settle_to = config.duration / 2.0, np.inf
 
-    sim, blocks = _simulate_identify(config, IDENTIFY_BLOCK)
+    sim, blocks, resumed, recording = _simulate_identify(
+        config, IDENTIFY_BLOCK, records)
     t, d, codes, armed, theta_t, thetas, settled = _classify_blocks(
-        config, blocks, nominal, thresholds, library, settle_from, settle_to)
+        config, blocks, nominal, thresholds, library, settle_from, settle_to,
+        resumed, recording)
     stable = np.array(debounce(codes.tolist(), config.hold), dtype=np.intp)
 
-    dt1_high, dt2 = detection_times(t[armed], d[armed], t_start,
-                                    t_end, thresholds, trip="high")
-    dt1_low, _ = detection_times(t[armed], d[armed], t_start,
-                                 t_end, thresholds, trip="low")
+    dt1_high, dt1_low, dt2 = detection_times(t[armed], d[armed], t_start,
+                                             t_end, thresholds)
     # debounced delays: first stable fault verdict / first stable
     # non-normal verdict after t_start
     is_fault = stable == det.VERDICT_CODE[Verdict.FAULT]
@@ -646,20 +841,62 @@ def run_scenario(
     )
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_samples_csv(os.path.join(out_dir, "samples.csv"), sim)
-        write_distance_csv(os.path.join(out_dir, "distance.csv"), t, d)
-        write_theta_csv(os.path.join(out_dir, "theta.csv"), theta_t, thetas,
-                        stride=1)
-        with open(os.path.join(out_dir, "events.jsonl"), "w") as fh:
-            for tk, v in report.verdict_timeline:
-                idx = int(np.searchsorted(t, tk))
-                fh.write(json.dumps({
-                    "t": tk, "verdict": v, "d": float(d[min(idx, d.size - 1)]),
-                }) + "\n")
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            fh.write(report.to_json())
+        _write_artifacts(out_dir, sim, t, d, theta_t, thetas, report,
+                         resumed or recording, records)
+    if recording is not None:
+        records[recording.key] = recording
     return report
+
+
+def _write_artifacts(out_dir: str, sim, t, d, theta_t, thetas,
+                     report: RunReport, prefix: _Prefix | None,
+                     records: dict | None) -> None:
+    """Write a run's artifacts into out_dir.
+
+    With a prefix, the CSV rows it covers are copied from the artifacts
+    its heads name, if any, and its heads then name these. Heads that name
+    out_dir are forgotten first, since this run overwrites their files.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    where = os.path.abspath(out_dir)
+    for rec in (records or {}).values():
+        if rec.heads is not None and rec.heads[0] == where:
+            rec.heads = None
+    if prefix is None:
+        split_samples = split_updates = split_theta = 0
+        heads = None
+    else:
+        split_samples, split_updates = prefix.sim.v.shape[0], prefix.updates
+        split_theta = -(-prefix.updates // THETA_STRIDE)
+        heads = prefix.heads
+
+    def source(name):
+        """(path, size) of the earlier artifact to copy the head from."""
+        if heads is None:
+            return None
+        return os.path.join(heads[0], name), heads[1][name]
+
+    sizes = {
+        "samples.csv": write_samples_csv(
+            os.path.join(out_dir, "samples.csv"), sim, split_samples,
+            source("samples.csv")),
+        "distance.csv": write_distance_csv(
+            os.path.join(out_dir, "distance.csv"), t, d, split_updates,
+            source("distance.csv")),
+        "theta.csv": write_theta_csv(
+            os.path.join(out_dir, "theta.csv"), theta_t, thetas, 1,
+            split_theta, source("theta.csv")),
+    }
+    with open(os.path.join(out_dir, "events.jsonl"), "w") as fh:
+        for tk, v in report.verdict_timeline:
+            idx = int(np.searchsorted(t, tk))
+            fh.write(json.dumps({
+                "t": tk, "verdict": v, "d": float(d[min(idx, d.size - 1)]),
+            }) + "\n")
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        fh.write(report.to_json())
+    if prefix is not None:
+        prefix.heads = (where, sizes)
 
 
 def _cycle_average(v: np.ndarray, ts: float, f_base: float) -> np.ndarray:
@@ -692,8 +929,12 @@ def build_library_from_scenarios(
     """Run each labeled offline scenario and record its signature.
 
     Of each run only the (t, theta) rows inside the disturbance window are
-    kept, the only ones `build_library` reads.
+    kept, the only ones `build_library` reads. Runs that share a prefix
+    (see `_prefix_key`) simulate and identify it once; since the window
+    starts after it, its record holds only the simulator's samples and the
+    estimator's state.
     """
+    records = {}
     runs = []
     order = None
     for config in configs:
@@ -704,7 +945,8 @@ def build_library_from_scenarios(
         label = (Verdict.FAULT if config.disturbance.kind == "fault"
                  else Verdict.LOAD_INCREASE)
         t_start, t_end = config.disturbance.t_start, config.disturbance.t_end
-        _, blocks = _simulate_identify(config, IDENTIFY_BLOCK)
+        _, blocks, _, recording = _simulate_identify(
+            config, IDENTIFY_BLOCK, records)
         kept = []
         for run in blocks:
             window = (run.t >= t_start) & (run.t < t_end)
@@ -712,6 +954,8 @@ def build_library_from_scenarios(
         t, thetas = (np.concatenate(parts) for parts in zip(*kept))
         runs.append((label, t, thetas, t_start, t_end, config.name))
         order = config.identifier.order
+        if recording is not None:
+            records[recording.key] = recording
     return build_library(runs, nominal, thresholds, order)
 
 
@@ -727,40 +971,47 @@ def run_suite(
 
     Returns (reports dict, table rows). Each scenario contributes one row
     for the parameter-deviation method and one for voltage limit-checking.
+    The prefixes that runs share (see `run_scenario`) are recorded for the
+    duration of this call only.
     """
     reports = {}
     rows = []
-    for path in scenario_paths:
-        name = os.path.splitext(os.path.basename(path))[0]
-        try:
-            config = load_scenario(path, overrides)
-            scen_out = (os.path.join(out_dir, name) if out_dir is not None
-                        else None)
-            report = run_scenario(config, nominal, thresholds, library,
-                                  out_dir=scen_out)
-        except Exception as exc:
-            rows.append([name, "rarx", "error", str(exc), "", ""])
-            rows.append([name, "limit_check", "error", str(exc), "", ""])
-            reports[name] = None
-            continue
-        reports[name] = report
-        detected = report.final_verdict is not Verdict.NORMAL
-        dt1 = report.dt1_high if report.dt1_high is not None else report.dt1_low
-        rows.append([
-            name, "rarx",
-            "detected" if detected else "not_detected",
-            report.final_verdict.value,
-            "never" if dt1 is None else f"{dt1:.6g}",
-            "never" if report.dt2 is None else f"{report.dt2:.6g}",
-        ])
-        rows.append([
-            name, "limit_check",
-            "detected" if report.baseline_detected else "not_detected",
-            "fault" if report.baseline_detected else "normal",
-            ("never" if report.baseline_first_violation is None
-             else f"{report.baseline_first_violation:.6g}"),
-            "",
-        ])
+    token = _SUITE_PREFIXES.set(_SuitePrefixes(nominal, library, {}))
+    try:
+        for path in scenario_paths:
+            name = os.path.splitext(os.path.basename(path))[0]
+            try:
+                config = load_scenario(path, overrides)
+                scen_out = (os.path.join(out_dir, name) if out_dir is not None
+                            else None)
+                report = run_scenario(config, nominal, thresholds, library,
+                                      out_dir=scen_out)
+            except Exception as exc:
+                rows.append([name, "rarx", "error", str(exc), "", ""])
+                rows.append([name, "limit_check", "error", str(exc), "", ""])
+                reports[name] = None
+                continue
+            reports[name] = report
+            detected = report.final_verdict is not Verdict.NORMAL
+            dt1 = (report.dt1_high if report.dt1_high is not None
+                   else report.dt1_low)
+            rows.append([
+                name, "rarx",
+                "detected" if detected else "not_detected",
+                report.final_verdict.value,
+                "never" if dt1 is None else f"{dt1:.6g}",
+                "never" if report.dt2 is None else f"{report.dt2:.6g}",
+            ])
+            rows.append([
+                name, "limit_check",
+                "detected" if report.baseline_detected else "not_detected",
+                "fault" if report.baseline_detected else "normal",
+                ("never" if report.baseline_first_violation is None
+                 else f"{report.baseline_first_violation:.6g}"),
+                "",
+            ])
+    finally:
+        _SUITE_PREFIXES.reset(token)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "comparison.csv"), "w") as fh:

@@ -54,14 +54,34 @@ class DisturbanceSpec:
         return cls("load", params.henries_to_pu(l_h), t_start, t_end)
 
 
+@dataclass(frozen=True)
+class SimPrefix:
+    """The noise-free start of a run, up to its disturbance start k_on: the
+    PCC voltage of samples [0, k_on) and the nominal-circuit state entering
+    sample k_on.
+
+    It depends on every `simulate` argument except the disturbance's kind,
+    value and end, so a run that differs from another only in those can
+    resume from the other's prefix.
+    """
+
+    v: np.ndarray  # (k_on, 2) PCC voltage before measurement noise
+    x: np.ndarray  # (nx,) state entering sample k_on
+
+
 @dataclass
 class SimResult:
-    """Measured PCC streams on a uniform time grid."""
+    """Measured PCC streams on a uniform time grid.
+
+    `prefix` is the run's SimPrefix when a disturbance starts inside it;
+    None otherwise and for streams not simulated here.
+    """
 
     t: np.ndarray  # (n,)
     v_dq: np.ndarray  # (n, 2) measured PCC voltage, p.u.
     i_dq: np.ndarray  # (n, 2) measured injected current, p.u.
     ts: float
+    prefix: SimPrefix | None = None
 
 
 def equilibrium(model: StateSpaceModel, u0, vg) -> np.ndarray:
@@ -109,6 +129,29 @@ def _map_state(x, from_model: StateSpaceModel, to_model: StateSpaceModel,
     return out
 
 
+def _advance(v, x, model: StateSpaceModel, ts: float, i_inj, vg, k0: int,
+             k1: int):
+    """Step `model` from state x entering sample k0 over samples [k0, k1),
+    writing their PCC voltage into v; returns the state entering k1."""
+    if k1 <= k0:
+        return x
+    F, Gb, Ge = _discretize(model, ts)
+    drive = i_inj[k0:k1] @ Gb.T + vg @ Ge.T  # per-step forcing, (m, nx)
+    Cv = model.C
+    # v[k] = Cv x; x <- F x + drive[k], written into preallocated rows: the
+    # next state overwrites the forcing row it consumes. np.dot is the same
+    # BLAS gemv as the @ operator, so the values are bitwise those of the
+    # plain expressions.
+    dot, add = np.dot, np.add
+    Fx = np.empty_like(x)
+    for v_k, x_next in zip(v[k0:k1], drive):
+        dot(Cv, x, v_k)
+        dot(F, x, Fx)
+        add(Fx, x_next, x_next)
+        x = x_next
+    return x
+
+
 def simulate(
     params: CircuitParams,
     disturbance: DisturbanceSpec | None,
@@ -119,6 +162,7 @@ def simulate(
     noise_seed: int = 1,
     i_op=(1.0, 0.0),
     vg=(1.0, 0.0),
+    prefix: SimPrefix | None = None,
 ) -> SimResult:
     """Run the circuit from its pre-disturbance equilibrium.
 
@@ -127,6 +171,12 @@ def simulate(
     depends only on commands strictly before k. Additive Gaussian noise of
     std `noise_std` is applied to both measured channels. Deterministic
     given the excitation and noise seeds.
+
+    `prefix`, the SimResult.prefix of a run with the same arguments apart
+    from the disturbance's kind, value and end, skips the steps before the
+    disturbance: the run resumes from its state. The excitation and the
+    noise are still drawn for the whole run, so the result is bitwise that
+    of a run without it.
     """
     if duration <= 0 or ts <= 0:
         raise ValueError("duration and ts must be positive")
@@ -142,41 +192,39 @@ def simulate(
     vg = np.asarray(vg, float)
 
     nominal = full_circuit_model(params, None)
-    segments = []  # (start index, end index exclusive, model)
+    later = []  # (start index, end index exclusive, model) after k_on
     if disturbance is None or disturbance.t_start >= duration:
-        segments.append((0, n, nominal))
+        k_on = n
     else:
         disturbed = full_circuit_model(params, (disturbance.kind, disturbance.value_pu))
         k_on = int(round(disturbance.t_start / ts))
         k_off = min(n, int(round(disturbance.t_end / ts)))
-        segments.append((0, k_on, nominal))
-        segments.append((k_on, k_off, disturbed))
+        later.append((k_on, k_off, disturbed))
         if k_off < n:
-            segments.append((k_off, n, nominal))
+            later.append((k_off, n, nominal))
 
-    x = equilibrium(nominal, np.asarray(i_op, float), vg)
-    prev_model = nominal
     v = np.empty((n, 2))
-    dot, add = np.dot, np.add
-    for k0, k1, model in segments:
-        if k1 <= k0:
-            prev_model = model
+    if prefix is None:
+        x = equilibrium(nominal, np.asarray(i_op, float), vg)
+        x = _advance(v, x, nominal, ts, i_inj, vg, 0, k_on)
+        if later:
+            prefix = SimPrefix(v=v[:k_on].copy(), x=x.copy())
+    elif not later or prefix.v.shape[0] != k_on:
+        where = f"at sample {k_on}" if later else "nowhere inside the run"
+        raise ValueError(
+            f"prefix of {prefix.v.shape[0]} samples does not end at the "
+            f"disturbance start, which is {where}"
+        )
+    else:
+        v[:k_on] = prefix.v
+        x = prefix.x
+    prev_model = nominal
+    for k0, k1, model in later:
+        if k1 <= k0:  # a window shorter than half a step never switches
             continue
         if model is not prev_model:
             x = _map_state(x, prev_model, model, params)
-        F, Gb, Ge = _discretize(model, ts)
-        drive = i_inj[k0:k1] @ Gb.T + vg @ Ge.T  # per-step forcing, (m, nx)
-        Cv = model.C
-        # v[k] = Cv x; x <- F x + drive[k], written into preallocated rows:
-        # the next state overwrites the forcing row it consumes. np.dot is
-        # the same BLAS gemv as the @ operator, so the values are bitwise
-        # those of the plain expressions.
-        Fx = np.empty_like(x)
-        for v_k, x_next in zip(v[k0:k1], drive):
-            dot(Cv, x, v_k)
-            dot(F, x, Fx)
-            add(Fx, x_next, x_next)
-            x = x_next
+        x = _advance(v, x, model, ts, i_inj, vg, k0, k1)
         prev_model = model
 
     if not np.all(np.isfinite(v)):
@@ -192,4 +240,4 @@ def simulate(
         v_meas = v
         i_meas = i_inj.copy()
 
-    return SimResult(t=t, v_dq=v_meas, i_dq=i_meas, ts=ts)
+    return SimResult(t=t, v_dq=v_meas, i_dq=i_meas, ts=ts, prefix=prefix)

@@ -169,7 +169,7 @@ def test_criterion_7_property_suites():
     # classifier branch exclusivity over 1e4 random snapshots
     shape = (2, 12)
     from gridarx.detector import calibrate_nominal
-    nominal = calibrate_nominal([(0.0, np.zeros(shape))], window=1)
+    nominal = calibrate_nominal([0.0], np.zeros((1,) + shape), window=1)
     thr = Thresholds(d_high=1.0, d_low=0.1)
     lib = SignatureLibrary(order=3)
     sig = rng.standard_normal(shape)

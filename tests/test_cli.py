@@ -148,6 +148,46 @@ class TestSuite:
         assert rc == 1
 
 
+def _library_file(tmp_path, **entry):
+    """A library.json with one signature, its fields overridden by
+    `entry` (a None value drops the field)."""
+    sig = {"label": "fault", "delta_theta": [1.0] + [0.0] * 23,
+           "shape": [2, 12], "source_scenario": "load_0p35"}
+    sig.update(entry)
+    sig = {k: v for k, v in sig.items() if v is not None}
+    path = tmp_path / "library.json"
+    path.write_text(json.dumps({"version": 1, "order": 3,
+                                "signatures": [sig]}))
+    return str(path)
+
+
+class TestLibraryFile:
+    """`run` and `suite` load --library the same way; a malformed library
+    exits 2 with a message that names the file."""
+
+    def _args(self, command, workspace, tmp_path, library):
+        source = ["--config", workspace["fault.ini"]] if command == "run" \
+            else ["--manifest", workspace["manifest.txt"]]
+        return [command, *source,
+                "--calibration", workspace["calibration.json"],
+                "--library", library, "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    @pytest.mark.parametrize("entry, message", [
+        ({"label": "normal"}, "label 'normal' is not a signature label"),
+        ({"shape": None}, "missing key 'shape'"),
+    ])
+    def test_bad_library_names_file(self, workspace, tmp_path, capsys,
+                                    command, entry, message):
+        library = _library_file(tmp_path, **entry)
+        rc = main(self._args(command, workspace, tmp_path, library))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {library}: ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPoles:
     def test_defaults_agree_with_oracle(self, capsys):
         assert main(["poles"]) == 0

@@ -77,11 +77,20 @@ def flat_library(vectors_labels):
     return lib
 
 
+def oracle_calibrate_nominal(stream, window):
+    """Reference nominal predictor from a list of (t, theta) snapshots: the
+    mean of the last `window` thetas, stacked from a Python list."""
+    tail = list(stream)[-window:]
+    return (np.mean([np.asarray(th, float) for _, th in tail], axis=0),
+            float(tail[-1][0]))
+
+
 class TestCalibrateNominal:
     def test_constant_stream(self):
         theta = np.full(SHAPE, 0.7)
-        stream = [(0.1 * k, theta) for k in range(10)]
-        nom = calibrate_nominal(stream, window=5)
+        t = 0.1 * np.arange(10)
+        nom = calibrate_nominal(t, np.broadcast_to(theta, (10,) + SHAPE),
+                                window=5)
         assert np.array_equal(nom.theta_star, theta)
         assert nom.calibration_window == 5
         assert nom.calibrated_at == pytest.approx(0.9)
@@ -92,29 +101,66 @@ class TestCalibrateNominal:
         base = np.ones(SHAPE)
         errs = []
         for _ in range(trials):
-            stream = [(k, base + eps * rng.standard_normal(SHAPE))
-                      for k in range(w)]
-            nom = calibrate_nominal(stream, w)
+            thetas = base + eps * rng.standard_normal((w,) + SHAPE)
+            nom = calibrate_nominal(np.arange(w), thetas, w)
             errs.append(np.linalg.norm(nom.theta_star - base))
         expected = eps * np.sqrt(base.size / w)
         assert np.mean(errs) == pytest.approx(expected, rel=0.2)
 
+    @pytest.mark.parametrize("m, window", [(1, 1), (7, 3), (5000, 5000),
+                                           (6000, 4999)])
+    def test_bitwise_equal_to_list_oracle(self, rng, m, window):
+        t = rng.uniform(0.0, 10.0, m)
+        thetas = rng.standard_normal((m,) + SHAPE)
+        nom = calibrate_nominal(t, thetas, window)
+        theta_star, calibrated_at = oracle_calibrate_nominal(
+            zip(t, thetas), window)
+        assert np.array_equal(nom.theta_star.view(np.uint64),
+                              theta_star.view(np.uint64))
+        assert nom.calibrated_at == calibrated_at
+
+    def test_peak_memory_independent_of_rows(self, rng):
+        """The call reads the snapshots in place: on 49,974 rows (9.6 MB,
+        the shipped calibration run) the list form peaked at 12 MB."""
+        import tracemalloc
+
+        m = 49_974
+        t = np.arange(m) * 2e-4
+        thetas = rng.standard_normal((m,) + SHAPE)
+        tracemalloc.start()
+        try:
+            calibrate_nominal(t, thetas, 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024, peak
+
     def test_too_few_snapshots(self):
         with pytest.raises(InsufficientDataError):
-            calibrate_nominal([(0.0, np.ones(SHAPE))], window=2)
+            calibrate_nominal([0.0], np.ones((1,) + SHAPE), window=2)
 
     def test_empty_stream(self):
         with pytest.raises(InsufficientDataError):
-            calibrate_nominal([], window=1)
+            calibrate_nominal([], np.zeros((0,) + SHAPE), window=1)
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
-            calibrate_nominal([(0.0, np.ones(SHAPE))], window=0)
+            calibrate_nominal([0.0], np.ones((1,) + SHAPE), window=0)
+
+    @pytest.mark.parametrize("t, thetas", [
+        (np.zeros(3), np.zeros((2,) + SHAPE)),
+        (np.zeros(2), np.zeros((2, 24))),
+    ])
+    def test_mismatched_shapes_rejected(self, t, thetas):
+        with pytest.raises(ValueError, match="need t"):
+            calibrate_nominal(t, thetas, window=1)
 
     def test_only_tail_used(self):
-        stream = [(0.0, np.zeros(SHAPE))] * 5 + [(1.0, np.ones(SHAPE))] * 5
-        nom = calibrate_nominal(stream, window=5)
+        thetas = np.concatenate([np.zeros((5,) + SHAPE),
+                                 np.ones((5,) + SHAPE)])
+        nom = calibrate_nominal([0.0] * 5 + [1.0] * 5, thetas, window=5)
         assert np.array_equal(nom.theta_star, np.ones(SHAPE))
+        assert nom.calibrated_at == 1.0
 
 
 class TestFrobeniusDistance:
@@ -174,7 +220,7 @@ class TestMatchSignature:
     sits in the band, so the library decides."""
 
     thresholds = Thresholds(d_high=10.0, d_low=1e-6)
-    nominal = calibrate_nominal([(0.0, np.zeros(SHAPE))], window=1)
+    nominal = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
 
     def _match(self, theta, lib):
         ev = classify(theta, self.nominal, self.thresholds, lib)
@@ -230,8 +276,7 @@ class TestClassify:
     thresholds = Thresholds(d_high=1.0, d_low=0.1)
 
     def _nominal(self):
-        stream = [(0.0, np.zeros(SHAPE))]
-        return calibrate_nominal(stream, window=1)
+        return calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
 
     def test_normal_branch(self):
         nom = self._nominal()
@@ -300,7 +345,7 @@ class TestClassify:
 
 class TestClassifySeries:
     thr = Thresholds(d_high=1.0, d_low=0.1)
-    nom = calibrate_nominal([(0.0, np.zeros(SHAPE))], window=1)
+    nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
 
     def _check(self, thetas, lib, match_floor=0.8):
         """The series and the one-row call both agree with the oracle."""
@@ -401,39 +446,65 @@ class TestClassifySeries:
         assert np.isnan(sims[0])
 
 
+def oracle_detection_times(t, d, t_start, t_end, thresholds):
+    """Reference delays by a scan over the samples: (dt1_high, dt1_low,
+    dt2)."""
+    def first(hit, t0):
+        return next((float(tk - t0) for tk, dk in zip(t, d)
+                     if tk >= t0 and hit(dk)), None)
+
+    return (first(lambda dk: dk > thresholds.d_high, t_start),
+            first(lambda dk: dk > thresholds.d_low, t_start),
+            first(lambda dk: dk <= thresholds.d_low, t_end))
+
+
 class TestDetectionTimes:
     thr = Thresholds(d_high=1.0, d_low=0.1)
 
     def test_step_crossing(self):
         t = np.arange(100) * 1e-3
         d = np.where((t >= 0.030) & (t < 0.060), 2.0, 0.01)
-        dt1, dt2 = detection_times(t, d, 0.028, 0.060, self.thr)
-        assert dt1 == pytest.approx(0.002)
+        dt1_high, dt1_low, dt2 = detection_times(t, d, 0.028, 0.060,
+                                                 self.thr)
+        assert dt1_high == pytest.approx(0.002)
+        assert dt1_low == pytest.approx(0.002)
         assert dt2 == pytest.approx(0.0)
 
     def test_low_trip(self):
         t = np.arange(100) * 1e-3
         d = np.where(t >= 0.050, 0.5, 0.01)
-        dt1, _ = detection_times(t, d, 0.050, 0.090, self.thr, trip="low")
-        assert dt1 == pytest.approx(0.0)
+        dt1_high, dt1_low, dt2 = detection_times(t, d, 0.050, 0.090,
+                                                 self.thr)
+        assert dt1_high is None
+        assert dt1_low == pytest.approx(0.0)
+        assert dt2 is None
 
     def test_never_trips(self):
         t = np.arange(10) * 1e-3
         d = np.full(10, 0.01)
-        dt1, dt2 = detection_times(t, d, 0.0, 0.005, self.thr)
-        assert dt1 is None
+        dt1_high, dt1_low, dt2 = detection_times(t, d, 0.0, 0.005, self.thr)
+        assert dt1_high is None and dt1_low is None
         assert dt2 == pytest.approx(0.0)
 
     def test_never_recovers(self):
         t = np.arange(10) * 1e-3
         d = np.full(10, 5.0)
-        dt1, dt2 = detection_times(t, d, 0.0, 0.005, self.thr)
-        assert dt1 == pytest.approx(0.0)
+        dt1_high, dt1_low, dt2 = detection_times(t, d, 0.0, 0.005, self.thr)
+        assert dt1_high == pytest.approx(0.0)
+        assert dt1_low == pytest.approx(0.0)
         assert dt2 is None
 
-    def test_bad_trip_arg(self):
-        with pytest.raises(ValueError):
-            detection_times([0.0], [0.0], 0.0, 1.0, self.thr, trip="middle")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scan_oracle(self, seed):
+        """Both trip levels and the recovery, with d exactly on each
+        threshold at some samples."""
+        rng = np.random.default_rng(seed)
+        t = np.arange(400) * 1e-3
+        d = rng.choice([0.0, 0.05, self.thr.d_low, 0.5, self.thr.d_high,
+                        2.0], size=t.size)
+        t_start, t_end = rng.uniform(0.0, 0.4, 2)
+        got = detection_times(t, d, t_start, t_end, self.thr)
+        assert got == oracle_detection_times(t, d, t_start, t_end, self.thr)
 
 
 class TestDebounce:
@@ -459,7 +530,7 @@ class TestDebounce:
 
 class TestBuildLibrary:
     def test_synthetic_runs(self):
-        nom = calibrate_nominal([(0.0, np.zeros(SHAPE))], window=1)
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
         thr = Thresholds(d_high=1.0, d_low=0.01)
         t = np.linspace(0.0, 1.0, 101)
         sig = np.zeros(SHAPE)
@@ -475,7 +546,7 @@ class TestBuildLibrary:
         assert entry.delta_theta[0, 0] == pytest.approx(1.0)
 
     def test_quiet_run_rejected(self):
-        nom = calibrate_nominal([(0.0, np.zeros(SHAPE))], window=1)
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
         thr = Thresholds(d_high=1.0, d_low=0.5)
         t = np.linspace(0.0, 1.0, 101)
         thetas = np.zeros((101,) + SHAPE)
@@ -485,7 +556,7 @@ class TestBuildLibrary:
                           nom, thr, order=ORDER)
 
     def test_empty_window_rejected(self):
-        nom = calibrate_nominal([(0.0, np.zeros(SHAPE))], window=1)
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
         thr = Thresholds(d_high=1.0, d_low=0.01)
         t = np.linspace(0.0, 1.0, 11)
         thetas = np.ones((11,) + SHAPE)
@@ -517,7 +588,7 @@ class TestSignatureLabels:
     @pytest.mark.parametrize("label", [Verdict.NORMAL, Verdict.UNCLASSIFIED,
                                        "normal", "bogus"])
     def test_build_library_rejects_label(self, label):
-        nom = calibrate_nominal([(0.0, np.zeros(SHAPE))], window=1)
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
         thr = Thresholds(d_high=1.0, d_low=0.01)
         t = np.linspace(0.0, 1.0, 11)
         thetas = np.full((11,) + SHAPE, 0.1)

@@ -5,6 +5,7 @@ import configparser
 import filecmp
 import json
 import os
+import shutil
 import tracemalloc
 from dataclasses import replace
 
@@ -12,7 +13,14 @@ import numpy as np
 import pytest
 
 from gridarx import scenario as scenario_module
-from gridarx.detector import Thresholds, Verdict, verdict_codes
+from gridarx.detector import (
+    Signature,
+    SignatureLibrary,
+    Thresholds,
+    Verdict,
+    verdict_codes,
+)
+from gridarx.pipeline import identify
 from gridarx.scenario import (
     CSV_CHUNK_ROWS,
     FLOAT_FMT,
@@ -229,6 +237,33 @@ class TestCsvRoundTrips:
         np.savetxt(str(want), data, fmt=FLOAT_FMT, delimiter=",",
                    header=header, comments="")
         assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("split", [0, 1, CSV_CHUNK_ROWS - 1,
+                                       CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+                                       2 * CSV_CHUNK_ROWS + 3])
+    def test_split_and_copied_head(self, tmp_path, rng, split):
+        """The returned size ends the header and the first `split` rows;
+        a file that copies them from another is the file written whole."""
+        rows = 2 * CSV_CHUNK_ROWS + 3
+        first = rng.standard_normal((rows, 3))
+        second = np.concatenate([first[:split],
+                                 rng.standard_normal((rows - split, 3))])
+        a, b, want = (str(tmp_path / n) for n in ("a.csv", "b.csv", "w.csv"))
+        size = _write_csv(a, "x,y,z", first, split)
+        lines = open(a, "rb").read().splitlines(keepends=True)
+        assert size == sum(map(len, lines[:split + 1]))
+        assert _write_csv(b, "x,y,z", second, split, (a, size)) == size
+        _write_csv(want, "x,y,z", second)
+        assert open(b, "rb").read() == open(want, "rb").read()
+
+    def test_copy_from_short_file_fails(self, tmp_path):
+        data = np.ones((4, 2))
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        size = _write_csv(a, "x,y", data, 4)
+        with open(a, "r+b") as fh:
+            fh.truncate(size - 1)
+        with pytest.raises(OSError, match="ends 1 bytes short"):
+            _write_csv(b, "x,y", data, 4, (a, size))
 
     def test_theta_stride_and_exactness(self, tmp_path, rng):
         t = np.arange(20) * 1e-3
@@ -498,6 +533,260 @@ class TestRunMemory:
                 tracemalloc.stop()
         extra_samples = 4.0 / base.ts
         assert (peaks[8.0] - peaks[4.0]) / extra_samples <= 300.0, peaks
+
+
+# Prefix sharing: 1 s runs with the disturbance from 0.5 s, so samples
+# [0, 2500) come before it and updates [0, 2496) read only those. Blocks of
+# SHARE_BLOCK = 2496 / 4 updates put a block edge exactly there, and the
+# detector arms at update 500, inside the prefix. The pinned thresholds put
+# armed prefix rows on every side of both of them.
+SHARE_BLOCK = 624
+LIBRARY_BLOCK = (4 * SHARE_BLOCK + 2) // 2
+SHARE_BASE = """\
+[run]
+duration = 1.0
+calibration_window = 500
+noise_seed = 2
+[disturbance]
+kind = fault
+r_fault_pu = 0.2077
+t_start = 0.5
+t_end = 0.75
+[excitation]
+amplitude = 0.1
+seed = 1
+[identifier]
+order = 3
+forgetting = 0.999
+[thresholds]
+mode = manual
+d_high = 0.25
+d_low = 0.1
+"""
+
+# (variant, line replaced in SHARE_BASE, its replacement). The first group
+# changes only what comes after the disturbance starts or how the rows are
+# judged, and may reuse the base run's prefix; the second changes the
+# prefix itself, and must not.
+MAY_SHARE = [
+    ("kind", "kind = fault\nr_fault_pu = 0.2077",
+     "kind = load\nl_load_pu = 0.35"),
+    ("value", "r_fault_pu = 0.2077", "r_fault_pu = 0.5"),
+    ("t_end", "t_end = 0.75", "t_end = 0.9"),
+    ("thresholds", "mode = manual", "mode = auto"),
+    ("match_floor", "[run]\n", "[run]\nmatch_floor = 0.0\n"),
+    ("hold", "[run]\n", "[run]\nhold = 7\n"),
+    ("calibration_window", "calibration_window = 500",
+     "calibration_window = 1500"),
+]
+MUST_NOT_SHARE = [
+    ("noise_seed", "noise_seed = 2", "noise_seed = 3"),
+    ("excitation_seed", "seed = 1", "seed = 4"),
+    ("amplitude", "amplitude = 0.1", "amplitude = 0.12"),
+    ("forgetting", "forgetting = 0.999", "forgetting = 0.998"),
+    ("order", "order = 3", "order = 2"),
+    ("duration", "duration = 1.0", "duration = 1.1"),
+    ("ts", "[run]\n", "[run]\nts = 1e-4\n"),
+    ("t_start", "t_start = 0.5", "t_start = 0.55"),
+    ("circuit", "[excitation]", "[circuit]\nr1 = 2.1\n[excitation]"),
+]
+RUN_ARTIFACTS = ("samples.csv", "distance.csv", "theta.csv", "events.jsonl",
+                 "report.json")
+
+
+def share_ini(root, path, change=None):
+    """SHARE_BASE with one line replaced, written to root / path."""
+    text = SHARE_BASE
+    if change is not None:
+        old, new = change
+        assert old in text, old
+        text = text.replace(old, new, 1)
+    full = root / path
+    full.parent.mkdir(parents=True, exist_ok=True)
+    full.write_text(text)
+    return str(full)
+
+
+def random_library(seed=8):
+    """Two unit signatures in random directions: in-band rows match one of
+    them with a similarity spread around 0."""
+    rng = np.random.default_rng(seed)
+    lib = SignatureLibrary(order=3)
+    for label in (Verdict.FAULT, Verdict.LOAD_INCREASE):
+        vec = rng.standard_normal((2, 12))
+        lib.signatures.append(Signature(label, vec / np.linalg.norm(vec)))
+    return lib
+
+
+def counting_suite(paths, nominal, thresholds, library, out_dir,
+                   snapshots=None):
+    """run_suite with the updates each run passes to `identify` counted:
+    (reports, [(scenario name, updates identified)]). With `snapshots`,
+    the artifacts of run k are copied to snapshots / str(k) as soon as it
+    returns, before a later run can overwrite them."""
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario_module, "IDENTIFY_BLOCK", SHARE_BLOCK)
+
+        def counted_identify(*args, **kwargs):
+            run = identify(*args, **kwargs)
+            counts[-1][1] += run.t.size
+            return run
+
+        def counted_run(config, *args, out_dir=None, **kwargs):
+            counts.append([config.name, 0])
+            report = run_scenario(config, *args, out_dir=out_dir, **kwargs)
+            if snapshots is not None:
+                shutil.copytree(out_dir, snapshots / str(len(counts) - 1))
+            return report
+
+        mp.setattr(scenario_module, "identify", counted_identify)
+        mp.setattr(scenario_module, "run_scenario", counted_run)
+        reports, _ = run_suite(paths, nominal, thresholds, library,
+                               out_dir=out_dir)
+    return reports, [tuple(c) for c in counts]
+
+
+def lone_run(path, nominal, thresholds, library, out_dir):
+    """`path` run on its own, outside any suite, with the suite's block
+    size; the message of the StageError it raises, else None."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario_module, "IDENTIFY_BLOCK", SHARE_BLOCK)
+        try:
+            run_scenario(load_scenario(path), nominal, thresholds, library,
+                         out_dir=out_dir)
+        except StageError as exc:
+            return str(exc)
+    return None
+
+
+def assert_same_artifacts(got_dir, want_dir):
+    for name in RUN_ARTIFACTS:
+        assert filecmp.cmp(os.path.join(got_dir, name),
+                           os.path.join(want_dir, name), shallow=False), \
+            (got_dir, name)
+
+
+def updates_of(config):
+    return int(round(config.duration / config.ts)) + 1 - \
+        (config.identifier.order + 1)
+
+
+class TestSharedPrefix:
+    """Runs of one suite that share everything before the disturbance
+    compute it once, and still write the bytes of a run on its own."""
+
+    @pytest.fixture(scope="class")
+    def shared_suite(self, default_cal, tmp_path_factory):
+        nominal, thresholds, _, _ = default_cal
+        root = tmp_path_factory.mktemp("share")
+        library = random_library()
+        paths = [share_ini(root, "base.ini")]
+        paths += [share_ini(root, f"{name}.ini", (old, new))
+                  for name, old, new in MAY_SHARE + MUST_NOT_SHARE]
+        reports, counts = counting_suite(paths, nominal, thresholds, library,
+                                         str(root / "suite"))
+        errors = {}
+        for path in paths:
+            name = os.path.splitext(os.path.basename(path))[0]
+            errors[name] = lone_run(path, nominal, thresholds, library,
+                                    str(root / "lone" / name))
+        return root, paths, reports, counts, errors
+
+    def test_block_edge_on_disturbance_start(self, tmp_path):
+        config = load_scenario(share_ini(tmp_path, "b.ini"))
+        k_on = int(round(config.disturbance.t_start / config.ts))
+        prefix_updates = k_on - config.identifier.order - 1
+        assert prefix_updates % SHARE_BLOCK == 0
+        assert prefix_updates // SHARE_BLOCK == 4
+        assert config.calibration_window < prefix_updates
+
+    def test_every_artifact_equals_a_lone_run(self, shared_suite):
+        """The order-2 variant fails in the detector, against the order-3
+        nominal predictor, the same way in both; every other run writes
+        the same bytes."""
+        root, paths, reports, _, errors = shared_suite
+        failed = [name for name, rep in reports.items() if rep is None]
+        assert failed == ["order"]
+        assert errors["order"].startswith("[detector] snapshot shape (2, 8)")
+        for path in paths:
+            name = os.path.splitext(os.path.basename(path))[0]
+            if name != "order":
+                assert errors[name] is None
+                assert_same_artifacts(str(root / "suite" / name),
+                                      str(root / "lone" / name))
+
+    def test_prefix_verdicts_are_mixed(self, shared_suite):
+        """The reused rows carry every verdict, so a stale verdict shows."""
+        root = shared_suite[0]
+        events = (root / "suite" / "match_floor" / "events.jsonl")
+        seen = {json.loads(line)["verdict"]
+                for line in events.read_text().splitlines()
+                if json.loads(line)["t"] < 0.5}
+        assert seen == {"normal", "fault", "load_increase", "unclassified"}
+
+    def test_identify_skips_the_prefix_only_where_shared(self, shared_suite):
+        _, paths, _, counts, _ = shared_suite
+        full = {os.path.splitext(os.path.basename(p))[0]:
+                updates_of(load_scenario(p)) for p in paths}
+        full["order"] = SHARE_BLOCK  # its first block, then the detector
+        prefix = 4 * SHARE_BLOCK
+        want = [("base", full["base"])]
+        want += [(name, full[name] - prefix) for name, _, _ in MAY_SHARE]
+        want += [(name, full[name]) for name, _, _ in MUST_NOT_SHARE]
+        assert counts == want
+
+    def test_overwritten_heads_are_not_copied(self, default_cal, tmp_path):
+        """A record whose artifacts a run of the same name overwrote
+        formats its rows again, and so does a sharing run that writes into
+        the directory its record's artifacts are in."""
+        nominal, thresholds, _, _ = default_cal
+        library = random_library()
+        kind, hold = MAY_SHARE[0][1:], MAY_SHARE[5][1:]
+        paths = [
+            share_ini(tmp_path, "in/base.ini"),
+            share_ini(tmp_path, "in/y.ini", kind),  # heads move to y/
+            share_ini(tmp_path, "other/y.ini",  # a new prefix overwrites y/
+                      MUST_NOT_SHARE[0][1:]),
+            share_ini(tmp_path, "in/z.ini", hold),  # formats, heads to z/
+            share_ini(tmp_path, "again/z.ini", kind),  # writes into z/
+        ]
+        _, counts = counting_suite(paths, nominal, thresholds, library,
+                                   str(tmp_path / "suite"),
+                                   snapshots=tmp_path / "snapshots")
+        assert [c[1] < counts[0][1] for c in counts] == \
+            [False, True, False, True, True]
+        for k, path in enumerate(paths):
+            lone = str(tmp_path / "lone" / str(k))
+            assert lone_run(path, nominal, thresholds, library, lone) is None
+            assert_same_artifacts(str(tmp_path / "snapshots" / str(k)), lone)
+
+    def test_library_build_shares_and_matches(self, default_cal, tmp_path):
+        """Blocks of LIBRARY_BLOCK updates put an edge two updates past the
+        prefix, inside the window the library reads: a record that ran
+        past the prefix edge would show in the signature."""
+        nominal, thresholds, _, _ = default_cal
+        configs = [load_scenario(share_ini(tmp_path, "base.ini")),
+                   load_scenario(share_ini(tmp_path, "load.ini",
+                                           MAY_SHARE[0][1:]))]
+        counts = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_module, "IDENTIFY_BLOCK", LIBRARY_BLOCK)
+
+            def counted_identify(*args, **kwargs):
+                run = identify(*args, **kwargs)
+                counts.append(run.t.size)
+                return run
+
+            mp.setattr(scenario_module, "identify", counted_identify)
+            shared = build_library_from_scenarios(configs, nominal,
+                                                  thresholds)
+            alone = [build_library_from_scenarios([c], nominal, thresholds)
+                     for c in configs]
+        full = updates_of(configs[0])
+        assert sum(counts) == 2 * full + 2 * full - LIBRARY_BLOCK
+        assert json.loads(shared.to_json())["signatures"] == [
+            json.loads(lib.to_json())["signatures"][0] for lib in alone]
 
 
 class TestVerdictTimeline:

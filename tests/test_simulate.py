@@ -186,6 +186,16 @@ class TestTopologySwitch:
         switched = simulate(params, dist, exc, 1.0, noise_std=0.0)
         assert np.max(np.abs(switched.v_dq - base.v_dq)) < 1e-6
 
+    def test_window_under_half_a_step_never_switches(self, params):
+        """t_start and t_end round to one sample: the branch is never
+        connected, so the run is the undisturbed one (it used to map the
+        nominal state as if it were the disturbed one and fail)."""
+        exc = RbsConfig(seed=3)
+        base = simulate(params, None, exc, 0.2, noise_std=0.0)
+        dist = DisturbanceSpec("fault", 0.3, 0.05, 0.05 + 0.4 * 2e-4)
+        switched = simulate(params, dist, exc, 0.2, noise_std=0.0)
+        assert np.allclose(switched.v_dq, base.v_dq, rtol=0.0, atol=1e-12)
+
     def test_fault_window_deviation_and_recovery(self, params):
         dist = DisturbanceSpec.fault_from_ohms(20.0, params, 0.5, 1.0)
         sim = simulate(params, dist, None, 1.5, noise_std=0.0)
@@ -239,6 +249,55 @@ class TestStepLoopExactness:
         sim = simulate(params, dist, exc, 0.2, noise_std=0.0)
         want = oracle_voltage(params, dist, exc, 0.2)
         assert np.array_equal(sim.v_dq.view(np.uint64), want.view(np.uint64))
+
+
+class TestResumeFromPrefix:
+    """A run resumed from another run's prefix is bitwise the run simulated
+    from its equilibrium."""
+
+    exc = RbsConfig(seed=4)
+    first = DisturbanceSpec("fault", 0.3, 0.05, 0.12)
+
+    @pytest.mark.parametrize("dist", [
+        DisturbanceSpec("load", 0.35, 0.05, 0.12),  # another kind
+        DisturbanceSpec("fault", 0.9, 0.05, 0.3),  # value; ends after the run
+        DisturbanceSpec("fault", 0.3, 0.05, 0.05 + 0.4 * 2e-4),  # empty
+    ])
+    @pytest.mark.parametrize("noise_std", [0.0, 1e-4])
+    def test_bitwise_equal_to_a_fresh_run(self, params, dist, noise_std):
+        args = (self.exc, 0.2, 2e-4, noise_std, 3)
+        prefix = simulate(params, self.first, *args).prefix
+        got = simulate(params, dist, *args, prefix=prefix)
+        want = simulate(params, dist, *args)
+        for a, b in ((got.v_dq, want.v_dq), (got.i_dq, want.i_dq)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert got.prefix is prefix
+        assert np.array_equal(want.prefix.v, prefix.v)
+        assert np.array_equal(want.prefix.x, prefix.x)
+
+    def test_prefix_is_the_noiseless_start(self, params):
+        sim = simulate(params, self.first, self.exc, 0.2, noise_std=0.0)
+        k_on = int(round(self.first.t_start / sim.ts))
+        assert sim.prefix.v.shape == (k_on, 2)
+        assert np.array_equal(sim.prefix.v, sim.v_dq[:k_on])
+        assert not np.shares_memory(sim.prefix.v, sim.v_dq)
+        noisy = simulate(params, self.first, self.exc, 0.2)
+        assert np.array_equal(noisy.prefix.v, sim.prefix.v)
+
+    @pytest.mark.parametrize("dist", [
+        None, DisturbanceSpec("fault", 0.3, 0.3, 0.4)])  # starts after end
+    def test_no_prefix_without_a_disturbance_inside(self, params, dist):
+        assert simulate(params, dist, self.exc, 0.2).prefix is None
+
+    @pytest.mark.parametrize("dist, where", [
+        (DisturbanceSpec("fault", 0.3, 0.06, 0.12), "at sample 300"),
+        (None, "nowhere inside the run"),
+    ])
+    def test_prefix_of_another_start_rejected(self, params, dist, where):
+        prefix = simulate(params, self.first, self.exc, 0.2).prefix
+        with pytest.raises(ValueError, match=f"prefix of 250 samples .*"
+                                             f"{where}"):
+            simulate(params, dist, self.exc, 0.2, prefix=prefix)
 
 
 class TestIdentificationResidual:
