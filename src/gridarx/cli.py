@@ -49,24 +49,29 @@ def _overrides(args) -> dict:
     return out
 
 
-def _load_calibration(path):
-    with open(path) as fh:
-        return calibration_from_json(fh.read())
-
-
-def _load_library(path):
-    """The signature library in `path`, None for no path; a malformed
-    library raises ValueError naming the file."""
-    if path is None:
-        return None
+def _parse_file(path, parse):
+    """`parse` of the text in `path`; a malformed file raises ValueError
+    naming it."""
     with open(path) as fh:
         text = fh.read()
     try:
-        return SignatureLibrary.from_json(text)
+        return parse(text)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _load_calibration(path):
+    """(nominal, thresholds) of the calibration in `path`."""
+    return _parse_file(path, calibration_from_json)
+
+
+def _load_library(path):
+    """The signature library in `path`, None for no path."""
+    if path is None:
+        return None
+    return _parse_file(path, SignatureLibrary.from_json)
 
 
 def _add_common(parser):
@@ -117,8 +122,12 @@ def cmd_suite(args) -> int:
     paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in paths]
     nominal, thresholds = _load_calibration(args.calibration)
     library = _load_library(args.library)
-    reports, rows = run_suite(paths, nominal, thresholds, library,
-                              out_dir=args.out, overrides=_overrides(args))
+    try:
+        reports, rows = run_suite(paths, nominal, thresholds, library,
+                                  out_dir=args.out,
+                                  overrides=_overrides(args))
+    except ValueError as exc:  # the manifest's checks, before any run
+        raise ValueError(f"{args.manifest}: {exc}") from exc
     for row in rows:
         print(",".join(str(c) for c in row))
     failed = [name for name, rep in reports.items() if rep is None]

@@ -121,14 +121,22 @@ class SignatureLibrary:
     @classmethod
     def from_json(cls, text: str) -> "SignatureLibrary":
         """Parse `to_json` output; a signature labelled other than fault or
-        load_increase raises ValueError naming the entry and the label."""
+        load_increase, or whose shape is not (2, 4 * order), raises
+        ValueError naming the entry."""
         doc = json.loads(text)
         lib = cls(order=doc["order"])
         for k, entry in enumerate(doc["signatures"]):
             source = entry.get("source_scenario", "")
             label = _signature_label(entry["label"],
                                      f"library entry {k} ({source!r})")
-            delta = np.array(entry["delta_theta"]).reshape(entry["shape"])
+            shape = tuple(entry["shape"])
+            if shape != (2, 4 * lib.order):
+                raise ValueError(
+                    f"library entry {k} ({source!r}): shape {shape} does not "
+                    f"match the library's order {lib.order}, which needs "
+                    f"{(2, 4 * lib.order)}"
+                )
+            delta = np.array(entry["delta_theta"]).reshape(shape)
             lib.signatures.append(
                 Signature(label=label, delta_theta=delta,
                           source_scenario=source)
@@ -289,7 +297,7 @@ def classify(
 
 
 def detection_times(t, d, t_start: float, t_end: float,
-                    thresholds: Thresholds):
+                    thresholds: Thresholds, found=(None, None, None)):
     """Detection and recovery delays from a distance time series:
     (dt1_high, dt1_low, dt2).
 
@@ -297,31 +305,53 @@ def detection_times(t, d, t_start: float, t_end: float,
     d_high (the low-impedance trip) / d_low (the high-impedance trip),
     minus t_start. dt2: first time at or after t_end at which d is back at
     d_low or below, minus t_end. Each is None when no crossing occurs.
+
+    A series given in consecutive blocks carries `found`: the result of
+    the call on the blocks before. A delay found there is kept, so the
+    call on the last block returns the result of one call on their join.
     """
     t = np.asarray(t, float)
     d = np.asarray(d, float)
 
-    def first(mask, t0):
+    def first(done, mask, t0):
+        if done is not None:
+            return done
         return float(t[mask][0] - t0) if np.any(mask) else None
 
     after_start = t >= t_start
-    return (first(after_start & (d > thresholds.d_high), t_start),
-            first(after_start & (d > thresholds.d_low), t_start),
-            first((t >= t_end) & (d <= thresholds.d_low), t_end))
+    return (first(found[0], after_start & (d > thresholds.d_high), t_start),
+            first(found[1], after_start & (d > thresholds.d_low), t_start),
+            first(found[2], (t >= t_end) & (d <= thresholds.d_low), t_end))
 
 
-def debounce(verdicts, hold: int = DEFAULT_HOLD):
+@dataclass
+class DebounceState:
+    """Where `debounce` left a verdict stream: the reported verdict (None
+    before the first) and the candidate verdict with its streak."""
+
+    current: object = None
+    candidate: object = None
+    streak: int = 0
+
+
+def debounce(verdicts, hold: int = DEFAULT_HOLD,
+             state: DebounceState | None = None):
     """Suppress single-sample verdict chatter.
 
     The reported verdict changes only after the raw verdict has held its new
     value for `hold` consecutive samples. Verdicts may be any values that
     compare with ==, such as Verdict members or their integer codes.
+
+    A stream given in consecutive blocks passes one `state` to every call:
+    each call starts where it stands and leaves it where the block ends, so
+    the blocks' outputs join into the output of one call on their join.
     """
     if hold < 1:
         raise ValueError(f"hold must be >= 1, got {hold}")
+    if state is None:
+        state = DebounceState()
     out = []
-    current = None
-    candidate, streak = None, 0
+    current, candidate, streak = state.current, state.candidate, state.streak
     for v in verdicts:
         if current is None:
             current = v
@@ -338,6 +368,7 @@ def debounce(verdicts, hold: int = DEFAULT_HOLD):
                 current = v
                 candidate, streak = None, 0
         out.append(current)
+    state.current, state.candidate, state.streak = current, candidate, streak
     return out
 
 
@@ -346,30 +377,33 @@ def build_library(scenario_runs, nominal: NominalPredictor,
     """Record one unit-norm deviation signature per offline scenario run.
 
     Each run is (label, t array, theta trajectory, t_start, t_end, source);
-    the label must be fault or load_increase, else ValueError. The
-    signature averages theta over the second half of the disturbance window
-    (the settled segment, past the estimator transient). Runs whose distance
-    never exceeds d_low inside the window are rejected: their deviation
-    would be noise, not signal.
+    the label must be fault or load_increase, else ValueError, and t must
+    increase, else ValueError. The signature averages theta over the second
+    half of the disturbance window (the settled segment, past the estimator
+    transient). Runs whose distance never exceeds d_low inside the window
+    are rejected: their deviation would be noise, not signal.
     """
     lib = SignatureLibrary(order=order)
     for label, t, thetas, t_start, t_end, source in scenario_runs:
         label = _signature_label(label, f"run {str(source)!r}")
         t = np.asarray(t, float)
         thetas = np.asarray(thetas, float)
-        in_window = (t >= t_start) & (t < t_end)
-        if not np.any(in_window):
+        if not np.all(np.diff(t) > 0):
+            raise ValueError(f"run {source!r}: snapshot times must increase")
+        # t increases, so each stretch is a slice: a view, not a copy
+        lo, mid, hi = np.searchsorted(t, [t_start, (t_start + t_end) / 2.0,
+                                          t_end])
+        if hi <= lo:
             raise InsufficientDataError(
                 f"run {source!r}: no snapshots inside the disturbance window"
             )
-        d_window = distances(thetas[in_window], nominal.theta_star)
+        d_window = distances(thetas[lo:hi], nominal.theta_star)
         if float(np.max(d_window)) <= thresholds.d_low:
             raise InsufficientDataError(
                 f"run {source!r}: distance never exceeded d_low inside the "
                 "disturbance window; signature would be noise"
             )
-        settled = (t >= (t_start + t_end) / 2.0) & (t < t_end)
-        delta = np.mean(thetas[settled], axis=0) - nominal.theta_star
+        delta = np.mean(thetas[mid:hi], axis=0) - nominal.theta_star
         norm = np.linalg.norm(delta)
         if norm <= 0:
             raise InsufficientDataError(f"run {source!r}: zero deviation")

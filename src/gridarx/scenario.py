@@ -6,14 +6,17 @@ sampling, 0.1 p.u. excitation, disturbance window 10 s to 20 s). All
 randomness flows from the seeds in the config, so a run is reproducible
 byte-for-byte.
 
-A run is simulated once, then identified and classified in blocks of
-IDENTIFY_BLOCK updates with the estimator state carried from block to
-block, which gives bitwise the trajectory of one call over the whole run.
-Per update a run keeps only scalars (t, d, verdict, armed); of the
-predictor trajectory it keeps the rows an artifact needs: every
-THETA_STRIDE-th row for theta.csv and the settle-window rows for the final
-verdict. Its memory therefore grows by about 90 bytes per sample, the
-simulated input included, instead of holding the whole trajectory.
+A run streams. It is simulated in blocks of SIMULATE_BLOCK samples and
+identified and classified in blocks of IDENTIFY_BLOCK updates, the
+simulator and the estimator each carrying their state from block to
+block, which gives bitwise the run of one call over the whole stream.
+Each block's rows go to the artifact files as they arrive, and the
+detector carries its debounce, first crossings and transitions, and the
+baseline its one-cycle average, across blocks. Of the predictor trajectory
+a run keeps only the settle-window rows whose mean gives the final
+verdict, so its memory depends on the block sizes and the disturbance
+window, not on its length; a run without a disturbance averages, and so
+keeps, the second half of the run.
 
 Runs of one `run_suite` or `build_library_from_scenarios` call share their
 start when they have the same simulate arguments apart from the
@@ -24,7 +27,8 @@ block edge before the first update that reads a later sample and, in a
 suite, that stretch's per-update rows and the byte length of each CSV's
 head. The others resume from the record. The outputs do not change: every
 artifact is bitwise that of the run on its own. The record lives only for
-the call that made it.
+the call that made it; a suite's record holds about 230 bytes per sample
+before t_start.
 """
 
 from __future__ import annotations
@@ -57,15 +61,25 @@ from .detector import (
 from .pipeline import identify
 from .rls import ArxConfig, IdentifierState
 from .signals import RbsConfig
-from .simulate import DisturbanceSpec, SimPrefix, SimResult, simulate
+from .simulate import (
+    DisturbanceSpec,
+    SimPrefix,
+    SimResult,
+    disturbance_start,
+    sample_count,
+    simulate_blocks,
+)
+# Not called here: kept as a module attribute so that tools which wrap
+# `gridarx.scenario.simulate` by name still resolve it.
+from .simulate import simulate  # noqa: F401
 
 FLOAT_FMT = "%.17g"
 
 DEFAULT_CAL_WINDOW = 5000  # snapshots averaged into theta*
 
-# Updates identified and classified per block by `run_scenario` and
-# `build_library_from_scenarios`: bounds the predictor trajectory held at
-# once to one block.
+# Samples simulated per block, and updates identified and classified per
+# block, by every run: together they bound what a run holds at once.
+SIMULATE_BLOCK = 8192
 IDENTIFY_BLOCK = 8192
 
 # theta.csv holds the predictor after every THETA_STRIDE-th update.
@@ -289,42 +303,72 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
 # artifact writers
 
 
-# Rows formatted per string operation by `_write_csv`.
+# Rows formatted per string operation by `_CsvWriter`.
 CSV_CHUNK_ROWS = 1024
+
+
+class _CsvWriter:
+    """A CSV file written as its rows arrive, block by block.
+
+    Every value is written with FLOAT_FMT, so the bytes are those of
+    `np.savetxt(path, rows, fmt=FLOAT_FMT, delimiter=",", header=header,
+    comments="")` on all the rows given; a chunk of rows is formatted by one
+    `%` operation on its values as Python floats. `head_size` is the size
+    in bytes of the header and the first `split` rows, once they are in the
+    file. `copy_from` is `(path, size)` of an earlier file that starts with
+    those same bytes: they are copied from it instead of formatted again,
+    and the first `split` rows given are skipped.
+    """
+
+    def __init__(self, fh, header: str, split: int = 0,
+                 copy_from: tuple[str, int] | None = None):
+        self.fh = fh
+        self.split = split
+        self.rows = 0  # rows given so far
+        self.head_size = None
+        if copy_from is None:
+            fh.write((header + "\n").encode("ascii"))
+            self._skip = 0
+        else:
+            _copy_head(copy_from, fh)
+            self._skip = split
+        if copy_from is not None or split == 0:
+            self.head_size = fh.tell()
+
+    def write(self, data: np.ndarray) -> None:
+        """Append the rows of the 2-D float array `data`."""
+        lo = self.rows
+        self.rows += data.shape[0]
+        if self._skip:
+            k = min(self._skip, data.shape[0])
+            data, lo, self._skip = data[k:], lo + k, self._skip - k
+        if self.head_size is None and self.rows >= self.split:
+            k = self.split - lo
+            self._format(data[:k])
+            self.head_size = self.fh.tell()
+            data = data[k:]
+        self._format(data)
+
+    def _format(self, data: np.ndarray) -> None:
+        n_rows, n_cols = data.shape
+        row_fmt = ",".join([FLOAT_FMT] * n_cols) + "\n"
+        chunk_fmt = row_fmt * CSV_CHUNK_ROWS
+        for k in range(0, n_rows, CSV_CHUNK_ROWS):
+            chunk = data[k:k + CSV_CHUNK_ROWS]
+            fmt = (chunk_fmt if chunk.shape[0] == CSV_CHUNK_ROWS
+                   else row_fmt * chunk.shape[0])
+            self.fh.write((fmt % tuple(chunk.ravel().tolist()))
+                          .encode("ascii"))
 
 
 def _write_csv(path: str, header: str, data: np.ndarray, split: int = 0,
                copy_from: tuple[str, int] | None = None) -> int:
-    """Write a header line and the rows of a 2-D float array as CSV.
-
-    Every value is written with FLOAT_FMT, so the bytes are those of
-    `np.savetxt(path, data, fmt=FLOAT_FMT, delimiter=",", header=header,
-    comments="")`; a chunk of rows is formatted by one `%` operation on its
-    values as Python floats. Returns the size in bytes of the header and the
-    first `split` rows. `copy_from` is `(path, size)` of an earlier file
-    that starts with those same bytes: they are copied from it instead of
-    formatted again.
-    """
-    n_rows, n_cols = data.shape
-    row_fmt = ",".join([FLOAT_FMT] * n_cols) + "\n"
-    chunk_fmt = row_fmt * CSV_CHUNK_ROWS
-
-    def write_rows(fh, lo, hi):
-        for k in range(lo, hi, CSV_CHUNK_ROWS):
-            chunk = data[k:min(hi, k + CSV_CHUNK_ROWS)]
-            fmt = (chunk_fmt if chunk.shape[0] == CSV_CHUNK_ROWS
-                   else row_fmt * chunk.shape[0])
-            fh.write((fmt % tuple(chunk.ravel().tolist())).encode("ascii"))
-
+    """Write a header line and the rows of a 2-D float array as CSV with
+    one `_CsvWriter`; returns its `head_size`."""
     with open(path, "wb") as fh:
-        if copy_from is None:
-            fh.write((header + "\n").encode("ascii"))
-            write_rows(fh, 0, split)
-        else:
-            _copy_head(copy_from, fh)
-        head_size = fh.tell()
-        write_rows(fh, split, n_rows)
-    return head_size
+        writer = _CsvWriter(fh, header, split, copy_from)
+        writer.write(data)
+    return writer.head_size
 
 
 # Bytes per read when `_copy_head` copies the start of an earlier artifact.
@@ -345,13 +389,20 @@ def _copy_head(source: tuple[str, int], out) -> None:
             size -= len(chunk)
 
 
+SAMPLES_HEADER = "t,v_d,v_q,i_d,i_q"
+DISTANCE_HEADER = "t,d"
+
+
+def _samples_rows(sim: SimResult) -> np.ndarray:
+    return np.column_stack([sim.t, sim.v_dq, sim.i_dq])
+
+
 def write_samples_csv(path: str, sim: SimResult, split: int = 0,
                       copy_from: tuple[str, int] | None = None) -> int:
     """samples.csv of a simulated stream; `split`, `copy_from` and the
-    return value as in `_write_csv`."""
-    return _write_csv(path, "t,v_d,v_q,i_d,i_q",
-                      np.column_stack([sim.t, sim.v_dq, sim.i_dq]),
-                      split, copy_from)
+    return value as in `_CsvWriter`."""
+    return _write_csv(path, SAMPLES_HEADER, _samples_rows(sim), split,
+                      copy_from)
 
 
 # Relative tolerance on the sample step of a recorded time grid: a grid
@@ -387,8 +438,24 @@ def read_samples_csv(path: str) -> SimResult:
 def write_distance_csv(path: str, t, d, split: int = 0,
                        copy_from: tuple[str, int] | None = None) -> int:
     """distance.csv; `split`, `copy_from` and the return value as in
-    `_write_csv`."""
-    return _write_csv(path, "t,d", np.column_stack([t, d]), split, copy_from)
+    `_CsvWriter`."""
+    return _write_csv(path, DISTANCE_HEADER, np.column_stack([t, d]), split,
+                      copy_from)
+
+
+def _theta_header(rows: int, cols: int) -> str:
+    return "t," + ",".join(
+        f"theta_{'dq'[r]}_{c + 1}" for r in range(rows) for c in range(cols)
+    )
+
+
+def _theta_rows(t, thetas, first: int, stride: int) -> np.ndarray:
+    """theta.csv rows of the predictors `thetas` at times t, the first of
+    them after update `first`: those after every `stride`-th update."""
+    sel = slice(-first % stride, None, stride)
+    thetas = np.asarray(thetas)[sel]
+    flat = thetas.reshape(thetas.shape[0], thetas.shape[1] * thetas.shape[2])
+    return np.column_stack([np.asarray(t)[sel], flat])
 
 
 def write_theta_csv(path: str, t, thetas, stride: int = THETA_STRIDE,
@@ -396,16 +463,11 @@ def write_theta_csv(path: str, t, thetas, stride: int = THETA_STRIDE,
                     copy_from: tuple[str, int] | None = None) -> int:
     """theta.csv of every `stride`-th predictor; `split` counts written
     rows, and it, `copy_from` and the return value are as in
-    `_write_csv`."""
+    `_CsvWriter`."""
     thetas = np.asarray(thetas)
-    m, rows, cols = thetas.shape
-    sel = np.arange(0, m, stride)
-    header = "t," + ",".join(
-        f"theta_{'dq'[r]}_{c + 1}" for r in range(rows) for c in range(cols)
-    )
-    return _write_csv(path, header, np.column_stack(
-        [np.asarray(t)[sel], thetas[sel].reshape(sel.size, -1)]),
-        split, copy_from)
+    _, rows, cols = thetas.shape
+    return _write_csv(path, _theta_header(rows, cols),
+                      _theta_rows(t, thetas, 0, stride), split, copy_from)
 
 
 def read_theta_csv(path: str, rows: int = 2):
@@ -465,22 +527,24 @@ class _Prefix:
     shares bitwise: recorded by the first of them in one `run_suite` or
     `build_library_from_scenarios` call and resumed by the others.
 
-    `sim` holds the samples before the disturbance start k_on. Update u
-    reads samples u to u + order + 1, so the updates below
-    k_on - order - 1 read only those; `updates` is the last identify block
-    edge at or below that, and `state` the estimator's state there. A
-    record of `run_suite` also keeps the run's rows before `updates`: t,
-    theta and calibrated per update, and d and the verdict codes (before
-    disarming) as classified under `classified_with`, (thresholds,
-    match_floor). `heads` is (directory, {artifact: size}) when the
-    artifacts in that directory start with their header and their rows of
-    the prefix, those before k_on in samples.csv and before `updates` in
-    distance.csv and theta.csv, in `size` bytes.
+    `samples` is the disturbance start k_on and `sim` the simulator's
+    record of the samples before it. Update u reads samples u to
+    u + order + 1, so the updates below k_on - order - 1 read only those;
+    `updates` is the last identify block edge at or below that, and `state`
+    the estimator's state there. A record of `run_suite` also keeps the
+    run's rows before `updates`: t, theta and calibrated per update, and d
+    and the verdict codes (before disarming) as classified under
+    `classified_with`, (thresholds, match_floor). `heads` is (directory,
+    {artifact: size}) when the artifacts in that directory start with
+    their header and their rows of the prefix, those before k_on in
+    samples.csv and before `updates` in distance.csv and theta.csv, in
+    `size` bytes.
     """
 
     key: tuple
-    sim: SimPrefix
+    samples: int
     updates: int
+    sim: SimPrefix | None = None
     state: IdentifierState | None = None
     t: np.ndarray | None = None
     theta: np.ndarray | None = None
@@ -522,103 +586,166 @@ class _SuitePrefixes(NamedTuple):
 _SUITE_PREFIXES = ContextVar("gridarx_suite_prefixes", default=None)
 
 
-def _simulate_identify(config: ScenarioConfig, block: int | None = None,
-                       records: dict | None = None):
-    """Simulate the scenario and identify over its stream:
-    (sim, blocks, resumed, recording).
+def _simulate_identify(config: ScenarioConfig, records: dict | None = None,
+                       on_samples=None):
+    """Simulate the scenario block by block and identify over its stream:
+    (blocks, resumed, recording).
 
-    `blocks` yields the IdentRun of each `block` consecutive updates, or of
-    the whole run when `block` is None. Each block's samples start
-    `order + 1` early, where its first regressor begins, and its estimator
-    starts from the state the previous block left, so the blocks together
-    are bitwise one whole-run identification; a block's `index` counts from
-    its own first sample. A failure raises StageError tagged with the stage
-    that failed.
+    `blocks` yields the IdentRun of each IDENTIFY_BLOCK consecutive
+    updates. The simulator runs in blocks of SIMULATE_BLOCK samples, as
+    far ahead as the next identify block needs, and `on_samples`, when
+    given, is called with each of its blocks in turn. Each identify block
+    starts with the `order + 1` samples where its first regressor begins,
+    and its estimator starts from the state the previous block left, so
+    the blocks together are bitwise one whole-run identification; a
+    block's `index` counts from its own first sample. A failure raises
+    StageError tagged with the stage that failed.
 
     `records` maps `_prefix_key` to the _Prefix records of earlier runs.
     When it holds this run's key, `resumed` is that record: the simulation
     resumes from its samples, and the blocks start at its block edge from
     its state, so they omit the updates before it. Otherwise `recording`
-    is a new _Prefix of this run, whose state the blocks fill in as they
-    pass its edge, for the caller to add to `records` once the run has
-    succeeded; it is None when the run has no disturbance inside it or no
-    whole block before one.
+    is a new _Prefix of this run, whose simulator record and state the
+    stream fills in as it passes them, for the caller to add to `records`
+    once the run has succeeded; it is None when the run has no
+    disturbance inside it or no whole block before one.
     """
+    block = IDENTIFY_BLOCK
     key = _prefix_key(config) if records is not None else None
     resumed = records.get(key) if key is not None else None
+    recording = None
+    if key is not None and resumed is None:
+        k_on = disturbance_start(config.disturbance, config.duration,
+                                 config.ts)
+        shared = k_on - config.identifier.order - 1
+        edge = max(0, shared) // block * block
+        if edge:
+            recording = _Prefix(key, k_on, edge)
     try:
-        sim = simulate(
+        sim = simulate_blocks(
             config.circuit, config.disturbance, config.excitation,
             config.duration, config.ts, config.noise_std, config.noise_seed,
             config.i_op, prefix=None if resumed is None else resumed.sim,
+            block=SIMULATE_BLOCK,
         )
     except Exception as exc:
         raise StageError("simulate", str(exc)) from exc
-    recording = None
-    if key is not None and resumed is None and block is not None:
-        shared = sim.prefix.v.shape[0] - config.identifier.order - 1
-        edge = max(0, shared) // block * block
-        if edge:
-            recording = _Prefix(key, sim.prefix, edge)
-    blocks = _identify_blocks(sim, config.identifier, block, resumed,
+    samples = _sample_blocks(sim, recording, on_samples)
+    blocks = _identify_blocks(samples, config.identifier, block, resumed,
                               recording)
-    return sim, blocks, resumed, recording
+    return blocks, resumed, recording
 
 
-def _identify_blocks(sim: SimResult, identifier: ArxConfig,
-                     block: int | None, resumed: _Prefix | None = None,
+def _sample_blocks(sim, recording: _Prefix | None, on_samples):
+    """The simulator's blocks, its failures tagged [simulate]; each block
+    is passed to `on_samples` first, and its SimPrefix to `recording`."""
+    while True:
+        try:
+            part = next(sim)
+        except StopIteration:
+            return
+        except Exception as exc:
+            raise StageError("simulate", str(exc)) from exc
+        if recording is not None and part.prefix is not None:
+            recording.sim = part.prefix
+        if on_samples is not None:
+            on_samples(part)
+        yield part
+
+
+def _join(a: SimResult | None, b: SimResult) -> SimResult:
+    if a is None:
+        return b
+    return SimResult(t=np.concatenate([a.t, b.t]),
+                     v_dq=np.concatenate([a.v_dq, b.v_dq]),
+                     i_dq=np.concatenate([a.i_dq, b.i_dq]), ts=b.ts)
+
+
+def _slice(sim: SimResult, lo: int, hi: int | None = None) -> SimResult:
+    return SimResult(t=sim.t[lo:hi], v_dq=sim.v_dq[lo:hi],
+                     i_dq=sim.i_dq[lo:hi], ts=sim.ts)
+
+
+def _identify_blocks(samples, identifier: ArxConfig, block: int,
+                     resumed: _Prefix | None = None,
                      recording: _Prefix | None = None):
     overlap = identifier.order + 1
-    # at least one block: a run too short for any update still goes
-    # through identify once and yields its empty IdentRun
-    updates = max(1, sim.t.size - overlap)
-    step = updates if block is None else block
-    first, state = ((0, None) if resumed is None
-                    else (resumed.updates, resumed.state))
-    for lo in range(first, updates, step):
-        hi = lo + step + overlap
-        part = SimResult(t=sim.t[lo:hi], v_dq=sim.v_dq[lo:hi],
-                         i_dq=sim.i_dq[lo:hi], ts=sim.ts)
+    lo, state = ((0, None) if resumed is None
+                 else (resumed.updates, resumed.state))
+    pending = None  # samples [lo, seen): update lo onwards reads them
+    seen = 0
+
+    def run_block(part):
+        nonlocal state
         try:
             run = identify(part, identifier, state)
         except Exception as exc:
             raise StageError(
                 "identify", f"{exc} (block from update {lo})") from exc
         state = run.final_state
-        if recording is not None and lo + step == recording.updates:
+        if recording is not None and lo + block == recording.updates:
             recording.state = state
-        yield run
+        return run
+
+    for part in samples:
+        skip = lo - seen  # samples before the first update's, if resumed
+        seen += part.t.size
+        if skip >= part.t.size:
+            continue
+        pending = _join(pending, _slice(part, max(0, skip)))
+        while pending.t.size >= block + overlap:
+            yield run_block(_slice(pending, 0, block + overlap))
+            pending = _slice(pending, block)
+            lo += block
+    # the rest of the run; a run too short for any update still goes
+    # through identify once and yields its empty IdentRun
+    if pending is not None and (pending.t.size > overlap or lo == 0):
+        yield run_block(pending)
 
 
 def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     """Fault-free run producing the nominal predictor and auto thresholds.
 
-    Returns (nominal, thresholds, ident_run). The distance series used for
-    threshold calibration is measured against theta* over the post-burn-in
-    portion of the same run.
+    Returns (nominal, thresholds, final estimator state). The distance
+    series used for threshold calibration is measured against theta* over
+    the settled tail of the same run: the last `calibration_window`
+    calibrated updates, whose mean is theta*. The run streams in blocks
+    and keeps only those rows, so its memory does not grow with its length.
     """
     cal_config = replace(config, disturbance=None)
-    _, (run,), _, _ = _simulate_identify(cal_config)
-    if not run.final_state.calibrated:
+    keep = max(1, cal_config.calibration_window)
+    t_tail = theta_tail = None
+    calibrated = 0
+    blocks, _, _ = _simulate_identify(cal_config)
+    for run in blocks:
+        # the calibrated updates are the run's last ones
+        new = int(np.count_nonzero(run.calibrated))
+        calibrated += new
+        first = run.t.size - new
+        t_new, theta_new = run.t[first:], run.theta[first:]
+        if t_tail is not None and new < keep:
+            t_new = np.concatenate([t_tail[new - keep:], t_new])
+            theta_new = np.concatenate([theta_tail[new - keep:], theta_new])
+        t_tail, theta_tail = t_new[-keep:].copy(), theta_new[-keep:].copy()
+        state = run.final_state
+    if not state.calibrated:
         raise StageError(
             "identify",
-            f"run too short: {run.final_state.sample_count} updates, "
+            f"run too short: {state.sample_count} updates, "
             f"burn-in needs {cal_config.identifier.burn_in}",
         )
-    mask = run.calibrated
-    window = min(cal_config.calibration_window, int(np.sum(mask)))
-    thetas = run.theta[mask]
-    nominal = calibrate_nominal(run.t[mask], thetas, window)
+    window = min(cal_config.calibration_window, calibrated)
+    nominal = calibrate_nominal(t_tail, theta_tail, window)
     # threshold calibration uses the settled window only: the estimator's
     # cold-start convergence transient is not nominal operation
-    d_nominal = distances(thetas[-window:], nominal.theta_star)
+    d_nominal = distances(theta_tail[-window:], nominal.theta_star)
     thresholds = (config.thresholds if config.thresholds is not None
                   else calibrate_thresholds(d_nominal))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "calibration.json"), "w") as fh:
             fh.write(calibration_to_json(nominal, thresholds, cal_config))
-    return nominal, thresholds, run
+    return nominal, thresholds, state
 
 
 @dataclass
@@ -661,81 +788,86 @@ class RunReport:
         return json.dumps(doc, indent=2)
 
 
-def _first_time(t, mask, t_start):
+def _first_time(t, mask, t_start, found=None):
+    """First t at or after t_start where mask holds, minus t_start; a
+    delay `found` in the stream's earlier blocks is kept."""
+    if found is not None:
+        return found
     hits = mask & (t >= t_start)
     return float(t[hits][0] - t_start) if np.any(hits) else None
 
 
-def _transitions(t, codes):
-    """(t, verdict value) at the first snapshot and at each change of the
-    verdict code series."""
-    change = np.flatnonzero(np.diff(codes, prepend=-1))
+def _transitions(t, codes, prev: int = -1):
+    """(t, verdict value) at each change of the verdict code series, and at
+    its first snapshot unless the stream's earlier blocks ended on code
+    `prev`."""
+    change = np.flatnonzero(np.diff(codes, prepend=prev))
     return [(tk, det.VERDICTS[c].value)
             for tk, c in zip(t[change].tolist(), codes[change].tolist())]
 
 
-def _classify_blocks(config: ScenarioConfig, blocks, nominal, thresholds,
-                     library, settle_from: float, settle_to: float,
-                     resumed: _Prefix | None = None,
-                     recording: _Prefix | None = None):
-    """Classify each identified block as it arrives and join what a run
-    keeps of them: (t, d, codes, armed, theta_t, thetas, settled).
+def _check_order(config: ScenarioConfig, nominal, library) -> None:
+    """Reject a calibration or library made for another model order than
+    the run's, before anything is simulated."""
+    order = config.identifier.order
+    if library is not None and library.order != order:
+        raise ValueError(
+            f"the library is of model order {library.order}, but the run's "
+            f"model order is {order}"
+        )
+    shape = None if nominal is None else np.shape(nominal.theta_star)
+    if shape is not None and shape != (2, 4 * order):
+        raise ValueError(
+            f"the calibration's nominal predictor has shape {shape} (model "
+            f"order {shape[-1] // 4}), but the run's model order is {order}, "
+            f"which needs {(2, 4 * order)}"
+        )
 
-    t, d, the verdict code (normal where disarmed) and armed are per
-    update; thetas holds the predictor after every THETA_STRIDE-th update,
-    at times theta_t, and settled the predictor of each armed update with
-    settle_from <= t < settle_to, in update order.
 
-    A `resumed` prefix's rows stand for the updates before its edge, where
-    the blocks start; they are classified again, block by block, when its
-    thresholds or match floor differ from this run's. `recording` keeps
-    this run's rows before its edge.
-    """
-    classified_with = (thresholds, config.match_floor)
+class _ArtifactFiles:
+    """A run's artifact files, written under temporary names in `out_dir`
+    and moved to their own names together by `commit`, once the run has
+    succeeded; on leaving the `with` block, files not committed are
+    removed, and so is `out_dir` if this made it. An earlier run's
+    artifacts stay in place until then."""
 
-    def classify(thetas):
-        try:
-            d, verdicts, _ = classify_series(
-                thetas, nominal, thresholds, library, config.match_floor
-            )
-        except Exception as exc:
-            raise StageError("detector", str(exc)) from exc
-        return d, det.verdict_codes(verdicts)
+    def __init__(self, out_dir: str):
+        self._made = not os.path.isdir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
+        self.out_dir = out_dir
+        self._files = {}
 
-    kept = []
+    def _temporary(self, name: str) -> str:
+        return os.path.join(self.out_dir, f".{name}.partial")
 
-    def keep(lo, t, thetas, calibrated, d, codes):
-        """What the run keeps of its updates from lo on."""
-        # The estimator restarts from scratch in each run and needs the
-        # same settling time the nominal predictor was calibrated with;
-        # until then the distance reflects cold-start convergence, not the
-        # grid. Keep the detector disarmed over that initial stretch.
-        armed = calibrated.copy()
-        armed[: max(0, config.calibration_window - lo)] = False
-        codes = np.where(armed, codes, det.VERDICT_CODE[Verdict.NORMAL])
-        rows = slice(-lo % THETA_STRIDE, None, THETA_STRIDE)
-        settle = (t >= settle_from) & (t < settle_to) & armed
-        kept.append((t, d, codes, armed, t[rows], thetas[rows].copy(),
-                     thetas[settle]))
+    def open(self, name: str):
+        """A binary file, open for writing, that becomes `name`."""
+        fh = open(self._temporary(name), "wb")
+        self._files[name] = fh
+        return fh
 
-    lo = 0  # run index of the next update
-    if resumed is not None:
-        if resumed.classified_with != classified_with:
-            parts = [classify(resumed.theta[k:k + IDENTIFY_BLOCK])
-                     for k in range(0, resumed.updates, IDENTIFY_BLOCK)]
-            resumed.d, resumed.codes = (np.concatenate(p)
-                                        for p in zip(*parts))
-            resumed.classified_with = classified_with
-        keep(0, resumed.t, resumed.theta, resumed.calibrated, resumed.d,
-             resumed.codes)
-        lo = resumed.updates
-    for run in blocks:
-        d, codes = classify(run.theta)
-        if recording is not None:
-            recording.store(lo, run, d, codes, classified_with)
-        keep(lo, run.t, run.theta, run.calibrated, d, codes)
-        lo += run.t.size
-    return [np.concatenate(parts) for parts in zip(*kept)]
+    def commit(self) -> None:
+        for fh in self._files.values():
+            fh.close()
+        for name in self._files:
+            os.replace(self._temporary(name),
+                       os.path.join(self.out_dir, name))
+        self._files.clear()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for name, fh in self._files.items():
+            fh.close()
+            try:
+                os.remove(self._temporary(name))
+            except FileNotFoundError:  # moved by a commit that then failed
+                pass
+        self._files.clear()
+        if exc[0] is not None and self._made and not os.listdir(self.out_dir):
+            os.rmdir(self.out_dir)
+        return False
 
 
 def run_scenario(
@@ -747,11 +879,15 @@ def run_scenario(
 ) -> RunReport:
     """Full pipeline for one scenario: simulate, identify, classify, report.
 
-    Identification and classification stream over the run in blocks of
-    IDENTIFY_BLOCK updates; the outputs are those of one whole-run pass.
-    Writes samples/distance/theta CSVs, an events JSON-lines stream, and a
-    JSON report when `out_dir` is given. Thresholds pinned in the scenario
-    config take precedence over the calibration-supplied ones.
+    The run streams: it is simulated in blocks of SIMULATE_BLOCK samples
+    and identified and classified in blocks of IDENTIFY_BLOCK updates, and
+    the outputs are those of one whole-run pass. Writes samples/distance/
+    theta CSVs, an events JSON-lines stream, and a JSON report when
+    `out_dir` is given, each as its rows arrive and under a temporary name
+    until the run has succeeded. Thresholds pinned in the scenario config
+    take precedence over the calibration-supplied ones. A calibration or
+    library of another model order than the run's is rejected with
+    ValueError before anything is simulated.
 
     Inside `run_suite`, runs that share a prefix (see `_prefix_key`) compute
     it once: the first records it, the others resume from it and copy its
@@ -760,11 +896,20 @@ def run_scenario(
     suite = _SUITE_PREFIXES.get()
     records = (suite.records if suite is not None and suite.nominal is nominal
                and suite.library is library else None)
+    _check_order(config, nominal, library)
     if config.thresholds is not None:
         thresholds = config.thresholds
     library = library or SignatureLibrary(order=config.identifier.order)
-    warnings = []
+    if out_dir is None:
+        return _run(config, nominal, thresholds, library, records, None)
+    with _ArtifactFiles(out_dir) as files:
+        return _run(config, nominal, thresholds, library, records, files)
 
+
+def _run(config: ScenarioConfig, nominal, thresholds, library,
+         records: dict | None, files: _ArtifactFiles | None) -> RunReport:
+    """The stream of `run_scenario`, writing into `files` when given."""
+    warnings = []
     if config.disturbance is not None:
         t_start, t_end = config.disturbance.t_start, config.disturbance.t_end
     else:
@@ -783,134 +928,199 @@ def run_scenario(
         settle_from, settle_to = (t_start + t_end) / 2.0, t_end
     else:
         settle_from, settle_to = config.duration / 2.0, np.inf
+    classified_with = (thresholds, config.match_floor)
+    normal = det.VERDICT_CODE[Verdict.NORMAL]
+    fault = det.VERDICT_CODE[Verdict.FAULT]
 
-    sim, blocks, resumed, recording = _simulate_identify(
-        config, IDENTIFY_BLOCK, records)
-    t, d, codes, armed, theta_t, thetas, settled = _classify_blocks(
-        config, blocks, nominal, thresholds, library, settle_from, settle_to,
-        resumed, recording)
-    stable = np.array(debounce(codes.tolist(), config.hold), dtype=np.intp)
+    # Baseline limit checking, banded around the nominal operating point.
+    # A limit relay measures the fundamental component, so the broadband
+    # excitation ripple is removed with a trailing one-cycle average before
+    # the band test.
+    limits = VoltageLimits.around(_nominal_pcc_voltage(config),
+                                  config.limit_fraction)
+    cycle_average = _CycleAverage(config.ts, config.circuit.f_base)
+    baseline_first = None
 
-    dt1_high, dt1_low, dt2 = detection_times(t[armed], d[armed], t_start,
-                                             t_end, thresholds)
-    # debounced delays: first stable fault verdict / first stable
-    # non-normal verdict after t_start
-    is_fault = stable == det.VERDICT_CODE[Verdict.FAULT]
-    not_normal = stable != det.VERDICT_CODE[Verdict.NORMAL]
-    dt1_high_db = _first_time(t, is_fault & armed, t_start)
-    dt1_low_db = _first_time(t, not_normal & armed, t_start)
+    # What the run carries from block to block.
+    debounced = det.DebounceState()
+    crossings = (None, None, None)  # dt1_high, dt1_low, dt2
+    first_fault = first_not_normal = None  # the debounced delays
+    last_code = -1  # the debounced verdict code of the last update
+    timeline = []
+    settled = []  # armed theta rows inside the settle window
+    writers = None
 
-    if settled.shape[0]:
+    def classify(thetas):
+        try:
+            d, verdicts, _ = classify_series(
+                thetas, nominal, thresholds, library, config.match_floor
+            )
+        except Exception as exc:
+            raise StageError("detector", str(exc)) from exc
+        return d, det.verdict_codes(verdicts)
+
+    def on_samples(sim):
+        nonlocal baseline_first
+        hits = (limit_check(cycle_average(sim.v_dq), limits)
+                & (sim.t >= t_start) & (sim.t < t_end))
+        if baseline_first is None and np.any(hits):
+            baseline_first = float(sim.t[hits][0])
+        if writers is not None:
+            writers["samples.csv"].write(_samples_rows(sim))
+
+    def on_updates(lo, t, thetas, calibrated, d, codes):
+        """Carry the run over its updates from lo on."""
+        nonlocal crossings, first_fault, first_not_normal, last_code
+        # The estimator restarts from scratch in each run and needs the
+        # same settling time the nominal predictor was calibrated with;
+        # until then the distance reflects cold-start convergence, not the
+        # grid. Keep the detector disarmed over that initial stretch.
+        armed = calibrated.copy()
+        armed[: max(0, config.calibration_window - lo)] = False
+        codes = np.where(armed, codes, normal)
+        stable = np.array(debounce(codes.tolist(), config.hold, debounced),
+                          dtype=np.intp)
+        crossings = detection_times(t[armed], d[armed], t_start, t_end,
+                                    thresholds, crossings)
+        # debounced delays: first stable fault verdict / first stable
+        # non-normal verdict after t_start
+        first_fault = _first_time(t, (stable == fault) & armed, t_start,
+                                  first_fault)
+        first_not_normal = _first_time(t, (stable != normal) & armed,
+                                       t_start, first_not_normal)
+        changes = _transitions(t, stable, last_code)
+        timeline.extend(changes)
+        if stable.size:
+            last_code = int(stable[-1])
+        settle = (t >= settle_from) & (t < settle_to) & armed
+        if np.any(settle):
+            settled.append(thetas[settle])
+        if writers is not None:
+            for tk, v in changes:
+                dk = float(d[np.searchsorted(t, tk)])
+                writers["events.jsonl"].write(
+                    (json.dumps({"t": tk, "verdict": v, "d": dk}) + "\n")
+                    .encode("ascii"))
+            writers["distance.csv"].write(np.column_stack([t, d]))
+            writers["theta.csv"].write(
+                _theta_rows(t, thetas, lo, THETA_STRIDE))
+
+    blocks, resumed, recording = _simulate_identify(config, records,
+                                                    on_samples)
+    prefix = resumed or recording
+    if files is not None:
+        order = config.identifier.order
+        splits = ((0, 0, 0) if prefix is None else
+                  (prefix.samples, prefix.updates,
+                   -(-prefix.updates // THETA_STRIDE)))
+        heads = None if prefix is None else prefix.heads
+        writers = {}
+        for name, header, split in (
+                ("samples.csv", SAMPLES_HEADER, splits[0]),
+                ("distance.csv", DISTANCE_HEADER, splits[1]),
+                ("theta.csv", _theta_header(2, 4 * order), splits[2])):
+            source = (None if heads is None
+                      else (os.path.join(heads[0], name), heads[1][name]))
+            writers[name] = _CsvWriter(files.open(name), header, split,
+                                       source)
+        writers["events.jsonl"] = files.open("events.jsonl")
+
+    lo = 0  # run index of the next update
+    if resumed is not None:
+        # The record's rows stand for the updates before its edge, where
+        # the blocks start; they are classified again, block by block,
+        # when its thresholds or match floor differ from this run's.
+        if resumed.classified_with != classified_with:
+            parts = [classify(resumed.theta[k:k + IDENTIFY_BLOCK])
+                     for k in range(0, resumed.updates, IDENTIFY_BLOCK)]
+            resumed.d, resumed.codes = (np.concatenate(p)
+                                        for p in zip(*parts))
+            resumed.classified_with = classified_with
+        on_updates(0, resumed.t, resumed.theta, resumed.calibrated,
+                   resumed.d, resumed.codes)
+        lo = resumed.updates
+    for run in blocks:
+        d, codes = classify(run.theta)
+        if recording is not None:
+            recording.store(lo, run, d, codes, classified_with)
+        on_updates(lo, run.t, run.theta, run.calibrated, d, codes)
+        lo += run.t.size
+
+    if settled:
         final_event = det.classify(
-            settled.mean(axis=0), nominal, thresholds, library,
+            np.concatenate(settled).mean(axis=0), nominal, thresholds,
+            library,
             match_floor=config.match_floor,
         )
         final_verdict = final_event.verdict
     else:
         final_verdict = Verdict.NORMAL
 
-    # Baseline limit checking, banded around the nominal operating point.
-    # A limit relay measures the fundamental component, so the broadband
-    # excitation ripple is removed with a trailing one-cycle average before
-    # the band test.
-    v_eq = _nominal_pcc_voltage(config)
-    limits = VoltageLimits.around(v_eq, config.limit_fraction)
-    v_rms = _cycle_average(sim.v_dq, config.ts, config.circuit.f_base)
-    in_window = (sim.t >= t_start) & (sim.t < t_end)
-    baseline_hits = limit_check(v_rms, limits) & in_window
-    baseline_detected = bool(np.any(baseline_hits))
-    baseline_first = (
-        float(sim.t[baseline_hits][0]) if baseline_detected else None
-    )
-
+    dt1_high, dt1_low, dt2 = crossings
     report = RunReport(
         name=config.name,
         thresholds=thresholds,
         dt1_high=dt1_high,
         dt1_low=dt1_low,
         dt2=dt2,
-        dt1_high_debounced=dt1_high_db,
-        dt1_low_debounced=dt1_low_db,
+        dt1_high_debounced=first_fault,
+        dt1_low_debounced=first_not_normal,
         final_verdict=final_verdict,
-        verdict_timeline=_transitions(t, stable),
-        baseline_detected=baseline_detected,
+        verdict_timeline=timeline,
+        baseline_detected=baseline_first is not None,
         baseline_first_violation=baseline_first,
         config_echo=config.echo(),
         library_provenance=[s.source_scenario for s in library.signatures],
         warnings=warnings,
     )
 
-    if out_dir is not None:
-        _write_artifacts(out_dir, sim, t, d, theta_t, thetas, report,
-                         resumed or recording, records)
+    if files is not None:
+        files.open("report.json").write(report.to_json().encode("ascii"))
+        files.commit()
+        if prefix is not None:
+            prefix.heads = (os.path.abspath(files.out_dir),
+                            {name: writers[name].head_size
+                             for name in ("samples.csv", "distance.csv",
+                                          "theta.csv")})
     if recording is not None:
         records[recording.key] = recording
     return report
 
 
-def _write_artifacts(out_dir: str, sim, t, d, theta_t, thetas,
-                     report: RunReport, prefix: _Prefix | None,
-                     records: dict | None) -> None:
-    """Write a run's artifacts into out_dir.
+class _CycleAverage:
+    """Causal moving average over one fundamental cycle, per column, of a
+    stream of samples given in consecutive blocks: each call returns the
+    averages of its block's samples.
 
-    With a prefix, the CSV rows it covers are copied from the artifacts
-    its heads name, if any, and its heads then name these. Heads that name
-    out_dir are forgotten first, since this run overwrites their files.
+    It carries the last n - 1 samples of the stream and its sample count,
+    so blocks give the bits of one call on their join. np.convolve swaps
+    its operands when the signal is shorter than the kernel, which sums in
+    another order; a signal that short is padded at its end instead, which
+    reaches none of the causal averages kept.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    where = os.path.abspath(out_dir)
-    for rec in (records or {}).values():
-        if rec.heads is not None and rec.heads[0] == where:
-            rec.heads = None
-    if prefix is None:
-        split_samples = split_updates = split_theta = 0
-        heads = None
-    else:
-        split_samples, split_updates = prefix.sim.v.shape[0], prefix.updates
-        split_theta = -(-prefix.updates // THETA_STRIDE)
-        heads = prefix.heads
 
-    def source(name):
-        """(path, size) of the earlier artifact to copy the head from."""
-        if heads is None:
-            return None
-        return os.path.join(heads[0], name), heads[1][name]
+    def __init__(self, ts: float, f_base: float):
+        self.n = max(1, int(round(1.0 / (f_base * ts))))
+        self.kernel = np.ones(self.n) / self.n
+        self.history = None  # the stream's last n - 1 samples
+        self.count = 0  # samples seen
 
-    sizes = {
-        "samples.csv": write_samples_csv(
-            os.path.join(out_dir, "samples.csv"), sim, split_samples,
-            source("samples.csv")),
-        "distance.csv": write_distance_csv(
-            os.path.join(out_dir, "distance.csv"), t, d, split_updates,
-            source("distance.csv")),
-        "theta.csv": write_theta_csv(
-            os.path.join(out_dir, "theta.csv"), theta_t, thetas, 1,
-            split_theta, source("theta.csv")),
-    }
-    with open(os.path.join(out_dir, "events.jsonl"), "w") as fh:
-        for tk, v in report.verdict_timeline:
-            idx = int(np.searchsorted(t, tk))
-            fh.write(json.dumps({
-                "t": tk, "verdict": v, "d": float(d[min(idx, d.size - 1)]),
-            }) + "\n")
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(report.to_json())
-    if prefix is not None:
-        prefix.heads = (where, sizes)
-
-
-def _cycle_average(v: np.ndarray, ts: float, f_base: float) -> np.ndarray:
-    """Causal moving average over one fundamental cycle, per column."""
-    n = max(1, int(round(1.0 / (f_base * ts))))
-    if n == 1:
-        return v
-    kern = np.ones(n) / n
-    out = np.empty_like(v)
-    for col in range(v.shape[1]):
-        out[:, col] = np.convolve(v[:, col], kern)[: v.shape[0]]
-    # warm the average up from the first sample instead of zero history
-    counts = np.minimum(np.arange(1, v.shape[0] + 1), n)
-    return out * (n / counts)[:, None]
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        n, m = self.n, v.shape[0]
+        if n == 1:
+            return v
+        x = v if self.history is None else np.concatenate([self.history, v])
+        start = x.shape[0] - m
+        self.history = x[max(0, x.shape[0] - (n - 1)):].copy()
+        if x.shape[0] < n:
+            x = np.concatenate([x, np.zeros((n - x.shape[0], x.shape[1]))])
+        out = np.empty_like(v)
+        for col in range(v.shape[1]):
+            out[:, col] = np.convolve(x[:, col], self.kernel)[start:start + m]
+        # warm the average up from the first sample instead of zero history
+        counts = np.minimum(np.arange(self.count + 1, self.count + m + 1), n)
+        self.count += m
+        return out * (n / counts)[:, None]
 
 
 def _nominal_pcc_voltage(config: ScenarioConfig) -> np.ndarray:
@@ -928,11 +1138,12 @@ def build_library_from_scenarios(
 ) -> SignatureLibrary:
     """Run each labeled offline scenario and record its signature.
 
-    Of each run only the (t, theta) rows inside the disturbance window are
-    kept, the only ones `build_library` reads. Runs that share a prefix
-    (see `_prefix_key`) simulate and identify it once; since the window
-    starts after it, its record holds only the simulator's samples and the
-    estimator's state.
+    Each run streams; of it only the (t, theta) rows inside the disturbance
+    window are kept, the only ones `build_library` reads, in arrays sized
+    for the window. Runs that share a
+    prefix (see `_prefix_key`) simulate and identify it once; since the
+    window starts after it, its record holds only the simulator's samples
+    and the estimator's state.
     """
     records = {}
     runs = []
@@ -945,14 +1156,23 @@ def build_library_from_scenarios(
         label = (Verdict.FAULT if config.disturbance.kind == "fault"
                  else Verdict.LOAD_INCREASE)
         t_start, t_end = config.disturbance.t_start, config.disturbance.t_end
-        _, blocks, _, recording = _simulate_identify(
-            config, IDENTIFY_BLOCK, records)
-        kept = []
+        blocks, _, recording = _simulate_identify(config, records)
+        # Update times lie on the grid k * ts, so the window holds fewer
+        # than (t_end - t_start) / ts + 2 of them, and no more than the run.
+        updates = sample_count(config.duration, config.ts) - \
+            config.identifier.order - 1
+        rows = int(max(1, min(updates, (t_end - t_start) / config.ts + 2)))
+        t = np.empty(rows)
+        thetas = np.empty((rows, 2, 4 * config.identifier.order))
+        rows = 0
         for run in blocks:
-            window = (run.t >= t_start) & (run.t < t_end)
-            kept.append((run.t[window], run.theta[window]))
-        t, thetas = (np.concatenate(parts) for parts in zip(*kept))
-        runs.append((label, t, thetas, t_start, t_end, config.name))
+            # t increases, so a block's window rows are a slice
+            lo, hi = np.searchsorted(run.t, (t_start, t_end))
+            t[rows:rows + hi - lo] = run.t[lo:hi]
+            thetas[rows:rows + hi - lo] = run.theta[lo:hi]
+            rows += hi - lo
+        runs.append((label, t[:rows], thetas[:rows], t_start, t_end,
+                     config.name))
         order = config.identifier.order
         if recording is not None:
             records[recording.key] = recording
@@ -972,14 +1192,29 @@ def run_suite(
     Returns (reports dict, table rows). Each scenario contributes one row
     for the parameter-deviation method and one for voltage limit-checking.
     The prefixes that runs share (see `run_scenario`) are recorded for the
-    duration of this call only.
+    duration of this call only. An empty manifest, or two scenarios whose
+    file names give the same name (compared case-insensitively, since
+    their artifacts would share a directory), raise ValueError before any
+    run.
     """
+    scenario_paths = list(scenario_paths)
+    if not scenario_paths:
+        raise ValueError("the manifest lists no scenarios")
+    names, seen = [], {}
+    for path in scenario_paths:
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name.casefold() in seen:
+            raise ValueError(
+                f"scenarios {seen[name.casefold()]} and {path} have the same "
+                f"name {name!r}; their artifacts would overwrite each other"
+            )
+        seen[name.casefold()] = path
+        names.append(name)
     reports = {}
     rows = []
     token = _SUITE_PREFIXES.set(_SuitePrefixes(nominal, library, {}))
     try:
-        for path in scenario_paths:
-            name = os.path.splitext(os.path.basename(path))[0]
+        for path, name in zip(scenario_paths, names):
             try:
                 config = load_scenario(path, overrides)
                 scen_out = (os.path.join(out_dir, name) if out_dir is not None

@@ -52,6 +52,41 @@ class RbsConfig:
             raise ValueError(f"chip_rate must be positive, got {self.chip_rate}")
 
 
+class RbsStream:
+    """The samples of `rbs_generate(config, n, fs)`, taken in consecutive
+    pieces of any length.
+
+    Chips are drawn from one Philox generator as the pieces need them; a
+    chip that straddles two pieces is carried over. Each chip is one draw
+    per channel, so the draws do not depend on how the run is cut up, and
+    the pieces join bitwise into the one-call array.
+    """
+
+    def __init__(self, config: RbsConfig, fs: float = 5000.0):
+        if config.chip_rate > fs + 1e-9:
+            raise ValueError(
+                f"chip_rate {config.chip_rate} exceeds sampling rate {fs}"
+            )
+        self.config = config
+        self._per_chip = max(1, int(round(fs / config.chip_rate)))
+        self._rng = np.random.Generator(np.random.Philox(config.seed))
+        self._left = np.zeros((0, 2))  # samples of chips drawn, not taken
+
+    def take(self, n: int) -> np.ndarray:
+        """(n, 2) array of the next n samples."""
+        need = n - self._left.shape[0]
+        if need > 0:
+            per_chip = self._per_chip
+            chips = self.config.amplitude * self._rng.choice(
+                [-1.0, 1.0], size=(-(-need // per_chip), 2))
+            rows = np.concatenate(
+                [self._left, np.repeat(chips, per_chip, axis=0)])
+        else:
+            rows = self._left
+        self._left = rows[n:]
+        return rows[:n]
+
+
 def rbs_generate(config: RbsConfig, n: int, fs: float = 5000.0) -> np.ndarray:
     """(n, 2) array of +/-amplitude chips, held constant within chip periods.
 
@@ -60,14 +95,4 @@ def rbs_generate(config: RbsConfig, n: int, fs: float = 5000.0) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if config.chip_rate > fs + 1e-9:
-        raise ValueError(
-            f"chip_rate {config.chip_rate} exceeds sampling rate {fs}"
-        )
-    if n == 0:
-        return np.zeros((0, 2))
-    samples_per_chip = max(1, int(round(fs / config.chip_rate)))
-    n_chips = -(-n // samples_per_chip)
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    chips = config.amplitude * rng.choice([-1.0, 1.0], size=(n_chips, 2))
-    return np.repeat(chips, samples_per_chip, axis=0)[:n]
+    return RbsStream(config, fs).take(n)

@@ -5,6 +5,10 @@ operating-point current plus random binary excitation at the PCC. The
 circuit is integrated with the trapezoidal rule at a fixed step; at the
 disturbance start/end instants the topology is switched with energy-carrying
 states carried over by name.
+
+`simulate_blocks` streams a run in blocks of samples and holds one block at
+a time; `simulate` joins its blocks into the whole run. Both give the same
+bits for any block size.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitParams, StateSpaceModel, full_circuit_model
-from .signals import RbsConfig, rbs_generate
+from .signals import RbsConfig, RbsStream
+# Not called here: kept as a module attribute so that tools which wrap
+# `gridarx.simulate.rbs_generate` by name still resolve it.
+from .signals import rbs_generate  # noqa: F401
 
 
 class IntegrationError(RuntimeError):
@@ -129,27 +136,177 @@ def _map_state(x, from_model: StateSpaceModel, to_model: StateSpaceModel,
     return out
 
 
-def _advance(v, x, model: StateSpaceModel, ts: float, i_inj, vg, k0: int,
-             k1: int):
-    """Step `model` from state x entering sample k0 over samples [k0, k1),
-    writing their PCC voltage into v; returns the state entering k1."""
-    if k1 <= k0:
-        return x
-    F, Gb, Ge = _discretize(model, ts)
-    drive = i_inj[k0:k1] @ Gb.T + vg @ Ge.T  # per-step forcing, (m, nx)
-    Cv = model.C
+def sample_count(duration: float, ts: float) -> int:
+    """Samples of a run of `duration` at step `ts`, both ends included."""
+    return int(round(duration / ts)) + 1
+
+
+def disturbance_start(disturbance: DisturbanceSpec | None, duration: float,
+                      ts: float) -> int | None:
+    """Sample index k_on at which the disturbance connects; None when it
+    does not start inside the run."""
+    if disturbance is None or disturbance.t_start >= duration:
+        return None
+    return int(round(disturbance.t_start / ts))
+
+
+def _forcing(i_inj, Gb, vg_forcing, segment_rows: int):
+    """Per-step forcing `i_inj @ Gb.T + vg_forcing` of consecutive rows of
+    one topology segment of `segment_rows` samples.
+
+    A 1-row matrix product takes another BLAS path than a longer one and
+    can differ from the same row of the whole-segment product in its last
+    bits, so a single row of a longer segment is computed inside a product
+    of two copies of it. Rows of two or more give the bits of the
+    whole-segment product.
+    """
+    if i_inj.shape[0] == 1 and segment_rows > 1:
+        return (np.repeat(i_inj, 2, axis=0) @ Gb.T)[:1] + vg_forcing
+    return i_inj @ Gb.T + vg_forcing
+
+
+def _step(v, x, F, Cv, drive):
+    """Step from state x over the rows of `drive`, writing each sample's
+    PCC voltage into the rows of v; returns the state after the last."""
     # v[k] = Cv x; x <- F x + drive[k], written into preallocated rows: the
     # next state overwrites the forcing row it consumes. np.dot is the same
     # BLAS gemv as the @ operator, so the values are bitwise those of the
     # plain expressions.
     dot, add = np.dot, np.add
     Fx = np.empty_like(x)
-    for v_k, x_next in zip(v[k0:k1], drive):
+    for v_k, x_next in zip(v, drive):
         dot(Cv, x, v_k)
         dot(F, x, Fx)
         add(Fx, x_next, x_next)
         x = x_next
     return x
+
+
+# Samples per block yielded by `simulate_blocks` unless told otherwise.
+SIMULATE_BLOCK = 8192
+
+
+def simulate_blocks(
+    params: CircuitParams,
+    disturbance: DisturbanceSpec | None,
+    excitation: RbsConfig | None,
+    duration: float,
+    ts: float = 2e-4,
+    noise_std: float = 1e-4,
+    noise_seed: int = 1,
+    i_op=(1.0, 0.0),
+    vg=(1.0, 0.0),
+    prefix: SimPrefix | None = None,
+    block: int = SIMULATE_BLOCK,
+):
+    """The run of `simulate`, as an iterator of SimResults over consecutive
+    blocks of `block` samples (the last one may be shorter).
+
+    Only one block is held at a time. The generator carries the circuit
+    state, the topology segment it is in, the excitation stream and two
+    noise generators: one draws the voltage noise and the other, started
+    from the same seed past the n x 2 voltage normals, the current noise,
+    which is the order one call over the whole run draws them in. Every
+    value is bitwise that of `simulate`. The block holding the sample at
+    which the disturbance starts carries the run's SimPrefix; the others
+    carry None.
+
+    Arguments are checked at the call; a non-finite voltage raises
+    IntegrationError from the block it appears in.
+    """
+    if duration <= 0 or ts <= 0:
+        raise ValueError("duration and ts must be positive")
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    n = sample_count(duration, ts)
+    nominal = full_circuit_model(params, None)
+    k_on = disturbance_start(disturbance, duration, ts)
+    segments = []  # (start index, end index exclusive, model)
+    if k_on is None:
+        segments.append((0, n, nominal))
+    else:
+        k_off = min(n, int(round(disturbance.t_end / ts)))
+        segments += [(0, k_on, nominal),
+                     (k_on, k_off, full_circuit_model(
+                         params, (disturbance.kind, disturbance.value_pu))),
+                     (k_off, n, nominal)]
+    if prefix is not None and prefix.v.shape[0] != k_on:
+        where = "nowhere inside the run" if k_on is None else \
+            f"at sample {k_on}"
+        raise ValueError(
+            f"prefix of {prefix.v.shape[0]} samples does not end at the "
+            f"disturbance start, which is {where}"
+        )
+    return _simulate_blocks(params, segments, k_on, excitation, n, ts,
+                            noise_std, noise_seed, np.asarray(i_op, float),
+                            np.asarray(vg, float), prefix, block)
+
+
+def _simulate_blocks(params, segments, k_on, excitation, n, ts, noise_std,
+                     noise_seed, i_op, vg, prefix, block):
+    nominal = segments[0][2]
+    excite = None if excitation is None else RbsStream(excitation, 1.0 / ts)
+    if noise_std > 0:
+        noise_v = np.random.Generator(np.random.Philox(noise_seed))
+        noise_i = np.random.Generator(np.random.Philox(noise_seed))
+        for lo in range(0, 2 * n, 2 * block):
+            noise_i.standard_normal(min(2 * block, 2 * n - lo))
+    prefix_v = None  # the pre-noise voltage before k_on, while recorded
+    if prefix is None:
+        x = equilibrium(nominal, i_op, vg)
+        seg = 0
+        if k_on is not None:
+            prefix_v = np.empty((k_on, 2))
+    else:
+        x = prefix.x
+        seg = 1
+    prev_model = nominal
+    k0, k1, model = segments[seg]
+    entered = False  # F, Gb, Cv and the vg forcing are those of `model`
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        i_inj = i_op + (np.zeros((hi - lo, 2)) if excite is None
+                        else excite.take(hi - lo))
+        v = np.empty((hi - lo, 2))
+        k = lo
+        if prefix is not None and lo < k_on:
+            k = min(hi, k_on)
+            v[:k - lo] = prefix.v[lo:k]
+        while k < hi:
+            if k == k1:  # next segment
+                if seg == 0 and k_on is not None:
+                    prefix = SimPrefix(v=prefix_v, x=x.copy())
+                seg += 1
+                k0, k1, model = segments[seg]
+                entered = False
+                continue
+            if not entered:
+                # a window shorter than half a step never switches
+                if model is not prev_model:
+                    x = _map_state(x, prev_model, model, params)
+                    prev_model = model
+                F, Gb, Ge = _discretize(model, ts)
+                Cv, vg_forcing = model.C, vg @ Ge.T
+                entered = True
+            stop = min(hi, k1)
+            drive = _forcing(i_inj[k - lo:stop - lo], Gb, vg_forcing, k1 - k0)
+            x = _step(v[k - lo:stop - lo], x, F, Cv, drive)
+            k = stop
+        if not np.all(np.isfinite(v)):
+            raise IntegrationError(
+                "non-finite voltage trajectory; check step size and "
+                "parameters"
+            )
+        if prefix_v is not None and lo < k_on:
+            prefix_v[lo:min(hi, k_on)] = v[:min(hi, k_on) - lo]
+        if noise_std > 0:
+            v_meas = v + noise_std * noise_v.standard_normal((hi - lo, 2))
+            i_meas = i_inj + noise_std * noise_i.standard_normal((hi - lo, 2))
+        else:
+            v_meas, i_meas = v, i_inj
+        yield SimResult(t=np.arange(lo, hi) * ts, v_dq=v_meas, i_dq=i_meas,
+                        ts=ts, prefix=(prefix if k_on is not None
+                                       and lo <= k_on < hi else None))
 
 
 def simulate(
@@ -177,67 +334,18 @@ def simulate(
     disturbance: the run resumes from its state. The excitation and the
     noise are still drawn for the whole run, so the result is bitwise that
     of a run without it.
+
+    This is the join of the blocks of `simulate_blocks`, which holds one
+    block at a time; the whole run costs 40 bytes per sample here.
     """
-    if duration <= 0 or ts <= 0:
-        raise ValueError("duration and ts must be positive")
-    n = int(round(duration / ts)) + 1
-    t = np.arange(n) * ts
-
-    fs = 1.0 / ts
-    if excitation is not None:
-        rbs = rbs_generate(excitation, n, fs=fs)
-    else:
-        rbs = np.zeros((n, 2))
-    i_inj = np.asarray(i_op, float) + rbs
-    vg = np.asarray(vg, float)
-
-    nominal = full_circuit_model(params, None)
-    later = []  # (start index, end index exclusive, model) after k_on
-    if disturbance is None or disturbance.t_start >= duration:
-        k_on = n
-    else:
-        disturbed = full_circuit_model(params, (disturbance.kind, disturbance.value_pu))
-        k_on = int(round(disturbance.t_start / ts))
-        k_off = min(n, int(round(disturbance.t_end / ts)))
-        later.append((k_on, k_off, disturbed))
-        if k_off < n:
-            later.append((k_off, n, nominal))
-
-    v = np.empty((n, 2))
-    if prefix is None:
-        x = equilibrium(nominal, np.asarray(i_op, float), vg)
-        x = _advance(v, x, nominal, ts, i_inj, vg, 0, k_on)
-        if later:
-            prefix = SimPrefix(v=v[:k_on].copy(), x=x.copy())
-    elif not later or prefix.v.shape[0] != k_on:
-        where = f"at sample {k_on}" if later else "nowhere inside the run"
-        raise ValueError(
-            f"prefix of {prefix.v.shape[0]} samples does not end at the "
-            f"disturbance start, which is {where}"
-        )
-    else:
-        v[:k_on] = prefix.v
-        x = prefix.x
-    prev_model = nominal
-    for k0, k1, model in later:
-        if k1 <= k0:  # a window shorter than half a step never switches
-            continue
-        if model is not prev_model:
-            x = _map_state(x, prev_model, model, params)
-        x = _advance(v, x, model, ts, i_inj, vg, k0, k1)
-        prev_model = model
-
-    if not np.all(np.isfinite(v)):
-        raise IntegrationError(
-            "non-finite voltage trajectory; check step size and parameters"
-        )
-
-    if noise_std > 0:
-        rng = np.random.Generator(np.random.Philox(noise_seed))
-        v_meas = v + noise_std * rng.standard_normal((n, 2))
-        i_meas = i_inj + noise_std * rng.standard_normal((n, 2))
-    else:
-        v_meas = v
-        i_meas = i_inj.copy()
-
-    return SimResult(t=t, v_dq=v_meas, i_dq=i_meas, ts=ts, prefix=prefix)
+    blocks = simulate_blocks(params, disturbance, excitation, duration, ts,
+                             noise_std, noise_seed, i_op, vg, prefix)
+    n = sample_count(duration, ts)
+    t, v_dq, i_dq = np.empty(n), np.empty((n, 2)), np.empty((n, 2))
+    lo, done = 0, None
+    for part in blocks:
+        hi = lo + part.t.size
+        t[lo:hi], v_dq[lo:hi], i_dq[lo:hi] = part.t, part.v_dq, part.i_dq
+        done = done or part.prefix
+        lo = hi
+    return SimResult(t=t, v_dq=v_dq, i_dq=i_dq, ts=ts, prefix=done)

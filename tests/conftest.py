@@ -36,10 +36,10 @@ def params():
 @pytest.fixture(scope="session")
 def default_cal():
     """Fault-free calibration on the default profile: (nominal, auto
-    thresholds, identifier run, config)."""
+    thresholds, final identifier state, config)."""
     config = ScenarioConfig(duration=10.0)
-    nominal, thresholds, run = run_calibration(config)
-    return nominal, thresholds, run, config
+    nominal, thresholds, state = run_calibration(config)
+    return nominal, thresholds, state, config
 
 
 @pytest.fixture(scope="session")

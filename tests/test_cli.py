@@ -188,6 +188,69 @@ class TestLibraryFile:
         assert not (tmp_path / "out").exists()
 
 
+class TestCalibrationFile:
+    """`run`, `suite` and `build-library` load --calibration the same way;
+    a malformed calibration exits 2 with a message that names the file."""
+
+    def _args(self, command, workspace, calibration, out):
+        if command == "build-library":
+            return [command, "--config", workspace["fault.ini"],
+                    "--calibration", calibration, "--out", out]
+        source = ["--config", workspace["fault.ini"]] if command == "run" \
+            else ["--manifest", workspace["manifest.txt"]]
+        return [command, *source, "--calibration", calibration,
+                "--out", out]
+
+    @pytest.mark.parametrize("command", ["run", "suite", "build-library"])
+    @pytest.mark.parametrize("change, message", [
+        ({"calibrated_at": None}, "missing key 'calibrated_at'"),
+        ({"d_low": 1e9}, "need 0 < d_low < d_high"),
+        ({"d_high": "high"}, "not supported between"),
+    ])
+    def test_bad_calibration_names_file(self, workspace, tmp_path, capsys,
+                                        command, change, message):
+        with open(workspace["calibration.json"]) as fh:
+            doc = json.load(fh)
+        doc.update(change)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main(self._args(command, workspace, str(path), str(out)))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert message in err
+        assert not out.exists()
+
+
+class TestManifest:
+    """A manifest whose scenarios would overwrite each other's artifacts,
+    or that lists none, exits 2 before any run."""
+
+    @pytest.mark.parametrize("lines, message", [
+        ("fault.ini\nsub/FAULT.ini\n", "have the same name 'FAULT'"),
+        ("# nothing here\n", "the manifest lists no scenarios"),
+    ])
+    def test_rejected_before_any_run(self, workspace, tmp_path, capsys,
+                                     lines, message):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "FAULT.ini").write_text(MINI_FAULT)
+        (tmp_path / "fault.ini").write_text(MINI_FAULT)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(lines)
+        out = tmp_path / "out"
+        rc = main(["suite", "--manifest", str(manifest),
+                   "--calibration", workspace["calibration.json"],
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ")
+        assert message in err
+        assert not out.exists()
+
+
 class TestPoles:
     def test_defaults_agree_with_oracle(self, capsys):
         assert main(["poles"]) == 0

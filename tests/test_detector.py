@@ -7,6 +7,7 @@ import pytest
 
 from gridarx.detector import (
     DISTANCE_CHUNK,
+    DebounceState,
     DetectionEvent,
     InsufficientDataError,
     Signature,
@@ -506,6 +507,21 @@ class TestDetectionTimes:
         got = detection_times(t, d, t_start, t_end, self.thr)
         assert got == oracle_detection_times(t, d, t_start, t_end, self.thr)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_found_carried_across_blocks(self, seed):
+        """Blocks that pass each call's result to the next give the result
+        of one call."""
+        rng = np.random.default_rng(seed)
+        t = np.arange(400) * 1e-3
+        d = rng.choice([0.0, 0.05, 0.5, 2.0], size=t.size,
+                       p=[0.4, 0.3, 0.2, 0.1])
+        t_start, t_end = rng.uniform(0.0, 0.4, 2)
+        found = (None, None, None)
+        for a, b in zip([0, 1, 37, 200, 399], [1, 37, 200, 399, 400]):
+            found = detection_times(t[a:b], d[a:b], t_start, t_end,
+                                    self.thr, found)
+        assert found == detection_times(t, d, t_start, t_end, self.thr)
+
 
 class TestDebounce:
     N, F = Verdict.NORMAL, Verdict.FAULT
@@ -526,6 +542,20 @@ class TestDebounce:
     def test_bad_hold(self):
         with pytest.raises(ValueError):
             debounce([self.N], hold=0)
+
+    @pytest.mark.parametrize("hold", [1, 2, 3, 5])
+    def test_state_carried_across_blocks(self, hold):
+        """Blocks that share one state give the output of one call, with
+        edges inside streaks and on the first verdict."""
+        rng = np.random.default_rng(hold)
+        codes = rng.choice(4, 500, p=[0.55, 0.15, 0.15, 0.15]).tolist()
+        want = debounce(codes, hold)
+        for cuts in ([0, 1, 2, 3, 250, 251, 500], [0, 7, 100, 499, 500]):
+            state = DebounceState()
+            got = []
+            for a, b in zip(cuts, cuts[1:]):
+                got += debounce(codes[a:b], hold, state)
+            assert got == want, cuts
 
 
 class TestBuildLibrary:
@@ -553,6 +583,16 @@ class TestBuildLibrary:
         thetas[:, 0, 0] = 0.1  # never exceeds d_low
         with pytest.raises(InsufficientDataError):
             build_library([(Verdict.FAULT, t, thetas, 0.2, 0.8, "quiet")],
+                          nom, thr, order=ORDER)
+
+    def test_times_must_increase(self):
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        thr = Thresholds(d_high=1.0, d_low=0.01)
+        t = np.linspace(0.0, 1.0, 11)[::-1]
+        thetas = np.ones((11,) + SHAPE)
+        with pytest.raises(ValueError, match="'back': snapshot times must "
+                                             "increase"):
+            build_library([(Verdict.FAULT, t, thetas, 0.2, 0.8, "back")],
                           nom, thr, order=ORDER)
 
     def test_empty_window_rejected(self):
@@ -606,6 +646,27 @@ class TestSignatureLabels:
 
 
 class TestLibrarySerialization:
+    @pytest.mark.parametrize("order, shape", [(3, [2, 8]), (2, [2, 12]),
+                                              (3, [12, 2])])
+    def test_from_json_rejects_shape_of_another_order(self, order, shape):
+        lib = flat_library([(np.ones(SHAPE), Verdict.FAULT),
+                            (np.ones(SHAPE), Verdict.LOAD_INCREASE)])
+        doc = json.loads(lib.to_json())
+        doc["order"] = order
+        doc["signatures"][1]["shape"] = shape
+        doc["signatures"][1]["source_scenario"] = "load_run"
+        if shape[0] * shape[1] != 24:
+            doc["signatures"][1]["delta_theta"] = [0.5] * 16
+        with pytest.raises(ValueError) as err:
+            SignatureLibrary.from_json(json.dumps(doc))
+        message = str(err.value)
+        if order == 3:
+            assert message.startswith(
+                f"library entry 1 ('load_run'): shape {tuple(shape)} does "
+                "not match the library's order 3, which needs (2, 12)")
+        else:  # entry 0 is (2, 12) too, so it is the first named
+            assert message.startswith("library entry 0 ")
+
     def test_json_round_trip(self, rng):
         lib = flat_library([(rng.standard_normal(SHAPE), Verdict.FAULT),
                             (rng.standard_normal(SHAPE),

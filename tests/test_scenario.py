@@ -21,12 +21,13 @@ from gridarx.detector import (
     verdict_codes,
 )
 from gridarx.pipeline import identify
+from gridarx.rls import ArxConfig
 from gridarx.scenario import (
     CSV_CHUNK_ROWS,
     FLOAT_FMT,
     ScenarioConfig,
     StageError,
-    _cycle_average,
+    _CycleAverage,
     _transitions,
     _write_csv,
     build_library_from_scenarios,
@@ -42,7 +43,13 @@ from gridarx.scenario import (
     write_samples_csv,
     write_theta_csv,
 )
-from gridarx.simulate import DisturbanceSpec, SimResult, simulate
+from gridarx.simulate import (
+    DisturbanceSpec,
+    SimResult,
+    disturbance_start,
+    sample_count,
+    simulate,
+)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -441,12 +448,21 @@ class TestRunScenario:
         assert report.dt1_high is None  # nothing reaches 1e6
 
 
-# Block sizes for the streaming tests. The small odd size puts block edges
-# on the arming index (calibration_window is a multiple of it) and, as
-# 999 = -1 mod 50, on most offsets from the theta.csv rows; the mid size
-# puts them on theta.csv rows and on both settle-window edges; the last is
-# one block for the whole run.
+# Block sizes for the streaming tests. The small odd size puts identify
+# block edges on the arming index (calibration_window is a multiple of it)
+# and, as 999 = -1 mod 50, on most offsets from the theta.csv rows; the mid
+# size puts them on theta.csv rows and on both settle-window edges; the
+# last is one block for the whole run.
 SMALL_BLOCK, MID_BLOCK, WHOLE_BLOCK = 999, 4000, 10**6
+# Simulator block sizes for the run of `block_edge_config` (35,001 samples,
+# disturbance on at sample 24,004 and off at 32,004): 4 puts edges on both
+# switches and leaves a 1-sample final block; 8001 puts one on the switch
+# off, 24004 on the switch on.
+# (identify block, simulator block) of each run; the last is the reference
+BLOCK_PAIRS = [(SMALL_BLOCK, 4), (MID_BLOCK, 8001), (WHOLE_BLOCK, 24004),
+               (WHOLE_BLOCK, WHOLE_BLOCK)]
+RUN_ARTIFACTS = ("samples.csv", "distance.csv", "theta.csv", "events.jsonl",
+                 "report.json")
 
 
 @pytest.fixture(scope="module")
@@ -465,19 +481,21 @@ def block_edge_config():
 
 @pytest.fixture(scope="module")
 def block_runs(default_cal, block_edge_config, tmp_path_factory):
-    """The run artifacts and the library JSON at each block size."""
+    """The run artifacts and the library JSON at each pair of block
+    sizes."""
     nominal, thresholds, _, _ = default_cal
     root = tmp_path_factory.mktemp("blocks")
     out = {}
     with pytest.MonkeyPatch.context() as mp:
-        for size in (SMALL_BLOCK, MID_BLOCK, WHOLE_BLOCK):
-            mp.setattr(scenario_module, "IDENTIFY_BLOCK", size)
+        for sizes in BLOCK_PAIRS:
+            mp.setattr(scenario_module, "IDENTIFY_BLOCK", sizes[0])
+            mp.setattr(scenario_module, "SIMULATE_BLOCK", sizes[1])
             library = build_library_from_scenarios(
                 [block_edge_config], nominal, thresholds)
-            run_dir = str(root / str(size))
+            run_dir = str(root / "_".join(map(str, sizes)))
             run_scenario(block_edge_config, nominal, thresholds, library,
                          out_dir=run_dir)
-            out[size] = (run_dir, library.to_json())
+            out[sizes] = (run_dir, library.to_json())
     return out
 
 
@@ -486,7 +504,7 @@ class TestBlockSize:
 
     def test_block_edges_land_where_intended(self, block_edge_config,
                                              block_runs):
-        run_dir, _ = block_runs[WHOLE_BLOCK]
+        run_dir, _ = block_runs[BLOCK_PAIRS[-1]]
         t = np.loadtxt(os.path.join(run_dir, "distance.csv"),
                        delimiter=",", skiprows=1)[:, 0]
         dist = block_edge_config.disturbance
@@ -496,43 +514,150 @@ class TestBlockSize:
         assert t.size > 8 * MID_BLOCK
         assert block_edge_config.calibration_window % SMALL_BLOCK == 0
         assert MID_BLOCK % scenario_module.THETA_STRIDE == 0
+        cfg = block_edge_config
+        n = sample_count(cfg.duration, cfg.ts)
+        k_on = disturbance_start(dist, cfg.duration, cfg.ts)
+        k_off = int(round(dist.t_end / cfg.ts))
+        assert (n, k_on, k_off) == (35001, 24004, 32004)
+        sim_blocks = [sim for _, sim in BLOCK_PAIRS]
+        assert [k_on % b == 0 for b in sim_blocks] == [True, False, True,
+                                                       False]
+        assert [k_off % b == 0 for b in sim_blocks] == [True, True, False,
+                                                        False]
+        assert n % sim_blocks[0] == 1
 
     @pytest.mark.parametrize("name", ["report.json", "distance.csv",
-                                      "theta.csv", "events.jsonl"])
+                                      "theta.csv", "events.jsonl",
+                                      "samples.csv"])
     def test_run_artifacts_equal_across_block_sizes(self, block_runs, name):
-        whole = os.path.join(block_runs[WHOLE_BLOCK][0], name)
-        for size in (SMALL_BLOCK, MID_BLOCK):
-            got = os.path.join(block_runs[size][0], name)
-            assert filecmp.cmp(got, whole, shallow=False), (name, size)
+        whole = os.path.join(block_runs[BLOCK_PAIRS[-1]][0], name)
+        for sizes in BLOCK_PAIRS[:-1]:
+            got = os.path.join(block_runs[sizes][0], name)
+            assert filecmp.cmp(got, whole, shallow=False), (name, sizes)
 
     def test_library_equal_across_block_sizes(self, block_runs):
-        whole = block_runs[WHOLE_BLOCK][1]
-        for size in (SMALL_BLOCK, MID_BLOCK):
-            assert block_runs[size][1] == whole, size
+        whole = block_runs[BLOCK_PAIRS[-1]][1]
+        for sizes in BLOCK_PAIRS[:-1]:
+            assert block_runs[sizes][1] == whole, sizes
 
 
 class TestRunMemory:
-    def test_peak_grows_by_at_most_300_bytes_per_sample(self, default_cal,
-                                                        tmp_path):
-        """A run keeps per update only scalars and the predictor rows its
-        artifacts need: about 90 B per sample under tracemalloc, where
-        holding the whole predictor trajectory costs about 770 B."""
+    """A run holds its blocks and what it keeps, not its whole stream: its
+    tracemalloc peak depends on the block sizes and the disturbance
+    window, not on its length. Blocks of MEMORY_BLOCK put a dozen blocks
+    into the short run, so both runs reach their steady state."""
+
+    MEMORY_BLOCK = 2048
+
+    def peaks(self, call, durations):
+        """tracemalloc peak of `call(duration)` for each duration, the
+        short run first."""
+        peaks = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_module, "IDENTIFY_BLOCK", self.MEMORY_BLOCK)
+            mp.setattr(scenario_module, "SIMULATE_BLOCK", self.MEMORY_BLOCK)
+            for duration in durations:
+                tracemalloc.start()
+                try:
+                    call(duration)
+                    peaks[duration] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        return peaks
+
+    def test_peak_independent_of_run_length(self, default_cal, tmp_path):
         nominal, thresholds, _, _ = default_cal
         base = ScenarioConfig(name="memory", disturbance=DisturbanceSpec(
             "fault", 0.2077, 2.0, 3.0))
-        peaks = {}
-        # the long run first, so one-time allocations raise only its peak
-        for duration in (8.0, 4.0):
-            cfg = replace(base, duration=duration)
-            tracemalloc.start()
-            try:
-                run_scenario(cfg, nominal, thresholds,
-                             out_dir=str(tmp_path / str(duration)))
-                peaks[duration] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        extra_samples = 4.0 / base.ts
-        assert (peaks[8.0] - peaks[4.0]) / extra_samples <= 300.0, peaks
+        peaks = self.peaks(lambda duration: run_scenario(
+            replace(base, duration=duration), nominal, thresholds,
+            out_dir=str(tmp_path / str(duration))), (4.0, 16.0))
+        assert abs(peaks[16.0] / peaks[4.0] - 1.0) <= 0.05, peaks
+
+    def test_calibration_peak_independent_of_run_length(self):
+        peaks = self.peaks(lambda duration: run_calibration(
+            ScenarioConfig(duration=duration)), (4.0, 16.0))
+        assert abs(peaks[16.0] / peaks[4.0] - 1.0) <= 0.05, peaks
+
+
+class TestFailedRun:
+    """A run that fails part way leaves no partial artifact: its files are
+    written under temporary names and moved into place only once it has
+    succeeded."""
+
+    def fail_in_block(self, monkeypatch, k):
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == k:
+                raise RuntimeError("estimator broke")
+            return identify(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_module, "identify", failing)
+        monkeypatch.setattr(scenario_module, "IDENTIFY_BLOCK", 2000)
+        monkeypatch.setattr(scenario_module, "SIMULATE_BLOCK", 2000)
+
+    def test_nothing_left_in_a_fresh_directory(self, default_cal,
+                                               short_fault_config, tmp_path,
+                                               monkeypatch):
+        nominal, thresholds, _, _ = default_cal
+        self.fail_in_block(monkeypatch, 3)
+        out = tmp_path / "run"
+        with pytest.raises(StageError, match=r"^\[identify\] estimator "
+                                             r"broke \(block from update "
+                                             r"4000\)"):
+            run_scenario(short_fault_config, nominal, thresholds,
+                         out_dir=str(out))
+        assert not out.exists()
+
+    def test_earlier_artifacts_stay_whole(self, default_cal,
+                                          short_fault_config, tmp_path,
+                                          monkeypatch):
+        nominal, thresholds, _, _ = default_cal
+        out = tmp_path / "run"
+        run_scenario(short_fault_config, nominal, thresholds,
+                     out_dir=str(out))
+        before = {name: (out / name).read_bytes() for name in RUN_ARTIFACTS}
+        self.fail_in_block(monkeypatch, 3)
+        with pytest.raises(StageError):
+            run_scenario(replace(short_fault_config, noise_seed=9), nominal,
+                         thresholds, out_dir=str(out))
+        assert sorted(os.listdir(out)) == sorted(RUN_ARTIFACTS)
+        for name in RUN_ARTIFACTS:
+            assert (out / name).read_bytes() == before[name], name
+
+
+class TestModelOrder:
+    """A calibration or library of another model order than the run's is
+    rejected before anything is simulated, with both orders named."""
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(scenario_module, "simulate_blocks", refuse)
+
+    def test_library_of_another_order(self, default_cal, no_simulation,
+                                      tmp_path):
+        nominal, thresholds, _, _ = default_cal
+        with pytest.raises(ValueError, match="library is of model order 2, "
+                                             "but the run's model order is "
+                                             "3"):
+            run_scenario(ScenarioConfig(duration=1.0), nominal, thresholds,
+                         SignatureLibrary(order=2),
+                         out_dir=str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
+
+    def test_calibration_of_another_order(self, default_cal, no_simulation):
+        nominal, thresholds, _, _ = default_cal
+        config = ScenarioConfig(duration=1.0,
+                                identifier=ArxConfig(order=2))
+        with pytest.raises(ValueError, match=r"shape \(2, 12\) \(model "
+                                             r"order 3\), but the run's "
+                                             r"model order is 2"):
+            run_scenario(config, nominal, thresholds)
 
 
 # Prefix sharing: 1 s runs with the disturbance from 0.5 s, so samples
@@ -590,10 +715,6 @@ MUST_NOT_SHARE = [
     ("t_start", "t_start = 0.5", "t_start = 0.55"),
     ("circuit", "[excitation]", "[circuit]\nr1 = 2.1\n[excitation]"),
 ]
-RUN_ARTIFACTS = ("samples.csv", "distance.csv", "theta.csv", "events.jsonl",
-                 "report.json")
-
-
 def share_ini(root, path, change=None):
     """SHARE_BASE with one line replaced, written to root / path."""
     text = SHARE_BASE
@@ -649,13 +770,14 @@ def counting_suite(paths, nominal, thresholds, library, out_dir,
 
 def lone_run(path, nominal, thresholds, library, out_dir):
     """`path` run on its own, outside any suite, with the suite's block
-    size; the message of the StageError it raises, else None."""
+    size; the message of the StageError or ValueError it raises, else
+    None."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario_module, "IDENTIFY_BLOCK", SHARE_BLOCK)
         try:
             run_scenario(load_scenario(path), nominal, thresholds, library,
                          out_dir=out_dir)
-        except StageError as exc:
+        except (StageError, ValueError) as exc:
             return str(exc)
     return None
 
@@ -702,13 +824,15 @@ class TestSharedPrefix:
         assert config.calibration_window < prefix_updates
 
     def test_every_artifact_equals_a_lone_run(self, shared_suite):
-        """The order-2 variant fails in the detector, against the order-3
-        nominal predictor, the same way in both; every other run writes
-        the same bytes."""
+        """The order-2 variant is rejected before it simulates, against the
+        order-3 library, the same way in both; every other run writes the
+        same bytes."""
         root, paths, reports, _, errors = shared_suite
         failed = [name for name, rep in reports.items() if rep is None]
         assert failed == ["order"]
-        assert errors["order"].startswith("[detector] snapshot shape (2, 8)")
+        assert errors["order"] == ("the library is of model order 3, but "
+                                   "the run's model order is 2")
+        assert not (root / "suite" / "order").exists()
         for path in paths:
             name = os.path.splitext(os.path.basename(path))[0]
             if name != "order":
@@ -729,37 +853,52 @@ class TestSharedPrefix:
         _, paths, _, counts, _ = shared_suite
         full = {os.path.splitext(os.path.basename(p))[0]:
                 updates_of(load_scenario(p)) for p in paths}
-        full["order"] = SHARE_BLOCK  # its first block, then the detector
+        full["order"] = 0  # rejected before it simulates
         prefix = 4 * SHARE_BLOCK
         want = [("base", full["base"])]
         want += [(name, full[name] - prefix) for name, _, _ in MAY_SHARE]
         want += [(name, full[name]) for name, _, _ in MUST_NOT_SHARE]
         assert counts == want
 
-    def test_overwritten_heads_are_not_copied(self, default_cal, tmp_path):
-        """A record whose artifacts a run of the same name overwrote
-        formats its rows again, and so does a sharing run that writes into
-        the directory its record's artifacts are in."""
+    # 2500 puts a simulator block edge on the disturbance start
+    @pytest.mark.parametrize("sim_block", [7, 2500])
+    def test_simulator_blocks_change_no_byte(self, default_cal, shared_suite,
+                                             tmp_path, sim_block):
         nominal, thresholds, _, _ = default_cal
-        library = random_library()
-        kind, hold = MAY_SHARE[0][1:], MAY_SHARE[5][1:]
-        paths = [
-            share_ini(tmp_path, "in/base.ini"),
-            share_ini(tmp_path, "in/y.ini", kind),  # heads move to y/
-            share_ini(tmp_path, "other/y.ini",  # a new prefix overwrites y/
-                      MUST_NOT_SHARE[0][1:]),
-            share_ini(tmp_path, "in/z.ini", hold),  # formats, heads to z/
-            share_ini(tmp_path, "again/z.ini", kind),  # writes into z/
-        ]
-        _, counts = counting_suite(paths, nominal, thresholds, library,
-                                   str(tmp_path / "suite"),
-                                   snapshots=tmp_path / "snapshots")
-        assert [c[1] < counts[0][1] for c in counts] == \
-            [False, True, False, True, True]
-        for k, path in enumerate(paths):
-            lone = str(tmp_path / "lone" / str(k))
-            assert lone_run(path, nominal, thresholds, library, lone) is None
-            assert_same_artifacts(str(tmp_path / "snapshots" / str(k)), lone)
+        root, paths, _, _, _ = shared_suite
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_module, "SIMULATE_BLOCK", sim_block)
+            reports, _ = counting_suite(paths, nominal, thresholds,
+                                        random_library(),
+                                        str(tmp_path / "suite"))
+        assert [name for name, rep in reports.items() if rep is None] == \
+            ["order"]
+        for name in reports:
+            if name != "order":
+                assert_same_artifacts(str(tmp_path / "suite" / name),
+                                      str(root / "lone" / name))
+
+    @pytest.mark.parametrize("second", ["other/y.ini", "other/Y.ini",
+                                        "in/y.ini"])
+    def test_same_name_scenarios_rejected_before_any_run(
+            self, default_cal, tmp_path, second):
+        """Two scenarios whose artifacts would share a directory: the suite
+        runs neither of them."""
+        nominal, thresholds, _, _ = default_cal
+        paths = [share_ini(tmp_path, "in/base.ini"),
+                 share_ini(tmp_path, "in/y.ini"),
+                 share_ini(tmp_path, second)]
+        with pytest.raises(ValueError, match=r"(?i)scenarios .*in/y\.ini and "
+                           r".*y\.ini have the same name"):
+            counting_suite(paths, nominal, thresholds, random_library(),
+                           str(tmp_path / "suite"))
+        assert not (tmp_path / "suite").exists()
+
+    def test_empty_manifest_rejected(self, default_cal, tmp_path):
+        nominal, thresholds, _, _ = default_cal
+        with pytest.raises(ValueError, match="lists no scenarios"):
+            run_suite([], nominal, thresholds, out_dir=str(tmp_path / "s"))
+        assert not (tmp_path / "s").exists()
 
     def test_library_build_shares_and_matches(self, default_cal, tmp_path):
         """Blocks of LIBRARY_BLOCK updates put an edge two updates past the
@@ -829,10 +968,27 @@ class TestRunSuite:
 
 
 class TestCycleAverage:
+    @pytest.mark.parametrize("sizes", [[3000], [1, 98, 1, 2900],
+                                       [50, 49, 1, 100, 2800], [1] * 250])
+    def test_history_carried_across_blocks(self, sizes):
+        """Blocks give the bits of one np.convolve over the whole stream,
+        short first blocks included."""
+        rng = np.random.default_rng(3)
+        v = 1.0 + 0.1 * rng.standard_normal((sum(sizes), 2))
+        n = 100
+        want = np.column_stack([np.convolve(v[:, c], np.ones(n) / n)[:len(v)]
+                                for c in range(2)])
+        want *= (n / np.minimum(np.arange(1, len(v) + 1), n))[:, None]
+        average = _CycleAverage(2e-4, 50.0)
+        cuts = np.cumsum([0] + sizes)
+        got = np.concatenate([average(v[a:b])
+                              for a, b in zip(cuts, cuts[1:])])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_50hz_window_is_100_samples(self):
         v = np.zeros((400, 2))
         v[200] = 1.0
-        out = _cycle_average(v, 2e-4, 50.0)
+        out = _CycleAverage(2e-4, 50.0)(v)
         assert np.allclose(out[200:300], 0.01, rtol=0, atol=1e-15)
         assert np.all(out[300:] == 0.0)
 
@@ -843,5 +999,5 @@ class TestCycleAverage:
         t = np.arange(1200) * ts
         ripple = 0.1 * np.sin(2 * np.pi * f * t)
         v = np.column_stack([1.0 + ripple, ripple])
-        out = _cycle_average(v, ts, f)
+        out = _CycleAverage(ts, f)(v)
         assert np.allclose(out[100:], [1.0, 0.0], rtol=0, atol=1e-12)

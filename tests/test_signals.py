@@ -10,8 +10,15 @@ from hypothesis import strategies as st
 
 from gridarx.pipeline import build_lagged_regressors, identify
 from gridarx.rls import ArxConfig
-from gridarx.signals import RbsConfig, abc_to_dq, dq_to_abc, rbs_generate
-from gridarx.simulate import SimResult
+from gridarx.scenario import ScenarioConfig
+from gridarx.signals import (
+    RbsConfig,
+    RbsStream,
+    abc_to_dq,
+    dq_to_abc,
+    rbs_generate,
+)
+from gridarx.simulate import SimResult, simulate
 
 
 def balanced_cosine(peak, omega_t, phase=0.0):
@@ -163,12 +170,38 @@ class TestRbs:
     def test_zero_length(self):
         assert rbs_generate(RbsConfig(), 0).shape == (0, 2)
 
+    @pytest.mark.parametrize("rows", [8192, 8191, 1, 3])
+    def test_philox_choice_in_chunks_is_one_draw(self, rows):
+        """A numpy property the excitation stream relies on: each row of
+        `choice([-1, 1])` takes the same draws however the rows are cut
+        into calls."""
+        n = 3 * 8192 + 5
+        whole = np.random.Generator(np.random.Philox(1)).choice(
+            [-1.0, 1.0], size=(n, 2))
+        rng = np.random.Generator(np.random.Philox(1))
+        parts = [rng.choice([-1.0, 1.0], size=(min(rows, n - lo), 2))
+                 for lo in range(0, n, rows)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
-def test_regressor_covariance_full_rank(default_cal):
+    @pytest.mark.parametrize("chip_rate", [5000.0, 1250.0, 3000.0])
+    def test_stream_pieces_join_into_one_call(self, chip_rate):
+        """Pieces of any length, chips straddling them, give the bits of
+        one call."""
+        config = RbsConfig(amplitude=0.2, chip_rate=chip_rate, seed=9)
+        sizes = [1, 3, 4, 0, 7, 8192, 1, 2, 999]
+        stream = RbsStream(config, 5000.0)
+        got = np.concatenate([stream.take(k) for k in sizes])
+        want = rbs_generate(config, sum(sizes), 5000.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_regressor_covariance_full_rank(params):
     """Excitation-driven measured regressors span the whole space."""
-    _, _, run, _ = default_cal
+    config = ScenarioConfig(duration=0.1)
+    sim = simulate(params, None, config.excitation, config.duration,
+                   config.ts, config.noise_std, config.noise_seed)
     n = 100 * 3
-    phi = run.phi[:n]
+    phi = identify(sim, config.identifier).phi[:n]
     cov = phi.T @ phi / n
     s = np.linalg.svd(cov, compute_uv=False)
     assert s.min() > 0.0

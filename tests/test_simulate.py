@@ -7,6 +7,8 @@ steady-state response through DFT multiplication — a path that shares no
 matrix code with the integrator under test.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,13 @@ from gridarx.simulate import (
     _map_state,
     equilibrium,
     simulate,
+    simulate_blocks,
 )
 from gridarx.signals import RbsConfig, rbs_generate
+
+# the module itself: the package re-exports its `simulate` function under
+# the module's name
+simulate_module = importlib.import_module("gridarx.simulate")
 
 
 def scalar_nominal_model(params):
@@ -298,6 +305,169 @@ class TestResumeFromPrefix:
         with pytest.raises(ValueError, match=f"prefix of 250 samples .*"
                                              f"{where}"):
             simulate(params, dist, self.exc, 0.2, prefix=prefix)
+
+
+def joined(blocks):
+    """The blocks of `simulate_blocks` as (t, v_dq, i_dq, [SimPrefix of
+    each block that carries one])."""
+    blocks = list(blocks)
+    return (np.concatenate([b.t for b in blocks]),
+            np.concatenate([b.v_dq for b in blocks]),
+            np.concatenate([b.i_dq for b in blocks]),
+            [b.prefix for b in blocks if b.prefix is not None])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestBlockSimulator:
+    """The simulator streams in blocks and carries its state, its segment,
+    the excitation and both noise generators from block to block: every
+    block size gives the bits of one call."""
+
+    exc = RbsConfig(seed=4)
+    # 0.2 s at 2e-4: samples 0..1000, disturbance on at 250, off at 600
+    dist = DisturbanceSpec("fault", 0.3, 0.05, 0.12)
+
+    # 250 and 50 put edges on k_on and k_off; 1000 leaves a 1-sample final
+    # block; 349 leaves a 1-sample piece at the end of a block inside a
+    # segment, 251 one at the start of the last segment's first block
+    @pytest.mark.parametrize("block", [1, 2, 50, 250, 251, 349, 1000, 8192])
+    @pytest.mark.parametrize("noise_std", [0.0, 1e-4])
+    def test_blocks_join_into_one_call(self, params, block, noise_std):
+        t, v, i, prefixes = joined(simulate_blocks(
+            params, self.dist, self.exc, 0.2, 2e-4, noise_std, 3,
+            block=block))
+        want = simulate(params, self.dist, self.exc, 0.2, 2e-4, noise_std, 3)
+        assert np.array_equal(t, want.t)
+        assert np.array_equal(bits(v), bits(want.v_dq))
+        assert np.array_equal(bits(i), bits(want.i_dq))
+        assert len(prefixes) == 1
+        assert np.array_equal(prefixes[0].v, want.prefix.v)
+        assert np.array_equal(prefixes[0].x, want.prefix.x)
+        if noise_std == 0.0:  # against the whole-segment fresh-array loop
+            assert np.array_equal(bits(v), bits(oracle_voltage(
+                params, self.dist, self.exc, 0.2)))
+
+    @pytest.mark.parametrize("block", [1, 250, 251, 1000])
+    def test_prefix_on_the_block_holding_the_start(self, params, block):
+        blocks = list(simulate_blocks(params, self.dist, self.exc, 0.2,
+                                      block=block))
+        k_on = 250
+        marked = [b.t.size and round(b.t[0] / 2e-4) for b in blocks
+                  if b.prefix is not None]
+        assert marked == [k_on // block * block]
+
+    @pytest.mark.parametrize("block", [1, 7, 250, 999])
+    def test_resumed_blocks_join_into_one_call(self, params, block):
+        prefix = simulate(params, self.dist, self.exc, 0.2).prefix
+        other = DisturbanceSpec("load", 0.35, 0.05, 0.2)
+        _, v, i, marked = joined(simulate_blocks(
+            params, other, self.exc, 0.2, prefix=prefix, block=block))
+        want = simulate(params, other, self.exc, 0.2)
+        assert np.array_equal(bits(v), bits(want.v_dq))
+        assert np.array_equal(bits(i), bits(want.i_dq))
+        assert len(marked) == 1 and marked[0] is prefix
+
+    @pytest.mark.parametrize("dist", [
+        DisturbanceSpec("fault", 0.3, 0.05, 0.12),
+        DisturbanceSpec("load", 0.35, 0.0, 0.15),  # from the first sample
+        DisturbanceSpec("fault", 0.3, 0.1, 0.1 + 2e-4),  # 1-sample window
+    ])
+    # 1001 samples: each size leaves a 1-sample final block
+    @pytest.mark.parametrize("block", [1, 2, 250])
+    def test_no_one_row_forcing_product(self, params, monkeypatch, dist,
+                                        block):
+        """Each block size here cuts a 1-row piece out of a longer segment;
+        its forcing still has the bits of the whole-segment product."""
+        calls = []
+        forcing = simulate_module._forcing
+
+        def recorded(i_inj, Gb, vg_forcing, segment_rows):
+            calls.append((i_inj.shape[0], segment_rows))
+            return forcing(i_inj, Gb, vg_forcing, segment_rows)
+
+        monkeypatch.setattr(simulate_module, "_forcing", recorded)
+        _, v, _, _ = joined(simulate_blocks(params, dist, self.exc, 0.2,
+                                            noise_std=0.0, block=block))
+        assert any(rows == 1 and seg > 1 for rows, seg in calls)
+        assert np.array_equal(bits(v), bits(oracle_voltage(
+            params, dist, self.exc, 0.2)))
+
+    def test_forcing_pads_a_lone_row(self, params, monkeypatch):
+        """What _forcing hands BLAS: never a 1-row matrix for a row of a
+        longer segment."""
+        shapes = []
+
+        class Recorded(np.ndarray):
+            def __matmul__(self, other):
+                shapes.append(self.shape)
+                return np.asarray(self) @ other
+
+        model = full_circuit_model(params, None)
+        _, Gb, Ge = _discretize(model, 2e-4)
+        row = np.array([[1.1, -0.1]]).view(Recorded)
+        simulate_module._forcing(row, Gb, Ge @ np.ones(2), 5)
+        simulate_module._forcing(row, Gb, Ge @ np.ones(2), 1)
+        assert shapes == [(2, 2), (1, 2)]
+
+    @pytest.mark.parametrize("dist", [None, ("fault", 0.3)])
+    def test_matrix_product_rows_independent_of_row_count(self, params,
+                                                          dist):
+        """The numpy/BLAS property the forcing relies on, for the 4-state
+        and the 6-state model: each row of a product of two or more rows
+        is bitwise that row of the whole-segment product. (A 1-row product
+        takes another path and may differ; it is not asserted here.)"""
+        model = full_circuit_model(params, dist)
+        _, Gb, _ = _discretize(model, 2e-4)
+        rng = np.random.Generator(np.random.Philox(5))
+        i_inj = 1.0 + 0.1 * rng.choice([-1.0, 1.0], size=(20001, 2))
+        whole = i_inj @ Gb.T
+        for rows in (2, 3, 7, 64, 999, 8191, 8192):
+            cuts = list(range(0, 20001, rows))
+            if 20001 - cuts[-1] == 1:  # no 1-row tail
+                cuts.pop()
+            parts = [i_inj[a:b] @ Gb.T
+                     for a, b in zip(cuts, cuts[1:] + [20001])]
+            assert np.array_equal(bits(np.concatenate(parts)), bits(whole))
+        padded = [(np.repeat(i_inj[k:k + 1], 2, axis=0) @ Gb.T)[0]
+                  for k in range(300)]
+        assert np.array_equal(bits(np.array(padded)), bits(whole[:300]))
+
+    @pytest.mark.parametrize("rows", [8192, 8191, 1, 3])
+    def test_philox_normals_in_chunks(self, rows):
+        """numpy property: standard normals drawn in chunks are the draws
+        of one call, and a second generator that first discards the n x 2
+        voltage normals, in chunks, draws the current normals."""
+        n = 2 * 8192 + 7
+        rng = np.random.Generator(np.random.Philox(2))
+        v_noise = rng.standard_normal((n, 2))
+        i_noise = rng.standard_normal((n, 2))
+        gen_v = np.random.Generator(np.random.Philox(2))
+        gen_i = np.random.Generator(np.random.Philox(2))
+        for lo in range(0, 2 * n, 2 * rows):
+            gen_i.standard_normal(min(2 * rows, 2 * n - lo))
+        got_v = np.concatenate([gen_v.standard_normal((min(rows, n - lo), 2))
+                                for lo in range(0, n, rows)])
+        got_i = np.concatenate([gen_i.standard_normal((min(rows, n - lo), 2))
+                                for lo in range(0, n, rows)])
+        assert np.array_equal(bits(got_v), bits(v_noise))
+        assert np.array_equal(bits(got_i), bits(i_noise))
+
+    def test_bad_block_rejected(self, params):
+        with pytest.raises(ValueError, match="block must be >= 1"):
+            simulate_blocks(params, None, self.exc, 0.2, block=0)
+
+    def test_non_finite_block_raises(self, params, monkeypatch):
+        def blow_up(v, x, F, Cv, drive):
+            v[:] = np.inf
+            return x
+
+        monkeypatch.setattr(simulate_module, "_step", blow_up)
+        blocks = simulate_blocks(params, None, self.exc, 0.2, block=100)
+        with pytest.raises(simulate_module.IntegrationError):
+            next(blocks)
 
 
 class TestIdentificationResidual:
