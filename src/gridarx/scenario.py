@@ -6,29 +6,31 @@ sampling, 0.1 p.u. excitation, disturbance window 10 s to 20 s). All
 randomness flows from the seeds in the config, so a run is reproducible
 byte-for-byte.
 
-A run streams. It is simulated in blocks of SIMULATE_BLOCK samples and
-identified and classified in blocks of IDENTIFY_BLOCK updates, the
-simulator and the estimator each carrying their state from block to
-block, which gives bitwise the run of one call over the whole stream.
-Each block's rows go to the artifact files as they arrive, and the
-detector carries its debounce, first crossings and transitions, and the
-baseline its one-cycle average, across blocks. Of the predictor trajectory
-a run keeps only the settle-window rows whose mean gives the final
-verdict, so its memory depends on the block sizes and the disturbance
-window, not on its length; a run without a disturbance averages, and so
-keeps, the second half of the run.
+A run is one loop over the simulator's blocks of SIMULATE_BLOCK samples.
+Each block is identified as it arrives, with the stream's last
+`order + 1` samples prepended, and then classified; the simulator and the
+estimator each carry their state from block to block, which gives bitwise
+the run of one call over the whole stream. Each block's rows go to the
+artifact files as they arrive, and the detector carries its debounce,
+first crossings and transitions, and the baseline its one-cycle average,
+across blocks. Of the predictor trajectory a run keeps only the
+settle-window rows whose mean gives the final verdict, so its memory
+depends on the block size and the disturbance window, not on its length;
+a run without a disturbance averages, and so keeps, the second half of the
+run.
 
 Runs of one `run_suite` or `build_library_from_scenarios` call share their
 start when they have the same simulate arguments apart from the
 disturbance's kind, value and end, the same disturbance t_start and the
-same ArxConfig (`_prefix_key`). The first such run records it (`_Prefix`):
-the simulator's samples before t_start, the estimator state at the last
-block edge before the first update that reads a later sample and, in a
-suite, that stretch's per-update rows and the byte length of each CSV's
-head. The others resume from the record. The outputs do not change: every
-artifact is bitwise that of the run on its own. The record lives only for
-the call that made it; a suite's record holds about 230 bytes per sample
-before t_start.
+same ArxConfig (`_prefix_key`). The first such run records it (`_Prefix`)
+up to the last simulator block edge at or before the disturbance start:
+the simulator's samples before t_start, the estimator state at that edge
+and, in a suite, the (t, theta, calibrated) rows of each block before it
+and the byte length of each CSV's head. The others resume from the record
+and replay its blocks through the same loop as live ones. The outputs do
+not change: every artifact is bitwise that of the run on its own. The
+record lives only for the call that made it; a suite's record holds about
+214 bytes per sample before t_start.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .rls import ArxConfig, IdentifierState
 from .signals import RbsConfig
 from .simulate import (
     DisturbanceSpec,
+    SIMULATE_BLOCK,
     SimPrefix,
     SimResult,
     disturbance_start,
@@ -76,11 +79,6 @@ from .simulate import simulate  # noqa: F401
 FLOAT_FMT = "%.17g"
 
 DEFAULT_CAL_WINDOW = 5000  # snapshots averaged into theta*
-
-# Samples simulated per block, and updates identified and classified per
-# block, by every run: together they bound what a run holds at once.
-SIMULATE_BLOCK = 8192
-IDENTIFY_BLOCK = 8192
 
 # theta.csv holds the predictor after every THETA_STRIDE-th update.
 THETA_STRIDE = 50
@@ -168,8 +166,9 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
     """Parse an INI scenario file on top of the default profile.
 
     Recognized sections and keys are those of SCENARIO_SCHEMA; an unknown
-    section or key, a value that does not parse, or a missing required
-    value raises ValueError naming the file, the section and the key.
+    section or key, a value that does not parse or is out of range, or a
+    missing required value raises ValueError naming the file, the section
+    and the key.
     Disturbance impedance may be given in p.u. (r_fault_pu / l_load_pu) or
     physical units (r_fault_ohm / l_load_h).
     """
@@ -199,7 +198,10 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
         val = fget("circuit", key, None)
         if val is not None:
             circ_kwargs[key] = val
-    circuit = replace(base.circuit, **circ_kwargs)
+    try:
+        circuit = replace(base.circuit, **circ_kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: [circuit] {exc}") from None
 
     disturbance = base.disturbance
     if "disturbance" in parser:
@@ -241,22 +243,32 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
                     "true or false"):
             excitation = None
         else:
-            excitation = RbsConfig(
-                amplitude=fget("excitation", "amplitude", 0.1),
-                chip_rate=fget("excitation", "chip_rate", 5000.0),
-                seed=iget("excitation", "seed", 1),
-            )
+            try:
+                excitation = RbsConfig(
+                    amplitude=fget("excitation", "amplitude", 0.1),
+                    chip_rate=fget("excitation", "chip_rate", 5000.0),
+                    seed=iget("excitation", "seed", 1),
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: [excitation] {exc}") from None
     if "seed" in overrides and excitation is not None:
         excitation = replace(excitation, seed=int(overrides["seed"]))
 
-    identifier = ArxConfig(
-        order=int(overrides.get("rho", iget("identifier", "order", 3))),
-        forgetting=float(
-            overrides.get("forgetting", fget("identifier", "forgetting", 0.999))
-        ),
-        p0_scale=fget("identifier", "p0_scale", 1e4),
-        p_max=fget("identifier", "p_max", None),
-    )
+    try:
+        identifier = ArxConfig(
+            order=iget("identifier", "order", 3),
+            forgetting=fget("identifier", "forgetting", 0.999),
+            p0_scale=fget("identifier", "p0_scale", 1e4),
+            p_max=fget("identifier", "p_max", None),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: [identifier] {exc}") from None
+    # an override's error is not the file's: it is raised without its path
+    if "rho" in overrides:
+        identifier = replace(identifier, order=int(overrides["rho"]))
+    if "forgetting" in overrides:
+        identifier = replace(identifier,
+                             forgetting=float(overrides["forgetting"]))
 
     thresholds = None
     if "thresholds" in parser:
@@ -280,6 +292,21 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
                 "expected auto or manual"
             )
 
+    duration = fget("run", "duration", base.duration)
+    ts = fget("run", "ts", base.ts)
+    hold = iget("run", "hold", base.hold)
+    calibration_window = iget("run", "calibration_window",
+                              base.calibration_window)
+    for key, value, ok, need in (
+            ("duration", duration, duration > 0, "> 0"),
+            ("ts", ts, ts > 0, "> 0"),
+            ("hold", hold, hold >= 1, ">= 1"),
+            ("calibration_window", calibration_window,
+             calibration_window >= 1, ">= 1")):
+        if not ok:
+            raise ValueError(
+                f"{path}: [run] {key}: must be {need}, got {value!r}")
+
     return ScenarioConfig(
         name=base.name,
         circuit=circuit,
@@ -287,15 +314,14 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
         excitation=excitation,
         identifier=identifier,
         thresholds=thresholds,
-        duration=fget("run", "duration", base.duration),
-        ts=fget("run", "ts", base.ts),
+        duration=duration,
+        ts=ts,
         noise_std=fget("run", "noise_std", base.noise_std),
         noise_seed=iget("run", "noise_seed", base.noise_seed),
         match_floor=fget("run", "match_floor", base.match_floor),
-        hold=iget("run", "hold", base.hold),
+        hold=hold,
         limit_fraction=fget("run", "limit_fraction", base.limit_fraction),
-        calibration_window=iget("run", "calibration_window",
-                                base.calibration_window),
+        calibration_window=calibration_window,
     )
 
 
@@ -361,14 +387,11 @@ class _CsvWriter:
                           .encode("ascii"))
 
 
-def _write_csv(path: str, header: str, data: np.ndarray, split: int = 0,
-               copy_from: tuple[str, int] | None = None) -> int:
+def _write_csv(path: str, header: str, data: np.ndarray) -> None:
     """Write a header line and the rows of a 2-D float array as CSV with
-    one `_CsvWriter`; returns its `head_size`."""
+    one `_CsvWriter`."""
     with open(path, "wb") as fh:
-        writer = _CsvWriter(fh, header, split, copy_from)
-        writer.write(data)
-    return writer.head_size
+        _CsvWriter(fh, header).write(data)
 
 
 # Bytes per read when `_copy_head` copies the start of an earlier artifact.
@@ -397,12 +420,9 @@ def _samples_rows(sim: SimResult) -> np.ndarray:
     return np.column_stack([sim.t, sim.v_dq, sim.i_dq])
 
 
-def write_samples_csv(path: str, sim: SimResult, split: int = 0,
-                      copy_from: tuple[str, int] | None = None) -> int:
-    """samples.csv of a simulated stream; `split`, `copy_from` and the
-    return value as in `_CsvWriter`."""
-    return _write_csv(path, SAMPLES_HEADER, _samples_rows(sim), split,
-                      copy_from)
+def write_samples_csv(path: str, sim: SimResult) -> None:
+    """samples.csv of a simulated stream."""
+    _write_csv(path, SAMPLES_HEADER, _samples_rows(sim))
 
 
 # Relative tolerance on the sample step of a recorded time grid: a grid
@@ -435,12 +455,9 @@ def read_samples_csv(path: str) -> SimResult:
     return SimResult(t=t, v_dq=data[:, 1:3], i_dq=data[:, 3:5], ts=ts)
 
 
-def write_distance_csv(path: str, t, d, split: int = 0,
-                       copy_from: tuple[str, int] | None = None) -> int:
-    """distance.csv; `split`, `copy_from` and the return value as in
-    `_CsvWriter`."""
-    return _write_csv(path, DISTANCE_HEADER, np.column_stack([t, d]), split,
-                      copy_from)
+def write_distance_csv(path: str, t, d) -> None:
+    """distance.csv of the distances d at times t."""
+    _write_csv(path, DISTANCE_HEADER, np.column_stack([t, d]))
 
 
 def _theta_header(rows: int, cols: int) -> str:
@@ -458,16 +475,13 @@ def _theta_rows(t, thetas, first: int, stride: int) -> np.ndarray:
     return np.column_stack([np.asarray(t)[sel], flat])
 
 
-def write_theta_csv(path: str, t, thetas, stride: int = THETA_STRIDE,
-                    split: int = 0,
-                    copy_from: tuple[str, int] | None = None) -> int:
-    """theta.csv of every `stride`-th predictor; `split` counts written
-    rows, and it, `copy_from` and the return value are as in
-    `_CsvWriter`."""
+def write_theta_csv(path: str, t, thetas,
+                    stride: int = THETA_STRIDE) -> None:
+    """theta.csv of every `stride`-th predictor."""
     thetas = np.asarray(thetas)
     _, rows, cols = thetas.shape
-    return _write_csv(path, _theta_header(rows, cols),
-                      _theta_rows(t, thetas, 0, stride), split, copy_from)
+    _write_csv(path, _theta_header(rows, cols),
+               _theta_rows(t, thetas, 0, stride))
 
 
 def read_theta_csv(path: str, rows: int = 2):
@@ -527,50 +541,31 @@ class _Prefix:
     shares bitwise: recorded by the first of them in one `run_suite` or
     `build_library_from_scenarios` call and resumed by the others.
 
-    `samples` is the disturbance start k_on and `sim` the simulator's
-    record of the samples before it. Update u reads samples u to
-    u + order + 1, so the updates below k_on - order - 1 read only those;
-    `updates` is the last identify block edge at or below that, and `state`
-    the estimator's state there. A record of `run_suite` also keeps the
-    run's rows before `updates`: t, theta and calibrated per update, and d
-    and the verdict codes (before disarming) as classified under
-    `classified_with`, (thresholds, match_floor). `heads` is (directory,
-    {artifact: size}) when the artifacts in that directory start with
-    their header and their rows of the prefix, those before k_on in
-    samples.csv and before `updates` in distance.csv and theta.csv, in
-    `size` bytes.
+    `edge` is the last simulator block edge at or before the disturbance
+    start k_on, and `sim` the simulator's record of the samples before
+    k_on. Each update of a block before `edge` reads only samples before
+    k_on; `state` is the estimator's state after the last of them. A
+    record of `run_suite` keeps in `blocks` the rows of each block before
+    `edge`, which a resumed run replays; elsewhere `blocks` is None.
+    `heads` is (directory, {artifact: size}) when the artifacts in that
+    directory start with their header and their rows before `edge`, those
+    of the samples before it in samples.csv and of the updates before it
+    in distance.csv and theta.csv, in `size` bytes.
     """
 
-    key: tuple
-    samples: int
-    updates: int
+    edge: int
+    blocks: list | None
     sim: SimPrefix | None = None
     state: IdentifierState | None = None
-    t: np.ndarray | None = None
-    theta: np.ndarray | None = None
-    calibrated: np.ndarray | None = None
-    d: np.ndarray | None = None
-    codes: np.ndarray | None = None
-    classified_with: tuple | None = None
     heads: tuple | None = None
 
-    def store(self, lo: int, run, d, codes, classified_with) -> None:
-        """Keep the rows of the block `run`, whose first update is lo, that
-        lie before `updates`."""
-        n = min(run.t.size, self.updates - lo)
-        if n <= 0:
-            return
-        if self.t is None:
-            self.t = np.empty(self.updates)
-            self.theta = np.empty((self.updates,) + run.theta.shape[1:])
-            self.calibrated = np.empty(self.updates, dtype=bool)
-            self.d = np.empty(self.updates)
-            self.codes = np.empty(self.updates, dtype=codes.dtype)
-            self.classified_with = classified_with
-        rows = slice(lo, lo + n)
-        self.t[rows], self.theta[rows] = run.t[:n], run.theta[:n]
-        self.calibrated[rows] = run.calibrated[:n]
-        self.d[rows], self.codes[rows] = d[:n], codes[:n]
+
+class _Rows(NamedTuple):
+    """What a run reads of a block's IdentRun, as a prefix record keeps it."""
+
+    t: np.ndarray
+    theta: np.ndarray
+    calibrated: np.ndarray
 
 
 class _SuitePrefixes(NamedTuple):
@@ -587,120 +582,93 @@ _SUITE_PREFIXES = ContextVar("gridarx_suite_prefixes", default=None)
 
 
 def _simulate_identify(config: ScenarioConfig, records: dict | None = None,
-                       on_samples=None):
+                       rows: bool = False):
     """Simulate the scenario block by block and identify over its stream:
-    (blocks, resumed, recording).
+    (blocks, prefix).
 
-    `blocks` yields the IdentRun of each IDENTIFY_BLOCK consecutive
-    updates. The simulator runs in blocks of SIMULATE_BLOCK samples, as
-    far ahead as the next identify block needs, and `on_samples`, when
-    given, is called with each of its blocks in turn. Each identify block
-    starts with the `order + 1` samples where its first regressor begins,
-    and its estimator starts from the state the previous block left, so
-    the blocks together are bitwise one whole-run identification; a
-    block's `index` counts from its own first sample. A failure raises
+    `blocks` yields (samples, run) for each block of SIMULATE_BLOCK
+    samples: the simulator's SimResult and the IdentRun of the updates
+    whose output samples are in it. Each block is identified with the
+    stream's last `order + 1` samples before it prepended, where its first
+    regressor begins, and from the state the previous block left, so the
+    blocks together are bitwise one whole-run identification; a run's
+    `index` counts from its first prepended sample. A failure raises
     StageError tagged with the stage that failed.
 
     `records` maps `_prefix_key` to the _Prefix records of earlier runs.
-    When it holds this run's key, `resumed` is that record: the simulation
-    resumes from its samples, and the blocks start at its block edge from
-    its state, so they omit the updates before it. Otherwise `recording`
-    is a new _Prefix of this run, whose simulator record and state the
-    stream fills in as it passes them, for the caller to add to `records`
-    once the run has succeeded; it is None when the run has no
-    disturbance inside it or no whole block before one.
+    When it holds this run's key, `prefix` is that record: the simulation
+    resumes from its samples, the blocks before its edge pair their
+    samples with the record's `_Rows` (and are skipped when it kept
+    none), and identification starts at the edge from its state.
+    Otherwise `prefix` is a new _Prefix of this run, which the stream
+    fills in as it passes, keeping the rows of the blocks before its edge
+    when `rows` is true, and adds to `records` once it has ended; it is
+    None when the run has no disturbance inside it or no whole block
+    before one.
     """
-    block = IDENTIFY_BLOCK
+    block = SIMULATE_BLOCK
     key = _prefix_key(config) if records is not None else None
     resumed = records.get(key) if key is not None else None
     recording = None
     if key is not None and resumed is None:
         k_on = disturbance_start(config.disturbance, config.duration,
                                  config.ts)
-        shared = k_on - config.identifier.order - 1
-        edge = max(0, shared) // block * block
+        edge = k_on // block * block
         if edge:
-            recording = _Prefix(key, k_on, edge)
+            recording = _Prefix(edge, [] if rows else None)
     try:
         sim = simulate_blocks(
             config.circuit, config.disturbance, config.excitation,
             config.duration, config.ts, config.noise_std, config.noise_seed,
             config.i_op, prefix=None if resumed is None else resumed.sim,
-            block=SIMULATE_BLOCK,
+            block=block,
         )
     except Exception as exc:
         raise StageError("simulate", str(exc)) from exc
-    samples = _sample_blocks(sim, recording, on_samples)
-    blocks = _identify_blocks(samples, config.identifier, block, resumed,
-                              recording)
-    return blocks, resumed, recording
 
+    def blocks():
+        overlap = config.identifier.order + 1
+        state = None if resumed is None else resumed.state
+        replay = iter(() if resumed is None else resumed.blocks or ())
+        stream = None  # the last block, with the samples before it prepended
+        hi = 0  # samples passed
+        while True:
+            try:
+                part = next(sim)
+            except StopIteration:
+                if recording is not None:
+                    records[key] = recording
+                return
+            except Exception as exc:
+                raise StageError("simulate", str(exc)) from exc
+            lo, hi = hi, hi + part.t.size
+            stream = part if stream is None else SimResult(
+                t=np.concatenate([stream.t[-overlap:], part.t]),
+                v_dq=np.concatenate([stream.v_dq[-overlap:], part.v_dq]),
+                i_dq=np.concatenate([stream.i_dq[-overlap:], part.i_dq]),
+                ts=part.ts)
+            if resumed is not None and hi <= resumed.edge:
+                if resumed.blocks is not None:
+                    yield part, next(replay)
+                continue
+            try:
+                run = identify(stream, config.identifier, state)
+            except Exception as exc:
+                first = lo - (stream.t.size - part.t.size)
+                raise StageError(
+                    "identify", f"{exc} (block from update {first})") from exc
+            state = run.final_state
+            if recording is not None:
+                if part.prefix is not None:
+                    recording.sim = part.prefix
+                if hi <= recording.edge:
+                    recording.state = state
+                    if recording.blocks is not None:
+                        recording.blocks.append(
+                            _Rows(run.t, run.theta, run.calibrated))
+            yield part, run
 
-def _sample_blocks(sim, recording: _Prefix | None, on_samples):
-    """The simulator's blocks, its failures tagged [simulate]; each block
-    is passed to `on_samples` first, and its SimPrefix to `recording`."""
-    while True:
-        try:
-            part = next(sim)
-        except StopIteration:
-            return
-        except Exception as exc:
-            raise StageError("simulate", str(exc)) from exc
-        if recording is not None and part.prefix is not None:
-            recording.sim = part.prefix
-        if on_samples is not None:
-            on_samples(part)
-        yield part
-
-
-def _join(a: SimResult | None, b: SimResult) -> SimResult:
-    if a is None:
-        return b
-    return SimResult(t=np.concatenate([a.t, b.t]),
-                     v_dq=np.concatenate([a.v_dq, b.v_dq]),
-                     i_dq=np.concatenate([a.i_dq, b.i_dq]), ts=b.ts)
-
-
-def _slice(sim: SimResult, lo: int, hi: int | None = None) -> SimResult:
-    return SimResult(t=sim.t[lo:hi], v_dq=sim.v_dq[lo:hi],
-                     i_dq=sim.i_dq[lo:hi], ts=sim.ts)
-
-
-def _identify_blocks(samples, identifier: ArxConfig, block: int,
-                     resumed: _Prefix | None = None,
-                     recording: _Prefix | None = None):
-    overlap = identifier.order + 1
-    lo, state = ((0, None) if resumed is None
-                 else (resumed.updates, resumed.state))
-    pending = None  # samples [lo, seen): update lo onwards reads them
-    seen = 0
-
-    def run_block(part):
-        nonlocal state
-        try:
-            run = identify(part, identifier, state)
-        except Exception as exc:
-            raise StageError(
-                "identify", f"{exc} (block from update {lo})") from exc
-        state = run.final_state
-        if recording is not None and lo + block == recording.updates:
-            recording.state = state
-        return run
-
-    for part in samples:
-        skip = lo - seen  # samples before the first update's, if resumed
-        seen += part.t.size
-        if skip >= part.t.size:
-            continue
-        pending = _join(pending, _slice(part, max(0, skip)))
-        while pending.t.size >= block + overlap:
-            yield run_block(_slice(pending, 0, block + overlap))
-            pending = _slice(pending, block)
-            lo += block
-    # the rest of the run; a run too short for any update still goes
-    # through identify once and yields its empty IdentRun
-    if pending is not None and (pending.t.size > overlap or lo == 0):
-        yield run_block(pending)
+    return blocks(), resumed or recording
 
 
 def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
@@ -716,8 +684,8 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     keep = max(1, cal_config.calibration_window)
     t_tail = theta_tail = None
     calibrated = 0
-    blocks, _, _ = _simulate_identify(cal_config)
-    for run in blocks:
+    blocks, _ = _simulate_identify(cal_config)
+    for part, run in blocks:
         # the calibrated updates are the run's last ones
         new = int(np.count_nonzero(run.calibrated))
         calibrated += new
@@ -728,6 +696,9 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
             theta_new = np.concatenate([theta_tail[new - keep:], theta_new])
         t_tail, theta_tail = t_new[-keep:].copy(), theta_new[-keep:].copy()
         state = run.final_state
+    # what follows holds the kept rows only, not the last block as well,
+    # so that its memory does not depend on that block's length
+    del part, run
     if not state.calibrated:
         raise StageError(
             "identify",
@@ -879,19 +850,20 @@ def run_scenario(
 ) -> RunReport:
     """Full pipeline for one scenario: simulate, identify, classify, report.
 
-    The run streams: it is simulated in blocks of SIMULATE_BLOCK samples
-    and identified and classified in blocks of IDENTIFY_BLOCK updates, and
-    the outputs are those of one whole-run pass. Writes samples/distance/
-    theta CSVs, an events JSON-lines stream, and a JSON report when
-    `out_dir` is given, each as its rows arrive and under a temporary name
-    until the run has succeeded. Thresholds pinned in the scenario config
+    The run streams: each block of SIMULATE_BLOCK samples is simulated,
+    identified and classified in turn, and the outputs are those of one
+    whole-run pass. Writes samples/distance/theta CSVs, an events
+    JSON-lines stream, and a JSON report when `out_dir` is given, each as
+    its rows arrive and under a temporary name until the run has
+    succeeded. Thresholds pinned in the scenario config
     take precedence over the calibration-supplied ones. A calibration or
     library of another model order than the run's is rejected with
     ValueError before anything is simulated.
 
     Inside `run_suite`, runs that share a prefix (see `_prefix_key`) compute
-    it once: the first records it, the others resume from it and copy its
-    artifact rows. The outputs are bitwise those of a lone run.
+    it once: the first records it, the others resume from it, replay its
+    blocks through the loop of live ones and copy its artifact rows. The
+    outputs are bitwise those of a lone run.
     """
     suite = _SUITE_PREFIXES.get()
     records = (suite.records if suite is not None and suite.nominal is nominal
@@ -928,7 +900,6 @@ def _run(config: ScenarioConfig, nominal, thresholds, library,
         settle_from, settle_to = (t_start + t_end) / 2.0, t_end
     else:
         settle_from, settle_to = config.duration / 2.0, np.inf
-    classified_with = (thresholds, config.match_floor)
     normal = det.VERDICT_CODE[Verdict.NORMAL]
     fault = det.VERDICT_CODE[Verdict.FAULT]
 
@@ -950,15 +921,6 @@ def _run(config: ScenarioConfig, nominal, thresholds, library,
     settled = []  # armed theta rows inside the settle window
     writers = None
 
-    def classify(thetas):
-        try:
-            d, verdicts, _ = classify_series(
-                thetas, nominal, thresholds, library, config.match_floor
-            )
-        except Exception as exc:
-            raise StageError("detector", str(exc)) from exc
-        return d, det.verdict_codes(verdicts)
-
     def on_samples(sim):
         nonlocal baseline_first
         hits = (limit_check(cycle_average(sim.v_dq), limits)
@@ -968,16 +930,24 @@ def _run(config: ScenarioConfig, nominal, thresholds, library,
         if writers is not None:
             writers["samples.csv"].write(_samples_rows(sim))
 
-    def on_updates(lo, t, thetas, calibrated, d, codes):
-        """Carry the run over its updates from lo on."""
+    def on_updates(lo, run):
+        """Classify the updates of `run`, whose first is update lo of the
+        run, and carry the run over them."""
         nonlocal crossings, first_fault, first_not_normal, last_code
+        t, thetas = run.t, run.theta
+        try:
+            d, verdicts, _ = classify_series(
+                thetas, nominal, thresholds, library, config.match_floor
+            )
+        except Exception as exc:
+            raise StageError("detector", str(exc)) from exc
         # The estimator restarts from scratch in each run and needs the
         # same settling time the nominal predictor was calibrated with;
         # until then the distance reflects cold-start convergence, not the
         # grid. Keep the detector disarmed over that initial stretch.
-        armed = calibrated.copy()
+        armed = run.calibrated.copy()
         armed[: max(0, config.calibration_window - lo)] = False
-        codes = np.where(armed, codes, normal)
+        codes = np.where(armed, det.verdict_codes(verdicts), normal)
         stable = np.array(debounce(codes.tolist(), config.hold, debounced),
                           dtype=np.intp)
         crossings = detection_times(t[armed], d[armed], t_start, t_end,
@@ -1005,20 +975,18 @@ def _run(config: ScenarioConfig, nominal, thresholds, library,
             writers["theta.csv"].write(
                 _theta_rows(t, thetas, lo, THETA_STRIDE))
 
-    blocks, resumed, recording = _simulate_identify(config, records,
-                                                    on_samples)
-    prefix = resumed or recording
+    blocks, prefix = _simulate_identify(config, records, rows=True)
     if files is not None:
         order = config.identifier.order
-        splits = ((0, 0, 0) if prefix is None else
-                  (prefix.samples, prefix.updates,
-                   -(-prefix.updates // THETA_STRIDE)))
+        edge = 0 if prefix is None else prefix.edge
+        updates = max(0, edge - order - 1)
         heads = None if prefix is None else prefix.heads
         writers = {}
         for name, header, split in (
-                ("samples.csv", SAMPLES_HEADER, splits[0]),
-                ("distance.csv", DISTANCE_HEADER, splits[1]),
-                ("theta.csv", _theta_header(2, 4 * order), splits[2])):
+                ("samples.csv", SAMPLES_HEADER, edge),
+                ("distance.csv", DISTANCE_HEADER, updates),
+                ("theta.csv", _theta_header(2, 4 * order),
+                 -(-updates // THETA_STRIDE))):
             source = (None if heads is None
                       else (os.path.join(heads[0], name), heads[1][name]))
             writers[name] = _CsvWriter(files.open(name), header, split,
@@ -1026,24 +994,9 @@ def _run(config: ScenarioConfig, nominal, thresholds, library,
         writers["events.jsonl"] = files.open("events.jsonl")
 
     lo = 0  # run index of the next update
-    if resumed is not None:
-        # The record's rows stand for the updates before its edge, where
-        # the blocks start; they are classified again, block by block,
-        # when its thresholds or match floor differ from this run's.
-        if resumed.classified_with != classified_with:
-            parts = [classify(resumed.theta[k:k + IDENTIFY_BLOCK])
-                     for k in range(0, resumed.updates, IDENTIFY_BLOCK)]
-            resumed.d, resumed.codes = (np.concatenate(p)
-                                        for p in zip(*parts))
-            resumed.classified_with = classified_with
-        on_updates(0, resumed.t, resumed.theta, resumed.calibrated,
-                   resumed.d, resumed.codes)
-        lo = resumed.updates
-    for run in blocks:
-        d, codes = classify(run.theta)
-        if recording is not None:
-            recording.store(lo, run, d, codes, classified_with)
-        on_updates(lo, run.t, run.theta, run.calibrated, d, codes)
+    for part, run in blocks:
+        on_samples(part)
+        on_updates(lo, run)
         lo += run.t.size
 
     if settled:
@@ -1082,8 +1035,6 @@ def _run(config: ScenarioConfig, nominal, thresholds, library,
                             {name: writers[name].head_size
                              for name in ("samples.csv", "distance.csv",
                                           "theta.csv")})
-    if recording is not None:
-        records[recording.key] = recording
     return report
 
 
@@ -1143,20 +1094,25 @@ def build_library_from_scenarios(
     for the window. Runs that share a
     prefix (see `_prefix_key`) simulate and identify it once; since the
     window starts after it, its record holds only the simulator's samples
-    and the estimator's state.
+    and the estimator's state, and the blocks before its edge are skipped.
+    A scenario without a disturbance, or of another model order than the
+    calibration, raises ValueError before anything is simulated.
     """
-    records = {}
-    runs = []
-    order = None
+    configs = list(configs)
     for config in configs:
         if config.disturbance is None:
             raise ValueError(
                 f"scenario {config.name!r} has no disturbance; cannot label it"
             )
+        _check_order(config, nominal, None)
+    records = {}
+    runs = []
+    order = None
+    for config in configs:
         label = (Verdict.FAULT if config.disturbance.kind == "fault"
                  else Verdict.LOAD_INCREASE)
         t_start, t_end = config.disturbance.t_start, config.disturbance.t_end
-        blocks, _, recording = _simulate_identify(config, records)
+        blocks, _ = _simulate_identify(config, records)
         # Update times lie on the grid k * ts, so the window holds fewer
         # than (t_end - t_start) / ts + 2 of them, and no more than the run.
         updates = sample_count(config.duration, config.ts) - \
@@ -1165,7 +1121,7 @@ def build_library_from_scenarios(
         t = np.empty(rows)
         thetas = np.empty((rows, 2, 4 * config.identifier.order))
         rows = 0
-        for run in blocks:
+        for _, run in blocks:
             # t increases, so a block's window rows are a slice
             lo, hi = np.searchsorted(run.t, (t_start, t_end))
             t[rows:rows + hi - lo] = run.t[lo:hi]
@@ -1174,8 +1130,6 @@ def build_library_from_scenarios(
         runs.append((label, t[:rows], thetas[:rows], t_start, t_end,
                      config.name))
         order = config.identifier.order
-        if recording is not None:
-            records[recording.key] = recording
     return build_library(runs, nominal, thresholds, order)
 
 

@@ -182,7 +182,9 @@ def _step(v, x, F, Cv, drive):
     return x
 
 
-# Samples per block yielded by `simulate_blocks` unless told otherwise.
+# Samples per block yielded by `simulate_blocks` unless told otherwise, and
+# the block in which every scenario run is simulated, identified and
+# classified: it bounds what a run holds at once.
 SIMULATE_BLOCK = 8192
 
 
@@ -210,6 +212,12 @@ def simulate_blocks(
     value is bitwise that of `simulate`. The block holding the sample at
     which the disturbance starts carries the run's SimPrefix; the others
     carry None.
+
+    `prefix`, the SimPrefix of a run with the same arguments apart from
+    the disturbance's kind, value and end, skips the steps before the
+    disturbance: the run resumes from its state. The excitation and the
+    noise are still drawn for the whole run, so the blocks are bitwise
+    those of a run without it.
 
     Arguments are checked at the call; a non-finite voltage raises
     IntegrationError from the block it appears in.
@@ -319,7 +327,6 @@ def simulate(
     noise_seed: int = 1,
     i_op=(1.0, 0.0),
     vg=(1.0, 0.0),
-    prefix: SimPrefix | None = None,
 ) -> SimResult:
     """Run the circuit from its pre-disturbance equilibrium.
 
@@ -329,17 +336,11 @@ def simulate(
     std `noise_std` is applied to both measured channels. Deterministic
     given the excitation and noise seeds.
 
-    `prefix`, the SimResult.prefix of a run with the same arguments apart
-    from the disturbance's kind, value and end, skips the steps before the
-    disturbance: the run resumes from its state. The excitation and the
-    noise are still drawn for the whole run, so the result is bitwise that
-    of a run without it.
-
     This is the join of the blocks of `simulate_blocks`, which holds one
     block at a time; the whole run costs 40 bytes per sample here.
     """
     blocks = simulate_blocks(params, disturbance, excitation, duration, ts,
-                             noise_std, noise_seed, i_op, vg, prefix)
+                             noise_std, noise_seed, i_op, vg)
     n = sample_count(duration, ts)
     t, v_dq, i_dq = np.empty(n), np.empty((n, 2)), np.empty((n, 2))
     lo, done = 0, None

@@ -87,15 +87,16 @@ class TestBuildLibrary:
 
     def test_stage_failure_exits_2_with_message(self, workspace, tmp_path,
                                                 capsys):
-        bad = tmp_path / "bad_ts.ini"
-        bad.write_text(MINI_FAULT.replace("[run]\n", "[run]\nts = -2e-4\n"))
+        # a scenario that loads but that the simulator rejects
+        bad = tmp_path / "bad_chip_rate.ini"
+        bad.write_text(MINI_FAULT + "[excitation]\nchip_rate = 10000\n")
         rc = main(["build-library", "--config", str(bad),
                    "--calibration", workspace["calibration.json"],
                    "--out", str(tmp_path / "lib")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [simulate] ")
-        assert "duration and ts must be positive" in err
+        assert "chip_rate 10000.0 exceeds sampling rate 5000.0" in err
 
 
 class TestRun:

@@ -5,7 +5,6 @@ import configparser
 import filecmp
 import json
 import os
-import shutil
 import tracemalloc
 from dataclasses import replace
 
@@ -27,6 +26,7 @@ from gridarx.scenario import (
     FLOAT_FMT,
     ScenarioConfig,
     StageError,
+    _CsvWriter,
     _CycleAverage,
     _transitions,
     _write_csv,
@@ -121,6 +121,17 @@ class TestLoadScenario:
         assert cfg.identifier.order == 2
         assert cfg.identifier.forgetting == pytest.approx(0.99)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"rho": 0}, "order must be >= 1, got 0"),
+        ({"forgetting": 1.5}, "forgetting factor must be in (0, 1], got 1.5"),
+    ])
+    def test_bad_override_does_not_blame_the_file(self, tmp_path, overrides,
+                                                  message):
+        path = write_ini(tmp_path, "ovr.ini", "[run]\nduration = 2.0\n")
+        with pytest.raises(ValueError) as err:
+            load_scenario(path, overrides)
+        assert str(err.value) == message
+
     def test_excitation_disable(self, tmp_path):
         path = write_ini(tmp_path, "noexc.ini",
                          "[excitation]\nenabled = false\n")
@@ -157,6 +168,19 @@ class TestLoadScenario:
          "[thresholds] mode: unknown mode 'manul'"),
         ("[thresholds]\nmode = manual\nd_high = 1\nd_low = 2\n",
          "[thresholds] need 0 < d_low < d_high"),
+        ("[identifier]\norder = 0\n", "[identifier] order must be >= 1"),
+        ("[identifier]\nforgetting = 1.5\n",
+         "[identifier] forgetting factor must be in (0, 1], got 1.5"),
+        ("[identifier]\np_max = 1\n",
+         "[identifier] p_max 1.0 must be >= p0_scale"),
+        ("[excitation]\namplitude = -0.1\n",
+         "[excitation] amplitude must be positive, got -0.1"),
+        ("[circuit]\nr1 = -1\n", "[circuit] r1 must be >= 0"),
+        ("[run]\nduration = 0\n", "[run] duration: must be > 0, got 0.0"),
+        ("[run]\nts = -2e-4\n", "[run] ts: must be > 0, got -0.0002"),
+        ("[run]\nhold = 0\n", "[run] hold: must be >= 1, got 0"),
+        ("[run]\ncalibration_window = 0\n",
+         "[run] calibration_window: must be >= 1, got 0"),
     ])
     def test_bad_value_names_file_section_key(self, tmp_path, text, where):
         path = write_ini(tmp_path, "bad.ini", text)
@@ -190,6 +214,16 @@ class TestLoadScenario:
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_scenario("/nonexistent/scenario.ini")
+
+
+def write_with_split(path, header, data, split, copy_from=None):
+    """`data` written to `path` by one `_CsvWriter` with `split` and
+    `copy_from`, in two blocks; its `head_size`."""
+    with open(path, "wb") as fh:
+        writer = _CsvWriter(fh, header, split, copy_from)
+        writer.write(data[:CSV_CHUNK_ROWS + 1])
+        writer.write(data[CSV_CHUNK_ROWS + 1:])
+    return writer.head_size
 
 
 class TestCsvRoundTrips:
@@ -249,28 +283,28 @@ class TestCsvRoundTrips:
                                        CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
                                        2 * CSV_CHUNK_ROWS + 3])
     def test_split_and_copied_head(self, tmp_path, rng, split):
-        """The returned size ends the header and the first `split` rows;
-        a file that copies them from another is the file written whole."""
+        """`head_size` ends the header and the first `split` rows; a file
+        that copies them from another is the file written whole."""
         rows = 2 * CSV_CHUNK_ROWS + 3
         first = rng.standard_normal((rows, 3))
         second = np.concatenate([first[:split],
                                  rng.standard_normal((rows - split, 3))])
         a, b, want = (str(tmp_path / n) for n in ("a.csv", "b.csv", "w.csv"))
-        size = _write_csv(a, "x,y,z", first, split)
+        size = write_with_split(a, "x,y,z", first, split)
         lines = open(a, "rb").read().splitlines(keepends=True)
         assert size == sum(map(len, lines[:split + 1]))
-        assert _write_csv(b, "x,y,z", second, split, (a, size)) == size
+        assert write_with_split(b, "x,y,z", second, split, (a, size)) == size
         _write_csv(want, "x,y,z", second)
         assert open(b, "rb").read() == open(want, "rb").read()
 
     def test_copy_from_short_file_fails(self, tmp_path):
         data = np.ones((4, 2))
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        size = _write_csv(a, "x,y", data, 4)
+        size = write_with_split(a, "x,y", data, 4)
         with open(a, "r+b") as fh:
             fh.truncate(size - 1)
         with pytest.raises(OSError, match="ends 1 bytes short"):
-            _write_csv(b, "x,y", data, 4, (a, size))
+            write_with_split(b, "x,y", data, 4, (a, size))
 
     def test_theta_stride_and_exactness(self, tmp_path, rng):
         t = np.arange(20) * 1e-3
@@ -448,54 +482,51 @@ class TestRunScenario:
         assert report.dt1_high is None  # nothing reaches 1e6
 
 
-# Block sizes for the streaming tests. The small odd size puts identify
-# block edges on the arming index (calibration_window is a multiple of it)
-# and, as 999 = -1 mod 50, on most offsets from the theta.csv rows; the mid
-# size puts them on theta.csv rows and on both settle-window edges; the
-# last is one block for the whole run.
-SMALL_BLOCK, MID_BLOCK, WHOLE_BLOCK = 999, 4000, 10**6
-# Simulator block sizes for the run of `block_edge_config` (35,001 samples,
-# disturbance on at sample 24,004 and off at 32,004): 4 puts edges on both
-# switches and leaves a 1-sample final block; 8001 puts one on the switch
-# off, 24004 on the switch on.
-# (identify block, simulator block) of each run; the last is the reference
-BLOCK_PAIRS = [(SMALL_BLOCK, 4), (MID_BLOCK, 8001), (WHOLE_BLOCK, 24004),
-               (WHOLE_BLOCK, WHOLE_BLOCK)]
+# The run of `block_edge_config` has 35,001 samples, the disturbance on at
+# sample 24,004 and off at 32,004. Each simulator block is identified with
+# the last order + 1 = 4 samples of the stream before it prepended, so the
+# first update of the block from sample k is update k - 4. Of the block
+# sizes, 3 is shorter than those 4 samples and puts an edge on the switch
+# off; 4 puts edges on both switches, on both settle-window edges and on
+# the arming update, and leaves a 1-sample final block; 999 = -1 mod 50
+# puts them on most offsets from the theta.csv rows; 8001 puts one on the
+# switch off and 24004 on the switch on; the last is one block for the
+# whole run, the reference.
+SETTLE_UPDATES = 4000
+BLOCK_SIZES = [3, 4, 999, 8001, 24004, 10**6]
 RUN_ARTIFACTS = ("samples.csv", "distance.csv", "theta.csv", "events.jsonl",
                  "report.json")
 
 
 @pytest.fixture(scope="module")
 def block_edge_config():
-    """A fault run whose settle window runs from update 7 * MID_BLOCK up to
-    update 8 * MID_BLOCK: each edge sits half a sample before the time of
-    its update."""
+    """A fault run whose settle window runs from update
+    7 * SETTLE_UPDATES up to update 8 * SETTLE_UPDATES: each edge sits half
+    a sample before the time of its update."""
     cfg = ScenarioConfig(name="block_edges", duration=7.0,
-                         calibration_window=5 * SMALL_BLOCK)
+                         calibration_window=4996)
     first = cfg.identifier.order + 1  # sample index of update 0
-    t_mid = (7 * MID_BLOCK + first - 0.5) * cfg.ts
-    half = MID_BLOCK * cfg.ts
+    t_mid = (7 * SETTLE_UPDATES + first - 0.5) * cfg.ts
+    half = SETTLE_UPDATES * cfg.ts
     return replace(cfg, disturbance=DisturbanceSpec(
         "fault", 0.2077, t_mid - half, t_mid + half))
 
 
 @pytest.fixture(scope="module")
 def block_runs(default_cal, block_edge_config, tmp_path_factory):
-    """The run artifacts and the library JSON at each pair of block
-    sizes."""
+    """The run artifacts and the library JSON at each block size."""
     nominal, thresholds, _, _ = default_cal
     root = tmp_path_factory.mktemp("blocks")
     out = {}
     with pytest.MonkeyPatch.context() as mp:
-        for sizes in BLOCK_PAIRS:
-            mp.setattr(scenario_module, "IDENTIFY_BLOCK", sizes[0])
-            mp.setattr(scenario_module, "SIMULATE_BLOCK", sizes[1])
+        for block in BLOCK_SIZES:
+            mp.setattr(scenario_module, "SIMULATE_BLOCK", block)
             library = build_library_from_scenarios(
                 [block_edge_config], nominal, thresholds)
-            run_dir = str(root / "_".join(map(str, sizes)))
+            run_dir = str(root / str(block))
             run_scenario(block_edge_config, nominal, thresholds, library,
                          out_dir=run_dir)
-            out[sizes] = (run_dir, library.to_json())
+            out[block] = (run_dir, library.to_json())
     return out
 
 
@@ -504,46 +535,52 @@ class TestBlockSize:
 
     def test_block_edges_land_where_intended(self, block_edge_config,
                                              block_runs):
-        run_dir, _ = block_runs[BLOCK_PAIRS[-1]]
+        run_dir, _ = block_runs[BLOCK_SIZES[-1]]
         t = np.loadtxt(os.path.join(run_dir, "distance.csv"),
                        delimiter=",", skiprows=1)[:, 0]
-        dist = block_edge_config.disturbance
-        settle = ((dist.t_start + dist.t_end) / 2.0, dist.t_end)
-        assert np.searchsorted(t, settle).tolist() == [7 * MID_BLOCK,
-                                                       8 * MID_BLOCK]
-        assert t.size > 8 * MID_BLOCK
-        assert block_edge_config.calibration_window % SMALL_BLOCK == 0
-        assert MID_BLOCK % scenario_module.THETA_STRIDE == 0
         cfg = block_edge_config
+        dist = cfg.disturbance
+        settle = ((dist.t_start + dist.t_end) / 2.0, dist.t_end)
+        assert np.searchsorted(t, settle).tolist() == [7 * SETTLE_UPDATES,
+                                                       8 * SETTLE_UPDATES]
+        assert t.size > 8 * SETTLE_UPDATES
+        first = cfg.identifier.order + 1
         n = sample_count(cfg.duration, cfg.ts)
         k_on = disturbance_start(dist, cfg.duration, cfg.ts)
         k_off = int(round(dist.t_end / cfg.ts))
         assert (n, k_on, k_off) == (35001, 24004, 32004)
-        sim_blocks = [sim for _, sim in BLOCK_PAIRS]
-        assert [k_on % b == 0 for b in sim_blocks] == [True, False, True,
-                                                       False]
-        assert [k_off % b == 0 for b in sim_blocks] == [True, True, False,
-                                                        False]
-        assert n % sim_blocks[0] == 1
+        assert BLOCK_SIZES[0] < first
+
+        def edges(k):
+            return [k % b == 0 for b in BLOCK_SIZES]
+
+        assert edges(k_on) == [False, True, False, False, True, False]
+        assert edges(k_off) == [True, True, False, True, False, False]
+        for update in (cfg.calibration_window, 7 * SETTLE_UPDATES,
+                       8 * SETTLE_UPDATES):
+            assert edges(update + first)[1], update
+        stride = scenario_module.THETA_STRIDE
+        assert BLOCK_SIZES[2] % stride == stride - 1
+        assert n % BLOCK_SIZES[1] == 1
 
     @pytest.mark.parametrize("name", ["report.json", "distance.csv",
                                       "theta.csv", "events.jsonl",
                                       "samples.csv"])
     def test_run_artifacts_equal_across_block_sizes(self, block_runs, name):
-        whole = os.path.join(block_runs[BLOCK_PAIRS[-1]][0], name)
-        for sizes in BLOCK_PAIRS[:-1]:
-            got = os.path.join(block_runs[sizes][0], name)
-            assert filecmp.cmp(got, whole, shallow=False), (name, sizes)
+        whole = os.path.join(block_runs[BLOCK_SIZES[-1]][0], name)
+        for block in BLOCK_SIZES[:-1]:
+            got = os.path.join(block_runs[block][0], name)
+            assert filecmp.cmp(got, whole, shallow=False), (name, block)
 
     def test_library_equal_across_block_sizes(self, block_runs):
-        whole = block_runs[BLOCK_PAIRS[-1]][1]
-        for sizes in BLOCK_PAIRS[:-1]:
-            assert block_runs[sizes][1] == whole, sizes
+        whole = block_runs[BLOCK_SIZES[-1]][1]
+        for block in BLOCK_SIZES[:-1]:
+            assert block_runs[block][1] == whole, block
 
 
 class TestRunMemory:
     """A run holds its blocks and what it keeps, not its whole stream: its
-    tracemalloc peak depends on the block sizes and the disturbance
+    tracemalloc peak depends on the block size and the disturbance
     window, not on its length. Blocks of MEMORY_BLOCK put a dozen blocks
     into the short run, so both runs reach their steady state."""
 
@@ -554,7 +591,6 @@ class TestRunMemory:
         short run first."""
         peaks = {}
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scenario_module, "IDENTIFY_BLOCK", self.MEMORY_BLOCK)
             mp.setattr(scenario_module, "SIMULATE_BLOCK", self.MEMORY_BLOCK)
             for duration in durations:
                 tracemalloc.start()
@@ -595,7 +631,6 @@ class TestFailedRun:
             return identify(*args, **kwargs)
 
         monkeypatch.setattr(scenario_module, "identify", failing)
-        monkeypatch.setattr(scenario_module, "IDENTIFY_BLOCK", 2000)
         monkeypatch.setattr(scenario_module, "SIMULATE_BLOCK", 2000)
 
     def test_nothing_left_in_a_fresh_directory(self, default_cal,
@@ -606,7 +641,7 @@ class TestFailedRun:
         out = tmp_path / "run"
         with pytest.raises(StageError, match=r"^\[identify\] estimator "
                                              r"broke \(block from update "
-                                             r"4000\)"):
+                                             r"3996\)"):
             run_scenario(short_fault_config, nominal, thresholds,
                          out_dir=str(out))
         assert not out.exists()
@@ -659,13 +694,28 @@ class TestModelOrder:
                                              r"model order is 2"):
             run_scenario(config, nominal, thresholds)
 
+    def test_library_build_of_another_order(self, default_cal,
+                                            no_simulation):
+        """Every scenario is checked before the first one is simulated."""
+        nominal, thresholds, _, _ = default_cal
+        dist = DisturbanceSpec("fault", 0.2077, 0.5, 0.8)
+        good = ScenarioConfig(duration=1.0, disturbance=dist)
+        other = replace(good, identifier=ArxConfig(order=2))
+        with pytest.raises(ValueError, match=r"shape \(2, 12\) \(model "
+                                             r"order 3\), but the run's "
+                                             r"model order is 2"):
+            build_library_from_scenarios([good, other], nominal, thresholds)
+
 
 # Prefix sharing: 1 s runs with the disturbance from 0.5 s, so samples
-# [0, 2500) come before it and updates [0, 2496) read only those. Blocks of
-# SHARE_BLOCK = 2496 / 4 updates put a block edge exactly there, and the
-# detector arms at update 500, inside the prefix. The pinned thresholds put
-# armed prefix rows on every side of both of them.
-SHARE_BLOCK = 624
+# [0, 2500) come before it. Blocks of SHARE_BLOCK = 2500 / 4 samples put a
+# block edge exactly there, and the updates of the blocks before it,
+# [0, 2496), read only those samples; blocks of OFF_EDGE_BLOCK put the last
+# edge before it at sample 2499. The detector arms at update 500, inside
+# the prefix. The pinned thresholds put armed prefix rows on every side of
+# both of them.
+SHARE_BLOCK = 625
+OFF_EDGE_BLOCK = 7
 LIBRARY_BLOCK = (4 * SHARE_BLOCK + 2) // 2
 SHARE_BASE = """\
 [run]
@@ -740,26 +790,22 @@ def random_library(seed=8):
 
 
 def counting_suite(paths, nominal, thresholds, library, out_dir,
-                   snapshots=None):
-    """run_suite with the updates each run passes to `identify` counted:
-    (reports, [(scenario name, updates identified)]). With `snapshots`,
-    the artifacts of run k are copied to snapshots / str(k) as soon as it
-    returns, before a later run can overwrite them."""
+                   block=SHARE_BLOCK):
+    """run_suite in blocks of `block` samples with the updates each run
+    passes to `identify` counted: (reports, [(scenario name, updates
+    identified)])."""
     counts = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scenario_module, "IDENTIFY_BLOCK", SHARE_BLOCK)
+        mp.setattr(scenario_module, "SIMULATE_BLOCK", block)
 
         def counted_identify(*args, **kwargs):
             run = identify(*args, **kwargs)
             counts[-1][1] += run.t.size
             return run
 
-        def counted_run(config, *args, out_dir=None, **kwargs):
+        def counted_run(config, *args, **kwargs):
             counts.append([config.name, 0])
-            report = run_scenario(config, *args, out_dir=out_dir, **kwargs)
-            if snapshots is not None:
-                shutil.copytree(out_dir, snapshots / str(len(counts) - 1))
-            return report
+            return run_scenario(config, *args, **kwargs)
 
         mp.setattr(scenario_module, "identify", counted_identify)
         mp.setattr(scenario_module, "run_scenario", counted_run)
@@ -773,7 +819,7 @@ def lone_run(path, nominal, thresholds, library, out_dir):
     size; the message of the StageError or ValueError it raises, else
     None."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scenario_module, "IDENTIFY_BLOCK", SHARE_BLOCK)
+        mp.setattr(scenario_module, "SIMULATE_BLOCK", SHARE_BLOCK)
         try:
             run_scenario(load_scenario(path), nominal, thresholds, library,
                          out_dir=out_dir)
@@ -792,6 +838,27 @@ def assert_same_artifacts(got_dir, want_dir):
 def updates_of(config):
     return int(round(config.duration / config.ts)) + 1 - \
         (config.identifier.order + 1)
+
+
+def shared_updates(config, block):
+    """The updates of the blocks before the last block edge at or before
+    the disturbance start: those a run resumed from a record replays."""
+    k_on = disturbance_start(config.disturbance, config.duration, config.ts)
+    return k_on // block * block - config.identifier.order - 1
+
+
+def expected_counts(paths, block):
+    """The updates each run of the TestSharedPrefix suite identifies, in
+    blocks of `block` samples: all of them, or, where the run may share
+    the base run's prefix, all but those the base run recorded."""
+    full = {os.path.splitext(os.path.basename(p))[0]:
+            updates_of(load_scenario(p)) for p in paths}
+    full["order"] = 0  # rejected before it simulates
+    shared = shared_updates(load_scenario(paths[0]), block)
+    want = [("base", full["base"])]
+    want += [(name, full[name] - shared) for name, _, _ in MAY_SHARE]
+    want += [(name, full[name]) for name, _, _ in MUST_NOT_SHARE]
+    return want
 
 
 class TestSharedPrefix:
@@ -818,10 +885,11 @@ class TestSharedPrefix:
     def test_block_edge_on_disturbance_start(self, tmp_path):
         config = load_scenario(share_ini(tmp_path, "b.ini"))
         k_on = int(round(config.disturbance.t_start / config.ts))
-        prefix_updates = k_on - config.identifier.order - 1
-        assert prefix_updates % SHARE_BLOCK == 0
-        assert prefix_updates // SHARE_BLOCK == 4
-        assert config.calibration_window < prefix_updates
+        assert k_on % SHARE_BLOCK == 0
+        assert k_on // SHARE_BLOCK == 4
+        assert k_on // OFF_EDGE_BLOCK * OFF_EDGE_BLOCK == k_on - 1
+        assert config.calibration_window < shared_updates(config,
+                                                          OFF_EDGE_BLOCK)
 
     def test_every_artifact_equals_a_lone_run(self, shared_suite):
         """The order-2 variant is rejected before it simulates, against the
@@ -851,32 +919,26 @@ class TestSharedPrefix:
 
     def test_identify_skips_the_prefix_only_where_shared(self, shared_suite):
         _, paths, _, counts, _ = shared_suite
-        full = {os.path.splitext(os.path.basename(p))[0]:
-                updates_of(load_scenario(p)) for p in paths}
-        full["order"] = 0  # rejected before it simulates
-        prefix = 4 * SHARE_BLOCK
-        want = [("base", full["base"])]
-        want += [(name, full[name] - prefix) for name, _, _ in MAY_SHARE]
-        want += [(name, full[name]) for name, _, _ in MUST_NOT_SHARE]
-        assert counts == want
+        assert counts == expected_counts(paths, SHARE_BLOCK)
 
-    # 2500 puts a simulator block edge on the disturbance start
-    @pytest.mark.parametrize("sim_block", [7, 2500])
+    # 7 puts the last block edge before the disturbance start one sample
+    # before it, 2500 on it, with one block before it
+    @pytest.mark.parametrize("sim_block", [OFF_EDGE_BLOCK, 2500])
     def test_simulator_blocks_change_no_byte(self, default_cal, shared_suite,
                                              tmp_path, sim_block):
         nominal, thresholds, _, _ = default_cal
         root, paths, _, _, _ = shared_suite
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scenario_module, "SIMULATE_BLOCK", sim_block)
-            reports, _ = counting_suite(paths, nominal, thresholds,
-                                        random_library(),
-                                        str(tmp_path / "suite"))
+        reports, counts = counting_suite(paths, nominal, thresholds,
+                                         random_library(),
+                                         str(tmp_path / "suite"),
+                                         block=sim_block)
         assert [name for name, rep in reports.items() if rep is None] == \
             ["order"]
         for name in reports:
             if name != "order":
                 assert_same_artifacts(str(tmp_path / "suite" / name),
                                       str(root / "lone" / name))
+        assert counts == expected_counts(paths, sim_block)
 
     @pytest.mark.parametrize("second", ["other/y.ini", "other/Y.ini",
                                         "in/y.ini"])
@@ -901,16 +963,17 @@ class TestSharedPrefix:
         assert not (tmp_path / "s").exists()
 
     def test_library_build_shares_and_matches(self, default_cal, tmp_path):
-        """Blocks of LIBRARY_BLOCK updates put an edge two updates past the
-        prefix, inside the window the library reads: a record that ran
-        past the prefix edge would show in the signature."""
+        """Blocks of LIBRARY_BLOCK samples put an edge two samples past the
+        disturbance start, inside the window the library reads: a record
+        that ran past the last edge before it would show in the
+        signature."""
         nominal, thresholds, _, _ = default_cal
         configs = [load_scenario(share_ini(tmp_path, "base.ini")),
                    load_scenario(share_ini(tmp_path, "load.ini",
                                            MAY_SHARE[0][1:]))]
         counts = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scenario_module, "IDENTIFY_BLOCK", LIBRARY_BLOCK)
+            mp.setattr(scenario_module, "SIMULATE_BLOCK", LIBRARY_BLOCK)
 
             def counted_identify(*args, **kwargs):
                 run = identify(*args, **kwargs)
@@ -923,7 +986,8 @@ class TestSharedPrefix:
             alone = [build_library_from_scenarios([c], nominal, thresholds)
                      for c in configs]
         full = updates_of(configs[0])
-        assert sum(counts) == 2 * full + 2 * full - LIBRARY_BLOCK
+        assert sum(counts) == 4 * full - shared_updates(configs[0],
+                                                        LIBRARY_BLOCK)
         assert json.loads(shared.to_json())["signatures"] == [
             json.loads(lib.to_json())["signatures"][0] for lib in alone]
 

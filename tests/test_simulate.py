@@ -274,11 +274,12 @@ class TestResumeFromPrefix:
     def test_bitwise_equal_to_a_fresh_run(self, params, dist, noise_std):
         args = (self.exc, 0.2, 2e-4, noise_std, 3)
         prefix = simulate(params, self.first, *args).prefix
-        got = simulate(params, dist, *args, prefix=prefix)
+        _, v, i, marked = joined(simulate_blocks(params, dist, *args,
+                                                 prefix=prefix))
         want = simulate(params, dist, *args)
-        for a, b in ((got.v_dq, want.v_dq), (got.i_dq, want.i_dq)):
+        for a, b in ((v, want.v_dq), (i, want.i_dq)):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        assert got.prefix is prefix
+        assert len(marked) == 1 and marked[0] is prefix
         assert np.array_equal(want.prefix.v, prefix.v)
         assert np.array_equal(want.prefix.x, prefix.x)
 
@@ -304,7 +305,7 @@ class TestResumeFromPrefix:
         prefix = simulate(params, self.first, self.exc, 0.2).prefix
         with pytest.raises(ValueError, match=f"prefix of 250 samples .*"
                                              f"{where}"):
-            simulate(params, dist, self.exc, 0.2, prefix=prefix)
+            simulate_blocks(params, dist, self.exc, 0.2, prefix=prefix)
 
 
 def joined(blocks):
