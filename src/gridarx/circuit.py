@@ -49,10 +49,11 @@ class CircuitParams:
     l3: float = 0.15  # p.u., line 2
 
     def __post_init__(self):
-        for name in ("r1", "r2", "r3"):
+        for name in ("r2", "r3"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("c1", "l2", "l3", "v_base", "s_base", "f_base"):
+        # the load branch's time constant r1 * c1 divides the model
+        for name in ("r1", "c1", "l2", "l3", "v_base", "s_base", "f_base"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
@@ -182,7 +183,6 @@ class StateSpaceModel:
     C: np.ndarray
     E: np.ndarray
     state_names: list = field(default_factory=list)
-    x0: np.ndarray | None = None
 
 
 def numeric_poles(model: StateSpaceModel) -> np.ndarray:

@@ -296,6 +296,18 @@ def classify(
                           matched_label=label, matched_similarity=sim)
 
 
+def first_time(t, mask, t0: float, found=None):
+    """The first t where `mask` holds, minus t0; None when it never does.
+
+    A series given in consecutive blocks carries `found`: the result of the
+    call on the blocks before. A time found there is kept, so the call on
+    the last block returns the result of one call on their join.
+    """
+    if found is not None:
+        return found
+    return float(t[mask][0] - t0) if np.any(mask) else None
+
+
 def detection_times(t, d, t_start: float, t_end: float,
                     thresholds: Thresholds, found=(None, None, None)):
     """Detection and recovery delays from a distance time series:
@@ -306,22 +318,18 @@ def detection_times(t, d, t_start: float, t_end: float,
     minus t_start. dt2: first time at or after t_end at which d is back at
     d_low or below, minus t_end. Each is None when no crossing occurs.
 
-    A series given in consecutive blocks carries `found`: the result of
-    the call on the blocks before. A delay found there is kept, so the
-    call on the last block returns the result of one call on their join.
+    A series given in consecutive blocks carries `found` as `first_time`
+    does, for each of the three.
     """
     t = np.asarray(t, float)
     d = np.asarray(d, float)
-
-    def first(done, mask, t0):
-        if done is not None:
-            return done
-        return float(t[mask][0] - t0) if np.any(mask) else None
-
     after_start = t >= t_start
-    return (first(found[0], after_start & (d > thresholds.d_high), t_start),
-            first(found[1], after_start & (d > thresholds.d_low), t_start),
-            first(found[2], (t >= t_end) & (d <= thresholds.d_low), t_end))
+    return (first_time(t, after_start & (d > thresholds.d_high), t_start,
+                       found[0]),
+            first_time(t, after_start & (d > thresholds.d_low), t_start,
+                       found[1]),
+            first_time(t, (t >= t_end) & (d <= thresholds.d_low), t_end,
+                       found[2]))
 
 
 @dataclass

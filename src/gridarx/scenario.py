@@ -22,12 +22,15 @@ run.
 Runs of one `run_suite` or `build_library_from_scenarios` call share their
 start when they have the same simulate arguments apart from the
 disturbance's kind, value and end, the same disturbance t_start and the
-same ArxConfig (`_prefix_key`). The first such run records it (`_Prefix`)
-up to the last simulator block edge at or before the disturbance start:
-the simulator's samples before t_start, the estimator state at that edge
-and, in a suite, the (t, theta, calibrated) rows of each block before it
-and the byte length of each CSV's head. The others resume from the record
-and replay its blocks through the same loop as live ones. The outputs do
+same ArxConfig (`_prefix_key`). Each call holds one dict of records
+(`_Prefix`), which `run_suite` passes to `run_scenario` as `prefixes`. The
+first such run records its start up to the last simulator block edge at
+or before the disturbance start: the simulator's samples before t_start,
+the estimator state at that edge and, in a suite, the (t, theta,
+calibrated) rows of each block before it and the byte length of each CSV
+at the edge. The others resume from the record and replay its blocks
+through the same loop as live ones; only the CSV rows of those blocks are
+copied from the recording run's files instead of formatted. The outputs do
 not change: every artifact is bitwise that of the run on its own. The
 record lives only for the call that made it; a suite's record holds about
 214 bytes per sample before t_start.
@@ -36,9 +39,9 @@ record lives only for the call that made it; a suite's record holds about
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import os
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -59,6 +62,7 @@ from .detector import (
     debounce,
     detection_times,
     distances,
+    first_time,
 )
 from .pipeline import identify
 from .rls import ArxConfig, IdentifierState
@@ -306,6 +310,11 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
         if not ok:
             raise ValueError(
                 f"{path}: [run] {key}: must be {need}, got {value!r}")
+    # the sampling-rate check of signals.RbsStream, with its 1e-9 Hz slack
+    if excitation is not None and excitation.chip_rate > 1.0 / ts + 1e-9:
+        raise ValueError(
+            f"{path}: [excitation] chip_rate: must be <= the sampling rate "
+            f"1/ts = {1.0 / ts!r}, got {excitation.chip_rate!r}")
 
     return ScenarioConfig(
         name=base.name,
@@ -332,6 +341,9 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
 # Rows formatted per string operation by `_CsvWriter`.
 CSV_CHUNK_ROWS = 1024
 
+# Bytes per read when `_CsvWriter` copies the head of an earlier artifact.
+COPY_CHUNK_BYTES = 1 << 20
+
 
 class _CsvWriter:
     """A CSV file written as its rows arrive, block by block.
@@ -339,43 +351,29 @@ class _CsvWriter:
     Every value is written with FLOAT_FMT, so the bytes are those of
     `np.savetxt(path, rows, fmt=FLOAT_FMT, delimiter=",", header=header,
     comments="")` on all the rows given; a chunk of rows is formatted by one
-    `%` operation on its values as Python floats. `head_size` is the size
-    in bytes of the header and the first `split` rows, once they are in the
-    file. `copy_from` is `(path, size)` of an earlier file that starts with
-    those same bytes: they are copied from it instead of formatted again,
-    and the first `split` rows given are skipped.
+    `%` operation on its values as Python floats. `head` is `(path, size)`
+    of an earlier file whose first `size` bytes are the header and the rows
+    that come before those given: they are copied from it, in reads of
+    COPY_CHUNK_BYTES, instead of the header being written.
     """
 
-    def __init__(self, fh, header: str, split: int = 0,
-                 copy_from: tuple[str, int] | None = None):
+    def __init__(self, fh, header: str, head: tuple[str, int] | None = None):
         self.fh = fh
-        self.split = split
-        self.rows = 0  # rows given so far
-        self.head_size = None
-        if copy_from is None:
+        if head is None:
             fh.write((header + "\n").encode("ascii"))
-            self._skip = 0
-        else:
-            _copy_head(copy_from, fh)
-            self._skip = split
-        if copy_from is not None or split == 0:
-            self.head_size = fh.tell()
+            return
+        path, size = head
+        with open(path, "rb") as src:
+            while size > 0:
+                chunk = src.read(min(size, COPY_CHUNK_BYTES))
+                if not chunk:
+                    raise OSError(f"{path}: ends {size} bytes short of the "
+                                  "shared rows it was recorded with")
+                fh.write(chunk)
+                size -= len(chunk)
 
     def write(self, data: np.ndarray) -> None:
         """Append the rows of the 2-D float array `data`."""
-        lo = self.rows
-        self.rows += data.shape[0]
-        if self._skip:
-            k = min(self._skip, data.shape[0])
-            data, lo, self._skip = data[k:], lo + k, self._skip - k
-        if self.head_size is None and self.rows >= self.split:
-            k = self.split - lo
-            self._format(data[:k])
-            self.head_size = self.fh.tell()
-            data = data[k:]
-        self._format(data)
-
-    def _format(self, data: np.ndarray) -> None:
         n_rows, n_cols = data.shape
         row_fmt = ",".join([FLOAT_FMT] * n_cols) + "\n"
         chunk_fmt = row_fmt * CSV_CHUNK_ROWS
@@ -392,24 +390,6 @@ def _write_csv(path: str, header: str, data: np.ndarray) -> None:
     one `_CsvWriter`."""
     with open(path, "wb") as fh:
         _CsvWriter(fh, header).write(data)
-
-
-# Bytes per read when `_copy_head` copies the start of an earlier artifact.
-COPY_CHUNK_BYTES = 1 << 20
-
-
-def _copy_head(source: tuple[str, int], out) -> None:
-    """Copy the first `size` bytes of the file at `path`, for `source` =
-    (path, size), to the binary file `out`."""
-    path, size = source
-    with open(path, "rb") as src:
-        while size > 0:
-            chunk = src.read(min(size, COPY_CHUNK_BYTES))
-            if not chunk:
-                raise OSError(f"{path}: ends {size} bytes short of the "
-                              "shared rows it was recorded with")
-            out.write(chunk)
-            size -= len(chunk)
 
 
 SAMPLES_HEADER = "t,v_d,v_q,i_d,i_q"
@@ -538,19 +518,20 @@ def _prefix_key(config: ScenarioConfig):
 @dataclass
 class _Prefix:
     """The start of a run, which every run with the same `_prefix_key`
-    shares bitwise: recorded by the first of them in one `run_suite` or
-    `build_library_from_scenarios` call and resumed by the others.
+    shares bitwise: recorded by the first of them given a `prefixes` dict,
+    and resumed by the others given the same dict.
 
     `edge` is the last simulator block edge at or before the disturbance
     start k_on, and `sim` the simulator's record of the samples before
     k_on. Each update of a block before `edge` reads only samples before
     k_on; `state` is the estimator's state after the last of them. A
-    record of `run_suite` keeps in `blocks` the rows of each block before
-    `edge`, which a resumed run replays; elsewhere `blocks` is None.
-    `heads` is (directory, {artifact: size}) when the artifacts in that
-    directory start with their header and their rows before `edge`, those
-    of the samples before it in samples.csv and of the updates before it
-    in distance.csv and theta.csv, in `size` bytes.
+    record of `run_scenario` keeps in `blocks` the rows of each block before
+    `edge`, which a resumed run replays; one of
+    `build_library_from_scenarios` keeps none (None). `heads` is
+    (directory, {artifact: size}) once a run has written the CSV artifacts
+    in that directory: each starts with its header and its rows of the
+    blocks before `edge`, in `size` bytes. Those rows depend on the nominal
+    predictor as well, so every run given the dict must use the same one.
     """
 
     edge: int
@@ -568,20 +549,7 @@ class _Rows(NamedTuple):
     calibrated: np.ndarray
 
 
-class _SuitePrefixes(NamedTuple):
-    """The prefix records of one `run_suite` call, by `_prefix_key`, and
-    the nominal predictor and library it passes every run."""
-
-    nominal: NominalPredictor
-    library: SignatureLibrary | None
-    records: dict
-
-
-# The records of the `run_suite` call in progress; None outside one.
-_SUITE_PREFIXES = ContextVar("gridarx_suite_prefixes", default=None)
-
-
-def _simulate_identify(config: ScenarioConfig, records: dict | None = None,
+def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
                        rows: bool = False):
     """Simulate the scenario block by block and identify over its stream:
     (blocks, prefix).
@@ -595,20 +563,20 @@ def _simulate_identify(config: ScenarioConfig, records: dict | None = None,
     `index` counts from its first prepended sample. A failure raises
     StageError tagged with the stage that failed.
 
-    `records` maps `_prefix_key` to the _Prefix records of earlier runs.
+    `prefixes` maps `_prefix_key` to the _Prefix records of earlier runs.
     When it holds this run's key, `prefix` is that record: the simulation
     resumes from its samples, the blocks before its edge pair their
     samples with the record's `_Rows` (and are skipped when it kept
     none), and identification starts at the edge from its state.
     Otherwise `prefix` is a new _Prefix of this run, which the stream
     fills in as it passes, keeping the rows of the blocks before its edge
-    when `rows` is true, and adds to `records` once it has ended; it is
+    when `rows` is true, and adds to `prefixes` once it has ended; it is
     None when the run has no disturbance inside it or no whole block
     before one.
     """
     block = SIMULATE_BLOCK
-    key = _prefix_key(config) if records is not None else None
-    resumed = records.get(key) if key is not None else None
+    key = _prefix_key(config) if prefixes is not None else None
+    resumed = prefixes.get(key) if key is not None else None
     recording = None
     if key is not None and resumed is None:
         k_on = disturbance_start(config.disturbance, config.duration,
@@ -637,7 +605,7 @@ def _simulate_identify(config: ScenarioConfig, records: dict | None = None,
                 part = next(sim)
             except StopIteration:
                 if recording is not None:
-                    records[key] = recording
+                    prefixes[key] = recording
                 return
             except Exception as exc:
                 raise StageError("simulate", str(exc)) from exc
@@ -691,10 +659,12 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
         calibrated += new
         first = run.t.size - new
         t_new, theta_new = run.t[first:], run.theta[first:]
-        if t_tail is not None and new < keep:
-            t_new = np.concatenate([t_tail[new - keep:], t_new])
-            theta_new = np.concatenate([theta_tail[new - keep:], theta_new])
-        t_tail, theta_tail = t_new[-keep:].copy(), theta_new[-keep:].copy()
+        if t_tail is None or new >= keep:
+            # a slice of the block: copied, so that the block can go
+            t_tail, theta_tail = t_new[-keep:].copy(), theta_new[-keep:].copy()
+        else:  # at most `keep` rows, in new arrays
+            t_tail = np.concatenate([t_tail[new - keep:], t_new])
+            theta_tail = np.concatenate([theta_tail[new - keep:], theta_new])
         state = run.final_state
     # what follows holds the kept rows only, not the last block as well,
     # so that its memory does not depend on that block's length
@@ -757,15 +727,6 @@ class RunReport:
             "warnings": self.warnings,
         }
         return json.dumps(doc, indent=2)
-
-
-def _first_time(t, mask, t_start, found=None):
-    """First t at or after t_start where mask holds, minus t_start; a
-    delay `found` in the stream's earlier blocks is kept."""
-    if found is not None:
-        return found
-    hits = mask & (t >= t_start)
-    return float(t[hits][0] - t_start) if np.any(hits) else None
 
 
 def _transitions(t, codes, prev: int = -1):
@@ -847,6 +808,8 @@ def run_scenario(
     thresholds: Thresholds,
     library: SignatureLibrary | None = None,
     out_dir: str | None = None,
+    *,
+    prefixes: dict | None = None,
 ) -> RunReport:
     """Full pipeline for one scenario: simulate, identify, classify, report.
 
@@ -860,27 +823,19 @@ def run_scenario(
     library of another model order than the run's is rejected with
     ValueError before anything is simulated.
 
-    Inside `run_suite`, runs that share a prefix (see `_prefix_key`) compute
-    it once: the first records it, the others resume from it, replay its
-    blocks through the loop of live ones and copy its artifact rows. The
-    outputs are bitwise those of a lone run.
+    `prefixes` maps `_prefix_key` to the `_Prefix` records of earlier runs
+    given the same dict, all of them with this run's nominal predictor and
+    library; `run_suite` passes one to every run. A run whose key is there
+    resumes from the record: it replays the record's blocks through the
+    loop of live ones and copies the heads of its CSV artifacts, when the
+    record has them, instead of writing those blocks' rows again. Otherwise
+    it adds its own record. The outputs are bitwise those of a lone run.
     """
-    suite = _SUITE_PREFIXES.get()
-    records = (suite.records if suite is not None and suite.nominal is nominal
-               and suite.library is library else None)
     _check_order(config, nominal, library)
     if config.thresholds is not None:
         thresholds = config.thresholds
-    library = library or SignatureLibrary(order=config.identifier.order)
-    if out_dir is None:
-        return _run(config, nominal, thresholds, library, records, None)
-    with _ArtifactFiles(out_dir) as files:
-        return _run(config, nominal, thresholds, library, records, files)
-
-
-def _run(config: ScenarioConfig, nominal, thresholds, library,
-         records: dict | None, files: _ArtifactFiles | None) -> RunReport:
-    """The stream of `run_scenario`, writing into `files` when given."""
+    order = config.identifier.order
+    library = library or SignatureLibrary(order=order)
     warnings = []
     if config.disturbance is not None:
         t_start, t_end = config.disturbance.t_start, config.disturbance.t_end
@@ -919,122 +874,113 @@ def _run(config: ScenarioConfig, nominal, thresholds, library,
     last_code = -1  # the debounced verdict code of the last update
     timeline = []
     settled = []  # armed theta rows inside the settle window
-    writers = None
 
-    def on_samples(sim):
-        nonlocal baseline_first
-        hits = (limit_check(cycle_average(sim.v_dq), limits)
-                & (sim.t >= t_start) & (sim.t < t_end))
-        if baseline_first is None and np.any(hits):
-            baseline_first = float(sim.t[hits][0])
-        if writers is not None:
-            writers["samples.csv"].write(_samples_rows(sim))
-
-    def on_updates(lo, run):
-        """Classify the updates of `run`, whose first is update lo of the
-        run, and carry the run over them."""
-        nonlocal crossings, first_fault, first_not_normal, last_code
-        t, thetas = run.t, run.theta
-        try:
-            d, verdicts, _ = classify_series(
-                thetas, nominal, thresholds, library, config.match_floor
-            )
-        except Exception as exc:
-            raise StageError("detector", str(exc)) from exc
-        # The estimator restarts from scratch in each run and needs the
-        # same settling time the nominal predictor was calibrated with;
-        # until then the distance reflects cold-start convergence, not the
-        # grid. Keep the detector disarmed over that initial stretch.
-        armed = run.calibrated.copy()
-        armed[: max(0, config.calibration_window - lo)] = False
-        codes = np.where(armed, det.verdict_codes(verdicts), normal)
-        stable = np.array(debounce(codes.tolist(), config.hold, debounced),
-                          dtype=np.intp)
-        crossings = detection_times(t[armed], d[armed], t_start, t_end,
-                                    thresholds, crossings)
-        # debounced delays: first stable fault verdict / first stable
-        # non-normal verdict after t_start
-        first_fault = _first_time(t, (stable == fault) & armed, t_start,
-                                  first_fault)
-        first_not_normal = _first_time(t, (stable != normal) & armed,
-                                       t_start, first_not_normal)
-        changes = _transitions(t, stable, last_code)
-        timeline.extend(changes)
-        if stable.size:
-            last_code = int(stable[-1])
-        settle = (t >= settle_from) & (t < settle_to) & armed
-        if np.any(settle):
-            settled.append(thetas[settle])
-        if writers is not None:
-            for tk, v in changes:
-                dk = float(d[np.searchsorted(t, tk)])
-                writers["events.jsonl"].write(
-                    (json.dumps({"t": tk, "verdict": v, "d": dk}) + "\n")
-                    .encode("ascii"))
-            writers["distance.csv"].write(np.column_stack([t, d]))
-            writers["theta.csv"].write(
-                _theta_rows(t, thetas, lo, THETA_STRIDE))
-
-    blocks, prefix = _simulate_identify(config, records, rows=True)
-    if files is not None:
-        order = config.identifier.order
+    with (contextlib.nullcontext() if out_dir is None
+          else _ArtifactFiles(out_dir)) as files:
+        blocks, prefix = _simulate_identify(config, prefixes, rows=True)
         edge = 0 if prefix is None else prefix.edge
-        updates = max(0, edge - order - 1)
         heads = None if prefix is None else prefix.heads
-        writers = {}
-        for name, header, split in (
-                ("samples.csv", SAMPLES_HEADER, edge),
-                ("distance.csv", DISTANCE_HEADER, updates),
-                ("theta.csv", _theta_header(2, 4 * order),
-                 -(-updates // THETA_STRIDE))):
-            source = (None if heads is None
-                      else (os.path.join(heads[0], name), heads[1][name]))
-            writers[name] = _CsvWriter(files.open(name), header, split,
-                                       source)
-        writers["events.jsonl"] = files.open("events.jsonl")
+        sizes = None  # the CSVs' sizes at the edge, when written here
+        if files is not None:
+            csvs = {}
+            for name, header in (
+                    ("samples.csv", SAMPLES_HEADER),
+                    ("distance.csv", DISTANCE_HEADER),
+                    ("theta.csv", _theta_header(2, 4 * order))):
+                head = (None if heads is None
+                        else (os.path.join(heads[0], name), heads[1][name]))
+                csvs[name] = _CsvWriter(files.open(name), header, head)
+            events = files.open("events.jsonl")
 
-    lo = 0  # run index of the next update
-    for part, run in blocks:
-        on_samples(part)
-        on_updates(lo, run)
-        lo += run.t.size
+        lo = hi = 0  # run index of the block's first update; samples passed
+        for part, run in blocks:
+            hi += part.t.size
+            hits = (limit_check(cycle_average(part.v_dq), limits)
+                    & (part.t >= t_start) & (part.t < t_end))
+            if baseline_first is None and np.any(hits):
+                baseline_first = float(part.t[hits][0])
 
-    if settled:
-        final_event = det.classify(
-            np.concatenate(settled).mean(axis=0), nominal, thresholds,
-            library,
-            match_floor=config.match_floor,
+            t, thetas = run.t, run.theta
+            try:
+                d, verdicts, _ = classify_series(
+                    thetas, nominal, thresholds, library, config.match_floor
+                )
+            except Exception as exc:
+                raise StageError("detector", str(exc)) from exc
+            # The estimator restarts from scratch in each run and needs the
+            # same settling time the nominal predictor was calibrated with;
+            # until then the distance reflects cold-start convergence, not
+            # the grid. Keep the detector disarmed over that initial stretch.
+            armed = run.calibrated.copy()
+            armed[: max(0, config.calibration_window - lo)] = False
+            codes = np.where(armed, det.verdict_codes(verdicts), normal)
+            stable = np.array(debounce(codes.tolist(), config.hold, debounced),
+                              dtype=np.intp)
+            crossings = detection_times(t[armed], d[armed], t_start, t_end,
+                                        thresholds, crossings)
+            # debounced delays: first stable fault verdict / first stable
+            # non-normal verdict after t_start
+            after = armed & (t >= t_start)
+            first_fault = first_time(t, after & (stable == fault), t_start,
+                                     first_fault)
+            first_not_normal = first_time(t, after & (stable != normal),
+                                          t_start, first_not_normal)
+            changes = _transitions(t, stable, last_code)
+            timeline.extend(changes)
+            if stable.size:
+                last_code = int(stable[-1])
+            settle = (t >= settle_from) & (t < settle_to) & armed
+            if np.any(settle):
+                settled.append(thetas[settle])
+
+            if files is not None:
+                for tk, v in changes:
+                    dk = float(d[np.searchsorted(t, tk)])
+                    events.write((json.dumps({"t": tk, "verdict": v, "d": dk})
+                                  + "\n").encode("ascii"))
+                # the copied heads hold the rows of the blocks up to the edge
+                if heads is None or hi > edge:
+                    csvs["samples.csv"].write(_samples_rows(part))
+                    csvs["distance.csv"].write(np.column_stack([t, d]))
+                    csvs["theta.csv"].write(
+                        _theta_rows(t, thetas, lo, THETA_STRIDE))
+                if heads is None and hi == edge:
+                    sizes = {name: w.fh.tell() for name, w in csvs.items()}
+            lo += t.size
+
+        if settled:
+            final_event = det.classify(
+                np.concatenate(settled).mean(axis=0), nominal, thresholds,
+                library,
+                match_floor=config.match_floor,
+            )
+            final_verdict = final_event.verdict
+        else:
+            final_verdict = Verdict.NORMAL
+
+        dt1_high, dt1_low, dt2 = crossings
+        report = RunReport(
+            name=config.name,
+            thresholds=thresholds,
+            dt1_high=dt1_high,
+            dt1_low=dt1_low,
+            dt2=dt2,
+            dt1_high_debounced=first_fault,
+            dt1_low_debounced=first_not_normal,
+            final_verdict=final_verdict,
+            verdict_timeline=timeline,
+            baseline_detected=baseline_first is not None,
+            baseline_first_violation=baseline_first,
+            config_echo=config.echo(),
+            library_provenance=[s.source_scenario for s in library.signatures],
+            warnings=warnings,
         )
-        final_verdict = final_event.verdict
-    else:
-        final_verdict = Verdict.NORMAL
 
-    dt1_high, dt1_low, dt2 = crossings
-    report = RunReport(
-        name=config.name,
-        thresholds=thresholds,
-        dt1_high=dt1_high,
-        dt1_low=dt1_low,
-        dt2=dt2,
-        dt1_high_debounced=first_fault,
-        dt1_low_debounced=first_not_normal,
-        final_verdict=final_verdict,
-        verdict_timeline=timeline,
-        baseline_detected=baseline_first is not None,
-        baseline_first_violation=baseline_first,
-        config_echo=config.echo(),
-        library_provenance=[s.source_scenario for s in library.signatures],
-        warnings=warnings,
-    )
-
-    if files is not None:
-        files.open("report.json").write(report.to_json().encode("ascii"))
-        files.commit()
-        if prefix is not None:
-            prefix.heads = (os.path.abspath(files.out_dir),
-                            {name: writers[name].head_size
-                             for name in ("samples.csv", "distance.csv",
-                                          "theta.csv")})
+        if files is not None:
+            files.open("report.json").write(report.to_json().encode("ascii"))
+            files.commit()
+            if sizes is not None:
+                prefix.heads = (os.path.abspath(files.out_dir), sizes)
     return report
 
 
@@ -1105,14 +1051,14 @@ def build_library_from_scenarios(
                 f"scenario {config.name!r} has no disturbance; cannot label it"
             )
         _check_order(config, nominal, None)
-    records = {}
+    prefixes = {}
     runs = []
     order = None
     for config in configs:
         label = (Verdict.FAULT if config.disturbance.kind == "fault"
                  else Verdict.LOAD_INCREASE)
         t_start, t_end = config.disturbance.t_start, config.disturbance.t_end
-        blocks, _ = _simulate_identify(config, records)
+        blocks, _ = _simulate_identify(config, prefixes)
         # Update times lie on the grid k * ts, so the window holds fewer
         # than (t_end - t_start) / ts + 2 of them, and no more than the run.
         updates = sample_count(config.duration, config.ts) - \
@@ -1166,41 +1112,38 @@ def run_suite(
         names.append(name)
     reports = {}
     rows = []
-    token = _SUITE_PREFIXES.set(_SuitePrefixes(nominal, library, {}))
-    try:
-        for path, name in zip(scenario_paths, names):
-            try:
-                config = load_scenario(path, overrides)
-                scen_out = (os.path.join(out_dir, name) if out_dir is not None
-                            else None)
-                report = run_scenario(config, nominal, thresholds, library,
-                                      out_dir=scen_out)
-            except Exception as exc:
-                rows.append([name, "rarx", "error", str(exc), "", ""])
-                rows.append([name, "limit_check", "error", str(exc), "", ""])
-                reports[name] = None
-                continue
-            reports[name] = report
-            detected = report.final_verdict is not Verdict.NORMAL
-            dt1 = (report.dt1_high if report.dt1_high is not None
-                   else report.dt1_low)
-            rows.append([
-                name, "rarx",
-                "detected" if detected else "not_detected",
-                report.final_verdict.value,
-                "never" if dt1 is None else f"{dt1:.6g}",
-                "never" if report.dt2 is None else f"{report.dt2:.6g}",
-            ])
-            rows.append([
-                name, "limit_check",
-                "detected" if report.baseline_detected else "not_detected",
-                "fault" if report.baseline_detected else "normal",
-                ("never" if report.baseline_first_violation is None
-                 else f"{report.baseline_first_violation:.6g}"),
-                "",
-            ])
-    finally:
-        _SUITE_PREFIXES.reset(token)
+    prefixes = {}
+    for path, name in zip(scenario_paths, names):
+        try:
+            config = load_scenario(path, overrides)
+            scen_out = (os.path.join(out_dir, name) if out_dir is not None
+                        else None)
+            report = run_scenario(config, nominal, thresholds, library,
+                                  out_dir=scen_out, prefixes=prefixes)
+        except Exception as exc:
+            rows.append([name, "rarx", "error", str(exc), "", ""])
+            rows.append([name, "limit_check", "error", str(exc), "", ""])
+            reports[name] = None
+            continue
+        reports[name] = report
+        detected = report.final_verdict is not Verdict.NORMAL
+        dt1 = (report.dt1_high if report.dt1_high is not None
+               else report.dt1_low)
+        rows.append([
+            name, "rarx",
+            "detected" if detected else "not_detected",
+            report.final_verdict.value,
+            "never" if dt1 is None else f"{dt1:.6g}",
+            "never" if report.dt2 is None else f"{report.dt2:.6g}",
+        ])
+        rows.append([
+            name, "limit_check",
+            "detected" if report.baseline_detected else "not_detected",
+            "fault" if report.baseline_detected else "normal",
+            ("never" if report.baseline_first_violation is None
+             else f"{report.baseline_first_violation:.6g}"),
+            "",
+        ])
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "comparison.csv"), "w") as fh:

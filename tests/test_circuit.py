@@ -51,6 +51,8 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             CircuitParams(r1=-1.0)
+        with pytest.raises(ValueError, match="r1 must be > 0"):
+            CircuitParams(r1=0.0)
         with pytest.raises(ValueError):
             CircuitParams(l2=0.0)
 

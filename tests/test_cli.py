@@ -86,17 +86,18 @@ class TestBuildLibrary:
             ["fault", "load_increase"]
 
     def test_stage_failure_exits_2_with_message(self, workspace, tmp_path,
-                                                capsys):
-        # a scenario that loads but that the simulator rejects
-        bad = tmp_path / "bad_chip_rate.ini"
-        bad.write_text(MINI_FAULT + "[excitation]\nchip_rate = 10000\n")
-        rc = main(["build-library", "--config", str(bad),
+                                                capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulator broke")
+
+        monkeypatch.setattr("gridarx.scenario.simulate_blocks", broken)
+        rc = main(["build-library", "--config", workspace["fault.ini"],
                    "--calibration", workspace["calibration.json"],
                    "--out", str(tmp_path / "lib")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [simulate] ")
-        assert "chip_rate 10000.0 exceeds sampling rate 5000.0" in err
+        assert "simulator broke" in err
 
 
 class TestRun:
@@ -112,6 +113,20 @@ class TestRun:
         assert doc["dt1_high"] is not None
         for fname in ("samples.csv", "distance.csv", "theta.csv"):
             assert os.path.exists(os.path.join(out, fname))
+
+    @pytest.mark.parametrize("command", ["run", "build-library"])
+    def test_zero_load_resistance_exits_2_naming_file(self, workspace,
+                                                      tmp_path, capsys,
+                                                      command):
+        bad = tmp_path / "r1_zero.ini"
+        bad.write_text(MINI_FAULT + "[circuit]\nr1 = 0\n")
+        rc = main([command, "--config", str(bad),
+                   "--calibration", workspace["calibration.json"],
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: [circuit] r1 must be > 0\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestSuite:

@@ -175,7 +175,11 @@ class TestLoadScenario:
          "[identifier] p_max 1.0 must be >= p0_scale"),
         ("[excitation]\namplitude = -0.1\n",
          "[excitation] amplitude must be positive, got -0.1"),
-        ("[circuit]\nr1 = -1\n", "[circuit] r1 must be >= 0"),
+        ("[circuit]\nr1 = -1\n", "[circuit] r1 must be > 0"),
+        ("[circuit]\nr1 = 0\n", "[circuit] r1 must be > 0"),
+        ("[excitation]\nchip_rate = 10000\n",
+         "[excitation] chip_rate: must be <= the sampling rate 1/ts = "
+         "5000.0, got 10000.0"),
         ("[run]\nduration = 0\n", "[run] duration: must be > 0, got 0.0"),
         ("[run]\nts = -2e-4\n", "[run] ts: must be > 0, got -0.0002"),
         ("[run]\nhold = 0\n", "[run] hold: must be >= 1, got 0"),
@@ -216,14 +220,13 @@ class TestLoadScenario:
             load_scenario("/nonexistent/scenario.ini")
 
 
-def write_with_split(path, header, data, split, copy_from=None):
-    """`data` written to `path` by one `_CsvWriter` with `split` and
-    `copy_from`, in two blocks; its `head_size`."""
+def write_in_blocks(path, header, data, head=None):
+    """`data` written to `path` by one `_CsvWriter` given `head`, in two
+    blocks."""
     with open(path, "wb") as fh:
-        writer = _CsvWriter(fh, header, split, copy_from)
+        writer = _CsvWriter(fh, header, head)
         writer.write(data[:CSV_CHUNK_ROWS + 1])
         writer.write(data[CSV_CHUNK_ROWS + 1:])
-    return writer.head_size
 
 
 class TestCsvRoundTrips:
@@ -283,28 +286,33 @@ class TestCsvRoundTrips:
                                        CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
                                        2 * CSV_CHUNK_ROWS + 3])
     def test_split_and_copied_head(self, tmp_path, rng, split):
-        """`head_size` ends the header and the first `split` rows; a file
-        that copies them from another is the file written whole."""
+        """The file's size after its header and first `split` rows ends
+        them; a file that copies them from it and is given the rows after
+        them is the file written whole."""
         rows = 2 * CSV_CHUNK_ROWS + 3
         first = rng.standard_normal((rows, 3))
         second = np.concatenate([first[:split],
                                  rng.standard_normal((rows - split, 3))])
         a, b, want = (str(tmp_path / n) for n in ("a.csv", "b.csv", "w.csv"))
-        size = write_with_split(a, "x,y,z", first, split)
+        with open(a, "wb") as fh:
+            writer = _CsvWriter(fh, "x,y,z")
+            writer.write(first[:split])
+            size = fh.tell()
+            writer.write(first[split:])
         lines = open(a, "rb").read().splitlines(keepends=True)
         assert size == sum(map(len, lines[:split + 1]))
-        assert write_with_split(b, "x,y,z", second, split, (a, size)) == size
+        write_in_blocks(b, "x,y,z", second[split:], (a, size))
         _write_csv(want, "x,y,z", second)
         assert open(b, "rb").read() == open(want, "rb").read()
 
     def test_copy_from_short_file_fails(self, tmp_path):
-        data = np.ones((4, 2))
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        size = write_with_split(a, "x,y", data, 4)
+        _write_csv(a, "x,y", np.ones((4, 2)))
+        size = os.path.getsize(a)
         with open(a, "r+b") as fh:
             fh.truncate(size - 1)
         with pytest.raises(OSError, match="ends 1 bytes short"):
-            write_with_split(b, "x,y", data, 4, (a, size))
+            write_in_blocks(b, "x,y", np.ones((0, 2)), (a, size))
 
     def test_theta_stride_and_exactness(self, tmp_path, rng):
         t = np.arange(20) * 1e-3
@@ -939,6 +947,45 @@ class TestSharedPrefix:
                 assert_same_artifacts(str(tmp_path / "suite" / name),
                                       str(root / "lone" / name))
         assert counts == expected_counts(paths, sim_block)
+
+    def test_copied_heads_leave_only_later_rows_to_format(self, default_cal,
+                                                          tmp_path):
+        """A run resumed with the record's CSV heads hands `_CsvWriter` only
+        the rows of the blocks after the edge; the recording run hands it
+        all of them. Both write the bytes of a lone run either way, so only
+        the rows given show a resumed run that formats every block."""
+        nominal, thresholds, _, _ = default_cal
+        paths = [share_ini(tmp_path, "in/base.ini"),
+                 share_ini(tmp_path, "in/value.ini", MAY_SHARE[1][1:])]
+        given = {}
+        write = _CsvWriter.write
+
+        def counted_write(writer, data):
+            path = writer.fh.name
+            key = (os.path.basename(os.path.dirname(path)),
+                   os.path.basename(path))
+            given[key] = given.get(key, 0) + data.shape[0]
+            write(writer, data)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_module, "SIMULATE_BLOCK", SHARE_BLOCK)
+            mp.setattr(_CsvWriter, "write", counted_write)
+            run_suite(paths, nominal, thresholds, random_library(),
+                      out_dir=str(tmp_path / "suite"))
+        config = load_scenario(paths[0])
+        edge = 4 * SHARE_BLOCK
+        shared = shared_updates(config, SHARE_BLOCK)
+        stride = scenario_module.THETA_STRIDE
+        head_rows = {"samples.csv": edge, "distance.csv": shared,
+                     "theta.csv": -(-shared // stride)}
+        for name, head in head_rows.items():
+            rows = {run: len((tmp_path / "suite" / run / name)
+                             .read_bytes().splitlines()) - 1
+                    for run in ("base", "value")}
+            assert rows["base"] == rows["value"] > head > 0
+            assert given[("base", f".{name}.partial")] == rows["base"]
+            assert given[("value", f".{name}.partial")] == \
+                rows["value"] - head, name
 
     @pytest.mark.parametrize("second", ["other/y.ini", "other/Y.ini",
                                         "in/y.ini"])
