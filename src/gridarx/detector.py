@@ -121,8 +121,9 @@ class SignatureLibrary:
     @classmethod
     def from_json(cls, text: str) -> "SignatureLibrary":
         """Parse `to_json` output; a signature labelled other than fault or
-        load_increase, or whose shape is not (2, 4 * order), raises
-        ValueError naming the entry."""
+        load_increase, whose shape is not (2, 4 * order) or whose
+        delta_theta holds a non-finite value raises ValueError naming the
+        entry."""
         doc = json.loads(text)
         lib = cls(order=doc["order"])
         for k, entry in enumerate(doc["signatures"]):
@@ -137,6 +138,11 @@ class SignatureLibrary:
                     f"{(2, 4 * lib.order)}"
                 )
             delta = np.array(entry["delta_theta"]).reshape(shape)
+            if not np.all(np.isfinite(delta)):
+                raise ValueError(
+                    f"library entry {k} ({source!r}): delta_theta holds a "
+                    "non-finite value"
+                )
             lib.signatures.append(
                 Signature(label=label, delta_theta=delta,
                           source_scenario=source)
@@ -388,8 +394,9 @@ def build_library(scenario_runs, nominal: NominalPredictor,
     the label must be fault or load_increase, else ValueError, and t must
     increase, else ValueError. The signature averages theta over the second
     half of the disturbance window (the settled segment, past the estimator
-    transient). Runs whose distance never exceeds d_low inside the window
-    are rejected: their deviation would be noise, not signal.
+    transient). Runs with no snapshot in that half, or whose distance never
+    exceeds d_low inside the window, are rejected with
+    InsufficientDataError: their signature would be empty or noise.
     """
     lib = SignatureLibrary(order=order)
     for label, t, thetas, t_start, t_end, source in scenario_runs:
@@ -401,9 +408,10 @@ def build_library(scenario_runs, nominal: NominalPredictor,
         # t increases, so each stretch is a slice: a view, not a copy
         lo, mid, hi = np.searchsorted(t, [t_start, (t_start + t_end) / 2.0,
                                           t_end])
-        if hi <= lo:
+        if hi <= mid:  # and so, when the whole window is empty
             raise InsufficientDataError(
-                f"run {source!r}: no snapshots inside the disturbance window"
+                f"run {source!r}: no snapshots in the settled second half "
+                "of the disturbance window"
             )
         d_window = distances(thetas[lo:hi], nominal.theta_star)
         if float(np.max(d_window)) <= thresholds.d_low:

@@ -24,6 +24,12 @@ MIN_GAIN_DENOMINATOR = 1e-12
 # lambda = 0.999), which is harmless.
 COV_CLAMP_INTERVAL = 50
 
+# np.dot without numpy's __array_function__ dispatch, for the per-sample
+# loops here and in `simulate`: each np.dot call first runs a Python
+# dispatcher function, and the C function behind it, kept as
+# `_implementation`, gives the same bits without that cost.
+raw_dot = getattr(np.dot, "_implementation", np.dot)
+
 
 class ConfigError(ValueError):
     """Invalid estimator configuration."""
@@ -156,9 +162,10 @@ def rls_run(state: IdentifierState, Y, Phi):
     # theta is written straight into its trajectory slot and P is updated in
     # place through fixed buffers. The operation order is that of the
     # formulas above, so every step is bitwise the same as computing it with
-    # fresh arrays; np.dot is the same BLAS gemv/dot as the @ operator, with
-    # less dispatch. lambda and 2.0 are 0-d arrays, so that the ufuncs do
-    # not convert a Python float on every call.
+    # fresh arrays; `raw_dot` is np.dot's own C function, the same BLAS
+    # gemv/dot as the @ operator without numpy's dispatch layer. lambda and
+    # 2.0 are 0-d arrays, so that the ufuncs do not convert a Python float
+    # on every call.
     theta = state.theta.copy()
     P = state.P.copy()
     P_T = P.T
@@ -171,7 +178,7 @@ def rls_run(state: IdentifierState, Y, Phi):
     eK = np.empty_like(theta)
     lam_0d, two_0d = np.array(lam), np.array(2.0)
     ceiling_sq = ceiling * ceiling
-    dot, subtract, add, divide = np.dot, np.subtract, np.add, np.divide
+    dot, subtract, add, divide = raw_dot, np.subtract, np.add, np.divide
 
     count = count0
     for y, phi, e, e_col, theta_next in zip(

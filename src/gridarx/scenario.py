@@ -28,16 +28,20 @@ first such run records its start up to the last simulator block edge at
 or before the disturbance start: the simulator's samples before t_start,
 the estimator state at that edge and, in a suite, the (t, theta,
 calibrated) rows of each block before it and the byte length of each CSV
-at the edge. The others resume from the record and replay its blocks
-through the same loop as live ones; only the CSV rows of those blocks are
-copied from the recording run's files instead of formatted. The outputs do
-not change: every artifact is bitwise that of the run on its own. The
-record lives only for the call that made it; a suite's record holds about
-214 bytes per sample before t_start.
+at the edge. The record joins the dict once the stream has passed the
+block holding the disturbance start, so a stream stopped later (the
+library build stops each one after its window's end) leaves it whole. The
+others resume from the record and replay its blocks through the same loop
+as live ones; only the CSV rows of those blocks are copied from the
+recording run's files instead of formatted. The outputs do not change:
+every artifact is bitwise that of the run on its own. The record lives
+only for the call that made it; a suite's record holds about 214 bytes per
+sample before t_start.
 """
 
 from __future__ import annotations
 
+import bisect
 import configparser
 import contextlib
 import json
@@ -570,9 +574,11 @@ def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
     none), and identification starts at the edge from its state.
     Otherwise `prefix` is a new _Prefix of this run, which the stream
     fills in as it passes, keeping the rows of the blocks before its edge
-    when `rows` is true, and adds to `prefixes` once it has ended; it is
-    None when the run has no disturbance inside it or no whole block
-    before one.
+    when `rows` is true, and adds to `prefixes` as soon as it is complete:
+    when the block holding k_on has been identified, before that block is
+    yielded. A consumer that stops the stream after that point, or a run
+    that fails after it, leaves a valid record. `prefix` is None when the
+    run has no disturbance inside it or no whole block before one.
     """
     block = SIMULATE_BLOCK
     key = _prefix_key(config) if prefixes is not None else None
@@ -604,8 +610,6 @@ def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
             try:
                 part = next(sim)
             except StopIteration:
-                if recording is not None:
-                    prefixes[key] = recording
                 return
             except Exception as exc:
                 raise StageError("simulate", str(exc)) from exc
@@ -627,13 +631,16 @@ def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
                     "identify", f"{exc} (block from update {first})") from exc
             state = run.final_state
             if recording is not None:
-                if part.prefix is not None:
-                    recording.sim = part.prefix
                 if hi <= recording.edge:
                     recording.state = state
                     if recording.blocks is not None:
                         recording.blocks.append(
                             _Rows(run.t, run.theta, run.calibrated))
+                if part.prefix is not None:
+                    # the block holding k_on: the record is complete, and
+                    # stays valid whether or not the stream goes on
+                    recording.sim = part.prefix
+                    prefixes[key] = recording
             yield part, run
 
     return blocks(), resumed or recording
@@ -957,6 +964,11 @@ def run_scenario(
             final_verdict = final_event.verdict
         else:
             final_verdict = Verdict.NORMAL
+            warnings.append(
+                f"no armed update falls in the settle window "
+                f"[{settle_from:g}, {settle_to:g}) s; the final verdict is "
+                "normal by default"
+            )
 
         dt1_high, dt1_low, dt2 = crossings
         report = RunReport(
@@ -1037,18 +1049,41 @@ def build_library_from_scenarios(
 
     Each run streams; of it only the (t, theta) rows inside the disturbance
     window are kept, the only ones `build_library` reads, in arrays sized
-    for the window. Runs that share a
-    prefix (see `_prefix_key`) simulate and identify it once; since the
-    window starts after it, its record holds only the simulator's samples
-    and the estimator's state, and the blocks before its edge are skipped.
-    A scenario without a disturbance, or of another model order than the
-    calibration, raises ValueError before anything is simulated.
+    for the window. The stream stops after the first block that holds an
+    update at or after the window's end, and is closed there: what comes
+    after it is never simulated or identified. Runs that share a prefix
+    (see `_prefix_key`) simulate and identify it once; since the window
+    starts after it, its record holds only the simulator's samples and the
+    estimator's state, and the blocks before its edge are skipped. The
+    record is complete, and registered, once the stream has passed the
+    disturbance start, so a stream stopped later leaves it whole.
+    A scenario without a disturbance, with no update in the settled half
+    of its window (the rows the signature averages), or of another model
+    order than the calibration, raises ValueError before anything is
+    simulated.
     """
     configs = list(configs)
     for config in configs:
-        if config.disturbance is None:
+        dist = config.disturbance
+        if dist is None:
             raise ValueError(
                 f"scenario {config.name!r} has no disturbance; cannot label it"
+            )
+        # updates k = order + 1, ... at times k * ts, as the simulator
+        # computes them; the first at or after the settled half's start
+        # must come before t_end. A run with no update at all is left to
+        # the simulator and the estimator, which name the reason.
+        mid = (dist.t_start + dist.t_end) / 2.0
+        updates = range(config.identifier.order + 1,
+                        sample_count(config.duration, config.ts))
+        k = bisect.bisect_left(updates, mid, key=lambda j: j * config.ts)
+        if updates and (k == len(updates)
+                        or updates[k] * config.ts >= dist.t_end):
+            raise ValueError(
+                f"scenario {config.name!r}: no update of the run "
+                f"({config.duration:g} s) falls in the settled half "
+                f"[{mid:g}, {dist.t_end:g}) s of its disturbance window, "
+                "which the signature averages"
             )
         _check_order(config, nominal, None)
     prefixes = {}
@@ -1067,12 +1102,18 @@ def build_library_from_scenarios(
         t = np.empty(rows)
         thetas = np.empty((rows, 2, 4 * config.identifier.order))
         rows = 0
-        for _, run in blocks:
-            # t increases, so a block's window rows are a slice
-            lo, hi = np.searchsorted(run.t, (t_start, t_end))
-            t[rows:rows + hi - lo] = run.t[lo:hi]
-            thetas[rows:rows + hi - lo] = run.theta[lo:hi]
-            rows += hi - lo
+        with contextlib.closing(blocks):
+            for part, run in blocks:
+                # t increases, so a block's window rows are a slice
+                lo, hi = np.searchsorted(run.t, (t_start, t_end))
+                t[rows:rows + hi - lo] = run.t[lo:hi]
+                thetas[rows:rows + hi - lo] = run.theta[lo:hi]
+                rows += hi - lo
+                if hi < run.t.size:  # an update at or after t_end
+                    break
+        # the last block goes with its stream, not once the next run's
+        # first block replaces it: a stream stopped early ends on a full one
+        del part, run
         runs.append((label, t[:rows], thetas[:rows], t_start, t_end,
                      config.name))
         order = config.identifier.order

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitParams, StateSpaceModel, full_circuit_model
+from .rls import raw_dot
 from .signals import RbsConfig, RbsStream
 # Not called here: kept as a module attribute so that tools which wrap
 # `gridarx.simulate.rbs_generate` by name still resolve it.
@@ -169,10 +170,11 @@ def _step(v, x, F, Cv, drive):
     """Step from state x over the rows of `drive`, writing each sample's
     PCC voltage into the rows of v; returns the state after the last."""
     # v[k] = Cv x; x <- F x + drive[k], written into preallocated rows: the
-    # next state overwrites the forcing row it consumes. np.dot is the same
-    # BLAS gemv as the @ operator, so the values are bitwise those of the
-    # plain expressions.
-    dot, add = np.dot, np.add
+    # next state overwrites the forcing row it consumes. `raw_dot` is np.dot's
+    # own C function, the same BLAS gemv as the @ operator without numpy's
+    # dispatch layer, so the values are bitwise those of the plain
+    # expressions.
+    dot, add = raw_dot, np.add
     Fx = np.empty_like(x)
     for v_k, x_next in zip(v, drive):
         dot(Cv, x, v_k)

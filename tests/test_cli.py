@@ -100,6 +100,26 @@ class TestBuildLibrary:
         assert "simulator broke" in err
 
 
+    def test_window_past_the_run_end_exits_2(self, workspace, tmp_path,
+                                             capsys):
+        """The settled half of the window, [5.5, 9) s, lies past the 3 s
+        run: its signature would be the mean of no rows."""
+        bad = tmp_path / "short.ini"
+        bad.write_text(MINI_FAULT.replace("duration = 8.0", "duration = 3")
+                       .replace("t_start = 6.0", "t_start = 2")
+                       .replace("t_end = 7.5", "t_end = 9"))
+        out = tmp_path / "lib"
+        rc = main(["build-library", "--config", str(bad),
+                   "--calibration", workspace["calibration.json"],
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: scenario 'short': no update of the run (3 s) falls in "
+            "the settled half [5.5, 9) s of its disturbance window, which "
+            "the signature averages\n")
+        assert not (out / "library.json").exists()
+
+
 class TestRun:
     def test_report_artifacts(self, workspace, tmp_path):
         out = str(tmp_path / "run")
@@ -192,6 +212,9 @@ class TestLibraryFile:
     @pytest.mark.parametrize("entry, message", [
         ({"label": "normal"}, "label 'normal' is not a signature label"),
         ({"shape": None}, "missing key 'shape'"),
+        ({"delta_theta": [float("nan")] * 24},
+         "library entry 0 ('load_0p35'): delta_theta holds a non-finite "
+         "value"),
     ])
     def test_bad_library_names_file(self, workspace, tmp_path, capsys,
                                     command, entry, message):

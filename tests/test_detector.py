@@ -604,6 +604,19 @@ class TestBuildLibrary:
             build_library([(Verdict.FAULT, t, thetas, 5.0, 6.0, "late")],
                           nom, thr, order=ORDER)
 
+    def test_empty_settled_half_rejected(self):
+        """Snapshots inside the window but none in its second half: the
+        signature would be the mean of no rows."""
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        thr = Thresholds(d_high=1.0, d_low=0.01)
+        t = np.linspace(0.0, 3.0, 31)
+        thetas = np.ones((31,) + SHAPE)
+        with pytest.raises(InsufficientDataError,
+                           match="run 'short': no snapshots in the settled "
+                                 "second half of the disturbance window"):
+            build_library([(Verdict.FAULT, t, thetas, 2.0, 9.0, "short")],
+                          nom, thr, order=ORDER)
+
 
 class TestSignatureLabels:
     """A signature is a fault or load-increase pattern; any other label
@@ -666,6 +679,19 @@ class TestLibrarySerialization:
                 "not match the library's order 3, which needs (2, 12)")
         else:  # entry 0 is (2, 12) too, so it is the first named
             assert message.startswith("library entry 0 ")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_from_json_rejects_non_finite_signature(self, value):
+        lib = flat_library([(np.ones(SHAPE), Verdict.FAULT),
+                            (np.ones(SHAPE), Verdict.LOAD_INCREASE)])
+        doc = json.loads(lib.to_json())
+        doc["signatures"][1]["delta_theta"][5] = value
+        doc["signatures"][1]["source_scenario"] = "load_run"
+        with pytest.raises(ValueError, match=r"^library entry 1 "
+                           r"\('load_run'\): delta_theta holds a non-finite "
+                           r"value$"):
+            SignatureLibrary.from_json(json.dumps(doc))
 
     def test_json_round_trip(self, rng):
         lib = flat_library([(rng.standard_normal(SHAPE), Verdict.FAULT),

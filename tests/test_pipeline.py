@@ -2,9 +2,12 @@
 per-sample transcription of the textbook update, block-split invariance,
 and the block error path."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+from gridarx import rls as rls_module
 from gridarx.circuit import CircuitParams
 from gridarx.pipeline import build_lagged_regressors, identify
 from gridarx.rls import (
@@ -16,7 +19,10 @@ from gridarx.rls import (
     rls_run,
 )
 from gridarx.signals import RbsConfig
-from gridarx.simulate import SimResult, simulate
+from gridarx.simulate import DisturbanceSpec, SimResult, simulate
+
+# the module, which the package's `simulate` function shadows
+simulate_module = importlib.import_module("gridarx.simulate")
 
 
 def oracle_identify(sim, config, state=None, stats=None):
@@ -322,3 +328,27 @@ class TestBitPatterns:
         run = identify(simulated, config)
         assert run.final_state.sample_count >= 10 * COV_CLAMP_INTERVAL
         assert eigh.calls == 0
+
+
+class TestDotDispatch:
+    def test_np_dot_in_place_of_raw_dot_keeps_every_bit(self, monkeypatch):
+        """`rls.raw_dot`, which `rls_run` and the simulator's step loop
+        call, is np.dot's own C function without numpy's dispatch layer:
+        with np.dot itself in its place, across both topology switches and
+        the covariance clamp checks, the voltages and the predictors keep
+        their bits."""
+        args = (CircuitParams(), DisturbanceSpec("fault", 0.2077, 0.4, 0.7),
+                RbsConfig(amplitude=0.1, chip_rate=5000.0, seed=1), 1.0)
+        config = ArxConfig()
+        sim = simulate(*args)
+        run = identify(sim, config)
+        monkeypatch.setattr(rls_module, "raw_dot", np.dot)
+        monkeypatch.setattr(simulate_module, "raw_dot", np.dot)
+        sim_np = simulate(*args)
+        run_np = identify(sim_np, config)
+        assert np.array_equal(sim.v_dq.view(np.uint64),
+                              sim_np.v_dq.view(np.uint64))
+        assert np.array_equal(run.theta.view(np.uint64),
+                              run_np.theta.view(np.uint64))
+        assert np.array_equal(run.final_state.P.view(np.uint64),
+                              run_np.final_state.P.view(np.uint64))

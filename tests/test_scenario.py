@@ -6,6 +6,7 @@ import filecmp
 import json
 import os
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from gridarx.detector import (
     SignatureLibrary,
     Thresholds,
     Verdict,
+    build_library,
     verdict_codes,
 )
 from gridarx.pipeline import identify
@@ -299,11 +301,13 @@ class TestCsvRoundTrips:
             writer.write(first[:split])
             size = fh.tell()
             writer.write(first[split:])
-        lines = open(a, "rb").read().splitlines(keepends=True)
+        with open(a, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
         assert size == sum(map(len, lines[:split + 1]))
         write_in_blocks(b, "x,y,z", second[split:], (a, size))
         _write_csv(want, "x,y,z", second)
-        assert open(b, "rb").read() == open(want, "rb").read()
+        with open(b, "rb") as got, open(want, "rb") as wanted:
+            assert got.read() == wanted.read()
 
     def test_copy_from_short_file_fails(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -479,6 +483,26 @@ class TestRunScenario:
         report = run_scenario(cfg, nominal, thresholds)
         assert report.warnings
         assert report.dt1_high is None
+
+    def test_settle_window_after_run_end_warns(self, default_cal, tmp_path):
+        """The fault starts inside the run, but the settled half of its
+        window, [5.5, 9) s, which the final verdict averages, starts after
+        the run: the verdict is normal by default, and says so."""
+        nominal, thresholds, _, _ = default_cal
+        cfg = ScenarioConfig(
+            name="short",
+            duration=3.0,
+            disturbance=DisturbanceSpec("fault", 0.2077, 2.0, 9.0),
+        )
+        report = run_scenario(cfg, nominal, thresholds,
+                              out_dir=str(tmp_path))
+        assert report.final_verdict is Verdict.NORMAL
+        assert report.dt1_high is not None  # the fault itself was seen
+        warning = ("no armed update falls in the settle window [5.5, 9) s; "
+                   "the final verdict is normal by default")
+        assert report.warnings == [warning]
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["warnings"] == [warning]
 
     def test_scenario_pinned_thresholds_take_precedence(self, default_cal,
                                                         short_fault_config):
@@ -702,6 +726,21 @@ class TestModelOrder:
                                              r"model order is 2"):
             run_scenario(config, nominal, thresholds)
 
+    def test_library_build_of_an_empty_settled_half(self, default_cal,
+                                                     no_simulation):
+        """Every scenario is checked before the first one is simulated: the
+        second one's settled half holds no update of its run."""
+        nominal, thresholds, _, _ = default_cal
+        good = ScenarioConfig(name="good", duration=3.0,
+                              disturbance=DisturbanceSpec(
+                                  "fault", 0.2077, 2.0, 3.0))
+        short = replace(good, name="short", disturbance=DisturbanceSpec(
+            "fault", 0.2077, 2.0, 9.0))
+        with pytest.raises(ValueError, match=r"^scenario 'short': no update "
+                           r"of the run \(3 s\) falls in the settled half "
+                           r"\[5\.5, 9\) s"):
+            build_library_from_scenarios([good, short], nominal, thresholds)
+
     def test_library_build_of_another_order(self, default_cal,
                                             no_simulation):
         """Every scenario is checked before the first one is simulated."""
@@ -869,6 +908,42 @@ def expected_counts(paths, block):
     return want
 
 
+def library_updates(config, block):
+    """The updates the library build identifies of `config` in blocks of
+    `block` samples: those of the blocks up to the one holding the first
+    update at or after the disturbance end, or all of them when no update
+    comes that late."""
+    n = sample_count(config.duration, config.ts)
+    first = config.identifier.order + 1  # sample index of update 0
+    end = int(np.searchsorted(np.arange(n) * config.ts,
+                              config.disturbance.t_end))
+    return min(n, (max(first, end) // block + 1) * block) - first
+
+
+def counting_library(configs, nominal, thresholds, block):
+    """build_library_from_scenarios in blocks of `block` samples with the
+    updates identified for each scenario counted: (library, [(scenario
+    name, updates identified)])."""
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario_module, "SIMULATE_BLOCK", block)
+        simulate_identify = scenario_module._simulate_identify
+
+        def counted_stream(config, *args, **kwargs):
+            counts.append([config.name, 0])
+            return simulate_identify(config, *args, **kwargs)
+
+        def counted_identify(*args, **kwargs):
+            run = identify(*args, **kwargs)
+            counts[-1][1] += run.t.size
+            return run
+
+        mp.setattr(scenario_module, "_simulate_identify", counted_stream)
+        mp.setattr(scenario_module, "identify", counted_identify)
+        library = build_library_from_scenarios(configs, nominal, thresholds)
+    return library, [tuple(c) for c in counts]
+
+
 class TestSharedPrefix:
     """Runs of one suite that share everything before the disturbance
     compute it once, and still write the bytes of a run on its own."""
@@ -1032,11 +1107,117 @@ class TestSharedPrefix:
                                                   thresholds)
             alone = [build_library_from_scenarios([c], nominal, thresholds)
                      for c in configs]
-        full = updates_of(configs[0])
-        assert sum(counts) == 4 * full - shared_updates(configs[0],
+        # each of the four streams stops after the block that passes
+        # t_end, and the shared build's second one resumes from the record
+        stop = library_updates(configs[0], LIBRARY_BLOCK)
+        assert stop < updates_of(configs[0])
+        assert sum(counts) == 4 * stop - shared_updates(configs[0],
                                                         LIBRARY_BLOCK)
         assert json.loads(shared.to_json())["signatures"] == [
             json.loads(lib.to_json())["signatures"][0] for lib in alone]
+
+
+class TestLibraryStopsAtWindowEnd:
+    """The library build reads only the disturbance window of each run, so
+    it leaves each stream after the block that passes the window's end."""
+
+    # 10**6: one block, which holds the whole run
+    @pytest.mark.parametrize("block", [OFF_EDGE_BLOCK, SHARE_BLOCK,
+                                       LIBRARY_BLOCK, 10**6])
+    def test_identifies_up_to_the_block_passing_t_end(self, default_cal,
+                                                      tmp_path, block):
+        nominal, thresholds, _, _ = default_cal
+        config = load_scenario(share_ini(tmp_path, "base.ini"))
+        _, counts = counting_library([config], nominal, thresholds, block)
+        assert counts == [("base", library_updates(config, block))]
+        if block < 10**6:
+            assert counts[0][1] < updates_of(config)
+
+    @pytest.mark.parametrize("block", [OFF_EDGE_BLOCK, SHARE_BLOCK,
+                                       LIBRARY_BLOCK])
+    def test_later_scenarios_resume_from_the_stopped_record(
+            self, default_cal, tmp_path, block):
+        """The base stream stops after its window, past the disturbance
+        start; the others still resume from its record, the one with the
+        later t_end past the point where the base stream stopped."""
+        nominal, thresholds, _, _ = default_cal
+        changes = {name: (old, new) for name, old, new in MAY_SHARE}
+        configs = [load_scenario(share_ini(tmp_path, "base.ini"))]
+        configs += [load_scenario(share_ini(tmp_path, f"{name}.ini",
+                                            changes[name]))
+                    for name in ("kind", "t_end")]
+        library, counts = counting_library(configs, nominal, thresholds,
+                                           block)
+        shared = shared_updates(configs[0], block)
+        assert counts == [
+            ("base", library_updates(configs[0], block)),
+            ("kind", library_updates(configs[1], block) - shared),
+            ("t_end", library_updates(configs[2], block) - shared)]
+        assert library_updates(configs[0], block) < \
+            library_updates(configs[2], block)
+        alone = [build_library_from_scenarios([c], nominal, thresholds)
+                 for c in configs]
+        assert library.to_json() == SignatureLibrary(
+            order=3, signatures=[lib.signatures[0] for lib in alone]
+        ).to_json()
+
+    def test_window_reaching_the_run_end_identifies_every_update(
+            self, default_cal, tmp_path):
+        nominal, thresholds, _, _ = default_cal
+        config = load_scenario(share_ini(tmp_path, "long.ini",
+                                         ("t_end = 0.75", "t_end = 1.2")))
+        _, counts = counting_library([config], nominal, thresholds,
+                                     SHARE_BLOCK)
+        assert counts == [("long", updates_of(config))]
+
+    @pytest.mark.parametrize("block", [OFF_EDGE_BLOCK, LIBRARY_BLOCK])
+    def test_signatures_equal_build_library_on_a_full_pass(
+            self, default_cal, tmp_path, block):
+        """The oracle simulates and identifies each run whole, and gives
+        `build_library` every row of it."""
+        nominal, thresholds, _, _ = default_cal
+        configs = [load_scenario(share_ini(tmp_path, "base.ini")),
+                   load_scenario(share_ini(tmp_path, "load.ini",
+                                           MAY_SHARE[0][1:]))]
+        library, _ = counting_library(configs, nominal, thresholds, block)
+        runs = []
+        for config in configs:
+            dist = config.disturbance
+            sim = simulate(config.circuit, dist, config.excitation,
+                           config.duration, config.ts, config.noise_std,
+                           config.noise_seed, config.i_op)
+            run = identify(sim, config.identifier)
+            label = (Verdict.FAULT if dist.kind == "fault"
+                     else Verdict.LOAD_INCREASE)
+            runs.append((label, run.t, run.theta, dist.t_start, dist.t_end,
+                         config.name))
+        want = build_library(runs, nominal, thresholds, 3)
+        assert library.to_json() == want.to_json()
+
+    def test_stopped_streams_are_closed(self, default_cal, tmp_path):
+        """No simulator of a stream left early is still alive when the
+        signatures are built: each stream was closed where it stopped."""
+        nominal, thresholds, _, _ = default_cal
+        configs = [load_scenario(share_ini(tmp_path, "base.ini")),
+                   load_scenario(share_ini(tmp_path, "load.ini",
+                                           MAY_SHARE[0][1:]))]
+        simulators, alive = [], []
+        simulate_blocks = scenario_module.simulate_blocks
+
+        def tracked(*args, **kwargs):
+            blocks = simulate_blocks(*args, **kwargs)
+            simulators.append(weakref.ref(blocks))
+            return blocks
+
+        def checked(*args, **kwargs):
+            alive.extend(ref() is not None for ref in simulators)
+            return build_library(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_module, "simulate_blocks", tracked)
+            mp.setattr(scenario_module, "build_library", checked)
+            build_library_from_scenarios(configs, nominal, thresholds)
+        assert alive == [False, False]
 
 
 class TestVerdictTimeline:
