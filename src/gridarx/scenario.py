@@ -13,7 +13,11 @@ estimator each carry their state from block to block, which gives bitwise
 the run of one call over the whole stream. Each block's rows go to the
 artifact files as they arrive, and the detector carries its debounce,
 first crossings and transitions, and the baseline its one-cycle average,
-across blocks. Of the predictor trajectory a run keeps only the
+across blocks. A run given an output directory formats its three CSVs
+off its loop: a child process forked per run owns their writers and is
+sent each block's rows (`_CsvProcess`); where fork is missing, or in a
+daemonic multiprocessing worker, the run formats them itself. Of the
+predictor trajectory a run keeps only the
 settle-window rows whose mean gives the final verdict, so its memory
 depends on the block size and the disturbance window, not on its length;
 a run without a disturbance averages, and so keeps, the second half of the
@@ -45,6 +49,7 @@ import bisect
 import configparser
 import contextlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
@@ -174,9 +179,11 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
     """Parse an INI scenario file on top of the default profile.
 
     Recognized sections and keys are those of SCENARIO_SCHEMA; an unknown
-    section or key, a value that does not parse or is out of range, or a
-    missing required value raises ValueError naming the file, the section
-    and the key.
+    section or key, a value that does not parse, is not finite or is out of
+    range, or a missing required value raises ValueError naming the file,
+    the section and the key. A bad override is not the file's: its error
+    does not name the path, and a bad excitation seed override names the
+    option, `--seed`.
     Disturbance impedance may be given in p.u. (r_fault_pu / l_load_pu) or
     physical units (r_fault_ohm / l_load_h).
     """
@@ -192,11 +199,17 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
             return fallback
         raw = parser[section][key]
         try:
-            return convert(raw)
+            value = convert(raw)
         except (KeyError, ValueError):
             raise ValueError(
                 f"{path}: [{section}] {key}: expected {expected}, got {raw!r}"
             ) from None
+        # no key of a scenario takes nan or inf: each would surface late,
+        # in the simulator or the estimator, or be silently ignored
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(
+                f"{path}: [{section}] {key}: must be finite, got {raw!r}")
+        return value
 
     def iget(section, key, fallback):
         return fget(section, key, fallback, int, "an integer")
@@ -251,24 +264,26 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
                     "true or false"):
             excitation = None
         else:
+            # read before the try, whose prefix their errors already carry
+            values = dict(amplitude=fget("excitation", "amplitude", 0.1),
+                          chip_rate=fget("excitation", "chip_rate", 5000.0),
+                          seed=iget("excitation", "seed", 1))
             try:
-                excitation = RbsConfig(
-                    amplitude=fget("excitation", "amplitude", 0.1),
-                    chip_rate=fget("excitation", "chip_rate", 5000.0),
-                    seed=iget("excitation", "seed", 1),
-                )
+                excitation = RbsConfig(**values)
             except ValueError as exc:
                 raise ValueError(f"{path}: [excitation] {exc}") from None
     if "seed" in overrides and excitation is not None:
-        excitation = replace(excitation, seed=int(overrides["seed"]))
+        try:
+            excitation = replace(excitation, seed=int(overrides["seed"]))
+        except ValueError as exc:
+            raise ValueError(f"--seed: {exc}") from None
 
+    values = dict(order=iget("identifier", "order", 3),
+                  forgetting=fget("identifier", "forgetting", 0.999),
+                  p0_scale=fget("identifier", "p0_scale", 1e4),
+                  p_max=fget("identifier", "p_max", None))
     try:
-        identifier = ArxConfig(
-            order=iget("identifier", "order", 3),
-            forgetting=fget("identifier", "forgetting", 0.999),
-            p0_scale=fget("identifier", "p0_scale", 1e4),
-            p_max=fget("identifier", "p_max", None),
-        )
+        identifier = ArxConfig(**values)
     except ValueError as exc:
         raise ValueError(f"{path}: [identifier] {exc}") from None
     # an override's error is not the file's: it is raised without its path
@@ -302,13 +317,23 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
 
     duration = fget("run", "duration", base.duration)
     ts = fget("run", "ts", base.ts)
+    noise_std = fget("run", "noise_std", base.noise_std)
+    noise_seed = iget("run", "noise_seed", base.noise_seed)
+    match_floor = fget("run", "match_floor", base.match_floor)
     hold = iget("run", "hold", base.hold)
+    limit_fraction = fget("run", "limit_fraction", base.limit_fraction)
     calibration_window = iget("run", "calibration_window",
                               base.calibration_window)
     for key, value, ok, need in (
             ("duration", duration, duration > 0, "> 0"),
             ("ts", ts, ts > 0, "> 0"),
+            ("noise_std", noise_std, noise_std >= 0, ">= 0"),
+            ("noise_seed", noise_seed, noise_seed >= 0, ">= 0"),
+            # a cosine similarity lies in [-1, 1]
+            ("match_floor", match_floor, -1 <= match_floor <= 1,
+             "in [-1, 1]"),
             ("hold", hold, hold >= 1, ">= 1"),
+            ("limit_fraction", limit_fraction, limit_fraction > 0, "> 0"),
             ("calibration_window", calibration_window,
              calibration_window >= 1, ">= 1")):
         if not ok:
@@ -329,11 +354,11 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
         thresholds=thresholds,
         duration=duration,
         ts=ts,
-        noise_std=fget("run", "noise_std", base.noise_std),
-        noise_seed=iget("run", "noise_seed", base.noise_seed),
-        match_floor=fget("run", "match_floor", base.match_floor),
+        noise_std=noise_std,
+        noise_seed=noise_seed,
+        match_floor=match_floor,
         hold=hold,
-        limit_fraction=fget("run", "limit_fraction", base.limit_fraction),
+        limit_fraction=limit_fraction,
         calibration_window=calibration_window,
     )
 
@@ -809,6 +834,153 @@ class _ArtifactFiles:
         return False
 
 
+# What a run tells its CSV writers where it reaches its prefix edge.
+EDGE = "edge"
+
+
+class _CsvFormatter:
+    """The `_CsvWriter`s of a run's CSV artifacts, built from (name, file,
+    header, head) each. `take` is given, block by block, the block's rows
+    for each file in that order, or EDGE where the run reaches its prefix
+    edge, which notes each file's size; `finish` flushes the files and
+    returns those sizes, None if there was no edge."""
+
+    def __init__(self, csvs):
+        self.writers = {name: _CsvWriter(fh, header, head)
+                        for name, fh, header, head in csvs}
+        self.sizes = None
+
+    def take(self, message) -> None:
+        if message == EDGE:
+            self.sizes = {name: writer.fh.tell()
+                          for name, writer in self.writers.items()}
+            return
+        for writer, rows in zip(self.writers.values(), message):
+            writer.write(rows)
+
+    def finish(self):
+        for writer in self.writers.values():
+            writer.fh.flush()
+        return self.sizes
+
+
+def _fork_context():
+    """multiprocessing's fork context, or None where a run formats its CSVs
+    in its own process: where fork is missing, or in a daemonic worker,
+    which may not start processes."""
+    # imported here, where a run first writes CSVs: a process that never
+    # does, such as a live detector, is spared its 0.6 MB
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _format_in_child(csvs, inbox, outbox, parent_ends) -> None:
+    """The body of the writer process: a `_CsvFormatter` takes what `inbox`
+    brings until None, then `outbox` gets the sizes at the edge, or the
+    exception that stopped it. One that cannot be sent ends the process
+    with exit code 1, which the run reports."""
+    for conn in parent_ends:
+        conn.close()
+    try:
+        formatter = _CsvFormatter(csvs)
+        while (message := inbox.recv()) is not None:
+            formatter.take(message)
+        reply = formatter.finish()
+    except Exception as exc:
+        reply = exc
+    outbox.send(reply)
+
+
+class _CsvProcess:
+    """A run's CSV artifacts, formatted off the run's loop.
+
+    Where `_fork_context` gives a context, one child process forked from
+    it owns the writers: it builds the `_CsvFormatter`, copying any heads,
+    and is sent each message of `send` through a pipe; the run's own
+    process never writes through those files. Otherwise the formatter
+    runs in this process, on the same messages. `finish` returns the
+    sizes at the edge, or raises the exception that stopped the writer
+    with its type and message; a writer process that ended without a word
+    raises OSError naming its exit code. Leaving the `with` block joins the
+    process, terminated first if the block failed, and closes its pipes.
+    """
+
+    def __init__(self, csvs):
+        context = _fork_context()
+        self._process = None
+        if context is None:
+            self._formatter = _CsvFormatter(csvs)
+            return
+        inbox, self._inbox = context.Pipe(duplex=False)
+        self._outbox, outbox = context.Pipe(duplex=False)
+        ends = (self._inbox, self._outbox)
+        process = context.Process(
+            target=_format_in_child, args=(csvs, inbox, outbox, ends),
+            name="gridarx-csv-writer", daemon=True)
+        try:
+            process.start()
+        except BaseException:
+            for conn in ends:
+                conn.close()
+            raise
+        finally:
+            inbox.close()
+            outbox.close()
+        self._process = process
+
+    def send(self, message) -> None:
+        if self._process is None:
+            self._formatter.take(message)
+            return
+        try:
+            self._inbox.send(message)
+            return
+        except OSError:
+            pass  # the writer has stopped; its reply says why
+        # raised outside the handler, so that the error does not keep the
+        # failed send's frames, and the pickle buffer they export, alive
+        self._reply()
+
+    def finish(self):
+        if self._process is None:
+            return self._formatter.finish()
+        try:
+            self._inbox.send(None)
+        except OSError:
+            pass  # the reply says why
+        return self._reply()
+
+    def _reply(self):
+        try:
+            reply = self._outbox.recv()
+        except EOFError:
+            self._process.join()
+            raise OSError(
+                f"the CSV writer process ended with exit code "
+                f"{self._process.exitcode} before the run's CSVs were "
+                "written") from None
+        if isinstance(reply, BaseException):
+            raise reply from None
+        return reply
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._process is not None:
+            self._inbox.close()  # a writer still waiting reads its end
+            if exc[0] is not None:
+                self._process.terminate()
+            self._process.join()
+            self._process.close()
+            self._outbox.close()
+        return False
+
+
 def run_scenario(
     config: ScenarioConfig,
     nominal: NominalPredictor,
@@ -825,7 +997,17 @@ def run_scenario(
     whole-run pass. Writes samples/distance/theta CSVs, an events
     JSON-lines stream, and a JSON report when `out_dir` is given, each as
     its rows arrive and under a temporary name until the run has
-    succeeded. Thresholds pinned in the scenario config
+    succeeded. The CSVs are formatted in a child process forked for the
+    run, which is sent each block's rows, so that formatting overlaps the
+    next block's simulate and identify; where fork is missing, or the
+    caller is a daemonic multiprocessing worker, which may not start
+    processes, the run formats them itself, into the same bytes. The
+    events and the report are written by the run's own process. If the
+    writer fails, the run raises its exception, with its type and message,
+    or OSError naming the writer's exit code if it died without one,
+    before the report is written; as with any failure, nothing of the run
+    is left in `out_dir` and no process outlives it. Thresholds pinned in
+    the scenario config
     take precedence over the calibration-supplied ones. A calibration or
     library of another model order than the run's is rejected with
     ValueError before anything is simulated.
@@ -882,22 +1064,23 @@ def run_scenario(
     timeline = []
     settled = []  # armed theta rows inside the settle window
 
-    with (contextlib.nullcontext() if out_dir is None
-          else _ArtifactFiles(out_dir)) as files:
+    with contextlib.ExitStack() as stack:
+        files = (None if out_dir is None
+                 else stack.enter_context(_ArtifactFiles(out_dir)))
         blocks, prefix = _simulate_identify(config, prefixes, rows=True)
         edge = 0 if prefix is None else prefix.edge
         heads = None if prefix is None else prefix.heads
-        sizes = None  # the CSVs' sizes at the edge, when written here
         if files is not None:
-            csvs = {}
+            csvs = []
             for name, header in (
                     ("samples.csv", SAMPLES_HEADER),
                     ("distance.csv", DISTANCE_HEADER),
                     ("theta.csv", _theta_header(2, 4 * order))):
                 head = (None if heads is None
                         else (os.path.join(heads[0], name), heads[1][name]))
-                csvs[name] = _CsvWriter(files.open(name), header, head)
+                csvs.append((name, files.open(name), header, head))
             events = files.open("events.jsonl")
+            writer = stack.enter_context(_CsvProcess(csvs))
 
         lo = hi = 0  # run index of the block's first update; samples passed
         for part, run in blocks:
@@ -947,12 +1130,10 @@ def run_scenario(
                                   + "\n").encode("ascii"))
                 # the copied heads hold the rows of the blocks up to the edge
                 if heads is None or hi > edge:
-                    csvs["samples.csv"].write(_samples_rows(part))
-                    csvs["distance.csv"].write(np.column_stack([t, d]))
-                    csvs["theta.csv"].write(
-                        _theta_rows(t, thetas, lo, THETA_STRIDE))
+                    writer.send((_samples_rows(part), np.column_stack([t, d]),
+                                 _theta_rows(t, thetas, lo, THETA_STRIDE)))
                 if heads is None and hi == edge:
-                    sizes = {name: w.fh.tell() for name, w in csvs.items()}
+                    writer.send(EDGE)
             lo += t.size
 
         if settled:
@@ -989,6 +1170,7 @@ def run_scenario(
         )
 
         if files is not None:
+            sizes = writer.finish()
             files.open("report.json").write(report.to_json().encode("ascii"))
             files.commit()
             if sizes is not None:

@@ -50,6 +50,8 @@ class RbsConfig:
             raise ValueError(f"amplitude must be positive, got {self.amplitude}")
         if self.chip_rate <= 0.0:
             raise ValueError(f"chip_rate must be positive, got {self.chip_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class RbsStream:

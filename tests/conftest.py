@@ -2,6 +2,7 @@
 experiment are expensive, so they are session-scoped and reused across
 test modules."""
 
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,19 @@ from gridarx.simulate import DisturbanceSpec, simulate
 DISC_THRESHOLDS = Thresholds(d_high=4.5, d_low=0.03)
 DISC_MATCH_FLOOR = 0.6
 HELD_OUT_SEEDS = (3, 4, 5, 6, 7)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Fail a test that leaves a child process running, such as a run's CSV
+    writer on a failure path; the process is stopped first."""
+    yield
+    left = multiprocessing.active_children()
+    for process in left:
+        process.terminate()
+        process.join()
+    if left:
+        pytest.fail(f"child processes left running: {left}")
 
 
 @pytest.fixture(scope="session")

@@ -148,6 +148,30 @@ class TestRun:
             f"error: {bad}: [circuit] r1 must be > 0\n"
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_override_exits_2_naming_option(self, workspace,
+                                                          tmp_path, capsys):
+        rc = main(["run", "--config", workspace["fault.ini"],
+                   "--calibration", workspace["calibration.json"],
+                   "--seed", "-2", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: --seed: seed must be >= 0, got -2\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_writer_error_exits_2_with_message(self, workspace, tmp_path,
+                                               capsys, monkeypatch):
+        def disk_full(writer, data):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("gridarx.scenario._CsvWriter.write", disk_full)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", workspace["fault.ini"],
+                   "--calibration", workspace["calibration.json"],
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert not out.exists()
+
 
 class TestSuite:
     def test_comparison_table(self, workspace, tmp_path):

@@ -5,6 +5,7 @@ import configparser
 import filecmp
 import json
 import os
+import signal
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -28,6 +29,7 @@ from gridarx.scenario import (
     FLOAT_FMT,
     ScenarioConfig,
     StageError,
+    _CsvProcess,
     _CsvWriter,
     _CycleAverage,
     _transitions,
@@ -126,6 +128,7 @@ class TestLoadScenario:
     @pytest.mark.parametrize("overrides, message", [
         ({"rho": 0}, "order must be >= 1, got 0"),
         ({"forgetting": 1.5}, "forgetting factor must be in (0, 1], got 1.5"),
+        ({"seed": -2}, "--seed: seed must be >= 0, got -2"),
     ])
     def test_bad_override_does_not_blame_the_file(self, tmp_path, overrides,
                                                   message):
@@ -187,6 +190,21 @@ class TestLoadScenario:
         ("[run]\nhold = 0\n", "[run] hold: must be >= 1, got 0"),
         ("[run]\ncalibration_window = 0\n",
          "[run] calibration_window: must be >= 1, got 0"),
+        ("[run]\nnoise_std = -1\n", "[run] noise_std: must be >= 0, got -1.0"),
+        ("[run]\nnoise_std = nan\n", "[run] noise_std: must be finite, got 'nan'"),
+        ("[run]\nmatch_floor = nan\n",
+         "[run] match_floor: must be finite, got 'nan'"),
+        ("[run]\nmatch_floor = 5\n",
+         "[run] match_floor: must be in [-1, 1], got 5.0"),
+        ("[run]\nnoise_seed = -3\n", "[run] noise_seed: must be >= 0, got -3"),
+        ("[excitation]\nseed = -1\n", "[excitation] seed must be >= 0, got -1"),
+        ("[run]\nlimit_fraction = 0\n",
+         "[run] limit_fraction: must be > 0, got 0.0"),
+        ("[excitation]\namplitude = nan\n",
+         "[excitation] amplitude: must be finite, got 'nan'"),
+        ("[identifier]\np0_scale = inf\n",
+         "[identifier] p0_scale: must be finite, got 'inf'"),
+        ("[run]\nts = inf\n", "[run] ts: must be finite, got 'inf'"),
     ])
     def test_bad_value_names_file_section_key(self, tmp_path, text, where):
         path = write_ini(tmp_path, "bad.ini", text)
@@ -694,6 +712,61 @@ class TestFailedRun:
         for name in RUN_ARTIFACTS:
             assert (out / name).read_bytes() == before[name], name
 
+    def test_writer_error_raised_with_its_type_and_message(
+            self, default_cal, short_fault_config, tmp_path, monkeypatch):
+        """The CSV writer's exception reaches the caller as it was raised;
+        the run leaves no artifact or temporary file, and an earlier run's
+        artifacts stay whole."""
+        nominal, thresholds, _, _ = default_cal
+        out = tmp_path / "run"
+        run_scenario(short_fault_config, nominal, thresholds,
+                     out_dir=str(out))
+        before = {name: (out / name).read_bytes() for name in RUN_ARTIFACTS}
+
+        def disk_full(writer, data):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(_CsvWriter, "write", disk_full)
+        monkeypatch.setattr(scenario_module, "SIMULATE_BLOCK", 2000)
+        for where in (out, tmp_path / "fresh"):
+            with pytest.raises(OSError) as err:
+                run_scenario(replace(short_fault_config, noise_seed=9),
+                             nominal, thresholds, out_dir=str(where))
+            assert type(err.value) is OSError
+            assert str(err.value) == "disk full"
+            # raised on its own: no failed send's frames hang on to it
+            assert err.value.__context__ is None
+        assert not (tmp_path / "fresh").exists()
+        assert sorted(os.listdir(out)) == sorted(RUN_ARTIFACTS)
+        for name in RUN_ARTIFACTS:
+            assert (out / name).read_bytes() == before[name], name
+
+    @pytest.mark.skipif(scenario_module._fork_context() is None,
+                        reason="the CSVs are formatted in the run's process")
+    def test_writer_process_exit_named(self, default_cal, short_fault_config,
+                                       tmp_path, monkeypatch):
+        """A writer process that dies without a word fails the run with its
+        exit code, and leaves nothing behind."""
+        nominal, thresholds, _, _ = default_cal
+        monkeypatch.setattr(_CsvWriter, "write",
+                            lambda writer, data: os._exit(3))
+        monkeypatch.setattr(scenario_module, "SIMULATE_BLOCK", 2000)
+        out = tmp_path / "run"
+
+        def hung(signum, frame):
+            raise RuntimeError("the run hung on its dead writer")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(OSError, match="exit code 3 "):
+                run_scenario(short_fault_config, nominal, thresholds,
+                             out_dir=str(out))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not out.exists()
+
 
 class TestModelOrder:
     """A calibration or library of another model order than the run's is
@@ -1025,28 +1098,31 @@ class TestSharedPrefix:
 
     def test_copied_heads_leave_only_later_rows_to_format(self, default_cal,
                                                           tmp_path):
-        """A run resumed with the record's CSV heads hands `_CsvWriter` only
+        """A run resumed with the record's CSV heads hands its writer only
         the rows of the blocks after the edge; the recording run hands it
         all of them. Both write the bytes of a lone run either way, so only
-        the rows given show a resumed run that formats every block."""
+        the rows given show a resumed run that formats every block. The
+        rows are counted where the run sends them, in its own process."""
         nominal, thresholds, _, _ = default_cal
         paths = [share_ini(tmp_path, "in/base.ini"),
                  share_ini(tmp_path, "in/value.ini", MAY_SHARE[1][1:])]
-        given = {}
-        write = _CsvWriter.write
+        names = ("samples.csv", "distance.csv", "theta.csv")
+        given = {}  # each run's writer: the rows handed to it per CSV
+        send = _CsvProcess.send
 
-        def counted_write(writer, data):
-            path = writer.fh.name
-            key = (os.path.basename(os.path.dirname(path)),
-                   os.path.basename(path))
-            given[key] = given.get(key, 0) + data.shape[0]
-            write(writer, data)
+        def counted_send(writer, message):
+            if message != scenario_module.EDGE:
+                rows = given.setdefault(writer, dict.fromkeys(names, 0))
+                for name, block in zip(names, message):
+                    rows[name] += block.shape[0]
+            send(writer, message)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scenario_module, "SIMULATE_BLOCK", SHARE_BLOCK)
-            mp.setattr(_CsvWriter, "write", counted_write)
+            mp.setattr(_CsvProcess, "send", counted_send)
             run_suite(paths, nominal, thresholds, random_library(),
                       out_dir=str(tmp_path / "suite"))
+        given = dict(zip(("base", "value"), given.values()))
         config = load_scenario(paths[0])
         edge = 4 * SHARE_BLOCK
         shared = shared_updates(config, SHARE_BLOCK)
@@ -1058,9 +1134,34 @@ class TestSharedPrefix:
                              .read_bytes().splitlines()) - 1
                     for run in ("base", "value")}
             assert rows["base"] == rows["value"] > head > 0
-            assert given[("base", f".{name}.partial")] == rows["base"]
-            assert given[("value", f".{name}.partial")] == \
-                rows["value"] - head, name
+            assert given["base"][name] == rows["base"]
+            assert given["value"][name] == rows["value"] - head, name
+
+    @pytest.mark.skipif(scenario_module._fork_context() is None,
+                        reason="the CSVs are formatted in the run's process")
+    def test_in_process_writer_writes_the_bytes_of_the_child(
+            self, default_cal, tmp_path, monkeypatch):
+        """Where no process may be forked, the run formats its CSVs itself,
+        copied heads included, into the same bytes."""
+        nominal, thresholds, _, _ = default_cal
+        paths = [share_ini(tmp_path, "in/base.ini"),
+                 share_ini(tmp_path, "in/value.ini", MAY_SHARE[1][1:])]
+        monkeypatch.setattr(scenario_module, "SIMULATE_BLOCK", SHARE_BLOCK)
+        taken = []  # the blocks formatted in this process
+        take = scenario_module._CsvFormatter.take
+        monkeypatch.setattr(scenario_module._CsvFormatter, "take",
+                            lambda fmt, message: (taken.append(message),
+                                                  take(fmt, message)))
+        run_suite(paths, nominal, thresholds, random_library(),
+                  out_dir=str(tmp_path / "forked"))
+        assert taken == []
+        monkeypatch.setattr(scenario_module, "_fork_context", lambda: None)
+        run_suite(paths, nominal, thresholds, random_library(),
+                  out_dir=str(tmp_path / "here"))
+        assert taken
+        for run in ("base", "value"):
+            assert_same_artifacts(str(tmp_path / "here" / run),
+                                  str(tmp_path / "forked" / run))
 
     @pytest.mark.parametrize("second", ["other/y.ini", "other/Y.ini",
                                         "in/y.ini"])
