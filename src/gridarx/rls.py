@@ -6,8 +6,13 @@ the same regressor with the same forgetting factor, so the Kalman gain and
 covariance are shared and the theta update is a joint rank-1 correction.
 
 The recursion exists once, in the block kernel `rls_run`: it validates a
-block of rows once (shapes, finiteness), then updates theta and P in place.
-`rls_update` is its one-row call.
+block of rows once (shapes, finiteness, an exactly symmetric P), then
+updates theta and P in place. P and theta both multiply the regressor, so
+the kernel keeps them stacked as one (regressor_len + output_dim) x
+regressor_len array: one matrix-vector product and one rank-1 correction
+per step serve both, with the bits of the textbook formulas (negation is
+exact, and the symmetrisation's addition is commutative). `rls_update` is
+its one-row call.
 """
 
 from __future__ import annotations
@@ -129,7 +134,10 @@ def rls_run(state: IdentifierState, Y, Phi):
     Returns (theta_traj, innovation, final_state): theta_traj[k] is the
     estimate after row k, innovation[k] the one-step prediction error e of
     row k. The block is validated once, before any step; a rejected block or
-    step raises UpdateRejectedError. The input state is never modified.
+    step raises UpdateRejectedError. The input state's P must be exactly
+    symmetric (P == P', as every P made here is): the stacked update below
+    relies on it, and any other P is rejected the same way. The input state
+    is never modified.
     """
     cfg = state.config
     Y = np.ascontiguousarray(Y, dtype=float)
@@ -154,62 +162,85 @@ def rls_run(state: IdentifierState, Y, Phi):
             f"non-finite value in update input at sample {k} of the block"
         )
 
+    if not np.array_equal(state.P, state.P.T):
+        raise UpdateRejectedError(
+            "covariance P is not exactly symmetric; the update needs P == P'"
+        )
+
     lam = cfg.forgetting
     ceiling = cfg.covariance_ceiling
     count0 = state.sample_count
-    theta_traj = np.empty((m, cfg.output_dim, cfg.regressor_len))
-    innovation = np.empty((m, cfg.output_dim))
-    # theta is written straight into its trajectory slot and P is updated in
-    # place through fixed buffers. The operation order is that of the
-    # formulas above, so every step is bitwise the same as computing it with
-    # fresh arrays; `raw_dot` is np.dot's own C function, the same BLAS
-    # gemv/dot as the @ operator without numpy's dispatch layer. lambda and
-    # 2.0 are 0-d arrays, so that the ufuncs do not convert a Python float
-    # on every call.
-    theta = state.theta.copy()
-    P = state.P.copy()
+    n, r = cfg.regressor_len, cfg.output_dim
+    theta_traj = np.empty((m, r, n))
+    innovation = np.empty((m, r))
+    # P and theta both multiply phi, so they are the row blocks of one
+    # (n + r) x n array `stack` = [P; theta]: one gemv gives
+    # [P phi; theta phi], and one rank-1 product of [P phi; -e] with K',
+    # then one subtract, updates both blocks. The bits are those of the
+    # formulas above:
+    # - theta - (-e) K' is theta + e K', since negation is exact;
+    # - the P block becomes P - (P phi) K', the transpose of P - K (P phi)'
+    #   when P is exactly symmetric, which the update requires of its input
+    #   and keeps: the symmetrisation (A + A') / 2 then gives the same bits
+    #   for A and A', because addition is commutative;
+    # - each row of a gemv has the bits of that row's product in any gemv
+    #   of two or more rows, so [P phi; theta phi] is P phi and theta phi
+    #   computed apart. numpy computes a 1-row product as a dot product,
+    #   which sums in another order, so a lone theta row is multiplied
+    #   again on its own (`simulate._forcing` treats its lone rows apart
+    #   for the same reason).
+    # Everything else is written into fixed buffers in the operation order
+    # of the formulas, so every step is bitwise the same as computing it
+    # with fresh arrays. `raw_dot` is np.dot's own C function, the same BLAS
+    # gemv/dot as the @ operator without numpy's dispatch layer. lambda, 2.0
+    # and the gain denominator are 0-d arrays, so that the ufuncs do not
+    # convert a scalar on every call.
+    stack = np.concatenate((state.P, state.theta))
+    P, theta = stack[:n], stack[n:]
+    lone_row = theta[0] if r == 1 else None
     P_T = P.T
     P_flat = P.reshape(-1)
-    P_phi = np.empty(cfg.regressor_len)
-    P_phi_row = P_phi[None, :]
-    K = np.empty(cfg.regressor_len)
-    K_col, K_row = K[:, None], K[None, :]
-    KP = np.empty_like(P)
-    eK = np.empty_like(theta)
-    lam_0d, two_0d = np.array(lam), np.array(2.0)
+    stack_phi = np.empty(n + r)
+    P_phi, theta_phi = stack_phi[:n], stack_phi[n:]
+    stack_phi_col = stack_phi[:, None]
+    K = np.empty(n)
+    K_row = K[None, :]
+    stack_K = np.empty_like(stack)
+    sym = stack_K[:n]
+    lam_0d, two_0d, denom_0d = np.array(lam), np.array(2.0), np.empty(())
     ceiling_sq = ceiling * ceiling
-    dot, subtract, add, divide = raw_dot, np.subtract, np.add, np.divide
+    dot, subtract, add, divide, negative = (raw_dot, np.subtract, np.add,
+                                            np.divide, np.negative)
 
     count = count0
-    for y, phi, e, e_col, theta_next in zip(
-        Y, Phi, innovation, innovation[:, :, None], theta_traj
-    ):
-        dot(P, phi, P_phi)
+    for y, phi, e, theta_next in zip(Y, Phi, innovation, theta_traj):
+        dot(stack, phi, stack_phi)
+        if lone_row is not None:
+            theta_phi[0] = dot(lone_row, phi)
         denom = lam + dot(phi, P_phi)
         if denom <= MIN_GAIN_DENOMINATOR:
             raise UpdateRejectedError(
                 f"gain denominator {denom:.3e} is not positive "
                 f"at sample {count - count0} of the block"
             )
-        divide(P_phi, denom, K)
-        dot(theta, phi, e)
-        subtract(y, e, e)
-        # e K' and K (P phi)' are k=1 matrix products. Each entry is one
-        # rounded product, as with np.multiply, but an exact zero comes out
-        # +0.0 where multiply may give -0.0. That sign only matters where
-        # the term meets a -0.0 entry of theta or P, since x + y and x - y
-        # are -0.0 only when x is. The zero prior holds none, and the
-        # updates make one only from one or by underflow; the tests compare
-        # these steps with the multiply form bit for bit.
-        dot(e_col, K_row, eK)
-        add(theta, eK, theta_next)
-        theta = theta_next
-        dot(K_col, P_phi_row, KP)
-        subtract(P, KP, P)
+        denom_0d[...] = denom
+        divide(P_phi, denom_0d, K)
+        subtract(y, theta_phi, e)
+        negative(e, theta_phi)  # stack_phi is now [P phi; -e]
+        # [P phi; -e] K' is a k=1 matrix product. Each entry is one rounded
+        # product, as with np.multiply, but an exact zero comes out +0.0
+        # where multiply may give -0.0. That sign only matters where the
+        # term meets a -0.0 entry of theta or P, since x + y and x - y are
+        # -0.0 only when x is. The zero prior holds none, and the updates
+        # make one only from one or by underflow; the tests compare these
+        # steps with the multiply form bit for bit.
+        dot(stack_phi_col, K_row, stack_K)
+        subtract(stack, stack_K, stack)
+        theta_next[...] = theta
         divide(P, lam_0d, P)
-        KP[...] = P_T  # a contiguous copy adds faster than the strided view
-        add(P, KP, KP)
-        divide(KP, two_0d, P)
+        sym[...] = P_T  # a contiguous copy adds faster than the strided view
+        add(P, sym, sym)
+        divide(sym, two_0d, P)
         count += 1
 
         # Forgetting inflates P exponentially along directions the stream
@@ -231,7 +262,7 @@ def rls_run(state: IdentifierState, Y, Phi):
                 clamped = (eigvecs * np.minimum(eigvals, ceiling)) @ eigvecs.T
                 P[...] = (clamped + clamped.T) / 2.0
 
-    final = IdentifierState(config=cfg, theta=theta.copy(), P=P,
+    final = IdentifierState(config=cfg, theta=theta.copy(), P=P.copy(),
                             sample_count=count)
     return theta_traj, innovation, final
 

@@ -48,6 +48,8 @@ class DisturbanceSpec:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if self.value_pu <= 0:
             raise ValueError("disturbance impedance parameter must be > 0")
+        if self.t_start < 0:
+            raise ValueError(f"t_start must be >= 0, got {self.t_start}")
         if not self.t_start < self.t_end:
             raise ValueError(
                 f"t_start {self.t_start} must precede t_end {self.t_end}"
@@ -166,21 +168,30 @@ def _forcing(i_inj, Gb, vg_forcing, segment_rows: int):
     return i_inj @ Gb.T + vg_forcing
 
 
-def _step(v, x, F, Cv, drive):
+def _step(v, x, FC, drive):
     """Step from state x over the rows of `drive`, writing each sample's
-    PCC voltage into the rows of v; returns the state after the last."""
-    # v[k] = Cv x; x <- F x + drive[k], written into preallocated rows: the
-    # next state overwrites the forcing row it consumes. `raw_dot` is np.dot's
-    # own C function, the same BLAS gemv as the @ operator without numpy's
+    PCC voltage into the rows of v; returns the state after the last.
+
+    FC is [F; Cv], the state transition over the voltage output: both
+    multiply the state, so one gemv per sample gives F x and v = Cv x."""
+    # FCx[k] = [F x; Cv x]; x <- F x + drive[k], written into preallocated
+    # rows: the next state overwrites the forcing row it consumes, and v is
+    # the last two columns of FCx, copied out once at the end. Each row of
+    # a gemv has the bits of that row's product in any gemv of two or more
+    # rows, and F and Cv have at least two each, so the stacked product has
+    # the bits of F x and Cv x computed apart (a test pins this BLAS
+    # property at the shipped shapes). `raw_dot` is np.dot's own C
+    # function, the same BLAS gemv as the @ operator without numpy's
     # dispatch layer, so the values are bitwise those of the plain
     # expressions.
+    nx = x.shape[0]
     dot, add = raw_dot, np.add
-    Fx = np.empty_like(x)
-    for v_k, x_next in zip(v, drive):
-        dot(Cv, x, v_k)
-        dot(F, x, Fx)
+    FCx = np.empty((drive.shape[0], nx + 2))
+    for FCx_k, Fx, x_next in zip(FCx, FCx[:, :nx], drive):
+        dot(FC, x, FCx_k)
         add(Fx, x_next, x_next)
         x = x_next
+    v[...] = FCx[:, nx:]
     return x
 
 
@@ -272,7 +283,7 @@ def _simulate_blocks(params, segments, k_on, excitation, n, ts, noise_std,
         seg = 1
     prev_model = nominal
     k0, k1, model = segments[seg]
-    entered = False  # F, Gb, Cv and the vg forcing are those of `model`
+    entered = False  # FC, Gb and the vg forcing are those of `model`
     for lo in range(0, n, block):
         hi = min(n, lo + block)
         i_inj = i_op + (np.zeros((hi - lo, 2)) if excite is None
@@ -296,11 +307,11 @@ def _simulate_blocks(params, segments, k_on, excitation, n, ts, noise_std,
                     x = _map_state(x, prev_model, model, params)
                     prev_model = model
                 F, Gb, Ge = _discretize(model, ts)
-                Cv, vg_forcing = model.C, vg @ Ge.T
+                FC, vg_forcing = np.concatenate((F, model.C)), vg @ Ge.T
                 entered = True
             stop = min(hi, k1)
             drive = _forcing(i_inj[k - lo:stop - lo], Gb, vg_forcing, k1 - k0)
-            x = _step(v[k - lo:stop - lo], x, F, Cv, drive)
+            x = _step(v[k - lo:stop - lo], x, FC, drive)
             k = stop
         if not np.all(np.isfinite(v)):
             raise IntegrationError(

@@ -26,14 +26,20 @@ simulate_module = importlib.import_module("gridarx.simulate")
 
 
 def oracle_identify(sim, config, state=None, stats=None):
+    """Per-sample reference for `identify`: the regressors of the stream,
+    then `oracle_rls` over them."""
+    dv = np.diff(np.asarray(sim.v_dq, float), axis=0)
+    di = np.diff(np.asarray(sim.i_dq, float), axis=0)
+    phi_all, y_all = build_lagged_regressors(dv, di, config.order)
+    return oracle_rls(y_all, phi_all, config, state, stats)
+
+
+def oracle_rls(y_all, phi_all, config, state=None, stats=None):
     """Per-sample reference: the step formulas written out with fresh arrays
     every step, as a plain loop. Returns (theta trajectory, innovations,
     calibrated flags, final theta, final P, final count, clamps fired).
     When a `stats` dict is given, it counts in "negative_zero_terms" the
     -0.0 entries of the outer products."""
-    dv = np.diff(np.asarray(sim.v_dq, float), axis=0)
-    di = np.diff(np.asarray(sim.i_dq, float), axis=0)
-    phi_all, y_all = build_lagged_regressors(dv, di, config.order)
     if state is None:
         state = init_identifier(config)
     theta, P, count = state.theta, state.P, state.sample_count
@@ -322,6 +328,31 @@ class TestBitPatterns:
         assert eigh.calls == 1  # the check at sample count 50
         assert_run_bits_match_oracle(run, ref)
 
+    @pytest.mark.parametrize("input_dim, output_dim, order",
+                             [(1, 1, 1), (3, 1, 2), (2, 3, 1)])
+    def test_other_shapes_with_clamp(self, input_dim, output_dim, order):
+        """The stacked [P; theta] layout depends on the output count and
+        the regressor length: other shapes than the shipped 2 x 12, each
+        through an unexcited stretch where the ceiling clamp fires."""
+        config = ArxConfig(order=order, input_dim=input_dim,
+                           output_dim=output_dim, forgetting=0.95,
+                           p0_scale=1e2, p_max=1e3)
+        n = config.regressor_len
+        rng = np.random.Generator(np.random.Philox(order))
+        theta_true = rng.standard_normal((output_dim, n))
+        Phi = 0.01 * rng.standard_normal((1000, n))
+        Phi[300:700] = 0.0
+        Y = Phi @ theta_true.T + 1e-4 * rng.standard_normal((1000,
+                                                             output_dim))
+        ref = oracle_rls(Y, Phi, config)
+        assert ref[-1] >= 1  # the ceiling clamp really fired
+        thetas, innovations, final = rls_run(init_identifier(config), Y, Phi)
+        assert_bits_equal(thetas, ref[0])
+        assert_bits_equal(innovations, ref[1])
+        assert_bits_equal(final.theta, ref[3])
+        assert_bits_equal(final.P, ref[4])
+        assert final.sample_count == ref[5]
+
     def test_eigh_skipped_on_excited_stream(self, simulated, monkeypatch):
         config = ArxConfig()
         eigh = EighCalls(monkeypatch)
@@ -352,3 +383,28 @@ class TestDotDispatch:
                               run_np.theta.view(np.uint64))
         assert np.array_equal(run.final_state.P.view(np.uint64),
                               run_np.final_state.P.view(np.uint64))
+
+
+class TestStackedProducts:
+    """The BLAS property behind the stacked per-sample products: each row of
+    a matrix-vector product is bitwise that row in the product of its own
+    block of two or more rows, without the rows stacked above or below it.
+    Pinned over random inputs at the shipped shapes: [P; theta], 14 x 12,
+    in `rls_run`; [F; Cv], 6 x 4 and 8 x 6, in the simulator's step loop
+    for the 4- and 6-state models. A BLAS whose row results depend on the
+    row count fails here by name. (A block of one row is another case:
+    numpy computes it as a dot product, which `rls_run` repeats on its
+    own; `test_other_shapes_with_clamp` covers it.)"""
+
+    @pytest.mark.parametrize("n", [12, 4, 6])
+    def test_stacked_gemv_rows_equal_separate_products(self, n):
+        rng = np.random.Generator(np.random.Philox(n))
+        out = np.empty(n + 2)
+        for _ in range(500):
+            scale = 10.0 ** rng.uniform(-6, 6, size=(n + 2, 1))
+            stack = scale * rng.standard_normal((n + 2, n))
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6)
+            top, bottom = stack[:n].copy(), stack[n:].copy()
+            rls_module.raw_dot(stack, x, out)
+            assert_bits_equal(out[:n], rls_module.raw_dot(top, x))
+            assert_bits_equal(out[n:], rls_module.raw_dot(bottom, x))

@@ -11,6 +11,7 @@ from gridarx.rls import (
     UpdateRejectedError,
     batch_weighted_ls,
     init_identifier,
+    rls_run,
     rls_update,
 )
 
@@ -120,6 +121,20 @@ class TestUpdate:
             rls_update(state, np.zeros(2), np.zeros(12))
         assert np.array_equal(state.P, P)
         assert state.sample_count == 0
+
+    def test_asymmetric_covariance_rejected_state_unchanged(self):
+        """The stacked update needs P == P' exactly; a P whose one
+        off-diagonal pair is 1 ulp apart is refused before any step."""
+        state = rls_update(init_identifier(ArxConfig()), np.ones(2),
+                           np.ones(12))
+        assert state.P[3, 7] != 0.0
+        state.P[3, 7] = np.nextafter(state.P[3, 7], np.inf)
+        before = state.theta.copy(), state.P.copy()
+        with pytest.raises(UpdateRejectedError, match="not exactly symmetric"):
+            rls_run(state, np.zeros((5, 2)), np.zeros((5, 12)))
+        assert np.array_equal(state.theta, before[0])
+        assert np.array_equal(state.P, before[1])
+        assert state.sample_count == 1
 
     def test_update_is_functional(self):
         state = init_identifier(ArxConfig())

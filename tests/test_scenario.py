@@ -205,6 +205,9 @@ class TestLoadScenario:
         ("[identifier]\np0_scale = inf\n",
          "[identifier] p0_scale: must be finite, got 'inf'"),
         ("[run]\nts = inf\n", "[run] ts: must be finite, got 'inf'"),
+        ("[run]\nduration = 2\n[disturbance]\nkind = fault\n"
+         "r_fault_pu = 0.3\nt_start = -1\nt_end = 1\n",
+         "[disturbance] t_start must be >= 0, got -1.0"),
     ])
     def test_bad_value_names_file_section_key(self, tmp_path, text, where):
         path = write_ini(tmp_path, "bad.ini", text)

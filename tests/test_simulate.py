@@ -461,7 +461,7 @@ class TestBlockSimulator:
             simulate_blocks(params, None, self.exc, 0.2, block=0)
 
     def test_non_finite_block_raises(self, params, monkeypatch):
-        def blow_up(v, x, F, Cv, drive):
+        def blow_up(v, x, FC, drive):
             v[:] = np.inf
             return x
 
