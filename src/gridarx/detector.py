@@ -10,6 +10,7 @@ load-increase patterns.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,6 +39,11 @@ class Verdict(str, Enum):
 # Verdict; VERDICTS[codes] turns codes back into members.
 VERDICTS = np.array(list(Verdict), dtype=object)
 VERDICT_CODE = {v: code for code, v in enumerate(Verdict)}
+
+# The codes `classify_series` writes.
+NORMAL_CODE, FAULT_CODE, LOAD_CODE, UNCLASSIFIED_CODE = (
+    VERDICT_CODE[v] for v in (Verdict.NORMAL, Verdict.FAULT,
+                              Verdict.LOAD_INCREASE, Verdict.UNCLASSIFIED))
 
 # The verdicts a library signature may carry.
 SIGNATURE_LABELS = (Verdict.FAULT, Verdict.LOAD_INCREASE)
@@ -161,7 +167,11 @@ class DetectionEvent:
 
 def calibrate_nominal(t, thetas, window: int) -> NominalPredictor:
     """Elementwise mean of the last `window` predictor snapshots: thetas
-    (m, rows, cols) taken at times t (m,)."""
+    (m, rows, cols) taken at times t (m,).
+
+    A snapshot in the window holding a NaN or an infinity raises
+    ValueError naming its index in `thetas`: the mean would carry it into
+    every distance measured from it."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     t = np.asarray(t, float)
@@ -175,8 +185,17 @@ def calibrate_nominal(t, thetas, window: int) -> NominalPredictor:
         raise InsufficientDataError(
             f"need {window} snapshots, have {thetas.shape[0]}"
         )
+    theta_star = np.mean(thetas[-window:], axis=0)
+    if not np.isfinite(theta_star).all():
+        finite = np.isfinite(thetas[-window:]).all(axis=(1, 2))
+        if not finite.all():
+            k = thetas.shape[0] - window + int(np.argmin(finite))
+            raise ValueError(
+                f"snapshot {k} holds a non-finite value; theta* would "
+                "carry it"
+            )
     return NominalPredictor(
-        theta_star=np.mean(thetas[-window:], axis=0),
+        theta_star=theta_star,
         calibration_window=window,
         calibrated_at=float(t[-1]),
     )
@@ -191,7 +210,11 @@ def distances(thetas, theta_star) -> np.ndarray:
     cols) to the reference `theta_star` (rows, cols).
 
     Computed DISTANCE_CHUNK snapshots at a time; each distance depends on
-    its own row only, so the result is bitwise that of one whole-array norm.
+    its own row only, so the result is bitwise that of one whole-array
+    norm. Each distance is sqrt(add.reduce(dev * dev)) over the snapshot's
+    deviation, flattened: np.linalg.norm(axis=(1, 2)) makes the same
+    reduction over the same contiguous values, behind Python-level axis
+    handling.
     """
     thetas = np.asarray(thetas, float)
     theta_star = np.asarray(theta_star, float)
@@ -200,10 +223,18 @@ def distances(thetas, theta_star) -> np.ndarray:
             f"snapshot shape {thetas.shape[1:]} does not match the reference "
             f"predictor shape {theta_star.shape}"
         )
-    d = np.empty(thetas.shape[0])
-    for lo in range(0, thetas.shape[0], DISTANCE_CHUNK):
-        hi = lo + DISTANCE_CHUNK
-        d[lo:hi] = np.linalg.norm(thetas[lo:hi] - theta_star, axis=(1, 2))
+    m = thetas.shape[0]
+    d = np.empty(m)
+    # one deviation buffer serves every chunk
+    chunk = np.empty((min(m, DISTANCE_CHUNK), theta_star.size))
+    for lo in range(0, m, DISTANCE_CHUNK):
+        rows = thetas[lo:lo + DISTANCE_CHUNK]
+        out = d[lo:lo + DISTANCE_CHUNK]
+        dev = chunk[:out.size]
+        np.subtract(rows, theta_star, dev.reshape(rows.shape))
+        np.multiply(dev, dev, dev)
+        np.add.reduce(dev, 1, None, out)
+        np.sqrt(out, out)
     return d
 
 
@@ -236,45 +267,56 @@ def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
 
     Returns (d array, verdict list, similarity array); similarity is the
     best match's, NaN outside the criterion-2 band or with an empty library.
+    A snapshot whose distance is NaN has no verdict: it raises ValueError
+    naming the first such snapshot. An infinite distance is a fault.
     """
     if nominal is None:
         raise ValueError("nominal predictor is not calibrated")
     thetas = np.asarray(thetas, float)
     d = distances(thetas, nominal.theta_star)
-    m = thetas.shape[0]
-    codes = np.full(m, VERDICT_CODE[Verdict.NORMAL])
-    similarity = np.full(m, np.nan)
-
-    in_band = (d > thresholds.d_low) & (d <= thresholds.d_high)
-    codes[d > thresholds.d_high] = VERDICT_CODE[Verdict.FAULT]
-
-    band_idx = np.nonzero(in_band)[0]
+    # d >= 0, so the sum is NaN exactly when some d is: one reduction
+    # checks them all. An infinite d is a fault like any d > d_high.
+    if math.isnan(np.add.reduce(d)):
+        k = int(np.argmax(np.isnan(d)))
+        raise ValueError(
+            f"snapshot {k} holds a NaN: its distance to the nominal "
+            "predictor is NaN"
+        )
+    high = d > thresholds.d_high
+    codes = np.where(high, FAULT_CODE, NORMAL_CODE)
+    similarity = np.empty(d.size)
+    similarity.fill(np.nan)
+    # d_low < d_high, so d > d_high implies d > d_low and the xor leaves
+    # d_low < d <= d_high
+    band_idx = ((d > thresholds.d_low) ^ high).nonzero()[0]
     if band_idx.size:
-        if not library.signatures:
-            codes[band_idx] = VERDICT_CODE[Verdict.UNCLASSIFIED]
+        signatures = library.signatures
+        if not signatures:
+            codes[band_idx] = UNCLASSIFIED_CODE
         else:
-            flat = (thetas[band_idx] - nominal.theta_star).reshape(
-                band_idx.size, -1)
-            sig_mat = np.stack(
-                [s.delta_theta.flatten() for s in library.signatures]
-            )
-            sig_norm = np.linalg.norm(sig_mat, axis=1)
-            v_norm = np.linalg.norm(flat, axis=1)
-            denom = np.outer(v_norm, sig_norm)
+            # the band's deviations in one array, so that their products
+            # with the signatures come from one BLAS call, whose bits can
+            # depend on its row count
+            flat = thetas[band_idx]  # fancy indexing copies: subtract in place
+            flat -= nominal.theta_star
+            flat = flat.reshape(band_idx.size, -1)
+            sig_mat = np.array([s.delta_theta for s in signatures]).reshape(
+                len(signatures), -1)
+            sig_norm = np.sqrt(np.add.reduce(sig_mat * sig_mat, 1))
+            # the norm of a band deviation is bitwise its d, the same
+            # reduction over the same values
+            denom = d[band_idx, None] * sig_norm
             sims = np.divide(flat @ sig_mat.T, denom,
-                             out=np.zeros((band_idx.size, len(sig_norm))),
-                             where=denom > 0)
-            best = np.argmax(sims, axis=1)
+                             out=np.zeros(denom.shape), where=denom > 0)
+            best = sims.argmax(axis=1)
             best_sim = sims[np.arange(band_idx.size), best]
             similarity[band_idx] = best_sim
             sig_codes = np.array([
-                VERDICT_CODE[Verdict.FAULT if s.label is Verdict.FAULT
-                             else Verdict.LOAD_INCREASE]
-                for s in library.signatures
+                FAULT_CODE if s.label is Verdict.FAULT else LOAD_CODE
+                for s in signatures
             ])
-            codes[band_idx] = np.where(
-                best_sim < match_floor, VERDICT_CODE[Verdict.UNCLASSIFIED],
-                sig_codes[best])
+            codes[band_idx] = np.where(best_sim < match_floor,
+                                       UNCLASSIFIED_CODE, sig_codes[best])
     return d, VERDICTS[codes].tolist(), similarity
 
 

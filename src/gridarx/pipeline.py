@@ -31,7 +31,7 @@ class IdentRun:
     consuming that sample.
     """
 
-    t: np.ndarray  # (m,) update timestamps
+    t: np.ndarray  # (m,) update timestamps, a view of the stream's
     index: np.ndarray  # (m,) source sample indices
     theta: np.ndarray  # (m, output_dim, regressor_len)
     y: np.ndarray  # (m, output_dim) realized outputs (voltage differences)
@@ -84,23 +84,24 @@ def identify(sim: SimResult, config: ArxConfig,
     """Run the recursive estimator over a simulated (or replayed) stream."""
     v = np.asarray(sim.v_dq, float)
     i = np.asarray(sim.i_dq, float)
-    dv = np.diff(v, axis=0)
-    di = np.diff(i, axis=0)
+    # np.diff(x, axis=0), without its Python-level axis handling
+    dv = v[1:] - v[:-1]
+    di = i[1:] - i[:-1]
     order = config.order
     phi_all, y_all = build_lagged_regressors(dv, di, order)
     m = phi_all.shape[0]
     # difference k sits at dv[k-1]; the first regressor-complete output is
     # difference index order+1, i.e. sample index order+1 of the raw stream
-    index = np.arange(order + 1, order + 1 + m)
-    t = sim.t[index]
+    first = order + 1
+    index = np.arange(first, first + m)
+    t = sim.t[first:first + m]
 
     if state is None:
         state = init_identifier(config)
     theta_traj, innovation, final_state = rls_run(state, y_all, phi_all)
-    # update k brings the sample count to state.sample_count + k + 1
-    first_calibrated = state.config.burn_in - state.sample_count - 1
-    calibrated = np.zeros(m, dtype=bool)
-    calibrated[max(0, first_calibrated):] = True
+    # update k, at sample index[k] = first + k, brings the sample count to
+    # state.sample_count + k + 1, which is calibrated from burn_in on
+    calibrated = index >= first + state.config.burn_in - state.sample_count - 1
 
     return IdentRun(
         t=t,

@@ -13,10 +13,19 @@ regressor_len array: one matrix-vector product and one rank-1 correction
 per step serve both, with the bits of the textbook formulas (negation is
 exact, and the symmetrisation's addition is commutative). `rls_update` is
 its one-row call.
+
+The re-symmetrisation (P/lambda + (P/lambda)')/2 is computed as
+P/(2 lambda) + (P/(2 lambda))': 2 lambda is exact, and halving a normal
+number is exact, so both give the same bits and the step makes one ufunc
+call fewer. The exceptions lie at the ends of the float range: an entry
+of P/lambda below 2**-1021 in magnitude, which halving can round as a
+subnormal, or a sum that overflows; the entries of P they enter may differ
+in the last bit. Zeros of either sign keep their bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,10 +143,10 @@ def rls_run(state: IdentifierState, Y, Phi):
     Returns (theta_traj, innovation, final_state): theta_traj[k] is the
     estimate after row k, innovation[k] the one-step prediction error e of
     row k. The block is validated once, before any step; a rejected block or
-    step raises UpdateRejectedError. The input state's P must be exactly
-    symmetric (P == P', as every P made here is): the stacked update below
-    relies on it, and any other P is rejected the same way. The input state
-    is never modified.
+    step raises UpdateRejectedError. The input state's P must be finite and
+    exactly symmetric (P == P', as every P made here is): the stacked
+    update below relies on it, and any other P is rejected the same way.
+    The input state is never modified.
     """
     cfg = state.config
     Y = np.ascontiguousarray(Y, dtype=float)
@@ -155,24 +164,11 @@ def rls_run(state: IdentifierState, Y, Phi):
         raise UpdateRejectedError(
             f"{m} outputs but {Phi.shape[0]} regressors in the block"
         )
-    finite = np.isfinite(Y).all(axis=1) & np.isfinite(Phi).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise UpdateRejectedError(
-            f"non-finite value in update input at sample {k} of the block"
-        )
-
-    if not np.array_equal(state.P, state.P.T):
-        raise UpdateRejectedError(
-            "covariance P is not exactly symmetric; the update needs P == P'"
-        )
-
     lam = cfg.forgetting
     ceiling = cfg.covariance_ceiling
     count0 = state.sample_count
     n, r = cfg.regressor_len, cfg.output_dim
-    theta_traj = np.empty((m, r, n))
-    innovation = np.empty((m, r))
+    dot = raw_dot
     # P and theta both multiply phi, so they are the row blocks of one
     # (n + r) x n array `stack` = [P; theta]: one gemv gives
     # [P phi; theta phi], and one rank-1 product of [P phi; -e] with K',
@@ -181,25 +177,59 @@ def rls_run(state: IdentifierState, Y, Phi):
     # - theta - (-e) K' is theta + e K', since negation is exact;
     # - the P block becomes P - (P phi) K', the transpose of P - K (P phi)'
     #   when P is exactly symmetric, which the update requires of its input
-    #   and keeps: the symmetrisation (A + A') / 2 then gives the same bits
-    #   for A and A', because addition is commutative;
+    #   and keeps: the symmetrisation A/(2 lambda) + (A/(2 lambda))' then
+    #   gives the same bits for A and A', because addition is commutative;
     # - each row of a gemv has the bits of that row's product in any gemv
     #   of two or more rows, so [P phi; theta phi] is P phi and theta phi
     #   computed apart. numpy computes a 1-row product as a dot product,
     #   which sums in another order, so a lone theta row is multiplied
     #   again on its own (`simulate._forcing` treats its lone rows apart
     #   for the same reason).
+    stack = np.empty((n + r, n))
+    P, theta = stack[:n], stack[n:]
+    P[...] = state.P
+    theta[...] = state.theta
+    P_flat = P.reshape(-1)
+
+    # A finite sum of squares proves every term finite, since an infinity
+    # or a NaN makes it non-finite; only a non-finite sum pays for the scan
+    # that finds the culprit. Squares cannot cancel infinities into a NaN,
+    # so non-finite data raises no numpy warning here. Finite terms beyond
+    # about 1e154 overflow the sum (numpy warns of the overflow) and also
+    # reach the scan, which passes them.
+    Y_flat, Phi_flat = Y.reshape(-1), Phi.reshape(-1)
+    sum_sq = (dot(Y_flat, Y_flat) + dot(Phi_flat, Phi_flat)
+              + dot(P_flat, P_flat))
+    if not math.isfinite(sum_sq):
+        finite = np.isfinite(Y).all(axis=1) & np.isfinite(Phi).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise UpdateRejectedError(
+                f"non-finite value in update input at sample {k} of the "
+                "block"
+            )
+        if not np.isfinite(P).all():
+            raise UpdateRejectedError("covariance P holds a non-finite value")
+    # Equal bytes prove P == P'; unequal bytes can still be equal values
+    # (+0.0 against -0.0), which the numeric comparison settles.
+    if P.tobytes() != P.T.tobytes() and not np.array_equal(P, P.T):
+        raise UpdateRejectedError(
+            "covariance P is not exactly symmetric; the update needs P == P'"
+        )
+
+    theta_traj = np.empty((m, r, n))
+    innovation = np.empty((m, r))
     # Everything else is written into fixed buffers in the operation order
     # of the formulas, so every step is bitwise the same as computing it
-    # with fresh arrays. `raw_dot` is np.dot's own C function, the same BLAS
-    # gemv/dot as the @ operator without numpy's dispatch layer. lambda, 2.0
-    # and the gain denominator are 0-d arrays, so that the ufuncs do not
-    # convert a scalar on every call.
-    stack = np.concatenate((state.P, state.theta))
-    P, theta = stack[:n], stack[n:]
+    # with fresh arrays. The re-symmetrisation divides by 2 lambda and
+    # adds, which gives the bits of (P/lambda + (P/lambda)')/2 (see the
+    # module docstring for the subnormal exception). `raw_dot` is np.dot's
+    # own C function, the same BLAS gemv/dot as the @ operator without
+    # numpy's dispatch layer. 2 lambda and the gain denominator are 0-d
+    # arrays, so that the ufuncs do not convert a scalar on every call (a
+    # 1-item array would take their slower broadcasting path).
     lone_row = theta[0] if r == 1 else None
     P_T = P.T
-    P_flat = P.reshape(-1)
     stack_phi = np.empty(n + r)
     P_phi, theta_phi = stack_phi[:n], stack_phi[n:]
     stack_phi_col = stack_phi[:, None]
@@ -207,10 +237,10 @@ def rls_run(state: IdentifierState, Y, Phi):
     K_row = K[None, :]
     stack_K = np.empty_like(stack)
     sym = stack_K[:n]
-    lam_0d, two_0d, denom_0d = np.array(lam), np.array(2.0), np.empty(())
+    lam2_0d, denom_0d = np.array(2.0 * lam), np.empty(())
     ceiling_sq = ceiling * ceiling
-    dot, subtract, add, divide, negative = (raw_dot, np.subtract, np.add,
-                                            np.divide, np.negative)
+    subtract, add, divide, negative = (np.subtract, np.add, np.divide,
+                                       np.negative)
 
     count = count0
     for y, phi, e, theta_next in zip(Y, Phi, innovation, theta_traj):
@@ -237,10 +267,9 @@ def rls_run(state: IdentifierState, Y, Phi):
         dot(stack_phi_col, K_row, stack_K)
         subtract(stack, stack_K, stack)
         theta_next[...] = theta
-        divide(P, lam_0d, P)
+        divide(P, lam2_0d, P)
         sym[...] = P_T  # a contiguous copy adds faster than the strided view
-        add(P, sym, sym)
-        divide(sym, two_0d, P)
+        add(P, sym, P)
         count += 1
 
         # Forgetting inflates P exponentially along directions the stream
@@ -262,8 +291,9 @@ def rls_run(state: IdentifierState, Y, Phi):
                 clamped = (eigvecs * np.minimum(eigvals, ceiling)) @ eigvecs.T
                 P[...] = (clamped + clamped.T) / 2.0
 
-    final = IdentifierState(config=cfg, theta=theta.copy(), P=P.copy(),
-                            sample_count=count)
+    # theta and P are views of this call's own stack, which nothing else
+    # holds, so they need no copies
+    final = IdentifierState(config=cfg, theta=theta, P=P, sample_count=count)
     return theta_traj, innovation, final
 
 

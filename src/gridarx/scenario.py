@@ -1096,7 +1096,8 @@ def run_scenario(
                     thetas, nominal, thresholds, library, config.match_floor
                 )
             except Exception as exc:
-                raise StageError("detector", str(exc)) from exc
+                raise StageError(
+                    "detector", f"{exc} (block from update {lo})") from exc
             # The estimator restarts from scratch in each run and needs the
             # same settling time the nominal predictor was calibrated with;
             # until then the distance reflects cold-start convergence, not

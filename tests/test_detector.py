@@ -136,6 +136,20 @@ class TestCalibrateNominal:
             tracemalloc.stop()
         assert peak <= 64 * 1024, peak
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_snapshot_in_window_named(self, value):
+        thetas = np.ones((10,) + SHAPE)
+        thetas[6, 1, 4] = value
+        thetas[8, 0, 0] = value
+        with pytest.raises(ValueError, match=r"^snapshot 6 holds a non-fin"):
+            calibrate_nominal(np.arange(10.0), thetas, window=5)
+
+    def test_non_finite_snapshot_before_window_unused(self):
+        thetas = np.ones((10,) + SHAPE)
+        thetas[4, 1, 4] = np.nan
+        nom = calibrate_nominal(np.arange(10.0), thetas, window=5)
+        assert np.array_equal(nom.theta_star, np.ones(SHAPE))
+
     def test_too_few_snapshots(self):
         with pytest.raises(InsufficientDataError):
             calibrate_nominal([0.0], np.ones((1,) + SHAPE), window=2)
@@ -193,6 +207,51 @@ class TestFrobeniusDistance:
         got = distances(thetas, star)
         assert got.shape == (m,)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def random_deviations(rng, m, shape=SHAPE):
+    """m deviations whose rows span magnitudes from 1e-12 to 1e3."""
+    return rng.standard_normal((m,) + shape) * 10.0 ** rng.uniform(
+        -12, 3, (m, 1, 1))
+
+
+class TestNormIdentities:
+    """Bitwise pins of the identities that let `distances` and
+    `classify_series` drop np.linalg.norm."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    def test_flattened_reduce_is_the_frobenius_norm(self, order):
+        rng = np.random.default_rng(order)
+        dev = random_deviations(rng, 3000, (2, 4 * order))
+        flat = dev.reshape(dev.shape[0], -1)
+        assert_bits_equal(np.sqrt(np.add.reduce(flat * flat, axis=1)),
+                          np.linalg.norm(dev, axis=(1, 2)))
+
+    @pytest.mark.parametrize("m", [DISTANCE_CHUNK + 1, 3 * DISTANCE_CHUNK - 7])
+    def test_chunked_distances_equal_one_whole_array_reduce(self, m):
+        rng = np.random.default_rng(m)
+        star = rng.standard_normal(SHAPE)
+        thetas = star + random_deviations(rng, m)
+        dev = (thetas - star).reshape(m, -1)
+        assert_bits_equal(distances(thetas, star),
+                          np.sqrt(np.add.reduce(dev * dev, axis=1)))
+
+    def test_band_deviation_norm_is_its_distance(self):
+        """The norm of each band deviation, as the classifier used to take
+        it, is bitwise that snapshot's distance."""
+        rng = np.random.default_rng(7)
+        star = rng.standard_normal(SHAPE)
+        thetas = star + random_deviations(rng, 2000)
+        d = distances(thetas, star)
+        band_idx = np.nonzero((d > 1e-6) & (d <= 10.0))[0]
+        assert 100 < band_idx.size < d.size
+        flat = (thetas[band_idx] - star).reshape(band_idx.size, -1)
+        assert_bits_equal(np.linalg.norm(flat, axis=1), d[band_idx])
 
 
 class TestCalibrateThresholds:
@@ -445,6 +504,72 @@ class TestClassifySeries:
                                             SignatureLibrary(order=ORDER))
         assert verdicts[0] is Verdict.UNCLASSIFIED
         assert np.isnan(sims[0])
+
+
+class TestClassifyNonFinite:
+    thr = Thresholds(d_high=1.0, d_low=0.1)
+    nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+    lib = flat_library([(np.ones(SHAPE), Verdict.FAULT)])
+
+    def test_nan_snapshot_named(self):
+        thetas = np.zeros((5,) + SHAPE)
+        thetas[1, 0, 3] = np.nan
+        thetas[2, 1, 0] = np.inf
+        thetas[4, 1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^snapshot 1 holds a NaN"):
+            classify_series(thetas, self.nom, self.thr, self.lib)
+
+    def test_nan_and_infinity_in_one_snapshot(self):
+        thetas = np.zeros((2,) + SHAPE)
+        thetas[1, 0, 0] = np.inf
+        thetas[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^snapshot 1 holds a NaN"):
+            classify_series(thetas, self.nom, self.thr, self.lib)
+
+    def test_infinite_distance_is_fault(self):
+        thetas = np.zeros((3,) + SHAPE)
+        thetas[1, 0, 3] = np.inf
+        thetas[2, 1, 0] = -np.inf
+        d, verdicts, sims = classify_series(thetas, self.nom, self.thr,
+                                            self.lib)
+        assert d.tolist() == [0.0, np.inf, np.inf]
+        assert verdicts == [Verdict.NORMAL, Verdict.FAULT, Verdict.FAULT]
+        assert np.isnan(sims).all()
+
+    def test_single_snapshot_call_raises(self):
+        """The final verdict goes through `classify`, the one-row call."""
+        theta = np.zeros(SHAPE)
+        theta[0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^snapshot 0 holds a NaN"):
+            classify(theta, self.nom, self.thr, self.lib)
+
+
+class TestClassifyMemory:
+    @pytest.mark.parametrize("level", [0.0, 5.0])  # normal rows, fault rows
+    def test_peak_grows_with_outputs_only(self, level):
+        """`distances` bounds its temporaries to DISTANCE_CHUNK snapshots;
+        from 1 to 4 chunks of snapshots outside the band, the tracemalloc
+        peak may grow only by the per-row outputs (d, similarity, codes,
+        masks and the verdict list: under 64 B a row). Their deviations
+        taken whole (192 B a row, twice) would exceed it. In-band rows are
+        left out: their deviations are gathered whole on purpose, so that
+        their similarities come from one BLAS call."""
+        import tracemalloc
+
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        thr = Thresholds(d_high=1.0, d_low=0.1)
+        lib = flat_library([(np.ones(SHAPE), Verdict.FAULT)])
+        peaks = {}
+        for chunks in (1, 4):
+            thetas = np.full((chunks * DISTANCE_CHUNK,) + SHAPE, level)
+            tracemalloc.start()
+            try:
+                _, verdicts, _ = classify_series(thetas, nom, thr, lib)
+                peaks[chunks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del verdicts
+        assert peaks[4] - peaks[1] <= 3 * DISTANCE_CHUNK * 64, peaks
 
 
 def oracle_detection_times(t, d, t_start, t_end, thresholds):

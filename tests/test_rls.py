@@ -136,6 +136,41 @@ class TestUpdate:
         assert np.array_equal(state.P, before[1])
         assert state.sample_count == 1
 
+    def test_non_finite_covariance_rejected_state_unchanged(self):
+        state = rls_update(init_identifier(ArxConfig()), np.ones(2),
+                           np.ones(12))
+        state.P[5, 5] = np.nan
+        before = state.theta.copy(), state.P.copy()
+        with pytest.raises(UpdateRejectedError, match="P holds a non-finite"):
+            rls_run(state, np.zeros((5, 2)), np.zeros((5, 12)))
+        assert np.array_equal(state.theta, before[0])
+        assert np.array_equal(state.P, before[1], equal_nan=True)
+
+    def test_huge_finite_input_accepted(self):
+        """Finite values whose squares overflow pass the finiteness check:
+        its sum of squares overflows, and the scan behind it finds every
+        value finite."""
+        state = init_identifier(ArxConfig())
+        Y = np.array([[1e200, -1e200]])
+        with np.errstate(over="ignore"):
+            thetas, innovation, final = rls_run(state, Y, np.zeros((1, 12)))
+        assert np.array_equal(innovation, Y)
+        assert final.sample_count == 1
+
+    @pytest.mark.parametrize("y, phi", [
+        ([np.inf, -np.inf], np.zeros(12)),
+        (np.zeros(2), np.r_[np.zeros(10), np.inf, -np.inf]),
+        ([np.nan, 0.0], np.zeros(12)),
+    ])
+    def test_non_finite_input_rejected_without_warning(self, y, phi):
+        import warnings
+
+        state = init_identifier(ArxConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UpdateRejectedError, match="at sample 0 of"):
+                rls_update(state, y, phi)
+
     def test_update_is_functional(self):
         state = init_identifier(ArxConfig())
         out = rls_update(state, np.ones(2), np.ones(12))
@@ -242,3 +277,55 @@ class TestCovarianceHealth:
         # between ceiling checks P can overshoot by at most 1/lambda**50
         assert np.max(np.linalg.eigvalsh(state.P)) <= \
             cfg.covariance_ceiling / 0.99**50 * 1.01
+
+
+def resymmetrise_oracle(P, lam):
+    """The textbook re-symmetrisation of P / lambda."""
+    A = P / lam
+    return (A + A.T) / 2.0
+
+
+def resymmetrise_kernel(P, lam):
+    """The ufunc sequence of `rls_run`: divide by 2 lambda in place, copy
+    the transpose, add."""
+    P = P.copy()
+    np.divide(P, np.array([2.0 * lam]), P)
+    sym = np.ascontiguousarray(P.T)
+    np.add(P, sym, P)
+    return P
+
+
+class TestHalvedDivisor:
+    """`rls_run` computes (P/lambda + (P/lambda)')/2 as P/(2 lambda) +
+    (P/(2 lambda))'. 2 lambda is exact and halving a normal number is
+    exact, so both give the same bits wherever every entry of P/lambda is
+    at least 2**-1021 in magnitude, or zero. The exception is subnormal
+    territory: below 2**-1021 the division can round twice in one form and
+    once in the other, so the last bit may differ there."""
+
+    @pytest.mark.parametrize("lam", [0.9, 0.95, 0.98, 0.999, 1.0])
+    def test_same_bits_from_1e_300_to_1e5(self, lam):
+        rng = np.random.Generator(np.random.Philox(int(lam * 1000)))
+        n = 12
+        for exponent in range(-300, 6):
+            # entries within a decade or two of 10**exponent, either sign,
+            # so that the transpose sums both add and cancel
+            P = rng.standard_normal((n, n)) * 10.0 ** (
+                exponent + rng.uniform(0.0, 1.0, (n, n)))
+            P[0, 1] = 0.0
+            P[1, 0] = -0.0
+            A = P / lam
+            nonzero = A[A != 0.0]
+            assert np.all(np.abs(nonzero) >= 2.0 ** -1021)
+            want = resymmetrise_oracle(P, lam)
+            got = resymmetrise_kernel(P, lam)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_subnormal_entries_are_the_exception(self):
+        """Below 2**-1021 the two forms part, as the docstring says: this
+        is why the identity is stated for normal entries only."""
+        rng = np.random.Generator(np.random.Philox(3))
+        P = rng.integers(1, 2 ** 40, (12, 12)) * 2.0 ** -1074
+        want = resymmetrise_oracle(P, 0.95)
+        got = resymmetrise_kernel(P, 0.95)
+        assert not np.array_equal(got.view(np.uint64), want.view(np.uint64))

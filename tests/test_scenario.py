@@ -744,6 +744,31 @@ class TestFailedRun:
         for name in RUN_ARTIFACTS:
             assert (out / name).read_bytes() == before[name], name
 
+    def test_nan_snapshot_fails_the_detector_stage(
+            self, default_cal, short_fault_config, tmp_path, monkeypatch):
+        """A NaN in the predictor trajectory has no verdict: the run fails
+        in its detector stage, naming the snapshot, and writes nothing."""
+        nominal, thresholds, _, _ = default_cal
+        calls = []
+
+        def nan_in_block_2(*args, **kwargs):
+            run = identify(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 2:
+                run.theta[5, 1, 7] = np.nan
+            return run
+
+        monkeypatch.setattr(scenario_module, "identify", nan_in_block_2)
+        monkeypatch.setattr(scenario_module, "SIMULATE_BLOCK", 2000)
+        out = tmp_path / "run"
+        with pytest.raises(StageError, match=r"^\[detector\] snapshot 5 "
+                                             r"holds a NaN.* \(block from "
+                                             r"update 1996\)$") as err:
+            run_scenario(short_fault_config, nominal, thresholds,
+                         out_dir=str(out))
+        assert err.value.stage == "detector"
+        assert not out.exists()
+
     @pytest.mark.skipif(scenario_module._fork_context() is None,
                         reason="the CSVs are formatted in the run's process")
     def test_writer_process_exit_named(self, default_cal, short_fault_config,
