@@ -17,8 +17,10 @@ from enum import Enum
 import numpy as np
 
 DEFAULT_MATCH_FLOOR = 0.8
-DEFAULT_HIGH_FACTOR = 5.0
-DEFAULT_LOW_FACTOR = 1.5
+# The multiples of the worst fault-free distance that are the auto
+# thresholds d_high and d_low.
+HIGH_FACTOR = 5.0
+LOW_FACTOR = 1.5
 DEFAULT_HOLD = 3
 
 LIBRARY_FORMAT_VERSION = 1
@@ -238,19 +240,15 @@ def distances(thetas, theta_star) -> np.ndarray:
     return d
 
 
-def calibrate_thresholds(
-    d_values,
-    high_factor: float = DEFAULT_HIGH_FACTOR,
-    low_factor: float = DEFAULT_LOW_FACTOR,
-) -> Thresholds:
+def calibrate_thresholds(d_values) -> Thresholds:
     """Scale the worst fault-free distance into trip thresholds."""
-    d_values = np.asarray(list(d_values), float)
+    d_values = np.asarray(d_values, float)
     if d_values.size == 0:
         raise InsufficientDataError("no distance samples to calibrate from")
     d_max = float(np.max(d_values))
     if d_max <= 0:
         raise InsufficientDataError("fault-free distances are all zero")
-    return Thresholds(d_high=high_factor * d_max, d_low=low_factor * d_max)
+    return Thresholds(d_high=HIGH_FACTOR * d_max, d_low=LOW_FACTOR * d_max)
 
 
 def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,

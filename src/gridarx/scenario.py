@@ -2,9 +2,9 @@
 
 Scenario files are INI text (key/value with sections); unset keys fall back
 to the built-in `default_profile` (reference circuit values, 5 kHz
-sampling, 0.1 p.u. excitation, disturbance window 10 s to 20 s). All
-randomness flows from the seeds in the config, so a run is reproducible
-byte-for-byte.
+sampling, 0.1 p.u. excitation, no disturbance); a disturbance whose file
+sets no window runs from 10 s to 20 s. All randomness flows from the seeds
+in the config, so a run is reproducible byte-for-byte.
 
 A run is one loop over the simulator's blocks of SIMULATE_BLOCK samples.
 Each block is identified as it arrives, with the stream's last
@@ -107,6 +107,11 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario's settings. The run settings are checked on construction,
+    and the excitation's chip rate against the sampling rate; each error
+    names the scenario file's section and key. The other sections check
+    themselves in their own dataclasses."""
+
     name: str = "scenario"
     circuit: CircuitParams = CircuitParams()
     disturbance: DisturbanceSpec | None = None
@@ -123,6 +128,28 @@ class ScenarioConfig:
     limit_fraction: float = 0.1
     calibration_window: int = DEFAULT_CAL_WINDOW
 
+    def __post_init__(self):
+        for key, ok, need in (
+                ("duration", self.duration > 0, "> 0"),
+                ("ts", self.ts > 0, "> 0"),
+                ("noise_std", self.noise_std >= 0, ">= 0"),
+                ("noise_seed", self.noise_seed >= 0, ">= 0"),
+                # a cosine similarity lies in [-1, 1]
+                ("match_floor", -1 <= self.match_floor <= 1, "in [-1, 1]"),
+                ("hold", self.hold >= 1, ">= 1"),
+                ("limit_fraction", self.limit_fraction > 0, "> 0"),
+                ("calibration_window", self.calibration_window >= 1, ">= 1")):
+            if not ok:
+                raise ValueError(f"[run] {key}: must be {need}, got "
+                                 f"{getattr(self, key)!r}")
+        # the sampling-rate check of signals.RbsStream, with its 1e-9 Hz slack
+        rate = 1.0 / self.ts
+        if (self.excitation is not None
+                and self.excitation.chip_rate > rate + 1e-9):
+            raise ValueError(
+                f"[excitation] chip_rate: must be <= the sampling rate 1/ts = "
+                f"{rate!r}, got {self.excitation.chip_rate!r}")
+
     def echo(self) -> dict:
         """The config as plain JSON-ready data; the identifier reports the
         effective covariance ceiling as p_max."""
@@ -136,43 +163,93 @@ def default_profile(name: str = "default_profile") -> ScenarioConfig:
     return ScenarioConfig(name=name)
 
 
-CIRCUIT_KEYS = tuple(f.name for f in fields(CircuitParams))
-
-# The keys each scenario section accepts; anything else is an error.
+# The keys each scenario section accepts, with the type each is read as;
+# anything else is an error.
 SCENARIO_SCHEMA = {
-    "run": ("duration", "ts", "noise_std", "noise_seed", "match_floor",
-            "hold", "limit_fraction", "calibration_window"),
-    "circuit": CIRCUIT_KEYS,
-    "disturbance": ("kind", "t_start", "t_end", "r_fault_pu", "r_fault_ohm",
-                    "l_load_pu", "l_load_h"),
-    "excitation": ("enabled", "amplitude", "chip_rate", "seed"),
-    "identifier": ("order", "forgetting", "p0_scale", "p_max"),
-    "thresholds": ("mode", "d_high", "d_low"),
+    "run": {"duration": float, "ts": float, "noise_std": float,
+            "noise_seed": int, "match_floor": float, "hold": int,
+            "limit_fraction": float, "calibration_window": int},
+    "circuit": {f.name: float for f in fields(CircuitParams)},
+    "disturbance": {"kind": str, "t_start": float, "t_end": float,
+                    "r_fault_pu": float, "r_fault_ohm": float,
+                    "l_load_pu": float, "l_load_h": float},
+    "excitation": {"enabled": bool, "amplitude": float, "chip_rate": float,
+                   "seed": int},
+    "identifier": {"order": int, "forgetting": float, "p0_scale": float,
+                   "p_max": float},
+    "thresholds": {"mode": str, "d_high": float, "d_low": float},
+}
+
+# How a value of each schema type is read, and what its error expects.
+_READERS = {
+    float: (float, "a number"),
+    int: (int, "an integer"),
+    # configparser strips the values it reads
+    bool: (lambda text: configparser.ConfigParser.BOOLEAN_STATES[
+        text.lower()], "true or false"),
+    str: (str.lower, None),
+}
+
+# The keys of a disturbance's value by kind: in p.u., in physical units,
+# and the CircuitParams method that converts the latter to p.u.
+_VALUE_KEYS = {
+    "fault": ("r_fault_pu", "r_fault_ohm", CircuitParams.ohms_to_pu),
+    "load": ("l_load_pu", "l_load_h", CircuitParams.henries_to_pu),
 }
 
 
-def _check_schema(path: str, parser: configparser.ConfigParser) -> None:
-    """Reject sections and keys outside SCENARIO_SCHEMA."""
+def _read_keys(path: str, parser: configparser.ConfigParser) -> dict:
+    """The values the file sets, {section: {key: value}} with a dict for
+    every SCENARIO_SCHEMA section, each read as its schema type. A section
+    or key outside the schema, or a value that does not read or is not
+    finite, raises ValueError naming the file, the section and the key."""
     sections = parser.sections()
     if parser.defaults():
         sections = [parser.default_section] + sections
+    given = {section: {} for section in SCENARIO_SCHEMA}
     for section in sections:
         if section not in SCENARIO_SCHEMA:
             raise ValueError(
                 f"{path}: [{section}]: unknown section; expected one of "
                 f"{', '.join(f'[{s}]' for s in SCENARIO_SCHEMA)}"
             )
-        allowed = SCENARIO_SCHEMA[section]
-        for key in parser[section]:
-            if key not in allowed:
+        schema = SCENARIO_SCHEMA[section]
+        for key, raw in parser[section].items():
+            if key not in schema:
                 raise ValueError(
                     f"{path}: [{section}] {key}: unknown key; expected one "
-                    f"of {', '.join(allowed)}"
+                    f"of {', '.join(schema)}"
                 )
+            read, expected = _READERS[schema[key]]
+            try:
+                value = read(raw)
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}: [{section}] {key}: expected "
+                                 f"{expected}, got {raw!r}") from None
+            # no key of a scenario takes nan or inf: each would surface late,
+            # in the simulator or the estimator, or be silently ignored
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: [{section}] {key}: must be finite, got {raw!r}")
+            given[section][key] = value
+    return given
 
 
-def _to_bool(text: str) -> bool:
-    return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+def _reject(where: str, keys, unless: str) -> None:
+    """Raise ValueError for the first of `keys`, if any: keys set in `where`
+    (the file and the section) that nothing reads unless `unless`."""
+    if keys:
+        raise ValueError(f"{where} {next(iter(keys))}: ignored unless {unless}")
+
+
+def _build(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError of which is raised again with
+    `where` (the file, and the section if the error does not name it) in
+    front of its message."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
 
 
 def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
@@ -180,112 +257,64 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
 
     Recognized sections and keys are those of SCENARIO_SCHEMA; an unknown
     section or key, a value that does not parse, is not finite or is out of
-    range, or a missing required value raises ValueError naming the file,
-    the section and the key. A bad override is not the file's: its error
-    does not name the path, and a bad excitation seed override names the
-    option, `--seed`.
+    range, a missing required value, or a key that the rest of the file
+    makes unread (d_high without mode = manual, a value of another
+    disturbance kind or of a disabled excitation, both units of one
+    disturbance value) raises ValueError naming the file, the section and
+    the key. A bad override is not the file's: its error does not name the
+    path, and a bad excitation seed override names the option, `--seed`.
     Disturbance impedance may be given in p.u. (r_fault_pu / l_load_pu) or
     physical units (r_fault_ohm / l_load_h).
     """
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_file(fh)
-    _check_schema(path, parser)
+    given = _read_keys(path, parser)
     base = default_profile(name=os.path.splitext(os.path.basename(path))[0])
     overrides = overrides or {}
 
-    def fget(section, key, fallback, convert=float, expected="a number"):
-        if section not in parser or key not in parser[section]:
-            return fallback
-        raw = parser[section][key]
-        try:
-            value = convert(raw)
-        except (KeyError, ValueError):
-            raise ValueError(
-                f"{path}: [{section}] {key}: expected {expected}, got {raw!r}"
-            ) from None
-        # no key of a scenario takes nan or inf: each would surface late,
-        # in the simulator or the estimator, or be silently ignored
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(
-                f"{path}: [{section}] {key}: must be finite, got {raw!r}")
-        return value
+    circuit = _build(f"{path}: [circuit]", replace, base.circuit,
+                     **given["circuit"])
 
-    def iget(section, key, fallback):
-        return fget(section, key, fallback, int, "an integer")
-
-    circ_kwargs = {}
-    for key in CIRCUIT_KEYS:
-        val = fget("circuit", key, None)
-        if val is not None:
-            circ_kwargs[key] = val
-    try:
-        circuit = replace(base.circuit, **circ_kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{path}: [circuit] {exc}") from None
-
-    disturbance = base.disturbance
-    if "disturbance" in parser:
-        sec = parser["disturbance"]
-        kind = sec.get("kind", "none").strip().lower()
-        if kind in ("none", "off"):
-            disturbance = None
+    values, where = given["disturbance"], f"{path}: [disturbance]"
+    kind = values.pop("kind", "none")
+    disturbance = None
+    if kind in ("none", "off"):
+        _reject(where, values, "kind = fault or load")
+    elif kind not in _VALUE_KEYS:
+        raise ValueError(f"{where} kind: unknown kind {kind!r}; expected one "
+                         "of fault, load, none")
+    else:
+        pu_key, si_key, to_pu = _VALUE_KEYS[kind]
+        # no dataclass holds a default disturbance window
+        t_start, t_end = values.pop("t_start", 10.0), values.pop("t_end", 20.0)
+        if pu_key in values and si_key in values:
+            raise ValueError(f"{where} {si_key}: ignored unless {pu_key} is "
+                             "unset; set one of them")
+        if pu_key in values:
+            value = values.pop(pu_key)
+        elif si_key in values:
+            value = to_pu(circuit, values.pop(si_key))
         else:
-            t_start = fget("disturbance", "t_start", 10.0)
-            t_end = fget("disturbance", "t_end", 20.0)
-            if kind == "fault":
-                pu_key, si_key, to_pu = ("r_fault_pu", "r_fault_ohm",
-                                         circuit.ohms_to_pu)
-            elif kind == "load":
-                pu_key, si_key, to_pu = ("l_load_pu", "l_load_h",
-                                         circuit.henries_to_pu)
-            else:
-                raise ValueError(
-                    f"{path}: [disturbance] kind: unknown kind {kind!r}; "
-                    "expected one of fault, load, none"
-                )
-            if pu_key in sec:
-                value = fget("disturbance", pu_key, None)
-            elif si_key in sec:
-                value = to_pu(fget("disturbance", si_key, None))
-            else:
-                raise ValueError(
-                    f"{path}: [disturbance] kind = {kind} needs a value: "
-                    f"set {pu_key} or {si_key}"
-                )
-            try:
-                disturbance = DisturbanceSpec(kind, value, t_start, t_end)
-            except ValueError as exc:
-                raise ValueError(f"{path}: [disturbance] {exc}") from None
+            raise ValueError(f"{where} kind = {kind} needs a value: set "
+                             f"{pu_key} or {si_key}")
+        other = "load" if kind == "fault" else "fault"
+        _reject(where, values, f"kind = {other}")
+        disturbance = _build(where, DisturbanceSpec, kind, value, t_start,
+                             t_end)
 
-    excitation = base.excitation
-    if "excitation" in parser:
-        if not fget("excitation", "enabled", True, _to_bool,
-                    "true or false"):
-            excitation = None
-        else:
-            # read before the try, whose prefix their errors already carry
-            values = dict(amplitude=fget("excitation", "amplitude", 0.1),
-                          chip_rate=fget("excitation", "chip_rate", 5000.0),
-                          seed=iget("excitation", "seed", 1))
-            try:
-                excitation = RbsConfig(**values)
-            except ValueError as exc:
-                raise ValueError(f"{path}: [excitation] {exc}") from None
-    if "seed" in overrides and excitation is not None:
-        try:
-            excitation = replace(excitation, seed=int(overrides["seed"]))
-        except ValueError as exc:
-            raise ValueError(f"--seed: {exc}") from None
+    values, where = given["excitation"], f"{path}: [excitation]"
+    excitation = None
+    if values.pop("enabled", True):
+        excitation = _build(where, replace, base.excitation, **values)
+        if "seed" in overrides:
+            excitation = _build("--seed:", replace, excitation,
+                                seed=int(overrides["seed"]))
+    else:
+        _reject(where, values, "enabled = true")
 
-    values = dict(order=iget("identifier", "order", 3),
-                  forgetting=fget("identifier", "forgetting", 0.999),
-                  p0_scale=fget("identifier", "p0_scale", 1e4),
-                  p_max=fget("identifier", "p_max", None))
-    try:
-        identifier = ArxConfig(**values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: [identifier] {exc}") from None
+    identifier = _build(f"{path}: [identifier]", replace, base.identifier,
+                        **given["identifier"])
     # an override's error is not the file's: it is raised without its path
     if "rho" in overrides:
         identifier = replace(identifier, order=int(overrides["rho"]))
@@ -293,74 +322,23 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
         identifier = replace(identifier,
                              forgetting=float(overrides["forgetting"]))
 
+    values, where = given["thresholds"], f"{path}: [thresholds]"
+    mode = values.pop("mode", "auto")
     thresholds = None
-    if "thresholds" in parser:
-        mode = parser["thresholds"].get("mode", "auto").strip().lower()
-        if mode == "manual":
-            bounds = {}
-            for key in ("d_high", "d_low"):
-                bounds[key] = fget("thresholds", key, None)
-                if bounds[key] is None:
-                    raise ValueError(
-                        f"{path}: [thresholds] {key}: mode = manual needs "
-                        "a value"
-                    )
-            try:
-                thresholds = Thresholds(**bounds)
-            except ValueError as exc:
-                raise ValueError(f"{path}: [thresholds] {exc}") from None
-        elif mode != "auto":
-            raise ValueError(
-                f"{path}: [thresholds] mode: unknown mode {mode!r}; "
-                "expected auto or manual"
-            )
+    if mode == "manual":
+        for key in ("d_high", "d_low"):
+            if key not in values:
+                raise ValueError(f"{where} {key}: mode = manual needs a value")
+        thresholds = _build(where, Thresholds, **values)
+    elif mode == "auto":
+        _reject(where, values, "mode = manual")
+    else:
+        raise ValueError(f"{where} mode: unknown mode {mode!r}; expected auto "
+                         "or manual")
 
-    duration = fget("run", "duration", base.duration)
-    ts = fget("run", "ts", base.ts)
-    noise_std = fget("run", "noise_std", base.noise_std)
-    noise_seed = iget("run", "noise_seed", base.noise_seed)
-    match_floor = fget("run", "match_floor", base.match_floor)
-    hold = iget("run", "hold", base.hold)
-    limit_fraction = fget("run", "limit_fraction", base.limit_fraction)
-    calibration_window = iget("run", "calibration_window",
-                              base.calibration_window)
-    for key, value, ok, need in (
-            ("duration", duration, duration > 0, "> 0"),
-            ("ts", ts, ts > 0, "> 0"),
-            ("noise_std", noise_std, noise_std >= 0, ">= 0"),
-            ("noise_seed", noise_seed, noise_seed >= 0, ">= 0"),
-            # a cosine similarity lies in [-1, 1]
-            ("match_floor", match_floor, -1 <= match_floor <= 1,
-             "in [-1, 1]"),
-            ("hold", hold, hold >= 1, ">= 1"),
-            ("limit_fraction", limit_fraction, limit_fraction > 0, "> 0"),
-            ("calibration_window", calibration_window,
-             calibration_window >= 1, ">= 1")):
-        if not ok:
-            raise ValueError(
-                f"{path}: [run] {key}: must be {need}, got {value!r}")
-    # the sampling-rate check of signals.RbsStream, with its 1e-9 Hz slack
-    if excitation is not None and excitation.chip_rate > 1.0 / ts + 1e-9:
-        raise ValueError(
-            f"{path}: [excitation] chip_rate: must be <= the sampling rate "
-            f"1/ts = {1.0 / ts!r}, got {excitation.chip_rate!r}")
-
-    return ScenarioConfig(
-        name=base.name,
-        circuit=circuit,
-        disturbance=disturbance,
-        excitation=excitation,
-        identifier=identifier,
-        thresholds=thresholds,
-        duration=duration,
-        ts=ts,
-        noise_std=noise_std,
-        noise_seed=noise_seed,
-        match_floor=match_floor,
-        hold=hold,
-        limit_fraction=limit_fraction,
-        calibration_window=calibration_window,
-    )
+    return _build(f"{path}:", replace, base, circuit=circuit,
+                  disturbance=disturbance, excitation=excitation,
+                  identifier=identifier, thresholds=thresholds, **given["run"])
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +659,7 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     and keeps only those rows, so its memory does not grow with its length.
     """
     cal_config = replace(config, disturbance=None)
-    keep = max(1, cal_config.calibration_window)
+    keep = cal_config.calibration_window
     t_tail = theta_tail = None
     calibrated = 0
     blocks, _ = _simulate_identify(cal_config)

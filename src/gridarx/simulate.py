@@ -33,9 +33,8 @@ class IntegrationError(RuntimeError):
 class DisturbanceSpec:
     """A shunt branch connected at the midpoint during [t_start, t_end).
 
-    kind: "fault" (resistive, value in p.u. unless given in ohms via
-    `from_ohms`) or "load" (inductive, value in p.u. unless given in henries
-    via `from_henries`).
+    kind: "fault" (resistive) or "load" (inductive), with its value in p.u.;
+    `CircuitParams.ohms_to_pu` and `henries_to_pu` convert physical units.
     """
 
     kind: str  # "fault" | "load"
@@ -54,14 +53,6 @@ class DisturbanceSpec:
             raise ValueError(
                 f"t_start {self.t_start} must precede t_end {self.t_end}"
             )
-
-    @classmethod
-    def fault_from_ohms(cls, r_ohm: float, params: CircuitParams, t_start, t_end):
-        return cls("fault", params.ohms_to_pu(r_ohm), t_start, t_end)
-
-    @classmethod
-    def load_from_henries(cls, l_h: float, params: CircuitParams, t_start, t_end):
-        return cls("load", params.henries_to_pu(l_h), t_start, t_end)
 
 
 @dataclass(frozen=True)

@@ -131,8 +131,8 @@ def lif_reports(params):
             cfg,
             name=f"lif20_{forgetting}",
             duration=duration,
-            disturbance=DisturbanceSpec.fault_from_ohms(
-                20.0, params, 10.0, t_end),
+            disturbance=DisturbanceSpec(
+                "fault", params.ohms_to_pu(20.0), 10.0, t_end),
         )
         out[forgetting] = run_scenario(lif, nominal, thresholds)
     return out

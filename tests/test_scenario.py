@@ -8,12 +8,13 @@ import os
 import signal
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from gridarx import scenario as scenario_module
+from gridarx.circuit import CircuitParams
 from gridarx.detector import (
     Signature,
     SignatureLibrary,
@@ -27,6 +28,7 @@ from gridarx.rls import ArxConfig
 from gridarx.scenario import (
     CSV_CHUNK_ROWS,
     FLOAT_FMT,
+    SCENARIO_SCHEMA,
     ScenarioConfig,
     StageError,
     _CsvProcess,
@@ -47,6 +49,7 @@ from gridarx.scenario import (
     write_samples_csv,
     write_theta_csv,
 )
+from gridarx.signals import RbsConfig
 from gridarx.simulate import (
     DisturbanceSpec,
     SimResult,
@@ -242,6 +245,89 @@ class TestLoadScenario:
         with pytest.raises(OSError):
             load_scenario("/nonexistent/scenario.ini")
 
+    @pytest.mark.parametrize("text, where", [
+        ("[thresholds]\nd_high = 4.5\n",
+         "[thresholds] d_high: ignored unless mode = manual"),
+        ("[thresholds]\nmode = auto\nd_low = 0.03\n",
+         "[thresholds] d_low: ignored unless mode = manual"),
+        ("[disturbance]\nkind = none\nr_fault_ohm = 20\n",
+         "[disturbance] r_fault_ohm: ignored unless kind = fault or load"),
+        ("[disturbance]\nt_start = 1.0\n",
+         "[disturbance] t_start: ignored unless kind = fault or load"),
+        ("[disturbance]\nkind = fault\nr_fault_pu = 0.3\nl_load_pu = 0.35\n",
+         "[disturbance] l_load_pu: ignored unless kind = load"),
+        ("[disturbance]\nkind = load\nl_load_h = 0.1\nr_fault_ohm = 20\n",
+         "[disturbance] r_fault_ohm: ignored unless kind = fault"),
+        ("[disturbance]\nkind = fault\nr_fault_pu = 0.3\nr_fault_ohm = 20\n",
+         "[disturbance] r_fault_ohm: ignored unless r_fault_pu is unset"),
+        ("[disturbance]\nkind = load\nl_load_h = 0.1\nl_load_pu = 0.35\n",
+         "[disturbance] l_load_h: ignored unless l_load_pu is unset"),
+        ("[excitation]\nenabled = false\namplitude = 0.2\n",
+         "[excitation] amplitude: ignored unless enabled = true"),
+        ("[excitation]\nseed = 3\nenabled = no\n",
+         "[excitation] seed: ignored unless enabled = true"),
+    ])
+    def test_ignored_key_rejected(self, tmp_path, text, where):
+        path = write_ini(tmp_path, "ignored.ini", text)
+        with pytest.raises(ValueError) as err:
+            load_scenario(path)
+        assert str(err.value).startswith(f"{path}: {where}")
+
+
+# (the file's text, the same value as ScenarioConfig fields, the message
+# both give, which the loader prefixes with the file's path)
+CONFIG_CHECKS = [
+    ("[run]\nduration = 0\n", {"duration": 0.0},
+     "[run] duration: must be > 0, got 0.0"),
+    ("[run]\nts = -2e-4\n", {"ts": -2e-4},
+     "[run] ts: must be > 0, got -0.0002"),
+    ("[run]\nnoise_std = -1\n", {"noise_std": -1.0},
+     "[run] noise_std: must be >= 0, got -1.0"),
+    ("[run]\nnoise_seed = -3\n", {"noise_seed": -3},
+     "[run] noise_seed: must be >= 0, got -3"),
+    ("[run]\nmatch_floor = 5\n", {"match_floor": 5.0},
+     "[run] match_floor: must be in [-1, 1], got 5.0"),
+    ("[run]\nmatch_floor = -1.5\n", {"match_floor": -1.5},
+     "[run] match_floor: must be in [-1, 1], got -1.5"),
+    ("[run]\nhold = 0\n", {"hold": 0}, "[run] hold: must be >= 1, got 0"),
+    ("[run]\nlimit_fraction = 0\n", {"limit_fraction": 0.0},
+     "[run] limit_fraction: must be > 0, got 0.0"),
+    ("[run]\ncalibration_window = 0\n", {"calibration_window": 0},
+     "[run] calibration_window: must be >= 1, got 0"),
+    ("[excitation]\nchip_rate = 10000\n",
+     {"excitation": RbsConfig(amplitude=0.1, chip_rate=10000.0, seed=1)},
+     "[excitation] chip_rate: must be <= the sampling rate 1/ts = 5000.0, "
+     "got 10000.0"),
+    ("[run]\nts = 1e-3\n", {"ts": 1e-3},
+     "[excitation] chip_rate: must be <= the sampling rate 1/ts = 1000.0, "
+     "got 5000.0"),
+]
+
+
+class TestScenarioConfigChecks:
+    @pytest.mark.parametrize("text, values, message", CONFIG_CHECKS)
+    def test_built_in_code_checked_as_loaded(self, tmp_path, text, values,
+                                             message):
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig(**values)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            replace(default_profile(), **values)
+        assert str(err.value) == message
+        path = write_ini(tmp_path, "bad.ini", text)
+        with pytest.raises(ValueError) as err:
+            load_scenario(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("section, dataclass", [
+        ("circuit", CircuitParams), ("excitation", RbsConfig),
+        ("identifier", ArxConfig), ("run", ScenarioConfig)])
+    def test_schema_keys_are_dataclass_fields(self, section, dataclass):
+        """A key is given to its section's dataclass by name; `enabled` is
+        the one key that chooses whether [excitation] builds one at all."""
+        keys = set(SCENARIO_SCHEMA[section]) - {"enabled"}
+        assert keys <= {f.name for f in fields(dataclass)}
+
 
 def write_in_blocks(path, header, data, head=None):
     """`data` written to `path` by one `_CsvWriter` given `head`, in two
@@ -404,25 +490,30 @@ class TestCalibrationArtifacts:
         assert json.dumps(echo, indent=2) == json.dumps(want, indent=2)
         assert cfg.echo() == echo  # echo does not alias the config
 
-    def test_simulate_failure_tagged_in_calibration(self):
+    def test_simulate_failure_tagged_in_calibration(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("simulator broke")
+
+        monkeypatch.setattr(scenario_module, "simulate_blocks", broken)
         with pytest.raises(StageError, match=r"^\[simulate\]") as err:
-            run_calibration(ScenarioConfig(ts=-1e-4, duration=1.0))
+            run_calibration(ScenarioConfig(duration=1.0))
         assert err.value.stage == "simulate"
 
     def test_library_build_failures_tagged(self, default_cal, monkeypatch):
         nominal, thresholds, _, _ = default_cal
         dist = DisturbanceSpec("fault", 0.2077, 0.5, 0.8)
-        bad = ScenarioConfig(ts=-1e-4, duration=1.0, disturbance=dist)
-        with pytest.raises(StageError) as err:
-            build_library_from_scenarios([bad], nominal, thresholds)
-        assert err.value.stage == "simulate"
+        good = ScenarioConfig(duration=1.0, disturbance=dist)
 
         def broken(*args, **kwargs):
             raise RuntimeError("estimator broke")
 
         # the stages are looked up as module globals, where tools wrap them
+        with monkeypatch.context() as patch:
+            patch.setattr(scenario_module, "simulate_blocks", broken)
+            with pytest.raises(StageError) as err:
+                build_library_from_scenarios([good], nominal, thresholds)
+            assert err.value.stage == "simulate"
         monkeypatch.setattr(scenario_module, "identify", broken)
-        good = replace(bad, ts=2e-4)
         for call in (lambda: build_library_from_scenarios(
                          [good], nominal, thresholds),
                      lambda: run_calibration(good),
@@ -896,7 +987,8 @@ MAY_SHARE = [
      "kind = load\nl_load_pu = 0.35"),
     ("value", "r_fault_pu = 0.2077", "r_fault_pu = 0.5"),
     ("t_end", "t_end = 0.75", "t_end = 0.9"),
-    ("thresholds", "mode = manual", "mode = auto"),
+    ("thresholds", "mode = manual\nd_high = 0.25\nd_low = 0.1",
+     "mode = auto"),
     ("match_floor", "[run]\n", "[run]\nmatch_floor = 0.0\n"),
     ("hold", "[run]\n", "[run]\nhold = 7\n"),
     ("calibration_window", "calibration_window = 500",

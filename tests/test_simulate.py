@@ -66,10 +66,10 @@ class TestDisturbanceSpec:
             DisturbanceSpec("breaker", 1.0, 1.0, 2.0)
 
     def test_unit_conversions(self, params):
-        d = DisturbanceSpec.fault_from_ohms(600.0, params, 1.0, 2.0)
+        d = DisturbanceSpec("fault", params.ohms_to_pu(600.0), 1.0, 2.0)
         assert d.value_pu == pytest.approx(600.0 / params.z_base)
         lh = 0.35 * params.z_base / params.omega_base
-        d = DisturbanceSpec.load_from_henries(lh, params, 1.0, 2.0)
+        d = DisturbanceSpec("load", params.henries_to_pu(lh), 1.0, 2.0)
         assert d.value_pu == pytest.approx(0.35)
 
 
@@ -204,7 +204,7 @@ class TestTopologySwitch:
         assert np.allclose(switched.v_dq, base.v_dq, rtol=0.0, atol=1e-12)
 
     def test_fault_window_deviation_and_recovery(self, params):
-        dist = DisturbanceSpec.fault_from_ohms(20.0, params, 0.5, 1.0)
+        dist = DisturbanceSpec("fault", params.ohms_to_pu(20.0), 0.5, 1.0)
         sim = simulate(params, dist, None, 1.5, noise_std=0.0)
         pre = sim.v_dq[sim.t < 0.5]
         during = sim.v_dq[(sim.t >= 0.6) & (sim.t < 1.0)]
