@@ -11,13 +11,11 @@ Each block is identified as it arrives, with the stream's last
 `order + 1` samples prepended, and then classified; the simulator and the
 estimator each carry their state from block to block, which gives bitwise
 the run of one call over the whole stream. Each block's rows go to the
-artifact files as they arrive, and the detector carries its debounce,
-first crossings and transitions, and the baseline its one-cycle average,
-across blocks. A run given an output directory formats its three CSVs
-off its loop: a child process forked per run owns their writers and is
-sent each block's rows (`_CsvProcess`); where fork is missing, or in a
-daemonic multiprocessing worker, the run formats them itself. Of the
-predictor trajectory a run keeps only the
+artifact files as they arrive, written by the run's own process: the
+samples as the float64 bytes of `samples.npy`, the distances and the
+predictors as `%.17g` text. The detector carries its debounce, first
+crossings and transitions, and the baseline its one-cycle average, across
+blocks. Of the predictor trajectory a run keeps only the
 settle-window rows whose mean gives the final verdict, so its memory
 depends on the block size and the disturbance window, not on its length;
 a run without a disturbance averages, and so keeps, the second half of the
@@ -31,16 +29,16 @@ same ArxConfig (`_prefix_key`). Each call holds one dict of records
 first such run records its start up to the last simulator block edge at
 or before the disturbance start: the simulator's samples before t_start,
 the estimator state at that edge and, in a suite, the (t, theta,
-calibrated) rows of each block before it and the byte length of each CSV
-at the edge. The record joins the dict once the stream has passed the
-block holding the disturbance start, so a stream stopped later (the
-library build stops each one after its window's end) leaves it whole. The
-others resume from the record and replay its blocks through the same loop
-as live ones; only the CSV rows of those blocks are copied from the
-recording run's files instead of formatted. The outputs do not change:
-every artifact is bitwise that of the run on its own. The record lives
-only for the call that made it; a suite's record holds about 214 bytes per
-sample before t_start.
+calibrated) rows of each block before it and the byte length of each
+per-sample artifact at the edge. The record joins the dict once the
+stream has passed the block holding the disturbance start, so a stream
+stopped later (the library build stops each one after its window's end)
+leaves it whole. The others resume from the record and replay its blocks
+through the same loop as live ones; only the artifact rows of those blocks
+are copied from the recording run's files instead of written again. The
+outputs do not change: every artifact is bitwise that of the run on its
+own. The record lives only for the call that made it; a suite's record
+holds about 214 bytes per sample before t_start.
 """
 
 from __future__ import annotations
@@ -139,16 +137,28 @@ class ScenarioConfig:
                 ("hold", self.hold >= 1, ">= 1"),
                 ("limit_fraction", self.limit_fraction > 0, "> 0"),
                 ("calibration_window", self.calibration_window >= 1, ">= 1")):
+            value = getattr(self, key)
+            if isinstance(value, float) and not math.isfinite(value):
+                ok, need = False, "finite"
             if not ok:
-                raise ValueError(f"[run] {key}: must be {need}, got "
-                                 f"{getattr(self, key)!r}")
+                raise ValueError(f"[run] {key}: must be {need}, got {value!r}")
+        if self.excitation is None:
+            return
         # the sampling-rate check of signals.RbsStream, with its 1e-9 Hz slack
-        rate = 1.0 / self.ts
-        if (self.excitation is not None
-                and self.excitation.chip_rate > rate + 1e-9):
+        rate, chip_rate = 1.0 / self.ts, self.excitation.chip_rate
+        if chip_rate > rate + 1e-9:
             raise ValueError(
                 f"[excitation] chip_rate: must be <= the sampling rate 1/ts = "
-                f"{rate!r}, got {self.excitation.chip_rate!r}")
+                f"{rate!r}, got {chip_rate!r}")
+        # RbsStream holds each chip for round(rate / chip_rate) samples, so
+        # another rate would run as one the config does not say; 1e-9 of
+        # the chip length allows for the rounding of 1/ts and the division
+        per_chip = rate / chip_rate
+        if abs(per_chip - np.rint(per_chip)) > 1e-9 * per_chip:
+            raise ValueError(
+                f"[excitation] chip_rate: must divide the sampling rate 1/ts "
+                f"= {rate!r} into a whole number of samples per chip, got "
+                f"{chip_rate!r} ({per_chip:.6g} samples)")
 
     def echo(self) -> dict:
         """The config as plain JSON-ready data; the identifier reports the
@@ -262,7 +272,8 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
     disturbance kind or of a disabled excitation, both units of one
     disturbance value) raises ValueError naming the file, the section and
     the key. A bad override is not the file's: its error does not name the
-    path, and a bad excitation seed override names the option, `--seed`.
+    path, and a bad excitation seed override, or one for a scenario whose
+    excitation is disabled, names the option, `--seed`.
     Disturbance impedance may be given in p.u. (r_fault_pu / l_load_pu) or
     physical units (r_fault_ohm / l_load_h).
     """
@@ -312,6 +323,9 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
                                 seed=int(overrides["seed"]))
     else:
         _reject(where, values, "enabled = true")
+        if "seed" in overrides:
+            raise ValueError("--seed: ignored unless the scenario's "
+                             "[excitation] enabled = true")
 
     identifier = _build(f"{path}: [identifier]", replace, base.identifier,
                         **given["identifier"])
@@ -348,8 +362,21 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
 # Rows formatted per string operation by `_CsvWriter`.
 CSV_CHUNK_ROWS = 1024
 
-# Bytes per read when `_CsvWriter` copies the head of an earlier artifact.
+# Bytes per read when a writer copies the head of an earlier artifact.
 COPY_CHUNK_BYTES = 1 << 20
+
+
+def _copy_head(fh, path: str, size: int) -> None:
+    """Copy the first `size` bytes of the file at `path` to `fh`, in reads
+    of COPY_CHUNK_BYTES."""
+    with open(path, "rb") as src:
+        while size > 0:
+            chunk = src.read(min(size, COPY_CHUNK_BYTES))
+            if not chunk:
+                raise OSError(f"{path}: ends {size} bytes short of the "
+                              "shared rows it was recorded with")
+            fh.write(chunk)
+            size -= len(chunk)
 
 
 class _CsvWriter:
@@ -360,24 +387,16 @@ class _CsvWriter:
     comments="")` on all the rows given; a chunk of rows is formatted by one
     `%` operation on its values as Python floats. `head` is `(path, size)`
     of an earlier file whose first `size` bytes are the header and the rows
-    that come before those given: they are copied from it, in reads of
-    COPY_CHUNK_BYTES, instead of the header being written.
+    that come before those given: they are copied from it instead of the
+    header being written.
     """
 
     def __init__(self, fh, header: str, head: tuple[str, int] | None = None):
         self.fh = fh
         if head is None:
             fh.write((header + "\n").encode("ascii"))
-            return
-        path, size = head
-        with open(path, "rb") as src:
-            while size > 0:
-                chunk = src.read(min(size, COPY_CHUNK_BYTES))
-                if not chunk:
-                    raise OSError(f"{path}: ends {size} bytes short of the "
-                                  "shared rows it was recorded with")
-                fh.write(chunk)
-                size -= len(chunk)
+        else:
+            _copy_head(fh, *head)
 
     def write(self, data: np.ndarray) -> None:
         """Append the rows of the 2-D float array `data`."""
@@ -390,6 +409,27 @@ class _CsvWriter:
                    else row_fmt * chunk.shape[0])
             self.fh.write((fmt % tuple(chunk.ravel().tolist()))
                           .encode("ascii"))
+
+
+class _NpyWriter:
+    """A `.npy` file (NumPy's format, NEP 1) of a little-endian float64
+    array of `shape`, written as its rows arrive: the header, which holds
+    the shape, first, then each block's rows as their bytes, so that
+    `np.load` gives back the exact values once all the rows are written.
+    `head` is as for `_CsvWriter`, and the header is among the bytes it
+    copies."""
+
+    def __init__(self, fh, shape: tuple, head: tuple[str, int] | None = None):
+        self.fh = fh
+        if head is None:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        else:
+            _copy_head(fh, *head)
+
+    def write(self, data: np.ndarray) -> None:
+        """Append the rows of the 2-D float array `data`."""
+        self.fh.write(np.ascontiguousarray(data, "<f8").tobytes())
 
 
 def _write_csv(path: str, header: str, data: np.ndarray) -> None:
@@ -535,10 +575,11 @@ class _Prefix:
     record of `run_scenario` keeps in `blocks` the rows of each block before
     `edge`, which a resumed run replays; one of
     `build_library_from_scenarios` keeps none (None). `heads` is
-    (directory, {artifact: size}) once a run has written the CSV artifacts
-    in that directory: each starts with its header and its rows of the
-    blocks before `edge`, in `size` bytes. Those rows depend on the nominal
-    predictor as well, so every run given the dict must use the same one.
+    (directory, {artifact: size}) once a run has written its per-sample
+    artifacts in that directory: each starts with its header and its rows
+    of the blocks before `edge`, in `size` bytes. Those rows depend on the
+    nominal predictor as well, so every run given the dict must use the
+    same one.
     """
 
     edge: int
@@ -812,153 +853,6 @@ class _ArtifactFiles:
         return False
 
 
-# What a run tells its CSV writers where it reaches its prefix edge.
-EDGE = "edge"
-
-
-class _CsvFormatter:
-    """The `_CsvWriter`s of a run's CSV artifacts, built from (name, file,
-    header, head) each. `take` is given, block by block, the block's rows
-    for each file in that order, or EDGE where the run reaches its prefix
-    edge, which notes each file's size; `finish` flushes the files and
-    returns those sizes, None if there was no edge."""
-
-    def __init__(self, csvs):
-        self.writers = {name: _CsvWriter(fh, header, head)
-                        for name, fh, header, head in csvs}
-        self.sizes = None
-
-    def take(self, message) -> None:
-        if message == EDGE:
-            self.sizes = {name: writer.fh.tell()
-                          for name, writer in self.writers.items()}
-            return
-        for writer, rows in zip(self.writers.values(), message):
-            writer.write(rows)
-
-    def finish(self):
-        for writer in self.writers.values():
-            writer.fh.flush()
-        return self.sizes
-
-
-def _fork_context():
-    """multiprocessing's fork context, or None where a run formats its CSVs
-    in its own process: where fork is missing, or in a daemonic worker,
-    which may not start processes."""
-    # imported here, where a run first writes CSVs: a process that never
-    # does, such as a live detector, is spared its 0.6 MB
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return None
-    return multiprocessing.get_context("fork")
-
-
-def _format_in_child(csvs, inbox, outbox, parent_ends) -> None:
-    """The body of the writer process: a `_CsvFormatter` takes what `inbox`
-    brings until None, then `outbox` gets the sizes at the edge, or the
-    exception that stopped it. One that cannot be sent ends the process
-    with exit code 1, which the run reports."""
-    for conn in parent_ends:
-        conn.close()
-    try:
-        formatter = _CsvFormatter(csvs)
-        while (message := inbox.recv()) is not None:
-            formatter.take(message)
-        reply = formatter.finish()
-    except Exception as exc:
-        reply = exc
-    outbox.send(reply)
-
-
-class _CsvProcess:
-    """A run's CSV artifacts, formatted off the run's loop.
-
-    Where `_fork_context` gives a context, one child process forked from
-    it owns the writers: it builds the `_CsvFormatter`, copying any heads,
-    and is sent each message of `send` through a pipe; the run's own
-    process never writes through those files. Otherwise the formatter
-    runs in this process, on the same messages. `finish` returns the
-    sizes at the edge, or raises the exception that stopped the writer
-    with its type and message; a writer process that ended without a word
-    raises OSError naming its exit code. Leaving the `with` block joins the
-    process, terminated first if the block failed, and closes its pipes.
-    """
-
-    def __init__(self, csvs):
-        context = _fork_context()
-        self._process = None
-        if context is None:
-            self._formatter = _CsvFormatter(csvs)
-            return
-        inbox, self._inbox = context.Pipe(duplex=False)
-        self._outbox, outbox = context.Pipe(duplex=False)
-        ends = (self._inbox, self._outbox)
-        process = context.Process(
-            target=_format_in_child, args=(csvs, inbox, outbox, ends),
-            name="gridarx-csv-writer", daemon=True)
-        try:
-            process.start()
-        except BaseException:
-            for conn in ends:
-                conn.close()
-            raise
-        finally:
-            inbox.close()
-            outbox.close()
-        self._process = process
-
-    def send(self, message) -> None:
-        if self._process is None:
-            self._formatter.take(message)
-            return
-        try:
-            self._inbox.send(message)
-            return
-        except OSError:
-            pass  # the writer has stopped; its reply says why
-        # raised outside the handler, so that the error does not keep the
-        # failed send's frames, and the pickle buffer they export, alive
-        self._reply()
-
-    def finish(self):
-        if self._process is None:
-            return self._formatter.finish()
-        try:
-            self._inbox.send(None)
-        except OSError:
-            pass  # the reply says why
-        return self._reply()
-
-    def _reply(self):
-        try:
-            reply = self._outbox.recv()
-        except EOFError:
-            self._process.join()
-            raise OSError(
-                f"the CSV writer process ended with exit code "
-                f"{self._process.exitcode} before the run's CSVs were "
-                "written") from None
-        if isinstance(reply, BaseException):
-            raise reply from None
-        return reply
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._process is not None:
-            self._inbox.close()  # a writer still waiting reads its end
-            if exc[0] is not None:
-                self._process.terminate()
-            self._process.join()
-            self._process.close()
-            self._outbox.close()
-        return False
-
-
 def run_scenario(
     config: ScenarioConfig,
     nominal: NominalPredictor,
@@ -972,31 +866,25 @@ def run_scenario(
 
     The run streams: each block of SIMULATE_BLOCK samples is simulated,
     identified and classified in turn, and the outputs are those of one
-    whole-run pass. Writes samples/distance/theta CSVs, an events
-    JSON-lines stream, and a JSON report when `out_dir` is given, each as
-    its rows arrive and under a temporary name until the run has
-    succeeded. The CSVs are formatted in a child process forked for the
-    run, which is sent each block's rows, so that formatting overlaps the
-    next block's simulate and identify; where fork is missing, or the
-    caller is a daemonic multiprocessing worker, which may not start
-    processes, the run formats them itself, into the same bytes. The
-    events and the report are written by the run's own process. If the
-    writer fails, the run raises its exception, with its type and message,
-    or OSError naming the writer's exit code if it died without one,
-    before the report is written; as with any failure, nothing of the run
-    is left in `out_dir` and no process outlives it. Thresholds pinned in
-    the scenario config
-    take precedence over the calibration-supplied ones. A calibration or
-    library of another model order than the run's is rejected with
-    ValueError before anything is simulated.
+    whole-run pass. When `out_dir` is given, the run writes the samples as
+    `samples.npy` (float64 columns t, v_d, v_q, i_d, i_q), the distances
+    and predictors as `distance.csv` and `theta.csv`, an events JSON-lines
+    stream and a JSON report, each as its rows arrive and under a
+    temporary name until the run has succeeded. A write that fails raises
+    its own exception, with its type and message; as with any failure,
+    nothing of the run is left in `out_dir`. Thresholds pinned in the
+    scenario config take precedence over the calibration-supplied ones. A
+    calibration or library of another model order than the run's is
+    rejected with ValueError before anything is simulated.
 
     `prefixes` maps `_prefix_key` to the `_Prefix` records of earlier runs
     given the same dict, all of them with this run's nominal predictor and
     library; `run_suite` passes one to every run. A run whose key is there
     resumes from the record: it replays the record's blocks through the
-    loop of live ones and copies the heads of its CSV artifacts, when the
-    record has them, instead of writing those blocks' rows again. Otherwise
-    it adds its own record. The outputs are bitwise those of a lone run.
+    loop of live ones and copies the heads of its per-sample artifacts,
+    when the record has them, instead of writing those blocks' rows again.
+    Otherwise it adds its own record. The outputs are bitwise those of a
+    lone run.
     """
     _check_order(config, nominal, library)
     if config.thresholds is not None:
@@ -1042,23 +930,23 @@ def run_scenario(
     timeline = []
     settled = []  # armed theta rows inside the settle window
 
-    with contextlib.ExitStack() as stack:
-        files = (None if out_dir is None
-                 else stack.enter_context(_ArtifactFiles(out_dir)))
+    with (contextlib.nullcontext() if out_dir is None
+          else _ArtifactFiles(out_dir)) as files:
         blocks, prefix = _simulate_identify(config, prefixes, rows=True)
         edge = 0 if prefix is None else prefix.edge
         heads = None if prefix is None else prefix.heads
+        sizes = None  # each writer's file size at the edge
         if files is not None:
-            csvs = []
-            for name, header in (
-                    ("samples.csv", SAMPLES_HEADER),
-                    ("distance.csv", DISTANCE_HEADER),
-                    ("theta.csv", _theta_header(2, 4 * order))):
+            writers = {}
+            for name, make, header in (
+                    ("samples.npy", _NpyWriter,
+                     (sample_count(config.duration, config.ts), 5)),
+                    ("distance.csv", _CsvWriter, DISTANCE_HEADER),
+                    ("theta.csv", _CsvWriter, _theta_header(2, 4 * order))):
                 head = (None if heads is None
                         else (os.path.join(heads[0], name), heads[1][name]))
-                csvs.append((name, files.open(name), header, head))
+                writers[name] = make(files.open(name), header, head)
             events = files.open("events.jsonl")
-            writer = stack.enter_context(_CsvProcess(csvs))
 
         lo = hi = 0  # run index of the block's first update; samples passed
         for part, run in blocks:
@@ -1109,10 +997,13 @@ def run_scenario(
                                   + "\n").encode("ascii"))
                 # the copied heads hold the rows of the blocks up to the edge
                 if heads is None or hi > edge:
-                    writer.send((_samples_rows(part), np.column_stack([t, d]),
-                                 _theta_rows(t, thetas, lo, THETA_STRIDE)))
+                    for writer, rows in zip(writers.values(), (
+                            _samples_rows(part), np.column_stack([t, d]),
+                            _theta_rows(t, thetas, lo, THETA_STRIDE))):
+                        writer.write(rows)
                 if heads is None and hi == edge:
-                    writer.send(EDGE)
+                    sizes = {name: writer.fh.tell()
+                             for name, writer in writers.items()}
             lo += t.size
 
         if settled:
@@ -1149,7 +1040,6 @@ def run_scenario(
         )
 
         if files is not None:
-            sizes = writer.finish()
             files.open("report.json").write(report.to_json().encode("ascii"))
             files.commit()
             if sizes is not None:

@@ -31,8 +31,8 @@ HELD_OUT_SEEDS = (3, 4, 5, 6, 7)
 
 @pytest.fixture(autouse=True)
 def no_process_left():
-    """Fail a test that leaves a child process running, such as a run's CSV
-    writer on a failure path; the process is stopped first."""
+    """Fail a test that leaves a child process running; the process is
+    stopped first."""
     yield
     left = multiprocessing.active_children()
     for process in left:

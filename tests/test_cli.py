@@ -131,7 +131,7 @@ class TestRun:
             doc = json.load(fh)
         assert doc["name"] == "fault"
         assert doc["dt1_high"] is not None
-        for fname in ("samples.csv", "distance.csv", "theta.csv"):
+        for fname in ("samples.npy", "distance.csv", "theta.csv"):
             assert os.path.exists(os.path.join(out, fname))
 
     @pytest.mark.parametrize("command", ["run", "build-library"])

@@ -5,7 +5,6 @@ import configparser
 import filecmp
 import json
 import os
-import signal
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -31,8 +30,8 @@ from gridarx.scenario import (
     SCENARIO_SCHEMA,
     ScenarioConfig,
     StageError,
-    _CsvProcess,
     _CsvWriter,
+    _NpyWriter,
     _CycleAverage,
     _transitions,
     _write_csv,
@@ -145,6 +144,18 @@ class TestLoadScenario:
                          "[excitation]\nenabled = false\n")
         assert load_scenario(path).excitation is None
 
+    @pytest.mark.parametrize("seed", [3, -5])
+    def test_seed_override_of_disabled_excitation_rejected(self, tmp_path,
+                                                           seed):
+        """A seed for an excitation that does not run would be dropped
+        without a word: it is an error naming the option."""
+        path = write_ini(tmp_path, "noexc.ini",
+                         "[excitation]\nenabled = false\n")
+        with pytest.raises(ValueError) as err:
+            load_scenario(path, {"seed": seed})
+        assert str(err.value) == ("--seed: ignored unless the scenario's "
+                                  "[excitation] enabled = true")
+
     @pytest.mark.parametrize("text, where", [
         ("[run]\ndurtion = 1\n",
          "[run] durtion: unknown key; expected one of duration"),
@@ -188,6 +199,10 @@ class TestLoadScenario:
         ("[excitation]\nchip_rate = 10000\n",
          "[excitation] chip_rate: must be <= the sampling rate 1/ts = "
          "5000.0, got 10000.0"),
+        ("[excitation]\nchip_rate = 3000\n",
+         "[excitation] chip_rate: must divide the sampling rate 1/ts = "
+         "5000.0 into a whole number of samples per chip, got 3000.0 "
+         "(1.66667 samples)"),
         ("[run]\nduration = 0\n", "[run] duration: must be > 0, got 0.0"),
         ("[run]\nts = -2e-4\n", "[run] ts: must be > 0, got -0.0002"),
         ("[run]\nhold = 0\n", "[run] hold: must be >= 1, got 0"),
@@ -301,6 +316,10 @@ CONFIG_CHECKS = [
     ("[run]\nts = 1e-3\n", {"ts": 1e-3},
      "[excitation] chip_rate: must be <= the sampling rate 1/ts = 1000.0, "
      "got 5000.0"),
+    ("[run]\nts = 1.5e-4\n", {"ts": 1.5e-4},
+     "[excitation] chip_rate: must divide the sampling rate 1/ts = "
+     "6666.666666666667 into a whole number of samples per chip, got 5000.0 "
+     "(1.33333 samples)"),
 ]
 
 
@@ -318,6 +337,20 @@ class TestScenarioConfigChecks:
         with pytest.raises(ValueError) as err:
             load_scenario(path)
         assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("key", ["duration", "ts", "noise_std",
+                                     "limit_fraction"])
+    def test_non_finite_built_in_code_rejected(self, key, value):
+        """The loader refuses nan and inf in a file; a config built in code
+        refuses them too, before the simulator meets them."""
+        message = f"[run] {key}: must be finite, got {value!r}"
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig(**{key: value})
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            replace(default_profile(), **{key: value})
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("section, dataclass", [
         ("circuit", CircuitParams), ("excitation", RbsConfig),
@@ -544,7 +577,7 @@ class TestRunScenario:
                               out_dir=out)
         assert report.dt1_high is not None
 
-        for fname in ("samples.csv", "distance.csv", "theta.csv",
+        for fname in ("samples.npy", "distance.csv", "theta.csv",
                       "events.jsonl", "report.json"):
             assert os.path.exists(os.path.join(out, fname))
 
@@ -563,7 +596,7 @@ class TestRunScenario:
         out_b = str(tmp_path / "b")
         run_scenario(short_fault_config, nominal, thresholds, out_dir=out_a)
         run_scenario(short_fault_config, nominal, thresholds, out_dir=out_b)
-        for fname in ("samples.csv", "distance.csv", "theta.csv",
+        for fname in ("samples.npy", "distance.csv", "theta.csv",
                       "events.jsonl", "report.json"):
             assert filecmp.cmp(os.path.join(out_a, fname),
                                os.path.join(out_b, fname), shallow=False), \
@@ -638,7 +671,7 @@ class TestRunScenario:
 # whole run, the reference.
 SETTLE_UPDATES = 4000
 BLOCK_SIZES = [3, 4, 999, 8001, 24004, 10**6]
-RUN_ARTIFACTS = ("samples.csv", "distance.csv", "theta.csv", "events.jsonl",
+RUN_ARTIFACTS = ("samples.npy", "distance.csv", "theta.csv", "events.jsonl",
                  "report.json")
 
 
@@ -709,7 +742,7 @@ class TestBlockSize:
 
     @pytest.mark.parametrize("name", ["report.json", "distance.csv",
                                       "theta.csv", "events.jsonl",
-                                      "samples.csv"])
+                                      "samples.npy"])
     def test_run_artifacts_equal_across_block_sizes(self, block_runs, name):
         whole = os.path.join(block_runs[BLOCK_SIZES[-1]][0], name)
         for block in BLOCK_SIZES[:-1]:
@@ -858,32 +891,6 @@ class TestFailedRun:
             run_scenario(short_fault_config, nominal, thresholds,
                          out_dir=str(out))
         assert err.value.stage == "detector"
-        assert not out.exists()
-
-    @pytest.mark.skipif(scenario_module._fork_context() is None,
-                        reason="the CSVs are formatted in the run's process")
-    def test_writer_process_exit_named(self, default_cal, short_fault_config,
-                                       tmp_path, monkeypatch):
-        """A writer process that dies without a word fails the run with its
-        exit code, and leaves nothing behind."""
-        nominal, thresholds, _, _ = default_cal
-        monkeypatch.setattr(_CsvWriter, "write",
-                            lambda writer, data: os._exit(3))
-        monkeypatch.setattr(scenario_module, "SIMULATE_BLOCK", 2000)
-        out = tmp_path / "run"
-
-        def hung(signum, frame):
-            raise RuntimeError("the run hung on its dead writer")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            with pytest.raises(OSError, match="exit code 3 "):
-                run_scenario(short_fault_config, nominal, thresholds,
-                             out_dir=str(out))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert not out.exists()
 
 
@@ -1218,70 +1225,93 @@ class TestSharedPrefix:
 
     def test_copied_heads_leave_only_later_rows_to_format(self, default_cal,
                                                           tmp_path):
-        """A run resumed with the record's CSV heads hands its writer only
-        the rows of the blocks after the edge; the recording run hands it
-        all of them. Both write the bytes of a lone run either way, so only
-        the rows given show a resumed run that formats every block. The
-        rows are counted where the run sends them, in its own process."""
+        """A run resumed with the record's artifact heads hands its writers
+        only the rows of the blocks after the edge; the recording run hands
+        them all of them. Both write the bytes of a lone run either way, so
+        only the rows given show a resumed run that writes every block. The
+        rows are counted where each writer's `write` receives them."""
         nominal, thresholds, _, _ = default_cal
         paths = [share_ini(tmp_path, "in/base.ini"),
                  share_ini(tmp_path, "in/value.ini", MAY_SHARE[1][1:])]
-        names = ("samples.csv", "distance.csv", "theta.csv")
-        given = {}  # each run's writer: the rows handed to it per CSV
-        send = _CsvProcess.send
+        given = {}  # the rows handed to the writers, by (run, artifact)
 
-        def counted_send(writer, message):
-            if message != scenario_module.EDGE:
-                rows = given.setdefault(writer, dict.fromkeys(names, 0))
-                for name, block in zip(names, message):
-                    rows[name] += block.shape[0]
-            send(writer, message)
+        def counted(write):
+            def counted_write(writer, data):
+                # the writer's file is its run's `.<artifact>.partial`
+                run, temporary = os.path.split(writer.fh.name)
+                key = (os.path.basename(run),
+                       temporary[1:-len(".partial")])
+                given[key] = given.get(key, 0) + data.shape[0]
+                write(writer, data)
+            return counted_write
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scenario_module, "SIMULATE_BLOCK", SHARE_BLOCK)
-            mp.setattr(_CsvProcess, "send", counted_send)
+            for writer in (_CsvWriter, _NpyWriter):
+                mp.setattr(writer, "write", counted(writer.write))
             run_suite(paths, nominal, thresholds, random_library(),
                       out_dir=str(tmp_path / "suite"))
-        given = dict(zip(("base", "value"), given.values()))
         config = load_scenario(paths[0])
         edge = 4 * SHARE_BLOCK
         shared = shared_updates(config, SHARE_BLOCK)
         stride = scenario_module.THETA_STRIDE
-        head_rows = {"samples.csv": edge, "distance.csv": shared,
+        head_rows = {"samples.npy": edge, "distance.csv": shared,
                      "theta.csv": -(-shared // stride)}
         for name, head in head_rows.items():
-            rows = {run: len((tmp_path / "suite" / run / name)
-                             .read_bytes().splitlines()) - 1
-                    for run in ("base", "value")}
+            rows = {}
+            for run in ("base", "value"):
+                path = tmp_path / "suite" / run / name
+                rows[run] = (np.load(path, allow_pickle=False).shape[0]
+                             if name.endswith(".npy")
+                             else len(path.read_bytes().splitlines()) - 1)
             assert rows["base"] == rows["value"] > head > 0
-            assert given["base"][name] == rows["base"]
-            assert given["value"][name] == rows["value"] - head, name
+            assert given["base", name] == rows["base"]
+            assert given["value", name] == rows["value"] - head, name
 
-    @pytest.mark.skipif(scenario_module._fork_context() is None,
-                        reason="the CSVs are formatted in the run's process")
-    def test_in_process_writer_writes_the_bytes_of_the_child(
-            self, default_cal, tmp_path, monkeypatch):
-        """Where no process may be forked, the run formats its CSVs itself,
-        copied heads included, into the same bytes."""
+    @pytest.mark.parametrize("block", [SHARE_BLOCK, OFF_EDGE_BLOCK])
+    def test_samples_npy_holds_the_simulator_bits(self, default_cal,
+                                                  tmp_path, block):
+        """samples.npy loads without pickle as the simulator's [t, v_dq,
+        i_dq], bit for bit, under the shape and dtype its header gives: in a
+        lone run, in a suite's recording run, and in a suite run resumed
+        from that record, whose head is copied from the recording run's
+        file. OFF_EDGE_BLOCK puts no block edge at the disturbance start."""
         nominal, thresholds, _, _ = default_cal
         paths = [share_ini(tmp_path, "in/base.ini"),
                  share_ini(tmp_path, "in/value.ini", MAY_SHARE[1][1:])]
-        monkeypatch.setattr(scenario_module, "SIMULATE_BLOCK", SHARE_BLOCK)
-        taken = []  # the blocks formatted in this process
-        take = scenario_module._CsvFormatter.take
-        monkeypatch.setattr(scenario_module._CsvFormatter, "take",
-                            lambda fmt, message: (taken.append(message),
-                                                  take(fmt, message)))
-        run_suite(paths, nominal, thresholds, random_library(),
-                  out_dir=str(tmp_path / "forked"))
-        assert taken == []
-        monkeypatch.setattr(scenario_module, "_fork_context", lambda: None)
-        run_suite(paths, nominal, thresholds, random_library(),
-                  out_dir=str(tmp_path / "here"))
-        assert taken
-        for run in ("base", "value"):
-            assert_same_artifacts(str(tmp_path / "here" / run),
-                                  str(tmp_path / "forked" / run))
+        copied = []  # the files whose heads were copied
+        copy_head = scenario_module._copy_head
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_module, "SIMULATE_BLOCK", block)
+            mp.setattr(scenario_module, "_copy_head",
+                       lambda fh, path, size: (copied.append(path),
+                                               copy_head(fh, path, size)))
+            run_suite(paths, nominal, thresholds, random_library(),
+                      out_dir=str(tmp_path / "suite"))
+            run_scenario(load_scenario(paths[1]), nominal, thresholds,
+                         random_library(), out_dir=str(tmp_path / "lone"))
+        assert str(tmp_path / "suite" / "base" / "samples.npy") in copied
+        for out, path in ((tmp_path / "suite" / "base", paths[0]),
+                          (tmp_path / "suite" / "value", paths[1]),
+                          (tmp_path / "lone", paths[1])):
+            config = load_scenario(path)
+            sim = simulate(config.circuit, config.disturbance,
+                           config.excitation, config.duration, config.ts,
+                           config.noise_std, config.noise_seed, config.i_op)
+            want = np.column_stack([sim.t, sim.v_dq, sim.i_dq])
+            with open(out / "samples.npy", "rb") as fh:
+                version = np.lib.format.read_magic(fh)
+                shape, fortran, dtype = \
+                    np.lib.format.read_array_header_1_0(fh)
+            assert version == (1, 0)
+            assert (shape, fortran, dtype) == (
+                (sample_count(config.duration, config.ts), 5), False,
+                np.dtype("<f8"))
+            got = np.load(out / "samples.npy", allow_pickle=False)
+            assert got.shape == want.shape == shape
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got.view(np.uint64),
+                                  want.view(np.uint64)), out
 
     @pytest.mark.parametrize("second", ["other/y.ini", "other/Y.ini",
                                         "in/y.ini"])
