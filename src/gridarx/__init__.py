@@ -4,14 +4,11 @@ with a dq-frame small-signal simulator of the reference test circuit."""
 from .baseline import VoltageLimits, limit_check
 from .circuit import (
     CircuitParams,
-    DqImpedance,
     StateSpaceModel,
     fault_poles,
     full_circuit_model,
     load_poles,
-    nominal_impedance,
     numeric_poles,
-    post_impedance,
     simplified_fault_model,
     simplified_load_model,
 )
@@ -34,7 +31,6 @@ from .pipeline import IdentRun, identify
 from .rls import (
     ArxConfig,
     IdentifierState,
-    batch_weighted_ls,
     init_identifier,
     rls_update,
 )

@@ -1,4 +1,5 @@
-"""dq-frame impedance algebra and small-signal models of the test circuit.
+"""dq-frame small-signal models of the test circuit, and the closed-form
+poles of its simplified disturbance models.
 
 Topology, seen from the converter at the PCC:
 
@@ -9,10 +10,11 @@ Topology, seen from the converter at the PCC:
                                                switchable branch Z_i to ground
                                                (resistive fault or inductive load)
 
-All impedance algebra here works in per-unit with the Laplace variable
-normalized by the grid frequency (s_bar = s / omega_g), so the nominal
-rotation shows up as +/- j in pole locations. The time-domain simulator
-(`simulate` module) carries the omega_base factor back to seconds.
+The closed-form poles and the simplified models work in per-unit with the
+Laplace variable normalized by the grid frequency (s_bar = s / omega_g),
+so the nominal rotation shows up as +/- j in pole locations. The full
+circuit model, which the simulator discretizes, carries the omega_base
+factor back to seconds.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ import numpy as np
 # 2x2 rotation generator; j in the complex representation of dq quantities.
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 I2 = np.eye(2)
-
-
-class SingularMatrixError(ValueError):
-    """Impedance composition is singular at the requested frequency."""
 
 
 @dataclass(frozen=True)
@@ -71,80 +69,6 @@ class CircuitParams:
 
     def henries_to_pu(self, l_h: float) -> float:
         return l_h * self.omega_base / self.z_base
-
-
-@dataclass(frozen=True)
-class DqImpedance:
-    """Series R-L branch as a 2x2 dq impedance.
-
-    Evaluated at normalized s this is [[r + s*l, -omega_g*l],
-                                       [omega_g*l, r + s*l]]
-    with omega_g in the same normalized units (1.0 at the grid frequency).
-    A pure resistance has l = 0; a pure inductance has r = 0.
-    """
-
-    r: float
-    l: float
-    omega_g: float = 1.0
-
-    def at(self, s: complex) -> np.ndarray:
-        d = self.r + s * self.l
-        off = self.omega_g * self.l
-        return np.array([[d, -off], [off, d]], dtype=complex)
-
-
-class ParallelThenSeries:
-    """(Za^-1 + Zb^-1)^-1 + Zc, evaluated pointwise in s."""
-
-    def __init__(self, z_parallel_a, z_parallel_b, z_series):
-        self.za = z_parallel_a
-        self.zb = z_parallel_b
-        self.zc = z_series
-
-    def at(self, s: complex) -> np.ndarray:
-        za = self.za.at(s)
-        zb = self.zb.at(s)
-        try:
-            inv_sum = np.linalg.inv(za) + np.linalg.inv(zb)
-            par = np.linalg.inv(inv_sum)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"parallel impedance combination singular at s={s}"
-            ) from exc
-        return par + self.zc.at(s)
-
-
-def line1_impedance(params: CircuitParams) -> DqImpedance:
-    return DqImpedance(params.r2, params.l2)
-
-
-def line2_impedance(params: CircuitParams) -> DqImpedance:
-    return DqImpedance(params.r3, params.l3)
-
-
-def nominal_impedance(params: CircuitParams) -> DqImpedance:
-    """Pre-disturbance grid impedance: line 1 in series with line 2."""
-    return DqImpedance(params.r2 + params.r3, params.l2 + params.l3)
-
-
-def post_impedance(params: CircuitParams, z_i: DqImpedance) -> ParallelThenSeries:
-    """Post-disturbance grid impedance: Z_i in parallel with line 2,
-    in series with line 1."""
-    return ParallelThenSeries(line2_impedance(params), z_i, line1_impedance(params))
-
-
-def fault_impedance(r_fault_pu: float) -> DqImpedance:
-    """Balanced resistive path to ground modeling a high-impedance fault."""
-    if r_fault_pu <= 0:
-        raise ValueError(f"fault resistance must be > 0, got {r_fault_pu}")
-    return DqImpedance(r_fault_pu, 0.0)
-
-
-def load_impedance(l_load_pu: float) -> DqImpedance:
-    """Inductive path to ground modeling a large load increase."""
-    if l_load_pu <= 0:
-        raise ValueError(f"load inductance must be > 0, got {l_load_pu}")
-    return DqImpedance(0.0, l_load_pu)
 
 
 def fault_poles(r_fault_pu: float, params: CircuitParams = CircuitParams()):

@@ -58,7 +58,7 @@ def _parse_file(path, parse):
         return parse(text)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -80,6 +80,22 @@ class Thresholds:
             )
 
 
+def json_numbers(value, key: str, ndim: int) -> np.ndarray:
+    """`value`, as read from JSON, as a float array of `ndim` dimensions.
+    A value of another form, an item that is not a number (a bool is not
+    one) or a number that is not finite raises ValueError naming `key`."""
+    items = np.array(value, dtype=object)
+    bad = [x for x in items.flat if type(x) not in (int, float)]
+    if bad or items.ndim != ndim:
+        form = f"a {ndim}-D list of numbers" if ndim else "a number"
+        raise ValueError(f"{key}: expected {form}, got "
+                         f"{(bad[0] if bad else value)!r}")
+    numbers = items.astype(float)
+    if not np.isfinite(numbers).all():
+        raise ValueError(f"{key} holds a non-finite value")
+    return numbers
+
+
 def _signature_label(label, entry: str) -> Verdict:
     """`label` (a Verdict or its value) as a signature label; anything but
     fault or load_increase raises ValueError naming `entry`."""
@@ -128,29 +144,28 @@ class SignatureLibrary:
 
     @classmethod
     def from_json(cls, text: str) -> "SignatureLibrary":
-        """Parse `to_json` output; a signature labelled other than fault or
-        load_increase, whose shape is not (2, 4 * order) or whose
-        delta_theta holds a non-finite value raises ValueError naming the
-        entry."""
+        """Parse `to_json` output; an order that is not an integer >= 1
+        raises ValueError naming the key, and a signature labelled other
+        than fault or load_increase, whose shape is not (2, 4 * order) or
+        whose delta_theta holds an item that is not a finite number one
+        naming the entry."""
         doc = json.loads(text)
-        lib = cls(order=doc["order"])
+        order = doc["order"]
+        if type(order) is not int or order < 1:  # a bool is not an int here
+            raise ValueError(f"order: expected an integer >= 1, got {order!r}")
+        lib = cls(order=order)
         for k, entry in enumerate(doc["signatures"]):
             source = entry.get("source_scenario", "")
-            label = _signature_label(entry["label"],
-                                     f"library entry {k} ({source!r})")
+            where = f"library entry {k} ({source!r})"
+            label = _signature_label(entry["label"], where)
             shape = tuple(entry["shape"])
-            if shape != (2, 4 * lib.order):
+            if shape != (2, 4 * order):
                 raise ValueError(
-                    f"library entry {k} ({source!r}): shape {shape} does not "
-                    f"match the library's order {lib.order}, which needs "
-                    f"{(2, 4 * lib.order)}"
+                    f"{where}: shape {shape} does not match the library's "
+                    f"order {order}, which needs {(2, 4 * order)}"
                 )
-            delta = np.array(entry["delta_theta"]).reshape(shape)
-            if not np.all(np.isfinite(delta)):
-                raise ValueError(
-                    f"library entry {k} ({source!r}): delta_theta holds a "
-                    "non-finite value"
-                )
+            delta = json_numbers(entry["delta_theta"], f"{where}: delta_theta",
+                                 1).reshape(shape)
             lib.signatures.append(
                 Signature(label=label, delta_theta=delta,
                           source_scenario=source)
@@ -292,9 +307,11 @@ def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
         if not signatures:
             codes[band_idx] = UNCLASSIFIED_CODE
         else:
-            # the band's deviations in one array, so that their products
-            # with the signatures come from one BLAS call, whose bits can
-            # depend on its row count
+            # the band's deviations in one array. Their products with the
+            # signatures come from einsum's own loop, which gives each row
+            # the bits of that row alone: a BLAS gemv (one signature) or a
+            # 1-row product can change a row's last bit with the row count,
+            # and so with the block size
             flat = thetas[band_idx]  # fancy indexing copies: subtract in place
             flat -= nominal.theta_star
             flat = flat.reshape(band_idx.size, -1)
@@ -304,7 +321,7 @@ def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
             # the norm of a band deviation is bitwise its d, the same
             # reduction over the same values
             denom = d[band_idx, None] * sig_norm
-            sims = np.divide(flat @ sig_mat.T, denom,
+            sims = np.divide(np.einsum("ij,kj->ik", flat, sig_mat), denom,
                              out=np.zeros(denom.shape), where=denom > 0)
             best = sims.argmax(axis=1)
             best_sim = sims[np.arange(band_idx.size), best]

@@ -40,21 +40,6 @@ class IdentRun:
     calibrated: np.ndarray  # (m,) bool, past burn-in
     final_state: IdentifierState
 
-    def residual_ratio(self, theta: np.ndarray, mask=None) -> float:
-        """Normalized one-step residual variance of a fixed predictor.
-
-        var(y - theta phi) / var(y) over the selected updates; the fit
-        quality measure used to justify the model order.
-        """
-        y = self.y if mask is None else self.y[mask]
-        phi = self.phi if mask is None else self.phi[mask]
-        pred = phi @ np.asarray(theta, float).T
-        resid = y - pred
-        denom = float(np.var(y))
-        if denom == 0.0:
-            raise ValueError("output stream has zero variance")
-        return float(np.var(resid)) / denom
-
 
 def build_lagged_regressors(dv: np.ndarray, di: np.ndarray, order: int):
     """Regressor matrix from difference streams.

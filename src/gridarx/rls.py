@@ -49,10 +49,6 @@ class ConfigError(ValueError):
     """Invalid estimator configuration."""
 
 
-class SingularDataError(ValueError):
-    """Regressor history does not determine a unique least-squares solution."""
-
-
 class UpdateRejectedError(ValueError):
     """A recursive update was rejected; the estimator state is unchanged."""
 
@@ -306,37 +302,3 @@ def rls_update(state: IdentifierState, y, phi) -> IdentifierState:
     phi = np.asarray(phi, dtype=float).reshape(1, -1)
     return rls_run(state, y, phi)[2]
 
-
-def batch_weighted_ls(history, forgetting: float) -> np.ndarray:
-    """Exponentially-weighted batch least squares over a finite window.
-
-    `history` is an ordered sequence of (y, phi) pairs, oldest first; the most
-    recent pair carries weight 1 and the one i steps back carries lambda**i.
-    Returns the minimizing theta with shape (output_dim, regressor_len).
-
-    Serves as the independent check for the recursive path: solved via a
-    square-root-weighted stacked system and lstsq, never through the
-    recursion.
-    """
-    if not 0.0 < forgetting <= 1.0:
-        raise ConfigError(f"forgetting factor must be in (0, 1], got {forgetting}")
-    ys = np.array([np.asarray(y, dtype=float).reshape(-1) for y, _ in history])
-    phis = np.array([np.asarray(p, dtype=float).reshape(-1) for _, p in history])
-    n, nphi = phis.shape
-    if n < nphi:
-        raise SingularDataError(
-            f"{n} samples cannot determine {nphi} parameters per output"
-        )
-
-    ages = np.arange(n - 1, -1, -1, dtype=float)
-    sqrt_w = forgetting ** (ages / 2.0)
-    A = phis * sqrt_w[:, None]
-    b = ys * sqrt_w[:, None]
-
-    theta_t, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank < nphi:
-        raise SingularDataError(
-            f"weighted regressor matrix has rank {rank} < {nphi}; "
-            "history is not persistently exciting"
-        )
-    return theta_t.T

@@ -511,14 +511,6 @@ def write_theta_csv(path: str, t, thetas,
                _theta_rows(t, thetas, 0, stride))
 
 
-def read_theta_csv(path: str, rows: int = 2):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
-    t = data[:, 0]
-    cols = (data.shape[1] - 1) // rows
-    return t, data[:, 1:].reshape(-1, rows, cols)
-
-
 def calibration_to_json(nominal: NominalPredictor, thresholds: Thresholds,
                         config: ScenarioConfig) -> str:
     return json.dumps(
@@ -535,9 +527,14 @@ def calibration_to_json(nominal: NominalPredictor, thresholds: Thresholds,
 
 
 def calibration_from_json(text: str):
+    """(nominal, thresholds) of `calibration_to_json` output. A value that
+    is not a finite number (a bool is not one), or a theta_star that is not
+    a list of lists of them, raises ValueError naming the key."""
     doc = json.loads(text)
+    for key in ("calibration_window", "calibrated_at", "d_high", "d_low"):
+        det.json_numbers(doc[key], key, 0)
     nominal = NominalPredictor(
-        theta_star=np.array(doc["theta_star"]),
+        theta_star=det.json_numbers(doc["theta_star"], "theta_star", 2),
         calibration_window=doc["calibration_window"],
         calibrated_at=doc["calibrated_at"],
     )
@@ -690,6 +687,44 @@ def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
     return blocks(), resumed or recording
 
 
+def _updates_before(config: ScenarioConfig, t: float) -> int:
+    """How many of the run's updates come before time t. The updates are
+    those of samples k = order + 1, ..., n - 1, at k * ts, as the
+    simulator computes its time grid (float64(k) * ts)."""
+    ts = config.ts
+    updates = range(config.identifier.order + 1,
+                    sample_count(config.duration, ts))
+    return bisect.bisect_left(updates, t, key=lambda k: k * ts)
+
+
+def _window_rows(config: ScenarioConfig, t_lo: float, t_hi: float,
+                 prefixes: dict | None = None):
+    """The (t, theta) rows of the run's updates at t_lo <= t < t_hi, and
+    the estimator's state after the last block read: (t, thetas, state).
+
+    The run streams (see `_simulate_identify`, which `prefixes` is passed
+    to); the rows are kept in arrays sized for the window. The stream stops
+    after the first block that holds an update at or after t_hi, and is
+    closed there: what comes after it is never simulated or identified.
+    """
+    size = _updates_before(config, t_hi) - _updates_before(config, t_lo)
+    t = np.empty(size)
+    thetas = np.empty((size, 2, 4 * config.identifier.order))
+    rows, state = 0, None
+    blocks, _ = _simulate_identify(config, prefixes)
+    with contextlib.closing(blocks):
+        for part, run in blocks:
+            # t increases, so a block's window rows are a slice
+            lo, hi = np.searchsorted(run.t, (t_lo, t_hi))
+            t[rows:rows + hi - lo] = run.t[lo:hi]
+            thetas[rows:rows + hi - lo] = run.theta[lo:hi]
+            rows += hi - lo
+            state = run.final_state
+            if hi < run.t.size:  # an update at or after t_hi
+                break
+    return t[:rows], thetas[:rows], state
+
+
 def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     """Fault-free run producing the nominal predictor and auto thresholds.
 
@@ -700,37 +735,22 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     and keeps only those rows, so its memory does not grow with its length.
     """
     cal_config = replace(config, disturbance=None)
-    keep = cal_config.calibration_window
-    t_tail = theta_tail = None
-    calibrated = 0
-    blocks, _ = _simulate_identify(cal_config)
-    for part, run in blocks:
-        # the calibrated updates are the run's last ones
-        new = int(np.count_nonzero(run.calibrated))
-        calibrated += new
-        first = run.t.size - new
-        t_new, theta_new = run.t[first:], run.theta[first:]
-        if t_tail is None or new >= keep:
-            # a slice of the block: copied, so that the block can go
-            t_tail, theta_tail = t_new[-keep:].copy(), theta_new[-keep:].copy()
-        else:  # at most `keep` rows, in new arrays
-            t_tail = np.concatenate([t_tail[new - keep:], t_new])
-            theta_tail = np.concatenate([theta_tail[new - keep:], theta_new])
-        state = run.final_state
-    # what follows holds the kept rows only, not the last block as well,
-    # so that its memory does not depend on that block's length
-    del part, run
+    arx = cal_config.identifier
+    # the update of sample k is calibrated from k = order + burn_in on
+    k = max(arx.order + arx.burn_in,
+            sample_count(cal_config.duration, cal_config.ts)
+            - cal_config.calibration_window)
+    t, thetas, state = _window_rows(cal_config, k * cal_config.ts, math.inf)
     if not state.calibrated:
         raise StageError(
             "identify",
             f"run too short: {state.sample_count} updates, "
-            f"burn-in needs {cal_config.identifier.burn_in}",
+            f"burn-in needs {arx.burn_in}",
         )
-    window = min(cal_config.calibration_window, calibrated)
-    nominal = calibrate_nominal(t_tail, theta_tail, window)
+    nominal = calibrate_nominal(t, thetas, t.size)
     # threshold calibration uses the settled window only: the estimator's
     # cold-start convergence transient is not nominal operation
-    d_nominal = distances(theta_tail[-window:], nominal.theta_star)
+    d_nominal = distances(thetas, nominal.theta_star)
     thresholds = (config.thresholds if config.thresholds is not None
                   else calibrate_thresholds(d_nominal))
     if out_dir is not None:
@@ -1098,38 +1118,34 @@ def build_library_from_scenarios(
 ) -> SignatureLibrary:
     """Run each labeled offline scenario and record its signature.
 
-    Each run streams; of it only the (t, theta) rows inside the disturbance
-    window are kept, the only ones `build_library` reads, in arrays sized
-    for the window. The stream stops after the first block that holds an
-    update at or after the window's end, and is closed there: what comes
-    after it is never simulated or identified. Runs that share a prefix
-    (see `_prefix_key`) simulate and identify it once; since the window
-    starts after it, its record holds only the simulator's samples and the
+    Of each run only the (t, theta) rows inside the disturbance window are
+    kept, the only ones `build_library` reads, and its stream stops after
+    the window (`_window_rows`). Runs that share a prefix (see
+    `_prefix_key`) simulate and identify it once; since the window starts
+    after it, its record holds only the simulator's samples and the
     estimator's state, and the blocks before its edge are skipped. The
     record is complete, and registered, once the stream has passed the
     disturbance start, so a stream stopped later leaves it whole.
-    A scenario without a disturbance, with no update in the settled half
-    of its window (the rows the signature averages), or of another model
-    order than the calibration, raises ValueError before anything is
-    simulated.
+    An empty list of scenarios, a scenario without a disturbance, with no
+    update in the settled half of its window (the rows the signature
+    averages), or of another model order than the calibration, raises
+    ValueError before anything is simulated.
     """
     configs = list(configs)
+    if not configs:
+        raise ValueError("no scenarios to build a library from")
     for config in configs:
         dist = config.disturbance
         if dist is None:
             raise ValueError(
                 f"scenario {config.name!r} has no disturbance; cannot label it"
             )
-        # updates k = order + 1, ... at times k * ts, as the simulator
-        # computes them; the first at or after the settled half's start
-        # must come before t_end. A run with no update at all is left to
-        # the simulator and the estimator, which name the reason.
+        # A run with no update at all is left to the simulator and the
+        # estimator, which name the reason.
         mid = (dist.t_start + dist.t_end) / 2.0
-        updates = range(config.identifier.order + 1,
-                        sample_count(config.duration, config.ts))
-        k = bisect.bisect_left(updates, mid, key=lambda j: j * config.ts)
-        if updates and (k == len(updates)
-                        or updates[k] * config.ts >= dist.t_end):
+        if _updates_before(config, math.inf) and \
+                _updates_before(config, mid) == \
+                _updates_before(config, dist.t_end):
             raise ValueError(
                 f"scenario {config.name!r}: no update of the run "
                 f"({config.duration:g} s) falls in the settled half "
@@ -1139,36 +1155,13 @@ def build_library_from_scenarios(
         _check_order(config, nominal, None)
     prefixes = {}
     runs = []
-    order = None
     for config in configs:
         label = (Verdict.FAULT if config.disturbance.kind == "fault"
                  else Verdict.LOAD_INCREASE)
         t_start, t_end = config.disturbance.t_start, config.disturbance.t_end
-        blocks, _ = _simulate_identify(config, prefixes)
-        # Update times lie on the grid k * ts, so the window holds fewer
-        # than (t_end - t_start) / ts + 2 of them, and no more than the run.
-        updates = sample_count(config.duration, config.ts) - \
-            config.identifier.order - 1
-        rows = int(max(1, min(updates, (t_end - t_start) / config.ts + 2)))
-        t = np.empty(rows)
-        thetas = np.empty((rows, 2, 4 * config.identifier.order))
-        rows = 0
-        with contextlib.closing(blocks):
-            for part, run in blocks:
-                # t increases, so a block's window rows are a slice
-                lo, hi = np.searchsorted(run.t, (t_start, t_end))
-                t[rows:rows + hi - lo] = run.t[lo:hi]
-                thetas[rows:rows + hi - lo] = run.theta[lo:hi]
-                rows += hi - lo
-                if hi < run.t.size:  # an update at or after t_end
-                    break
-        # the last block goes with its stream, not once the next run's
-        # first block replaces it: a stream stopped early ends on a full one
-        del part, run
-        runs.append((label, t[:rows], thetas[:rows], t_start, t_end,
-                     config.name))
-        order = config.identifier.order
-    return build_library(runs, nominal, thresholds, order)
+        t, thetas, _ = _window_rows(config, t_start, t_end, prefixes)
+        runs.append((label, t, thetas, t_start, t_end, config.name))
+    return build_library(runs, nominal, thresholds, config.identifier.order)
 
 
 def run_suite(

@@ -138,6 +138,8 @@ def lif_reports(params):
     return out
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A generator at seed 1234, fresh for each test: a test's random data
+    does not depend on which tests ran before it."""
     return np.random.Generator(np.random.Philox(1234))

@@ -24,11 +24,12 @@ from gridarx.detector import (
     classify,
 )
 from gridarx.pipeline import identify
-from gridarx.rls import ArxConfig, batch_weighted_ls, init_identifier, rls_update
+from gridarx.rls import ArxConfig, init_identifier, rls_update
 from gridarx.scenario import ScenarioConfig, run_calibration
 from gridarx.signals import RbsConfig, abc_to_dq, dq_to_abc
 from gridarx.simulate import simulate
-from tests.test_rls import random_arx_stream
+from oracles import batch_weighted_ls, residual_ratio
+from test_rls import random_arx_stream
 
 EIG_TOL = 1e-12  # eigenvalue-solver tolerance scale used in criterion 6
 
@@ -66,7 +67,7 @@ def test_criterion_2_noiseless_identification_residual_under_5_percent():
     sim = simulate(CircuitParams(), None, RbsConfig(amplitude=0.1, seed=1),
                    10.0, noise_std=0.0)
     run = identify(sim, ArxConfig())
-    ratio = run.residual_ratio(run.final_state.theta)
+    ratio = residual_ratio(run, run.final_state.theta)
     assert ratio < 0.05, ratio
     assert time.perf_counter() - t0 < 30.0
 

@@ -1,4 +1,4 @@
-"""Impedance algebra, closed-form disturbance poles, and the assembled
+"""Circuit parameters, closed-form disturbance poles, and the assembled
 state-space models, checked against independent complex-scalar oracles.
 
 Every branch matrix in the dq frame has the form a*I + b*J (J the 2x2
@@ -12,21 +12,13 @@ import pytest
 
 from gridarx.circuit import (
     CircuitParams,
-    DqImpedance,
-    SingularMatrixError,
-    fault_impedance,
     fault_poles,
     full_circuit_model,
-    load_impedance,
     load_poles,
-    nominal_impedance,
     numeric_poles,
-    post_impedance,
     simplified_fault_model,
     simplified_load_model,
 )
-
-TEST_FREQS = [1e-2, 1e-1, 1.0, 1e1, 1e2]  # normalized, log-spaced
 
 
 def scalar_branch(r, l, s):
@@ -55,89 +47,6 @@ class TestParams:
             CircuitParams(r1=0.0)
         with pytest.raises(ValueError):
             CircuitParams(l2=0.0)
-
-
-class TestDqImpedance:
-    def test_dc_form(self):
-        z = DqImpedance(r=0.5, l=0.2).at(0.0)
-        assert np.allclose(z, [[0.5, -0.2], [0.2, 0.5]])
-
-    def test_branch_constructors(self):
-        with pytest.raises(ValueError):
-            fault_impedance(0.0)
-        with pytest.raises(ValueError):
-            load_impedance(-0.1)
-        assert fault_impedance(2.0).l == 0.0
-        assert load_impedance(2.0).r == 0.0
-
-
-class TestNominalImpedance:
-    def test_dc_gain_table_values(self, params):
-        z = nominal_impedance(params).at(0.0)
-        assert np.allclose(z, [[0.03, -0.3], [0.3, 0.03]], atol=1e-12)
-
-    def test_zero_resistance_skew_symmetric(self):
-        p = CircuitParams(r2=0.0, r3=0.0)
-        z = nominal_impedance(p).at(0.0)
-        assert np.allclose(z, -z.T)
-
-    def test_single_line_additive_identity(self, params):
-        z2_only = DqImpedance(params.r2, params.l2)
-        for s in TEST_FREQS:
-            total = nominal_impedance(params).at(s)
-            z3 = DqImpedance(params.r3, params.l3).at(s)
-            assert np.allclose(total - z3, z2_only.at(s))
-
-
-class TestPostImpedance:
-    def test_open_circuit_limit(self, params):
-        post = post_impedance(params, fault_impedance(1e9))
-        for s in [1j * w for w in TEST_FREQS]:
-            a = post.at(s)
-            b = nominal_impedance(params).at(s)
-            assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-6
-
-    def test_short_circuit_limit(self, params):
-        post = post_impedance(params, fault_impedance(1e-9))
-        z2 = DqImpedance(params.r2, params.l2)
-        for s in [1j * w for w in TEST_FREQS]:
-            a = post.at(s)
-            b = z2.at(s)
-            assert np.linalg.norm(a - b) < 1e-6
-
-    def test_nodal_admittance_oracle(self, params):
-        """Inject unit current at the PCC with the bus shorted; the nodal
-        solution for the PCC voltage equals the composed impedance."""
-        rf = params.ohms_to_pu(600.0)
-        post = post_impedance(params, fault_impedance(rf))
-        for s in [1j * w for w in TEST_FREQS]:
-            z2 = scalar_branch(params.r2, params.l2, s)
-            z3 = scalar_branch(params.r3, params.l3, s)
-            # node equations: (v1 - vm)/z2 = 1;  (v1 - vm)/z2 = vm/z3 + vm/rf
-            vm = 1.0 / (1.0 / z3 + 1.0 / rf)
-            v1 = vm + z2
-            got = mat_to_scalar(post.at(s))
-            assert abs(got - v1) < 1e-9
-
-    def test_random_draw_limit_consistency(self, rng):
-        for _ in range(20):
-            p = CircuitParams(
-                r2=float(rng.uniform(0.001, 0.1)),
-                l2=float(rng.uniform(0.05, 0.5)),
-                r3=float(rng.uniform(0.001, 0.1)),
-                l3=float(rng.uniform(0.05, 0.5)),
-            )
-            post = post_impedance(p, fault_impedance(1e10))
-            s = 1j * float(rng.uniform(0.01, 10.0))
-            a, b = post.at(s), nominal_impedance(p).at(s)
-            assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-6
-
-    def test_singularity_surfaces(self, params):
-        # a pure negative-resistance branch cancelling line 2 at DC
-        bad = DqImpedance(r=-params.r3, l=-params.l3)
-        post = post_impedance(params, bad)
-        with pytest.raises(SingularMatrixError):
-            post.at(0.0)
 
 
 class TestClosedFormPoles:

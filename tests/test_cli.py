@@ -268,7 +268,9 @@ class TestCalibrationFile:
     @pytest.mark.parametrize("change, message", [
         ({"calibrated_at": None}, "missing key 'calibrated_at'"),
         ({"d_low": 1e9}, "need 0 < d_low < d_high"),
-        ({"d_high": "high"}, "not supported between"),
+        ({"d_high": "high"}, "d_high: expected a number, got 'high'"),
+        # an integer beyond the float range, which JSON allows
+        ({"d_high": 10**400}, "int too large to convert to float"),
     ])
     def test_bad_calibration_names_file(self, workspace, tmp_path, capsys,
                                         command, change, message):
@@ -284,6 +286,53 @@ class TestCalibrationFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert message in err
+        assert not out.exists()
+
+
+def _set(key, value):
+    """A change to a parsed JSON file: `key` set to `value`."""
+    return lambda doc: doc.update({key: value})
+
+
+def _nan_in_theta_star(doc):
+    doc["theta_star"][1][3] = float("nan")
+
+
+class TestFileValues:
+    """A calibration or library value of the wrong type, or not finite,
+    fails `run` at load with exit 2, and the error names the file and the
+    key; nothing is simulated."""
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("calibration.json", _set("d_high", "4.5"),
+         "d_high: expected a number, got '4.5'"),
+        ("calibration.json", _set("d_low", None),
+         "d_low: expected a number, got None"),
+        ("calibration.json", _nan_in_theta_star,
+         "theta_star holds a non-finite value"),
+        ("library.json", _set("order", None),
+         "order: expected an integer >= 1, got None"),
+        ("library.json", _set("order", "3"),
+         "order: expected an integer >= 1, got '3'"),
+    ], ids=["d_high_string", "d_low_null", "theta_star_nan", "order_null",
+            "order_string"])
+    def test_run_names_the_key(self, workspace, tmp_path, capsys, name,
+                               change, message):
+        with open(workspace["calibration.json"]) as fh:
+            docs = {"calibration.json": json.load(fh)}
+        with open(_library_file(tmp_path)) as fh:
+            docs["library.json"] = json.load(fh)
+        change(docs[name])
+        for file, doc in docs.items():
+            (tmp_path / file).write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main(["run", "--config", workspace["fault.ini"],
+                   "--calibration", str(tmp_path / "calibration.json"),
+                   "--library", str(tmp_path / "library.json"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / name}: {message}\n"
         assert not out.exists()
 
 

@@ -497,6 +497,30 @@ class TestClassifySeries:
             ev = classify(probe, self.nom, self.thr, lib, match_floor=0.7)
             assert ev.verdict is first
 
+    @pytest.mark.parametrize("n_signatures", [1, 2])
+    def test_row_bits_do_not_depend_on_the_rows_in_the_call(
+            self, rng, n_signatures):
+        """A band row's similarity has the same bits in any slice of the
+        series that holds it, and in a one-row `classify`: so a verdict at
+        exactly `match_floor` cannot depend on the block size."""
+        lib = flat_library([(rng.standard_normal(SHAPE), Verdict.FAULT)
+                            for _ in range(n_signatures)])
+        n = 2000
+        thetas = rng.standard_normal((n,) + SHAPE)
+        # every snapshot in the band d_low < d <= d_high
+        thetas *= (rng.uniform(0.2, 0.9, n)
+                   / np.linalg.norm(thetas, axis=(1, 2)))[:, None, None]
+        _, _, whole = classify_series(thetas, self.nom, self.thr, lib)
+        assert not np.isnan(whole).any()
+        for lo, hi in np.sort(rng.integers(0, n + 1, (300, 2)), axis=1):
+            _, _, part = classify_series(thetas[lo:hi], self.nom, self.thr,
+                                         lib)
+            assert_bits_equal(part, whole[lo:hi])
+        for k in range(0, n, 10):
+            event = classify(thetas[k], self.nom, self.thr, lib)
+            assert_bits_equal(np.array([event.matched_similarity]),
+                              whole[k:k + 1])
+
     def test_empty_library_band(self):
         theta = np.zeros(SHAPE)
         theta[0, 0] = 0.5
@@ -817,6 +841,27 @@ class TestLibrarySerialization:
                            r"\('load_run'\): delta_theta holds a non-finite "
                            r"value$"):
             SignatureLibrary.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("order", [None, "3", 0, True, 3.0])
+    def test_from_json_rejects_order(self, order):
+        doc = json.loads(flat_library([(np.ones(SHAPE), Verdict.FAULT)])
+                         .to_json())
+        doc["order"] = order
+        with pytest.raises(ValueError) as err:
+            SignatureLibrary.from_json(json.dumps(doc))
+        assert str(err.value) == \
+            f"order: expected an integer >= 1, got {order!r}"
+
+    @pytest.mark.parametrize("value", ["0.5", None, False])
+    def test_from_json_rejects_non_number_signature(self, value):
+        doc = json.loads(flat_library([(np.ones(SHAPE), Verdict.FAULT)])
+                         .to_json())
+        doc["signatures"][0]["delta_theta"][5] = value
+        with pytest.raises(ValueError) as err:
+            SignatureLibrary.from_json(json.dumps(doc))
+        assert str(err.value) == (
+            "library entry 0 (''): delta_theta: expected a 1-D list of "
+            f"numbers, got {value!r}")
 
     def test_json_round_trip(self, rng):
         lib = flat_library([(rng.standard_normal(SHAPE), Verdict.FAULT),

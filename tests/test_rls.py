@@ -7,13 +7,12 @@ import pytest
 from gridarx.rls import (
     ArxConfig,
     ConfigError,
-    SingularDataError,
     UpdateRejectedError,
-    batch_weighted_ls,
     init_identifier,
     rls_run,
     rls_update,
 )
+from oracles import SingularDataError, batch_weighted_ls
 
 
 def random_arx_stream(rng, order, input_dim, output_dim, n, noise=0.0):
@@ -35,6 +34,14 @@ def random_arx_stream(rng, order, input_dim, output_dim, n, noise=0.0):
         u_hist.insert(0, u)
         del u_hist[order:]
     return theta, pairs
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_rng_fixture_starts_at_its_seed(rng, case):
+    """Each test's `rng` draws what a fresh Philox(1234) generator draws,
+    the second test as well as the first."""
+    fresh = np.random.Generator(np.random.Philox(1234))
+    assert rng.standard_normal() == fresh.standard_normal()
 
 
 class TestConfig:

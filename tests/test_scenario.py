@@ -20,6 +20,8 @@ from gridarx.detector import (
     Thresholds,
     Verdict,
     build_library,
+    calibrate_thresholds,
+    distances,
     verdict_codes,
 )
 from gridarx.pipeline import identify
@@ -41,7 +43,6 @@ from gridarx.scenario import (
     load_scenario,
     default_profile,
     read_samples_csv,
-    read_theta_csv,
     run_calibration,
     run_scenario,
     run_suite,
@@ -56,6 +57,7 @@ from gridarx.simulate import (
     sample_count,
     simulate,
 )
+from oracles import read_theta_csv
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -476,6 +478,52 @@ class TestCalibrationArtifacts:
         assert np.array_equal(nom2.theta_star, nominal.theta_star)
         assert nom2.calibration_window == nominal.calibration_window
         assert thr2 == thresholds
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("d_high", True, "d_high: expected a number, got True"),
+        ("d_low", "0.1", "d_low: expected a number, got '0.1'"),
+        ("calibrated_at", float("inf"),
+         "calibrated_at holds a non-finite value"),
+        ("calibration_window", None,
+         "calibration_window: expected a number, got None"),
+        ("theta_star", [1.0, 2.0],
+         "theta_star: expected a 2-D list of numbers, got [1.0, 2.0]"),
+        ("theta_star", [[1.0, False]],
+         "theta_star: expected a 2-D list of numbers, got False"),
+    ], ids=["d_high_bool", "d_low_string", "calibrated_at_inf",
+            "calibration_window_null", "theta_star_1d", "theta_star_bool"])
+    def test_json_value_names_its_key(self, default_cal, key, value,
+                                      message):
+        nominal, thresholds, _, config = default_cal
+        doc = json.loads(calibration_to_json(nominal, thresholds, config))
+        doc[key] = value
+        with pytest.raises(ValueError) as err:
+            calibration_from_json(json.dumps(doc))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("block, window", [(10**6, 2000), (997, 2000),
+                                               (997, 10**6)])
+    def test_calibration_is_the_tail_of_the_whole_run(self, monkeypatch,
+                                                      block, window):
+        """theta* is bitwise the mean of the last `calibration_window`
+        calibrated updates of one whole-run identification, and the
+        thresholds come from their distances, at any block size; a window
+        longer than the calibrated updates takes all of them."""
+        cfg = ScenarioConfig(duration=1.0, calibration_window=window)
+        monkeypatch.setattr(scenario_module, "SIMULATE_BLOCK", block)
+        nominal, thresholds, state = run_calibration(cfg)
+        sim = simulate(cfg.circuit, None, cfg.excitation, cfg.duration,
+                       cfg.ts, cfg.noise_std, cfg.noise_seed, cfg.i_op)
+        run = identify(sim, cfg.identifier)
+        tail = run.theta[run.calibrated][-window:]
+        assert nominal.calibration_window == tail.shape[0] == min(
+            window, np.count_nonzero(run.calibrated))
+        assert np.array_equal(nominal.theta_star, tail.mean(axis=0))
+        assert nominal.calibrated_at == run.t[-1]
+        assert thresholds == calibrate_thresholds(
+            distances(tail, nominal.theta_star))
+        assert state.sample_count == run.final_state.sample_count
+        assert np.array_equal(state.theta, run.final_state.theta)
 
     def test_calibration_deterministic(self, default_cal):
         nominal, thresholds, _, config = default_cal
@@ -951,6 +999,13 @@ class TestModelOrder:
                                              r"order 3\), but the run's "
                                              r"model order is 2"):
             build_library_from_scenarios([good, other], nominal, thresholds)
+
+    def test_library_build_of_no_scenarios(self, default_cal, no_simulation):
+        """No scenario gives no library, not one of no model order."""
+        nominal, thresholds, _, _ = default_cal
+        with pytest.raises(ValueError,
+                           match="^no scenarios to build a library from$"):
+            build_library_from_scenarios([], nominal, thresholds)
 
 
 # Prefix sharing: 1 s runs with the disturbance from 0.5 s, so samples
