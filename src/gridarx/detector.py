@@ -83,14 +83,18 @@ class Thresholds:
 def json_numbers(value, key: str, ndim: int) -> np.ndarray:
     """`value`, as read from JSON, as a float array of `ndim` dimensions.
     A value of another form, an item that is not a number (a bool is not
-    one) or a number that is not finite raises ValueError naming `key`."""
+    one), an integer beyond the float range or a number that is not finite
+    raises ValueError naming `key`."""
     items = np.array(value, dtype=object)
     bad = [x for x in items.flat if type(x) not in (int, float)]
     if bad or items.ndim != ndim:
         form = f"a {ndim}-D list of numbers" if ndim else "a number"
         raise ValueError(f"{key}: expected {form}, got "
                          f"{(bad[0] if bad else value)!r}")
-    numbers = items.astype(float)
+    try:
+        numbers = items.astype(float)
+    except OverflowError as exc:  # JSON allows integers of any size
+        raise ValueError(f"{key}: {exc}") from None
     if not np.isfinite(numbers).all():
         raise ValueError(f"{key} holds a non-finite value")
     return numbers

@@ -7,20 +7,22 @@ covariance are shared and the theta update is a joint rank-1 correction.
 
 The recursion exists once, in the block kernel `rls_run`: it validates a
 block of rows once (shapes, finiteness, an exactly symmetric P), then
-updates theta and P in place. P and theta both multiply the regressor, so
-the kernel keeps them stacked as one (regressor_len + output_dim) x
-regressor_len array: one matrix-vector product and one rank-1 correction
-per step serve both, with the bits of the textbook formulas (negation is
-exact, and the symmetrisation's addition is commutative). `rls_update` is
-its one-row call.
+updates theta and P in place, stepping the rows in C (`_kernels.c`).
+The kernel keeps P and theta stacked as one
+(regressor_len + output_dim) x regressor_len array, so that one rank-1
+correction per step updates both, with the bits of the textbook formulas
+(negation is exact, and the symmetrisation's addition is commutative).
+The C steps make the operations of the numpy formulas in their order,
+their products through the BLAS functions that np.dot calls, so they keep
+those bits too. `rls_update` is its one-row call.
 
 The re-symmetrisation (P/lambda + (P/lambda)')/2 is computed as
 P/(2 lambda) + (P/(2 lambda))': 2 lambda is exact, and halving a normal
-number is exact, so both give the same bits and the step makes one ufunc
-call fewer. The exceptions lie at the ends of the float range: an entry
-of P/lambda below 2**-1021 in magnitude, which halving can round as a
-subnormal, or a sum that overflows; the entries of P they enter may differ
-in the last bit. Zeros of either sign keep their bits.
+number is exact, so both give the same bits. The exceptions lie at the
+ends of the float range: an entry of P/lambda below 2**-1021 in magnitude,
+which halving can round as a subnormal, or a sum that overflows; the
+entries of P they enter may differ in the last bit. Zeros of either sign
+keep their bits.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
+
 # Gain denominators below this are treated as numerically singular.
 MIN_GAIN_DENOMINATOR = 1e-12
 
@@ -37,13 +41,6 @@ MIN_GAIN_DENOMINATOR = 1e-12
 # ceiling by at most 1/lambda**COV_CLAMP_INTERVAL (about 5% at
 # lambda = 0.999), which is harmless.
 COV_CLAMP_INTERVAL = 50
-
-# np.dot without numpy's __array_function__ dispatch, for the per-sample
-# loops here and in `simulate`: each np.dot call first runs a Python
-# dispatcher function, and the C function behind it, kept as
-# `_implementation`, gives the same bits without that cost.
-raw_dot = getattr(np.dot, "_implementation", np.dot)
-
 
 class ConfigError(ValueError):
     """Invalid estimator configuration."""
@@ -164,23 +161,26 @@ def rls_run(state: IdentifierState, Y, Phi):
     ceiling = cfg.covariance_ceiling
     count0 = state.sample_count
     n, r = cfg.regressor_len, cfg.output_dim
-    dot = raw_dot
-    # P and theta both multiply phi, so they are the row blocks of one
-    # (n + r) x n array `stack` = [P; theta]: one gemv gives
-    # [P phi; theta phi], and one rank-1 product of [P phi; -e] with K',
-    # then one subtract, updates both blocks. The bits are those of the
-    # formulas above:
+    # P and theta are the row blocks of one (n + r) x n array `stack` =
+    # [P; theta]: one rank-1 product of [P phi; -e] with K', then one
+    # subtract, updates both blocks. The bits are those of the formulas
+    # above:
+    # - P phi and theta phi are each the product the formulas make, on its
+    #   own: a gemv row's bits can depend on the rows multiplied with it
+    #   (a 13 x 10 [P; theta] with three theta rows differs from theta phi
+    #   alone), and numpy computes a 1-row product as a dot product;
     # - theta - (-e) K' is theta + e K', since negation is exact;
     # - the P block becomes P - (P phi) K', the transpose of P - K (P phi)'
     #   when P is exactly symmetric, which the update requires of its input
     #   and keeps: the symmetrisation A/(2 lambda) + (A/(2 lambda))' then
     #   gives the same bits for A and A', because addition is commutative;
-    # - each row of a gemv has the bits of that row's product in any gemv
-    #   of two or more rows, so [P phi; theta phi] is P phi and theta phi
-    #   computed apart. numpy computes a 1-row product as a dot product,
-    #   which sums in another order, so a lone theta row is multiplied
-    #   again on its own (`simulate._forcing` treats its lone rows apart
-    #   for the same reason).
+    # - each term of the rank-1 product is one rounded product plus +0.0,
+    #   as the k=1 BLAS matrix product gives it: an exact zero comes out
+    #   +0.0 where a multiply may give -0.0. That sign only matters where
+    #   the term meets a -0.0 entry of theta or P, since x + y and x - y
+    #   are -0.0 only when x is. The zero prior holds none, and the updates
+    #   make one only from one or by underflow; the tests compare these
+    #   steps with the multiply form bit for bit.
     stack = np.empty((n + r, n))
     P, theta = stack[:n], stack[n:]
     P[...] = state.P
@@ -194,8 +194,8 @@ def rls_run(state: IdentifierState, Y, Phi):
     # about 1e154 overflow the sum (numpy warns of the overflow) and also
     # reach the scan, which passes them.
     Y_flat, Phi_flat = Y.reshape(-1), Phi.reshape(-1)
-    sum_sq = (dot(Y_flat, Y_flat) + dot(Phi_flat, Phi_flat)
-              + dot(P_flat, P_flat))
+    sum_sq = (np.dot(Y_flat, Y_flat) + np.dot(Phi_flat, Phi_flat)
+              + np.dot(P_flat, P_flat))
     if not math.isfinite(sum_sq):
         finite = np.isfinite(Y).all(axis=1) & np.isfinite(Phi).all(axis=1)
         if not finite.all():
@@ -215,59 +215,21 @@ def rls_run(state: IdentifierState, Y, Phi):
 
     theta_traj = np.empty((m, r, n))
     innovation = np.empty((m, r))
-    # Everything else is written into fixed buffers in the operation order
-    # of the formulas, so every step is bitwise the same as computing it
-    # with fresh arrays. The re-symmetrisation divides by 2 lambda and
-    # adds, which gives the bits of (P/lambda + (P/lambda)')/2 (see the
-    # module docstring for the subnormal exception). `raw_dot` is np.dot's
-    # own C function, the same BLAS gemv/dot as the @ operator without
-    # numpy's dispatch layer. 2 lambda and the gain denominator are 0-d
-    # arrays, so that the ufuncs do not convert a scalar on every call (a
-    # 1-item array would take their slower broadcasting path).
-    lone_row = theta[0] if r == 1 else None
-    P_T = P.T
-    stack_phi = np.empty(n + r)
-    P_phi, theta_phi = stack_phi[:n], stack_phi[n:]
-    stack_phi_col = stack_phi[:, None]
-    K = np.empty(n)
-    K_row = K[None, :]
-    stack_K = np.empty_like(stack)
-    sym = stack_K[:n]
-    lam2_0d, denom_0d = np.array(2.0 * lam), np.empty(())
-    ceiling_sq = ceiling * ceiling
-    subtract, add, divide, negative = (np.subtract, np.add, np.divide,
-                                       np.negative)
-
-    count = count0
-    for y, phi, e, theta_next in zip(Y, Phi, innovation, theta_traj):
-        dot(stack, phi, stack_phi)
-        if lone_row is not None:
-            theta_phi[0] = dot(lone_row, phi)
-        denom = lam + dot(phi, P_phi)
-        if denom <= MIN_GAIN_DENOMINATOR:
+    # The steps run in C (`_kernels.rls_rows`), which returns here after a
+    # step that needs the spectral check below, or at a rejected gain
+    # denominator.
+    row, denom = np.zeros(1, np.int64), np.empty(1)
+    while True:
+        status = _kernels.rls_rows(
+            Y, Phi, stack, theta_traj, innovation, lam, MIN_GAIN_DENOMINATOR,
+            count0, COV_CLAMP_INTERVAL, ceiling * ceiling, row, denom)
+        if status == _kernels.RLS_DONE:
+            break
+        if status == _kernels.RLS_REJECTED:
             raise UpdateRejectedError(
-                f"gain denominator {denom:.3e} is not positive "
-                f"at sample {count - count0} of the block"
+                f"gain denominator {denom[0]:.3e} is not positive "
+                f"at sample {row[0]} of the block"
             )
-        denom_0d[...] = denom
-        divide(P_phi, denom_0d, K)
-        subtract(y, theta_phi, e)
-        negative(e, theta_phi)  # stack_phi is now [P phi; -e]
-        # [P phi; -e] K' is a k=1 matrix product. Each entry is one rounded
-        # product, as with np.multiply, but an exact zero comes out +0.0
-        # where multiply may give -0.0. That sign only matters where the
-        # term meets a -0.0 entry of theta or P, since x + y and x - y are
-        # -0.0 only when x is. The zero prior holds none, and the updates
-        # make one only from one or by underflow; the tests compare these
-        # steps with the multiply form bit for bit.
-        dot(stack_phi_col, K_row, stack_K)
-        subtract(stack, stack_K, stack)
-        theta_next[...] = theta
-        divide(P, lam2_0d, P)
-        sym[...] = P_T  # a contiguous copy adds faster than the strided view
-        add(P, sym, P)
-        count += 1
-
         # Forgetting inflates P exponentially along directions the stream
         # never excites (covariance windup), which eventually destroys the
         # update in floating point. Clamp P's spectrum at the ceiling on a
@@ -276,20 +238,19 @@ def rls_run(state: IdentifierState, Y, Phi):
         # directions keep enough gain to track.
         #
         # For symmetric P, lambda_max <= ||P||_F, so while ||P||_F^2 <=
-        # ceiling^2 the clamp cannot fire and eigh is skipped. The rounding
-        # of the sum of squares (relative ~n^2 eps) is far inside the
-        # clamp's 1e-9 margin, so no skipped check could have clamped. The
-        # test is written as `not <=` so that a NaN still reaches eigh.
-        if count % COV_CLAMP_INTERVAL == 0 and \
-                not dot(P_flat, P_flat) <= ceiling_sq:
-            eigvals, eigvecs = np.linalg.eigh(P)
-            if eigvals[-1] > ceiling * (1.0 + 1e-9):
-                clamped = (eigvecs * np.minimum(eigvals, ceiling)) @ eigvecs.T
-                P[...] = (clamped + clamped.T) / 2.0
+        # ceiling^2 the clamp cannot fire and the kernel skips eigh. The
+        # rounding of the sum of squares (relative ~n^2 eps) is far inside
+        # the clamp's 1e-9 margin, so no skipped check could have clamped.
+        # A NaN in P fails that test and reaches eigh.
+        eigvals, eigvecs = np.linalg.eigh(P)
+        if eigvals[-1] > ceiling * (1.0 + 1e-9):
+            clamped = (eigvecs * np.minimum(eigvals, ceiling)) @ eigvecs.T
+            P[...] = (clamped + clamped.T) / 2.0
 
     # theta and P are views of this call's own stack, which nothing else
     # holds, so they need no copies
-    final = IdentifierState(config=cfg, theta=theta, P=P, sample_count=count)
+    final = IdentifierState(config=cfg, theta=theta, P=P,
+                           sample_count=count0 + m)
     return theta_traj, innovation, final
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitParams, StateSpaceModel, full_circuit_model
-from .rls import raw_dot
+from . import _kernels
 from .signals import RbsConfig, RbsStream
 # Not called here: kept as a module attribute so that tools which wrap
 # `gridarx.simulate.rbs_generate` by name still resolve it.
@@ -165,25 +165,15 @@ def _step(v, x, FC, drive):
 
     FC is [F; Cv], the state transition over the voltage output: both
     multiply the state, so one gemv per sample gives F x and v = Cv x."""
-    # FCx[k] = [F x; Cv x]; x <- F x + drive[k], written into preallocated
-    # rows: the next state overwrites the forcing row it consumes, and v is
-    # the last two columns of FCx, copied out once at the end. Each row of
-    # a gemv has the bits of that row's product in any gemv of two or more
-    # rows, and F and Cv have at least two each, so the stacked product has
-    # the bits of F x and Cv x computed apart (a test pins this BLAS
-    # property at the shipped shapes). `raw_dot` is np.dot's own C
-    # function, the same BLAS gemv as the @ operator without numpy's
-    # dispatch layer, so the values are bitwise those of the plain
-    # expressions.
-    nx = x.shape[0]
-    dot, add = raw_dot, np.add
-    FCx = np.empty((drive.shape[0], nx + 2))
-    for FCx_k, Fx, x_next in zip(FCx, FCx[:, :nx], drive):
-        dot(FC, x, FCx_k)
-        add(Fx, x_next, x_next)
-        x = x_next
-    v[...] = FCx[:, nx:]
-    return x
+    # The steps run in C (`_kernels.sim_rows`): row k makes the gemv
+    # [F x; Cv x] and x <- F x + drive[k], written over the forcing row it
+    # consumes. At the shapes of the 4- and 6-state models, each row of
+    # the stacked gemv has the bits of F x and Cv x computed apart (a test
+    # pins this BLAS property there; it does not hold at every shape). The
+    # gemv is the one np.dot calls, so the values are bitwise those of the
+    # plain expressions.
+    _kernels.sim_rows(FC, x, drive, v)
+    return drive[-1]
 
 
 # Samples per block yielded by `simulate_blocks` unless told otherwise, and

@@ -310,12 +310,14 @@ class TestFileValues:
          "d_low: expected a number, got None"),
         ("calibration.json", _nan_in_theta_star,
          "theta_star holds a non-finite value"),
+        ("calibration.json", _set("d_high", 10**400),
+         "d_high: int too large to convert to float"),
         ("library.json", _set("order", None),
          "order: expected an integer >= 1, got None"),
         ("library.json", _set("order", "3"),
          "order: expected an integer >= 1, got '3'"),
-    ], ids=["d_high_string", "d_low_null", "theta_star_nan", "order_null",
-            "order_string"])
+    ], ids=["d_high_string", "d_low_null", "theta_star_nan",
+            "d_high_huge_int", "order_null", "order_string"])
     def test_run_names_the_key(self, workspace, tmp_path, capsys, name,
                                change, message):
         with open(workspace["calibration.json"]) as fh:

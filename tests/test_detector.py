@@ -22,6 +22,7 @@ from gridarx.detector import (
     debounce,
     detection_times,
     distances,
+    json_numbers,
 )
 
 ORDER = 3
@@ -841,6 +842,23 @@ class TestLibrarySerialization:
                            r"\('load_run'\): delta_theta holds a non-finite "
                            r"value$"):
             SignatureLibrary.from_json(json.dumps(doc))
+
+    def test_from_json_rejects_integer_beyond_float_range(self):
+        """JSON allows integers of any size; one that no float holds is a
+        ValueError naming the entry and the key, not an OverflowError."""
+        doc = json.loads(flat_library([(np.ones(SHAPE), Verdict.FAULT)])
+                         .to_json())
+        doc["signatures"][0]["delta_theta"][5] = 10**400
+        with pytest.raises(ValueError) as err:
+            SignatureLibrary.from_json(json.dumps(doc))
+        assert str(err.value) == ("library entry 0 (''): delta_theta: int "
+                                  "too large to convert to float")
+
+    @pytest.mark.parametrize("value", [10**400, -10**309])
+    def test_json_numbers_integer_beyond_float_range(self, value):
+        with pytest.raises(ValueError) as err:
+            json_numbers(value, "d_high", 0)
+        assert str(err.value) == "d_high: int too large to convert to float"
 
     @pytest.mark.parametrize("order", [None, "3", 0, True, 3.0])
     def test_from_json_rejects_order(self, order):

@@ -2,16 +2,18 @@
 per-sample transcription of the textbook update, block-split invariance,
 and the block error path."""
 
+import ctypes
 import importlib
 
 import numpy as np
 import pytest
 
-from gridarx import rls as rls_module
+from gridarx import _kernels
 from gridarx.circuit import CircuitParams
 from gridarx.pipeline import build_lagged_regressors, identify
 from gridarx.rls import (
     COV_CLAMP_INTERVAL,
+    MIN_GAIN_DENOMINATOR,
     ArxConfig,
     IdentifierState,
     UpdateRejectedError,
@@ -19,10 +21,7 @@ from gridarx.rls import (
     rls_run,
 )
 from gridarx.signals import RbsConfig
-from gridarx.simulate import DisturbanceSpec, SimResult, simulate
-
-# the module, which the package's `simulate` function shadows
-simulate_module = importlib.import_module("gridarx.simulate")
+from gridarx.simulate import SimResult, simulate
 
 
 def oracle_identify(sim, config, state=None, stats=None):
@@ -353,6 +352,68 @@ class TestBitPatterns:
         assert_bits_equal(final.P, ref[4])
         assert final.sample_count == ref[5]
 
+    @staticmethod
+    def signed_zero_stream(config, m, rng):
+        """(Y, Phi) of a random stream with an unexcited stretch, an
+        exact-zero and a -0.0 regressor column."""
+        n, r = config.regressor_len, config.output_dim
+        Phi = rng.standard_normal((m, n))
+        Phi[m // 3:m // 2] = 0.0
+        Phi[:, 1] = 0.0
+        Phi[:, 4] = -0.0
+        Y = Phi @ rng.standard_normal((r, n)).T + \
+            1e-3 * rng.standard_normal((m, r))
+        return Y, Phi
+
+    def assert_rls_run_bits_match(self, state, Y, Phi):
+        ref = oracle_rls(Y, Phi, state.config, state)
+        thetas, innovations, final = rls_run(state, Y, Phi)
+        assert np.isfinite(thetas).all() and np.isfinite(final.P).all()
+        assert_bits_equal(thetas, ref[0])
+        assert_bits_equal(innovations, ref[1])
+        assert_bits_equal(final.theta, ref[3])
+        assert_bits_equal(final.P, ref[4])
+        assert final.sample_count == ref[5]
+        return ref
+
+    @pytest.mark.parametrize("output_dim", [1, 2, 3])
+    @pytest.mark.parametrize("forgetting", [0.95, 0.999, 1.0])
+    def test_signed_zero_columns_with_clamp(self, forgetting, output_dim):
+        """From a P above the ceiling, so that the clamp fires at every
+        forgetting factor."""
+        config = ArxConfig(order=2, output_dim=output_dim,
+                           forgetting=forgetting, p0_scale=1e2, p_max=1e3)
+        rng = np.random.Generator(np.random.Philox(output_dim))
+        Y, Phi = self.signed_zero_stream(config, 600, rng)
+        assert np.signbit(Phi[:, 4]).all()
+        state = IdentifierState(
+            config=config, theta=np.zeros((output_dim, config.regressor_len)),
+            P=3.0 * config.covariance_ceiling * np.eye(config.regressor_len))
+        ref = self.assert_rls_run_bits_match(state, Y, Phi)
+        assert ref[-1] >= 1  # the ceiling clamp really fired
+
+    @pytest.mark.parametrize("output_dim", [1, 2, 3])
+    @pytest.mark.parametrize("forgetting", [0.95, 0.999, 1.0])
+    def test_mixed_scales(self, forgetting, output_dim):
+        """Regressor columns scaled from 1e-150 to 1e150, from a prior P
+        scaled to match (P_jj = 1/s_j**2), so that every step's terms span
+        the float range without leaving it; the ceiling is out of reach."""
+        config = ArxConfig(order=2, output_dim=output_dim,
+                           forgetting=forgetting, p0_scale=1.0, p_max=1e308)
+        n = config.regressor_len
+        rng = np.random.Generator(np.random.Philox(10 + output_dim))
+        Y, Phi = self.signed_zero_stream(config, 300, rng)
+        scale = 10.0 ** rng.permutation(np.linspace(-150.0, 150.0, n))
+        Phi = Phi * scale
+        state = IdentifierState(config=config, theta=np.zeros((output_dim, n)),
+                                P=np.diag(1.0 / scale ** 2))
+        # the sum of squares of rls_run's finiteness check overflows, and
+        # numpy says so
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            ref = self.assert_rls_run_bits_match(state, Y, Phi)
+        assert ref[-1] == 0
+        assert np.abs(ref[4]).max() > 1e280 and np.abs(ref[4]).min() < 1e-280
+
     def test_eigh_skipped_on_excited_stream(self, simulated, monkeypatch):
         config = ArxConfig()
         eigh = EighCalls(monkeypatch)
@@ -361,40 +422,106 @@ class TestBitPatterns:
         assert eigh.calls == 0
 
 
-class TestDotDispatch:
-    def test_np_dot_in_place_of_raw_dot_keeps_every_bit(self, monkeypatch):
-        """`rls.raw_dot`, which `rls_run` and the simulator's step loop
-        call, is np.dot's own C function without numpy's dispatch layer:
-        with np.dot itself in its place, across both topology switches and
-        the covariance clamp checks, the voltages and the predictors keep
-        their bits."""
-        args = (CircuitParams(), DisturbanceSpec("fault", 0.2077, 0.4, 0.7),
-                RbsConfig(amplitude=0.1, chip_rate=5000.0, seed=1), 1.0)
-        config = ArxConfig()
-        sim = simulate(*args)
-        run = identify(sim, config)
-        monkeypatch.setattr(rls_module, "raw_dot", np.dot)
-        monkeypatch.setattr(simulate_module, "raw_dot", np.dot)
-        sim_np = simulate(*args)
-        run_np = identify(sim_np, config)
-        assert np.array_equal(sim.v_dq.view(np.uint64),
-                              sim_np.v_dq.view(np.uint64))
-        assert np.array_equal(run.theta.view(np.uint64),
-                              run_np.theta.view(np.uint64))
-        assert np.array_equal(run.final_state.P.view(np.uint64),
-                              run_np.final_state.P.view(np.uint64))
+class TestKernelBlas:
+    """The C step loops of `rls_run` and `simulate._step` make their
+    products through numpy's own BLAS, so that a step has the bits of the
+    numpy formulas it replaces."""
+
+    def test_kernel_binds_the_blas_of_numpy(self):
+        """dlsym through the handle of numpy's multiarray module searches
+        that module and the libraries it was linked with, so it resolves
+        each BLAS function to the one np.dot calls."""
+        multiarray = ctypes.CDLL(importlib.import_module(
+            "numpy._core._multiarray_umath").__file__)
+        for name, address in [(_kernels.DGEMV, _kernels.DGEMV_ADDRESS),
+                              (_kernels.DDOT, _kernels.DDOT_ADDRESS)]:
+            numpy_address = ctypes.cast(getattr(multiarray, name),
+                                        ctypes.c_void_p).value
+            assert address == numpy_address, name
+
+    @pytest.mark.parametrize("n, r", [(12, 2), (12, 1)],
+                             ids=["14x12", "13x12"])
+    def test_rls_steps_equal_numpy_formulas(self, n, r):
+        """One kernel step on random [P; theta] stacks against the step
+        written with np.dot, whose rank-1 product is the k=1 BLAS matrix
+        product the kernel stands in for."""
+        rng = np.random.Generator(np.random.Philox(n + r))
+        lam = 0.99
+        row, denom = np.zeros(1, np.int64), np.empty(1)
+        h = n // 2
+        for trial in range(300):
+            A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            B = A @ A.T + np.eye(n)
+            stack = np.concatenate([B + B.T, rng.standard_normal((r, n))])
+            scale = 10.0 ** rng.uniform(-6, 6)
+            phi = scale * rng.standard_normal(n)
+            phi[rng.integers(n)] = -0.0
+            y = scale * rng.standard_normal(r)
+            if trial % 2:
+                # signed zeros where the rank-1 terms are zeros: P phi and
+                # K vanish in their second half, where theta and the
+                # off-diagonal blocks of P hold -0.0
+                stack[:h, h:] = stack[h:n, :h] = -0.0
+                stack[n:, h:] = -0.0
+                phi[h:] = np.where(rng.random(n - h) < 0.5, 0.0, -0.0)
+
+            stack_phi = np.dot(stack, phi)
+            if r == 1:
+                stack_phi[n] = np.dot(stack[n], phi)
+            d = lam + np.dot(phi, stack_phi[:n])
+            K = stack_phi[:n] / d
+            e = y - stack_phi[n:]
+            stack_phi[n:] = -e
+            want = stack - np.dot(stack_phi[:, None], K[None, :])
+            A = want[:n] / (2.0 * lam)
+            want[:n] = A + A.T.copy()
+
+            got = stack.copy()
+            theta_traj, innovation = np.empty((1, r, n)), np.empty((1, r))
+            row[0] = 0
+            status = _kernels.rls_rows(
+                y[None], phi[None], got, theta_traj, innovation, lam,
+                MIN_GAIN_DENOMINATOR, 0, COV_CLAMP_INTERVAL, np.inf, row,
+                denom)
+            assert status == _kernels.RLS_DONE and row[0] == 1
+            assert_bits_equal(got, want)
+            assert_bits_equal(theta_traj[0], want[n:])
+            assert_bits_equal(innovation[0], e)
+
+    @pytest.mark.parametrize("nx", [4, 6], ids=["6x4", "8x6"])
+    def test_simulator_steps_equal_numpy_formulas(self, nx):
+        """Kernel steps of random [F; Cv] stacks against the steps written
+        with np.dot."""
+        rng = np.random.Generator(np.random.Philox(nx))
+        m = 40
+        for _ in range(50):
+            FC = rng.standard_normal((nx + 2, nx)) / nx
+            x0 = rng.standard_normal(nx) * 10.0 ** rng.uniform(-6, 6)
+            drive = rng.standard_normal((m, nx)) * \
+                10.0 ** rng.uniform(-6, 6, size=(m, 1))
+            want_x, want_v = np.empty((m, nx)), np.empty((m, 2))
+            x = x0
+            for k in range(m):
+                FCx = np.dot(FC, x)
+                x = want_x[k] = FCx[:nx] + drive[k]
+                want_v[k] = FCx[nx:]
+            got_x, got_v = drive.copy(), np.empty((m, 2))
+            _kernels.sim_rows(FC, x0, got_x, got_v)
+            assert_bits_equal(got_x, want_x)
+            assert_bits_equal(got_v, want_v)
 
 
 class TestStackedProducts:
-    """The BLAS property behind the stacked per-sample products: each row of
-    a matrix-vector product is bitwise that row in the product of its own
-    block of two or more rows, without the rows stacked above or below it.
-    Pinned over random inputs at the shipped shapes: [P; theta], 14 x 12,
-    in `rls_run`; [F; Cv], 6 x 4 and 8 x 6, in the simulator's step loop
-    for the 4- and 6-state models. A BLAS whose row results depend on the
-    row count fails here by name. (A block of one row is another case:
-    numpy computes it as a dot product, which `rls_run` repeats on its
-    own; `test_other_shapes_with_clamp` covers it.)"""
+    """The BLAS property behind the simulator's stacked per-sample product:
+    each row of a matrix-vector product is bitwise that row in the product
+    of its own block of two or more rows, without the rows stacked above
+    or below it. Pinned over random inputs at [F; Cv], 6 x 4 and 8 x 6, in
+    the simulator's step loop for the 4- and 6-state models, and at
+    14 x 12, [P; theta] of the shipped ARX model. A BLAS whose row results
+    depend on the row count there fails here by name. The property does
+    not hold at every shape (three theta rows under a 10-column P differ),
+    so `rls_run` multiplies P and theta apart, which
+    `test_signed_zero_columns_with_clamp` checks at that shape."""
 
     @pytest.mark.parametrize("n", [12, 4, 6])
     def test_stacked_gemv_rows_equal_separate_products(self, n):
@@ -405,6 +532,6 @@ class TestStackedProducts:
             stack = scale * rng.standard_normal((n + 2, n))
             x = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6)
             top, bottom = stack[:n].copy(), stack[n:].copy()
-            rls_module.raw_dot(stack, x, out)
-            assert_bits_equal(out[:n], rls_module.raw_dot(top, x))
-            assert_bits_equal(out[n:], rls_module.raw_dot(bottom, x))
+            np.dot(stack, x, out)
+            assert_bits_equal(out[:n], np.dot(top, x))
+            assert_bits_equal(out[n:], np.dot(bottom, x))

@@ -490,8 +490,13 @@ class TestCalibrationArtifacts:
          "theta_star: expected a 2-D list of numbers, got [1.0, 2.0]"),
         ("theta_star", [[1.0, False]],
          "theta_star: expected a 2-D list of numbers, got False"),
+        # integers beyond the float range, which JSON allows
+        ("d_high", 10**400, "d_high: int too large to convert to float"),
+        ("theta_star", [[1.0, -10**400]],
+         "theta_star: int too large to convert to float"),
     ], ids=["d_high_bool", "d_low_string", "calibrated_at_inf",
-            "calibration_window_null", "theta_star_1d", "theta_star_bool"])
+            "calibration_window_null", "theta_star_1d", "theta_star_bool",
+            "d_high_huge_int", "theta_star_huge_int"])
     def test_json_value_names_its_key(self, default_cal, key, value,
                                       message):
         nominal, thresholds, _, config = default_cal
