@@ -3,9 +3,10 @@
 `_kernels.c` is compiled with the C compiler `CC` into a shared library in
 the `__pycache__` directory beside it, whose name carries the sha256 of the
 source, the compiler command with its flags and the BLAS path; a library
-under any other name is never loaded. The compiler writes under a
-temporary name, which is then moved into place, so processes that import
-into one empty cache at once each load a whole library.
+under any other name is never loaded, and a process that compiles a new
+one removes the other `_kernels.*.so` files there. The compiler writes
+under a temporary name, which is then moved into place, so processes that
+import into one empty cache at once each load a whole library.
 
 The kernels make their matrix-vector and dot products through the BLAS
 functions that `np.dot` calls: those of the scipy-openblas64 that numpy's
@@ -17,6 +18,7 @@ BLAS raises ImportError naming what was looked for.
 from __future__ import annotations
 
 import ctypes
+import glob
 import hashlib
 import os
 
@@ -84,6 +86,15 @@ def _load():
                         f"_kernels.{digest.hexdigest()}.so")
     if not os.path.exists(path):
         _compile(path)
+        # the libraries of other sources, compilers or BLAS builds; another
+        # process's compiler output, under its temporary name, is not one
+        for stale in glob.glob(os.path.join(os.path.dirname(path),
+                                            "_kernels.*.so")):
+            if stale != path:
+                try:
+                    os.remove(stale)
+                except FileNotFoundError:  # removed by another process
+                    pass
     try:
         lib = ctypes.CDLL(path)
     except OSError as exc:

@@ -19,7 +19,8 @@ factor back to seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,6 +48,10 @@ class CircuitParams:
     l3: float = 0.15  # p.u., line 2
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("r2", "r3"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

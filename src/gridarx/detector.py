@@ -42,20 +42,13 @@ class Verdict(str, Enum):
 VERDICTS = np.array(list(Verdict), dtype=object)
 VERDICT_CODE = {v: code for code, v in enumerate(Verdict)}
 
-# The codes `classify_series` writes.
+# The codes `classify_series` returns.
 NORMAL_CODE, FAULT_CODE, LOAD_CODE, UNCLASSIFIED_CODE = (
     VERDICT_CODE[v] for v in (Verdict.NORMAL, Verdict.FAULT,
                               Verdict.LOAD_INCREASE, Verdict.UNCLASSIFIED))
 
 # The verdicts a library signature may carry.
 SIGNATURE_LABELS = (Verdict.FAULT, Verdict.LOAD_INCREASE)
-
-
-def verdict_codes(verdicts) -> np.ndarray:
-    """Integer codes of a sequence of verdicts: VERDICTS[codes] gives them
-    back."""
-    return np.fromiter(map(VERDICT_CODE.__getitem__, verdicts), np.intp,
-                       len(verdicts))
 
 
 @dataclass(frozen=True)
@@ -282,8 +275,10 @@ def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
     gives its label, a best similarity below `match_floor` or an empty
     library gives the unclassified verdict. Otherwise normal.
 
-    Returns (d array, verdict list, similarity array); similarity is the
-    best match's, NaN outside the criterion-2 band or with an empty library.
+    Returns (d array, verdict code array, similarity array): each verdict
+    as its integer code (VERDICTS[codes] gives the members), and the best
+    match's similarity, NaN outside the criterion-2 band or with an empty
+    library.
     A snapshot whose distance is NaN has no verdict: it raises ValueError
     naming the first such snapshot. An infinite distance is a fault.
     """
@@ -336,7 +331,7 @@ def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
             ])
             codes[band_idx] = np.where(best_sim < match_floor,
                                        UNCLASSIFIED_CODE, sig_codes[best])
-    return d, VERDICTS[codes].tolist(), similarity
+    return d, codes, similarity
 
 
 def classify(
@@ -352,10 +347,10 @@ def classify(
     The matched label is set only for a criterion-2 match at or above
     `match_floor`; the similarity is None where the series gives NaN.
     """
-    d, verdicts, similarity = classify_series(
+    d, codes, similarity = classify_series(
         np.asarray(theta, float)[None], nominal, thresholds, library,
         match_floor)
-    verdict, sim = verdicts[0], float(similarity[0])
+    verdict, sim = VERDICTS[codes[0]], float(similarity[0])
     if np.isnan(sim):
         return DetectionEvent(verdict=verdict, d=float(d[0]), t=t)
     label = None if verdict is Verdict.UNCLASSIFIED else verdict

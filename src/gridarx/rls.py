@@ -69,6 +69,10 @@ class ArxConfig:
     p_max: float | None = None  # covariance ceiling; None = max(1e5, p0_scale)
 
     def __post_init__(self):
+        for name in ("forgetting", "p0_scale", "p_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.order < 1:
             raise ConfigError(f"order must be >= 1, got {self.order}")
         if self.input_dim < 1 or self.output_dim < 1:

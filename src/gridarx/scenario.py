@@ -27,18 +27,18 @@ disturbance's kind, value and end, the same disturbance t_start and the
 same ArxConfig (`_prefix_key`). Each call holds one dict of records
 (`_Prefix`), which `run_suite` passes to `run_scenario` as `prefixes`. The
 first such run records its start up to the last simulator block edge at
-or before the disturbance start: the simulator's samples before t_start,
-the estimator state at that edge and, in a suite, the (t, theta,
-calibrated) rows of each block before it and the byte length of each
-per-sample artifact at the edge. The record joins the dict once the
-stream has passed the block holding the disturbance start, so a stream
-stopped later (the library build stops each one after its window's end)
-leaves it whole. The others resume from the record and replay its blocks
-through the same loop as live ones; only the artifact rows of those blocks
-are copied from the recording run's files instead of written again. The
-outputs do not change: every artifact is bitwise that of the run on its
-own. The record lives only for the call that made it; a suite's record
-holds about 214 bytes per sample before t_start.
+or before the disturbance start: the estimator state at that edge and, in
+a suite, the (t, theta, calibrated) rows of each block before it and the
+byte length of each per-sample artifact at the edge. The edge is the one
+point where runs part: the record joins the dict once the last block
+before it has been identified, so a stream stopped or failed later (the
+library build stops each one after its window's end) leaves it whole. The
+others simulate their whole stream, replay the record's blocks through the
+same loop as live ones and identify from the edge on; only the artifact
+rows of those blocks are copied from the recording run's files instead of
+written again. The outputs do not change: every artifact is bitwise that
+of the run on its own. The record lives only for the call that made it; a
+suite's record holds about 201 bytes per sample before the edge.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from .signals import RbsConfig
 from .simulate import (
     DisturbanceSpec,
     SIMULATE_BLOCK,
-    SimPrefix,
     SimResult,
     disturbance_start,
     sample_count,
@@ -563,12 +562,13 @@ def _prefix_key(config: ScenarioConfig):
 class _Prefix:
     """The start of a run, which every run with the same `_prefix_key`
     shares bitwise: recorded by the first of them given a `prefixes` dict,
-    and resumed by the others given the same dict.
+    which it joins once the last block before `edge` has been identified,
+    and resumed by the others given the same dict. A resumed run still
+    simulates from sample 0; it identifies from `edge` on.
 
     `edge` is the last simulator block edge at or before the disturbance
-    start k_on, and `sim` the simulator's record of the samples before
-    k_on. Each update of a block before `edge` reads only samples before
-    k_on; `state` is the estimator's state after the last of them. A
+    start k_on. Each update of a block before `edge` reads only samples
+    before k_on; `state` is the estimator's state after the last of them. A
     record of `run_scenario` keeps in `blocks` the rows of each block before
     `edge`, which a resumed run replays; one of
     `build_library_from_scenarios` keeps none (None). `heads` is
@@ -581,7 +581,6 @@ class _Prefix:
 
     edge: int
     blocks: list | None
-    sim: SimPrefix | None = None
     state: IdentifierState | None = None
     heads: tuple | None = None
 
@@ -609,17 +608,17 @@ def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
     StageError tagged with the stage that failed.
 
     `prefixes` maps `_prefix_key` to the _Prefix records of earlier runs.
-    When it holds this run's key, `prefix` is that record: the simulation
-    resumes from its samples, the blocks before its edge pair their
+    When it holds this run's key, `prefix` is that record: the simulator
+    still runs from sample 0, the blocks before its edge pair their
     samples with the record's `_Rows` (and are skipped when it kept
     none), and identification starts at the edge from its state.
     Otherwise `prefix` is a new _Prefix of this run, which the stream
     fills in as it passes, keeping the rows of the blocks before its edge
     when `rows` is true, and adds to `prefixes` as soon as it is complete:
-    when the block holding k_on has been identified, before that block is
-    yielded. A consumer that stops the stream after that point, or a run
-    that fails after it, leaves a valid record. `prefix` is None when the
-    run has no disturbance inside it or no whole block before one.
+    when the last block before the edge has been identified, before that
+    block is yielded. A consumer that stops the stream after that point,
+    or a run that fails after it, leaves a valid record. `prefix` is None
+    when the run has no disturbance inside it or no whole block before one.
     """
     block = SIMULATE_BLOCK
     key = _prefix_key(config) if prefixes is not None else None
@@ -635,8 +634,7 @@ def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
         sim = simulate_blocks(
             config.circuit, config.disturbance, config.excitation,
             config.duration, config.ts, config.noise_std, config.noise_seed,
-            config.i_op, prefix=None if resumed is None else resumed.sim,
-            block=block,
+            config.i_op, block=block,
         )
     except Exception as exc:
         raise StageError("simulate", str(exc)) from exc
@@ -671,16 +669,14 @@ def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
                 raise StageError(
                     "identify", f"{exc} (block from update {first})") from exc
             state = run.final_state
-            if recording is not None:
-                if hi <= recording.edge:
+            if recording is not None and hi <= recording.edge:
+                if recording.blocks is not None:
+                    recording.blocks.append(
+                        _Rows(run.t, run.theta, run.calibrated))
+                if hi == recording.edge:
+                    # the record is complete, and stays valid whether or
+                    # not the stream goes on
                     recording.state = state
-                    if recording.blocks is not None:
-                        recording.blocks.append(
-                            _Rows(run.t, run.theta, run.calibrated))
-                if part.prefix is not None:
-                    # the block holding k_on: the record is complete, and
-                    # stays valid whether or not the stream goes on
-                    recording.sim = part.prefix
                     prefixes[key] = recording
             yield part, run
 
@@ -978,7 +974,7 @@ def run_scenario(
 
             t, thetas = run.t, run.theta
             try:
-                d, verdicts, _ = classify_series(
+                d, raw, _ = classify_series(
                     thetas, nominal, thresholds, library, config.match_floor
                 )
             except Exception as exc:
@@ -990,7 +986,7 @@ def run_scenario(
             # the grid. Keep the detector disarmed over that initial stretch.
             armed = run.calibrated.copy()
             armed[: max(0, config.calibration_window - lo)] = False
-            codes = np.where(armed, det.verdict_codes(verdicts), normal)
+            codes = np.where(armed, raw, normal)
             stable = np.array(debounce(codes.tolist(), config.hold, debounced),
                               dtype=np.intp)
             crossings = detection_times(t[armed], d[armed], t_start, t_end,
@@ -1121,11 +1117,11 @@ def build_library_from_scenarios(
     Of each run only the (t, theta) rows inside the disturbance window are
     kept, the only ones `build_library` reads, and its stream stops after
     the window (`_window_rows`). Runs that share a prefix (see
-    `_prefix_key`) simulate and identify it once; since the window starts
-    after it, its record holds only the simulator's samples and the
-    estimator's state, and the blocks before its edge are skipped. The
-    record is complete, and registered, once the stream has passed the
-    disturbance start, so a stream stopped later leaves it whole.
+    `_prefix_key`) identify it once; since the window starts after it, its
+    record holds only the estimator's state, and the blocks before its
+    edge are simulated but not identified. The record is complete, and
+    registered, once the last block before its edge has been identified,
+    so a stream stopped later leaves it whole.
     An empty list of scenarios, a scenario without a disturbance, with no
     update in the settled half of its window (the rows the signature
     averages), or of another model order than the calibration, raises

@@ -9,6 +9,7 @@ angle maps to (d, q) = (A, 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,10 @@ class RbsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("amplitude", "chip_rate"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.amplitude <= 0.0:
             raise ValueError(f"amplitude must be positive, got {self.amplitude}")
         if self.chip_rate <= 0.0:

@@ -13,6 +13,7 @@ bits for any block size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class DisturbanceSpec:
     def __post_init__(self):
         if self.kind not in ("fault", "load"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        for name in ("value_pu", "t_start", "t_end"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.value_pu <= 0:
             raise ValueError("disturbance impedance parameter must be > 0")
         if self.t_start < 0:
@@ -55,34 +60,14 @@ class DisturbanceSpec:
             )
 
 
-@dataclass(frozen=True)
-class SimPrefix:
-    """The noise-free start of a run, up to its disturbance start k_on: the
-    PCC voltage of samples [0, k_on) and the nominal-circuit state entering
-    sample k_on.
-
-    It depends on every `simulate` argument except the disturbance's kind,
-    value and end, so a run that differs from another only in those can
-    resume from the other's prefix.
-    """
-
-    v: np.ndarray  # (k_on, 2) PCC voltage before measurement noise
-    x: np.ndarray  # (nx,) state entering sample k_on
-
-
 @dataclass
 class SimResult:
-    """Measured PCC streams on a uniform time grid.
-
-    `prefix` is the run's SimPrefix when a disturbance starts inside it;
-    None otherwise and for streams not simulated here.
-    """
+    """Measured PCC streams on a uniform time grid."""
 
     t: np.ndarray  # (n,)
     v_dq: np.ndarray  # (n, 2) measured PCC voltage, p.u.
     i_dq: np.ndarray  # (n, 2) measured injected current, p.u.
     ts: float
-    prefix: SimPrefix | None = None
 
 
 def equilibrium(model: StateSpaceModel, u0, vg) -> np.ndarray:
@@ -192,7 +177,6 @@ def simulate_blocks(
     noise_seed: int = 1,
     i_op=(1.0, 0.0),
     vg=(1.0, 0.0),
-    prefix: SimPrefix | None = None,
     block: int = SIMULATE_BLOCK,
 ):
     """The run of `simulate`, as an iterator of SimResults over consecutive
@@ -203,15 +187,7 @@ def simulate_blocks(
     noise generators: one draws the voltage noise and the other, started
     from the same seed past the n x 2 voltage normals, the current noise,
     which is the order one call over the whole run draws them in. Every
-    value is bitwise that of `simulate`. The block holding the sample at
-    which the disturbance starts carries the run's SimPrefix; the others
-    carry None.
-
-    `prefix`, the SimPrefix of a run with the same arguments apart from
-    the disturbance's kind, value and end, skips the steps before the
-    disturbance: the run resumes from its state. The excitation and the
-    noise are still drawn for the whole run, so the blocks are bitwise
-    those of a run without it.
+    value is bitwise that of `simulate`.
 
     Arguments are checked at the call; a non-finite voltage raises
     IntegrationError from the block it appears in.
@@ -232,20 +208,13 @@ def simulate_blocks(
                      (k_on, k_off, full_circuit_model(
                          params, (disturbance.kind, disturbance.value_pu))),
                      (k_off, n, nominal)]
-    if prefix is not None and prefix.v.shape[0] != k_on:
-        where = "nowhere inside the run" if k_on is None else \
-            f"at sample {k_on}"
-        raise ValueError(
-            f"prefix of {prefix.v.shape[0]} samples does not end at the "
-            f"disturbance start, which is {where}"
-        )
-    return _simulate_blocks(params, segments, k_on, excitation, n, ts,
-                            noise_std, noise_seed, np.asarray(i_op, float),
-                            np.asarray(vg, float), prefix, block)
+    return _simulate_blocks(params, segments, excitation, n, ts, noise_std,
+                            noise_seed, np.asarray(i_op, float),
+                            np.asarray(vg, float), block)
 
 
-def _simulate_blocks(params, segments, k_on, excitation, n, ts, noise_std,
-                     noise_seed, i_op, vg, prefix, block):
+def _simulate_blocks(params, segments, excitation, n, ts, noise_std,
+                     noise_seed, i_op, vg, block):
     nominal = segments[0][2]
     excite = None if excitation is None else RbsStream(excitation, 1.0 / ts)
     if noise_std > 0:
@@ -253,15 +222,8 @@ def _simulate_blocks(params, segments, k_on, excitation, n, ts, noise_std,
         noise_i = np.random.Generator(np.random.Philox(noise_seed))
         for lo in range(0, 2 * n, 2 * block):
             noise_i.standard_normal(min(2 * block, 2 * n - lo))
-    prefix_v = None  # the pre-noise voltage before k_on, while recorded
-    if prefix is None:
-        x = equilibrium(nominal, i_op, vg)
-        seg = 0
-        if k_on is not None:
-            prefix_v = np.empty((k_on, 2))
-    else:
-        x = prefix.x
-        seg = 1
+    x = equilibrium(nominal, i_op, vg)
+    seg = 0
     prev_model = nominal
     k0, k1, model = segments[seg]
     entered = False  # FC, Gb and the vg forcing are those of `model`
@@ -271,13 +233,8 @@ def _simulate_blocks(params, segments, k_on, excitation, n, ts, noise_std,
                         else excite.take(hi - lo))
         v = np.empty((hi - lo, 2))
         k = lo
-        if prefix is not None and lo < k_on:
-            k = min(hi, k_on)
-            v[:k - lo] = prefix.v[lo:k]
         while k < hi:
             if k == k1:  # next segment
-                if seg == 0 and k_on is not None:
-                    prefix = SimPrefix(v=prefix_v, x=x.copy())
                 seg += 1
                 k0, k1, model = segments[seg]
                 entered = False
@@ -299,16 +256,13 @@ def _simulate_blocks(params, segments, k_on, excitation, n, ts, noise_std,
                 "non-finite voltage trajectory; check step size and "
                 "parameters"
             )
-        if prefix_v is not None and lo < k_on:
-            prefix_v[lo:min(hi, k_on)] = v[:min(hi, k_on) - lo]
         if noise_std > 0:
             v_meas = v + noise_std * noise_v.standard_normal((hi - lo, 2))
             i_meas = i_inj + noise_std * noise_i.standard_normal((hi - lo, 2))
         else:
             v_meas, i_meas = v, i_inj
         yield SimResult(t=np.arange(lo, hi) * ts, v_dq=v_meas, i_dq=i_meas,
-                        ts=ts, prefix=(prefix if k_on is not None
-                                       and lo <= k_on < hi else None))
+                        ts=ts)
 
 
 def simulate(
@@ -337,10 +291,8 @@ def simulate(
                              noise_std, noise_seed, i_op, vg)
     n = sample_count(duration, ts)
     t, v_dq, i_dq = np.empty(n), np.empty((n, 2)), np.empty((n, 2))
-    lo, done = 0, None
+    hi = 0
     for part in blocks:
-        hi = lo + part.t.size
+        lo, hi = hi, hi + part.t.size
         t[lo:hi], v_dq[lo:hi], i_dq[lo:hi] = part.t, part.v_dq, part.i_dq
-        done = done or part.prefix
-        lo = hi
-    return SimResult(t=t, v_dq=v_dq, i_dq=i_dq, ts=ts, prefix=done)
+    return SimResult(t=t, v_dq=v_dq, i_dq=i_dq, ts=ts)

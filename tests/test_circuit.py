@@ -48,6 +48,17 @@ class TestParams:
         with pytest.raises(ValueError):
             CircuitParams(l2=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("name", ["v_base", "s_base", "f_base", "r1",
+                                      "c1", "r2", "l2", "r3", "l3"])
+    def test_non_finite_field_named(self, name, value):
+        """Else nan passed, to fail later as a non-finite trajectory, and
+        an infinite f_base as an empty limit band."""
+        with pytest.raises(ValueError) as err:
+            CircuitParams(**{name: value})
+        assert str(err.value) == f"{name} must be finite, got {value!r}"
+
 
 class TestClosedFormPoles:
     def test_fault_degenerate_point(self, params):

@@ -13,6 +13,7 @@ from gridarx.detector import (
     Signature,
     SignatureLibrary,
     Thresholds,
+    VERDICTS,
     Verdict,
     build_library,
     calibrate_nominal,
@@ -410,15 +411,16 @@ class TestClassifySeries:
 
     def _check(self, thetas, lib, match_floor=0.8):
         """The series and the one-row call both agree with the oracle."""
-        d, verdicts, sims = classify_series(thetas, self.nom, self.thr, lib,
-                                            match_floor)
+        d, codes, sims = classify_series(thetas, self.nom, self.thr, lib,
+                                         match_floor)
+        assert codes.dtype == np.intp
         for k, theta in enumerate(thetas):
             want = oracle_classify(theta, self.nom, self.thr, lib,
                                    match_floor=match_floor)
             got = classify(theta, self.nom, self.thr, lib,
                            match_floor=match_floor)
             assert_same_event(got, want)
-            assert verdicts[k] is want.verdict
+            assert VERDICTS[codes[k]] is want.verdict
             assert d[k] == pytest.approx(want.d, rel=1e-14, abs=0.0)
             if want.matched_similarity is None:
                 assert np.isnan(sims[k])
@@ -451,8 +453,9 @@ class TestClassifySeries:
         thetas = (mix[:, 0, None, None] * a + mix[:, 1, None, None] * b
                   + mix[:, 2, None, None] * rng.standard_normal((n,) + SHAPE))
         thetas *= (scale / np.linalg.norm(thetas, axis=(1, 2)))[:, None, None]
-        d, verdicts, sims = classify_series(thetas, self.nom, self.thr, lib)
+        d, codes, sims = classify_series(thetas, self.nom, self.thr, lib)
         want = [oracle_classify(th, self.nom, self.thr, lib) for th in thetas]
+        verdicts = VERDICTS[codes].tolist()
         assert verdicts == [w.verdict for w in want]
         assert d == pytest.approx([w.d for w in want], rel=1e-14, abs=0.0)
         band = np.array([w.matched_similarity is not None for w in want])
@@ -481,9 +484,10 @@ class TestClassifySeries:
             [1.0, 0.1]
         self._check(thetas, lib)
         self._check(thetas, SignatureLibrary(order=ORDER))
-        _, verdicts, _ = classify_series(thetas, self.nom, self.thr, lib)
-        assert verdicts == [Verdict.LOAD_INCREASE, Verdict.NORMAL,
-                            Verdict.NORMAL, Verdict.UNCLASSIFIED]
+        _, codes, _ = classify_series(thetas, self.nom, self.thr, lib)
+        assert VERDICTS[codes].tolist() == [
+            Verdict.LOAD_INCREASE, Verdict.NORMAL, Verdict.NORMAL,
+            Verdict.UNCLASSIFIED]
 
     def test_two_signature_tie_goes_to_the_first(self):
         e0 = np.zeros(SHAPE)
@@ -525,9 +529,9 @@ class TestClassifySeries:
     def test_empty_library_band(self):
         theta = np.zeros(SHAPE)
         theta[0, 0] = 0.5
-        _, verdicts, sims = classify_series(theta[None], self.nom, self.thr,
-                                            SignatureLibrary(order=ORDER))
-        assert verdicts[0] is Verdict.UNCLASSIFIED
+        _, codes, sims = classify_series(theta[None], self.nom, self.thr,
+                                         SignatureLibrary(order=ORDER))
+        assert VERDICTS[codes[0]] is Verdict.UNCLASSIFIED
         assert np.isnan(sims[0])
 
 
@@ -555,10 +559,11 @@ class TestClassifyNonFinite:
         thetas = np.zeros((3,) + SHAPE)
         thetas[1, 0, 3] = np.inf
         thetas[2, 1, 0] = -np.inf
-        d, verdicts, sims = classify_series(thetas, self.nom, self.thr,
-                                            self.lib)
+        d, codes, sims = classify_series(thetas, self.nom, self.thr,
+                                         self.lib)
         assert d.tolist() == [0.0, np.inf, np.inf]
-        assert verdicts == [Verdict.NORMAL, Verdict.FAULT, Verdict.FAULT]
+        assert VERDICTS[codes].tolist() == [Verdict.NORMAL, Verdict.FAULT,
+                                            Verdict.FAULT]
         assert np.isnan(sims).all()
 
     def test_single_snapshot_call_raises(self):
@@ -575,7 +580,7 @@ class TestClassifyMemory:
         """`distances` bounds its temporaries to DISTANCE_CHUNK snapshots;
         from 1 to 4 chunks of snapshots outside the band, the tracemalloc
         peak may grow only by the per-row outputs (d, similarity, codes,
-        masks and the verdict list: under 64 B a row). Their deviations
+        masks and the verdict codes: under 64 B a row). Their deviations
         taken whole (192 B a row, twice) would exceed it. In-band rows are
         left out: their deviations are gathered whole on purpose, so that
         their similarities come from one BLAS call."""
@@ -589,11 +594,11 @@ class TestClassifyMemory:
             thetas = np.full((chunks * DISTANCE_CHUNK,) + SHAPE, level)
             tracemalloc.start()
             try:
-                _, verdicts, _ = classify_series(thetas, nom, thr, lib)
+                _, codes, _ = classify_series(thetas, nom, thr, lib)
                 peaks[chunks] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            del verdicts
+            del codes
         assert peaks[4] - peaks[1] <= 3 * DISTANCE_CHUNK * 64, peaks
 
 

@@ -75,6 +75,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ArxConfig(p0_scale=1e6, p_max=1e4)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("name", ["forgetting", "p0_scale", "p_max"])
+    def test_non_finite_field_named(self, name, value):
+        """Else a nan p_max was accepted silently, and a nan p0_scale
+        failed in the first update as a non-finite covariance."""
+        with pytest.raises(ConfigError) as err:
+            ArxConfig(**{name: value})
+        assert str(err.value) == f"{name} must be finite, got {value!r}"
+
     def test_regressor_len_and_burn_in(self):
         cfg = ArxConfig(order=3, input_dim=2, output_dim=2)
         assert cfg.regressor_len == 12

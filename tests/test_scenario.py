@@ -22,7 +22,6 @@ from gridarx.detector import (
     build_library,
     calibrate_thresholds,
     distances,
-    verdict_codes,
 )
 from gridarx.pipeline import identify
 from gridarx.rls import ArxConfig
@@ -1264,6 +1263,38 @@ class TestSharedPrefix:
         _, paths, _, counts, _ = shared_suite
         assert counts == expected_counts(paths, SHARE_BLOCK)
 
+    @pytest.mark.parametrize("block", [SHARE_BLOCK, OFF_EDGE_BLOCK])
+    def test_record_outlives_a_failure_in_the_block_holding_the_start(
+            self, default_cal, tmp_path, block):
+        """A fault of 1e306 p.u. overflows the disturbed model, so the first
+        run fails in the simulator block that holds its disturbance start.
+        Its record joined at the block edge before that block: the second
+        run resumes from it and writes the bytes of a lone run."""
+        nominal, thresholds, _, _ = default_cal
+        paths = [share_ini(tmp_path, "in/huge.ini",
+                           ("r_fault_pu = 0.2077", "r_fault_pu = 1e306")),
+                 share_ini(tmp_path, "in/base.ini")]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            reports, counts = counting_suite(paths, nominal, thresholds,
+                                             random_library(),
+                                             str(tmp_path / "suite"),
+                                             block=block)
+        assert reports["huge"] is None
+        assert not (tmp_path / "suite" / "huge").exists()
+        config = load_scenario(paths[1])
+        shared = shared_updates(config, block)
+        assert counts == [("huge", shared),
+                          ("base", updates_of(config) - shared)]
+        library = random_library()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            error = lone_run(paths[0], nominal, thresholds, library,
+                             str(tmp_path / "lone" / "huge"))
+        assert error.startswith("[simulate] non-finite voltage trajectory")
+        assert lone_run(paths[1], nominal, thresholds, library,
+                        str(tmp_path / "lone" / "base")) is None
+        assert_same_artifacts(str(tmp_path / "suite" / "base"),
+                              str(tmp_path / "lone" / "base"))
+
     # 7 puts the last block edge before the disturbance start one sample
     # before it, 2500 on it, with one block before it
     @pytest.mark.parametrize("sim_block", [OFF_EDGE_BLOCK, 2500])
@@ -1537,14 +1568,14 @@ class TestVerdictTimeline:
         rng = np.random.default_rng(m)
         t = np.arange(m) * 2e-4
         members = list(Verdict)
-        verdicts = [members[k]
-                    for k in rng.choice(4, m, p=[0.7, 0.1, 0.1, 0.1])]
+        codes = rng.choice(4, m, p=[0.7, 0.1, 0.1, 0.1])
+        verdicts = [members[k] for k in codes]
         want, prev = [], None
         for tk, v in zip(t, verdicts):  # the per-snapshot reference loop
             if v != prev:
                 want.append((float(tk), v.value))
                 prev = v
-        assert _transitions(t, verdict_codes(verdicts)) == want
+        assert _transitions(t, codes) == want
 
 
 class TestRunSuite:

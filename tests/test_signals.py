@@ -167,6 +167,14 @@ class TestRbs:
         with pytest.raises(ValueError):
             RbsConfig(chip_rate=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("name", ["amplitude", "chip_rate"])
+    def test_non_finite_field_named(self, name, value):
+        with pytest.raises(ValueError) as err:
+            RbsConfig(**{name: value})
+        assert str(err.value) == f"{name} must be finite, got {value!r}"
+
     def test_zero_length(self):
         assert rbs_generate(RbsConfig(), 0).shape == (0, 2)
 

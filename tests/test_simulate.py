@@ -66,6 +66,17 @@ class TestDisturbanceSpec:
         with pytest.raises(ValueError):
             DisturbanceSpec("breaker", 1.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("name", ["value_pu", "t_start", "t_end"])
+    def test_non_finite_field_named(self, name, value):
+        """Else a nan value ran as a non-finite trajectory, and an infinite
+        t_end failed converting to a sample index."""
+        args = dict(kind="fault", value_pu=0.3, t_start=1.0, t_end=2.0)
+        with pytest.raises(ValueError) as err:
+            DisturbanceSpec(**{**args, name: value})
+        assert str(err.value) == f"{name} must be finite, got {value!r}"
+
     def test_unit_conversions(self, params):
         d = DisturbanceSpec("fault", params.ohms_to_pu(600.0), 1.0, 2.0)
         assert d.value_pu == pytest.approx(600.0 / params.z_base)
@@ -259,64 +270,12 @@ class TestStepLoopExactness:
         assert np.array_equal(sim.v_dq.view(np.uint64), want.view(np.uint64))
 
 
-class TestResumeFromPrefix:
-    """A run resumed from another run's prefix is bitwise the run simulated
-    from its equilibrium."""
-
-    exc = RbsConfig(seed=4)
-    first = DisturbanceSpec("fault", 0.3, 0.05, 0.12)
-
-    @pytest.mark.parametrize("dist", [
-        DisturbanceSpec("load", 0.35, 0.05, 0.12),  # another kind
-        DisturbanceSpec("fault", 0.9, 0.05, 0.3),  # value; ends after the run
-        DisturbanceSpec("fault", 0.3, 0.05, 0.05 + 0.4 * 2e-4),  # empty
-    ])
-    @pytest.mark.parametrize("noise_std", [0.0, 1e-4])
-    def test_bitwise_equal_to_a_fresh_run(self, params, dist, noise_std):
-        args = (self.exc, 0.2, 2e-4, noise_std, 3)
-        prefix = simulate(params, self.first, *args).prefix
-        _, v, i, marked = joined(simulate_blocks(params, dist, *args,
-                                                 prefix=prefix))
-        want = simulate(params, dist, *args)
-        for a, b in ((v, want.v_dq), (i, want.i_dq)):
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        assert len(marked) == 1 and marked[0] is prefix
-        assert np.array_equal(want.prefix.v, prefix.v)
-        assert np.array_equal(want.prefix.x, prefix.x)
-
-    def test_prefix_is_the_noiseless_start(self, params):
-        sim = simulate(params, self.first, self.exc, 0.2, noise_std=0.0)
-        k_on = int(round(self.first.t_start / sim.ts))
-        assert sim.prefix.v.shape == (k_on, 2)
-        assert np.array_equal(sim.prefix.v, sim.v_dq[:k_on])
-        assert not np.shares_memory(sim.prefix.v, sim.v_dq)
-        noisy = simulate(params, self.first, self.exc, 0.2)
-        assert np.array_equal(noisy.prefix.v, sim.prefix.v)
-
-    @pytest.mark.parametrize("dist", [
-        None, DisturbanceSpec("fault", 0.3, 0.3, 0.4)])  # starts after end
-    def test_no_prefix_without_a_disturbance_inside(self, params, dist):
-        assert simulate(params, dist, self.exc, 0.2).prefix is None
-
-    @pytest.mark.parametrize("dist, where", [
-        (DisturbanceSpec("fault", 0.3, 0.06, 0.12), "at sample 300"),
-        (None, "nowhere inside the run"),
-    ])
-    def test_prefix_of_another_start_rejected(self, params, dist, where):
-        prefix = simulate(params, self.first, self.exc, 0.2).prefix
-        with pytest.raises(ValueError, match=f"prefix of 250 samples .*"
-                                             f"{where}"):
-            simulate_blocks(params, dist, self.exc, 0.2, prefix=prefix)
-
-
 def joined(blocks):
-    """The blocks of `simulate_blocks` as (t, v_dq, i_dq, [SimPrefix of
-    each block that carries one])."""
+    """The blocks of `simulate_blocks` as (t, v_dq, i_dq)."""
     blocks = list(blocks)
     return (np.concatenate([b.t for b in blocks]),
             np.concatenate([b.v_dq for b in blocks]),
-            np.concatenate([b.i_dq for b in blocks]),
-            [b.prefix for b in blocks if b.prefix is not None])
+            np.concatenate([b.i_dq for b in blocks]))
 
 
 def bits(a):
@@ -338,39 +297,16 @@ class TestBlockSimulator:
     @pytest.mark.parametrize("block", [1, 2, 50, 250, 251, 349, 1000, 8192])
     @pytest.mark.parametrize("noise_std", [0.0, 1e-4])
     def test_blocks_join_into_one_call(self, params, block, noise_std):
-        t, v, i, prefixes = joined(simulate_blocks(
+        t, v, i = joined(simulate_blocks(
             params, self.dist, self.exc, 0.2, 2e-4, noise_std, 3,
             block=block))
         want = simulate(params, self.dist, self.exc, 0.2, 2e-4, noise_std, 3)
         assert np.array_equal(t, want.t)
         assert np.array_equal(bits(v), bits(want.v_dq))
         assert np.array_equal(bits(i), bits(want.i_dq))
-        assert len(prefixes) == 1
-        assert np.array_equal(prefixes[0].v, want.prefix.v)
-        assert np.array_equal(prefixes[0].x, want.prefix.x)
         if noise_std == 0.0:  # against the whole-segment fresh-array loop
             assert np.array_equal(bits(v), bits(oracle_voltage(
                 params, self.dist, self.exc, 0.2)))
-
-    @pytest.mark.parametrize("block", [1, 250, 251, 1000])
-    def test_prefix_on_the_block_holding_the_start(self, params, block):
-        blocks = list(simulate_blocks(params, self.dist, self.exc, 0.2,
-                                      block=block))
-        k_on = 250
-        marked = [b.t.size and round(b.t[0] / 2e-4) for b in blocks
-                  if b.prefix is not None]
-        assert marked == [k_on // block * block]
-
-    @pytest.mark.parametrize("block", [1, 7, 250, 999])
-    def test_resumed_blocks_join_into_one_call(self, params, block):
-        prefix = simulate(params, self.dist, self.exc, 0.2).prefix
-        other = DisturbanceSpec("load", 0.35, 0.05, 0.2)
-        _, v, i, marked = joined(simulate_blocks(
-            params, other, self.exc, 0.2, prefix=prefix, block=block))
-        want = simulate(params, other, self.exc, 0.2)
-        assert np.array_equal(bits(v), bits(want.v_dq))
-        assert np.array_equal(bits(i), bits(want.i_dq))
-        assert len(marked) == 1 and marked[0] is prefix
 
     @pytest.mark.parametrize("dist", [
         DisturbanceSpec("fault", 0.3, 0.05, 0.12),
@@ -391,8 +327,8 @@ class TestBlockSimulator:
             return forcing(i_inj, Gb, vg_forcing, segment_rows)
 
         monkeypatch.setattr(simulate_module, "_forcing", recorded)
-        _, v, _, _ = joined(simulate_blocks(params, dist, self.exc, 0.2,
-                                            noise_std=0.0, block=block))
+        _, v, _ = joined(simulate_blocks(params, dist, self.exc, 0.2,
+                                         noise_std=0.0, block=block))
         assert any(rows == 1 and seg > 1 for rows, seg in calls)
         assert np.array_equal(bits(v), bits(oracle_voltage(
             params, dist, self.exc, 0.2)))
