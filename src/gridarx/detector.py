@@ -410,36 +410,51 @@ def debounce(verdicts, hold: int = DEFAULT_HOLD,
 
     The reported verdict changes only after the raw verdict has held its new
     value for `hold` consecutive samples. Verdicts may be any values that
-    compare with ==, such as Verdict members or their integer codes.
+    compare with ==, such as Verdict members or their integer codes. An
+    array gives an array of its dtype; anything else gives a list.
 
     A stream given in consecutive blocks passes one `state` to every call:
     each call starts where it stands and leaves it where the block ends, so
     the blocks' outputs join into the output of one call on their join.
+
+    Computed on whole runs of equal verdicts: a run switches the report to
+    its value at its `hold`-th sample, counted from where its streak began
+    (for the first run, in the block before when it continues the state's
+    candidate; at once for a stream's first verdict), and each sample
+    reports the last run to switch at or before it.
     """
     if hold < 1:
         raise ValueError(f"hold must be >= 1, got {hold}")
     if state is None:
         state = DebounceState()
-    out = []
-    current, candidate, streak = state.current, state.candidate, state.streak
-    for v in verdicts:
-        if current is None:
-            current = v
-        if v == current:
-            candidate, streak = None, 0
-        elif v == candidate:
-            streak += 1
-            if streak >= hold:
-                current = v
-                candidate, streak = None, 0
-        else:
-            candidate, streak = v, 1
-            if hold == 1:
-                current = v
-                candidate, streak = None, 0
-        out.append(current)
-    state.current, state.candidate, state.streak = current, candidate, streak
-    return out
+    is_array = isinstance(verdicts, np.ndarray)
+    values = verdicts if is_array else np.array(verdicts, dtype=object)
+    n = values.shape[0]
+    if n == 0:
+        return values if is_array else []
+    starts = np.flatnonzero(np.concatenate(([True],
+                                            values[1:] != values[:-1])))
+    ends = np.append(starts[1:], n)
+    began = starts.copy()  # where each run's streak began
+    if state.current is None:
+        began[0] = 1 - hold  # the first verdict is reported at once
+    elif state.candidate is not None and values[0] == state.candidate:
+        began[0] = -state.streak
+    switch = began + hold - 1
+    switches = switch < ends
+    # the index of the verdict each sample reports, -1 for the state's
+    source = np.full(n, -1, dtype=np.intp)
+    source[switch[switches]] = starts[switches]
+    np.maximum.accumulate(source, out=source)
+    out = values[source]
+    if source[0] < 0:
+        out[source < 0] = state.current
+    state.current = out[-1]
+    if values[-1] == state.current:
+        state.candidate, state.streak = None, 0
+    else:
+        state.candidate, state.streak = values[-1], int(n - began[-1])
+    return out if is_array else out.tolist()
 
 
 def build_library(scenario_runs, nominal: NominalPredictor,

@@ -11,15 +11,16 @@ Each block is identified as it arrives, with the stream's last
 `order + 1` samples prepended, and then classified; the simulator and the
 estimator each carry their state from block to block, which gives bitwise
 the run of one call over the whole stream. Each block's rows go to the
-artifact files as they arrive, written by the run's own process: the
-samples as the float64 bytes of `samples.npy`, the distances and the
-predictors as `%.17g` text. The detector carries its debounce, first
-crossings and transitions, and the baseline its one-cycle average, across
-blocks. Of the predictor trajectory a run keeps only the
-settle-window rows whose mean gives the final verdict, so its memory
-depends on the block size and the disturbance window, not on its length;
-a run without a disturbance averages, and so keeps, the second half of the
-run.
+artifact files as they arrive, written by the run's own process as the
+float64 bytes of three `.npy` files, whose headers the config fixes up
+front: the samples (`samples.npy`), the distances (`distance.npy`) and
+every THETA_STRIDE-th predictor (`theta.npy`); no value is formatted as
+text. The detector carries its debounce, first crossings and
+transitions, and the baseline its one-cycle average, across blocks. Of
+the predictor trajectory a run keeps only the settle-window rows whose
+mean gives the final verdict, so its memory depends on the block size
+and the disturbance window, not on its length; a run without a
+disturbance averages, and so keeps, the second half of the run.
 
 Runs of one `run_suite` or `build_library_from_scenarios` call share their
 start when they have the same simulate arguments apart from the
@@ -78,6 +79,7 @@ from .simulate import (
     DisturbanceSpec,
     SIMULATE_BLOCK,
     SimResult,
+    disturbance_inside,
     disturbance_start,
     sample_count,
     simulate_blocks,
@@ -90,7 +92,8 @@ FLOAT_FMT = "%.17g"
 
 DEFAULT_CAL_WINDOW = 5000  # snapshots averaged into theta*
 
-# theta.csv holds the predictor after every THETA_STRIDE-th update.
+# theta.npy (and write_theta_csv) holds the predictor after every
+# THETA_STRIDE-th update.
 THETA_STRIDE = 50
 
 
@@ -493,7 +496,7 @@ def _theta_header(rows: int, cols: int) -> str:
 
 
 def _theta_rows(t, thetas, first: int, stride: int) -> np.ndarray:
-    """theta.csv rows of the predictors `thetas` at times t, the first of
+    """theta.npy rows of the predictors `thetas` at times t, the first of
     them after update `first`: those after every `stride`-th update."""
     sel = slice(-first % stride, None, stride)
     thetas = np.asarray(thetas)[sel]
@@ -550,12 +553,11 @@ def _prefix_key(config: ScenarioConfig):
     the identify updates that read only those: every `simulate` argument
     except the disturbance's kind, value and end, and the ArxConfig. None
     when no disturbance starts inside the run."""
-    dist = config.disturbance
-    if dist is None or dist.t_start >= config.duration:
+    if not disturbance_inside(config.disturbance, config.duration):
         return None
     return (config.circuit, config.excitation, config.duration, config.ts,
             config.noise_std, config.noise_seed, tuple(config.i_op),
-            dist.t_start, config.identifier)
+            config.disturbance.t_start, config.identifier)
 
 
 @dataclass
@@ -882,16 +884,22 @@ def run_scenario(
 
     The run streams: each block of SIMULATE_BLOCK samples is simulated,
     identified and classified in turn, and the outputs are those of one
-    whole-run pass. When `out_dir` is given, the run writes the samples as
-    `samples.npy` (float64 columns t, v_d, v_q, i_d, i_q), the distances
-    and predictors as `distance.csv` and `theta.csv`, an events JSON-lines
-    stream and a JSON report, each as its rows arrive and under a
-    temporary name until the run has succeeded. A write that fails raises
-    its own exception, with its type and message; as with any failure,
-    nothing of the run is left in `out_dir`. Thresholds pinned in the
-    scenario config take precedence over the calibration-supplied ones. A
-    calibration or library of another model order than the run's is
-    rejected with ValueError before anything is simulated.
+    whole-run pass. When `out_dir` is given, the run writes three
+    little-endian float64 `.npy` files, each header first from the shapes
+    the config fixes and then each block's rows as their bytes:
+    `samples.npy` (samples, 5), columns t, v_d, v_q, i_d, i_q;
+    `distance.npy` (updates, 2), columns t, d, with updates = samples -
+    order - 1; and `theta.npy` (ceil(updates / THETA_STRIDE), 1 + 8 *
+    order), columns t and the predictor's rows flattened (theta_d_1, ...,
+    theta_q_1, ...), after every THETA_STRIDE-th update from the first.
+    It also writes an events JSON-lines stream and a JSON report. Each
+    file is written as its rows arrive and under a temporary name until
+    the run has succeeded. A write that fails raises its own exception,
+    with its type and message; as with any failure, nothing of the run
+    is left in `out_dir`. Thresholds pinned in the scenario config take
+    precedence over the calibration-supplied ones. A calibration or
+    library of another model order than the run's is rejected with
+    ValueError before anything is simulated.
 
     `prefixes` maps `_prefix_key` to the `_Prefix` records of earlier runs
     given the same dict, all of them with this run's nominal predictor and
@@ -908,21 +916,22 @@ def run_scenario(
     order = config.identifier.order
     library = library or SignatureLibrary(order=order)
     warnings = []
+    inside = disturbance_inside(config.disturbance, config.duration)
     if config.disturbance is not None:
         t_start, t_end = config.disturbance.t_start, config.disturbance.t_end
+        if not inside:
+            warnings.append(
+                "disturbance window starts at or after the run end; "
+                "detection delays are reported as never"
+            )
     else:
         t_start, t_end = config.duration, config.duration
-    if t_start >= config.duration:
-        warnings.append(
-            "disturbance window starts at or after the run end; "
-            "detection delays are reported as never"
-        )
     # Final classification from the quasi-steady estimate: the mean theta
     # over the settled half of the disturbance window (or the run tail when
     # there is no disturbance), classified once. Averaging suppresses the
     # sample-to-sample estimator jitter that makes per-sample verdicts
     # flicker near the thresholds.
-    if config.disturbance is not None and t_start < config.duration:
+    if inside:
         settle_from, settle_to = (t_start + t_end) / 2.0, t_end
     else:
         settle_from, settle_to = config.duration / 2.0, np.inf
@@ -953,15 +962,17 @@ def run_scenario(
         heads = None if prefix is None else prefix.heads
         sizes = None  # each writer's file size at the edge
         if files is not None:
+            updates = _updates_before(config, math.inf)
             writers = {}
-            for name, make, header in (
-                    ("samples.npy", _NpyWriter,
-                     (sample_count(config.duration, config.ts), 5)),
-                    ("distance.csv", _CsvWriter, DISTANCE_HEADER),
-                    ("theta.csv", _CsvWriter, _theta_header(2, 4 * order))):
+            for name, shape in (
+                    ("samples.npy", (sample_count(config.duration, config.ts),
+                                     5)),
+                    ("distance.npy", (updates, 2)),
+                    ("theta.npy", (-(-updates // THETA_STRIDE),
+                                   1 + 8 * order))):
                 head = (None if heads is None
                         else (os.path.join(heads[0], name), heads[1][name]))
-                writers[name] = make(files.open(name), header, head)
+                writers[name] = _NpyWriter(files.open(name), shape, head)
             events = files.open("events.jsonl")
 
         lo = hi = 0  # run index of the block's first update; samples passed
@@ -987,8 +998,7 @@ def run_scenario(
             armed = run.calibrated.copy()
             armed[: max(0, config.calibration_window - lo)] = False
             codes = np.where(armed, raw, normal)
-            stable = np.array(debounce(codes.tolist(), config.hold, debounced),
-                              dtype=np.intp)
+            stable = debounce(codes, config.hold, debounced)
             crossings = detection_times(t[armed], d[armed], t_start, t_end,
                                         thresholds, crossings)
             # debounced delays: first stable fault verdict / first stable

@@ -120,11 +120,18 @@ def sample_count(duration: float, ts: float) -> int:
     return int(round(duration / ts)) + 1
 
 
+def disturbance_inside(disturbance: DisturbanceSpec | None,
+                       duration: float) -> bool:
+    """Whether a disturbance starts inside a run of `duration` seconds: it
+    exists and its t_start comes before the run's end."""
+    return disturbance is not None and disturbance.t_start < duration
+
+
 def disturbance_start(disturbance: DisturbanceSpec | None, duration: float,
                       ts: float) -> int | None:
     """Sample index k_on at which the disturbance connects; None when it
     does not start inside the run."""
-    if disturbance is None or disturbance.t_start >= duration:
+    if not disturbance_inside(disturbance, duration):
         return None
     return int(round(disturbance.t_start / ts))
 

@@ -2,8 +2,9 @@
 
 None of these is on a run's path: each recomputes a result of the package
 by another route (a batch least-squares solve for the recursion, a fixed
-predictor's residual for the identification, `np.loadtxt` for the written
-`theta.csv`), so they live with the tests that use them.
+predictor's residual for the identification, `np.loadtxt` for a written
+`theta.csv`, a per-verdict loop for the debounce), so they live with the
+tests that use them.
 """
 
 import numpy as np
@@ -74,3 +75,28 @@ def read_theta_csv(path: str, rows: int = 2):
     t = data[:, 0]
     cols = (data.shape[1] - 1) // rows
     return t, data[:, 1:].reshape(-1, rows, cols)
+
+
+def debounce_loop(verdicts, hold: int, state):
+    """`detector.debounce` as a loop over the verdicts, one at a time: the
+    list of reported verdicts, with `state` (a DebounceState) carried."""
+    out = []
+    current, candidate, streak = state.current, state.candidate, state.streak
+    for v in verdicts:
+        if current is None:
+            current = v
+        if v == current:
+            candidate, streak = None, 0
+        elif v == candidate:
+            streak += 1
+            if streak >= hold:
+                current = v
+                candidate, streak = None, 0
+        else:
+            candidate, streak = v, 1
+            if hold == 1:
+                current = v
+                candidate, streak = None, 0
+        out.append(current)
+    state.current, state.candidate, state.streak = current, candidate, streak
+    return out

@@ -131,7 +131,7 @@ class TestRun:
             doc = json.load(fh)
         assert doc["name"] == "fault"
         assert doc["dt1_high"] is not None
-        for fname in ("samples.npy", "distance.csv", "theta.csv"):
+        for fname in ("samples.npy", "distance.npy", "theta.npy"):
             assert os.path.exists(os.path.join(out, fname))
 
     @pytest.mark.parametrize("command", ["run", "build-library"])
@@ -163,7 +163,7 @@ class TestRun:
         def disk_full(writer, data):
             raise OSError("disk full")
 
-        monkeypatch.setattr("gridarx.scenario._CsvWriter.write", disk_full)
+        monkeypatch.setattr("gridarx.scenario._NpyWriter.write", disk_full)
         out = tmp_path / "out"
         rc = main(["run", "--config", workspace["fault.ini"],
                    "--calibration", workspace["calibration.json"],
@@ -386,3 +386,36 @@ def test_installed_script_entry_point():
     )
     assert proc.returncode == 0
     assert '"fault"' in proc.stdout
+
+
+# Loads numpy's scipy-openblas64 before gridarx is imported and sets it to
+# two threads; then runs the code in argv[1] and prints the thread count.
+BLAS_THREADS_PROBE = """\
+import ctypes, glob, os, sys
+import numpy
+(path,) = glob.glob(os.path.join(os.path.dirname(os.path.dirname(
+    numpy.__file__)), "numpy.libs", "libscipy_openblas64_*"))
+blas = ctypes.CDLL(path)
+blas.scipy_openblas_set_num_threads64_(2)
+exec(sys.argv[1])
+print(blas.scipy_openblas_get_num_threads64_())
+"""
+
+
+class TestBlasThreads:
+    """The CLI runs numpy's BLAS on one thread; importing gridarx leaves
+    numpy's thread count as it was."""
+
+    def threads_after(self, code):
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE,
+                               code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout.split()[-1])
+
+    def test_import_keeps_the_thread_count(self):
+        assert self.threads_after(
+            "import gridarx, gridarx.cli, gridarx._kernels") == 2
+
+    def test_cli_sets_one_thread(self):
+        assert self.threads_after(
+            "from gridarx.cli import main; main(['poles'])") == 1

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridarx.detector import (
     DISTANCE_CHUNK,
@@ -25,6 +27,8 @@ from gridarx.detector import (
     distances,
     json_numbers,
 )
+
+from oracles import debounce_loop
 
 ORDER = 3
 SHAPE = (2, 4 * ORDER)
@@ -711,6 +715,26 @@ class TestDebounce:
             for a, b in zip(cuts, cuts[1:]):
                 got += debounce(codes[a:b], hold, state)
             assert got == want, cuts
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 7)),
+                         max_size=60),
+           cuts=st.lists(st.integers(0, 420), max_size=8),
+           hold=st.integers(1, 5))
+    def test_blocks_equal_the_loop(self, runs, cuts, hold):
+        """A code stream of random runs, split into random blocks (empty
+        ones too): each block's output and the state it leaves are the
+        per-verdict loop's, and the output keeps the codes' dtype."""
+        codes = np.array([v for v, length in runs for _ in range(length)],
+                         dtype=np.intp)
+        edges = sorted(min(c, codes.size) for c in cuts)
+        state, want_state = DebounceState(), DebounceState()
+        for a, b in zip([0] + edges, edges + [codes.size]):
+            got = debounce(codes[a:b], hold, state)
+            want = debounce_loop(codes[a:b].tolist(), hold, want_state)
+            assert got.dtype == codes.dtype
+            assert got.tolist() == want
+            assert state == want_state
 
 
 class TestBuildLibrary:

@@ -629,17 +629,50 @@ class TestRunScenario:
                               out_dir=out)
         assert report.dt1_high is not None
 
-        for fname in ("samples.npy", "distance.csv", "theta.csv",
-                      "events.jsonl", "report.json"):
+        for fname in RUN_ARTIFACTS:
             assert os.path.exists(os.path.join(out, fname))
 
-        t_th, thetas = read_theta_csv(os.path.join(out, "theta.csv"))
-        d_disk = np.loadtxt(os.path.join(out, "distance.csv"),
-                            delimiter=",", skiprows=1)
+        theta = np.load(os.path.join(out, "theta.npy"), allow_pickle=False)
+        order = short_fault_config.identifier.order
+        t_th, thetas = theta[:, 0], theta[:, 1:].reshape(-1, 2, 4 * order)
+        d_disk = np.load(os.path.join(out, "distance.npy"),
+                         allow_pickle=False)
         d_at = dict(zip(d_disk[:, 0], d_disk[:, 1]))
         recomputed = np.linalg.norm(thetas - nominal.theta_star, axis=(1, 2))
         for tk, dk in zip(t_th, recomputed):
             assert abs(d_at[tk] - dk) < 1e-12
+
+    def test_npy_artifacts_hold_the_whole_run_bits(
+            self, default_cal, short_fault_config, tmp_path):
+        """distance.npy and theta.npy load without pickle, under the
+        shapes their headers give, as t with the distances of one
+        whole-run identify and as t with its every THETA_STRIDE-th
+        predictor, bit for bit (compared as uint64)."""
+        nominal, thresholds, _, _ = default_cal
+        cfg = short_fault_config
+        run_scenario(cfg, nominal, thresholds, out_dir=str(tmp_path))
+        sim = simulate(cfg.circuit, cfg.disturbance, cfg.excitation,
+                       cfg.duration, cfg.ts, cfg.noise_std, cfg.noise_seed,
+                       cfg.i_op)
+        run = identify(sim, cfg.identifier)
+        stride = scenario_module.THETA_STRIDE
+        order = cfg.identifier.order
+        updates = sample_count(cfg.duration, cfg.ts) - order - 1
+        assert run.t.size == updates
+        want = {
+            "distance.npy": np.column_stack(
+                [run.t, distances(run.theta, nominal.theta_star)]),
+            "theta.npy": np.column_stack(
+                [run.t[::stride], run.theta[::stride].reshape(-1, 8 * order)]),
+        }
+        assert want["theta.npy"].shape == (-(-updates // stride),
+                                           1 + 8 * order)
+        for name, rows in want.items():
+            got = np.load(tmp_path / name, allow_pickle=False)
+            assert got.dtype == np.dtype("<f8"), name
+            assert got.shape == rows.shape, name
+            assert np.array_equal(got.view(np.uint64),
+                                  rows.view(np.uint64)), name
 
     def test_reruns_byte_identical(self, default_cal, short_fault_config,
                                    tmp_path):
@@ -648,8 +681,7 @@ class TestRunScenario:
         out_b = str(tmp_path / "b")
         run_scenario(short_fault_config, nominal, thresholds, out_dir=out_a)
         run_scenario(short_fault_config, nominal, thresholds, out_dir=out_b)
-        for fname in ("samples.npy", "distance.csv", "theta.csv",
-                      "events.jsonl", "report.json"):
+        for fname in RUN_ARTIFACTS:
             assert filecmp.cmp(os.path.join(out_a, fname),
                                os.path.join(out_b, fname), shallow=False), \
                 fname
@@ -669,6 +701,8 @@ class TestRunScenario:
         assert report.final_verdict is Verdict.NORMAL
         assert report.dt1_high is None
         assert not report.baseline_detected
+        # no disturbance is not one that starts after the run
+        assert report.warnings == []
 
     def test_disturbance_after_run_end_warns(self, default_cal):
         nominal, thresholds, _, _ = default_cal
@@ -680,6 +714,32 @@ class TestRunScenario:
         report = run_scenario(cfg, nominal, thresholds)
         assert report.warnings
         assert report.dt1_high is None
+
+    @pytest.mark.parametrize("t_start", [2.9998, 3.0])
+    def test_run_end_is_where_a_disturbance_stops_starting_inside(
+            self, default_cal, t_start):
+        """A disturbance that starts one step before the run's end starts
+        inside the run; one that starts at the run's end does not. The
+        simulator, the shared prefix and the report agree on which, and
+        only the second warns that it starts at or after the run end."""
+        nominal, thresholds, _, _ = default_cal
+        cfg = ScenarioConfig(name="edge", duration=3.0,
+                             disturbance=DisturbanceSpec(
+                                 "fault", 0.2077, t_start, t_start + 1.0))
+        inside = t_start < cfg.duration
+        k_on = disturbance_start(cfg.disturbance, cfg.duration, cfg.ts)
+        assert (k_on is not None) is inside
+        assert (scenario_module._prefix_key(cfg) is not None) is inside
+        report = run_scenario(cfg, nominal, thresholds)
+        if inside:
+            # the settled half of the window lies after the run
+            assert report.warnings == [
+                "no armed update falls in the settle window [3.4998, "
+                "3.9998) s; the final verdict is normal by default"]
+        else:
+            assert report.warnings == [
+                "disturbance window starts at or after the run end; "
+                "detection delays are reported as never"]
 
     def test_settle_window_after_run_end_warns(self, default_cal, tmp_path):
         """The fault starts inside the run, but the settled half of its
@@ -718,12 +778,12 @@ class TestRunScenario:
 # sizes, 3 is shorter than those 4 samples and puts an edge on the switch
 # off; 4 puts edges on both switches, on both settle-window edges and on
 # the arming update, and leaves a 1-sample final block; 999 = -1 mod 50
-# puts them on most offsets from the theta.csv rows; 8001 puts one on the
+# puts them on most offsets from the theta.npy rows; 8001 puts one on the
 # switch off and 24004 on the switch on; the last is one block for the
 # whole run, the reference.
 SETTLE_UPDATES = 4000
 BLOCK_SIZES = [3, 4, 999, 8001, 24004, 10**6]
-RUN_ARTIFACTS = ("samples.npy", "distance.csv", "theta.csv", "events.jsonl",
+RUN_ARTIFACTS = ("samples.npy", "distance.npy", "theta.npy", "events.jsonl",
                  "report.json")
 
 
@@ -765,8 +825,8 @@ class TestBlockSize:
     def test_block_edges_land_where_intended(self, block_edge_config,
                                              block_runs):
         run_dir, _ = block_runs[BLOCK_SIZES[-1]]
-        t = np.loadtxt(os.path.join(run_dir, "distance.csv"),
-                       delimiter=",", skiprows=1)[:, 0]
+        t = np.load(os.path.join(run_dir, "distance.npy"),
+                    allow_pickle=False)[:, 0]
         cfg = block_edge_config
         dist = cfg.disturbance
         settle = ((dist.t_start + dist.t_end) / 2.0, dist.t_end)
@@ -792,8 +852,8 @@ class TestBlockSize:
         assert BLOCK_SIZES[2] % stride == stride - 1
         assert n % BLOCK_SIZES[1] == 1
 
-    @pytest.mark.parametrize("name", ["report.json", "distance.csv",
-                                      "theta.csv", "events.jsonl",
+    @pytest.mark.parametrize("name", ["report.json", "distance.npy",
+                                      "theta.npy", "events.jsonl",
                                       "samples.npy"])
     def test_run_artifacts_equal_across_block_sizes(self, block_runs, name):
         whole = os.path.join(block_runs[BLOCK_SIZES[-1]][0], name)
@@ -893,7 +953,7 @@ class TestFailedRun:
 
     def test_writer_error_raised_with_its_type_and_message(
             self, default_cal, short_fault_config, tmp_path, monkeypatch):
-        """The CSV writer's exception reaches the caller as it was raised;
+        """The `.npy` writer's exception reaches the caller as it was raised;
         the run leaves no artifact or temporary file, and an earlier run's
         artifacts stay whole."""
         nominal, thresholds, _, _ = default_cal
@@ -905,7 +965,7 @@ class TestFailedRun:
         def disk_full(writer, data):
             raise OSError("disk full")
 
-        monkeypatch.setattr(_CsvWriter, "write", disk_full)
+        monkeypatch.setattr(_NpyWriter, "write", disk_full)
         monkeypatch.setattr(scenario_module, "SIMULATE_BLOCK", 2000)
         for where in (out, tmp_path / "fresh"):
             with pytest.raises(OSError) as err:
@@ -1338,23 +1398,20 @@ class TestSharedPrefix:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scenario_module, "SIMULATE_BLOCK", SHARE_BLOCK)
-            for writer in (_CsvWriter, _NpyWriter):
-                mp.setattr(writer, "write", counted(writer.write))
+            mp.setattr(_NpyWriter, "write", counted(_NpyWriter.write))
             run_suite(paths, nominal, thresholds, random_library(),
                       out_dir=str(tmp_path / "suite"))
         config = load_scenario(paths[0])
         edge = 4 * SHARE_BLOCK
         shared = shared_updates(config, SHARE_BLOCK)
         stride = scenario_module.THETA_STRIDE
-        head_rows = {"samples.npy": edge, "distance.csv": shared,
-                     "theta.csv": -(-shared // stride)}
+        head_rows = {"samples.npy": edge, "distance.npy": shared,
+                     "theta.npy": -(-shared // stride)}
         for name, head in head_rows.items():
             rows = {}
             for run in ("base", "value"):
                 path = tmp_path / "suite" / run / name
-                rows[run] = (np.load(path, allow_pickle=False).shape[0]
-                             if name.endswith(".npy")
-                             else len(path.read_bytes().splitlines()) - 1)
+                rows[run] = np.load(path, allow_pickle=False).shape[0]
             assert rows["base"] == rows["value"] > head > 0
             assert given["base", name] == rows["base"]
             assert given["value", name] == rows["value"] - head, name
