@@ -1,18 +1,26 @@
-"""The C step loops of `rls.rls_run` and `simulate._step`, compiled at import.
+"""The per-sample loops of gridarx, a C extension module compiled at import.
 
-`_kernels.c` is compiled with the C compiler `CC` into a shared library in
-the `__pycache__` directory beside it, whose name carries the sha256 of the
-source, the compiler command with its flags and the BLAS path; a library
-under any other name is never loaded, and a process that compiles a new
-one removes the other `_kernels.*.so` files there. The compiler writes
-under a temporary name, which is then moved into place, so processes that
-import into one empty cache at once each load a whole library.
+`_kernels.c` holds the step loops of `rls.rls_run` and `simulate._step`,
+the regressor fill of `pipeline.identify` and the distance and verdict
+passes of `detector.distances` and `detector.classify_series`. It is
+compiled with the C compiler `CC` against the headers of the running
+Python (`INCLUDE`) into an extension module in the `__pycache__`
+directory beside it, whose name carries the sha256 of the source, the
+compiler command with its flags and include directory, the BLAS path and
+the interpreter's `EXT_SUFFIX`; a module under any other name is never
+loaded, and a process that compiles a new one removes the other
+`_kernels.*.so` files there. The compiler writes under a temporary name,
+which is then moved into place, so processes that import into one empty
+cache at once each load a whole module.
 
-The kernels make their matrix-vector and dot products through the BLAS
-functions that `np.dot` calls: those of the scipy-openblas64 that numpy's
-wheels bundle in `numpy.libs`. So they give the bits of the numpy loops
-they replace. A missing compiler, a failed compile or a numpy without that
-BLAS raises ImportError naming what was looked for.
+Its entry points take the ndarrays themselves and check each one's shape,
+dtype, C-contiguity and writability through the buffer protocol, raising
+ValueError for an array that does not fit. Their products go through the
+BLAS functions that `np.dot` calls: those of the scipy-openblas64 that
+numpy's wheels bundle in `numpy.libs`, bound once here. So they give the
+bits of the numpy forms they replace. A missing compiler or Python header,
+a failed compile or a numpy without that BLAS raises ImportError naming
+what was looked for.
 """
 
 from __future__ import annotations
@@ -20,21 +28,26 @@ from __future__ import annotations
 import ctypes
 import glob
 import hashlib
+import importlib.machinery
 import os
+import sysconfig
 
 import numpy as np
 
 CC = "cc"
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+INCLUDE = sysconfig.get_paths()["include"]
+EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "_kernels.c")
+COMMAND = (CC, *CFLAGS, f"-I{INCLUDE}")
 BLAS_DIR = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                         "numpy.libs")
 BLAS_PREFIX = "libscipy_openblas64_"
 DGEMV, DDOT = "scipy_cblas_dgemv64_", "scipy_cblas_ddot64_"
-
-# gridarx_rls_rows' return values, as in _kernels.c
-RLS_DONE, RLS_CHECK_SPECTRUM, RLS_REJECTED = 0, 1, 2
+# the extension's module name; its last part names the init function,
+# PyInit__kernels_ext in _kernels.c
+MODULE = "gridarx._kernels_ext"
 
 
 def _numpy_blas() -> str:
@@ -51,16 +64,20 @@ def _numpy_blas() -> str:
 
 
 def _compile(path: str) -> None:
-    """Compile SOURCE into the library `path`."""
+    """Compile SOURCE into the extension module `path`."""
     import subprocess
     import tempfile
 
+    if not os.path.isfile(os.path.join(INCLUDE, "Python.h")):
+        raise ImportError(
+            f"no Python.h in {INCLUDE}: gridarx compiles {SOURCE} against "
+            "the headers of the running Python (a python3-dev package)")
     tmp = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
         os.close(fd)
-        done = subprocess.run([CC, *CFLAGS, "-o", tmp, SOURCE],
+        done = subprocess.run([*COMMAND, "-o", tmp, SOURCE],
                               capture_output=True, text=True)
         if done.returncode == 0:
             os.replace(tmp, path)
@@ -71,23 +88,25 @@ def _compile(path: str) -> None:
         if tmp is not None and os.path.exists(tmp):
             os.remove(tmp)
     if done.returncode != 0:
-        raise ImportError(f"{CC} {' '.join(CFLAGS)} failed on {SOURCE}:\n"
+        raise ImportError(f"{' '.join(COMMAND)} failed on {SOURCE}:\n"
                           f"{done.stderr}")
 
 
 def _load():
-    """(library, dgemv address, ddot address, BLAS path)."""
+    """(extension module, dgemv address, ddot address, BLAS path)."""
     blas_path = _numpy_blas()
     with open(SOURCE, "rb") as fh:
         source = fh.read()
     digest = hashlib.sha256(b"\0".join(
-        [source, " ".join((CC, *CFLAGS)).encode(), blas_path.encode()]))
+        [source, " ".join(COMMAND).encode(), blas_path.encode(),
+         EXT_SUFFIX.encode()]))
     path = os.path.join(os.path.dirname(SOURCE), "__pycache__",
-                        f"_kernels.{digest.hexdigest()}.so")
+                        f"_kernels.{digest.hexdigest()}{EXT_SUFFIX}")
     if not os.path.exists(path):
         _compile(path)
-        # the libraries of other sources, compilers or BLAS builds; another
-        # process's compiler output, under its temporary name, is not one
+        # the modules of other sources, compilers, Pythons or BLAS builds;
+        # another process's compiler output, under its temporary name, is
+        # not one
         for stale in glob.glob(os.path.join(os.path.dirname(path),
                                             "_kernels.*.so")):
             if stale != path:
@@ -95,9 +114,12 @@ def _load():
                     os.remove(stale)
                 except FileNotFoundError:  # removed by another process
                     pass
+    loader = importlib.machinery.ExtensionFileLoader(MODULE, path)
+    spec = importlib.machinery.ModuleSpec(MODULE, loader, origin=path)
     try:
-        lib = ctypes.CDLL(path)
-    except OSError as exc:
+        module = loader.create_module(spec)
+        loader.exec_module(module)
+    except ImportError as exc:
         raise ImportError(
             f"cannot load {path}, compiled from {SOURCE}: {exc}") from None
     try:
@@ -106,53 +128,22 @@ def _load():
     except (OSError, AttributeError) as exc:
         raise ImportError(
             f"no {DGEMV} and {DDOT} in {blas_path}: {exc}") from None
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.gridarx_rls_rows.argtypes = (
-        [ptr, ptr, i64, i64, i64] + [ptr] * 5 + [f64, f64, i64, i64, f64]
-        + [ptr] * 3)
-    lib.gridarx_rls_rows.restype = ctypes.c_int
-    lib.gridarx_sim_rows.argtypes = [ptr, i64, i64, i64] + [ptr] * 5
-    lib.gridarx_sim_rows.restype = None
-    address = ctypes.cast(dgemv, ptr).value, ctypes.cast(ddot, ptr).value
-    return lib, *address, blas_path
+    address = [ctypes.cast(f, ctypes.c_void_p).value for f in (dgemv, ddot)]
+    module.bind_blas(*address)
+    return module, *address, blas_path
 
 
-LIBRARY, DGEMV_ADDRESS, DDOT_ADDRESS, BLAS_PATH = _load()
+EXTENSION, DGEMV_ADDRESS, DDOT_ADDRESS, BLAS_PATH = _load()
 
-
-def _pointer(a: np.ndarray, shape: tuple, dtype=np.float64) -> int:
-    """Address of `a`'s data, once `a` is checked to be a C-contiguous
-    array of `shape` and `dtype`."""
-    if a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous:
-        raise ValueError(
-            f"kernel argument of shape {a.shape}, dtype {a.dtype}: expected "
-            f"a C-contiguous {np.dtype(dtype)} array of shape {shape}")
-    return a.ctypes.data
-
-
-def rls_rows(Y, Phi, stack, theta_traj, innovation, lam, min_denom, count0,
-             interval, ceiling_sq, row, denom) -> int:
-    """Run `gridarx_rls_rows` from row `row[0]` of the block (see
-    _kernels.c); `row` (one int64) and `denom` (one float64) are its
-    outputs."""
-    m, r = Y.shape
-    n = Phi.shape[1]
-    work = np.empty(2 * n + r)
-    return LIBRARY.gridarx_rls_rows(
-        DGEMV_ADDRESS, DDOT_ADDRESS, m, n, r, _pointer(Y, (m, r)),
-        _pointer(Phi, (m, n)), _pointer(stack, (n + r, n)),
-        _pointer(theta_traj, (m, r, n)), _pointer(innovation, (m, r)),
-        lam, min_denom, count0, interval, ceiling_sq,
-        _pointer(work, (2 * n + r,)),
-        _pointer(row, (1,), np.int64), _pointer(denom, (1,)))
-
-
-def sim_rows(FC, x, drive, v) -> None:
-    """Step state `x` over the rows of `drive` (see _kernels.c)."""
-    m, nv = v.shape
-    nx = x.shape[0]
-    work = np.empty(nx + nv)
-    LIBRARY.gridarx_sim_rows(
-        DGEMV_ADDRESS, m, nx, nv, _pointer(FC, (nx + nv, nx)),
-        _pointer(x, (nx,)), _pointer(drive, (m, nx)), _pointer(v, (m, nv)),
-        _pointer(work, (nx + nv,)))
+# the entry points (see their docstrings) and the RLS status codes
+rls_rows = EXTENSION.rls_rows
+identify_rows = EXTENSION.identify_rows
+sim_rows = EXTENSION.sim_rows
+distance_rows = EXTENSION.distance_rows
+match_rows = EXTENSION.match_rows
+RLS_DONE = EXTENSION.RLS_DONE
+RLS_CHECK_SPECTRUM = EXTENSION.RLS_CHECK_SPECTRUM
+RLS_REJECTED = EXTENSION.RLS_REJECTED
+RLS_NONFINITE_INPUT = EXTENSION.RLS_NONFINITE_INPUT
+RLS_NONFINITE_P = EXTENSION.RLS_NONFINITE_P
+RLS_ASYMMETRIC_P = EXTENSION.RLS_ASYMMETRIC_P

@@ -165,6 +165,10 @@ def _blocks_to_matrix(blocks, n_states: int, n_cols: int) -> np.ndarray:
     return M
 
 
+# What a disturbance value of each kind is, in the errors below.
+_VALUE_NAMES = {"fault": "fault resistance", "load": "load inductance"}
+
+
 def full_circuit_model(
     params: CircuitParams, disturbance=None
 ) -> StateSpaceModel:
@@ -178,7 +182,24 @@ def full_circuit_model(
     at the midpoint the two lines carry one series current; with a
     disturbance branch the midpoint voltage becomes algebraic in the states
     and both line currents are kept.
+
+    Values so large or small that a matrix entry overflows (a finite fault
+    resistance of 1e306 p.u. does) raise ValueError naming the disturbance
+    value, or the circuit parameters without one.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = _circuit_model(params, disturbance)
+    if not all(np.isfinite(m).all()
+               for m in (model.A, model.B, model.C, model.E)):
+        what = ("the circuit parameters" if disturbance is None else
+                f"{_VALUE_NAMES[disturbance[0]]} {disturbance[1]!r} p.u.")
+        raise ValueError(f"{what}: the circuit model overflows, a matrix "
+                         "entry is not finite")
+    return model
+
+
+def _circuit_model(params: CircuitParams, disturbance) -> StateSpaceModel:
+    """`full_circuit_model` before its finiteness check."""
     wb = params.omega_base
     r1, c1 = params.r1, params.c1
     r2, l2 = params.r2, params.l2

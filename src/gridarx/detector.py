@@ -5,16 +5,25 @@ predictor captured during fault-free operation. A large distance trips the
 fault verdict outright; a moderate distance triggers comparison of the
 per-component predictor deviation against a library of recorded fault and
 load-increase patterns.
+
+The distances and the verdicts are computed in C (`_kernels.c`), in the
+order of the numpy expressions they replace, so that they keep those
+bits: `classify_series` takes a chunk of snapshots in three steps (the
+deviations and distances, numpy's einsum against the signature matrix,
+then the band test, similarity, best match and verdict codes). The
+signature matrix is built once per library content
+(`SignatureLibrary.arrays`).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from . import _kernels
 
 DEFAULT_MATCH_FLOOR = 0.8
 # The multiples of the worst fault-free distance that are the auto
@@ -122,6 +131,37 @@ class Signature:
 class SignatureLibrary:
     order: int
     signatures: list = field(default_factory=list)
+    # (signatures, matrix, norms, codes) of the last `arrays` call
+    _arrays: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
+
+    def arrays(self):
+        """(matrix, norms, codes) of the signatures: row s of `matrix` is
+        signature s's delta_theta flattened, norms[s] its Frobenius norm
+        and codes[s] its label's verdict code; (None, None, None) for an
+        empty library.
+
+        Built once per content: kept until `signatures` holds other
+        Signature objects than at the last call (one appended, removed or
+        replaced). A Signature is frozen, and its delta_theta is not to be
+        written in place.
+        """
+        signatures = tuple(self.signatures)
+        cached = self._arrays
+        if (cached is None or len(cached[0]) != len(signatures)
+                or any(a is not b for a, b in zip(cached[0], signatures))):
+            if signatures:
+                matrix = np.array([s.delta_theta for s in signatures],
+                                  float).reshape(len(signatures), -1)
+                cached = (signatures, matrix,
+                          np.sqrt(np.add.reduce(matrix * matrix, 1)),
+                          np.array([FAULT_CODE if s.label is Verdict.FAULT
+                                    else LOAD_CODE for s in signatures],
+                                   np.intp))
+            else:
+                cached = (signatures, None, None, None)
+            self._arrays = cached
+        return cached[1:]
 
     def to_json(self) -> str:
         doc = {
@@ -215,40 +255,40 @@ def calibrate_nominal(t, thetas, window: int) -> NominalPredictor:
     )
 
 
-# Snapshots per chunk in `distances`: bounds its temporaries to a chunk.
+# Snapshots per chunk in `classify_series`: bounds its deviation buffer to
+# a chunk.
 DISTANCE_CHUNK = 4096
+
+
+def _snapshots(thetas, theta_star):
+    """`thetas` and `theta_star` as float64 arrays, once the snapshots'
+    shape (m, rows, cols) is checked against the reference's (rows, cols)."""
+    thetas = np.asarray(thetas, float)
+    theta_star = np.ascontiguousarray(theta_star, float)
+    if thetas.shape[1:] != theta_star.shape:
+        raise ValueError(
+            f"snapshot shape {thetas.shape[1:]} does not match the reference "
+            f"predictor shape {theta_star.shape}"
+        )
+    return thetas, theta_star
 
 
 def distances(thetas, theta_star) -> np.ndarray:
     """Frobenius distance of each predictor snapshot in `thetas` (m, rows,
     cols) to the reference `theta_star` (rows, cols).
 
-    Computed DISTANCE_CHUNK snapshots at a time; each distance depends on
-    its own row only, so the result is bitwise that of one whole-array
-    norm. Each distance is sqrt(add.reduce(dev * dev)) over the snapshot's
-    deviation, flattened: np.linalg.norm(axis=(1, 2)) makes the same
-    reduction over the same contiguous values, behind Python-level axis
-    handling.
+    Each distance is sqrt(add.reduce(dev * dev)) over the snapshot's
+    deviation dev, flattened, summed in numpy's order
+    (`_kernels.distance_rows`), so it has the bits of
+    np.linalg.norm(thetas - theta_star, axis=(1, 2)), which makes the same
+    reduction over the same contiguous values.
     """
-    thetas = np.asarray(thetas, float)
-    theta_star = np.asarray(theta_star, float)
-    if thetas.shape[1:] != theta_star.shape:
-        raise ValueError(
-            f"snapshot shape {thetas.shape[1:]} does not match the reference "
-            f"predictor shape {theta_star.shape}"
-        )
-    m = thetas.shape[0]
-    d = np.empty(m)
-    # one deviation buffer serves every chunk
-    chunk = np.empty((min(m, DISTANCE_CHUNK), theta_star.size))
-    for lo in range(0, m, DISTANCE_CHUNK):
-        rows = thetas[lo:lo + DISTANCE_CHUNK]
-        out = d[lo:lo + DISTANCE_CHUNK]
-        dev = chunk[:out.size]
-        np.subtract(rows, theta_star, dev.reshape(rows.shape))
-        np.multiply(dev, dev, dev)
-        np.add.reduce(dev, 1, None, out)
-        np.sqrt(out, out)
+    thetas, theta_star = _snapshots(thetas, theta_star)
+    d = np.empty(thetas.shape[0])
+    star = theta_star.reshape(-1)
+    _kernels.distance_rows(
+        np.ascontiguousarray(thetas).reshape(d.size, star.size), star, None,
+        d)
     return d
 
 
@@ -281,56 +321,49 @@ def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
     library.
     A snapshot whose distance is NaN has no verdict: it raises ValueError
     naming the first such snapshot. An infinite distance is a fault.
+
+    Each DISTANCE_CHUNK snapshots take three steps: a C pass for the
+    deviations and d (`_kernels.distance_rows`), numpy's einsum of the
+    deviations against the signature matrix, and a C pass for the band
+    test, the similarity, the first best match (np.argmax's) and the
+    verdict codes (`_kernels.match_rows`). Each gives the bits of the
+    numpy form it replaces, whatever the rows around a snapshot.
     """
     if nominal is None:
         raise ValueError("nominal predictor is not calibrated")
-    thetas = np.asarray(thetas, float)
-    d = distances(thetas, nominal.theta_star)
-    # d >= 0, so the sum is NaN exactly when some d is: one reduction
-    # checks them all. An infinite d is a fault like any d > d_high.
-    if math.isnan(np.add.reduce(d)):
-        k = int(np.argmax(np.isnan(d)))
-        raise ValueError(
-            f"snapshot {k} holds a NaN: its distance to the nominal "
-            "predictor is NaN"
-        )
-    high = d > thresholds.d_high
-    codes = np.where(high, FAULT_CODE, NORMAL_CODE)
-    similarity = np.empty(d.size)
-    similarity.fill(np.nan)
-    # d_low < d_high, so d > d_high implies d > d_low and the xor leaves
-    # d_low < d <= d_high
-    band_idx = ((d > thresholds.d_low) ^ high).nonzero()[0]
-    if band_idx.size:
-        signatures = library.signatures
-        if not signatures:
-            codes[band_idx] = UNCLASSIFIED_CODE
-        else:
-            # the band's deviations in one array. Their products with the
-            # signatures come from einsum's own loop, which gives each row
-            # the bits of that row alone: a BLAS gemv (one signature) or a
-            # 1-row product can change a row's last bit with the row count,
-            # and so with the block size
-            flat = thetas[band_idx]  # fancy indexing copies: subtract in place
-            flat -= nominal.theta_star
-            flat = flat.reshape(band_idx.size, -1)
-            sig_mat = np.array([s.delta_theta for s in signatures]).reshape(
-                len(signatures), -1)
-            sig_norm = np.sqrt(np.add.reduce(sig_mat * sig_mat, 1))
-            # the norm of a band deviation is bitwise its d, the same
-            # reduction over the same values
-            denom = d[band_idx, None] * sig_norm
-            sims = np.divide(np.einsum("ij,kj->ik", flat, sig_mat), denom,
-                             out=np.zeros(denom.shape), where=denom > 0)
-            best = sims.argmax(axis=1)
-            best_sim = sims[np.arange(band_idx.size), best]
-            similarity[band_idx] = best_sim
-            sig_codes = np.array([
-                FAULT_CODE if s.label is Verdict.FAULT else LOAD_CODE
-                for s in signatures
-            ])
-            codes[band_idx] = np.where(best_sim < match_floor,
-                                       UNCLASSIFIED_CODE, sig_codes[best])
+    thetas, theta_star = _snapshots(thetas, nominal.theta_star)
+    star = theta_star.reshape(-1)
+    matrix, norms, sig_codes = library.arrays()
+    m = thetas.shape[0]
+    d = np.empty(m)
+    codes = np.empty(m, np.intp)
+    similarity = np.empty(m)
+    # one deviation buffer serves every chunk
+    dev = np.empty((min(m, DISTANCE_CHUNK), star.size))
+    for lo in range(0, m, DISTANCE_CHUNK):
+        hi = min(m, lo + DISTANCE_CHUNK)
+        rows = dev[:hi - lo]
+        # d and the deviations: an infinite d is a fault like any
+        # d > d_high, a NaN d has no verdict
+        nan = _kernels.distance_rows(
+            np.ascontiguousarray(thetas[lo:hi]).reshape(rows.shape), star,
+            rows, d[lo:hi])
+        if nan >= 0:
+            raise ValueError(
+                f"snapshot {lo + nan} holds a NaN: its distance to the "
+                "nominal predictor is NaN"
+            )
+        # The products with the signatures come from einsum's own loop,
+        # which gives each row the bits of that row alone: a BLAS gemv
+        # (one signature) or a 1-row product can change a row's last bit
+        # with the row count, and so with the block size. The norm of a
+        # band deviation is bitwise its d, the same reduction over the
+        # same values, so the similarity's divisor is d * norm.
+        raw = None if matrix is None else np.einsum("ij,kj->ik", rows,
+                                                    matrix)
+        _kernels.match_rows(d[lo:hi], raw, norms, sig_codes,
+                            thresholds.d_low, thresholds.d_high, match_floor,
+                            codes[lo:hi], similarity[lo:hi])
     return d, codes, similarity
 
 

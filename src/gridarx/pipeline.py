@@ -2,11 +2,14 @@
 trajectory and deviation distance out.
 
 Glue between the simulator (or recorded CSV data), the recursive estimator,
-and the detector. `identify` builds the lagged regressors of a block and
-hands the whole block to the one RLS kernel, `rls.rls_run`, which validates
-it once and then steps through it. A run split into blocks, with the final
-state carried from one block to the next, gives the same trajectory bitwise
-as one whole run; the per-sample semantics are those of `rls.rls_update`.
+and the detector. `identify` makes one kernel call per block
+(`_kernels.identify_rows`, through `rls.run_block`): it fills the block's
+outputs and lagged regressors from the first differences of the streams,
+checks the block as `rls.rls_run` does and steps the RLS recursion over
+it; only a spectral check of the covariance returns to Python mid-block.
+A run split into blocks, with the final state carried from one block to
+the next, gives the same trajectory bitwise as one whole run; the
+per-sample semantics are those of `rls.rls_update`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rls import ArxConfig, IdentifierState, init_identifier, rls_run
+from .rls import ArxConfig, IdentifierState, init_identifier, run_block
 # Not called here: kept as a module attribute so that tools which wrap
 # `gridarx.pipeline.rls_update` by name still resolve it.
 from .rls import rls_update  # noqa: F401
@@ -41,49 +44,34 @@ class IdentRun:
     final_state: IdentifierState
 
 
-def build_lagged_regressors(dv: np.ndarray, di: np.ndarray, order: int):
-    """Regressor matrix from difference streams.
-
-    dv, di: (n_d, 2) arrays of consecutive differences. Row m holds
-    [dv(k-1)..dv(k-order), di(k-1)..di(k-order)] for k = order + m, i.e. the
-    regressor paired with output dv(k). Returns (phi matrix, y matrix).
-    """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    n_d = dv.shape[0]
-    if n_d <= order:
-        return np.zeros((0, 4 * order)), np.zeros((0, 2))
-    m = n_d - order
-    cols = []
-    for lag in range(1, order + 1):
-        cols.append(dv[order - lag : order - lag + m])
-    for lag in range(1, order + 1):
-        cols.append(di[order - lag : order - lag + m])
-    phi = np.concatenate(cols, axis=1)
-    y = dv[order:]
-    return phi, y
-
-
 def identify(sim: SimResult, config: ArxConfig,
              state: IdentifierState | None = None) -> IdentRun:
-    """Run the recursive estimator over a simulated (or replayed) stream."""
-    v = np.asarray(sim.v_dq, float)
-    i = np.asarray(sim.i_dq, float)
-    # np.diff(x, axis=0), without its Python-level axis handling
-    dv = v[1:] - v[:-1]
-    di = i[1:] - i[:-1]
+    """Run the recursive estimator over a simulated (or replayed) stream.
+
+    Update k pairs the output difference dv(order + k), where dv(j) =
+    v[j + 1] - v[j], with the regressor [dv(order + k - 1), ...,
+    dv(k), di(order + k - 1), ..., di(k)] of the `order` differences
+    before it, newest first. One kernel call fills `y` and `phi` with
+    them and steps the block (`rls.run_block`).
+    """
+    v = np.ascontiguousarray(sim.v_dq, float)
+    i = np.ascontiguousarray(sim.i_dq, float)
+    if v.ndim != 2 or i.ndim != 2 or i.shape[0] != v.shape[0]:
+        raise ValueError(f"v_dq {v.shape} and i_dq {i.shape} are not two "
+                         "streams of equally many samples")
     order = config.order
-    phi_all, y_all = build_lagged_regressors(dv, di, order)
-    m = phi_all.shape[0]
     # difference k sits at dv[k-1]; the first regressor-complete output is
     # difference index order+1, i.e. sample index order+1 of the raw stream
     first = order + 1
+    m = max(0, v.shape[0] - first)
+    y = np.empty((m, v.shape[1]))
+    phi = np.empty((m, order * (v.shape[1] + i.shape[1])))
     index = np.arange(first, first + m)
     t = sim.t[first:first + m]
 
     if state is None:
         state = init_identifier(config)
-    theta_traj, innovation, final_state = rls_run(state, y_all, phi_all)
+    theta_traj, innovation, final_state = run_block(state, y, phi, (v, i))
     # update k, at sample index[k] = first + k, brings the sample count to
     # state.sample_count + k + 1, which is calibrated from burn_in on
     calibrated = index >= first + state.config.burn_in - state.sample_count - 1
@@ -92,8 +80,8 @@ def identify(sim: SimResult, config: ArxConfig,
         t=t,
         index=index,
         theta=theta_traj,
-        y=y_all,
-        phi=phi_all,
+        y=y,
+        phi=phi,
         innovation=innovation,
         calibrated=calibrated,
         final_state=final_state,

@@ -5,10 +5,11 @@ consuming one (output, regressor) pair per step. Both output rows regress on
 the same regressor with the same forgetting factor, so the Kalman gain and
 covariance are shared and the theta update is a joint rank-1 correction.
 
-The recursion exists once, in the block kernel `rls_run`: it validates a
-block of rows once (shapes, finiteness, an exactly symmetric P), then
-updates theta and P in place, stepping the rows in C (`_kernels.c`).
-The kernel keeps P and theta stacked as one
+The recursion exists once, in the block kernel `rls_run` (`run_block`,
+which `pipeline.identify` also calls): it validates a block of rows once
+(shapes in Python; finiteness and an exactly symmetric P in the same C
+call that then steps the rows, `_kernels.c`), and updates theta and P in
+place. The kernel keeps P and theta stacked as one
 (regressor_len + output_dim) x regressor_len array, so that one rank-1
 correction per step updates both, with the bits of the textbook formulas
 (negation is exact, and the symmetrisation's addition is commutative).
@@ -145,9 +146,34 @@ def rls_run(state: IdentifierState, Y, Phi):
     update below relies on it, and any other P is rejected the same way.
     The input state is never modified.
     """
-    cfg = state.config
     Y = np.ascontiguousarray(Y, dtype=float)
     Phi = np.ascontiguousarray(Phi, dtype=float)
+    return run_block(state, Y, Phi)
+
+
+# The messages of the kernel's rejections, by its status.
+_REJECTED = {
+    _kernels.RLS_NONFINITE_INPUT:
+        "non-finite value in update input at sample {row} of the block",
+    _kernels.RLS_NONFINITE_P: "covariance P holds a non-finite value",
+    _kernels.RLS_ASYMMETRIC_P:
+        "covariance P is not exactly symmetric; the update needs P == P'",
+    _kernels.RLS_REJECTED:
+        "gain denominator {denom:.3e} is not positive at sample {row} of the "
+        "block",
+}
+
+
+def run_block(state: IdentifierState, Y: np.ndarray, Phi: np.ndarray,
+              streams=None):
+    """`rls_run` on C-contiguous float64 arrays Y and Phi.
+
+    With `streams` = (v, i), the same kernel call first fills Y and Phi
+    (then empty arrays of the block's shape) with the first differences
+    of the stream v and the lagged regressors of v and i, as
+    `pipeline.identify` builds them.
+    """
+    cfg = state.config
     if Y.ndim != 2 or Y.shape[1] != cfg.output_dim:
         raise UpdateRejectedError(
             f"output has dim {Y.shape[-1]}, expected {cfg.output_dim}"
@@ -189,51 +215,23 @@ def rls_run(state: IdentifierState, Y, Phi):
     P, theta = stack[:n], stack[n:]
     P[...] = state.P
     theta[...] = state.theta
-    P_flat = P.reshape(-1)
-
-    # A finite sum of squares proves every term finite, since an infinity
-    # or a NaN makes it non-finite; only a non-finite sum pays for the scan
-    # that finds the culprit. Squares cannot cancel infinities into a NaN,
-    # so non-finite data raises no numpy warning here. Finite terms beyond
-    # about 1e154 overflow the sum (numpy warns of the overflow) and also
-    # reach the scan, which passes them.
-    Y_flat, Phi_flat = Y.reshape(-1), Phi.reshape(-1)
-    sum_sq = (np.dot(Y_flat, Y_flat) + np.dot(Phi_flat, Phi_flat)
-              + np.dot(P_flat, P_flat))
-    if not math.isfinite(sum_sq):
-        finite = np.isfinite(Y).all(axis=1) & np.isfinite(Phi).all(axis=1)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise UpdateRejectedError(
-                f"non-finite value in update input at sample {k} of the "
-                "block"
-            )
-        if not np.isfinite(P).all():
-            raise UpdateRejectedError("covariance P holds a non-finite value")
-    # Equal bytes prove P == P'; unequal bytes can still be equal values
-    # (+0.0 against -0.0), which the numeric comparison settles.
-    if P.tobytes() != P.T.tobytes() and not np.array_equal(P, P.T):
-        raise UpdateRejectedError(
-            "covariance P is not exactly symmetric; the update needs P == P'"
-        )
-
     theta_traj = np.empty((m, r, n))
     innovation = np.empty((m, r))
-    # The steps run in C (`_kernels.rls_rows`), which returns here after a
-    # step that needs the spectral check below, or at a rejected gain
-    # denominator.
-    row, denom = np.zeros(1, np.int64), np.empty(1)
-    while True:
-        status = _kernels.rls_rows(
-            Y, Phi, stack, theta_traj, innovation, lam, MIN_GAIN_DENOMINATOR,
-            count0, COV_CLAMP_INTERVAL, ceiling * ceiling, row, denom)
-        if status == _kernels.RLS_DONE:
-            break
-        if status == _kernels.RLS_REJECTED:
+
+    # The kernel first checks the block: every value of Y, Phi and P
+    # finite, and P exactly symmetric (P == P' as numbers, so that +0.0
+    # and -0.0 agree). It then steps the rows in C, returning here after
+    # a step that needs the spectral check below, or at a rejection.
+    args = (Y, Phi, stack, theta_traj, innovation, lam, MIN_GAIN_DENOMINATOR,
+            count0, COV_CLAMP_INTERVAL, ceiling * ceiling)
+    if streams is None:
+        status, row, denom = _kernels.rls_rows(*args, 0)
+    else:
+        status, row, denom = _kernels.identify_rows(*streams, *args)
+    while status != _kernels.RLS_DONE:
+        if status != _kernels.RLS_CHECK_SPECTRUM:
             raise UpdateRejectedError(
-                f"gain denominator {denom[0]:.3e} is not positive "
-                f"at sample {row[0]} of the block"
-            )
+                _REJECTED[status].format(row=row, denom=denom))
         # Forgetting inflates P exponentially along directions the stream
         # never excites (covariance windup), which eventually destroys the
         # update in floating point. Clamp P's spectrum at the ceiling on a
@@ -250,6 +248,7 @@ def rls_run(state: IdentifierState, Y, Phi):
         if eigvals[-1] > ceiling * (1.0 + 1e-9):
             clamped = (eigvecs * np.minimum(eigvals, ceiling)) @ eigvecs.T
             P[...] = (clamped + clamped.T) / 2.0
+        status, row, denom = _kernels.rls_rows(*args, row)
 
     # theta and P are views of this call's own stack, which nothing else
     # holds, so they need no copies

@@ -105,6 +105,10 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+# The most samples one fundamental cycle may span (see ScenarioConfig).
+MAX_CYCLE_SAMPLES = 10_000
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A scenario's settings. The run settings are checked on construction,
@@ -144,6 +148,18 @@ class ScenarioConfig:
                 ok, need = False, "finite"
             if not ok:
                 raise ValueError(f"[run] {key}: must be {need}, got {value!r}")
+        # The baseline's one-cycle average (`_CycleAverage`) convolves a
+        # window of 1 / (f_base ts) samples: under 2 there is no cycle to
+        # average, and beyond MAX_CYCLE_SAMPLES each block's convolution
+        # grows too long to run (at f_base = 1e-300 the window cannot even
+        # be allocated).
+        f_base = self.circuit.f_base
+        lo, hi = 1.0 / (MAX_CYCLE_SAMPLES * self.ts), 1.0 / (2.0 * self.ts)
+        if not lo <= f_base <= hi:
+            raise ValueError(
+                f"[circuit] f_base: must be in [{lo:g}, {hi:g}] Hz, 2 to "
+                f"{MAX_CYCLE_SAMPLES} samples per cycle at ts = {self.ts!r}, "
+                f"got {f_base!r}")
         if self.excitation is None:
             return
         # the sampling-rate check of signals.RbsStream, with its 1e-9 Hz slack
@@ -305,9 +321,9 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
             raise ValueError(f"{where} {si_key}: ignored unless {pu_key} is "
                              "unset; set one of them")
         if pu_key in values:
-            value = values.pop(pu_key)
+            key, value = pu_key, values.pop(pu_key)
         elif si_key in values:
-            value = to_pu(circuit, values.pop(si_key))
+            key, value = si_key, to_pu(circuit, values.pop(si_key))
         else:
             raise ValueError(f"{where} kind = {kind} needs a value: set "
                              f"{pu_key} or {si_key}")
@@ -315,6 +331,10 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
         _reject(where, values, f"kind = {other}")
         disturbance = _build(where, DisturbanceSpec, kind, value, t_start,
                              t_end)
+        # a finite value can still overflow the model the simulator builds
+        from .circuit import full_circuit_model
+        _build(f"{where} {key}:", full_circuit_model, circuit,
+               (kind, disturbance.value_pu))
 
     values, where = given["excitation"], f"{path}: [excitation]"
     excitation = None

@@ -3,13 +3,26 @@
 None of these is on a run's path: each recomputes a result of the package
 by another route (a batch least-squares solve for the recursion, a fixed
 predictor's residual for the identification, `np.loadtxt` for a written
-`theta.csv`, a per-verdict loop for the debounce), so they live with the
-tests that use them.
+`theta.csv`, a per-verdict loop for the debounce, and the numpy forms of
+the regressors, the distances and the verdicts that the C passes of
+`_kernels.c` replace), so they live with the tests that use them.
 """
+
+import math
 
 import numpy as np
 
+from gridarx.detector import (
+    FAULT_CODE,
+    LOAD_CODE,
+    NORMAL_CODE,
+    UNCLASSIFIED_CODE,
+    Verdict,
+)
 from gridarx.rls import ConfigError
+
+# Snapshots per chunk in `distances_numpy`.
+DISTANCE_CHUNK = 4096
 
 
 class SingularDataError(ValueError):
@@ -100,3 +113,97 @@ def debounce_loop(verdicts, hold: int, state):
         out.append(current)
     state.current, state.candidate, state.streak = current, candidate, streak
     return out
+
+
+def build_lagged_regressors(dv: np.ndarray, di: np.ndarray, order: int):
+    """Regressor matrix from difference streams.
+
+    dv, di: (n_d, 2) arrays of consecutive differences. Row m holds
+    [dv(k-1)..dv(k-order), di(k-1)..di(k-order)] for k = order + m, i.e. the
+    regressor paired with output dv(k). Returns (phi matrix, y matrix).
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    n_d = dv.shape[0]
+    if n_d <= order:
+        return np.zeros((0, 4 * order)), np.zeros((0, 2))
+    m = n_d - order
+    cols = []
+    for lag in range(1, order + 1):
+        cols.append(dv[order - lag : order - lag + m])
+    for lag in range(1, order + 1):
+        cols.append(di[order - lag : order - lag + m])
+    phi = np.concatenate(cols, axis=1)
+    y = dv[order:]
+    return phi, y
+
+
+def distances_numpy(thetas, theta_star) -> np.ndarray:
+    """`detector.distances` in numpy, DISTANCE_CHUNK snapshots at a time:
+    sqrt(add.reduce(dev * dev)) over each snapshot's deviation, flattened."""
+    thetas = np.asarray(thetas, float)
+    theta_star = np.asarray(theta_star, float)
+    m = thetas.shape[0]
+    d = np.empty(m)
+    chunk = np.empty((min(m, DISTANCE_CHUNK), theta_star.size))
+    for lo in range(0, m, DISTANCE_CHUNK):
+        rows = thetas[lo:lo + DISTANCE_CHUNK]
+        out = d[lo:lo + DISTANCE_CHUNK]
+        dev = chunk[:out.size]
+        np.subtract(rows, theta_star, dev.reshape(rows.shape))
+        np.multiply(dev, dev, dev)
+        np.add.reduce(dev, 1, None, out)
+        np.sqrt(out, out)
+    return d
+
+
+def classify_series_numpy(thetas, nominal, thresholds, library,
+                          match_floor):
+    """`detector.classify_series` in numpy: the distances, then the band's
+    deviations gathered in one array, their similarities to the library's
+    signatures by einsum and np.divide, the best by argmax."""
+    thetas = np.asarray(thetas, float)
+    d = distances_numpy(thetas, nominal.theta_star)
+    if math.isnan(np.add.reduce(d)):
+        k = int(np.argmax(np.isnan(d)))
+        raise ValueError(
+            f"snapshot {k} holds a NaN: its distance to the nominal "
+            "predictor is NaN"
+        )
+    high = d > thresholds.d_high
+    codes = np.where(high, FAULT_CODE, NORMAL_CODE)
+    similarity = np.full(d.size, np.nan)
+    band_idx = ((d > thresholds.d_low) ^ high).nonzero()[0]
+    if band_idx.size:
+        signatures = library.signatures
+        if not signatures:
+            codes[band_idx] = UNCLASSIFIED_CODE
+        else:
+            flat = thetas[band_idx]
+            flat -= nominal.theta_star
+            flat = flat.reshape(band_idx.size, -1)
+            sig_mat = np.array([s.delta_theta for s in signatures]).reshape(
+                len(signatures), -1)
+            sig_norm = np.sqrt(np.add.reduce(sig_mat * sig_mat, 1))
+            denom = d[band_idx, None] * sig_norm
+            sims = np.divide(np.einsum("ij,kj->ik", flat, sig_mat), denom,
+                             out=np.zeros(denom.shape), where=denom > 0)
+            best = sims.argmax(axis=1)
+            best_sim = sims[np.arange(band_idx.size), best]
+            similarity[band_idx] = best_sim
+            sig_codes = np.array([
+                FAULT_CODE if s.label is Verdict.FAULT else LOAD_CODE
+                for s in signatures
+            ])
+            codes[band_idx] = np.where(best_sim < match_floor,
+                                       UNCLASSIFIED_CODE, sig_codes[best])
+    return d, codes, similarity
+
+
+def identify_numpy(sim, order: int):
+    """(y, phi) of `pipeline.identify` in numpy: the first differences of
+    the streams and `build_lagged_regressors` over them."""
+    dv = np.diff(np.asarray(sim.v_dq, float), axis=0)
+    di = np.diff(np.asarray(sim.i_dq, float), axis=0)
+    phi, y = build_lagged_regressors(dv, di, order)
+    return y, phi

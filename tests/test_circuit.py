@@ -146,6 +146,15 @@ class TestFullCircuitModel:
         with pytest.raises(ValueError):
             full_circuit_model(params, ("fault", -1.0))
 
+    def test_overflowing_value_named(self, params):
+        """A finite fault resistance whose model overflows is named, not
+        passed on as a matrix of infinities."""
+        with pytest.raises(ValueError) as err:
+            full_circuit_model(params, ("fault", 1e306))
+        assert str(err.value) == ("fault resistance 1e+306 p.u.: the circuit "
+                                  "model overflows, a matrix entry is not "
+                                  "finite")
+
     def test_nominal_dc_gain_matches_impedance_oracle(self, params):
         """PCC driving-point impedance at DC: the R1||C1 shunt in parallel
         with the line path to the shorted bus, via complex scalars."""

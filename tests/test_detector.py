@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridarx.detector import (
+    DEFAULT_MATCH_FLOOR,
     DISTANCE_CHUNK,
     DebounceState,
     DetectionEvent,
@@ -28,7 +29,12 @@ from gridarx.detector import (
     json_numbers,
 )
 
-from oracles import debounce_loop
+from gridarx import CircuitParams
+from gridarx.pipeline import identify
+from gridarx.rls import ArxConfig
+from gridarx.signals import RbsConfig
+from gridarx.simulate import DisturbanceSpec, simulate
+from oracles import classify_series_numpy, debounce_loop, distances_numpy
 
 ORDER = 3
 SHAPE = (2, 4 * ORDER)
@@ -581,13 +587,12 @@ class TestClassifyNonFinite:
 class TestClassifyMemory:
     @pytest.mark.parametrize("level", [0.0, 5.0])  # normal rows, fault rows
     def test_peak_grows_with_outputs_only(self, level):
-        """`distances` bounds its temporaries to DISTANCE_CHUNK snapshots;
-        from 1 to 4 chunks of snapshots outside the band, the tracemalloc
-        peak may grow only by the per-row outputs (d, similarity, codes,
-        masks and the verdict codes: under 64 B a row). Their deviations
-        taken whole (192 B a row, twice) would exceed it. In-band rows are
-        left out: their deviations are gathered whole on purpose, so that
-        their similarities come from one BLAS call."""
+        """`classify_series` bounds its deviation buffer to DISTANCE_CHUNK
+        snapshots; from 1 to 4 chunks of snapshots outside the band, the
+        tracemalloc peak may grow only by the per-row outputs (d,
+        similarity, codes, masks and the verdict codes: under 64 B a row).
+        Their deviations taken whole (192 B a row, twice) would exceed
+        it."""
         import tracemalloc
 
         nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
@@ -604,6 +609,117 @@ class TestClassifyMemory:
                 tracemalloc.stop()
             del codes
         assert peaks[4] - peaks[1] <= 3 * DISTANCE_CHUNK * 64, peaks
+
+
+# Values at the ends of the float range, and the non-finite ones.
+SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1e-300,
+                           1e300, -1e300, np.inf, -np.inf, np.nan])
+
+
+@pytest.fixture(scope="module")
+def fault_run():
+    """theta of a 2.4 s run with a fault from 1.2 s to 2.0 s, its nominal
+    predictor from the first second, thresholds that put its rows in all
+    three regimes, and two signatures: the mean deviations of the band's
+    first and last thirds, labelled fault and load increase."""
+    sim = simulate(CircuitParams(), DisturbanceSpec("fault", 0.2077, 1.2, 2.0),
+                   RbsConfig(amplitude=0.1, chip_rate=5000.0, seed=1), 2.4)
+    run = identify(sim, ArxConfig())
+    nominal = calibrate_nominal(run.t[:5000], run.theta[:5000], 2000)
+    d = distances(run.theta, nominal.theta_star)
+    thresholds = Thresholds(d_high=float(np.quantile(d, 0.95)),
+                            d_low=float(np.quantile(d, 0.6)))
+    band = np.flatnonzero((d > thresholds.d_low) & (d <= thresholds.d_high))
+    dev = run.theta - nominal.theta_star
+    third = band.size // 3
+    signatures = [
+        Signature(label, delta / np.linalg.norm(delta))
+        for label, delta in (
+            (Verdict.FAULT, dev[band[:third]].mean(axis=0)),
+            (Verdict.LOAD_INCREASE, dev[band[-third:]].mean(axis=0)))]
+    return run.theta, nominal, thresholds, signatures
+
+
+class TestKernelPasses:
+    """The C passes of `distances` and `classify_series` against their
+    numpy forms, as uint64 bit patterns."""
+
+    @pytest.mark.parametrize("order", range(1, 21))
+    def test_distances_equal_numpy_form(self, order):
+        """Widths 8 to 160 cross numpy's 128-term pairwise block; a third
+        of the rows hold signed zeros, subnormals, +-1e+-300, infinities
+        and NaNs, and so does the reference."""
+        rows, cols = 2, 4 * order
+        rng = np.random.default_rng(order)
+        m = 900
+        thetas = random_deviations(rng, m, (rows, cols))
+        flat = thetas.reshape(m, -1)
+        special = rng.random(flat.shape) < 0.3
+        special[1::3] = special[2::3] = False
+        flat[special] = rng.choice(SPECIAL_VALUES, special.sum())
+        flat[3] = -0.0
+        flat[6] = 5e-324
+        star = rng.standard_normal((rows, cols))
+        star.flat[:4] = [0.0, -0.0, 5e-324, 1e-300]
+        got = distances(thetas, star)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = distances_numpy(thetas, star)
+        assert np.isnan(want).any() and np.isinf(want).any()
+        assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("n_signatures", [0, 1, 2])
+    @pytest.mark.parametrize("size", [1, 3, 100, 8192])
+    def test_classify_blocks_equal_numpy_form(self, fault_run, size,
+                                              n_signatures):
+        """A real run's theta in blocks of `size` rows (8192 spans two
+        DISTANCE_CHUNKs) against the numpy form on the whole run."""
+        thetas, nominal, thresholds, signatures = fault_run
+        library = SignatureLibrary(order=ORDER,
+                                   signatures=signatures[:n_signatures])
+        want = classify_series_numpy(thetas, nominal, thresholds, library,
+                                     0.8)
+        parts = [classify_series(thetas[lo:lo + size], nominal, thresholds,
+                                 library, 0.8)
+                 for lo in range(0, thetas.shape[0], size)]
+        d, codes, similarity = (np.concatenate(p) for p in zip(*parts))
+        assert_bits_equal(d, want[0])
+        assert np.array_equal(codes, want[1])
+        assert_bits_equal(similarity, want[2])
+        expected = {0: {Verdict.NORMAL, Verdict.FAULT, Verdict.UNCLASSIFIED},
+                    1: {Verdict.NORMAL, Verdict.FAULT, Verdict.UNCLASSIFIED},
+                    2: set(Verdict)}[n_signatures]
+        assert set(VERDICTS[codes]) == expected
+
+    def test_library_change_reaches_next_call(self, fault_run):
+        """The signature matrix is kept between calls, and rebuilt when a
+        signature is appended or replaced."""
+        thetas, nominal, thresholds, signatures = fault_run
+        library = SignatureLibrary(order=ORDER, signatures=signatures[:1])
+        assert library.arrays()[0] is library.arrays()[0]
+        calls = []
+        for change in (
+                lambda: None,
+                # the deviation of a band row: its similarity becomes 1
+                lambda: library.signatures.append(Signature(
+                    Verdict.LOAD_INCREASE, self.unit_deviation(
+                        thetas[7000], nominal))),
+                lambda: library.signatures.__setitem__(0, Signature(
+                    Verdict.LOAD_INCREASE, signatures[0].delta_theta))):
+            change()
+            got = classify_series(thetas, nominal, thresholds, library)
+            want = classify_series_numpy(thetas, nominal, thresholds,
+                                         library, DEFAULT_MATCH_FLOOR)
+            assert np.array_equal(got[1], want[1])
+            assert_bits_equal(got[2], want[2])
+            calls.append(got)
+        for before, after in zip(calls, calls[1:]):
+            assert not np.array_equal(before[2], after[2], equal_nan=True) \
+                or not np.array_equal(before[1], after[1])
+
+    @staticmethod
+    def unit_deviation(theta, nominal):
+        delta = theta - nominal.theta_star
+        return delta / np.linalg.norm(delta)
 
 
 def oracle_detection_times(t, d, t_start, t_end, thresholds):

@@ -1,5 +1,6 @@
-"""Building and loading the C step loops: each check imports a copy of the
-package in its own process, into an empty library cache."""
+"""Building and loading the C extension module of the step loops: each
+check imports a copy of the package in its own process, into an empty
+module cache."""
 
 import os
 import shutil
@@ -26,10 +27,10 @@ def digest():
     return hashlib.sha256(sim.v_dq.tobytes() + run.theta.tobytes()
                           + run.final_state.P.tobytes()).hexdigest()
 """
-# Imports gridarx, prints the loaded library's path, then the digest.
+# Imports gridarx, prints the loaded extension's path, then the digest.
 PROBE = DIGEST + """
 from gridarx import _kernels
-print(_kernels.LIBRARY._name)
+print(_kernels.EXTENSION.__file__)
 print(digest())
 """
 
@@ -82,6 +83,21 @@ def test_missing_compiler_names_command_and_source(package):
     assert last.startswith("ImportError: ")
     assert "'gridarx-no-cc'" in last
     assert str(package / "gridarx" / "_kernels.c") in last
+    assert libraries(package) == []
+
+
+def test_missing_python_header_names_include_dir(package):
+    loader = package / "gridarx" / "_kernels.py"
+    text = loader.read_text()
+    line = 'INCLUDE = sysconfig.get_paths()["include"]\n'
+    assert text.count(line) == 1
+    missing = package / "no-python-include"
+    loader.write_text(text.replace(line, f"INCLUDE = {str(missing)!r}\n"))
+    code, _, err = run_probe(package)
+    assert code != 0
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("ImportError: ")
+    assert f"no Python.h in {missing}" in last
     assert libraries(package) == []
 
 

@@ -4,13 +4,14 @@ and the block error path."""
 
 import ctypes
 import importlib
+import warnings
 
 import numpy as np
 import pytest
 
 from gridarx import _kernels
 from gridarx.circuit import CircuitParams
-from gridarx.pipeline import build_lagged_regressors, identify
+from gridarx.pipeline import identify
 from gridarx.rls import (
     COV_CLAMP_INTERVAL,
     MIN_GAIN_DENOMINATOR,
@@ -22,14 +23,13 @@ from gridarx.rls import (
 )
 from gridarx.signals import RbsConfig
 from gridarx.simulate import SimResult, simulate
+from oracles import identify_numpy
 
 
 def oracle_identify(sim, config, state=None, stats=None):
     """Per-sample reference for `identify`: the regressors of the stream,
     then `oracle_rls` over them."""
-    dv = np.diff(np.asarray(sim.v_dq, float), axis=0)
-    di = np.diff(np.asarray(sim.i_dq, float), axis=0)
-    phi_all, y_all = build_lagged_regressors(dv, di, config.order)
+    y_all, phi_all = identify_numpy(sim, config.order)
     return oracle_rls(y_all, phi_all, config, state, stats)
 
 
@@ -183,6 +183,43 @@ class TestBlockSplit:
         counts = first.final_state.sample_count + np.arange(1, run.t.size + 1)
         assert np.array_equal(run.calibrated, counts >= config.burn_in)
         assert run.calibrated[-1] == run.final_state.calibrated
+
+
+@pytest.fixture(scope="module")
+def simulated_reference(simulated):
+    """(y, phi) of the whole `simulated` stream in numpy, and `oracle_rls`
+    over them."""
+    y, phi = identify_numpy(simulated, ArxConfig().order)
+    return y, phi, oracle_rls(y, phi, ArxConfig())
+
+
+class TestIdentifyBlocks:
+    """`identify` streamed in blocks of B samples, its one kernel call per
+    block filling y and phi and stepping them, against the numpy forms as
+    uint64 bit patterns: y and phi of the first differences and
+    `build_lagged_regressors`, theta, the innovations and the final P of
+    the per-sample formulas over them. The first blocks of B = 1 and 3
+    hold no update."""
+
+    @pytest.mark.parametrize("size", [1, 3, 100, 8192])
+    def test_blocks_match_numpy_forms(self, simulated, simulated_reference,
+                                      size):
+        config = ArxConfig()
+        y, phi, ref = simulated_reference
+        state, runs = None, []
+        for block in blocks(simulated, size, config.order + 1):
+            run = identify(block, config, state)
+            state = run.final_state
+            runs.append(run)
+        assert sum(run.y.shape[0] == 0 for run in runs) == \
+            (config.order + 1) // size
+        for name, want in (("y", y), ("phi", phi), ("theta", ref[0]),
+                           ("innovation", ref[1])):
+            assert_bits_equal(np.concatenate([getattr(run, name)
+                                              for run in runs]), want)
+        assert_bits_equal(state.theta, ref[3])
+        assert_bits_equal(state.P, ref[4])
+        assert state.sample_count == ref[5]
 
 
 def snapshot(state):
@@ -407,9 +444,10 @@ class TestBitPatterns:
         Phi = Phi * scale
         state = IdentifierState(config=config, theta=np.zeros((output_dim, n)),
                                 P=np.diag(1.0 / scale ** 2))
-        # the sum of squares of rls_run's finiteness check overflows, and
-        # numpy says so
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        # rls_run's finiteness check looks at each value, so no sum of
+        # squares overflows on these finite values and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             ref = self.assert_rls_run_bits_match(state, Y, Phi)
         assert ref[-1] == 0
         assert np.abs(ref[4]).max() > 1e280 and np.abs(ref[4]).min() < 1e-280
@@ -447,7 +485,6 @@ class TestKernelBlas:
         product the kernel stands in for."""
         rng = np.random.Generator(np.random.Philox(n + r))
         lam = 0.99
-        row, denom = np.zeros(1, np.int64), np.empty(1)
         h = n // 2
         for trial in range(300):
             A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
@@ -478,12 +515,10 @@ class TestKernelBlas:
 
             got = stack.copy()
             theta_traj, innovation = np.empty((1, r, n)), np.empty((1, r))
-            row[0] = 0
-            status = _kernels.rls_rows(
+            status, row, _ = _kernels.rls_rows(
                 y[None], phi[None], got, theta_traj, innovation, lam,
-                MIN_GAIN_DENOMINATOR, 0, COV_CLAMP_INTERVAL, np.inf, row,
-                denom)
-            assert status == _kernels.RLS_DONE and row[0] == 1
+                MIN_GAIN_DENOMINATOR, 0, COV_CLAMP_INTERVAL, np.inf, 0)
+            assert status == _kernels.RLS_DONE and row == 1
             assert_bits_equal(got, want)
             assert_bits_equal(theta_traj[0], want[n:])
             assert_bits_equal(innovation[0], e)

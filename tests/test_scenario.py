@@ -3,6 +3,7 @@ of end-to-end runs."""
 
 import configparser
 import filecmp
+import importlib
 import json
 import os
 import tracemalloc
@@ -12,8 +13,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from gridarx import circuit as circuit_module
 from gridarx import scenario as scenario_module
-from gridarx.circuit import CircuitParams
+from gridarx.circuit import CircuitParams, full_circuit_model
 from gridarx.detector import (
     Signature,
     SignatureLibrary,
@@ -227,6 +229,13 @@ class TestLoadScenario:
         ("[run]\nduration = 2\n[disturbance]\nkind = fault\n"
          "r_fault_pu = 0.3\nt_start = -1\nt_end = 1\n",
          "[disturbance] t_start must be >= 0, got -1.0"),
+        # finite values whose circuit model overflows
+        ("[disturbance]\nkind = fault\nr_fault_ohm = 1e308\n",
+         "[disturbance] r_fault_ohm: fault resistance 1.0387811634349031e+306 "
+         "p.u.: the circuit model overflows"),
+        ("[disturbance]\nkind = fault\nr_fault_pu = 1e306\n",
+         "[disturbance] r_fault_pu: fault resistance 1e+306 p.u.: the "
+         "circuit model overflows"),
     ])
     def test_bad_value_names_file_section_key(self, tmp_path, text, where):
         path = write_ini(tmp_path, "bad.ini", text)
@@ -321,6 +330,16 @@ CONFIG_CHECKS = [
      "[excitation] chip_rate: must divide the sampling rate 1/ts = "
      "6666.666666666667 into a whole number of samples per chip, got 5000.0 "
      "(1.33333 samples)"),
+    # the baseline's cycle average needs 2 to 10,000 samples per cycle
+    ("[circuit]\nf_base = 1e-300\n", {"circuit": CircuitParams(f_base=1e-300)},
+     "[circuit] f_base: must be in [0.5, 2500] Hz, 2 to 10000 samples per "
+     "cycle at ts = 0.0002, got 1e-300"),
+    ("[circuit]\nf_base = 2500.5\n", {"circuit": CircuitParams(f_base=2500.5)},
+     "[circuit] f_base: must be in [0.5, 2500] Hz, 2 to 10000 samples per "
+     "cycle at ts = 0.0002, got 2500.5"),
+    ("[run]\nts = 1e-6\n", {"ts": 1e-6},
+     "[circuit] f_base: must be in [100, 500000] Hz, 2 to 10000 samples per "
+     "cycle at ts = 1e-06, got 50.0"),
 ]
 
 
@@ -1325,14 +1344,27 @@ class TestSharedPrefix:
 
     @pytest.mark.parametrize("block", [SHARE_BLOCK, OFF_EDGE_BLOCK])
     def test_record_outlives_a_failure_in_the_block_holding_the_start(
-            self, default_cal, tmp_path, block):
+            self, default_cal, tmp_path, block, monkeypatch):
         """A fault of 1e306 p.u. overflows the disturbed model, so the first
         run fails in the simulator block that holds its disturbance start.
         Its record joined at the block edge before that block: the second
-        run resumes from it and writes the bytes of a lone run."""
+        run resumes from it and writes the bytes of a lone run.
+
+        The loader rejects such a value, so the file holds 1e300 p.u.,
+        whose model is finite, and the simulator is handed the overflowing
+        model of 1e306 p.u. in its place."""
+        def overflowing_model(params, disturbance=None):
+            if disturbance == ("fault", 1e300):
+                return circuit_module._circuit_model(params, ("fault", 1e306))
+            return full_circuit_model(params, disturbance)
+
+        # gridarx.simulate is the function of that name once the package
+        # is imported
+        monkeypatch.setattr(importlib.import_module("gridarx.simulate"),
+                            "full_circuit_model", overflowing_model)
         nominal, thresholds, _, _ = default_cal
         paths = [share_ini(tmp_path, "in/huge.ini",
-                           ("r_fault_pu = 0.2077", "r_fault_pu = 1e306")),
+                           ("r_fault_pu = 0.2077", "r_fault_pu = 1e300")),
                  share_ini(tmp_path, "in/base.ini")]
         with pytest.warns(RuntimeWarning, match="overflow"):
             reports, counts = counting_suite(paths, nominal, thresholds,

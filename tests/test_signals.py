@@ -1,14 +1,15 @@
 """Signal preparation: Park transforms, difference streams, regressor
-assembly, and random binary excitation. The difference streams and the
-regressor assembly are those of `pipeline.identify` and
-`pipeline.build_lagged_regressors`."""
+assembly, and random binary excitation. The difference streams are those
+of `pipeline.identify`; the regressor layouts pin
+`oracles.build_lagged_regressors`, the numpy form that
+`test_pipeline.TestIdentifyBlocks` holds `identify`'s regressors to."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridarx.pipeline import build_lagged_regressors, identify
+from gridarx.pipeline import identify
 from gridarx.rls import ArxConfig
 from gridarx.scenario import ScenarioConfig
 from gridarx.signals import (
@@ -19,6 +20,7 @@ from gridarx.signals import (
     rbs_generate,
 )
 from gridarx.simulate import SimResult, simulate
+from oracles import build_lagged_regressors
 
 
 def balanced_cosine(peak, omega_t, phase=0.0):
