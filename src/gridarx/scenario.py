@@ -26,20 +26,20 @@ Runs of one `run_suite` or `build_library_from_scenarios` call share their
 start when they have the same simulate arguments apart from the
 disturbance's kind, value and end, the same disturbance t_start and the
 same ArxConfig (`_prefix_key`). Each call holds one dict of records
-(`_Prefix`), which `run_suite` passes to `run_scenario` as `prefixes`. The
-first such run records its start up to the last simulator block edge at
-or before the disturbance start: the estimator state at that edge and, in
-a suite, the (t, theta, calibrated) rows of each block before it and the
-byte length of each per-sample artifact at the edge. The edge is the one
-point where runs part: the record joins the dict once the last block
-before it has been identified, so a stream stopped or failed later (the
-library build stops each one after its window's end) leaves it whole. The
-others simulate their whole stream, replay the record's blocks through the
-same loop as live ones and identify from the edge on; only the artifact
-rows of those blocks are copied from the recording run's files instead of
-written again. The outputs do not change: every artifact is bitwise that
-of the run on its own. The record lives only for the call that made it; a
-suite's record holds about 201 bytes per sample before the edge.
+(`_Prefix`), which `run_suite` passes through `run_scenario` to
+`_simulate_identify`, the one place that reads or fills it. The first
+such run records its start up to the last simulator block edge at or
+before the disturbance start: the estimator state at that edge and, in a
+suite, the (t, theta, calibrated) rows of each block before it. The edge
+is the one point where runs part: the record joins the dict once the last
+block before it has been identified, so a stream stopped or failed later
+(the library build stops each one after its window's end) leaves it
+whole. The others simulate their whole stream, replay the record's blocks
+through the same loop as live ones and identify from the edge on; each
+run classifies and writes all of its own rows. The outputs do not change:
+every artifact is bitwise that of the run on its own. The record lives
+only for the call that made it; a suite's record holds about 201 bytes
+per sample before the edge.
 """
 
 from __future__ import annotations
@@ -289,9 +289,9 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
     makes unread (d_high without mode = manual, a value of another
     disturbance kind or of a disabled excitation, both units of one
     disturbance value) raises ValueError naming the file, the section and
-    the key. A bad override is not the file's: its error does not name the
-    path, and a bad excitation seed override, or one for a scenario whose
-    excitation is disabled, names the option, `--seed`.
+    the key. A bad override is not the file's: its error names the option
+    (`--seed`, `--rho` or `--lambda`) instead of the path, as does a seed
+    override for a scenario whose excitation is disabled.
     Disturbance impedance may be given in p.u. (r_fault_pu / l_load_pu) or
     physical units (r_fault_ohm / l_load_h).
     """
@@ -351,12 +351,13 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
 
     identifier = _build(f"{path}: [identifier]", replace, base.identifier,
                         **given["identifier"])
-    # an override's error is not the file's: it is raised without its path
+    # an override's error is not the file's: it names the option instead
     if "rho" in overrides:
-        identifier = replace(identifier, order=int(overrides["rho"]))
+        identifier = _build("--rho:", replace, identifier,
+                            order=int(overrides["rho"]))
     if "forgetting" in overrides:
-        identifier = replace(identifier,
-                             forgetting=float(overrides["forgetting"]))
+        identifier = _build("--lambda:", replace, identifier,
+                            forgetting=float(overrides["forgetting"]))
 
     values, where = given["thresholds"], f"{path}: [thresholds]"
     mode = values.pop("mode", "auto")
@@ -384,41 +385,18 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
 # Rows formatted per string operation by `_CsvWriter`.
 CSV_CHUNK_ROWS = 1024
 
-# Bytes per read when a writer copies the head of an earlier artifact.
-COPY_CHUNK_BYTES = 1 << 20
-
-
-def _copy_head(fh, path: str, size: int) -> None:
-    """Copy the first `size` bytes of the file at `path` to `fh`, in reads
-    of COPY_CHUNK_BYTES."""
-    with open(path, "rb") as src:
-        while size > 0:
-            chunk = src.read(min(size, COPY_CHUNK_BYTES))
-            if not chunk:
-                raise OSError(f"{path}: ends {size} bytes short of the "
-                              "shared rows it was recorded with")
-            fh.write(chunk)
-            size -= len(chunk)
-
-
 class _CsvWriter:
     """A CSV file written as its rows arrive, block by block.
 
     Every value is written with FLOAT_FMT, so the bytes are those of
     `np.savetxt(path, rows, fmt=FLOAT_FMT, delimiter=",", header=header,
     comments="")` on all the rows given; a chunk of rows is formatted by one
-    `%` operation on its values as Python floats. `head` is `(path, size)`
-    of an earlier file whose first `size` bytes are the header and the rows
-    that come before those given: they are copied from it instead of the
-    header being written.
+    `%` operation on its values as Python floats.
     """
 
-    def __init__(self, fh, header: str, head: tuple[str, int] | None = None):
+    def __init__(self, fh, header: str):
         self.fh = fh
-        if head is None:
-            fh.write((header + "\n").encode("ascii"))
-        else:
-            _copy_head(fh, *head)
+        fh.write((header + "\n").encode("ascii"))
 
     def write(self, data: np.ndarray) -> None:
         """Append the rows of the 2-D float array `data`."""
@@ -437,17 +415,12 @@ class _NpyWriter:
     """A `.npy` file (NumPy's format, NEP 1) of a little-endian float64
     array of `shape`, written as its rows arrive: the header, which holds
     the shape, first, then each block's rows as their bytes, so that
-    `np.load` gives back the exact values once all the rows are written.
-    `head` is as for `_CsvWriter`, and the header is among the bytes it
-    copies."""
+    `np.load` gives back the exact values once all the rows are written."""
 
-    def __init__(self, fh, shape: tuple, head: tuple[str, int] | None = None):
+    def __init__(self, fh, shape: tuple):
         self.fh = fh
-        if head is None:
-            np.lib.format.write_array_header_1_0(
-                fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
-        else:
-            _copy_head(fh, *head)
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
 
     def write(self, data: np.ndarray) -> None:
         """Append the rows of the 2-D float array `data`."""
@@ -593,18 +566,13 @@ class _Prefix:
     before k_on; `state` is the estimator's state after the last of them. A
     record of `run_scenario` keeps in `blocks` the rows of each block before
     `edge`, which a resumed run replays; one of
-    `build_library_from_scenarios` keeps none (None). `heads` is
-    (directory, {artifact: size}) once a run has written its per-sample
-    artifacts in that directory: each starts with its header and its rows
-    of the blocks before `edge`, in `size` bytes. Those rows depend on the
-    nominal predictor as well, so every run given the dict must use the
-    same one.
+    `build_library_from_scenarios` keeps none (None). Nothing in it depends
+    on the nominal predictor, the library or the output directory.
     """
 
     edge: int
     blocks: list | None
     state: IdentifierState | None = None
-    heads: tuple | None = None
 
 
 class _Rows(NamedTuple):
@@ -617,30 +585,30 @@ class _Rows(NamedTuple):
 
 def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
                        rows: bool = False):
-    """Simulate the scenario block by block and identify over its stream:
-    (blocks, prefix).
+    """Simulate the scenario block by block and identify over its stream.
 
-    `blocks` yields (samples, run) for each block of SIMULATE_BLOCK
-    samples: the simulator's SimResult and the IdentRun of the updates
-    whose output samples are in it. Each block is identified with the
-    stream's last `order + 1` samples before it prepended, where its first
-    regressor begins, and from the state the previous block left, so the
-    blocks together are bitwise one whole-run identification; a run's
-    `index` counts from its first prepended sample. A failure raises
-    StageError tagged with the stage that failed.
+    The returned generator yields (samples, run) for each block of
+    SIMULATE_BLOCK samples: the simulator's SimResult and the IdentRun of
+    the updates whose output samples are in it. Each block is identified
+    with the stream's last `order + 1` samples before it prepended, where
+    its first regressor begins, and from the state the previous block
+    left, so the blocks together are bitwise one whole-run identification;
+    a run's `index` counts from its first prepended sample. A failure
+    raises StageError tagged with the stage that failed.
 
-    `prefixes` maps `_prefix_key` to the _Prefix records of earlier runs.
-    When it holds this run's key, `prefix` is that record: the simulator
-    still runs from sample 0, the blocks before its edge pair their
-    samples with the record's `_Rows` (and are skipped when it kept
-    none), and identification starts at the edge from its state.
-    Otherwise `prefix` is a new _Prefix of this run, which the stream
-    fills in as it passes, keeping the rows of the blocks before its edge
-    when `rows` is true, and adds to `prefixes` as soon as it is complete:
-    when the last block before the edge has been identified, before that
-    block is yielded. A consumer that stops the stream after that point,
-    or a run that fails after it, leaves a valid record. `prefix` is None
-    when the run has no disturbance inside it or no whole block before one.
+    `prefixes` maps `_prefix_key` to the _Prefix records of earlier runs;
+    this is the one place where runs share work. When it holds this run's
+    key, the simulator still runs from sample 0, the blocks before the
+    record's edge pair their samples with the record's `_Rows` (and are
+    skipped when it kept none), and identification starts at the edge
+    from its state: a consumer sees the same blocks as in a lone run.
+    Otherwise, when the run has a disturbance inside it and a whole block
+    before one, the stream records a new _Prefix as it passes, keeping
+    the rows of the blocks before its edge when `rows` is true, and adds
+    it to `prefixes` as soon as it is complete: when the last block before
+    the edge has been identified, before that block is yielded. A consumer
+    that stops the stream after that point, or a run that fails after it,
+    leaves a valid record.
     """
     block = SIMULATE_BLOCK
     key = _prefix_key(config) if prefixes is not None else None
@@ -702,7 +670,7 @@ def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
                     prefixes[key] = recording
             yield part, run
 
-    return blocks(), resumed or recording
+    return blocks()
 
 
 def _updates_before(config: ScenarioConfig, t: float) -> int:
@@ -729,7 +697,7 @@ def _window_rows(config: ScenarioConfig, t_lo: float, t_hi: float,
     t = np.empty(size)
     thetas = np.empty((size, 2, 4 * config.identifier.order))
     rows, state = 0, None
-    blocks, _ = _simulate_identify(config, prefixes)
+    blocks = _simulate_identify(config, prefixes)
     with contextlib.closing(blocks):
         for part, run in blocks:
             # t increases, so a block's window rows are a slice
@@ -922,13 +890,12 @@ def run_scenario(
     ValueError before anything is simulated.
 
     `prefixes` maps `_prefix_key` to the `_Prefix` records of earlier runs
-    given the same dict, all of them with this run's nominal predictor and
-    library; `run_suite` passes one to every run. A run whose key is there
-    resumes from the record: it replays the record's blocks through the
-    loop of live ones and copies the heads of its per-sample artifacts,
-    when the record has them, instead of writing those blocks' rows again.
-    Otherwise it adds its own record. The outputs are bitwise those of a
-    lone run.
+    given the same dict; `run_suite` passes one to every run. It goes to
+    `_simulate_identify`, which replays a matching record's blocks through
+    the loop of live ones, or else records this run's. Every block's rows
+    are classified and written here either way, so the outputs are bitwise
+    those of a lone run, whatever nominal predictor, library or output
+    directory the other runs had.
     """
     _check_order(config, nominal, library)
     if config.thresholds is not None:
@@ -977,27 +944,17 @@ def run_scenario(
 
     with (contextlib.nullcontext() if out_dir is None
           else _ArtifactFiles(out_dir)) as files:
-        blocks, prefix = _simulate_identify(config, prefixes, rows=True)
-        edge = 0 if prefix is None else prefix.edge
-        heads = None if prefix is None else prefix.heads
-        sizes = None  # each writer's file size at the edge
+        blocks = _simulate_identify(config, prefixes, rows=True)
         if files is not None:
             updates = _updates_before(config, math.inf)
-            writers = {}
-            for name, shape in (
-                    ("samples.npy", (sample_count(config.duration, config.ts),
-                                     5)),
-                    ("distance.npy", (updates, 2)),
-                    ("theta.npy", (-(-updates // THETA_STRIDE),
-                                   1 + 8 * order))):
-                head = (None if heads is None
-                        else (os.path.join(heads[0], name), heads[1][name]))
-                writers[name] = _NpyWriter(files.open(name), shape, head)
+            writers = [_NpyWriter(files.open(name), shape) for name, shape in (
+                ("samples.npy", (sample_count(config.duration, config.ts), 5)),
+                ("distance.npy", (updates, 2)),
+                ("theta.npy", (-(-updates // THETA_STRIDE), 1 + 8 * order)))]
             events = files.open("events.jsonl")
 
-        lo = hi = 0  # run index of the block's first update; samples passed
+        lo = 0  # run index of the block's first update
         for part, run in blocks:
-            hi += part.t.size
             hits = (limit_check(cycle_average(part.v_dq), limits)
                     & (part.t >= t_start) & (part.t < t_end))
             if baseline_first is None and np.any(hits):
@@ -1041,15 +998,10 @@ def run_scenario(
                     dk = float(d[np.searchsorted(t, tk)])
                     events.write((json.dumps({"t": tk, "verdict": v, "d": dk})
                                   + "\n").encode("ascii"))
-                # the copied heads hold the rows of the blocks up to the edge
-                if heads is None or hi > edge:
-                    for writer, rows in zip(writers.values(), (
-                            _samples_rows(part), np.column_stack([t, d]),
-                            _theta_rows(t, thetas, lo, THETA_STRIDE))):
-                        writer.write(rows)
-                if heads is None and hi == edge:
-                    sizes = {name: writer.fh.tell()
-                             for name, writer in writers.items()}
+                for writer, rows in zip(writers, (
+                        _samples_rows(part), np.column_stack([t, d]),
+                        _theta_rows(t, thetas, lo, THETA_STRIDE))):
+                    writer.write(rows)
             lo += t.size
 
         if settled:
@@ -1088,8 +1040,6 @@ def run_scenario(
         if files is not None:
             files.open("report.json").write(report.to_json().encode("ascii"))
             files.commit()
-            if sizes is not None:
-                prefix.heads = (os.path.abspath(files.out_dir), sizes)
     return report
 
 
@@ -1202,11 +1152,12 @@ def run_suite(
 
     Returns (reports dict, table rows). Each scenario contributes one row
     for the parameter-deviation method and one for voltage limit-checking.
-    The prefixes that runs share (see `run_scenario`) are recorded for the
-    duration of this call only. An empty manifest, or two scenarios whose
-    file names give the same name (compared case-insensitively, since
-    their artifacts would share a directory), raise ValueError before any
-    run.
+    Runs that share a prefix (see `_prefix_key`) identify it once, from
+    records kept for the duration of this call only; each run still writes
+    every one of its artifact rows, so it does not read another run's
+    files. An empty manifest, or two scenarios whose file names give the
+    same name (compared case-insensitively, since their artifacts would
+    share a directory), raise ValueError before any run.
     """
     scenario_paths = list(scenario_paths)
     if not scenario_paths:

@@ -6,6 +6,7 @@ import filecmp
 import importlib
 import json
 import os
+import shutil
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -131,8 +132,9 @@ class TestLoadScenario:
         assert cfg.identifier.forgetting == pytest.approx(0.99)
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"rho": 0}, "order must be >= 1, got 0"),
-        ({"forgetting": 1.5}, "forgetting factor must be in (0, 1], got 1.5"),
+        ({"rho": 0}, "--rho: order must be >= 1, got 0"),
+        ({"forgetting": 1.5},
+         "--lambda: forgetting factor must be in (0, 1], got 1.5"),
         ({"seed": -2}, "--seed: seed must be >= 0, got -2"),
     ])
     def test_bad_override_does_not_blame_the_file(self, tmp_path, overrides,
@@ -382,15 +384,6 @@ class TestScenarioConfigChecks:
         assert keys <= {f.name for f in fields(dataclass)}
 
 
-def write_in_blocks(path, header, data, head=None):
-    """`data` written to `path` by one `_CsvWriter` given `head`, in two
-    blocks."""
-    with open(path, "wb") as fh:
-        writer = _CsvWriter(fh, header, head)
-        writer.write(data[:CSV_CHUNK_ROWS + 1])
-        writer.write(data[CSV_CHUNK_ROWS + 1:])
-
-
 class TestCsvRoundTrips:
     def test_samples_exact(self, params, tmp_path):
         sim = simulate(params, None, None, 0.01)
@@ -447,36 +440,18 @@ class TestCsvRoundTrips:
     @pytest.mark.parametrize("split", [0, 1, CSV_CHUNK_ROWS - 1,
                                        CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
                                        2 * CSV_CHUNK_ROWS + 3])
-    def test_split_and_copied_head(self, tmp_path, rng, split):
-        """The file's size after its header and first `split` rows ends
-        them; a file that copies them from it and is given the rows after
-        them is the file written whole."""
-        rows = 2 * CSV_CHUNK_ROWS + 3
-        first = rng.standard_normal((rows, 3))
-        second = np.concatenate([first[:split],
-                                 rng.standard_normal((rows - split, 3))])
-        a, b, want = (str(tmp_path / n) for n in ("a.csv", "b.csv", "w.csv"))
-        with open(a, "wb") as fh:
+    def test_rows_split_anywhere_give_the_whole_file(self, tmp_path, rng,
+                                                      split):
+        """Rows handed to one writer in two parts, the first of `split`
+        rows, give the file written whole."""
+        data = rng.standard_normal((2 * CSV_CHUNK_ROWS + 3, 3))
+        got, want = str(tmp_path / "got.csv"), str(tmp_path / "want.csv")
+        with open(got, "wb") as fh:
             writer = _CsvWriter(fh, "x,y,z")
-            writer.write(first[:split])
-            size = fh.tell()
-            writer.write(first[split:])
-        with open(a, "rb") as fh:
-            lines = fh.read().splitlines(keepends=True)
-        assert size == sum(map(len, lines[:split + 1]))
-        write_in_blocks(b, "x,y,z", second[split:], (a, size))
-        _write_csv(want, "x,y,z", second)
-        with open(b, "rb") as got, open(want, "rb") as wanted:
-            assert got.read() == wanted.read()
-
-    def test_copy_from_short_file_fails(self, tmp_path):
-        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        _write_csv(a, "x,y", np.ones((4, 2)))
-        size = os.path.getsize(a)
-        with open(a, "r+b") as fh:
-            fh.truncate(size - 1)
-        with pytest.raises(OSError, match="ends 1 bytes short"):
-            write_in_blocks(b, "x,y", np.ones((0, 2)), (a, size))
+            writer.write(data[:split])
+            writer.write(data[split:])
+        _write_csv(want, "x,y,z", data)
+        assert filecmp.cmp(got, want, shallow=False)
 
     def test_theta_stride_and_exactness(self, tmp_path, rng):
         t = np.arange(20) * 1e-3
@@ -1406,12 +1381,11 @@ class TestSharedPrefix:
                                       str(root / "lone" / name))
         assert counts == expected_counts(paths, sim_block)
 
-    def test_copied_heads_leave_only_later_rows_to_format(self, default_cal,
-                                                          tmp_path):
-        """A run resumed with the record's artifact heads hands its writers
-        only the rows of the blocks after the edge; the recording run hands
-        them all of them. Both write the bytes of a lone run either way, so
-        only the rows given show a resumed run that writes every block. The
+    def test_every_run_hands_its_writers_all_its_rows(self, default_cal,
+                                                      tmp_path):
+        """The recording run and the run resumed from its record each hand
+        their writers every row of their artifacts, those of the replayed
+        blocks included: a resumed run reads no other run's files. The
         rows are counted where each writer's `write` receives them."""
         nominal, thresholds, _, _ = default_cal
         paths = [share_ini(tmp_path, "in/base.ini"),
@@ -1429,24 +1403,19 @@ class TestSharedPrefix:
             return counted_write
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scenario_module, "SIMULATE_BLOCK", SHARE_BLOCK)
             mp.setattr(_NpyWriter, "write", counted(_NpyWriter.write))
-            run_suite(paths, nominal, thresholds, random_library(),
-                      out_dir=str(tmp_path / "suite"))
+            _, counts = counting_suite(paths, nominal, thresholds,
+                                       random_library(),
+                                       str(tmp_path / "suite"))
         config = load_scenario(paths[0])
-        edge = 4 * SHARE_BLOCK
-        shared = shared_updates(config, SHARE_BLOCK)
-        stride = scenario_module.THETA_STRIDE
-        head_rows = {"samples.npy": edge, "distance.npy": shared,
-                     "theta.npy": -(-shared // stride)}
-        for name, head in head_rows.items():
-            rows = {}
+        assert counts == [("base", updates_of(config)),
+                          ("value", updates_of(config)
+                           - shared_updates(config, SHARE_BLOCK))]
+        for name in ("samples.npy", "distance.npy", "theta.npy"):
             for run in ("base", "value"):
                 path = tmp_path / "suite" / run / name
-                rows[run] = np.load(path, allow_pickle=False).shape[0]
-            assert rows["base"] == rows["value"] > head > 0
-            assert given["base", name] == rows["base"]
-            assert given["value", name] == rows["value"] - head, name
+                rows = np.load(path, allow_pickle=False).shape[0]
+                assert given[run, name] == rows > 0, (run, name)
 
     @pytest.mark.parametrize("block", [SHARE_BLOCK, OFF_EDGE_BLOCK])
     def test_samples_npy_holds_the_simulator_bits(self, default_cal,
@@ -1454,23 +1423,17 @@ class TestSharedPrefix:
         """samples.npy loads without pickle as the simulator's [t, v_dq,
         i_dq], bit for bit, under the shape and dtype its header gives: in a
         lone run, in a suite's recording run, and in a suite run resumed
-        from that record, whose head is copied from the recording run's
-        file. OFF_EDGE_BLOCK puts no block edge at the disturbance start."""
+        from that record. OFF_EDGE_BLOCK puts no block edge at the
+        disturbance start."""
         nominal, thresholds, _, _ = default_cal
         paths = [share_ini(tmp_path, "in/base.ini"),
                  share_ini(tmp_path, "in/value.ini", MAY_SHARE[1][1:])]
-        copied = []  # the files whose heads were copied
-        copy_head = scenario_module._copy_head
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scenario_module, "SIMULATE_BLOCK", block)
-            mp.setattr(scenario_module, "_copy_head",
-                       lambda fh, path, size: (copied.append(path),
-                                               copy_head(fh, path, size)))
             run_suite(paths, nominal, thresholds, random_library(),
                       out_dir=str(tmp_path / "suite"))
             run_scenario(load_scenario(paths[1]), nominal, thresholds,
                          random_library(), out_dir=str(tmp_path / "lone"))
-        assert str(tmp_path / "suite" / "base" / "samples.npy") in copied
         for out, path in ((tmp_path / "suite" / "base", paths[0]),
                           (tmp_path / "suite" / "value", paths[1]),
                           (tmp_path / "lone", paths[1])):
@@ -1492,6 +1455,49 @@ class TestSharedPrefix:
             assert got.dtype == want.dtype == dtype
             assert np.array_equal(got.view(np.uint64),
                                   want.view(np.uint64)), out
+
+    @staticmethod
+    def resume(tmp_path, nominals, thresholds, between=lambda out: None):
+        """The base scenario run twice with one `prefixes` dict, the first
+        run with nominals[0] and the second with nominals[1], and `between`
+        called with the first run's out_dir in between; then the second
+        run alone. (resumed run's out_dir, lone run's out_dir)."""
+        path = share_ini(tmp_path, "in/base.ini")
+        prefixes = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_module, "SIMULATE_BLOCK", SHARE_BLOCK)
+            for run, nominal in enumerate(nominals):
+                out = str(tmp_path / "suite" / str(run))
+                run_scenario(load_scenario(path), nominal, thresholds,
+                             random_library(), out_dir=out,
+                             prefixes=prefixes)
+                if not run:
+                    assert len(prefixes) == 1
+                    between(out)
+            lone = str(tmp_path / "lone")
+            run_scenario(load_scenario(path), nominals[1], thresholds,
+                         random_library(), out_dir=lone)
+        return out, lone
+
+    def test_resumed_run_with_another_nominal_writes_its_own_rows(
+            self, default_cal, tmp_path):
+        """The record keeps no distance: a run resumed from it with another
+        nominal predictor writes the distances of that predictor, as its
+        lone run does."""
+        nominal, thresholds, _, _ = default_cal
+        other = replace(nominal, theta_star=nominal.theta_star * 1.01)
+        resumed, lone = self.resume(tmp_path, (nominal, other), thresholds)
+        assert_same_artifacts(resumed, lone)
+
+    def test_resumed_run_outlives_the_recording_runs_files(self, default_cal,
+                                                          tmp_path):
+        """A run resumed from a record reads no file of the run that made
+        it: it still writes the bytes of its lone run after that run's
+        out_dir is deleted."""
+        nominal, thresholds, _, _ = default_cal
+        resumed, lone = self.resume(tmp_path, (nominal, nominal), thresholds,
+                                    between=shutil.rmtree)
+        assert_same_artifacts(resumed, lone)
 
     @pytest.mark.parametrize("second", ["other/y.ini", "other/Y.ini",
                                         "in/y.ini"])
