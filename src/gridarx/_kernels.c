@@ -1,7 +1,7 @@
-/* The per-sample loops of gridarx, as a CPython extension module: the RLS
- * recursion of `rls.rls_run` with the regressor fill of
- * `pipeline.identify`, the simulator step of `simulate._step`, and the
- * distance and verdict passes of `detector.distances` and
+/* The per-sample loops of gridarx, as a CPython extension module built on
+ * numpy's C API: the RLS recursion of `rls.rls_run` with the regressor
+ * fill of `pipeline.identify`, the simulator step of `simulate._step`, and
+ * the distance and verdict passes of `detector.distances` and
  * `detector.classify_series`.
  *
  * Each step makes the operations of the numpy forms these replace, in the
@@ -12,17 +12,27 @@
  *   0.0 + ddot, which `dot0` repeats (it turns a -0.0 into +0.0);
  * - a distance sums its squares in the order of numpy's add.reduce over a
  *   contiguous row (`pairwise_sum_sq`);
+ * - the products of the band's deviations with the signatures come from
+ *   PyArray_EinsteinSum, the function np.einsum calls;
  * - everything else is one IEEE operation per entry, as a numpy ufunc
  *   makes it. The file is compiled with -ffp-contract=off, so that no
- *   multiply and add fuse into an FMA.
+ *   multiply and add fuse into an FMA, and without -ffast-math, so that no
+ *   sum is reordered.
  *
- * Every entry point takes the ndarrays themselves and checks each one's
- * dtype, C-contiguity, writability and shape through the buffer protocol
- * before it reads a value. `_kernels.py` compiles and loads this file.
+ * `rls_block` and `classify_block` each take a stream block in one call:
+ * they convert their inputs as np.ascontiguousarray(x, float) does,
+ * allocate every output and fill it. The arrays that an entry point reads
+ * or writes in place (`rls_rows`, `sim_rows`, the signature arrays) must
+ * be aligned, C-contiguous ndarrays of the dtype and shape it names, in
+ * native byte order, writable where written; any other raises ValueError
+ * naming the function and the argument. `_kernels.py` compiles and loads
+ * this file.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/arrayobject.h>
 
 #include <math.h>
 #include <stdint.h>
@@ -43,7 +53,11 @@ typedef double (*ddot_fn)(blasint n, const double *x, blasint incx,
 static dgemv_fn dgemv;
 static ddot_fn ddot;
 
-/* Return values of the RLS entry points, as `rls._REJECTED` reads them. */
+/* rls.UpdateRejectedError, created with the module. */
+static PyObject *update_rejected;
+
+/* The statuses of the RLS steps. The entry points raise
+ * UpdateRejectedError for the rejections and return the first two. */
 enum {
     RLS_DONE = 0,
     RLS_CHECK_SPECTRUM = 1,
@@ -56,89 +70,110 @@ enum {
 /* The verdict codes of `detector.Verdict` that the match pass writes. */
 enum { NORMAL_CODE = 0, FAULT_CODE = 1, UNCLASSIFIED_CODE = 3 };
 
+/* Snapshots per chunk of `classify_block`: bounds its deviation buffer. */
+#define DISTANCE_CHUNK 4096
+
+/* The calls `classify_block` has made to PyArray_EinsteinSum. */
+static unsigned long long einsum_count;
+
 /* ------------------------------------------------------------------------
- * Arguments: the arrays of one call, held through the buffer protocol.
+ * Arguments.
  */
 
-#define MAX_ARRAYS 10
 #define ANY (-1) /* an extent that any length matches */
 
-typedef struct {
-    const char *func;
-    Py_buffer views[MAX_ARRAYS];
-    int held;
-} Arrays;
-
-static void release(Arrays *a)
-{
-    while (a->held > 0)
-        PyBuffer_Release(&a->views[--a->held]);
-}
-
-/* "(2, 12)" into buf, ANY as "any". */
-static void shape_text(char *buf, size_t size, int ndim, const Py_ssize_t *shape)
+/* "(2, 12)" into buf, as Python prints a shape tuple; ANY as "any". */
+static void shape_text(char *buf, size_t size, int ndim, const npy_intp *shape)
 {
     size_t used = (size_t)snprintf(buf, size, "(");
     for (int i = 0; i < ndim && used < size; i++)
         used += (size_t)(shape[i] == ANY
                          ? snprintf(buf + used, size - used, i ? ", any" : "any")
-                         : snprintf(buf + used, size - used, i ? ", %zd" : "%zd",
+                         : snprintf(buf + used, size - used,
+                                    i ? ", %" NPY_INTP_FMT : "%" NPY_INTP_FMT,
                                     shape[i]));
     if (used < size)
         snprintf(buf + used, size - used, ndim == 1 ? ",)" : ")");
 }
 
-/* The data of `obj`, checked to be a C-contiguous array of float64 (kind
- * 'd') or int64 (kind 'i') values in native byte order, writable when
- * asked, of `ndim` dimensions with extents `shape` (ANY matches any
- * length); NULL with ValueError set, naming the function and the
- * argument, otherwise. On success the buffer is held until `release`. */
-static void *array(Arrays *a, PyObject *obj, const char *name, char kind,
-                   int writable, int ndim, const Py_ssize_t *shape)
+/* `obj`, checked to be an aligned, C-contiguous ndarray of float64 (kind
+ * 'd') or 64-bit signed integer (kind 'i') values in native byte order,
+ * writable when asked, of `ndim` dimensions with extents `shape` (ANY
+ * matches any length): a borrowed reference, or NULL with ValueError set,
+ * naming the function and the argument. */
+static PyArrayObject *checked(const char *func, PyObject *obj, const char *name,
+                              char kind, int writable, int ndim,
+                              const npy_intp *shape)
 {
-    Py_buffer *v = &a->views[a->held];
-    char want[64], got[96] = "without such a buffer";
-    if (PyObject_GetBuffer(obj, v, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
-                           | (writable ? PyBUF_WRITABLE : 0)) == 0) {
-        const char *f = v->format ? v->format : "B";
-        f += *f == '@' || *f == '=' || *f == '<';
-        int ok = v->itemsize == 8 && v->ndim == ndim && f[1] == '\0'
-                 && (kind == 'd' ? f[0] == 'd' : f[0] == 'l' || f[0] == 'q');
+    char want[64], got[160];
+    if (PyArray_Check(obj)) {
+        PyArrayObject *a = (PyArrayObject *)obj;
+        int typed = kind == 'd' ? PyArray_TYPE(a) == NPY_DOUBLE
+                                : PyArray_ISSIGNED(a) && PyArray_ITEMSIZE(a) == 8;
+        int ok = typed && PyArray_NDIM(a) == ndim && PyArray_ISALIGNED(a)
+                 && PyArray_IS_C_CONTIGUOUS(a) && PyArray_ISNOTSWAPPED(a)
+                 && (!writable || PyArray_ISWRITEABLE(a));
         for (int i = 0; ok && i < ndim; i++)
-            ok = shape[i] == ANY || v->shape[i] == shape[i];
-        if (ok) {
-            a->held++;
-            return v->buf;
-        }
+            ok = shape[i] == ANY || PyArray_DIM(a, i) == shape[i];
+        if (ok)
+            return a;
         char text[64];
-        shape_text(text, sizeof text, v->ndim, v->shape);
-        snprintf(got, sizeof got, "of shape %s and format '%.8s'", text,
-                 v->format ? v->format : "B");
-        PyBuffer_Release(v);
+        shape_text(text, sizeof text, PyArray_NDIM(a), PyArray_DIMS(a));
+        snprintf(got, sizeof got,
+                 "an ndarray of dtype '%c%d' and shape %s%s%s%s%s",
+                 PyArray_DESCR(a)->kind, (int)PyArray_ITEMSIZE(a), text,
+                 writable && !PyArray_ISWRITEABLE(a) ? ", read-only" : "",
+                 PyArray_IS_C_CONTIGUOUS(a) ? "" : ", non-contiguous",
+                 PyArray_ISALIGNED(a) ? "" : ", unaligned",
+                 PyArray_ISNOTSWAPPED(a) ? "" : ", byte-swapped");
     } else {
-        PyErr_Clear();
+        snprintf(got, sizeof got, "a %.80s", Py_TYPE(obj)->tp_name);
     }
     shape_text(want, sizeof want, ndim, shape);
     PyErr_Format(PyExc_ValueError,
                  "%s: argument %s: expected a %sC-contiguous %s array of "
-                 "shape %s, got %.80s %s", a->func, name,
-                 writable ? "writable " : "", kind == 'd' ? "float64" : "int64",
-                 want, Py_TYPE(obj)->tp_name, got);
+                 "shape %s, got %s", func, name, writable ? "writable " : "",
+                 kind == 'd' ? "float64" : "int64", want, got);
     return NULL;
 }
 
-static int nargs_ok(const Arrays *a, Py_ssize_t nargs, Py_ssize_t want)
+/* `obj` as np.ascontiguousarray(obj, float) makes it, which gives a
+ * scalar one dimension: a new reference, or NULL with the error set. */
+static PyArrayObject *as_contiguous(PyObject *obj)
+{
+    PyArrayObject *a = (PyArrayObject *)PyArray_FROM_OTF(
+        obj, NPY_DOUBLE, NPY_ARRAY_IN_ARRAY | NPY_ARRAY_FORCECAST
+                         | NPY_ARRAY_ENSUREARRAY);
+    if (a && PyArray_NDIM(a) == 0)
+        Py_SETREF(a, (PyArrayObject *)PyArray_Ravel(a, NPY_CORDER));
+    return a;
+}
+
+/* A new C-contiguous array of `type`, NULL with the error set. */
+static PyArrayObject *empty(int ndim, npy_intp *dims, int type)
+{
+    return (PyArrayObject *)PyArray_SimpleNew(ndim, dims, type);
+}
+
+/* Rows lo to hi of the 2-D C-contiguous float64 `base`, as a view. */
+static PyArrayObject *row_view(PyArrayObject *base, npy_intp lo, npy_intp hi)
+{
+    npy_intp dims[2] = {hi - lo, PyArray_DIM(base, 1)};
+    PyArrayObject *view = (PyArrayObject *)PyArray_New(
+        &PyArray_Type, 2, dims, NPY_DOUBLE, NULL,
+        (double *)PyArray_DATA(base) + lo * dims[1], 0, NPY_ARRAY_CARRAY, NULL);
+    if (view && PyArray_SetBaseObject(view, Py_NewRef((PyObject *)base)) < 0)
+        Py_CLEAR(view);
+    return view;
+}
+
+static int nargs_ok(const char *func, Py_ssize_t nargs, Py_ssize_t want)
 {
     if (nargs == want)
         return 1;
-    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments, got %zd", a->func,
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments, got %zd", func,
                  want, nargs);
     return 0;
-}
-
-static Py_ssize_t extent(const Arrays *a, int view, int axis)
-{
-    return a->views[view].shape[axis];
 }
 
 static int blas_bound(void)
@@ -274,135 +309,290 @@ static int rls_steps(const Rls *s, double *work, Py_ssize_t *row, double *denom)
     return RLS_DONE;
 }
 
-/* The arrays and numbers of an RLS call after its streams: Y, Phi, stack,
- * theta_traj, innovation, then lam, min_denom, count0, interval,
- * ceiling_sq. Y and Phi are read-only unless `fill`. */
-static int rls_args(Arrays *a, Rls *s, PyObject *const *arg, int fill)
+/* From row *row: the block checks when it is 0, then the steps. Returns
+ * RLS_DONE or RLS_CHECK_SPECTRUM with *row as rls_steps leaves it, or -1
+ * with UpdateRejectedError (or MemoryError) set. */
+static int rls_run_rows(const Rls *s, Py_ssize_t *row)
 {
-    const Py_ssize_t any2[2] = {ANY, ANY};
-    if (!(s->Y = array(a, arg[0], "Y", 'd', fill, 2, any2)))
+    double denom = NAN;
+    int status = *row == 0 ? rls_check(s, row) : RLS_DONE;
+    if (status == RLS_DONE) {
+        double *work = PyMem_Malloc((size_t)(2 * s->n + s->r) * sizeof *work);
+        if (!work) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        status = rls_steps(s, work, row, &denom);
+        PyMem_Free(work);
+    }
+    switch (status) {
+    case RLS_DONE:
+    case RLS_CHECK_SPECTRUM:
+        return status;
+    case RLS_NONFINITE_INPUT:
+        PyErr_Format(update_rejected, "non-finite value in update input at "
+                     "sample %zd of the block", *row);
+        return -1;
+    case RLS_NONFINITE_P:
+        PyErr_SetString(update_rejected,
+                        "covariance P holds a non-finite value");
+        return -1;
+    case RLS_ASYMMETRIC_P:
+        PyErr_SetString(update_rejected, "covariance P is not exactly "
+                        "symmetric; the update needs P == P'");
+        return -1;
+    default: { /* RLS_REJECTED */
+        char *text = PyOS_double_to_string(denom, 'e', 3, 0, NULL);
+        if (text) {
+            PyErr_Format(update_rejected, "gain denominator %s is not "
+                         "positive at sample %zd of the block", text, *row);
+            PyMem_Free(text);
+        }
+        return -1;
+    }
+    }
+}
+
+/* The model params = (output_dim, regressor_len, burn_in, lam,
+ * min_denom, interval, ceiling_sq) and the state's sample count count0,
+ * into s and *burn_in; 0 with the error set when they do not parse. */
+static int rls_model(const char *func, PyObject *params, PyObject *count0,
+                     Rls *s, Py_ssize_t *burn_in)
+{
+    if (!PyTuple_Check(params) || PyTuple_GET_SIZE(params) != 7) {
+        PyErr_Format(PyExc_TypeError, "%s: params must be a 7-tuple", func);
         return 0;
-    s->m = extent(a, a->held - 1, 0);
-    s->r = extent(a, a->held - 1, 1);
-    const Py_ssize_t phi[2] = {s->m, ANY};
-    if (!(s->Phi = array(a, arg[1], "Phi", 'd', fill, 2, phi)))
-        return 0;
-    s->n = extent(a, a->held - 1, 1);
-    const Py_ssize_t stack[2] = {s->n + s->r, s->n},
-                     traj[3] = {s->m, s->r, s->n}, inn[2] = {s->m, s->r};
-    if (!(s->stack = array(a, arg[2], "stack", 'd', 1, 2, stack))
-            || !(s->theta_traj = array(a, arg[3], "theta_traj", 'd', 1, 3, traj))
-            || !(s->innovation = array(a, arg[4], "innovation", 'd', 1, 2, inn)))
-        return 0;
-    s->lam = PyFloat_AsDouble(arg[5]);
-    s->min_denom = PyFloat_AsDouble(arg[6]);
-    s->count0 = PyLong_AsLongLong(arg[7]);
-    s->interval = PyLong_AsLongLong(arg[8]);
-    s->ceiling_sq = PyFloat_AsDouble(arg[9]);
+    }
+    s->r = PyLong_AsSsize_t(PyTuple_GET_ITEM(params, 0));
+    s->n = PyLong_AsSsize_t(PyTuple_GET_ITEM(params, 1));
+    *burn_in = PyLong_AsSsize_t(PyTuple_GET_ITEM(params, 2));
+    s->lam = PyFloat_AsDouble(PyTuple_GET_ITEM(params, 3));
+    s->min_denom = PyFloat_AsDouble(PyTuple_GET_ITEM(params, 4));
+    s->interval = PyLong_AsLongLong(PyTuple_GET_ITEM(params, 5));
+    s->ceiling_sq = PyFloat_AsDouble(PyTuple_GET_ITEM(params, 6));
+    s->count0 = PyLong_AsLongLong(count0);
     if (PyErr_Occurred())
         return 0;
-    if (s->interval < 1) {
-        PyErr_Format(PyExc_ValueError, "%s: interval must be >= 1", a->func);
+    if (s->r < 1 || s->n < 1 || s->interval < 1) {
+        PyErr_Format(PyExc_ValueError, "%s: output_dim, regressor_len and "
+                     "interval must be >= 1", func);
         return 0;
     }
     return 1;
 }
 
-/* From row `row`: the block checks when row is 0, then the steps.
- * Returns (status, row, denom), or NULL with an error set. */
-static PyObject *rls_run_rows(const Rls *s, Py_ssize_t row)
-{
-    double denom = NAN;
-    int status = row == 0 ? rls_check(s, &row) : RLS_DONE;
-    if (status == RLS_DONE) {
-        double *work = PyMem_Malloc((size_t)(2 * s->n + s->r) * sizeof *work);
-        if (!work)
-            return PyErr_NoMemory();
-        status = rls_steps(s, work, &row, &denom);
-        PyMem_Free(work);
-    }
-    return Py_BuildValue("(ind)", status, row, denom);
-}
-
 static const char rls_rows_doc[] =
-    "rls_rows(Y, Phi, stack, theta_traj, innovation, lam, min_denom, count0,\n"
-    "         interval, ceiling_sq, row) -> (status, row, denom)\n\n"
+    "rls_rows(params, count0, Y, Phi, stack, theta_traj, innovation, row)\n"
+    "    -> (status, row)\n\n"
     "Steps the block's rows from `row` on stack = [P; theta], checking the\n"
-    "block first when `row` is 0 (see _kernels.c).";
+    "block first when `row` is 0, as rls_block does; it resumes a block\n"
+    "after RLS_CHECK_SPECTRUM.";
 
 static PyObject *rls_rows(PyObject *self, PyObject *const *arg, Py_ssize_t nargs)
 {
-    Arrays a = {.func = "rls_rows"};
+    const char *func = "rls_rows";
+    PyArrayObject *a;
     Rls s;
-    PyObject *out = NULL;
-    if (!nargs_ok(&a, nargs, 11))
+    Py_ssize_t burn_in;
+    if (!nargs_ok(func, nargs, 8) || !blas_bound()
+            || !rls_model(func, arg[0], arg[1], &s, &burn_in))
         return NULL;
-    Py_ssize_t row = PyLong_AsSsize_t(arg[10]);
-    if (!PyErr_Occurred() && blas_bound() && rls_args(&a, &s, arg, 0)) {
-        if (row < 0 || row > s.m)
-            PyErr_Format(PyExc_ValueError, "rls_rows: row %zd is outside "
-                         "the block of %zd rows", row, s.m);
-        else
-            out = rls_run_rows(&s, row);
+    Py_ssize_t row = PyLong_AsSsize_t(arg[7]);
+    const npy_intp y[2] = {ANY, s.r};
+    if (PyErr_Occurred() || !(a = checked(func, arg[2], "Y", 'd', 0, 2, y)))
+        return NULL;
+    s.Y = PyArray_DATA(a);
+    s.m = PyArray_DIM(a, 0);
+    const npy_intp phi[2] = {s.m, s.n}, stack[2] = {s.n + s.r, s.n},
+                   traj[3] = {s.m, s.r, s.n}, inn[2] = {s.m, s.r};
+    if (!(a = checked(func, arg[3], "Phi", 'd', 0, 2, phi)))
+        return NULL;
+    s.Phi = PyArray_DATA(a);
+    if (!(a = checked(func, arg[4], "stack", 'd', 1, 2, stack)))
+        return NULL;
+    s.stack = PyArray_DATA(a);
+    if (!(a = checked(func, arg[5], "theta_traj", 'd', 1, 3, traj)))
+        return NULL;
+    s.theta_traj = PyArray_DATA(a);
+    if (!(a = checked(func, arg[6], "innovation", 'd', 1, 2, inn)))
+        return NULL;
+    s.innovation = PyArray_DATA(a);
+    if (row < 0 || row > s.m) {
+        PyErr_Format(PyExc_ValueError, "rls_rows: row %zd is outside the "
+                     "block of %zd rows", row, s.m);
+        return NULL;
     }
-    release(&a);
-    return out;
+    int status = rls_run_rows(&s, &row);
+    return status < 0 ? NULL : Py_BuildValue("(in)", status, row);
 }
 
-static const char identify_rows_doc[] =
-    "identify_rows(v, i, Y, Phi, stack, theta_traj, innovation, lam,\n"
-    "              min_denom, count0, interval, ceiling_sq)\n"
-    "    -> (status, row, denom)\n\n"
-    "Fills Y with the first differences of the stream v (N x nv) from\n"
-    "difference `order` on, and Phi with their lagged regressors, then\n"
-    "checks and steps the block as rls_rows from row 0 does.";
-
-static PyObject *identify_rows(PyObject *self, PyObject *const *arg,
-                               Py_ssize_t nargs)
+/* Fills Y (m x nv) with the first differences of the stream v (N x nv)
+ * from difference `order` on, and Phi (m x order (nv + ni)) with their
+ * lagged regressors, from v and i (N x ni). Row k is update order + k: its
+ * output is difference d = order + k, dv(d) = v[d + 1] - v[d], and its
+ * regressor holds dv(d - 1), ..., dv(d - order), then di(d - 1), ...,
+ * di(d - order), as build_lagged_regressors lays them out. */
+static void fill_rows(const double *v, const double *i, Py_ssize_t nv,
+                      Py_ssize_t ni, Py_ssize_t order, Py_ssize_t m,
+                      double *Y, double *Phi)
 {
-    Arrays a = {.func = "identify_rows"};
-    Rls s;
-    PyObject *out = NULL;
-    const Py_ssize_t any2[2] = {ANY, ANY};
-    const double *v, *i;
-    if (!nargs_ok(&a, nargs, 12))
-        return NULL;
-    if (!blas_bound() || !(v = array(&a, arg[0], "v", 'd', 0, 2, any2))
-            || !(i = array(&a, arg[1], "i", 'd', 0, 2, any2))
-            || !rls_args(&a, &s, arg + 2, 1))
-        goto done;
-    const Py_ssize_t N = extent(&a, 0, 0), nv = extent(&a, 0, 1),
-                     ni = extent(&a, 1, 1), m = s.m;
-    const Py_ssize_t order = m > 0 ? N - 1 - m : 0;
-    if (extent(&a, 1, 0) != N || s.r != nv
-            || (m > 0 && (order < 1 || s.n != order * (nv + ni)))) {
-        PyErr_Format(PyExc_ValueError,
-                     "identify_rows: streams of %zd x %zd and %zd x %zd "
-                     "samples do not give a block of %zd x %zd outputs and "
-                     "%zd x %zd regressors", N, nv, extent(&a, 1, 0), ni,
-                     m, s.r, m, s.n);
-        goto done;
-    }
-    /* Row k is update order + k: its output is difference d = order + k,
-     * dv(d) = v[d + 1] - v[d], and its regressor holds dv(d - 1), ...,
-     * dv(d - order), then di(d - 1), ..., di(d - order), as
-     * build_lagged_regressors lays them out. */
-    double *Y = (double *)s.Y, *Phi = (double *)s.Phi;
     for (Py_ssize_t k = 0; k < m; k++) {
         const Py_ssize_t d = order + k;
-        double *phi = Phi + k * s.n;
         for (Py_ssize_t j = 0; j < nv; j++)
             Y[k * nv + j] = v[(d + 1) * nv + j] - v[d * nv + j];
         for (Py_ssize_t lag = 1; lag <= order; lag++)
             for (Py_ssize_t j = 0; j < nv; j++)
-                *phi++ = v[(d - lag + 1) * nv + j] - v[(d - lag) * nv + j];
+                *Phi++ = v[(d - lag + 1) * nv + j] - v[(d - lag) * nv + j];
         for (Py_ssize_t lag = 1; lag <= order; lag++)
             for (Py_ssize_t j = 0; j < ni; j++)
-                *phi++ = i[(d - lag + 1) * ni + j] - i[(d - lag) * ni + j];
+                *Phi++ = i[(d - lag + 1) * ni + j] - i[(d - lag) * ni + j];
     }
-    out = rls_run_rows(&s, 0);
+}
+
+/* The last extent of `a`, as the shape of np.ascontiguousarray(a) has it. */
+static npy_intp last_extent(PyArrayObject *a)
+{
+    return PyArray_DIM(a, PyArray_NDIM(a) - 1);
+}
+
+static const char rls_block_doc[] =
+    "rls_block(params, count0, P, theta, a, b, t, order)\n"
+    "    -> (status, row, Y, Phi, stack, P, theta, theta_traj, innovation,\n"
+    "        t, index, calibrated)\n\n"
+    "One block of the RLS recursion from the state (count0, P, theta) of\n"
+    "the model params = (output_dim, regressor_len, burn_in, lam,\n"
+    "min_denom, interval, ceiling_sq): copies the state into a new\n"
+    "stack = [P; theta], whose row blocks P and theta it returns, checks\n"
+    "the block and steps it, into new theta_traj and innovation arrays.\n\n"
+    "With t None, a and b are the block's rows Y and Phi, and t, index and\n"
+    "calibrated come back None. Otherwise a and b are the streams v and i\n"
+    "and t their time stamps: the block is the updates from sample\n"
+    "order + 1 on, whose new Y and Phi it fills with the first differences\n"
+    "of v and their lagged regressors, and t, index and calibrated are\n"
+    "their time stamps (a slice of t), sample indices and burn-in flags.\n\n"
+    "A block of the wrong dimensions or a rejected step raises\n"
+    "UpdateRejectedError. status RLS_CHECK_SPECTRUM returns before row\n"
+    "`row`, for the spectral check of P that rls_rows resumes after.";
+
+static PyObject *rls_block(PyObject *self, PyObject *const *arg, Py_ssize_t nargs)
+{
+    const char *func = "rls_block";
+    PyArrayObject *a = NULL, *b = NULL, *Y = NULL, *Phi = NULL, *stack = NULL,
+                  *P = NULL, *theta = NULL, *traj = NULL, *inn = NULL,
+                  *index = NULL, *calibrated = NULL;
+    PyObject *t = NULL, *out = NULL;
+    Rls s;
+    Py_ssize_t burn_in, order = 0, row = 0;
+    if (!nargs_ok(func, nargs, 8) || !blas_bound()
+            || !rls_model(func, arg[0], arg[1], &s, &burn_in))
+        return NULL;
+    const int streams = arg[6] != Py_None;
+    if (streams && (order = PyLong_AsSsize_t(arg[7])) < 1) {
+        if (!PyErr_Occurred())
+            PyErr_Format(PyExc_ValueError, "%s: order must be >= 1", func);
+        return NULL;
+    }
+    if (!(a = as_contiguous(arg[4])) || !(b = as_contiguous(arg[5])))
+        goto done;
+
+    npy_intp m, nv, ni = 0, regressor;
+    if (streams) {
+        if (PyArray_NDIM(a) != 2 || PyArray_NDIM(b) != 2
+                || PyArray_DIM(a, 0) != PyArray_DIM(b, 0)) {
+            char vs[64], is[64];
+            shape_text(vs, sizeof vs, PyArray_NDIM(a), PyArray_DIMS(a));
+            shape_text(is, sizeof is, PyArray_NDIM(b), PyArray_DIMS(b));
+            PyErr_Format(PyExc_ValueError, "v_dq %s and i_dq %s are not two "
+                         "streams of equally many samples", vs, is);
+            goto done;
+        }
+        m = PyArray_DIM(a, 0) - order - 1;
+        m = m > 0 ? m : 0;
+        nv = PyArray_DIM(a, 1);
+        ni = PyArray_DIM(b, 1);
+        regressor = order * (nv + ni);
+    } else {
+        m = PyArray_DIM(a, 0);
+        nv = last_extent(a);
+        regressor = last_extent(b);
+    }
+    if (PyArray_NDIM(a) != 2 || nv != s.r) {
+        PyErr_Format(update_rejected, "output has dim %zd, expected %zd",
+                     (Py_ssize_t)nv, s.r);
+        goto done;
+    }
+    if (PyArray_NDIM(b) != 2 || regressor != s.n) {
+        PyErr_Format(update_rejected, "regressor has length %zd, expected %zd",
+                     (Py_ssize_t)regressor, s.n);
+        goto done;
+    }
+    if (!streams && PyArray_DIM(b, 0) != m) {
+        PyErr_Format(update_rejected, "%zd outputs but %zd regressors in the "
+                     "block", (Py_ssize_t)m, (Py_ssize_t)PyArray_DIM(b, 0));
+        goto done;
+    }
+    npy_intp rows[2] = {m, s.r}, regs[2] = {m, s.n},
+             stack_dims[2] = {s.n + s.r, s.n}, traj_dims[3] = {m, s.r, s.n};
+    if (streams) {
+        if (!(Y = empty(2, rows, NPY_DOUBLE))
+                || !(Phi = empty(2, regs, NPY_DOUBLE)))
+            goto done;
+    } else {
+        Y = (PyArrayObject *)Py_NewRef(a);
+        Phi = (PyArrayObject *)Py_NewRef(b);
+    }
+    /* P[...] = state.P and theta[...] = state.theta: numpy's assignment,
+     * broadcasting and casting as it does */
+    if (!(stack = empty(2, stack_dims, NPY_DOUBLE))
+            || !(P = row_view(stack, 0, s.n))
+            || !(theta = row_view(stack, s.n, s.n + s.r))
+            || PyArray_CopyObject(P, arg[2]) < 0
+            || PyArray_CopyObject(theta, arg[3]) < 0
+            || !(traj = empty(3, traj_dims, NPY_DOUBLE))
+            || !(inn = empty(2, rows, NPY_DOUBLE)))
+        goto done;
+    s.m = m;
+    s.Y = PyArray_DATA(Y);
+    s.Phi = PyArray_DATA(Phi);
+    s.stack = PyArray_DATA(stack);
+    s.theta_traj = PyArray_DATA(traj);
+    s.innovation = PyArray_DATA(inn);
+    if (streams) {
+        const npy_intp first = order + 1;
+        fill_rows(PyArray_DATA(a), PyArray_DATA(b), nv, ni, order, m,
+                  PyArray_DATA(Y), PyArray_DATA(Phi));
+        if (!(t = PySequence_GetSlice(arg[6], first, first + m))
+                || !(index = empty(1, &m, NPY_INTP))
+                || !(calibrated = empty(1, &m, NPY_BOOL)))
+            goto done;
+        /* update k, at sample index[k] = first + k, brings the sample count
+         * to count0 + k + 1, which is calibrated from burn_in on */
+        npy_intp *idx = PyArray_DATA(index);
+        npy_bool *cal = PyArray_DATA(calibrated);
+        for (npy_intp k = 0; k < m; k++) {
+            idx[k] = first + k;
+            cal[k] = s.count0 + k + 1 >= burn_in;
+        }
+    }
+    int status = rls_run_rows(&s, &row);
+    if (status >= 0)
+        out = Py_BuildValue("(inOOOOOOOOOO)", status, row, Y, Phi, stack, P,
+                            theta, traj, inn, t ? t : Py_None,
+                            index ? (PyObject *)index : Py_None,
+                            calibrated ? (PyObject *)calibrated : Py_None);
 done:
-    release(&a);
+    Py_XDECREF(a);
+    Py_XDECREF(b);
+    Py_XDECREF(Y);
+    Py_XDECREF(Phi);
+    Py_XDECREF(stack);
+    Py_XDECREF(P);
+    Py_XDECREF(theta);
+    Py_XDECREF(traj);
+    Py_XDECREF(inn);
+    Py_XDECREF(t);
+    Py_XDECREF(index);
+    Py_XDECREF(calibrated);
     return out;
 }
 
@@ -418,41 +608,36 @@ static const char sim_rows_doc[] =
 
 static PyObject *sim_rows(PyObject *self, PyObject *const *arg, Py_ssize_t nargs)
 {
-    Arrays a = {.func = "sim_rows"};
-    PyObject *out = NULL;
-    const Py_ssize_t any2[2] = {ANY, ANY};
-    double *FC, *x0, *drive, *v, *work;
-    if (!nargs_ok(&a, nargs, 4))
+    const char *func = "sim_rows";
+    const npy_intp any2[2] = {ANY, ANY};
+    PyArrayObject *FC, *x0, *drive, *v;
+    if (!nargs_ok(func, nargs, 4) || !blas_bound()
+            || !(drive = checked(func, arg[2], "drive", 'd', 1, 2, any2)))
         return NULL;
-    if (!blas_bound() || !(drive = array(&a, arg[2], "drive", 'd', 1, 2, any2)))
-        goto done;
-    const Py_ssize_t m = extent(&a, 0, 0), nx = extent(&a, 0, 1),
-                     rows[2] = {m, ANY};
-    if (!(v = array(&a, arg[3], "v", 'd', 1, 2, rows)))
-        goto done;
-    const Py_ssize_t nv = extent(&a, 1, 1), fc[2] = {nx + nv, nx}, x[1] = {nx};
-    if (!(FC = array(&a, arg[0], "FC", 'd', 0, 2, fc))
-            || !(x0 = array(&a, arg[1], "x", 'd', 0, 1, x)))
-        goto done;
-    if (!(work = PyMem_Malloc((size_t)(nx + nv) * sizeof *work))) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    const double *xk = x0;
-    for (Py_ssize_t k = 0; k < m; k++) {
-        double *x_next = drive + k * nx;
-        gemv(nx + nv, nx, FC, xk, work);
-        for (Py_ssize_t j = 0; j < nx; j++)
+    const npy_intp m = PyArray_DIM(drive, 0), nx = PyArray_DIM(drive, 1),
+                   rows[2] = {m, ANY};
+    if (!(v = checked(func, arg[3], "v", 'd', 1, 2, rows)))
+        return NULL;
+    const npy_intp nv = PyArray_DIM(v, 1), fc[2] = {nx + nv, nx}, x[1] = {nx};
+    if (!(FC = checked(func, arg[0], "FC", 'd', 0, 2, fc))
+            || !(x0 = checked(func, arg[1], "x", 'd', 0, 1, x)))
+        return NULL;
+    double *work = PyMem_Malloc((size_t)(nx + nv) * sizeof *work);
+    if (!work)
+        return PyErr_NoMemory();
+    const double *fc_data = PyArray_DATA(FC), *xk = PyArray_DATA(x0);
+    double *drive_data = PyArray_DATA(drive), *v_data = PyArray_DATA(v);
+    for (npy_intp k = 0; k < m; k++) {
+        double *x_next = drive_data + k * nx;
+        gemv(nx + nv, nx, fc_data, xk, work);
+        for (npy_intp j = 0; j < nx; j++)
             x_next[j] = work[j] + x_next[j];
-        for (Py_ssize_t j = 0; j < nv; j++)
-            v[k * nv + j] = work[nx + j];
+        for (npy_intp j = 0; j < nv; j++)
+            v_data[k * nv + j] = work[nx + j];
         xk = x_next;
     }
     PyMem_Free(work);
-    out = Py_NewRef(Py_None);
-done:
-    release(&a);
-    return out;
+    Py_RETURN_NONE;
 }
 
 /* ------------------------------------------------------------------------
@@ -490,127 +675,213 @@ static double pairwise_sum_sq(const double *x, Py_ssize_t n)
     return pairwise_sum_sq(x, n2) + pairwise_sum_sq(x + n2, n - n2);
 }
 
-static const char distance_rows_doc[] =
-    "distance_rows(thetas, star, dev, d) -> first NaN row, or -1\n\n"
-    "d[k] = the Frobenius distance of snapshot thetas[k] to star, as\n"
-    "sqrt(add.reduce(dev * dev)) over the deviation dev = thetas[k] - star\n"
-    "flattened; writes each deviation into row k of dev unless dev is\n"
-    "None. Returns the first k whose d is NaN, or -1.";
-
-static PyObject *distance_rows(PyObject *self, PyObject *const *arg,
-                               Py_ssize_t nargs)
+/* The Frobenius distance of the snapshot theta (w values) to star, as
+ * sqrt(add.reduce(dev * dev)) over its deviation dev = theta - star,
+ * which it writes into dev. */
+static double distance(const double *theta, const double *star, double *dev,
+                       Py_ssize_t w)
 {
-    Arrays a = {.func = "distance_rows"};
-    PyObject *out = NULL;
-    const Py_ssize_t any1[1] = {ANY};
-    double *thetas, *star, *dev = NULL, *d, *row = NULL;
-    if (!nargs_ok(&a, nargs, 4))
-        return NULL;
-    if (!(d = array(&a, arg[3], "d", 'd', 1, 1, any1)))
-        goto done;
-    const Py_ssize_t m = extent(&a, 0, 0);
-    if (!(star = array(&a, arg[1], "star", 'd', 0, 1, any1)))
-        goto done;
-    const Py_ssize_t w = extent(&a, 1, 0), rows[2] = {m, w};
-    if (!(thetas = array(&a, arg[0], "thetas", 'd', 0, 2, rows)))
-        goto done;
-    if (arg[2] != Py_None && !(dev = array(&a, arg[2], "dev", 'd', 1, 2, rows)))
-        goto done;
-    if (!dev && !(row = PyMem_Malloc((size_t)(w ? w : 1) * sizeof *row))) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    Py_ssize_t first_nan = -1;
-    for (Py_ssize_t k = 0; k < m; k++) {
-        double *x = dev ? dev + k * w : row;
-        for (Py_ssize_t j = 0; j < w; j++)
-            x[j] = thetas[k * w + j] - star[j];
-        d[k] = sqrt(pairwise_sum_sq(x, w));
-        if (first_nan < 0 && isnan(d[k]))
-            first_nan = k;
-    }
-    PyMem_Free(row);
-    out = PyLong_FromSsize_t(first_nan);
-done:
-    release(&a);
-    return out;
+    for (Py_ssize_t j = 0; j < w; j++)
+        dev[j] = theta[j] - star[j];
+    return sqrt(pairwise_sum_sq(dev, w));
 }
 
-static const char match_rows_doc[] =
-    "match_rows(d, raw, sig_norm, sig_codes, d_low, d_high, match_floor,\n"
-    "           codes, similarity)\n\n"
-    "The verdict code and the similarity of each row of d: fault above\n"
-    "d_high; in the band d_low < d <= d_high, the label of the signature\n"
-    "of the largest similarity raw[k, s] / (d[k] sig_norm[s]) (0 where\n"
-    "that divisor is not positive; the first of equal ones, or the first\n"
-    "NaN), unclassified below match_floor or when raw is None (an empty\n"
-    "library); normal otherwise. similarity is NaN outside the band and\n"
-    "without a library.";
-
-static PyObject *match_rows(PyObject *self, PyObject *const *arg,
-                            Py_ssize_t nargs)
+/* thetas (m, *shape) and theta_star (shape) as C-contiguous float64
+ * arrays, new references, once the snapshots' shape is checked against
+ * the reference's; 0 with the error set otherwise. */
+static int snapshots(PyObject *thetas_obj, PyObject *star_obj,
+                     PyArrayObject **thetas, PyArrayObject **star)
 {
-    Arrays a = {.func = "match_rows"};
-    PyObject *out = NULL;
-    const Py_ssize_t any1[1] = {ANY};
-    double *d, *raw = NULL, *sig_norm = NULL, *similarity;
-    int64_t *sig_codes = NULL, *codes;
-    Py_ssize_t n_sig = 0;
-    if (!nargs_ok(&a, nargs, 9))
+    if (!(*thetas = as_contiguous(thetas_obj))
+            || !(*star = as_contiguous(star_obj)))
+        return 0;
+    const int ndim = PyArray_NDIM(*thetas) - 1;
+    int same = ndim == PyArray_NDIM(*star);
+    for (int i = 0; same && i < ndim; i++)
+        same = PyArray_DIM(*thetas, i + 1) == PyArray_DIM(*star, i);
+    if (same)
+        return 1;
+    char got[64], want[64];
+    shape_text(got, sizeof got, ndim, PyArray_DIMS(*thetas) + 1);
+    shape_text(want, sizeof want, PyArray_NDIM(*star), PyArray_DIMS(*star));
+    PyErr_Format(PyExc_ValueError, "snapshot shape %s does not match the "
+                 "reference predictor shape %s", got, want);
+    return 0;
+}
+
+static const char distance_block_doc[] =
+    "distance_block(thetas, theta_star) -> d\n\n"
+    "d[k] = the Frobenius distance of snapshot thetas[k] to theta_star, as\n"
+    "sqrt(add.reduce(dev * dev)) over the deviation dev = thetas[k] -\n"
+    "theta_star flattened. The snapshots' shape must be theta_star's.";
+
+static PyObject *distance_block(PyObject *self, PyObject *const *arg,
+                                Py_ssize_t nargs)
+{
+    PyArrayObject *thetas = NULL, *star = NULL, *d = NULL;
+    double *dev = NULL;
+    if (!nargs_ok("distance_block", nargs, 2))
         return NULL;
-    const double d_low = PyFloat_AsDouble(arg[4]),
-                 d_high = PyFloat_AsDouble(arg[5]),
-                 floor = PyFloat_AsDouble(arg[6]);
-    if (PyErr_Occurred() || !(d = array(&a, arg[0], "d", 'd', 0, 1, any1)))
+    if (snapshots(arg[0], arg[1], &thetas, &star)) {
+        npy_intp m = PyArray_DIM(thetas, 0), w = PyArray_SIZE(star);
+        if ((d = empty(1, &m, NPY_DOUBLE))
+                && (dev = PyMem_Malloc((size_t)(w ? w : 1) * sizeof *dev))) {
+            const double *rows = PyArray_DATA(thetas), *s = PyArray_DATA(star);
+            double *dk = PyArray_DATA(d);
+            for (npy_intp k = 0; k < m; k++)
+                dk[k] = distance(rows + k * w, s, dev, w);
+        } else if (d) {
+            PyErr_NoMemory();
+            Py_CLEAR(d);
+        }
+    }
+    PyMem_Free(dev);
+    Py_XDECREF(thetas);
+    Py_XDECREF(star);
+    return (PyObject *)d;
+}
+
+/* The signature products of the nb band deviations in `dev`: einsum's
+ * ij,kj->ik with `matrix`, a new (nb, signatures) array. */
+static PyArrayObject *band_products(PyArrayObject *dev, npy_intp nb,
+                                    PyArrayObject *matrix)
+{
+    static char subscripts[] = "ij,kj->ik";
+    PyArrayObject *ops[2] = {row_view(dev, 0, nb), matrix}, *raw = NULL;
+    if (ops[0]) {
+        raw = PyArray_EinsteinSum(subscripts, 2, ops, NULL, NPY_KEEPORDER,
+                                  NPY_SAFE_CASTING, NULL);
+        einsum_count++;
+        Py_DECREF(ops[0]);
+    }
+    return raw;
+}
+
+static const char classify_block_doc[] =
+    "classify_block(thetas, theta_star, matrix, norms, sig_codes, d_low,\n"
+    "               d_high, match_floor) -> (d, codes, similarity)\n\n"
+    "The distance of each snapshot thetas[k] to theta_star (as\n"
+    "distance_block), its verdict code and its similarity: fault above\n"
+    "d_high; in the band d_low < d <= d_high, the label sig_codes[s] of\n"
+    "the signature of the largest similarity raw[k, s] / (d[k] norms[s])\n"
+    "(0 where that divisor is not positive; the first of equal ones, or the\n"
+    "first NaN), unclassified below match_floor or when matrix is None (an\n"
+    "empty library); normal otherwise. raw holds the band deviations'\n"
+    "products with the rows of matrix, einsum('ij,kj->ik'), taken per\n"
+    "DISTANCE_CHUNK snapshots and only for the band. similarity is NaN\n"
+    "outside the band and without a library. A NaN distance raises\n"
+    "ValueError naming the first such snapshot.";
+
+static PyObject *classify_block(PyObject *self, PyObject *const *arg,
+                                Py_ssize_t nargs)
+{
+    const char *func = "classify_block";
+    PyArrayObject *thetas = NULL, *star = NULL, *matrix = NULL, *dev = NULL,
+                  *d = NULL, *codes = NULL, *similarity = NULL, *raw = NULL;
+    const double *sig_norm = NULL;
+    const npy_int64 *sig_codes = NULL;
+    npy_intp n_sig = 0;
+    PyObject *out = NULL;
+    if (!nargs_ok(func, nargs, 8))
+        return NULL;
+    const double d_low = PyFloat_AsDouble(arg[5]),
+                 d_high = PyFloat_AsDouble(arg[6]),
+                 floor = PyFloat_AsDouble(arg[7]);
+    if (PyErr_Occurred() || !snapshots(arg[0], arg[1], &thetas, &star))
         goto done;
-    const Py_ssize_t m = extent(&a, 0, 0), one[1] = {m};
-    if (!(codes = array(&a, arg[7], "codes", 'i', 1, 1, one))
-            || !(similarity = array(&a, arg[8], "similarity", 'd', 1, 1, one)))
-        goto done;
-    if (arg[1] != Py_None) {
-        const Py_ssize_t any_sig[2] = {m, ANY};
-        if (!(raw = array(&a, arg[1], "raw", 'd', 0, 2, any_sig)))
+    npy_intp m = PyArray_DIM(thetas, 0), w = PyArray_SIZE(star);
+    if (arg[2] != Py_None) {
+        const npy_intp sig[2] = {ANY, w};
+        PyArrayObject *norms, *labels;
+        if (!(matrix = checked(func, arg[2], "matrix", 'd', 0, 2, sig)))
             goto done;
-        n_sig = extent(&a, a.held - 1, 1);
-        const Py_ssize_t sig[1] = {n_sig};
-        if (!(sig_norm = array(&a, arg[2], "sig_norm", 'd', 0, 1, sig))
-                || !(sig_codes = array(&a, arg[3], "sig_codes", 'i', 0, 1, sig)))
+        n_sig = PyArray_DIM(matrix, 0);
+        if (!(norms = checked(func, arg[3], "norms", 'd', 0, 1, &n_sig))
+                || !(labels = checked(func, arg[4], "sig_codes", 'i', 0, 1,
+                                      &n_sig)))
             goto done;
         if (n_sig < 1) {
-            PyErr_SetString(PyExc_ValueError,
-                            "match_rows: raw has no signature column");
+            PyErr_Format(PyExc_ValueError, "%s: matrix has no signature row",
+                         func);
             goto done;
         }
+        sig_norm = PyArray_DATA(norms);
+        sig_codes = PyArray_DATA(labels);
     }
-    for (Py_ssize_t k = 0; k < m; k++) {
-        similarity[k] = NAN;
-        if (d[k] > d_high) {
-            codes[k] = FAULT_CODE;
-        } else if (!(d[k] > d_low)) {
-            codes[k] = NORMAL_CODE;
-        } else if (!raw) {
-            codes[k] = UNCLASSIFIED_CODE;
-        } else {
-            /* np.argmax: the first maximum, or the first NaN */
-            Py_ssize_t best = 0;
-            double best_sim = 0.0;
-            for (Py_ssize_t j = 0; j < n_sig; j++) {
-                double denom = d[k] * sig_norm[j];
-                double sim = denom > 0 ? raw[k * n_sig + j] / denom : 0.0;
-                if (j == 0 || !(sim <= best_sim)) {
-                    best = j;
-                    best_sim = sim;
-                    if (isnan(sim))
-                        break;
-                }
+    npy_intp dev_dims[2] = {m < DISTANCE_CHUNK ? m : DISTANCE_CHUNK, w};
+    if (!(d = empty(1, &m, NPY_DOUBLE)) || !(codes = empty(1, &m, NPY_INTP))
+            || !(similarity = empty(1, &m, NPY_DOUBLE))
+            || !(dev = empty(2, dev_dims, NPY_DOUBLE)))
+        goto done;
+    const double *rows = PyArray_DATA(thetas), *s = PyArray_DATA(star);
+    double *dk = PyArray_DATA(d), *sim = PyArray_DATA(similarity),
+           *dev_rows = PyArray_DATA(dev);
+    npy_intp *code = PyArray_DATA(codes);
+    for (npy_intp lo = 0; lo < m; lo += DISTANCE_CHUNK) {
+        const npy_intp hi = m - lo < DISTANCE_CHUNK ? m : lo + DISTANCE_CHUNK;
+        /* d, with the deviations of the band's rows packed at the front of
+         * dev: an infinite d is a fault like any d > d_high, a NaN d has
+         * no verdict */
+        npy_intp nb = 0;
+        for (npy_intp k = lo; k < hi; k++) {
+            dk[k] = distance(rows + k * w, s, dev_rows + nb * w, w);
+            if (isnan(dk[k])) {
+                PyErr_Format(PyExc_ValueError, "snapshot %zd holds a NaN: its "
+                             "distance to the nominal predictor is NaN",
+                             (Py_ssize_t)k);
+                goto done;
             }
-            similarity[k] = best_sim;
-            codes[k] = best_sim < floor ? UNCLASSIFIED_CODE : sig_codes[best];
+            nb += dk[k] > d_low && dk[k] <= d_high;
         }
+        /* einsum's own loop gives each row the bits of that row alone: a
+         * BLAS gemv (one signature) or a 1-row product can change a row's
+         * last bit with the row count. The norm of a band deviation is
+         * bitwise its d, the same reduction over the same values, so the
+         * similarity's divisor is d * norm. */
+        if (matrix && nb > 0 && !(raw = band_products(dev, nb, matrix)))
+            goto done;
+        const char *raw_row = raw ? PyArray_BYTES(raw) : NULL;
+        const npy_intp raw_step = raw ? PyArray_STRIDE(raw, 0) : 0,
+                       raw_col = raw ? PyArray_STRIDE(raw, 1) : 0;
+        for (npy_intp k = lo; k < hi; k++) {
+            sim[k] = NAN;
+            if (dk[k] > d_high) {
+                code[k] = FAULT_CODE;
+            } else if (!(dk[k] > d_low)) {
+                code[k] = NORMAL_CODE;
+            } else if (!matrix) {
+                code[k] = UNCLASSIFIED_CODE;
+            } else {
+                /* np.argmax: the first maximum, or the first NaN */
+                npy_intp best = 0;
+                double best_sim = 0.0;
+                for (npy_intp j = 0; j < n_sig; j++) {
+                    double denom = dk[k] * sig_norm[j];
+                    double raw_kj = *(const double *)(raw_row + j * raw_col);
+                    double sim_j = denom > 0 ? raw_kj / denom : 0.0;
+                    if (j == 0 || !(sim_j <= best_sim)) {
+                        best = j;
+                        best_sim = sim_j;
+                        if (isnan(sim_j))
+                            break;
+                    }
+                }
+                raw_row += raw_step;
+                sim[k] = best_sim;
+                code[k] = best_sim < floor ? UNCLASSIFIED_CODE : sig_codes[best];
+            }
+        }
+        Py_CLEAR(raw);
     }
-    out = Py_NewRef(Py_None);
+    out = PyTuple_Pack(3, d, codes, similarity);
 done:
-    release(&a);
+    Py_XDECREF(thetas);
+    Py_XDECREF(star);
+    Py_XDECREF(dev);
+    Py_XDECREF(d);
+    Py_XDECREF(codes);
+    Py_XDECREF(similarity);
+    Py_XDECREF(raw);
     return out;
 }
 
@@ -632,20 +903,25 @@ static PyObject *bind_blas(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+static PyObject *einsum_calls(PyObject *self, PyObject *unused)
+{
+    return PyLong_FromUnsignedLongLong(einsum_count);
+}
+
+#define FASTCALL(name) \
+    {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, name##_doc}
+
 static PyMethodDef methods[] = {
     {"bind_blas", bind_blas, METH_VARARGS,
      "bind_blas(dgemv_address, ddot_address): the cblas_dgemv and\n"
      "cblas_ddot that the RLS and simulator loops call."},
-    {"rls_rows", (PyCFunction)(void (*)(void))rls_rows, METH_FASTCALL,
-     rls_rows_doc},
-    {"identify_rows", (PyCFunction)(void (*)(void))identify_rows,
-     METH_FASTCALL, identify_rows_doc},
-    {"sim_rows", (PyCFunction)(void (*)(void))sim_rows, METH_FASTCALL,
-     sim_rows_doc},
-    {"distance_rows", (PyCFunction)(void (*)(void))distance_rows,
-     METH_FASTCALL, distance_rows_doc},
-    {"match_rows", (PyCFunction)(void (*)(void))match_rows, METH_FASTCALL,
-     match_rows_doc},
+    {"einsum_calls", einsum_calls, METH_NOARGS,
+     "einsum_calls() -> the calls classify_block has made to einsum."},
+    FASTCALL(rls_block),
+    FASTCALL(rls_rows),
+    FASTCALL(sim_rows),
+    FASTCALL(distance_block),
+    FASTCALL(classify_block),
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef module = {
@@ -658,11 +934,17 @@ PyMODINIT_FUNC PyInit__kernels_ext(void)
     static const struct { const char *name; int value; } constants[] = {
         {"RLS_DONE", RLS_DONE},
         {"RLS_CHECK_SPECTRUM", RLS_CHECK_SPECTRUM},
-        {"RLS_REJECTED", RLS_REJECTED},
-        {"RLS_NONFINITE_INPUT", RLS_NONFINITE_INPUT},
-        {"RLS_NONFINITE_P", RLS_NONFINITE_P},
-        {"RLS_ASYMMETRIC_P", RLS_ASYMMETRIC_P}};
+        {"DISTANCE_CHUNK", DISTANCE_CHUNK}};
+    import_array();
+    if (!update_rejected && !(update_rejected = PyErr_NewExceptionWithDoc(
+            "gridarx.rls.UpdateRejectedError",
+            "A recursive update was rejected; the estimator state is "
+            "unchanged.", PyExc_ValueError, NULL)))
+        return NULL;
     PyObject *mod = PyModule_Create(&module);
+    if (mod && PyModule_AddObjectRef(mod, "UpdateRejectedError",
+                                     update_rejected) < 0)
+        Py_CLEAR(mod);
     for (size_t i = 0; mod && i < sizeof constants / sizeof *constants; i++)
         if (PyModule_AddIntConstant(mod, constants[i].name,
                                     constants[i].value) < 0)

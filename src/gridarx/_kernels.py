@@ -1,26 +1,31 @@
 """The per-sample loops of gridarx, a C extension module compiled at import.
 
-`_kernels.c` holds the step loops of `rls.rls_run` and `simulate._step`,
-the regressor fill of `pipeline.identify` and the distance and verdict
-passes of `detector.distances` and `detector.classify_series`. It is
+`_kernels.c` holds the block kernels of `pipeline.identify` (and
+`rls.rls_run`), `detector.classify_series` and `detector.distances`, and
+the step loop of `simulate._step`. It is built on numpy's C API: it is
 compiled with the C compiler `CC` against the headers of the running
-Python (`INCLUDE`) into an extension module in the `__pycache__`
-directory beside it, whose name carries the sha256 of the source, the
-compiler command with its flags and include directory, the BLAS path and
-the interpreter's `EXT_SUFFIX`; a module under any other name is never
-loaded, and a process that compiles a new one removes the other
-`_kernels.*.so` files there. The compiler writes under a temporary name,
-which is then moved into place, so processes that import into one empty
-cache at once each load a whole module.
+Python (`INCLUDE`) and numpy (`NUMPY_INCLUDE`) into an extension module in
+the `__pycache__` directory beside it, whose name carries the sha256 of
+the source, the compiler command with its flags and include directories,
+numpy's version, the BLAS path and the interpreter's `EXT_SUFFIX`; a
+module under any other name is never loaded, and a process that compiles
+a new one removes the other `_kernels.*.so` files there. The compiler
+writes under a temporary name, which is then moved into place, so
+processes that import into one empty cache at once each load a whole
+module.
 
-Its entry points take the ndarrays themselves and check each one's shape,
-dtype, C-contiguity and writability through the buffer protocol, raising
-ValueError for an array that does not fit. Their products go through the
-BLAS functions that `np.dot` calls: those of the scipy-openblas64 that
-numpy's wheels bundle in `numpy.libs`, bound once here. So they give the
-bits of the numpy forms they replace. A missing compiler or Python header,
-a failed compile or a numpy without that BLAS raises ImportError naming
-what was looked for.
+A stream block takes two calls: `rls_block` converts the streams,
+allocates every output of `identify`, fills the regressors and steps the
+block; `classify_block` computes the distances, the band's products with
+the signatures and the verdicts. The arrays an entry point reads or writes
+in place are checked for dtype, shape, C-contiguity and writability,
+raising ValueError naming the function and the argument. The RLS and
+simulator products go through the BLAS functions that `np.dot` calls:
+those of the scipy-openblas64 that numpy's wheels bundle in `numpy.libs`,
+bound once here; the signature products through the function `np.einsum`
+calls. So they give the bits of the numpy forms they replace. A missing
+compiler, Python or numpy header, a failed compile or a numpy without that
+BLAS raises ImportError naming what was looked for.
 """
 
 from __future__ import annotations
@@ -35,12 +40,14 @@ import sysconfig
 import numpy as np
 
 CC = "cc"
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 INCLUDE = sysconfig.get_paths()["include"]
+NUMPY_INCLUDE = np.get_include()
+NUMPY_VERSION = np.__version__
 EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "_kernels.c")
-COMMAND = (CC, *CFLAGS, f"-I{INCLUDE}")
+COMMAND = (CC, *CFLAGS, f"-I{INCLUDE}", f"-I{NUMPY_INCLUDE}")
 BLAS_DIR = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                         "numpy.libs")
 BLAS_PREFIX = "libscipy_openblas64_"
@@ -72,6 +79,11 @@ def _compile(path: str) -> None:
         raise ImportError(
             f"no Python.h in {INCLUDE}: gridarx compiles {SOURCE} against "
             "the headers of the running Python (a python3-dev package)")
+    if not os.path.isfile(os.path.join(NUMPY_INCLUDE, "numpy",
+                                       "arrayobject.h")):
+        raise ImportError(
+            f"no numpy/arrayobject.h in {NUMPY_INCLUDE}: gridarx compiles "
+            f"{SOURCE} against the headers of the running numpy")
     tmp = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -98,15 +110,15 @@ def _load():
     with open(SOURCE, "rb") as fh:
         source = fh.read()
     digest = hashlib.sha256(b"\0".join(
-        [source, " ".join(COMMAND).encode(), blas_path.encode(),
-         EXT_SUFFIX.encode()]))
+        [source, " ".join(COMMAND).encode(), NUMPY_VERSION.encode(),
+         blas_path.encode(), EXT_SUFFIX.encode()]))
     path = os.path.join(os.path.dirname(SOURCE), "__pycache__",
                         f"_kernels.{digest.hexdigest()}{EXT_SUFFIX}")
     if not os.path.exists(path):
         _compile(path)
-        # the modules of other sources, compilers, Pythons or BLAS builds;
-        # another process's compiler output, under its temporary name, is
-        # not one
+        # the modules of other sources, compilers, Pythons, numpys or BLAS
+        # builds; another process's compiler output, under its temporary
+        # name, is not one
         for stale in glob.glob(os.path.join(os.path.dirname(path),
                                             "_kernels.*.so")):
             if stale != path:
@@ -135,15 +147,14 @@ def _load():
 
 EXTENSION, DGEMV_ADDRESS, DDOT_ADDRESS, BLAS_PATH = _load()
 
-# the entry points (see their docstrings) and the RLS status codes
+# the entry points (see their docstrings) and their constants
+rls_block = EXTENSION.rls_block
 rls_rows = EXTENSION.rls_rows
-identify_rows = EXTENSION.identify_rows
 sim_rows = EXTENSION.sim_rows
-distance_rows = EXTENSION.distance_rows
-match_rows = EXTENSION.match_rows
+distance_block = EXTENSION.distance_block
+classify_block = EXTENSION.classify_block
+einsum_calls = EXTENSION.einsum_calls
+UpdateRejectedError = EXTENSION.UpdateRejectedError
 RLS_DONE = EXTENSION.RLS_DONE
 RLS_CHECK_SPECTRUM = EXTENSION.RLS_CHECK_SPECTRUM
-RLS_REJECTED = EXTENSION.RLS_REJECTED
-RLS_NONFINITE_INPUT = EXTENSION.RLS_NONFINITE_INPUT
-RLS_NONFINITE_P = EXTENSION.RLS_NONFINITE_P
-RLS_ASYMMETRIC_P = EXTENSION.RLS_ASYMMETRIC_P
+DISTANCE_CHUNK = EXTENSION.DISTANCE_CHUNK

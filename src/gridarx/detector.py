@@ -8,11 +8,11 @@ load-increase patterns.
 
 The distances and the verdicts are computed in C (`_kernels.c`), in the
 order of the numpy expressions they replace, so that they keep those
-bits: `classify_series` takes a chunk of snapshots in three steps (the
-deviations and distances, numpy's einsum against the signature matrix,
-then the band test, similarity, best match and verdict codes). The
-signature matrix is built once per library content
-(`SignatureLibrary.arrays`).
+bits: `classify_series` is one kernel call, which takes each chunk of
+snapshots in three passes (the deviations and distances, numpy's einsum
+of the band's deviations against the signature matrix, then the band
+test, similarity, best match and verdict codes). The signature matrix is
+built once per library content (`SignatureLibrary.arrays`).
 """
 
 from __future__ import annotations
@@ -257,39 +257,21 @@ def calibrate_nominal(t, thetas, window: int) -> NominalPredictor:
 
 # Snapshots per chunk in `classify_series`: bounds its deviation buffer to
 # a chunk.
-DISTANCE_CHUNK = 4096
-
-
-def _snapshots(thetas, theta_star):
-    """`thetas` and `theta_star` as float64 arrays, once the snapshots'
-    shape (m, rows, cols) is checked against the reference's (rows, cols)."""
-    thetas = np.asarray(thetas, float)
-    theta_star = np.ascontiguousarray(theta_star, float)
-    if thetas.shape[1:] != theta_star.shape:
-        raise ValueError(
-            f"snapshot shape {thetas.shape[1:]} does not match the reference "
-            f"predictor shape {theta_star.shape}"
-        )
-    return thetas, theta_star
+DISTANCE_CHUNK = _kernels.DISTANCE_CHUNK
 
 
 def distances(thetas, theta_star) -> np.ndarray:
     """Frobenius distance of each predictor snapshot in `thetas` (m, rows,
-    cols) to the reference `theta_star` (rows, cols).
+    cols) to the reference `theta_star` (rows, cols); a snapshot shape
+    other than the reference's raises ValueError.
 
     Each distance is sqrt(add.reduce(dev * dev)) over the snapshot's
     deviation dev, flattened, summed in numpy's order
-    (`_kernels.distance_rows`), so it has the bits of
+    (`_kernels.distance_block`), so it has the bits of
     np.linalg.norm(thetas - theta_star, axis=(1, 2)), which makes the same
     reduction over the same contiguous values.
     """
-    thetas, theta_star = _snapshots(thetas, theta_star)
-    d = np.empty(thetas.shape[0])
-    star = theta_star.reshape(-1)
-    _kernels.distance_rows(
-        np.ascontiguousarray(thetas).reshape(d.size, star.size), star, None,
-        d)
-    return d
+    return _kernels.distance_block(thetas, theta_star)
 
 
 def calibrate_thresholds(d_values) -> Thresholds:
@@ -322,49 +304,20 @@ def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
     A snapshot whose distance is NaN has no verdict: it raises ValueError
     naming the first such snapshot. An infinite distance is a fault.
 
-    Each DISTANCE_CHUNK snapshots take three steps: a C pass for the
-    deviations and d (`_kernels.distance_rows`), numpy's einsum of the
-    deviations against the signature matrix, and a C pass for the band
-    test, the similarity, the first best match (np.argmax's) and the
-    verdict codes (`_kernels.match_rows`). Each gives the bits of the
-    numpy form it replaces, whatever the rows around a snapshot.
+    The snapshot shape must be theta*'s, else ValueError.
+
+    One kernel call (`_kernels.classify_block`) takes each DISTANCE_CHUNK
+    snapshots in three passes: the deviations and d in C, numpy's einsum of
+    the band's deviations against the signature matrix (none for a chunk
+    without band rows), and the band test, the similarity, the first best
+    match (np.argmax's) and the verdict codes in C. Each gives the bits of
+    the numpy form it replaces, whatever the rows around a snapshot.
     """
     if nominal is None:
         raise ValueError("nominal predictor is not calibrated")
-    thetas, theta_star = _snapshots(thetas, nominal.theta_star)
-    star = theta_star.reshape(-1)
-    matrix, norms, sig_codes = library.arrays()
-    m = thetas.shape[0]
-    d = np.empty(m)
-    codes = np.empty(m, np.intp)
-    similarity = np.empty(m)
-    # one deviation buffer serves every chunk
-    dev = np.empty((min(m, DISTANCE_CHUNK), star.size))
-    for lo in range(0, m, DISTANCE_CHUNK):
-        hi = min(m, lo + DISTANCE_CHUNK)
-        rows = dev[:hi - lo]
-        # d and the deviations: an infinite d is a fault like any
-        # d > d_high, a NaN d has no verdict
-        nan = _kernels.distance_rows(
-            np.ascontiguousarray(thetas[lo:hi]).reshape(rows.shape), star,
-            rows, d[lo:hi])
-        if nan >= 0:
-            raise ValueError(
-                f"snapshot {lo + nan} holds a NaN: its distance to the "
-                "nominal predictor is NaN"
-            )
-        # The products with the signatures come from einsum's own loop,
-        # which gives each row the bits of that row alone: a BLAS gemv
-        # (one signature) or a 1-row product can change a row's last bit
-        # with the row count, and so with the block size. The norm of a
-        # band deviation is bitwise its d, the same reduction over the
-        # same values, so the similarity's divisor is d * norm.
-        raw = None if matrix is None else np.einsum("ij,kj->ik", rows,
-                                                    matrix)
-        _kernels.match_rows(d[lo:hi], raw, norms, sig_codes,
-                            thresholds.d_low, thresholds.d_high, match_floor,
-                            codes[lo:hi], similarity[lo:hi])
-    return d, codes, similarity
+    return _kernels.classify_block(thetas, nominal.theta_star,
+                                   *library.arrays(), thresholds.d_low,
+                                   thresholds.d_high, match_floor)
 
 
 def classify(

@@ -51,38 +51,18 @@ def identify(sim: SimResult, config: ArxConfig,
     Update k pairs the output difference dv(order + k), where dv(j) =
     v[j + 1] - v[j], with the regressor [dv(order + k - 1), ...,
     dv(k), di(order + k - 1), ..., di(k)] of the `order` differences
-    before it, newest first. One kernel call fills `y` and `phi` with
-    them and steps the block (`rls.run_block`).
+    before it, newest first. One kernel call converts the streams as
+    np.ascontiguousarray(x, float) does, fills `y` and `phi` with them and
+    steps the block (`rls.run_block`). v_dq and i_dq must be two streams of
+    equally many samples, else ValueError; dimensions that do not fit the
+    state's config raise UpdateRejectedError. The first `order` + 1
+    samples give no update; `order` is `config`'s, the rest of the model
+    the state's.
     """
-    v = np.ascontiguousarray(sim.v_dq, float)
-    i = np.ascontiguousarray(sim.i_dq, float)
-    if v.ndim != 2 or i.ndim != 2 or i.shape[0] != v.shape[0]:
-        raise ValueError(f"v_dq {v.shape} and i_dq {i.shape} are not two "
-                         "streams of equally many samples")
-    order = config.order
-    # difference k sits at dv[k-1]; the first regressor-complete output is
-    # difference index order+1, i.e. sample index order+1 of the raw stream
-    first = order + 1
-    m = max(0, v.shape[0] - first)
-    y = np.empty((m, v.shape[1]))
-    phi = np.empty((m, order * (v.shape[1] + i.shape[1])))
-    index = np.arange(first, first + m)
-    t = sim.t[first:first + m]
-
     if state is None:
         state = init_identifier(config)
-    theta_traj, innovation, final_state = run_block(state, y, phi, (v, i))
-    # update k, at sample index[k] = first + k, brings the sample count to
-    # state.sample_count + k + 1, which is calibrated from burn_in on
-    calibrated = index >= first + state.config.burn_in - state.sample_count - 1
-
-    return IdentRun(
-        t=t,
-        index=index,
-        theta=theta_traj,
-        y=y,
-        phi=phi,
-        innovation=innovation,
-        calibrated=calibrated,
-        final_state=final_state,
-    )
+    theta, innovation, final_state, y, phi, t, index, calibrated = run_block(
+        state, sim.v_dq, sim.i_dq, sim.t, config.order)
+    return IdentRun(t=t, index=index, theta=theta, y=y, phi=phi,
+                    innovation=innovation, calibrated=calibrated,
+                    final_state=final_state)

@@ -5,11 +5,12 @@ consuming one (output, regressor) pair per step. Both output rows regress on
 the same regressor with the same forgetting factor, so the Kalman gain and
 covariance are shared and the theta update is a joint rank-1 correction.
 
-The recursion exists once, in the block kernel `rls_run` (`run_block`,
-which `pipeline.identify` also calls): it validates a block of rows once
-(shapes in Python; finiteness and an exactly symmetric P in the same C
-call that then steps the rows, `_kernels.c`), and updates theta and P in
-place. The kernel keeps P and theta stacked as one
+The recursion exists once, in the block kernel of `rls_run`
+(`run_block`, which `pipeline.identify` also calls): one C call
+(`_kernels.rls_block`) validates a block of rows once (its shapes,
+finiteness and an exactly symmetric P), allocates its outputs and steps
+the rows; only the rare spectral check of P returns to Python mid-block.
+The kernel keeps P and theta stacked as one
 (regressor_len + output_dim) x regressor_len array, so that one rank-1
 correction per step updates both, with the bits of the textbook formulas
 (negation is exact, and the symmetrisation's addition is commutative).
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +49,9 @@ class ConfigError(ValueError):
     """Invalid estimator configuration."""
 
 
-class UpdateRejectedError(ValueError):
-    """A recursive update was rejected; the estimator state is unchanged."""
+# A recursive update was rejected; the estimator state is unchanged. A
+# ValueError, raised by the kernel.
+UpdateRejectedError = _kernels.UpdateRejectedError
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,16 @@ class ArxConfig:
     def covariance_ceiling(self) -> float:
         return self.p_max if self.p_max is not None else max(1e5, self.p0_scale)
 
+    @cached_property
+    def kernel_params(self) -> tuple:
+        """The model as `_kernels.rls_block` takes it: (output_dim,
+        regressor_len, burn_in, forgetting, MIN_GAIN_DENOMINATOR,
+        COV_CLAMP_INTERVAL, covariance_ceiling ** 2), worked out once."""
+        ceiling = self.covariance_ceiling
+        return (self.output_dim, self.regressor_len, self.burn_in,
+                self.forgetting, MIN_GAIN_DENOMINATOR, COV_CLAMP_INTERVAL,
+                ceiling * ceiling)
+
 
 @dataclass
 class IdentifierState:
@@ -146,51 +159,23 @@ def rls_run(state: IdentifierState, Y, Phi):
     update below relies on it, and any other P is rejected the same way.
     The input state is never modified.
     """
-    Y = np.ascontiguousarray(Y, dtype=float)
-    Phi = np.ascontiguousarray(Phi, dtype=float)
-    return run_block(state, Y, Phi)
+    return run_block(state, Y, Phi)[:3]
 
 
-# The messages of the kernel's rejections, by its status.
-_REJECTED = {
-    _kernels.RLS_NONFINITE_INPUT:
-        "non-finite value in update input at sample {row} of the block",
-    _kernels.RLS_NONFINITE_P: "covariance P holds a non-finite value",
-    _kernels.RLS_ASYMMETRIC_P:
-        "covariance P is not exactly symmetric; the update needs P == P'",
-    _kernels.RLS_REJECTED:
-        "gain denominator {denom:.3e} is not positive at sample {row} of the "
-        "block",
-}
+def run_block(state: IdentifierState, a, b, t=None, order: int = 0):
+    """The block of `rls_run` (a, b = Y, Phi, converted as
+    np.ascontiguousarray(x, float) does) or of `pipeline.identify` (a, b =
+    the streams v, i of time stamps t, whose updates from sample order + 1
+    on make the block): one kernel call, `_kernels.rls_block`, and the
+    spectral checks it returns for.
 
-
-def run_block(state: IdentifierState, Y: np.ndarray, Phi: np.ndarray,
-              streams=None):
-    """`rls_run` on C-contiguous float64 arrays Y and Phi.
-
-    With `streams` = (v, i), the same kernel call first fills Y and Phi
-    (then empty arrays of the block's shape) with the first differences
-    of the stream v and the lagged regressors of v and i, as
-    `pipeline.identify` builds them.
+    Returns (theta_traj, innovation, final_state, Y, Phi, t, index,
+    calibrated): for streams, Y and Phi are the block's rows, t, index and
+    calibrated the updates' time stamps, sample indices and burn-in flags
+    (None for rows). Every array is new, but t, a slice of the stream's.
     """
     cfg = state.config
-    if Y.ndim != 2 or Y.shape[1] != cfg.output_dim:
-        raise UpdateRejectedError(
-            f"output has dim {Y.shape[-1]}, expected {cfg.output_dim}"
-        )
-    if Phi.ndim != 2 or Phi.shape[1] != cfg.regressor_len:
-        raise UpdateRejectedError(
-            f"regressor has length {Phi.shape[-1]}, expected {cfg.regressor_len}"
-        )
-    m = Y.shape[0]
-    if Phi.shape[0] != m:
-        raise UpdateRejectedError(
-            f"{m} outputs but {Phi.shape[0]} regressors in the block"
-        )
-    lam = cfg.forgetting
-    ceiling = cfg.covariance_ceiling
-    count0 = state.sample_count
-    n, r = cfg.regressor_len, cfg.output_dim
+    params, count0 = cfg.kernel_params, state.sample_count
     # P and theta are the row blocks of one (n + r) x n array `stack` =
     # [P; theta]: one rank-1 product of [P phi; -e] with K', then one
     # subtract, updates both blocks. The bits are those of the formulas
@@ -211,27 +196,15 @@ def run_block(state: IdentifierState, Y: np.ndarray, Phi: np.ndarray,
     #   are -0.0 only when x is. The zero prior holds none, and the updates
     #   make one only from one or by underflow; the tests compare these
     #   steps with the multiply form bit for bit.
-    stack = np.empty((n + r, n))
-    P, theta = stack[:n], stack[n:]
-    P[...] = state.P
-    theta[...] = state.theta
-    theta_traj = np.empty((m, r, n))
-    innovation = np.empty((m, r))
-
-    # The kernel first checks the block: every value of Y, Phi and P
-    # finite, and P exactly symmetric (P == P' as numbers, so that +0.0
-    # and -0.0 agree). It then steps the rows in C, returning here after
-    # a step that needs the spectral check below, or at a rejection.
-    args = (Y, Phi, stack, theta_traj, innovation, lam, MIN_GAIN_DENOMINATOR,
-            count0, COV_CLAMP_INTERVAL, ceiling * ceiling)
-    if streams is None:
-        status, row, denom = _kernels.rls_rows(*args, 0)
-    else:
-        status, row, denom = _kernels.identify_rows(*streams, *args)
+    #
+    # The kernel first checks the block: its dimensions, every value of Y,
+    # Phi and P finite, and P exactly symmetric (P == P' as numbers, so
+    # that +0.0 and -0.0 agree). It then steps the rows, returning here
+    # after a step that needs the spectral check below.
+    (status, row, Y, Phi, stack, P, theta, theta_traj, innovation, t, index,
+     calibrated) = _kernels.rls_block(params, count0, state.P, state.theta,
+                                      a, b, t, order)
     while status != _kernels.RLS_DONE:
-        if status != _kernels.RLS_CHECK_SPECTRUM:
-            raise UpdateRejectedError(
-                _REJECTED[status].format(row=row, denom=denom))
         # Forgetting inflates P exponentially along directions the stream
         # never excites (covariance windup), which eventually destroys the
         # update in floating point. Clamp P's spectrum at the ceiling on a
@@ -244,17 +217,19 @@ def run_block(state: IdentifierState, Y: np.ndarray, Phi: np.ndarray,
         # rounding of the sum of squares (relative ~n^2 eps) is far inside
         # the clamp's 1e-9 margin, so no skipped check could have clamped.
         # A NaN in P fails that test and reaches eigh.
+        ceiling = cfg.covariance_ceiling
         eigvals, eigvecs = np.linalg.eigh(P)
         if eigvals[-1] > ceiling * (1.0 + 1e-9):
             clamped = (eigvecs * np.minimum(eigvals, ceiling)) @ eigvecs.T
             P[...] = (clamped + clamped.T) / 2.0
-        status, row, denom = _kernels.rls_rows(*args, row)
+        status, row = _kernels.rls_rows(params, count0, Y, Phi, stack,
+                                        theta_traj, innovation, row)
 
     # theta and P are views of this call's own stack, which nothing else
-    # holds, so they need no copies
+    # holds, so they need no copies; a done block ends at row m
     final = IdentifierState(config=cfg, theta=theta, P=P,
-                           sample_count=count0 + m)
-    return theta_traj, innovation, final
+                            sample_count=count0 + row)
+    return theta_traj, innovation, final, Y, Phi, t, index, calibrated
 
 
 def rls_update(state: IdentifierState, y, phi) -> IdentifierState:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridarx import _kernels
 from gridarx.detector import (
     DEFAULT_MATCH_FLOOR,
     DISTANCE_CHUNK,
+    NORMAL_CODE,
     DebounceState,
     DetectionEvent,
     InsufficientDataError,
@@ -668,11 +670,12 @@ class TestKernelPasses:
         assert_bits_equal(got, want)
 
     @pytest.mark.parametrize("n_signatures", [0, 1, 2])
-    @pytest.mark.parametrize("size", [1, 3, 100, 8192])
+    @pytest.mark.parametrize("size", [1, 3, 100, 4096, 8192])
     def test_classify_blocks_equal_numpy_form(self, fault_run, size,
                                               n_signatures):
-        """A real run's theta in blocks of `size` rows (8192 spans two
-        DISTANCE_CHUNKs) against the numpy form on the whole run."""
+        """A real run's theta in blocks of `size` rows (4096 is one
+        DISTANCE_CHUNK, 8192 spans two) against the numpy form on the
+        whole run, which multiplies only the band's rows."""
         thetas, nominal, thresholds, signatures = fault_run
         library = SignatureLibrary(order=ORDER,
                                    signatures=signatures[:n_signatures])
@@ -683,12 +686,38 @@ class TestKernelPasses:
                  for lo in range(0, thetas.shape[0], size)]
         d, codes, similarity = (np.concatenate(p) for p in zip(*parts))
         assert_bits_equal(d, want[0])
-        assert np.array_equal(codes, want[1])
+        assert_bits_equal(codes, want[1])
         assert_bits_equal(similarity, want[2])
         expected = {0: {Verdict.NORMAL, Verdict.FAULT, Verdict.UNCLASSIFIED},
                     1: {Verdict.NORMAL, Verdict.FAULT, Verdict.UNCLASSIFIED},
                     2: set(Verdict)}[n_signatures]
         assert set(VERDICTS[codes]) == expected
+
+    def test_products_only_for_chunks_with_band_rows(self, fault_run):
+        """The signature products are taken per DISTANCE_CHUNK snapshots,
+        of the band's rows alone: a chunk without band rows makes no
+        einsum call, and a stream without any makes none at all."""
+        thetas, nominal, thresholds, signatures = fault_run
+        library = SignatureLibrary(order=ORDER, signatures=signatures)
+        d = distances(thetas, nominal.theta_star)
+        band = (d > thresholds.d_low) & (d <= thresholds.d_high)
+        # band rows in the first of three chunks only: from the first band
+        # row on, then copies of a row outside the band
+        first = np.flatnonzero(band)[0]
+        outside = np.repeat(thetas[~band][:1], 2 * DISTANCE_CHUNK, axis=0)
+        thetas = np.concatenate([thetas[first:first + DISTANCE_CHUNK],
+                                 outside])
+        above = Thresholds(d_high=2.0 * float(d.max()),
+                           d_low=float(d.max()))
+        for thr, calls in ((thresholds, 1), (above, 0)):
+            before = _kernels.einsum_calls()
+            got = classify_series(thetas, nominal, thr, library)
+            assert _kernels.einsum_calls() - before == calls
+            want = classify_series_numpy(thetas, nominal, thr, library,
+                                         DEFAULT_MATCH_FLOOR)
+            assert_bits_equal(got[1], want[1])
+            assert_bits_equal(got[2], want[2])
+        assert (got[1] == NORMAL_CODE).all()
 
     def test_library_change_reaches_next_call(self, fault_run):
         """The signature matrix is kept between calls, and rebuilt when a

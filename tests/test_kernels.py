@@ -101,6 +101,38 @@ def test_missing_python_header_names_include_dir(package):
     assert libraries(package) == []
 
 
+def test_missing_numpy_header_names_include_dir(package):
+    loader = package / "gridarx" / "_kernels.py"
+    text = loader.read_text()
+    line = "NUMPY_INCLUDE = np.get_include()\n"
+    assert text.count(line) == 1
+    missing = package / "no-numpy-include"
+    loader.write_text(text.replace(line, f"NUMPY_INCLUDE = {str(missing)!r}\n"))
+    code, _, err = run_probe(package)
+    assert code != 0
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("ImportError: ")
+    assert f"no numpy/arrayobject.h in {missing}" in last
+    assert libraries(package) == []
+
+
+def test_library_of_another_numpy_is_never_loaded(package):
+    """The module is built against numpy's headers and ABI: another numpy
+    version compiles a module of its own, which replaces the first."""
+    code, (first, digest), err = run_probe(package)
+    assert code == 0, err
+    loader = package / "gridarx" / "_kernels.py"
+    text = loader.read_text()
+    line = "NUMPY_VERSION = np.__version__\n"
+    assert text.count(line) == 1
+    loader.write_text(text.replace(line, 'NUMPY_VERSION = "0.0.0"\n'))
+    code, (second, digest_after), err = run_probe(package)
+    assert code == 0, err
+    assert second != first
+    assert digest_after == digest
+    assert libraries(package) == [os.path.basename(second)]
+
+
 def test_library_of_another_source_is_never_loaded(package):
     """The new library replaces the stale one in the cache; another
     process's compiler output, under a temporary name, stays."""

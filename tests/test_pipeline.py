@@ -515,9 +515,10 @@ class TestKernelBlas:
 
             got = stack.copy()
             theta_traj, innovation = np.empty((1, r, n)), np.empty((1, r))
-            status, row, _ = _kernels.rls_rows(
-                y[None], phi[None], got, theta_traj, innovation, lam,
-                MIN_GAIN_DENOMINATOR, 0, COV_CLAMP_INTERVAL, np.inf, 0)
+            params = (r, n, 2 * n, lam, MIN_GAIN_DENOMINATOR,
+                      COV_CLAMP_INTERVAL, np.inf)
+            status, row = _kernels.rls_rows(params, 0, y[None], phi[None],
+                                            got, theta_traj, innovation, 0)
             assert status == _kernels.RLS_DONE and row == 1
             assert_bits_equal(got, want)
             assert_bits_equal(theta_traj[0], want[n:])
@@ -544,6 +545,109 @@ class TestKernelBlas:
             _kernels.sim_rows(FC, x0, got_x, got_v)
             assert_bits_equal(got_x, want_x)
             assert_bits_equal(got_v, want_v)
+
+
+def contract_calls():
+    """The good call of each entry point that takes arrays as they are:
+    (name, the arguments before its checked arrays, the checked arrays by
+    argument name in call order, those it writes, the arguments after)."""
+    n, r, m = 12, 2, 3
+    rng = np.random.Generator(np.random.Philox(3))
+    yield ("rls_rows",
+           ((r, n, 2 * n, 0.99, MIN_GAIN_DENOMINATOR, COV_CLAMP_INTERVAL,
+             np.inf), 0),
+           {"Y": rng.standard_normal((m, r)),
+            "Phi": rng.standard_normal((m, n)),
+            "stack": np.concatenate([np.eye(n), np.zeros((r, n))]),
+            "theta_traj": np.empty((m, r, n)),
+            "innovation": np.empty((m, r))},
+           {"stack", "theta_traj", "innovation"}, (0,))
+    yield ("sim_rows", (),
+           {"FC": rng.standard_normal((6, 4)) / 4, "x": np.ones(4),
+            "drive": rng.standard_normal((m, 4)), "v": np.empty((m, 2))},
+           {"drive", "v"}, ())
+    star = rng.standard_normal((r, n))
+    yield ("classify_block",
+           (star + rng.standard_normal((m, r, n)), star),
+           {"matrix": rng.standard_normal((2, r * n)),
+            "norms": np.ones(2), "sig_codes": np.array([1, 2])},
+           set(), (0.1, 10.0, 0.8))
+
+
+def read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+# Arrays that break the contract: each keeps the values it can.
+DEFECTS = {
+    "float32": lambda a: a.astype(np.float32 if a.dtype.kind == "f"
+                                  else np.int32),
+    "non-contiguous": lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+    "read-only": read_only,
+    "wrongly shaped": lambda a: a[None],
+}
+
+
+class TestEntryPointContract:
+    """The arrays an entry point takes as they are must be aligned,
+    C-contiguous ndarrays of its dtype and shape, writable where it writes
+    them; the block entry points convert their streams and snapshots
+    instead, and allocate fresh outputs."""
+
+    @pytest.mark.parametrize("func, name, defect", [
+        (func, name, defect)
+        for func, _, arrays, written, _ in contract_calls()
+        for name in arrays for defect in DEFECTS
+        if defect != "read-only" or name in written])
+    def test_bad_array_refused_by_name(self, func, name, defect):
+        _, before, arrays, _, after = next(
+            call for call in contract_calls() if call[0] == func)
+        entry = getattr(_kernels, func)
+        entry(*before, *arrays.values(), *after)
+        arrays[name] = DEFECTS[defect](arrays[name])
+        with pytest.raises(ValueError, match=f"^{func}: argument {name}: "):
+            entry(*before, *arrays.values(), *after)
+
+    @pytest.mark.parametrize("convert", [
+        lambda x: x.tolist(), lambda x: x.astype(np.float32),
+        np.asfortranarray, lambda x: np.repeat(x, 2, axis=0)[::2]],
+        ids=["list", "float32", "fortran", "strided"])
+    def test_identify_converts_streams(self, simulated, convert):
+        """As np.ascontiguousarray(x, float) converts them."""
+        config = ArxConfig()
+        v, i = convert(simulated.v_dq[:600]), convert(simulated.i_dq[:600])
+        got = identify(SimResult(t=simulated.t[:600], v_dq=v, i_dq=i,
+                                 ts=simulated.ts), config)
+        want = identify(SimResult(
+            t=simulated.t[:600], v_dq=np.ascontiguousarray(v, float),
+            i_dq=np.ascontiguousarray(i, float), ts=simulated.ts), config)
+        for name in ("theta", "y", "phi", "innovation"):
+            assert_bits_equal(getattr(got, name), getattr(want, name))
+        assert_bits_equal(got.final_state.P, want.final_state.P)
+
+    def test_identify_outputs_are_fresh(self, simulated):
+        """Each block's arrays are its own, writable, and kept intact by
+        the calls after it (a stream keeps every block's theta)."""
+        config = ArxConfig()
+        names = ("theta", "y", "phi", "innovation", "index", "calibrated")
+        parts = blocks(simulated, 100, config.order + 1)
+        first = identify(next(parts), config)
+        kept = {name: getattr(first, name).copy() for name in names}
+        state, later = first.final_state, []
+        for _ in range(3):
+            later.append(identify(next(parts), config, state))
+            state = later[-1].final_state
+        for name in names:
+            array = getattr(first, name)
+            assert array.flags.owndata and array.flags.writeable, name
+            assert np.array_equal(array, kept[name]), name
+            for run in later:
+                assert not np.shares_memory(array, getattr(run, name))
+        for run in later:
+            assert not np.shares_memory(first.final_state.P,
+                                        run.final_state.P)
 
 
 class TestStackedProducts:
