@@ -21,12 +21,13 @@
  *
  * `rls_block` and `classify_block` each take a stream block in one call:
  * they convert their inputs as np.ascontiguousarray(x, float) does,
- * allocate every output and fill it. The arrays that an entry point reads
- * or writes in place (`rls_rows`, `sim_rows`, the signature arrays) must
- * be aligned, C-contiguous ndarrays of the dtype and shape it names, in
- * native byte order, writable where written; any other raises ValueError
- * naming the function and the argument. `_kernels.py` compiles and loads
- * this file.
+ * allocate every output and fill it. `rls_block` calls back into Python
+ * for one thing only, the rare spectral clamp of the covariance, and then
+ * carries on with the block. The arrays that an entry point reads or
+ * writes in place (`sim_rows`, the signature arrays) must be aligned,
+ * C-contiguous ndarrays of the dtype and shape it names, in native byte
+ * order, writable where written; any other raises ValueError naming the
+ * function and the argument. `_kernels.py` compiles and loads this file.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -56,8 +57,8 @@ static ddot_fn ddot;
 /* rls.UpdateRejectedError, created with the module. */
 static PyObject *update_rejected;
 
-/* The statuses of the RLS steps. The entry points raise
- * UpdateRejectedError for the rejections and return the first two. */
+/* The statuses of the RLS steps. `rls_run_rows` calls the clamp on
+ * RLS_CHECK_SPECTRUM and raises UpdateRejectedError for the rejections. */
 enum {
     RLS_DONE = 0,
     RLS_CHECK_SPECTRUM = 1,
@@ -210,6 +211,8 @@ typedef struct {
     double *innovation;     /* m x r */
     double lam, min_denom, ceiling_sq;
     long long count0, interval;
+    PyObject *clamp;        /* clamps P's spectrum in place, called on P */
+    PyObject *P;            /* the P block of stack, as an ndarray */
 } Rls;
 
 /* The block checks of `rls.rls_run`: RLS_NONFINITE_INPUT with *row the
@@ -249,7 +252,7 @@ static int rls_check(const Rls *s, Py_ssize_t *row)
  * number of rows done, in two cases:
  * - RLS_CHECK_SPECTRUM: the sample count after the last row done is a
  *   multiple of `interval` and ||P||_F^2 is not <= ceiling_sq (a NaN is
- *   not), so the caller checks P's spectrum against the ceiling;
+ *   not), so the caller clamps P's spectrum at the ceiling;
  * - RLS_REJECTED: the gain denominator of row *row, written to *denom, is
  *   <= min_denom; that row is not applied (a NaN passes this test). */
 static int rls_steps(const Rls *s, double *work, Py_ssize_t *row, double *denom)
@@ -309,29 +312,38 @@ static int rls_steps(const Rls *s, double *work, Py_ssize_t *row, double *denom)
     return RLS_DONE;
 }
 
-/* From row *row: the block checks when it is 0, then the steps. Returns
- * RLS_DONE or RLS_CHECK_SPECTRUM with *row as rls_steps leaves it, or -1
- * with UpdateRejectedError (or MemoryError) set. */
-static int rls_run_rows(const Rls *s, Py_ssize_t *row)
+/* The block checks, then the steps: each time rls_steps returns
+ * RLS_CHECK_SPECTRUM, the clamp is called on P and the steps resume from
+ * the row they stopped at. Returns 0 after the last row, or -1 with
+ * UpdateRejectedError, the clamp's own error or MemoryError set. */
+static int rls_run_rows(const Rls *s)
 {
+    Py_ssize_t row = 0;
     double denom = NAN;
-    int status = *row == 0 ? rls_check(s, row) : RLS_DONE;
+    int status = rls_check(s, &row);
     if (status == RLS_DONE) {
         double *work = PyMem_Malloc((size_t)(2 * s->n + s->r) * sizeof *work);
         if (!work) {
             PyErr_NoMemory();
             return -1;
         }
-        status = rls_steps(s, work, row, &denom);
+        while ((status = rls_steps(s, work, &row, &denom))
+                   == RLS_CHECK_SPECTRUM) {
+            PyObject *done = PyObject_CallOneArg(s->clamp, s->P);
+            if (!done)
+                break;
+            Py_DECREF(done);
+        }
         PyMem_Free(work);
     }
     switch (status) {
     case RLS_DONE:
-    case RLS_CHECK_SPECTRUM:
-        return status;
+        return 0;
+    case RLS_CHECK_SPECTRUM: /* the clamp raised */
+        return -1;
     case RLS_NONFINITE_INPUT:
         PyErr_Format(update_rejected, "non-finite value in update input at "
-                     "sample %zd of the block", *row);
+                     "sample %zd of the block", row);
         return -1;
     case RLS_NONFINITE_P:
         PyErr_SetString(update_rejected,
@@ -345,7 +357,7 @@ static int rls_run_rows(const Rls *s, Py_ssize_t *row)
         char *text = PyOS_double_to_string(denom, 'e', 3, 0, NULL);
         if (text) {
             PyErr_Format(update_rejected, "gain denominator %s is not "
-                         "positive at sample %zd of the block", text, *row);
+                         "positive at sample %zd of the block", text, row);
             PyMem_Free(text);
         }
         return -1;
@@ -354,13 +366,16 @@ static int rls_run_rows(const Rls *s, Py_ssize_t *row)
 }
 
 /* The model params = (output_dim, regressor_len, burn_in, lam,
- * min_denom, interval, ceiling_sq) and the state's sample count count0,
- * into s and *burn_in; 0 with the error set when they do not parse. */
+ * min_denom, interval, ceiling_sq, clamp) and the state's sample count
+ * count0, into s and *burn_in; 0 with the error set when they do not
+ * parse. s->clamp is borrowed from params. */
 static int rls_model(const char *func, PyObject *params, PyObject *count0,
                      Rls *s, Py_ssize_t *burn_in)
 {
-    if (!PyTuple_Check(params) || PyTuple_GET_SIZE(params) != 7) {
-        PyErr_Format(PyExc_TypeError, "%s: params must be a 7-tuple", func);
+    if (!PyTuple_Check(params) || PyTuple_GET_SIZE(params) != 8
+            || !PyCallable_Check(PyTuple_GET_ITEM(params, 7))) {
+        PyErr_Format(PyExc_TypeError, "%s: params must be an 8-tuple ending "
+                     "in a callable", func);
         return 0;
     }
     s->r = PyLong_AsSsize_t(PyTuple_GET_ITEM(params, 0));
@@ -370,6 +385,7 @@ static int rls_model(const char *func, PyObject *params, PyObject *count0,
     s->min_denom = PyFloat_AsDouble(PyTuple_GET_ITEM(params, 4));
     s->interval = PyLong_AsLongLong(PyTuple_GET_ITEM(params, 5));
     s->ceiling_sq = PyFloat_AsDouble(PyTuple_GET_ITEM(params, 6));
+    s->clamp = PyTuple_GET_ITEM(params, 7);
     s->count0 = PyLong_AsLongLong(count0);
     if (PyErr_Occurred())
         return 0;
@@ -379,51 +395,6 @@ static int rls_model(const char *func, PyObject *params, PyObject *count0,
         return 0;
     }
     return 1;
-}
-
-static const char rls_rows_doc[] =
-    "rls_rows(params, count0, Y, Phi, stack, theta_traj, innovation, row)\n"
-    "    -> (status, row)\n\n"
-    "Steps the block's rows from `row` on stack = [P; theta], checking the\n"
-    "block first when `row` is 0, as rls_block does; it resumes a block\n"
-    "after RLS_CHECK_SPECTRUM.";
-
-static PyObject *rls_rows(PyObject *self, PyObject *const *arg, Py_ssize_t nargs)
-{
-    const char *func = "rls_rows";
-    PyArrayObject *a;
-    Rls s;
-    Py_ssize_t burn_in;
-    if (!nargs_ok(func, nargs, 8) || !blas_bound()
-            || !rls_model(func, arg[0], arg[1], &s, &burn_in))
-        return NULL;
-    Py_ssize_t row = PyLong_AsSsize_t(arg[7]);
-    const npy_intp y[2] = {ANY, s.r};
-    if (PyErr_Occurred() || !(a = checked(func, arg[2], "Y", 'd', 0, 2, y)))
-        return NULL;
-    s.Y = PyArray_DATA(a);
-    s.m = PyArray_DIM(a, 0);
-    const npy_intp phi[2] = {s.m, s.n}, stack[2] = {s.n + s.r, s.n},
-                   traj[3] = {s.m, s.r, s.n}, inn[2] = {s.m, s.r};
-    if (!(a = checked(func, arg[3], "Phi", 'd', 0, 2, phi)))
-        return NULL;
-    s.Phi = PyArray_DATA(a);
-    if (!(a = checked(func, arg[4], "stack", 'd', 1, 2, stack)))
-        return NULL;
-    s.stack = PyArray_DATA(a);
-    if (!(a = checked(func, arg[5], "theta_traj", 'd', 1, 3, traj)))
-        return NULL;
-    s.theta_traj = PyArray_DATA(a);
-    if (!(a = checked(func, arg[6], "innovation", 'd', 1, 2, inn)))
-        return NULL;
-    s.innovation = PyArray_DATA(a);
-    if (row < 0 || row > s.m) {
-        PyErr_Format(PyExc_ValueError, "rls_rows: row %zd is outside the "
-                     "block of %zd rows", row, s.m);
-        return NULL;
-    }
-    int status = rls_run_rows(&s, &row);
-    return status < 0 ? NULL : Py_BuildValue("(in)", status, row);
 }
 
 /* Fills Y (m x nv) with the first differences of the stream v (N x nv)
@@ -457,13 +428,15 @@ static npy_intp last_extent(PyArrayObject *a)
 
 static const char rls_block_doc[] =
     "rls_block(params, count0, P, theta, a, b, t, order)\n"
-    "    -> (status, row, Y, Phi, stack, P, theta, theta_traj, innovation,\n"
-    "        t, index, calibrated)\n\n"
+    "    -> (Y, Phi, P, theta, theta_traj, innovation, t, index,\n"
+    "        calibrated)\n\n"
     "One block of the RLS recursion from the state (count0, P, theta) of\n"
     "the model params = (output_dim, regressor_len, burn_in, lam,\n"
-    "min_denom, interval, ceiling_sq): copies the state into a new\n"
-    "stack = [P; theta], whose row blocks P and theta it returns, checks\n"
-    "the block and steps it, into new theta_traj and innovation arrays.\n\n"
+    "min_denom, interval, ceiling_sq, clamp): copies the state into new P\n"
+    "and theta arrays, checks the block and steps it, into new theta_traj\n"
+    "and innovation arrays. After a step that brings the sample count to a\n"
+    "multiple of interval with ||P||_F^2 not <= ceiling_sq, it calls\n"
+    "clamp(P), which may rewrite P in place, and goes on.\n\n"
     "With t None, a and b are the block's rows Y and Phi, and t, index and\n"
     "calibrated come back None. Otherwise a and b are the streams v and i\n"
     "and t their time stamps: the block is the updates from sample\n"
@@ -471,8 +444,7 @@ static const char rls_block_doc[] =
     "of v and their lagged regressors, and t, index and calibrated are\n"
     "their time stamps (a slice of t), sample indices and burn-in flags.\n\n"
     "A block of the wrong dimensions or a rejected step raises\n"
-    "UpdateRejectedError. status RLS_CHECK_SPECTRUM returns before row\n"
-    "`row`, for the spectral check of P that rls_rows resumes after.";
+    "UpdateRejectedError; an exception of clamp propagates.";
 
 static PyObject *rls_block(PyObject *self, PyObject *const *arg, Py_ssize_t nargs)
 {
@@ -482,7 +454,7 @@ static PyObject *rls_block(PyObject *self, PyObject *const *arg, Py_ssize_t narg
                   *index = NULL, *calibrated = NULL;
     PyObject *t = NULL, *out = NULL;
     Rls s;
-    Py_ssize_t burn_in, order = 0, row = 0;
+    Py_ssize_t burn_in, order = 0;
     if (!nargs_ok(func, nargs, 8) || !blas_bound()
             || !rls_model(func, arg[0], arg[1], &s, &burn_in))
         return NULL;
@@ -555,6 +527,7 @@ static PyObject *rls_block(PyObject *self, PyObject *const *arg, Py_ssize_t narg
     s.Y = PyArray_DATA(Y);
     s.Phi = PyArray_DATA(Phi);
     s.stack = PyArray_DATA(stack);
+    s.P = (PyObject *)P;
     s.theta_traj = PyArray_DATA(traj);
     s.innovation = PyArray_DATA(inn);
     if (streams) {
@@ -574,10 +547,9 @@ static PyObject *rls_block(PyObject *self, PyObject *const *arg, Py_ssize_t narg
             cal[k] = s.count0 + k + 1 >= burn_in;
         }
     }
-    int status = rls_run_rows(&s, &row);
-    if (status >= 0)
-        out = Py_BuildValue("(inOOOOOOOOOO)", status, row, Y, Phi, stack, P,
-                            theta, traj, inn, t ? t : Py_None,
+    if (rls_run_rows(&s) == 0)
+        out = Py_BuildValue("(OOOOOOOOO)", Y, Phi, P, theta, traj, inn,
+                            t ? t : Py_None,
                             index ? (PyObject *)index : Py_None,
                             calibrated ? (PyObject *)calibrated : Py_None);
 done:
@@ -918,7 +890,6 @@ static PyMethodDef methods[] = {
     {"einsum_calls", einsum_calls, METH_NOARGS,
      "einsum_calls() -> the calls classify_block has made to einsum."},
     FASTCALL(rls_block),
-    FASTCALL(rls_rows),
     FASTCALL(sim_rows),
     FASTCALL(distance_block),
     FASTCALL(classify_block),
@@ -931,10 +902,6 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__kernels_ext(void)
 {
-    static const struct { const char *name; int value; } constants[] = {
-        {"RLS_DONE", RLS_DONE},
-        {"RLS_CHECK_SPECTRUM", RLS_CHECK_SPECTRUM},
-        {"DISTANCE_CHUNK", DISTANCE_CHUNK}};
     import_array();
     if (!update_rejected && !(update_rejected = PyErr_NewExceptionWithDoc(
             "gridarx.rls.UpdateRejectedError",
@@ -942,12 +909,10 @@ PyMODINIT_FUNC PyInit__kernels_ext(void)
             "unchanged.", PyExc_ValueError, NULL)))
         return NULL;
     PyObject *mod = PyModule_Create(&module);
-    if (mod && PyModule_AddObjectRef(mod, "UpdateRejectedError",
-                                     update_rejected) < 0)
+    if (mod && (PyModule_AddObjectRef(mod, "UpdateRejectedError",
+                                      update_rejected) < 0
+                || PyModule_AddIntConstant(mod, "DISTANCE_CHUNK",
+                                           DISTANCE_CHUNK) < 0))
         Py_CLEAR(mod);
-    for (size_t i = 0; mod && i < sizeof constants / sizeof *constants; i++)
-        if (PyModule_AddIntConstant(mod, constants[i].name,
-                                    constants[i].value) < 0)
-            Py_CLEAR(mod);
     return mod;
 }

@@ -16,10 +16,12 @@ module.
 
 A stream block takes two calls: `rls_block` converts the streams,
 allocates every output of `identify`, fills the regressors and steps the
-block; `classify_block` computes the distances, the band's products with
-the signatures and the verdicts. The arrays an entry point reads or writes
-in place are checked for dtype, shape, C-contiguity and writability,
-raising ValueError naming the function and the argument. The RLS and
+block, calling the spectral clamp of the covariance (`rls._clamp`, a
+Python callable in `ArxConfig.kernel_params`) when a step needs it;
+`classify_block` computes the distances, the band's products with the
+signatures and the verdicts. The arrays an entry point reads or writes in
+place are checked for dtype, shape, C-contiguity and writability, raising
+ValueError naming the function and the argument. The RLS and
 simulator products go through the BLAS functions that `np.dot` calls:
 those of the scipy-openblas64 that numpy's wheels bundle in `numpy.libs`,
 bound once here; the signature products through the function `np.einsum`
@@ -149,12 +151,9 @@ EXTENSION, DGEMV_ADDRESS, DDOT_ADDRESS, BLAS_PATH = _load()
 
 # the entry points (see their docstrings) and their constants
 rls_block = EXTENSION.rls_block
-rls_rows = EXTENSION.rls_rows
 sim_rows = EXTENSION.sim_rows
 distance_block = EXTENSION.distance_block
 classify_block = EXTENSION.classify_block
 einsum_calls = EXTENSION.einsum_calls
 UpdateRejectedError = EXTENSION.UpdateRejectedError
-RLS_DONE = EXTENSION.RLS_DONE
-RLS_CHECK_SPECTRUM = EXTENSION.RLS_CHECK_SPECTRUM
 DISTANCE_CHUNK = EXTENSION.DISTANCE_CHUNK

@@ -1,15 +1,15 @@
 """Streaming identification pipeline: measured dq samples in, predictor
 trajectory and deviation distance out.
 
-Glue between the simulator (or recorded CSV data), the recursive estimator,
-and the detector. `identify` makes one kernel call per block
-(`_kernels.identify_rows`, through `rls.run_block`): it fills the block's
+Glue between the simulator (or a replayed stream), the recursive
+estimator, and the detector. `identify` makes one kernel call per block
+(`_kernels.rls_block`, through `rls.run_block`): it fills the block's
 outputs and lagged regressors from the first differences of the streams,
 checks the block as `rls.rls_run` does and steps the RLS recursion over
-it; only a spectral check of the covariance returns to Python mid-block.
-A run split into blocks, with the final state carried from one block to
-the next, gives the same trajectory bitwise as one whole run; the
-per-sample semantics are those of `rls.rls_update`.
+it; only the spectral clamp of the covariance (`rls._clamp`) runs in
+Python mid-block. A run split into blocks, with the final state carried
+from one block to the next, gives the same trajectory bitwise as one whole
+run; the per-sample semantics are those of `rls.rls_update`.
 """
 
 from __future__ import annotations

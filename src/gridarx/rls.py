@@ -9,7 +9,8 @@ The recursion exists once, in the block kernel of `rls_run`
 (`run_block`, which `pipeline.identify` also calls): one C call
 (`_kernels.rls_block`) validates a block of rows once (its shapes,
 finiteness and an exactly symmetric P), allocates its outputs and steps
-the rows; only the rare spectral check of P returns to Python mid-block.
+the rows; for the rare spectral clamp of P it calls `_clamp`, which
+`ArxConfig.kernel_params` hands it, and then goes on with the block.
 The kernel keeps P and theta stacked as one
 (regressor_len + output_dim) x regressor_len array, so that one rank-1
 correction per step updates both, with the bits of the textbook formulas
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -109,11 +110,12 @@ class ArxConfig:
     def kernel_params(self) -> tuple:
         """The model as `_kernels.rls_block` takes it: (output_dim,
         regressor_len, burn_in, forgetting, MIN_GAIN_DENOMINATOR,
-        COV_CLAMP_INTERVAL, covariance_ceiling ** 2), worked out once."""
+        COV_CLAMP_INTERVAL, covariance_ceiling ** 2, the clamp of P at
+        covariance_ceiling), worked out once."""
         ceiling = self.covariance_ceiling
         return (self.output_dim, self.regressor_len, self.burn_in,
                 self.forgetting, MIN_GAIN_DENOMINATOR, COV_CLAMP_INTERVAL,
-                ceiling * ceiling)
+                ceiling * ceiling, partial(_clamp, ceiling))
 
 
 @dataclass
@@ -162,20 +164,42 @@ def rls_run(state: IdentifierState, Y, Phi):
     return run_block(state, Y, Phi)[:3]
 
 
+def _clamp(ceiling: float, P: np.ndarray) -> None:
+    """Clamp the spectrum of the symmetric P at `ceiling`, in place.
+
+    Forgetting inflates P exponentially along directions the stream never
+    excites (covariance windup), which eventually destroys the update in
+    floating point. The kernel calls this on a fixed cadence of the
+    absolute sample count, so block boundaries do not move it: uncertainty
+    stays bounded while weakly excited directions keep enough gain to
+    track.
+
+    For symmetric P, lambda_max <= ||P||_F, so while ||P||_F^2 <=
+    ceiling^2 the clamp cannot fire and the kernel skips this call. The
+    rounding of the sum of squares (relative ~n^2 eps) is far inside the
+    clamp's 1e-9 margin, so no skipped check could have clamped. A NaN in
+    P fails that test and reaches eigh.
+    """
+    eigvals, eigvecs = np.linalg.eigh(P)
+    if eigvals[-1] > ceiling * (1.0 + 1e-9):
+        clamped = (eigvecs * np.minimum(eigvals, ceiling)) @ eigvecs.T
+        P[...] = (clamped + clamped.T) / 2.0
+
+
 def run_block(state: IdentifierState, a, b, t=None, order: int = 0):
     """The block of `rls_run` (a, b = Y, Phi, converted as
     np.ascontiguousarray(x, float) does) or of `pipeline.identify` (a, b =
     the streams v, i of time stamps t, whose updates from sample order + 1
-    on make the block): one kernel call, `_kernels.rls_block`, and the
-    spectral checks it returns for.
+    on make the block): one kernel call, `_kernels.rls_block`.
 
     Returns (theta_traj, innovation, final_state, Y, Phi, t, index,
     calibrated): for streams, Y and Phi are the block's rows, t, index and
     calibrated the updates' time stamps, sample indices and burn-in flags
     (None for rows). Every array is new, but t, a slice of the stream's.
+    An exception raised by the clamp propagates, and the input state is
+    left as it was.
     """
     cfg = state.config
-    params, count0 = cfg.kernel_params, state.sample_count
     # P and theta are the row blocks of one (n + r) x n array `stack` =
     # [P; theta]: one rank-1 product of [P phi; -e] with K', then one
     # subtract, updates both blocks. The bits are those of the formulas
@@ -199,36 +223,15 @@ def run_block(state: IdentifierState, a, b, t=None, order: int = 0):
     #
     # The kernel first checks the block: its dimensions, every value of Y,
     # Phi and P finite, and P exactly symmetric (P == P' as numbers, so
-    # that +0.0 and -0.0 agree). It then steps the rows, returning here
-    # after a step that needs the spectral check below.
-    (status, row, Y, Phi, stack, P, theta, theta_traj, innovation, t, index,
-     calibrated) = _kernels.rls_block(params, count0, state.P, state.theta,
-                                      a, b, t, order)
-    while status != _kernels.RLS_DONE:
-        # Forgetting inflates P exponentially along directions the stream
-        # never excites (covariance windup), which eventually destroys the
-        # update in floating point. Clamp P's spectrum at the ceiling on a
-        # fixed cadence of the absolute sample count, so block boundaries do
-        # not move it: uncertainty stays bounded while weakly excited
-        # directions keep enough gain to track.
-        #
-        # For symmetric P, lambda_max <= ||P||_F, so while ||P||_F^2 <=
-        # ceiling^2 the clamp cannot fire and the kernel skips eigh. The
-        # rounding of the sum of squares (relative ~n^2 eps) is far inside
-        # the clamp's 1e-9 margin, so no skipped check could have clamped.
-        # A NaN in P fails that test and reaches eigh.
-        ceiling = cfg.covariance_ceiling
-        eigvals, eigvecs = np.linalg.eigh(P)
-        if eigvals[-1] > ceiling * (1.0 + 1e-9):
-            clamped = (eigvecs * np.minimum(eigvals, ceiling)) @ eigvecs.T
-            P[...] = (clamped + clamped.T) / 2.0
-        status, row = _kernels.rls_rows(params, count0, Y, Phi, stack,
-                                        theta_traj, innovation, row)
-
+    # that +0.0 and -0.0 agree). It then steps the rows, calling `_clamp`
+    # on its P where a step needs the spectral check.
+    (Y, Phi, P, theta, theta_traj, innovation, t, index,
+     calibrated) = _kernels.rls_block(cfg.kernel_params, state.sample_count,
+                                      state.P, state.theta, a, b, t, order)
     # theta and P are views of this call's own stack, which nothing else
-    # holds, so they need no copies; a done block ends at row m
+    # holds, so they need no copies
     final = IdentifierState(config=cfg, theta=theta, P=P,
-                            sample_count=count0 + row)
+                            sample_count=state.sample_count + Y.shape[0])
     return theta_traj, innovation, final, Y, Phi, t, index, calibrated
 
 

@@ -382,35 +382,6 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
 # artifact writers
 
 
-# Rows formatted per string operation by `_CsvWriter`.
-CSV_CHUNK_ROWS = 1024
-
-class _CsvWriter:
-    """A CSV file written as its rows arrive, block by block.
-
-    Every value is written with FLOAT_FMT, so the bytes are those of
-    `np.savetxt(path, rows, fmt=FLOAT_FMT, delimiter=",", header=header,
-    comments="")` on all the rows given; a chunk of rows is formatted by one
-    `%` operation on its values as Python floats.
-    """
-
-    def __init__(self, fh, header: str):
-        self.fh = fh
-        fh.write((header + "\n").encode("ascii"))
-
-    def write(self, data: np.ndarray) -> None:
-        """Append the rows of the 2-D float array `data`."""
-        n_rows, n_cols = data.shape
-        row_fmt = ",".join([FLOAT_FMT] * n_cols) + "\n"
-        chunk_fmt = row_fmt * CSV_CHUNK_ROWS
-        for k in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = data[k:k + CSV_CHUNK_ROWS]
-            fmt = (chunk_fmt if chunk.shape[0] == CSV_CHUNK_ROWS
-                   else row_fmt * chunk.shape[0])
-            self.fh.write((fmt % tuple(chunk.ravel().tolist()))
-                          .encode("ascii"))
-
-
 class _NpyWriter:
     """A `.npy` file (NumPy's format, NEP 1) of a little-endian float64
     array of `shape`, written as its rows arrive: the header, which holds
@@ -428,10 +399,10 @@ class _NpyWriter:
 
 
 def _write_csv(path: str, header: str, data: np.ndarray) -> None:
-    """Write a header line and the rows of a 2-D float array as CSV with
-    one `_CsvWriter`."""
-    with open(path, "wb") as fh:
-        _CsvWriter(fh, header).write(data)
+    """Write a header line and the rows of a 2-D float array as CSV, every
+    value with FLOAT_FMT."""
+    np.savetxt(path, data, fmt=FLOAT_FMT, delimiter=",", header=header,
+               comments="")
 
 
 SAMPLES_HEADER = "t,v_d,v_q,i_d,i_q"
@@ -445,36 +416,6 @@ def _samples_rows(sim: SimResult) -> np.ndarray:
 def write_samples_csv(path: str, sim: SimResult) -> None:
     """samples.csv of a simulated stream."""
     _write_csv(path, SAMPLES_HEADER, _samples_rows(sim))
-
-
-# Relative tolerance on the sample step of a recorded time grid: a grid
-# computed as arange * ts has steps that differ by a few ulps of t.
-TIME_GRID_RTOL = 1e-6
-
-
-def read_samples_csv(path: str) -> SimResult:
-    """Read a samples.csv written by `write_samples_csv`.
-
-    The time column must be a uniform grid of at least two samples; ts is
-    its first step.
-    """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] < 2:
-        raise ValueError(f"{path}: need at least 2 samples, got {data.shape[0]}")
-    t = data[:, 0]
-    steps = np.diff(t)
-    ts = float(steps[0])
-    if not np.all(steps > 0.0):
-        k = int(np.argmin(steps > 0.0)) + 1
-        raise ValueError(f"{path}: t does not increase at sample {k}")
-    off_grid = np.abs(steps - ts) > TIME_GRID_RTOL * ts
-    if np.any(off_grid):
-        k = int(np.argmax(off_grid)) + 1
-        raise ValueError(
-            f"{path}: non-uniform time grid at sample {k}: step "
-            f"{steps[k - 1]:.17g}, expected {ts:.17g}"
-        )
-    return SimResult(t=t, v_dq=data[:, 1:3], i_dq=data[:, 3:5], ts=ts)
 
 
 def write_distance_csv(path: str, t, d) -> None:
@@ -884,8 +825,10 @@ def run_scenario(
     file is written as its rows arrive and under a temporary name until
     the run has succeeded. A write that fails raises its own exception,
     with its type and message; as with any failure, nothing of the run
-    is left in `out_dir`. Thresholds pinned in the scenario config take
-    precedence over the calibration-supplied ones. A calibration or
+    is left in `out_dir`. A run with no disturbance inside it
+    (`disturbance_inside`) reports every delay as None. Thresholds pinned
+    in the scenario config take precedence over the calibration-supplied
+    ones. A calibration or
     library of another model order than the run's is rejected with
     ValueError before anything is simulated.
 
@@ -976,15 +919,18 @@ def run_scenario(
             armed[: max(0, config.calibration_window - lo)] = False
             codes = np.where(armed, raw, normal)
             stable = debounce(codes, config.hold, debounced)
-            crossings = detection_times(t[armed], d[armed], t_start, t_end,
-                                        thresholds, crossings)
-            # debounced delays: first stable fault verdict / first stable
-            # non-normal verdict after t_start
-            after = armed & (t >= t_start)
-            first_fault = first_time(t, after & (stable == fault), t_start,
-                                     first_fault)
-            first_not_normal = first_time(t, after & (stable != normal),
-                                          t_start, first_not_normal)
+            # without a disturbance inside the run, the stand-in window
+            # [duration, duration] would time the last update
+            if inside:
+                crossings = detection_times(t[armed], d[armed], t_start,
+                                            t_end, thresholds, crossings)
+                # debounced delays: first stable fault verdict / first
+                # stable non-normal verdict after t_start
+                after = armed & (t >= t_start)
+                first_fault = first_time(t, after & (stable == fault),
+                                         t_start, first_fault)
+                first_not_normal = first_time(t, after & (stable != normal),
+                                              t_start, first_not_normal)
             changes = _transitions(t, stable, last_code)
             timeline.extend(changes)
             if stable.size:
@@ -1081,11 +1027,10 @@ class _CycleAverage:
 
 def _nominal_pcc_voltage(config: ScenarioConfig) -> np.ndarray:
     from .circuit import full_circuit_model
-    from .simulate import equilibrium
+    from .simulate import GRID_VOLTAGE, equilibrium
 
     model = full_circuit_model(config.circuit, None)
-    x0 = equilibrium(model, np.asarray(config.i_op, float),
-                     np.array([1.0, 0.0]))
+    x0 = equilibrium(model, np.asarray(config.i_op, float), GRID_VOLTAGE)
     return model.C @ x0
 
 

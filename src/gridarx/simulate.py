@@ -168,6 +168,10 @@ def _step(v, x, FC, drive):
     return drive[-1]
 
 
+# The grid voltage vg behind the line, dq in p.u.: the stiff grid every
+# run is connected to.
+GRID_VOLTAGE = np.array([1.0, 0.0])
+
 # Samples per block yielded by `simulate_blocks` unless told otherwise, and
 # the block in which every scenario run is simulated, identified and
 # classified: it bounds what a run holds at once.
@@ -183,7 +187,6 @@ def simulate_blocks(
     noise_std: float = 1e-4,
     noise_seed: int = 1,
     i_op=(1.0, 0.0),
-    vg=(1.0, 0.0),
     block: int = SIMULATE_BLOCK,
 ):
     """The run of `simulate`, as an iterator of SimResults over consecutive
@@ -216,12 +219,11 @@ def simulate_blocks(
                          params, (disturbance.kind, disturbance.value_pu))),
                      (k_off, n, nominal)]
     return _simulate_blocks(params, segments, excitation, n, ts, noise_std,
-                            noise_seed, np.asarray(i_op, float),
-                            np.asarray(vg, float), block)
+                            noise_seed, np.asarray(i_op, float), block)
 
 
 def _simulate_blocks(params, segments, excitation, n, ts, noise_std,
-                     noise_seed, i_op, vg, block):
+                     noise_seed, i_op, block):
     nominal = segments[0][2]
     excite = None if excitation is None else RbsStream(excitation, 1.0 / ts)
     if noise_std > 0:
@@ -229,7 +231,7 @@ def _simulate_blocks(params, segments, excitation, n, ts, noise_std,
         noise_i = np.random.Generator(np.random.Philox(noise_seed))
         for lo in range(0, 2 * n, 2 * block):
             noise_i.standard_normal(min(2 * block, 2 * n - lo))
-    x = equilibrium(nominal, i_op, vg)
+    x = equilibrium(nominal, i_op, GRID_VOLTAGE)
     seg = 0
     prev_model = nominal
     k0, k1, model = segments[seg]
@@ -252,7 +254,8 @@ def _simulate_blocks(params, segments, excitation, n, ts, noise_std,
                     x = _map_state(x, prev_model, model, params)
                     prev_model = model
                 F, Gb, Ge = _discretize(model, ts)
-                FC, vg_forcing = np.concatenate((F, model.C)), vg @ Ge.T
+                FC = np.concatenate((F, model.C))
+                vg_forcing = GRID_VOLTAGE @ Ge.T
                 entered = True
             stop = min(hi, k1)
             drive = _forcing(i_inj[k - lo:stop - lo], Gb, vg_forcing, k1 - k0)
@@ -281,7 +284,6 @@ def simulate(
     noise_std: float = 1e-4,
     noise_seed: int = 1,
     i_op=(1.0, 0.0),
-    vg=(1.0, 0.0),
 ) -> SimResult:
     """Run the circuit from its pre-disturbance equilibrium.
 
@@ -295,7 +297,7 @@ def simulate(
     block at a time; the whole run costs 40 bytes per sample here.
     """
     blocks = simulate_blocks(params, disturbance, excitation, duration, ts,
-                             noise_std, noise_seed, i_op, vg)
+                             noise_std, noise_seed, i_op)
     n = sample_count(duration, ts)
     t, v_dq, i_dq = np.empty(n), np.empty((n, 2)), np.empty((n, 2))
     hi = 0

@@ -4,12 +4,14 @@ and the block error path."""
 
 import ctypes
 import importlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from gridarx import _kernels
+from gridarx import rls as rls_module
 from gridarx.circuit import CircuitParams
 from gridarx.pipeline import identify
 from gridarx.rls import (
@@ -294,6 +296,212 @@ class TestBlockErrors:
         assert_unchanged(state, snap)
 
 
+class ClampBroke(Exception):
+    pass
+
+
+class TestClampCallback:
+    """The kernel calls the spectral clamp of P, `rls._clamp` bound to the
+    ceiling in `ArxConfig.kernel_params`, back in Python. Patching
+    `rls._clamp` before a config computes its params injects a clamp."""
+
+    @staticmethod
+    def broken_clamp(monkeypatch):
+        """Installs a clamp that raises; returns the exception it raises."""
+        error = ClampBroke("clamp broke")
+
+        def broken(ceiling, P):
+            raise error
+
+        monkeypatch.setattr(rls_module, "_clamp", broken)
+        return error
+
+    def test_identify_raises_the_clamps_exception(self, monkeypatch):
+        warm = identify(windup_stream(n_excited=50, n_still=0),
+                        WINDUP_CONFIG).final_state
+        error = self.broken_clamp(monkeypatch)
+        config = ArxConfig(order=2, forgetting=0.95, p0_scale=1e2, p_max=1e3)
+        state = IdentifierState(config=config, theta=warm.theta, P=warm.P,
+                                sample_count=warm.sample_count)
+        snap = snapshot(state)
+        with pytest.raises(ClampBroke) as err:
+            identify(windup_stream(), config, state)
+        assert err.value is error
+        assert_unchanged(state, snap)
+
+    def test_rls_run_raises_the_clamps_exception(self, monkeypatch):
+        error = self.broken_clamp(monkeypatch)
+        config = ArxConfig(order=1, input_dim=1, output_dim=1,
+                           forgetting=0.95, p0_scale=1e2, p_max=1e3)
+        state = IdentifierState(config=config, theta=np.ones((1, 2)),
+                                P=3.0 * config.covariance_ceiling * np.eye(2),
+                                sample_count=COV_CLAMP_INTERVAL - 2)
+        snap = snapshot(state)
+        with pytest.raises(ClampBroke) as err:
+            rls_run(state, np.zeros((5, 1)), np.zeros((5, 2)))
+        assert err.value is error
+        assert_unchanged(state, snap)
+
+    @pytest.mark.parametrize("bad", [
+        list, lambda params: params[:7], lambda params: params[:7] + (None,)],
+        ids=["list", "seven-tuple", "clamp-not-callable"])
+    def test_rls_block_refuses_params_without_a_clamp(self, bad):
+        config = ArxConfig(order=1, input_dim=1, output_dim=1)
+        state = init_identifier(config)
+        Y, Phi = np.zeros((3, 1)), np.zeros((3, 2))
+        good = config.kernel_params
+        _kernels.rls_block(good, 0, state.P, state.theta, Y, Phi, None, 0)
+        with pytest.raises(TypeError, match="^rls_block: params must be an "
+                           "8-tuple ending in a callable$"):
+            _kernels.rls_block(bad(good), 0, state.P, state.theta, Y, Phi,
+                               None, 0)
+
+    def test_clamp_rewrites_the_blocks_own_P(self, monkeypatch):
+        """The clamp gets the P that the block steps: a writable,
+        C-contiguous view that the input state does not share. What it
+        writes there is what the rows after it step from, as if the block
+        had been split at the clamp and P rewritten between the halves."""
+        seen = []
+
+        def halve(ceiling, P):
+            seen.append(P)
+            P *= 0.5  # exact, and keeps P symmetric
+
+        config = ArxConfig(order=1, input_dim=1, output_dim=1,
+                           forgetting=0.95, p0_scale=1e2, p_max=1e3)
+        state = IdentifierState(config=config, theta=np.ones((1, 2)),
+                                P=3.0 * config.covariance_ceiling * np.eye(2),
+                                sample_count=COV_CLAMP_INTERVAL - 1)
+        snap = snapshot(state)
+        rng = np.random.Generator(np.random.Philox(7))
+        Y, Phi = rng.standard_normal((4, 1)), rng.standard_normal((4, 2))
+
+        # the reference: row 0 alone (the kernel calls a clamp but this
+        # one does nothing), P halved, then rows 1-3 (no clamp falls there)
+        monkeypatch.setattr(rls_module, "_clamp", lambda ceiling, P: None)
+        noop = ArxConfig(order=1, input_dim=1, output_dim=1,
+                         forgetting=0.95, p0_scale=1e2, p_max=1e3)
+        first = rls_run(IdentifierState(config=noop, theta=state.theta,
+                                        P=state.P, sample_count=snap[2]),
+                        Y[:1], Phi[:1])
+        halfway = first[2]
+        halfway.P *= 0.5
+        rest = rls_run(halfway, Y[1:], Phi[1:])
+
+        monkeypatch.setattr(rls_module, "_clamp", halve)
+        thetas, innovations, final = rls_run(state, Y, Phi)
+        assert len(seen) == 1
+        P = seen[0]
+        assert P.dtype == np.float64 and P.shape == (2, 2)
+        assert P.flags.c_contiguous and P.flags.writeable
+        assert np.shares_memory(P, final.P)
+        assert not np.shares_memory(P, state.P)
+        assert_unchanged(state, snap)
+        assert_bits_equal(thetas, np.concatenate([first[0], rest[0]]))
+        assert_bits_equal(innovations, np.concatenate([first[1], rest[1]]))
+        assert_bits_equal(final.theta, rest[2].theta)
+        assert_bits_equal(final.P, rest[2].P)
+        assert final.sample_count == rest[2].sample_count
+
+    def test_rejection_after_a_clamp_names_its_row(self, monkeypatch):
+        """The steps resume at the row where the clamp stopped them: a
+        clamp that leaves P negative definite makes the next row's gain
+        denominator negative, and the error names that row."""
+        calls = 0
+
+        def negate(ceiling, P):
+            nonlocal calls
+            calls += 1
+            P *= -1.0
+
+        monkeypatch.setattr(rls_module, "_clamp", negate)
+        config = ArxConfig(order=1, input_dim=1, output_dim=1,
+                           forgetting=0.95, p0_scale=1e2, p_max=1e3)
+        state = IdentifierState(config=config, theta=np.zeros((1, 2)),
+                                P=3.0 * config.covariance_ceiling * np.eye(2),
+                                sample_count=COV_CLAMP_INTERVAL - 2)
+        snap = snapshot(state)
+        Y, Phi = np.zeros((4, 1)), np.zeros((4, 2))
+        Phi[2:, 0] = 1.0  # rows 0 and 1 (the clamp after 1) have no gain
+        with pytest.raises(UpdateRejectedError,
+                           match="is not positive at sample 2 of"):
+            rls_run(state, Y, Phi)
+        assert calls == 1
+        assert_unchanged(state, snap)
+
+    @pytest.mark.parametrize("size", [1, 7, COV_CLAMP_INTERVAL, 10**6])
+    def test_clamp_called_on_the_sample_count_cadence(self, monkeypatch,
+                                                      size):
+        """With ||P||_F above the ceiling, the kernel calls the clamp once
+        at each multiple of COV_CLAMP_INTERVAL of the absolute sample
+        count, on the same P wherever the block boundaries fall."""
+        seen = []
+        clamp = rls_module._clamp
+
+        def recorded(ceiling, P):
+            seen.append(P.copy())
+            clamp(ceiling, P)
+
+        monkeypatch.setattr(rls_module, "_clamp", recorded)
+        config = ArxConfig(order=1, input_dim=1, output_dim=1,
+                           forgetting=0.95, p0_scale=1e2, p_max=1e3)
+        m = 4 * COV_CLAMP_INTERVAL
+        rng = np.random.Generator(np.random.Philox(11))
+        Phi = np.zeros((m, 2))
+        Phi[:COV_CLAMP_INTERVAL // 2] = 0.01 * rng.standard_normal(
+            (COV_CLAMP_INTERVAL // 2, 2))
+        Y = (Phi @ np.array([0.5, -0.25]))[:, None]
+        start = IdentifierState(
+            config=config, theta=np.zeros((1, 2)),
+            P=3.0 * config.covariance_ceiling * np.eye(2), sample_count=3)
+        whole = rls_run(start, Y, Phi)[2]
+        want, seen[:] = list(seen), []
+        assert len(want) == 4  # at 50, 100, 150 and 200
+
+        state = start
+        for lo in range(0, m, size):
+            state = rls_run(state, Y[lo:lo + size], Phi[lo:lo + size])[2]
+        assert len(seen) == len(want)
+        for got, ref in zip(seen, want):
+            assert_bits_equal(got, ref)
+        assert_bits_equal(state.P, whole.P)
+        assert_bits_equal(state.theta, whole.theta)
+
+    def test_clamp_loop_holds_its_peak_memory(self, monkeypatch):
+        """10,000 blocks, each firing the clamp once, after 1000 to warm
+        up: the traced peak of the Python and numpy heaps stays that of
+        one block, so no block leaves a reference to its arrays behind
+        (one leaked P view per block would hold about 3 MB here). The
+        process's peak RSS cannot show this: numpy's import sets it higher
+        than such a leak reaches."""
+        calls = 0
+        clamp = rls_module._clamp
+
+        def counted(ceiling, P):
+            nonlocal calls
+            calls += 1
+            clamp(ceiling, P)
+
+        monkeypatch.setattr(rls_module, "_clamp", counted)
+        config = ArxConfig(order=1, input_dim=1, output_dim=1,
+                           forgetting=0.95, p0_scale=1e2, p_max=1e3)
+        state = IdentifierState(config=config, theta=np.zeros((1, 2)),
+                                P=3.0 * config.covariance_ceiling * np.eye(2))
+        Y, Phi = np.zeros((COV_CLAMP_INTERVAL, 1)), np.zeros(
+            (COV_CLAMP_INTERVAL, 2))
+        for _ in range(1000):
+            rls_run(state, Y, Phi)
+        tracemalloc.start()
+        try:
+            for _ in range(10_000):
+                rls_run(state, Y, Phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == 11_000
+        assert peak <= 64 * 1024, peak
+
+
 def assert_bits_equal(got, want):
     got, want = np.asarray(got, float), np.asarray(want, float)
     assert got.shape == want.shape
@@ -460,6 +668,10 @@ class TestBitPatterns:
         assert eigh.calls == 0
 
 
+def never_clamp(P):
+    raise AssertionError("the spectral clamp was called")
+
+
 class TestKernelBlas:
     """The C step loops of `rls_run` and `simulate._step` make their
     products through numpy's own BLAS, so that a step has the bits of the
@@ -513,14 +725,13 @@ class TestKernelBlas:
             A = want[:n] / (2.0 * lam)
             want[:n] = A + A.T.copy()
 
-            got = stack.copy()
-            theta_traj, innovation = np.empty((1, r, n)), np.empty((1, r))
             params = (r, n, 2 * n, lam, MIN_GAIN_DENOMINATOR,
-                      COV_CLAMP_INTERVAL, np.inf)
-            status, row = _kernels.rls_rows(params, 0, y[None], phi[None],
-                                            got, theta_traj, innovation, 0)
-            assert status == _kernels.RLS_DONE and row == 1
-            assert_bits_equal(got, want)
+                      COV_CLAMP_INTERVAL, np.inf, never_clamp)
+            _, _, P, theta, theta_traj, innovation, _, _, _ = \
+                _kernels.rls_block(params, 0, stack[:n], stack[n:],
+                                   y[None], phi[None], None, 0)
+            assert_bits_equal(P, want[:n])
+            assert_bits_equal(theta, want[n:])
             assert_bits_equal(theta_traj[0], want[n:])
             assert_bits_equal(innovation[0], e)
 
@@ -553,15 +764,6 @@ def contract_calls():
     argument name in call order, those it writes, the arguments after)."""
     n, r, m = 12, 2, 3
     rng = np.random.Generator(np.random.Philox(3))
-    yield ("rls_rows",
-           ((r, n, 2 * n, 0.99, MIN_GAIN_DENOMINATOR, COV_CLAMP_INTERVAL,
-             np.inf), 0),
-           {"Y": rng.standard_normal((m, r)),
-            "Phi": rng.standard_normal((m, n)),
-            "stack": np.concatenate([np.eye(n), np.zeros((r, n))]),
-            "theta_traj": np.empty((m, r, n)),
-            "innovation": np.empty((m, r))},
-           {"stack", "theta_traj", "innovation"}, (0,))
     yield ("sim_rows", (),
            {"FC": rng.standard_normal((6, 4)) / 4, "x": np.ones(4),
             "drive": rng.standard_normal((m, 4)), "v": np.empty((m, 2))},
