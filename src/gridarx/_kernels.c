@@ -4,16 +4,17 @@
  * the distance and verdict passes of `detector.distances` and
  * `detector.classify_series`.
  *
- * Each step makes the operations of the numpy forms these replace, in the
- * same order, so every output keeps its bits:
- * - the RLS and simulator reductions go through the BLAS functions that
- *   np.dot calls, numpy's own scipy-openblas64 cblas_dgemv and cblas_ddot,
- *   whose addresses `bind_blas` receives; a 1-D np.dot returns
- *   0.0 + ddot, which `dot0` repeats (it turns a -0.0 into +0.0);
+ * Every sum is made in a fixed order, and none by a BLAS library, whose
+ * kernels depend on the CPU, so the outputs have the same bits on every
+ * CPU:
+ * - the RLS and simulator products sum each row left to right from 0.0
+ *   (`dot`);
  * - a distance sums its squares in the order of numpy's add.reduce over a
  *   contiguous row (`pairwise_sum_sq`);
  * - the products of the band's deviations with the signatures come from
- *   PyArray_EinsteinSum, the function np.einsum calls;
+ *   PyArray_EinsteinSum, the function np.einsum calls, which calls no
+ *   BLAS (tests/test_golden.py runs it without numpy's AVX2 and AVX-512
+ *   loops too);
  * - everything else is one IEEE operation per entry, as a numpy ufunc
  *   makes it. The file is compiled with -ffp-contract=off, so that no
  *   multiply and add fuse into an FMA, and without -ffast-math, so that no
@@ -36,23 +37,8 @@
 #include <numpy/arrayobject.h>
 
 #include <math.h>
-#include <stdint.h>
 #include <stdio.h>
 #include <string.h>
-
-typedef int64_t blasint; /* scipy-openblas64 takes 64-bit integers */
-
-enum { CBLAS_ROW_MAJOR = 101, CBLAS_NO_TRANS = 111 };
-
-typedef void (*dgemv_fn)(int order, int trans, blasint m, blasint n,
-                         double alpha, const double *a, blasint lda,
-                         const double *x, blasint incx, double beta,
-                         double *y, blasint incy);
-typedef double (*ddot_fn)(blasint n, const double *x, blasint incx,
-                          const double *y, blasint incy);
-
-static dgemv_fn dgemv;
-static ddot_fn ddot;
 
 /* rls.UpdateRejectedError, created with the module. */
 static PyObject *update_rejected;
@@ -177,30 +163,25 @@ static int nargs_ok(const char *func, Py_ssize_t nargs, Py_ssize_t want)
     return 0;
 }
 
-static int blas_bound(void)
-{
-    if (dgemv && ddot)
-        return 1;
-    PyErr_SetString(PyExc_RuntimeError, "bind_blas has not been called");
-    return 0;
-}
-
 /* ------------------------------------------------------------------------
  * The RLS recursion.
  */
 
-/* y = A x for a row-major rows x cols A, as np.dot(A, x) computes it. */
-static void gemv(blasint rows, blasint cols, const double *a, const double *x,
-                 double *y)
+/* x . y, summed left to right from 0.0. */
+static double dot(Py_ssize_t n, const double *x, const double *y)
 {
-    dgemv(CBLAS_ROW_MAJOR, CBLAS_NO_TRANS, rows, cols, 1.0, a, cols, x, 1,
-          0.0, y, 1);
+    double sum = 0.0;
+    for (Py_ssize_t j = 0; j < n; j++)
+        sum += x[j] * y[j];
+    return sum;
 }
 
-/* x . y as np.dot of two vectors returns it. */
-static double dot0(blasint n, const double *x, const double *y)
+/* y = A x for a row-major rows x cols A, each row's `dot` on its own. */
+static void gemv(Py_ssize_t rows, Py_ssize_t cols, const double *a,
+                 const double *x, double *y)
 {
-    return 0.0 + ddot(n, x, 1, y, 1);
+    for (Py_ssize_t i = 0; i < rows; i++)
+        y[i] = dot(cols, a + i * cols, x);
 }
 
 typedef struct {
@@ -264,15 +245,8 @@ static int rls_steps(const Rls *s, double *work, Py_ssize_t *row, double *denom)
     for (Py_ssize_t k = *row; k < s->m; k++) {
         const double *y = s->Y + k * r, *phi = s->Phi + k * n;
         double *e = s->innovation + k * r;
-        /* [P phi; theta phi], each product on its own, as the formulas
-         * make them: a gemv row's bits can depend on the rows around it.
-         * numpy multiplies a lone theta row as a dot product. */
-        gemv(n, n, P, phi, stack_phi);
-        if (r == 1)
-            stack_phi[n] = dot0(n, theta, phi);
-        else
-            gemv(r, n, theta, phi, stack_phi + n);
-        double d = s->lam + dot0(n, phi, stack_phi);
+        gemv(n + r, n, s->stack, phi, stack_phi); /* [P phi; theta phi] */
+        double d = s->lam + dot(n, phi, stack_phi);
         if (d <= s->min_denom) {
             *row = k;
             *denom = d;
@@ -284,13 +258,11 @@ static int rls_steps(const Rls *s, double *work, Py_ssize_t *row, double *denom)
             e[i] = y[i] - stack_phi[n + i];
             stack_phi[n + i] = -e[i]; /* stack_phi is now [P phi; -e] */
         }
-        /* stack - [P phi; -e] K': each term is the k=1 BLAS matrix product
-         * numpy makes, one rounded product plus +0.0, so an exact zero is
-         * +0.0 */
+        /* stack - [P phi; -e] K' */
         for (Py_ssize_t i = 0; i < n + r; i++) {
             double *row_i = s->stack + i * n, a = stack_phi[i];
             for (Py_ssize_t j = 0; j < n; j++)
-                row_i[j] = row_i[j] - (0.0 + a * K[j]);
+                row_i[j] = row_i[j] - a * K[j];
         }
         memcpy(s->theta_traj + k * r * n, theta, (size_t)(r * n) * sizeof *theta);
         /* P <- A + A' with A = P / (2 lambda) */
@@ -303,7 +275,7 @@ static int rls_steps(const Rls *s, double *work, Py_ssize_t *row, double *denom)
             }
         }
         if ((s->count0 + k + 1) % s->interval == 0
-                && !(dot0(n * n, P, P) <= s->ceiling_sq)) {
+                && !(dot(n * n, P, P) <= s->ceiling_sq)) {
             *row = k + 1;
             return RLS_CHECK_SPECTRUM;
         }
@@ -455,7 +427,7 @@ static PyObject *rls_block(PyObject *self, PyObject *const *arg, Py_ssize_t narg
     PyObject *t = NULL, *out = NULL;
     Rls s;
     Py_ssize_t burn_in, order = 0;
-    if (!nargs_ok(func, nargs, 8) || !blas_bound()
+    if (!nargs_ok(func, nargs, 8)
             || !rls_model(func, arg[0], arg[1], &s, &burn_in))
         return NULL;
     const int streams = arg[6] != Py_None;
@@ -583,7 +555,7 @@ static PyObject *sim_rows(PyObject *self, PyObject *const *arg, Py_ssize_t nargs
     const char *func = "sim_rows";
     const npy_intp any2[2] = {ANY, ANY};
     PyArrayObject *FC, *x0, *drive, *v;
-    if (!nargs_ok(func, nargs, 4) || !blas_bound()
+    if (!nargs_ok(func, nargs, 4)
             || !(drive = checked(func, arg[2], "drive", 'd', 1, 2, any2)))
         return NULL;
     const npy_intp m = PyArray_DIM(drive, 0), nx = PyArray_DIM(drive, 1),
@@ -861,20 +833,6 @@ done:
  * The module.
  */
 
-static PyObject *bind_blas(PyObject *self, PyObject *args)
-{
-    unsigned long long gemv_address, dot_address;
-    if (!PyArg_ParseTuple(args, "KK:bind_blas", &gemv_address, &dot_address))
-        return NULL;
-    if (!gemv_address || !dot_address) {
-        PyErr_SetString(PyExc_ValueError, "bind_blas: a null address");
-        return NULL;
-    }
-    dgemv = (dgemv_fn)(uintptr_t)gemv_address;
-    ddot = (ddot_fn)(uintptr_t)dot_address;
-    Py_RETURN_NONE;
-}
-
 static PyObject *einsum_calls(PyObject *self, PyObject *unused)
 {
     return PyLong_FromUnsignedLongLong(einsum_count);
@@ -884,9 +842,6 @@ static PyObject *einsum_calls(PyObject *self, PyObject *unused)
     {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, name##_doc}
 
 static PyMethodDef methods[] = {
-    {"bind_blas", bind_blas, METH_VARARGS,
-     "bind_blas(dgemv_address, ddot_address): the cblas_dgemv and\n"
-     "cblas_ddot that the RLS and simulator loops call."},
     {"einsum_calls", einsum_calls, METH_NOARGS,
      "einsum_calls() -> the calls classify_block has made to einsum."},
     FASTCALL(rls_block),

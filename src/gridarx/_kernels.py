@@ -7,9 +7,9 @@ compiled with the C compiler `CC` against the headers of the running
 Python (`INCLUDE`) and numpy (`NUMPY_INCLUDE`) into an extension module in
 the `__pycache__` directory beside it, whose name carries the sha256 of
 the source, the compiler command with its flags and include directories,
-numpy's version, the BLAS path and the interpreter's `EXT_SUFFIX`; a
-module under any other name is never loaded, and a process that compiles
-a new one removes the other `_kernels.*.so` files there. The compiler
+numpy's version and the interpreter's `EXT_SUFFIX`; a module under any
+other name is never loaded, and a process that compiles a new one removes
+the other `_kernels.*.so` files there. The compiler
 writes under a temporary name, which is then moved into place, so
 processes that import into one empty cache at once each load a whole
 module.
@@ -22,17 +22,15 @@ Python callable in `ArxConfig.kernel_params`) when a step needs it;
 signatures and the verdicts. The arrays an entry point reads or writes in
 place are checked for dtype, shape, C-contiguity and writability, raising
 ValueError naming the function and the argument. The RLS and
-simulator products go through the BLAS functions that `np.dot` calls:
-those of the scipy-openblas64 that numpy's wheels bundle in `numpy.libs`,
-bound once here; the signature products through the function `np.einsum`
-calls. So they give the bits of the numpy forms they replace. A missing
-compiler, Python or numpy header, a failed compile or a numpy without that
-BLAS raises ImportError naming what was looked for.
+simulator products sum each row left to right in C, and the signature
+products come from the function `np.einsum` calls, so no output depends
+on the BLAS library numpy was built with. A missing compiler, Python or
+numpy header or a failed compile raises ImportError naming what was
+looked for.
 """
 
 from __future__ import annotations
 
-import ctypes
 import glob
 import hashlib
 import importlib.machinery
@@ -50,26 +48,9 @@ EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "_kernels.c")
 COMMAND = (CC, *CFLAGS, f"-I{INCLUDE}", f"-I{NUMPY_INCLUDE}")
-BLAS_DIR = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs")
-BLAS_PREFIX = "libscipy_openblas64_"
-DGEMV, DDOT = "scipy_cblas_dgemv64_", "scipy_cblas_ddot64_"
 # the extension's module name; its last part names the init function,
 # PyInit__kernels_ext in _kernels.c
 MODULE = "gridarx._kernels_ext"
-
-
-def _numpy_blas() -> str:
-    """Path of the scipy-openblas64 library bundled with numpy."""
-    try:
-        names = [n for n in os.listdir(BLAS_DIR) if n.startswith(BLAS_PREFIX)]
-    except OSError:
-        names = []
-    if len(names) != 1:
-        raise ImportError(
-            f"gridarx needs the {BLAS_PREFIX}*.so that numpy's wheels "
-            f"bundle; found {len(names)} in {BLAS_DIR}")
-    return os.path.join(BLAS_DIR, names[0])
 
 
 def _compile(path: str) -> None:
@@ -107,19 +88,18 @@ def _compile(path: str) -> None:
 
 
 def _load():
-    """(extension module, dgemv address, ddot address, BLAS path)."""
-    blas_path = _numpy_blas()
+    """The extension module, compiled into the cache if need be."""
     with open(SOURCE, "rb") as fh:
         source = fh.read()
     digest = hashlib.sha256(b"\0".join(
         [source, " ".join(COMMAND).encode(), NUMPY_VERSION.encode(),
-         blas_path.encode(), EXT_SUFFIX.encode()]))
+         EXT_SUFFIX.encode()]))
     path = os.path.join(os.path.dirname(SOURCE), "__pycache__",
                         f"_kernels.{digest.hexdigest()}{EXT_SUFFIX}")
     if not os.path.exists(path):
         _compile(path)
-        # the modules of other sources, compilers, Pythons, numpys or BLAS
-        # builds; another process's compiler output, under its temporary
+        # the modules of other sources, compilers, Pythons or numpys;
+        # another process's compiler output, under its temporary
         # name, is not one
         for stale in glob.glob(os.path.join(os.path.dirname(path),
                                             "_kernels.*.so")):
@@ -136,18 +116,10 @@ def _load():
     except ImportError as exc:
         raise ImportError(
             f"cannot load {path}, compiled from {SOURCE}: {exc}") from None
-    try:
-        blas = ctypes.CDLL(blas_path)
-        dgemv, ddot = getattr(blas, DGEMV), getattr(blas, DDOT)
-    except (OSError, AttributeError) as exc:
-        raise ImportError(
-            f"no {DGEMV} and {DDOT} in {blas_path}: {exc}") from None
-    address = [ctypes.cast(f, ctypes.c_void_p).value for f in (dgemv, ddot)]
-    module.bind_blas(*address)
-    return module, *address, blas_path
+    return module
 
 
-EXTENSION, DGEMV_ADDRESS, DDOT_ADDRESS, BLAS_PATH = _load()
+EXTENSION = _load()
 
 # the entry points (see their docstrings) and their constants
 rls_block = EXTENSION.rls_block

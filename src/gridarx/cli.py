@@ -15,12 +15,10 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
 
-from . import _kernels
 from .circuit import (
     CircuitParams,
     fault_poles,
@@ -39,15 +37,6 @@ from .scenario import (
     run_scenario,
     run_suite,
 )
-
-
-def _one_blas_thread() -> None:
-    """Run numpy's BLAS, whose products the C step loops make too, on one
-    thread: the model's 2 x 12 and 12 x 12 products gain nothing from
-    more, which only add CPU, and the outputs have the same bits at any
-    count. Only the CLI sets it; importing gridarx leaves numpy's setting
-    alone."""
-    ctypes.CDLL(_kernels.BLAS_PATH).scipy_openblas_set_num_threads64_(1)
 
 
 def _overrides(args) -> dict:
@@ -227,7 +216,6 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_poles)
 
     args = parser.parse_args(argv)
-    _one_blas_thread()
     if args.command == "poles":
         if args.r_fault is None:
             args.r_fault = [0.2077, 6.232, 10.387]

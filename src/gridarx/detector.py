@@ -102,6 +102,25 @@ def json_numbers(value, key: str, ndim: int) -> np.ndarray:
     return numbers
 
 
+JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def json_typed(value, kind: type, key: str):
+    """`value`, as read from JSON, when it is a `kind` of JSON_KINDS;
+    otherwise ValueError naming `key`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{key}: expected {JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def json_count(value, key: str) -> int:
+    """`value`, as read from JSON, as an integer >= 1; anything else (a
+    bool is not an integer here) raises ValueError naming `key`."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key}: expected an integer >= 1, got {value!r}")
+    return value
+
+
 def _signature_label(label, entry: str) -> Verdict:
     """`label` (a Verdict or its value) as a signature label; anything but
     fault or load_increase raises ValueError naming `entry`."""
@@ -181,28 +200,33 @@ class SignatureLibrary:
 
     @classmethod
     def from_json(cls, text: str) -> "SignatureLibrary":
-        """Parse `to_json` output; an order that is not an integer >= 1
-        raises ValueError naming the key, and a signature labelled other
-        than fault or load_increase, whose shape is not (2, 4 * order) or
-        whose delta_theta holds an item that is not a finite number one
-        naming the entry."""
-        doc = json.loads(text)
-        order = doc["order"]
-        if type(order) is not int or order < 1:  # a bool is not an int here
-            raise ValueError(f"order: expected an integer >= 1, got {order!r}")
+        """Parse `to_json` output. A document that is not an object, an
+        order that is not an integer >= 1 or signatures that are not a list
+        raise ValueError naming the key; an entry that is not an object, or
+        whose source_scenario is not a string, whose label is other than
+        fault or load_increase, whose shape is not (2, 4 * order) or whose
+        delta_theta holds an item that is not a finite number, one naming
+        the entry."""
+        doc = json_typed(json.loads(text), dict, "top level")
+        order = json_count(doc["order"], "order")
         lib = cls(order=order)
-        for k, entry in enumerate(doc["signatures"]):
-            source = entry.get("source_scenario", "")
+        for k, entry in enumerate(json_typed(doc["signatures"], list,
+                                             "signatures")):
+            entry = json_typed(entry, dict, f"library entry {k}")
+            source = json_typed(entry.get("source_scenario", ""), str,
+                                f"library entry {k}: source_scenario")
             where = f"library entry {k} ({source!r})"
             label = _signature_label(entry["label"], where)
-            shape = tuple(entry["shape"])
+            shape = entry["shape"]
+            if isinstance(shape, list):
+                shape = tuple(shape)
             if shape != (2, 4 * order):
                 raise ValueError(
-                    f"{where}: shape {shape} does not match the library's "
+                    f"{where}: shape {shape!r} does not match the library's "
                     f"order {order}, which needs {(2, 4 * order)}"
                 )
             delta = json_numbers(entry["delta_theta"], f"{where}: delta_theta",
-                                 1).reshape(shape)
+                                 1).reshape(2, 4 * order)
             lib.signatures.append(
                 Signature(label=label, delta_theta=delta,
                           source_scenario=source)
@@ -477,7 +501,8 @@ def build_library(scenario_runs, nominal: NominalPredictor,
                 "disturbance window; signature would be noise"
             )
         delta = np.mean(thetas[mid:hi], axis=0) - nominal.theta_star
-        norm = np.linalg.norm(delta)
+        flat = delta.ravel()
+        norm = np.sqrt(np.add.reduce(flat * flat))
         if norm <= 0:
             raise InsufficientDataError(f"run {source!r}: zero deviation")
         lib.signatures.append(

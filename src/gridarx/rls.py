@@ -15,9 +15,9 @@ The kernel keeps P and theta stacked as one
 (regressor_len + output_dim) x regressor_len array, so that one rank-1
 correction per step updates both, with the bits of the textbook formulas
 (negation is exact, and the symmetrisation's addition is commutative).
-The C steps make the operations of the numpy formulas in their order,
-their products through the BLAS functions that np.dot calls, so they keep
-those bits too. `rls_update` is its one-row call.
+The C steps sum each product left to right, so their bits depend on the
+source and the compiler flags, not on the CPU; only the clamp's `eigh`
+goes through numpy's LAPACK. `rls_update` is its one-row call.
 
 The re-symmetrisation (P/lambda + (P/lambda)')/2 is computed as
 P/(2 lambda) + (P/(2 lambda))': 2 lambda is exact, and halving a normal
@@ -201,25 +201,15 @@ def run_block(state: IdentifierState, a, b, t=None, order: int = 0):
     """
     cfg = state.config
     # P and theta are the row blocks of one (n + r) x n array `stack` =
-    # [P; theta]: one rank-1 product of [P phi; -e] with K', then one
-    # subtract, updates both blocks. The bits are those of the formulas
-    # above:
-    # - P phi and theta phi are each the product the formulas make, on its
-    #   own: a gemv row's bits can depend on the rows multiplied with it
-    #   (a 13 x 10 [P; theta] with three theta rows differs from theta phi
-    #   alone), and numpy computes a 1-row product as a dot product;
+    # [P; theta]: one product [P phi; theta phi], each row summed left to
+    # right, and one rank-1 product of [P phi; -e] with K', then one
+    # subtract, update both blocks. The bits are those of the formulas
+    # above with the same sums:
     # - theta - (-e) K' is theta + e K', since negation is exact;
     # - the P block becomes P - (P phi) K', the transpose of P - K (P phi)'
     #   when P is exactly symmetric, which the update requires of its input
     #   and keeps: the symmetrisation A/(2 lambda) + (A/(2 lambda))' then
-    #   gives the same bits for A and A', because addition is commutative;
-    # - each term of the rank-1 product is one rounded product plus +0.0,
-    #   as the k=1 BLAS matrix product gives it: an exact zero comes out
-    #   +0.0 where a multiply may give -0.0. That sign only matters where
-    #   the term meets a -0.0 entry of theta or P, since x + y and x - y
-    #   are -0.0 only when x is. The zero prior holds none, and the updates
-    #   make one only from one or by underflow; the tests compare these
-    #   steps with the multiply form bit for bit.
+    #   gives the same bits for A and A', because addition is commutative.
     #
     # The kernel first checks the block: its dimensions, every value of Y,
     # Phi and P finite, and P exactly symmetric (P == P' as numbers, so

@@ -148,11 +148,10 @@ class ScenarioConfig:
                 ok, need = False, "finite"
             if not ok:
                 raise ValueError(f"[run] {key}: must be {need}, got {value!r}")
-        # The baseline's one-cycle average (`_CycleAverage`) convolves a
-        # window of 1 / (f_base ts) samples: under 2 there is no cycle to
-        # average, and beyond MAX_CYCLE_SAMPLES each block's convolution
-        # grows too long to run (at f_base = 1e-300 the window cannot even
-        # be allocated).
+        # The baseline's one-cycle average (`_CycleAverage`) sums a window
+        # of 1 / (f_base ts) samples: under 2 there is no cycle to average,
+        # and beyond MAX_CYCLE_SAMPLES the window it carries grows too long
+        # to hold (at f_base = 1e-300 it cannot even be allocated).
         f_base = self.circuit.f_base
         lo, hi = 1.0 / (MAX_CYCLE_SAMPLES * self.ts), 1.0 / (2.0 * self.ts)
         if not lo <= f_base <= hi:
@@ -463,12 +462,15 @@ def calibration_to_json(nominal: NominalPredictor, thresholds: Thresholds,
 
 
 def calibration_from_json(text: str):
-    """(nominal, thresholds) of `calibration_to_json` output. A value that
-    is not a finite number (a bool is not one), or a theta_star that is not
-    a list of lists of them, raises ValueError naming the key."""
-    doc = json.loads(text)
+    """(nominal, thresholds) of `calibration_to_json` output. A document
+    that is not an object, a calibration_window that is not an integer
+    >= 1, another value that is not a finite number (a bool is not one),
+    or a theta_star that is not a list of lists of them, raises ValueError
+    naming the key."""
+    doc = det.json_typed(json.loads(text), dict, "top level")
     for key in ("calibration_window", "calibrated_at", "d_high", "d_low"):
         det.json_numbers(doc[key], key, 0)
+    det.json_count(doc["calibration_window"], "calibration_window")
     nominal = NominalPredictor(
         theta_star=det.json_numbers(doc["theta_star"], "theta_star", 2),
         calibration_window=doc["calibration_window"],
@@ -992,46 +994,44 @@ def run_scenario(
 class _CycleAverage:
     """Causal moving average over one fundamental cycle, per column, of a
     stream of samples given in consecutive blocks: each call returns the
-    averages of its block's samples.
+    averages of its block's samples, over the samples so far until a whole
+    cycle of n has come.
 
-    It carries the last n - 1 samples of the stream and its sample count,
-    so blocks give the bits of one call on their join. np.convolve swaps
-    its operands when the signal is shorter than the kernel, which sums in
-    another order; a signal that short is padded at its end instead, which
-    reaches none of the causal averages kept.
+    The window sum is np.cumsum of the carried sum and each sample's
+    change to it: the sample entering less the one leaving, n samples
+    back, which is 0.0 before the stream's start. That is one fixed order
+    of additions. It carries the sum, the last n samples and the sample
+    count, so blocks give the bits of one call on their join.
     """
 
     def __init__(self, ts: float, f_base: float):
         self.n = max(1, int(round(1.0 / (f_base * ts))))
-        self.kernel = np.ones(self.n) / self.n
-        self.history = None  # the stream's last n - 1 samples
+        self.history = None  # the stream's last n samples
+        self.total = None  # the window sum after the last sample, (1, cols)
         self.count = 0  # samples seen
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         n, m = self.n, v.shape[0]
         if n == 1:
             return v
-        x = v if self.history is None else np.concatenate([self.history, v])
-        start = x.shape[0] - m
-        self.history = x[max(0, x.shape[0] - (n - 1)):].copy()
-        if x.shape[0] < n:
-            x = np.concatenate([x, np.zeros((n - x.shape[0], x.shape[1]))])
-        out = np.empty_like(v)
-        for col in range(v.shape[1]):
-            out[:, col] = np.convolve(x[:, col], self.kernel)[start:start + m]
-        # warm the average up from the first sample instead of zero history
+        if self.history is None:
+            self.history = np.zeros((n, v.shape[1]))
+            self.total = np.zeros((1, v.shape[1]))
+        x = np.concatenate([self.history, v])
+        sums = np.cumsum(np.concatenate([self.total, v - x[:m]]), axis=0)
+        self.total, self.history = sums[-1:], x[m:].copy()
         counts = np.minimum(np.arange(self.count + 1, self.count + m + 1), n)
         self.count += m
-        return out * (n / counts)[:, None]
+        return sums[1:] / counts[:, None]
 
 
 def _nominal_pcc_voltage(config: ScenarioConfig) -> np.ndarray:
     from .circuit import full_circuit_model
-    from .simulate import GRID_VOLTAGE, equilibrium
+    from .simulate import GRID_VOLTAGE, _matvec, equilibrium
 
     model = full_circuit_model(config.circuit, None)
     x0 = equilibrium(model, np.asarray(config.i_op, float), GRID_VOLTAGE)
-    return model.C @ x0
+    return _matvec(model.C, x0)
 
 
 def build_library_from_scenarios(

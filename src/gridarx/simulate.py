@@ -9,6 +9,11 @@ states carried over by name.
 `simulate_blocks` streams a run in blocks of samples and holds one block at
 a time; `simulate` joins its blocks into the whole run. Both give the same
 bits for any block size.
+
+Every product is computed in a fixed order over numpy's elementwise
+operations (`_matvec`, `_solve`) or in the C step loop, never through the
+BLAS or LAPACK that numpy was built with, so the samples have the same
+bits on every CPU.
 """
 
 from __future__ import annotations
@@ -70,23 +75,51 @@ class SimResult:
     ts: float
 
 
+def _matvec(A, x) -> np.ndarray:
+    """A x for a vector x, or for each row of a matrix x: each sum taken
+    left to right over the columns of A."""
+    out = x[..., 0, None] * A[:, 0]
+    for j in range(1, A.shape[1]):
+        out = out + x[..., j, None] * A[:, j]
+    return out
+
+
+def _solve(A, B) -> np.ndarray:
+    """X with A X = B (n x k), by Gauss-Jordan elimination with partial
+    pivoting over the rows of [A | B]: the first row of largest magnitude
+    in the pivot column. A zero pivot raises np.linalg.LinAlgError; a
+    non-finite entry gives non-finite entries of X without a warning, as
+    LAPACK's solve does, which the simulator reports as IntegrationError."""
+    n = A.shape[0]
+    M = np.concatenate((A, B), axis=1, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(n):
+            p = k + int(np.argmax(np.abs(M[k:, k])))
+            if M[p, k] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            M[[k, p]] = M[[p, k]]
+            M[k] = M[k] / M[k, k]
+            rest = np.arange(n) != k
+            M[rest] = M[rest] - M[rest, k, None] * M[k]
+    return M[:, n:].copy()
+
+
 def equilibrium(model: StateSpaceModel, u0, vg) -> np.ndarray:
     """Steady state of x' = A x + B u0 + E vg (DC in the dq frame)."""
-    rhs = model.B @ np.asarray(u0, float) + model.E @ np.asarray(vg, float)
-    return np.linalg.solve(model.A, -rhs)
+    rhs = (_matvec(model.B, np.asarray(u0, float))
+           + _matvec(model.E, np.asarray(vg, float)))
+    return _solve(model.A, -rhs[:, None]).ravel()
 
 
 def _discretize(model: StateSpaceModel, ts: float):
     """Trapezoidal step with zero-order-hold input:
-    x+ = F x + Gb u + Ge vg."""
-    n = model.A.shape[0]
+    x+ = F x + Gb u + Ge vg, from one solve of
+    M1 [F | Gb | Ge] = [M2 | ts B | ts E]."""
+    n, nb = model.A.shape[0], model.B.shape[1]
     M1 = np.eye(n) - 0.5 * ts * model.A
     M2 = np.eye(n) + 0.5 * ts * model.A
-    M1_inv = np.linalg.inv(M1)
-    F = M1_inv @ M2
-    Gb = ts * (M1_inv @ model.B)
-    Ge = ts * (M1_inv @ model.E)
-    return F, Gb, Ge
+    X = _solve(M1, np.concatenate((M2, ts * model.B, ts * model.E), axis=1))
+    return X[:, :n], X[:, n:n + nb], X[:, n + nb:]
 
 
 def _map_state(x, from_model: StateSpaceModel, to_model: StateSpaceModel,
@@ -136,34 +169,15 @@ def disturbance_start(disturbance: DisturbanceSpec | None, duration: float,
     return int(round(disturbance.t_start / ts))
 
 
-def _forcing(i_inj, Gb, vg_forcing, segment_rows: int):
-    """Per-step forcing `i_inj @ Gb.T + vg_forcing` of consecutive rows of
-    one topology segment of `segment_rows` samples.
-
-    A 1-row matrix product takes another BLAS path than a longer one and
-    can differ from the same row of the whole-segment product in its last
-    bits, so a single row of a longer segment is computed inside a product
-    of two copies of it. Rows of two or more give the bits of the
-    whole-segment product.
-    """
-    if i_inj.shape[0] == 1 and segment_rows > 1:
-        return (np.repeat(i_inj, 2, axis=0) @ Gb.T)[:1] + vg_forcing
-    return i_inj @ Gb.T + vg_forcing
-
-
 def _step(v, x, FC, drive):
     """Step from state x over the rows of `drive`, writing each sample's
     PCC voltage into the rows of v; returns the state after the last.
 
     FC is [F; Cv], the state transition over the voltage output: both
-    multiply the state, so one gemv per sample gives F x and v = Cv x."""
-    # The steps run in C (`_kernels.sim_rows`): row k makes the gemv
-    # [F x; Cv x] and x <- F x + drive[k], written over the forcing row it
-    # consumes. At the shapes of the 4- and 6-state models, each row of
-    # the stacked gemv has the bits of F x and Cv x computed apart (a test
-    # pins this BLAS property there; it does not hold at every shape). The
-    # gemv is the one np.dot calls, so the values are bitwise those of the
-    # plain expressions.
+    multiply the state, so one product per sample gives F x and v = Cv x.
+    The steps run in C (`_kernels.sim_rows`), each row of the product
+    summed left to right: row k makes [F x; Cv x] and x <- F x + drive[k],
+    written over the forcing row it consumes."""
     _kernels.sim_rows(FC, x, drive, v)
     return drive[-1]
 
@@ -234,7 +248,7 @@ def _simulate_blocks(params, segments, excitation, n, ts, noise_std,
     x = equilibrium(nominal, i_op, GRID_VOLTAGE)
     seg = 0
     prev_model = nominal
-    k0, k1, model = segments[seg]
+    _, k1, model = segments[seg]
     entered = False  # FC, Gb and the vg forcing are those of `model`
     for lo in range(0, n, block):
         hi = min(n, lo + block)
@@ -245,7 +259,7 @@ def _simulate_blocks(params, segments, excitation, n, ts, noise_std,
         while k < hi:
             if k == k1:  # next segment
                 seg += 1
-                k0, k1, model = segments[seg]
+                _, k1, model = segments[seg]
                 entered = False
                 continue
             if not entered:
@@ -255,10 +269,10 @@ def _simulate_blocks(params, segments, excitation, n, ts, noise_std,
                     prev_model = model
                 F, Gb, Ge = _discretize(model, ts)
                 FC = np.concatenate((F, model.C))
-                vg_forcing = GRID_VOLTAGE @ Ge.T
+                vg_forcing = _matvec(Ge, GRID_VOLTAGE)
                 entered = True
             stop = min(hi, k1)
-            drive = _forcing(i_inj[k - lo:stop - lo], Gb, vg_forcing, k1 - k0)
+            drive = _matvec(Gb, i_inj[k - lo:stop - lo]) + vg_forcing
             x = _step(v[k - lo:stop - lo], x, FC, drive)
             k = stop
         if not np.all(np.isfinite(v)):

@@ -3,9 +3,10 @@
 None of these is on a run's path: each recomputes a result of the package
 by another route (a batch least-squares solve for the recursion, a fixed
 predictor's residual for the identification, `np.loadtxt` for a written
-`theta.csv`, a per-verdict loop for the debounce, and the numpy forms of
+`theta.csv`, a per-verdict loop for the debounce, the numpy forms of
 the regressors, the distances and the verdicts that the C passes of
-`_kernels.c` replace), so they live with the tests that use them.
+`_kernels.c` replace, and the fixed-order products of its step loops over
+Python floats), so they live with the tests that use them.
 """
 
 import math
@@ -207,3 +208,17 @@ def identify_numpy(sim, order: int):
     di = np.diff(np.asarray(sim.i_dq, float), axis=0)
     phi, y = build_lagged_regressors(dv, di, order)
     return y, phi
+
+
+def dot_fixed(x, y) -> float:
+    """x . y summed left to right from 0.0 over Python floats: the order
+    in which the C step loops sum each product."""
+    total = 0.0
+    for a, b in zip(np.ravel(x).tolist(), np.ravel(y).tolist()):
+        total += a * b
+    return total
+
+
+def matvec_fixed(A, x) -> np.ndarray:
+    """A x, each row a `dot_fixed`."""
+    return np.array([dot_fixed(row, x) for row in np.asarray(A)])

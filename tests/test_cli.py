@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from gridarx.cli import main
+from gridarx.detector import SignatureLibrary
+from gridarx.scenario import calibration_from_json
 
 MINI_CAL = """\
 [run]
@@ -338,6 +340,89 @@ class TestFileValues:
         assert not out.exists()
 
 
+def _set_entry(key, value):
+    """A change to a parsed library.json: its one entry's `key` set to
+    `value`."""
+    return lambda doc: doc["signatures"][0].update({key: value})
+
+
+def _top_level_list(doc):
+    """A change that replaces the whole document with a list."""
+    return [1]
+
+
+# A malformed calibration or library file, as (file, change, message): the
+# file fails at load with ValueError naming the key or the entry.
+MALFORMED = {
+    "signatures_object": ("library.json", _set("signatures", {"a": 1}),
+                          "signatures: expected a list, got {'a': 1}"),
+    "signatures_null": ("library.json", _set("signatures", None),
+                        "signatures: expected a list, got None"),
+    "entry_list": ("library.json", _set("signatures", [["fault"]]),
+                   "library entry 0: expected an object, got ['fault']"),
+    "shape_number": ("library.json", _set_entry("shape", 8),
+                     "library entry 0 ('load_0p35'): shape 8 does not match "
+                     "the library's order 3, which needs (2, 12)"),
+    "source_number": ("library.json", _set_entry("source_scenario", 5),
+                      "library entry 0: source_scenario: expected a string, "
+                      "got 5"),
+    "library_list": ("library.json", _top_level_list,
+                     "top level: expected an object, got [1]"),
+    "calibration_list": ("calibration.json", _top_level_list,
+                         "top level: expected an object, got [1]"),
+    "window_zero": ("calibration.json", _set("calibration_window", 0),
+                    "calibration_window: expected an integer >= 1, got 0"),
+    "window_fraction": ("calibration.json", _set("calibration_window", 2.5),
+                        "calibration_window: expected an integer >= 1, got "
+                        "2.5"),
+}
+
+
+class TestMalformedFiles:
+    """A calibration or library file of the wrong structure raises
+    ValueError naming the key or the entry, at its parser and through
+    `run` (exit 2, naming the file), instead of a traceback."""
+
+    @staticmethod
+    def documents(workspace, tmp_path, name, change):
+        """The workspace calibration and a one-entry library, `change`
+        applied to `name`'s (in place, or by returning the new document),
+        as JSON texts by file name."""
+        with open(workspace["calibration.json"]) as fh:
+            docs = {"calibration.json": json.load(fh)}
+        with open(_library_file(tmp_path)) as fh:
+            docs["library.json"] = json.load(fh)
+        docs[name] = change(docs[name]) or docs[name]
+        return {file: json.dumps(doc) for file, doc in docs.items()}
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_parser_names_the_key(self, workspace, tmp_path, case):
+        name, change, message = MALFORMED[case]
+        text = self.documents(workspace, tmp_path, name, change)[name]
+        parse = SignatureLibrary.from_json if name == "library.json" \
+            else calibration_from_json
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_run_names_the_file_and_key(self, workspace, tmp_path, capsys,
+                                        case):
+        name, change, message = MALFORMED[case]
+        for file, text in self.documents(workspace, tmp_path, name,
+                                         change).items():
+            (tmp_path / file).write_text(text)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", workspace["fault.ini"],
+                   "--calibration", str(tmp_path / "calibration.json"),
+                   "--library", str(tmp_path / "library.json"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / name}: {message}\n"
+        assert not out.exists()
+
+
 class TestManifest:
     """A manifest whose scenarios would overwrite each other's artifacts,
     or that lists none, exits 2 before any run."""
@@ -403,8 +488,8 @@ print(blas.scipy_openblas_get_num_threads64_())
 
 
 class TestBlasThreads:
-    """The CLI runs numpy's BLAS on one thread; importing gridarx leaves
-    numpy's thread count as it was."""
+    """Importing gridarx leaves the thread count of numpy's BLAS as it
+    was."""
 
     def threads_after(self, code):
         proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE,
@@ -415,7 +500,3 @@ class TestBlasThreads:
     def test_import_keeps_the_thread_count(self):
         assert self.threads_after(
             "import gridarx, gridarx.cli, gridarx._kernels") == 2
-
-    def test_cli_sets_one_thread(self):
-        assert self.threads_after(
-            "from gridarx.cli import main; main(['poles'])") == 1

@@ -2,8 +2,6 @@
 per-sample transcription of the textbook update, block-split invariance,
 and the block error path."""
 
-import ctypes
-import importlib
 import tracemalloc
 import warnings
 
@@ -25,7 +23,7 @@ from gridarx.rls import (
 )
 from gridarx.signals import RbsConfig
 from gridarx.simulate import SimResult, simulate
-from oracles import identify_numpy
+from oracles import identify_numpy, matvec_fixed
 
 
 def oracle_identify(sim, config, state=None, stats=None):
@@ -35,12 +33,15 @@ def oracle_identify(sim, config, state=None, stats=None):
     return oracle_rls(y_all, phi_all, config, state, stats)
 
 
-def oracle_rls(y_all, phi_all, config, state=None, stats=None):
+def oracle_rls(y_all, phi_all, config, state=None, stats=None,
+               matvec=matvec_fixed):
     """Per-sample reference: the step formulas written out with fresh arrays
-    every step, as a plain loop. Returns (theta trajectory, innovations,
-    calibrated flags, final theta, final P, final count, clamps fired).
-    When a `stats` dict is given, it counts in "negative_zero_terms" the
-    -0.0 entries of the outer products."""
+    every step, as a plain loop, each matrix-vector product by `matvec`:
+    by default summed left to right over Python floats, the kernel's
+    order. Returns (theta trajectory, innovations, calibrated flags, final
+    theta, final P, final count, clamps fired). When a `stats` dict is
+    given, it counts in "negative_zero_terms" the -0.0 entries of the outer
+    products."""
     if state is None:
         state = init_identifier(config)
     theta, P, count = state.theta, state.P, state.sample_count
@@ -48,11 +49,11 @@ def oracle_rls(y_all, phi_all, config, state=None, stats=None):
     ceiling = config.covariance_ceiling
     thetas, innovations, calibrated, clamps = [], [], [], 0
     for y, phi in zip(y_all, phi_all):
-        P_phi = P @ phi
-        denom = lam + phi @ P_phi
+        P_phi = matvec(P, phi)
+        denom = lam + matvec(phi[None], P_phi)[0]
         assert denom > 1e-12
         K = P_phi / denom
-        innovation = y - theta @ phi
+        innovation = y - matvec(theta, phi)
         eK, KP = np.outer(innovation, K), np.outer(K, P_phi)
         if stats is not None:
             stats["negative_zero_terms"] = stats.get(
@@ -137,6 +138,19 @@ class TestOracleParity:
         run = identify(simulated, config)
         assert run.theta.shape[0] > 10 * COV_CLAMP_INTERVAL
         assert_run_matches_oracle(run, oracle_identify(simulated, config))
+
+    def test_simulated_stream_near_np_dot_form(self, simulated):
+        """Against the formulas with np.dot's products, whose summation
+        order is the BLAS library's and may depend on the CPU: within 1e-9
+        of each array's largest magnitude."""
+        config = ArxConfig()
+        y, phi = identify_numpy(simulated, config.order)
+        ref = oracle_rls(y, phi, config, matvec=np.dot)
+        run = identify(simulated, config)
+        for got, want in ((run.theta, ref[0]), (run.innovation, ref[1]),
+                          (run.final_state.P, ref[4])):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-9 * np.abs(want).max())
 
     def test_windup_stretch_clamp_fires_bitwise(self):
         sim = windup_stream()
@@ -672,29 +686,16 @@ def never_clamp(P):
     raise AssertionError("the spectral clamp was called")
 
 
-class TestKernelBlas:
-    """The C step loops of `rls_run` and `simulate._step` make their
-    products through numpy's own BLAS, so that a step has the bits of the
-    numpy formulas it replaces."""
-
-    def test_kernel_binds_the_blas_of_numpy(self):
-        """dlsym through the handle of numpy's multiarray module searches
-        that module and the libraries it was linked with, so it resolves
-        each BLAS function to the one np.dot calls."""
-        multiarray = ctypes.CDLL(importlib.import_module(
-            "numpy._core._multiarray_umath").__file__)
-        for name, address in [(_kernels.DGEMV, _kernels.DGEMV_ADDRESS),
-                              (_kernels.DDOT, _kernels.DDOT_ADDRESS)]:
-            numpy_address = ctypes.cast(getattr(multiarray, name),
-                                        ctypes.c_void_p).value
-            assert address == numpy_address, name
+class TestKernelSteps:
+    """The C step loops of `rls_run` and `simulate._step` sum each product
+    left to right, so that a step has the bits of the formulas written
+    with `matvec_fixed` on any CPU."""
 
     @pytest.mark.parametrize("n, r", [(12, 2), (12, 1)],
                              ids=["14x12", "13x12"])
     def test_rls_steps_equal_numpy_formulas(self, n, r):
         """One kernel step on random [P; theta] stacks against the step
-        written with np.dot, whose rank-1 product is the k=1 BLAS matrix
-        product the kernel stands in for."""
+        written with numpy's elementwise operations and `matvec_fixed`."""
         rng = np.random.Generator(np.random.Philox(n + r))
         lam = 0.99
         h = n // 2
@@ -714,14 +715,12 @@ class TestKernelBlas:
                 stack[n:, h:] = -0.0
                 phi[h:] = np.where(rng.random(n - h) < 0.5, 0.0, -0.0)
 
-            stack_phi = np.dot(stack, phi)
-            if r == 1:
-                stack_phi[n] = np.dot(stack[n], phi)
-            d = lam + np.dot(phi, stack_phi[:n])
+            stack_phi = matvec_fixed(stack, phi)
+            d = lam + matvec_fixed(phi[None], stack_phi[:n])[0]
             K = stack_phi[:n] / d
             e = y - stack_phi[n:]
             stack_phi[n:] = -e
-            want = stack - np.dot(stack_phi[:, None], K[None, :])
+            want = stack - np.outer(stack_phi, K)
             A = want[:n] / (2.0 * lam)
             want[:n] = A + A.T.copy()
 
@@ -738,7 +737,7 @@ class TestKernelBlas:
     @pytest.mark.parametrize("nx", [4, 6], ids=["6x4", "8x6"])
     def test_simulator_steps_equal_numpy_formulas(self, nx):
         """Kernel steps of random [F; Cv] stacks against the steps written
-        with np.dot."""
+        with `matvec_fixed`."""
         rng = np.random.Generator(np.random.Philox(nx))
         m = 40
         for _ in range(50):
@@ -749,7 +748,7 @@ class TestKernelBlas:
             want_x, want_v = np.empty((m, nx)), np.empty((m, 2))
             x = x0
             for k in range(m):
-                FCx = np.dot(FC, x)
+                FCx = matvec_fixed(FC, x)
                 x = want_x[k] = FCx[:nx] + drive[k]
                 want_v[k] = FCx[nx:]
             got_x, got_v = drive.copy(), np.empty((m, 2))
@@ -850,29 +849,3 @@ class TestEntryPointContract:
         for run in later:
             assert not np.shares_memory(first.final_state.P,
                                         run.final_state.P)
-
-
-class TestStackedProducts:
-    """The BLAS property behind the simulator's stacked per-sample product:
-    each row of a matrix-vector product is bitwise that row in the product
-    of its own block of two or more rows, without the rows stacked above
-    or below it. Pinned over random inputs at [F; Cv], 6 x 4 and 8 x 6, in
-    the simulator's step loop for the 4- and 6-state models, and at
-    14 x 12, [P; theta] of the shipped ARX model. A BLAS whose row results
-    depend on the row count there fails here by name. The property does
-    not hold at every shape (three theta rows under a 10-column P differ),
-    so `rls_run` multiplies P and theta apart, which
-    `test_signed_zero_columns_with_clamp` checks at that shape."""
-
-    @pytest.mark.parametrize("n", [12, 4, 6])
-    def test_stacked_gemv_rows_equal_separate_products(self, n):
-        rng = np.random.Generator(np.random.Philox(n))
-        out = np.empty(n + 2)
-        for _ in range(500):
-            scale = 10.0 ** rng.uniform(-6, 6, size=(n + 2, 1))
-            stack = scale * rng.standard_normal((n + 2, n))
-            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6)
-            top, bottom = stack[:n].copy(), stack[n:].copy()
-            np.dot(stack, x, out)
-            assert_bits_equal(out[:n], np.dot(top, x))
-            assert_bits_equal(out[n:], np.dot(bottom, x))

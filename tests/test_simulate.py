@@ -19,12 +19,13 @@ from gridarx.simulate import (
     SimResult,
     _discretize,
     _map_state,
+    _solve,
     equilibrium,
     simulate,
     simulate_blocks,
 )
 from gridarx.signals import RbsConfig, rbs_generate
-from oracles import residual_ratio
+from oracles import matvec_fixed, residual_ratio
 
 # the module itself: the package re-exports its `simulate` function under
 # the module's name
@@ -102,6 +103,28 @@ class TestEquilibrium:
         m = full_circuit_model(params, None)
         x = equilibrium(m, (1.0, 0.0), (1.0, 0.0))
         assert np.allclose(sim.v_dq[0], m.C @ x, atol=1e-12)
+
+
+class TestSolve:
+    """`_solve`, the elimination of the simulator's set-up, against
+    numpy's LAPACK solve."""
+
+    def test_near_lapack_solve(self, params):
+        rng = np.random.Generator(np.random.Philox(6))
+        for _ in range(100):
+            A = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+            B = rng.standard_normal((6, 3))
+            np.testing.assert_allclose(_solve(A, B), np.linalg.solve(A, B),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_zero_leading_entry_pivots(self):
+        A = np.array([[0.0, 2.0], [3.0, 1.0]])
+        assert np.array_equal(_solve(A, np.array([[2.0], [4.0]])),
+                              [[1.0], [1.0]])
+
+    def test_singular_matrix_rejected(self):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones((2, 1)))
 
 
 class TestValidation:
@@ -232,10 +255,13 @@ class TestTopologySwitch:
 
 
 def oracle_voltage(params, disturbance, excitation, duration, ts=2e-4,
-                   i_op=(1.0, 0.0), vg=(1.0, 0.0)):
+                   i_op=(1.0, 0.0), vg=(1.0, 0.0), matmul=False):
     """Noiseless PCC voltage by the step loop written out with fresh arrays
-    every step: per topology segment, the forcing of all its steps, then
-    v[k] = C x and x = F x + drive[k]."""
+    every step: per topology segment, the forcing Gb u + Ge vg of all its
+    steps, then v[k] = C x and x = F x + drive[k]. The forcing sums its
+    terms in order and the step's products are `matvec_fixed`, all over
+    Python floats; with `matmul`, both are numpy's matrix products
+    instead, whose summation order is the BLAS library's."""
     n = int(round(duration / ts)) + 1
     i_inj = np.asarray(i_op, float) + rbs_generate(excitation, n, fs=1.0 / ts)
     vg = np.asarray(vg, float)
@@ -247,15 +273,24 @@ def oracle_voltage(params, disturbance, excitation, duration, ts=2e-4,
     x = equilibrium(nominal, np.asarray(i_op, float), vg)
     v = np.empty((n, 2))
     prev = nominal
+    product = np.dot if matmul else matvec_fixed
     for k0, k1, model in ((0, k_on, nominal), (k_on, k_off, disturbed),
                           (k_off, n, nominal)):
         if model is not prev:
             x = _map_state(x, prev, model, params)
         F, Gb, Ge = _discretize(model, ts)
-        drive = i_inj[k0:k1] @ Gb.T + vg @ Ge.T
+        if matmul:
+            drive = i_inj[k0:k1] @ Gb.T + vg @ Ge.T
+        else:
+            vg0, vg1 = vg.tolist()
+            vg_forcing = [e0 * vg0 + e1 * vg1 for e0, e1 in Ge.tolist()]
+            drive = np.array([[u0 * g0 + u1 * g1 + f
+                               for (g0, g1), f in zip(Gb.tolist(), vg_forcing)]
+                              for u0, u1 in i_inj[k0:k1].tolist()],
+                             float).reshape(k1 - k0, len(vg_forcing))
         for k in range(k0, k1):
-            v[k] = model.C @ x
-            x = F @ x + drive[k - k0]
+            v[k] = product(model.C, x)
+            x = product(F, x) + drive[k - k0]
         prev = model
     return v
 
@@ -268,6 +303,15 @@ class TestStepLoopExactness:
         sim = simulate(params, dist, exc, 0.2, noise_std=0.0)
         want = oracle_voltage(params, dist, exc, 0.2)
         assert np.array_equal(sim.v_dq.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kind, value", [("fault", 0.3), ("load", 0.35)])
+    def test_near_matrix_product_loop(self, params, kind, value):
+        """Against the loop with numpy's matrix products: within 1e-12."""
+        exc = RbsConfig(seed=4)
+        dist = DisturbanceSpec(kind, value, 0.05, 0.12)
+        sim = simulate(params, dist, exc, 0.2, noise_std=0.0)
+        want = oracle_voltage(params, dist, exc, 0.2, matmul=True)
+        np.testing.assert_allclose(sim.v_dq, want, rtol=0, atol=1e-12)
 
 
 def joined(blocks):
@@ -307,71 +351,6 @@ class TestBlockSimulator:
         if noise_std == 0.0:  # against the whole-segment fresh-array loop
             assert np.array_equal(bits(v), bits(oracle_voltage(
                 params, self.dist, self.exc, 0.2)))
-
-    @pytest.mark.parametrize("dist", [
-        DisturbanceSpec("fault", 0.3, 0.05, 0.12),
-        DisturbanceSpec("load", 0.35, 0.0, 0.15),  # from the first sample
-        DisturbanceSpec("fault", 0.3, 0.1, 0.1 + 2e-4),  # 1-sample window
-    ])
-    # 1001 samples: each size leaves a 1-sample final block
-    @pytest.mark.parametrize("block", [1, 2, 250])
-    def test_no_one_row_forcing_product(self, params, monkeypatch, dist,
-                                        block):
-        """Each block size here cuts a 1-row piece out of a longer segment;
-        its forcing still has the bits of the whole-segment product."""
-        calls = []
-        forcing = simulate_module._forcing
-
-        def recorded(i_inj, Gb, vg_forcing, segment_rows):
-            calls.append((i_inj.shape[0], segment_rows))
-            return forcing(i_inj, Gb, vg_forcing, segment_rows)
-
-        monkeypatch.setattr(simulate_module, "_forcing", recorded)
-        _, v, _ = joined(simulate_blocks(params, dist, self.exc, 0.2,
-                                         noise_std=0.0, block=block))
-        assert any(rows == 1 and seg > 1 for rows, seg in calls)
-        assert np.array_equal(bits(v), bits(oracle_voltage(
-            params, dist, self.exc, 0.2)))
-
-    def test_forcing_pads_a_lone_row(self, params, monkeypatch):
-        """What _forcing hands BLAS: never a 1-row matrix for a row of a
-        longer segment."""
-        shapes = []
-
-        class Recorded(np.ndarray):
-            def __matmul__(self, other):
-                shapes.append(self.shape)
-                return np.asarray(self) @ other
-
-        model = full_circuit_model(params, None)
-        _, Gb, Ge = _discretize(model, 2e-4)
-        row = np.array([[1.1, -0.1]]).view(Recorded)
-        simulate_module._forcing(row, Gb, Ge @ np.ones(2), 5)
-        simulate_module._forcing(row, Gb, Ge @ np.ones(2), 1)
-        assert shapes == [(2, 2), (1, 2)]
-
-    @pytest.mark.parametrize("dist", [None, ("fault", 0.3)])
-    def test_matrix_product_rows_independent_of_row_count(self, params,
-                                                          dist):
-        """The numpy/BLAS property the forcing relies on, for the 4-state
-        and the 6-state model: each row of a product of two or more rows
-        is bitwise that row of the whole-segment product. (A 1-row product
-        takes another path and may differ; it is not asserted here.)"""
-        model = full_circuit_model(params, dist)
-        _, Gb, _ = _discretize(model, 2e-4)
-        rng = np.random.Generator(np.random.Philox(5))
-        i_inj = 1.0 + 0.1 * rng.choice([-1.0, 1.0], size=(20001, 2))
-        whole = i_inj @ Gb.T
-        for rows in (2, 3, 7, 64, 999, 8191, 8192):
-            cuts = list(range(0, 20001, rows))
-            if 20001 - cuts[-1] == 1:  # no 1-row tail
-                cuts.pop()
-            parts = [i_inj[a:b] @ Gb.T
-                     for a, b in zip(cuts, cuts[1:] + [20001])]
-            assert np.array_equal(bits(np.concatenate(parts)), bits(whole))
-        padded = [(np.repeat(i_inj[k:k + 1], 2, axis=0) @ Gb.T)[0]
-                  for k in range(300)]
-        assert np.array_equal(bits(np.array(padded)), bits(whole[:300]))
 
     @pytest.mark.parametrize("rows", [8192, 8191, 1, 3])
     def test_philox_normals_in_chunks(self, rows):
