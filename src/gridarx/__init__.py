@@ -34,7 +34,7 @@ from .rls import (
     init_identifier,
     rls_update,
 )
-from .signals import RbsConfig, abc_to_dq, dq_to_abc, rbs_generate
+from .signals import RbsConfig, rbs_generate
 from .simulate import DisturbanceSpec, SimResult, simulate
 
 __version__ = "0.1.0"

@@ -11,10 +11,8 @@
  *   (`dot`);
  * - a distance sums its squares in the order of numpy's add.reduce over a
  *   contiguous row (`pairwise_sum_sq`);
- * - the products of the band's deviations with the signatures come from
- *   PyArray_EinsteinSum, the function np.einsum calls, which calls no
- *   BLAS (tests/test_golden.py runs it without numpy's AVX2 and AVX-512
- *   loops too);
+ * - the product of a band snapshot's deviation with each signature sums
+ *   left to right from 0.0 too (`dot`);
  * - everything else is one IEEE operation per entry, as a numpy ufunc
  *   makes it. The file is compiled with -ffp-contract=off, so that no
  *   multiply and add fuse into an FMA, and without -ffast-math, so that no
@@ -56,12 +54,6 @@ enum {
 
 /* The verdict codes of `detector.Verdict` that the match pass writes. */
 enum { NORMAL_CODE = 0, FAULT_CODE = 1, UNCLASSIFIED_CODE = 3 };
-
-/* Snapshots per chunk of `classify_block`: bounds its deviation buffer. */
-#define DISTANCE_CHUNK 4096
-
-/* The calls `classify_block` has made to PyArray_EinsteinSum. */
-static unsigned long long einsum_count;
 
 /* ------------------------------------------------------------------------
  * Arguments.
@@ -685,45 +677,29 @@ static PyObject *distance_block(PyObject *self, PyObject *const *arg,
     return (PyObject *)d;
 }
 
-/* The signature products of the nb band deviations in `dev`: einsum's
- * ij,kj->ik with `matrix`, a new (nb, signatures) array. */
-static PyArrayObject *band_products(PyArrayObject *dev, npy_intp nb,
-                                    PyArrayObject *matrix)
-{
-    static char subscripts[] = "ij,kj->ik";
-    PyArrayObject *ops[2] = {row_view(dev, 0, nb), matrix}, *raw = NULL;
-    if (ops[0]) {
-        raw = PyArray_EinsteinSum(subscripts, 2, ops, NULL, NPY_KEEPORDER,
-                                  NPY_SAFE_CASTING, NULL);
-        einsum_count++;
-        Py_DECREF(ops[0]);
-    }
-    return raw;
-}
-
 static const char classify_block_doc[] =
     "classify_block(thetas, theta_star, matrix, norms, sig_codes, d_low,\n"
     "               d_high, match_floor) -> (d, codes, similarity)\n\n"
     "The distance of each snapshot thetas[k] to theta_star (as\n"
     "distance_block), its verdict code and its similarity: fault above\n"
     "d_high; in the band d_low < d <= d_high, the label sig_codes[s] of\n"
-    "the signature of the largest similarity raw[k, s] / (d[k] norms[s])\n"
+    "the signature of the largest similarity raw[s] / (d[k] norms[s])\n"
     "(0 where that divisor is not positive; the first of equal ones, or the\n"
     "first NaN), unclassified below match_floor or when matrix is None (an\n"
-    "empty library); normal otherwise. raw holds the band deviations'\n"
-    "products with the rows of matrix, einsum('ij,kj->ik'), taken per\n"
-    "DISTANCE_CHUNK snapshots and only for the band. similarity is NaN\n"
-    "outside the band and without a library. A NaN distance raises\n"
-    "ValueError naming the first such snapshot.";
+    "empty library); normal otherwise. raw[s] is the product of the\n"
+    "snapshot's deviation with row s of matrix, summed left to right from\n"
+    "0.0. similarity is NaN outside the band and without a library. A NaN\n"
+    "distance raises ValueError naming the first such snapshot.";
 
 static PyObject *classify_block(PyObject *self, PyObject *const *arg,
                                 Py_ssize_t nargs)
 {
     const char *func = "classify_block";
-    PyArrayObject *thetas = NULL, *star = NULL, *matrix = NULL, *dev = NULL,
-                  *d = NULL, *codes = NULL, *similarity = NULL, *raw = NULL;
-    const double *sig_norm = NULL;
+    PyArrayObject *thetas = NULL, *star = NULL, *d = NULL, *codes = NULL,
+                  *similarity = NULL;
+    const double *sig_rows = NULL, *sig_norm = NULL;
     const npy_int64 *sig_codes = NULL;
+    double *dev = NULL;
     npy_intp n_sig = 0;
     PyObject *out = NULL;
     if (!nargs_ok(func, nargs, 8))
@@ -736,7 +712,7 @@ static PyObject *classify_block(PyObject *self, PyObject *const *arg,
     npy_intp m = PyArray_DIM(thetas, 0), w = PyArray_SIZE(star);
     if (arg[2] != Py_None) {
         const npy_intp sig[2] = {ANY, w};
-        PyArrayObject *norms, *labels;
+        PyArrayObject *matrix, *norms, *labels;
         if (!(matrix = checked(func, arg[2], "matrix", 'd', 0, 2, sig)))
             goto done;
         n_sig = PyArray_DIM(matrix, 0);
@@ -749,83 +725,66 @@ static PyObject *classify_block(PyObject *self, PyObject *const *arg,
                          func);
             goto done;
         }
+        sig_rows = PyArray_DATA(matrix);
         sig_norm = PyArray_DATA(norms);
         sig_codes = PyArray_DATA(labels);
     }
-    npy_intp dev_dims[2] = {m < DISTANCE_CHUNK ? m : DISTANCE_CHUNK, w};
     if (!(d = empty(1, &m, NPY_DOUBLE)) || !(codes = empty(1, &m, NPY_INTP))
-            || !(similarity = empty(1, &m, NPY_DOUBLE))
-            || !(dev = empty(2, dev_dims, NPY_DOUBLE)))
+            || !(similarity = empty(1, &m, NPY_DOUBLE)))
         goto done;
+    if (!(dev = PyMem_Malloc((size_t)(w ? w : 1) * sizeof *dev))) {
+        PyErr_NoMemory();
+        goto done;
+    }
     const double *rows = PyArray_DATA(thetas), *s = PyArray_DATA(star);
-    double *dk = PyArray_DATA(d), *sim = PyArray_DATA(similarity),
-           *dev_rows = PyArray_DATA(dev);
+    double *dk = PyArray_DATA(d), *sim = PyArray_DATA(similarity);
     npy_intp *code = PyArray_DATA(codes);
-    for (npy_intp lo = 0; lo < m; lo += DISTANCE_CHUNK) {
-        const npy_intp hi = m - lo < DISTANCE_CHUNK ? m : lo + DISTANCE_CHUNK;
-        /* d, with the deviations of the band's rows packed at the front of
-         * dev: an infinite d is a fault like any d > d_high, a NaN d has
-         * no verdict */
-        npy_intp nb = 0;
-        for (npy_intp k = lo; k < hi; k++) {
-            dk[k] = distance(rows + k * w, s, dev_rows + nb * w, w);
-            if (isnan(dk[k])) {
-                PyErr_Format(PyExc_ValueError, "snapshot %zd holds a NaN: its "
-                             "distance to the nominal predictor is NaN",
-                             (Py_ssize_t)k);
-                goto done;
-            }
-            nb += dk[k] > d_low && dk[k] <= d_high;
-        }
-        /* einsum's own loop gives each row the bits of that row alone: a
-         * BLAS gemv (one signature) or a 1-row product can change a row's
-         * last bit with the row count. The norm of a band deviation is
-         * bitwise its d, the same reduction over the same values, so the
-         * similarity's divisor is d * norm. */
-        if (matrix && nb > 0 && !(raw = band_products(dev, nb, matrix)))
+    for (npy_intp k = 0; k < m; k++) {
+        /* an infinite d is a fault like any d > d_high, a NaN d has no
+         * verdict */
+        dk[k] = distance(rows + k * w, s, dev, w);
+        sim[k] = NAN;
+        if (isnan(dk[k])) {
+            PyErr_Format(PyExc_ValueError, "snapshot %zd holds a NaN: its "
+                         "distance to the nominal predictor is NaN",
+                         (Py_ssize_t)k);
             goto done;
-        const char *raw_row = raw ? PyArray_BYTES(raw) : NULL;
-        const npy_intp raw_step = raw ? PyArray_STRIDE(raw, 0) : 0,
-                       raw_col = raw ? PyArray_STRIDE(raw, 1) : 0;
-        for (npy_intp k = lo; k < hi; k++) {
-            sim[k] = NAN;
-            if (dk[k] > d_high) {
-                code[k] = FAULT_CODE;
-            } else if (!(dk[k] > d_low)) {
-                code[k] = NORMAL_CODE;
-            } else if (!matrix) {
-                code[k] = UNCLASSIFIED_CODE;
-            } else {
-                /* np.argmax: the first maximum, or the first NaN */
-                npy_intp best = 0;
-                double best_sim = 0.0;
-                for (npy_intp j = 0; j < n_sig; j++) {
-                    double denom = dk[k] * sig_norm[j];
-                    double raw_kj = *(const double *)(raw_row + j * raw_col);
-                    double sim_j = denom > 0 ? raw_kj / denom : 0.0;
-                    if (j == 0 || !(sim_j <= best_sim)) {
-                        best = j;
-                        best_sim = sim_j;
-                        if (isnan(sim_j))
-                            break;
-                    }
-                }
-                raw_row += raw_step;
-                sim[k] = best_sim;
-                code[k] = best_sim < floor ? UNCLASSIFIED_CODE : sig_codes[best];
-            }
         }
-        Py_CLEAR(raw);
+        if (dk[k] > d_high) {
+            code[k] = FAULT_CODE;
+        } else if (!(dk[k] > d_low)) {
+            code[k] = NORMAL_CODE;
+        } else if (!sig_rows) {
+            code[k] = UNCLASSIFIED_CODE;
+        } else {
+            /* The norm of a band deviation is bitwise its d, the same
+             * reduction over the same values, so the similarity's divisor
+             * is d * norm. np.argmax: the first maximum, or the first NaN */
+            npy_intp best = 0;
+            double best_sim = 0.0;
+            for (npy_intp j = 0; j < n_sig; j++) {
+                double denom = dk[k] * sig_norm[j];
+                double sim_j = denom > 0
+                               ? dot(w, dev, sig_rows + j * w) / denom : 0.0;
+                if (j == 0 || !(sim_j <= best_sim)) {
+                    best = j;
+                    best_sim = sim_j;
+                    if (isnan(sim_j))
+                        break;
+                }
+            }
+            sim[k] = best_sim;
+            code[k] = best_sim < floor ? UNCLASSIFIED_CODE : sig_codes[best];
+        }
     }
     out = PyTuple_Pack(3, d, codes, similarity);
 done:
+    PyMem_Free(dev);
     Py_XDECREF(thetas);
     Py_XDECREF(star);
-    Py_XDECREF(dev);
     Py_XDECREF(d);
     Py_XDECREF(codes);
     Py_XDECREF(similarity);
-    Py_XDECREF(raw);
     return out;
 }
 
@@ -833,17 +792,10 @@ done:
  * The module.
  */
 
-static PyObject *einsum_calls(PyObject *self, PyObject *unused)
-{
-    return PyLong_FromUnsignedLongLong(einsum_count);
-}
-
 #define FASTCALL(name) \
     {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, name##_doc}
 
 static PyMethodDef methods[] = {
-    {"einsum_calls", einsum_calls, METH_NOARGS,
-     "einsum_calls() -> the calls classify_block has made to einsum."},
     FASTCALL(rls_block),
     FASTCALL(sim_rows),
     FASTCALL(distance_block),
@@ -864,10 +816,8 @@ PyMODINIT_FUNC PyInit__kernels_ext(void)
             "unchanged.", PyExc_ValueError, NULL)))
         return NULL;
     PyObject *mod = PyModule_Create(&module);
-    if (mod && (PyModule_AddObjectRef(mod, "UpdateRejectedError",
-                                      update_rejected) < 0
-                || PyModule_AddIntConstant(mod, "DISTANCE_CHUNK",
-                                           DISTANCE_CHUNK) < 0))
+    if (mod && PyModule_AddObjectRef(mod, "UpdateRejectedError",
+                                     update_rejected) < 0)
         Py_CLEAR(mod);
     return mod;
 }

@@ -18,13 +18,12 @@ A stream block takes two calls: `rls_block` converts the streams,
 allocates every output of `identify`, fills the regressors and steps the
 block, calling the spectral clamp of the covariance (`rls._clamp`, a
 Python callable in `ArxConfig.kernel_params`) when a step needs it;
-`classify_block` computes the distances, the band's products with the
-signatures and the verdicts. The arrays an entry point reads or writes in
-place are checked for dtype, shape, C-contiguity and writability, raising
-ValueError naming the function and the argument. The RLS and
-simulator products sum each row left to right in C, and the signature
-products come from the function `np.einsum` calls, so no output depends
-on the BLAS library numpy was built with. A missing compiler, Python or
+`classify_block` takes each snapshot's distance, its band products with
+the signatures and its verdict in one pass. The arrays an entry point
+reads or writes in place are checked for dtype, shape, C-contiguity and
+writability, raising ValueError naming the function and the argument.
+Every product sums left to right in C, so no output depends on the BLAS
+library numpy was built with. A missing compiler, Python or
 numpy header or a failed compile raises ImportError naming what was
 looked for.
 """
@@ -121,11 +120,9 @@ def _load():
 
 EXTENSION = _load()
 
-# the entry points (see their docstrings) and their constants
+# the entry points (see their docstrings) and their exception
 rls_block = EXTENSION.rls_block
 sim_rows = EXTENSION.sim_rows
 distance_block = EXTENSION.distance_block
 classify_block = EXTENSION.classify_block
-einsum_calls = EXTENSION.einsum_calls
 UpdateRejectedError = EXTENSION.UpdateRejectedError
-DISTANCE_CHUNK = EXTENSION.DISTANCE_CHUNK

@@ -6,13 +6,13 @@ fault verdict outright; a moderate distance triggers comparison of the
 per-component predictor deviation against a library of recorded fault and
 load-increase patterns.
 
-The distances and the verdicts are computed in C (`_kernels.c`), in the
-order of the numpy expressions they replace, so that they keep those
-bits: `classify_series` is one kernel call, which takes each chunk of
-snapshots in three passes (the deviations and distances, numpy's einsum
-of the band's deviations against the signature matrix, then the band
-test, similarity, best match and verdict codes). The signature matrix is
-built once per library content (`SignatureLibrary.arrays`).
+The distances and the verdicts are computed in C (`_kernels.c`):
+`classify_series` is one kernel call, which takes each snapshot in one
+pass (its deviation and distance, summed in the order of numpy's
+add.reduce; for a band snapshot its products with the signatures, each
+summed left to right; then its similarity, best match and verdict code).
+The signature matrix is built once per library content
+(`SignatureLibrary.arrays`).
 """
 
 from __future__ import annotations
@@ -279,11 +279,6 @@ def calibrate_nominal(t, thetas, window: int) -> NominalPredictor:
     )
 
 
-# Snapshots per chunk in `classify_series`: bounds its deviation buffer to
-# a chunk.
-DISTANCE_CHUNK = _kernels.DISTANCE_CHUNK
-
-
 def distances(thetas, theta_star) -> np.ndarray:
     """Frobenius distance of each predictor snapshot in `thetas` (m, rows,
     cols) to the reference `theta_star` (rows, cols); a snapshot shape
@@ -330,12 +325,12 @@ def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
 
     The snapshot shape must be theta*'s, else ValueError.
 
-    One kernel call (`_kernels.classify_block`) takes each DISTANCE_CHUNK
-    snapshots in three passes: the deviations and d in C, numpy's einsum of
-    the band's deviations against the signature matrix (none for a chunk
-    without band rows), and the band test, the similarity, the first best
-    match (np.argmax's) and the verdict codes in C. Each gives the bits of
-    the numpy form it replaces, whatever the rows around a snapshot.
+    One kernel call (`_kernels.classify_block`) takes the snapshots one
+    by one: the deviation and d, summed as `distances` sums it; for a band
+    snapshot, its product with each signature, summed left to right from
+    0.0; then the similarity, the first best match (np.argmax's) and the
+    verdict code. A snapshot's outputs do not depend on the rows around
+    it.
     """
     if nominal is None:
         raise ValueError("nominal predictor is not calibrated")

@@ -1,10 +1,5 @@
-"""dq-frame signal preparation: Park transforms and random binary
-excitation.
-
-Park convention used throughout the package: amplitude-invariant, d axis
-aligned with the synchronization angle, q axis lagging d by 90 degrees. A
-balanced cosine set of peak A whose phase-a waveform is in phase with the
-angle maps to (d, q) = (A, 0).
+"""Random binary excitation: the two +/-amplitude channels that the
+simulator adds to the inverter's dq current injection.
 """
 
 from __future__ import annotations
@@ -13,29 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-_PHASE_SHIFTS = np.array([0.0, -2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0])
-
-
-def park_matrix(angle: float) -> np.ndarray:
-    """2x3 amplitude-invariant abc -> dq transform at the given angle."""
-    a = angle + _PHASE_SHIFTS
-    return (2.0 / 3.0) * np.array([np.cos(a), -np.sin(a)])
-
-
-def abc_to_dq(x_abc, angle: float) -> np.ndarray:
-    x_abc = np.asarray(x_abc, dtype=float)
-    if not np.all(np.isfinite(x_abc)):
-        raise ValueError("non-finite abc sample")
-    return park_matrix(angle) @ x_abc
-
-
-def dq_to_abc(x_dq, angle: float) -> np.ndarray:
-    """Inverse Park (zero-sequence-free)."""
-    x_dq = np.asarray(x_dq, dtype=float)
-    a = angle + _PHASE_SHIFTS
-    return x_dq[0] * np.cos(a) - x_dq[1] * np.sin(a)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ by another route (a batch least-squares solve for the recursion, a fixed
 predictor's residual for the identification, `np.loadtxt` for a written
 `theta.csv`, a per-verdict loop for the debounce, the numpy forms of
 the regressors, the distances and the verdicts that the C passes of
-`_kernels.c` replace, and the fixed-order products of its step loops over
-Python floats), so they live with the tests that use them.
+`_kernels.c` replace, and the fixed-order products of its loops over
+Python floats), so they live with the tests that use them. The Park
+transforms are here too: the tests' own dq convention, which the package
+does not use.
 """
 
 import math
@@ -22,8 +24,31 @@ from gridarx.detector import (
 )
 from gridarx.rls import ConfigError
 
-# Snapshots per chunk in `distances_numpy`.
-DISTANCE_CHUNK = 4096
+# Park convention of the tests: amplitude-invariant, d axis aligned with the
+# synchronization angle, q axis lagging d by 90 degrees. A balanced cosine
+# set of peak A whose phase-a waveform is in phase with the angle maps to
+# (d, q) = (A, 0).
+_PHASE_SHIFTS = np.array([0.0, -2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0])
+
+
+def park_matrix(angle: float) -> np.ndarray:
+    """2x3 amplitude-invariant abc -> dq transform at the given angle."""
+    a = angle + _PHASE_SHIFTS
+    return (2.0 / 3.0) * np.array([np.cos(a), -np.sin(a)])
+
+
+def abc_to_dq(x_abc, angle: float) -> np.ndarray:
+    x_abc = np.asarray(x_abc, dtype=float)
+    if not np.all(np.isfinite(x_abc)):
+        raise ValueError("non-finite abc sample")
+    return park_matrix(angle) @ x_abc
+
+
+def dq_to_abc(x_dq, angle: float) -> np.ndarray:
+    """Inverse Park (zero-sequence-free)."""
+    x_dq = np.asarray(x_dq, dtype=float)
+    a = angle + _PHASE_SHIFTS
+    return x_dq[0] * np.cos(a) - x_dq[1] * np.sin(a)
 
 
 class SingularDataError(ValueError):
@@ -140,29 +165,29 @@ def build_lagged_regressors(dv: np.ndarray, di: np.ndarray, order: int):
 
 
 def distances_numpy(thetas, theta_star) -> np.ndarray:
-    """`detector.distances` in numpy, DISTANCE_CHUNK snapshots at a time:
-    sqrt(add.reduce(dev * dev)) over each snapshot's deviation, flattened."""
+    """`detector.distances` in numpy: sqrt(add.reduce(dev * dev)) over each
+    snapshot's deviation, flattened."""
     thetas = np.asarray(thetas, float)
     theta_star = np.asarray(theta_star, float)
-    m = thetas.shape[0]
-    d = np.empty(m)
-    chunk = np.empty((min(m, DISTANCE_CHUNK), theta_star.size))
-    for lo in range(0, m, DISTANCE_CHUNK):
-        rows = thetas[lo:lo + DISTANCE_CHUNK]
-        out = d[lo:lo + DISTANCE_CHUNK]
-        dev = chunk[:out.size]
-        np.subtract(rows, theta_star, dev.reshape(rows.shape))
-        np.multiply(dev, dev, dev)
-        np.add.reduce(dev, 1, None, out)
-        np.sqrt(out, out)
-    return d
+    dev = (thetas - theta_star).reshape(thetas.shape[0], theta_star.size)
+    return np.sqrt(np.add.reduce(dev * dev, 1))
+
+
+def products_fixed(rows, matrix) -> np.ndarray:
+    """rows @ matrix.T, each entry summed left to right from 0.0 as
+    `dot_fixed` sums it, one numpy column at a time."""
+    out = np.zeros((rows.shape[0], matrix.shape[0]))
+    for j in range(rows.shape[1]):
+        out += rows[:, j, None] * matrix[:, j]
+    return out
 
 
 def classify_series_numpy(thetas, nominal, thresholds, library,
-                          match_floor):
+                          match_floor, products=products_fixed):
     """`detector.classify_series` in numpy: the distances, then the band's
     deviations gathered in one array, their similarities to the library's
-    signatures by einsum and np.divide, the best by argmax."""
+    signatures by `products` (rows, matrix) and np.divide, the best by
+    argmax."""
     thetas = np.asarray(thetas, float)
     d = distances_numpy(thetas, nominal.theta_star)
     if math.isnan(np.add.reduce(d)):
@@ -187,7 +212,7 @@ def classify_series_numpy(thetas, nominal, thresholds, library,
                 len(signatures), -1)
             sig_norm = np.sqrt(np.add.reduce(sig_mat * sig_mat, 1))
             denom = d[band_idx, None] * sig_norm
-            sims = np.divide(np.einsum("ij,kj->ik", flat, sig_mat), denom,
+            sims = np.divide(products(flat, sig_mat), denom,
                              out=np.zeros(denom.shape), where=denom > 0)
             best = sims.argmax(axis=1)
             best_sim = sims[np.arange(band_idx.size), best]

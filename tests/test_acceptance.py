@@ -26,9 +26,9 @@ from gridarx.detector import (
 from gridarx.pipeline import identify
 from gridarx.rls import ArxConfig, init_identifier, rls_update
 from gridarx.scenario import ScenarioConfig, run_calibration
-from gridarx.signals import RbsConfig, abc_to_dq, dq_to_abc
+from gridarx.signals import RbsConfig
 from gridarx.simulate import simulate
-from oracles import batch_weighted_ls, residual_ratio
+from oracles import abc_to_dq, batch_weighted_ls, dq_to_abc, residual_ratio
 from test_rls import random_arx_stream
 
 EIG_TOL = 1e-12  # eigenvalue-solver tolerance scale used in criterion 6

@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridarx import _kernels
 from gridarx.detector import (
     DEFAULT_MATCH_FLOOR,
-    DISTANCE_CHUNK,
     NORMAL_CODE,
     DebounceState,
     DetectionEvent,
@@ -36,7 +34,13 @@ from gridarx.pipeline import identify
 from gridarx.rls import ArxConfig
 from gridarx.signals import RbsConfig
 from gridarx.simulate import DisturbanceSpec, simulate
-from oracles import classify_series_numpy, debounce_loop, distances_numpy
+from oracles import (
+    classify_series_numpy,
+    debounce_loop,
+    distances_numpy,
+    matvec_fixed,
+    products_fixed,
+)
 
 ORDER = 3
 SHAPE = (2, 4 * ORDER)
@@ -210,8 +214,7 @@ class TestFrobeniusDistance:
         with pytest.raises(ValueError, match="does not match"):
             distances(np.zeros(SHAPE), np.zeros(SHAPE))
 
-    @pytest.mark.parametrize("m", [0, 1, DISTANCE_CHUNK - 1, DISTANCE_CHUNK,
-                                   DISTANCE_CHUNK + 1])
+    @pytest.mark.parametrize("m", [0, 1, 4095, 4096, 4097])
     def test_chunks_bitwise_equal_one_shot_norm(self, m):
         rng = np.random.default_rng(m)
         star = rng.standard_normal(SHAPE)
@@ -246,7 +249,7 @@ class TestNormIdentities:
         assert_bits_equal(np.sqrt(np.add.reduce(flat * flat, axis=1)),
                           np.linalg.norm(dev, axis=(1, 2)))
 
-    @pytest.mark.parametrize("m", [DISTANCE_CHUNK + 1, 3 * DISTANCE_CHUNK - 7])
+    @pytest.mark.parametrize("m", [4097, 12281])
     def test_chunked_distances_equal_one_whole_array_reduce(self, m):
         rng = np.random.default_rng(m)
         star = rng.standard_normal(SHAPE)
@@ -589,12 +592,11 @@ class TestClassifyNonFinite:
 class TestClassifyMemory:
     @pytest.mark.parametrize("level", [0.0, 5.0])  # normal rows, fault rows
     def test_peak_grows_with_outputs_only(self, level):
-        """`classify_series` bounds its deviation buffer to DISTANCE_CHUNK
-        snapshots; from 1 to 4 chunks of snapshots outside the band, the
-        tracemalloc peak may grow only by the per-row outputs (d,
-        similarity, codes, masks and the verdict codes: under 64 B a row).
-        Their deviations taken whole (192 B a row, twice) would exceed
-        it."""
+        """`classify_series` keeps one snapshot's deviation at a time;
+        from 4096 to 16384 snapshots outside the band, the tracemalloc
+        peak may grow only by the per-row outputs (d, similarity, codes,
+        masks and the verdict codes: under 64 B a row). Their deviations
+        taken whole (192 B a row, twice) would exceed it."""
         import tracemalloc
 
         nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
@@ -602,7 +604,7 @@ class TestClassifyMemory:
         lib = flat_library([(np.ones(SHAPE), Verdict.FAULT)])
         peaks = {}
         for chunks in (1, 4):
-            thetas = np.full((chunks * DISTANCE_CHUNK,) + SHAPE, level)
+            thetas = np.full((chunks * 4096,) + SHAPE, level)
             tracemalloc.start()
             try:
                 _, codes, _ = classify_series(thetas, nom, thr, lib)
@@ -610,7 +612,7 @@ class TestClassifyMemory:
             finally:
                 tracemalloc.stop()
             del codes
-        assert peaks[4] - peaks[1] <= 3 * DISTANCE_CHUNK * 64, peaks
+        assert peaks[4] - peaks[1] <= 3 * 4096 * 64, peaks
 
 
 # Values at the ends of the float range, and the non-finite ones.
@@ -673,9 +675,9 @@ class TestKernelPasses:
     @pytest.mark.parametrize("size", [1, 3, 100, 4096, 8192])
     def test_classify_blocks_equal_numpy_form(self, fault_run, size,
                                               n_signatures):
-        """A real run's theta in blocks of `size` rows (4096 is one
-        DISTANCE_CHUNK, 8192 spans two) against the numpy form on the
-        whole run, which multiplies only the band's rows."""
+        """A real run's theta in blocks of `size` rows against the numpy
+        form on the whole run, which multiplies only the band's rows, each
+        product summed left to right from 0.0."""
         thetas, nominal, thresholds, signatures = fault_run
         library = SignatureLibrary(order=ORDER,
                                    signatures=signatures[:n_signatures])
@@ -693,31 +695,51 @@ class TestKernelPasses:
                     2: set(Verdict)}[n_signatures]
         assert set(VERDICTS[codes]) == expected
 
-    def test_products_only_for_chunks_with_band_rows(self, fault_run):
-        """The signature products are taken per DISTANCE_CHUNK snapshots,
-        of the band's rows alone: a chunk without band rows makes no
-        einsum call, and a stream without any makes none at all."""
+    def test_similarity_only_for_band_rows(self, fault_run):
+        """A stream whose band rows all lie in its first 4096 snapshots,
+        then the same stream under thresholds that leave no row in the
+        band: codes and similarity equal the numpy form's, and similarity
+        is NaN exactly outside the band."""
         thetas, nominal, thresholds, signatures = fault_run
         library = SignatureLibrary(order=ORDER, signatures=signatures)
         d = distances(thetas, nominal.theta_star)
         band = (d > thresholds.d_low) & (d <= thresholds.d_high)
-        # band rows in the first of three chunks only: from the first band
-        # row on, then copies of a row outside the band
+        # from the first band row on, then copies of a row outside the band
         first = np.flatnonzero(band)[0]
-        outside = np.repeat(thetas[~band][:1], 2 * DISTANCE_CHUNK, axis=0)
-        thetas = np.concatenate([thetas[first:first + DISTANCE_CHUNK],
-                                 outside])
+        outside = np.repeat(thetas[~band][:1], 8192, axis=0)
+        thetas = np.concatenate([thetas[first:first + 4096], outside])
         above = Thresholds(d_high=2.0 * float(d.max()),
                            d_low=float(d.max()))
-        for thr, calls in ((thresholds, 1), (above, 0)):
-            before = _kernels.einsum_calls()
+        d = distances(thetas, nominal.theta_star)
+        for thr in (thresholds, above):
             got = classify_series(thetas, nominal, thr, library)
-            assert _kernels.einsum_calls() - before == calls
             want = classify_series_numpy(thetas, nominal, thr, library,
                                          DEFAULT_MATCH_FLOOR)
             assert_bits_equal(got[1], want[1])
             assert_bits_equal(got[2], want[2])
+            in_band = (d > thr.d_low) & (d <= thr.d_high)
+            assert in_band[:4096].any() == (thr is thresholds)
+            assert not in_band[4096:].any()
+            assert np.array_equal(np.isnan(got[2]), ~in_band)
         assert (got[1] == NORMAL_CODE).all()
+
+    def test_similarity_near_einsum_form(self, fault_run):
+        """With the products of np.einsum('ij,kj->ik'), which sums in an
+        order numpy picks: the same codes, and each similarity within
+        1e-12 relative."""
+        thetas, nominal, thresholds, signatures = fault_run
+        library = SignatureLibrary(order=ORDER, signatures=signatures)
+        got = classify_series(thetas, nominal, thresholds, library)
+        want = classify_series_numpy(
+            thetas, nominal, thresholds, library, DEFAULT_MATCH_FLOOR,
+            products=lambda rows, matrix: np.einsum("ij,kj->ik", rows,
+                                                    matrix))
+        assert_bits_equal(got[1], want[1])
+        band = ~np.isnan(want[2])
+        assert band.any()
+        assert np.array_equal(np.isnan(got[2]), ~band)
+        assert got[2][band] == pytest.approx(want[2][band], rel=1e-12,
+                                             abs=0.0)
 
     def test_library_change_reaches_next_call(self, fault_run):
         """The signature matrix is kept between calls, and rebuilt when a
@@ -749,6 +771,96 @@ class TestKernelPasses:
     def unit_deviation(theta, nominal):
         delta = theta - nominal.theta_star
         return delta / np.linalg.norm(delta)
+
+
+class TestBandProducts:
+    """`classify_block`'s products of band deviations with the signatures,
+    on values at the ends of the float range, against `dot_fixed`."""
+
+    nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+    # d_high = inf keeps a deviation whose squares overflow in the band
+    thr = Thresholds(d_high=np.inf, d_low=1e-300)
+
+    @staticmethod
+    def library():
+        ones = np.ones(SHAPE)
+        alternating = np.resize([1.0, -1.0], SHAPE)
+        zero_first = ones.copy()
+        zero_first.flat[0] = 0.0
+        unit = ones / np.linalg.norm(ones)
+        lib = flat_library([(ones, Verdict.FAULT),
+                            (ones, Verdict.LOAD_INCREASE),  # ties the first
+                            (alternating, Verdict.LOAD_INCREASE),
+                            (zero_first, Verdict.LOAD_INCREASE)])
+        # norms 1e-200 and 0: a divisor that underflows to 0, and one that
+        # is 0 (or NaN, times an infinite d)
+        lib.signatures += [Signature(Verdict.LOAD_INCREASE, 1e-200 * unit),
+                           Signature(Verdict.FAULT, np.zeros(SHAPE))]
+        return lib
+
+    @staticmethod
+    def snapshots():
+        """{case: snapshot}; theta* is zero, so each is its deviation."""
+        def row(first, rest):
+            theta = np.full(SHAPE, rest)
+            theta.flat[0] = first
+            return theta
+
+        return {
+            "zero": np.zeros(SHAPE),  # d = 0: normal
+            # every product -0.0, so a sum from the first product is -0.0
+            "negative_zeros": row(-0.5, -0.0),
+            # products that are subnormal, summed in the subnormal range
+            "subnormal": row(-1e-3, 1e-310),
+            # squares and products overflow: d = inf, raw = inf, inf/inf
+            "overflow": np.full(SHAPE, 1e308),
+            "overflow_alternating": np.resize([1e308, -1e308], SHAPE),
+            "tie": np.full(SHAPE, 0.5),
+            "zero_divisor": row(-2.0, -1.0),
+            "underflowing_divisor": row(-2e-150, -1e-150),
+        }
+
+    def test_special_values_equal_dot_fixed(self):
+        cases = self.snapshots()
+        thetas = np.stack(list(cases.values()))
+        lib = self.library()
+        def dot_fixed_products(rows, matrix):
+            return np.array([matvec_fixed(matrix, r) for r in rows])
+
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            want = classify_series_numpy(thetas, self.nom, self.thr, lib,
+                                         DEFAULT_MATCH_FLOOR,
+                                         products=dot_fixed_products)
+            # the numpy column sums of the other tests give the same bits
+            flat, matrix = thetas.reshape(len(thetas), -1), lib.arrays()[0]
+            assert_bits_equal(products_fixed(flat, matrix),
+                              dot_fixed_products(flat, matrix))
+        for size in (len(thetas), 1, 3):
+            parts = [classify_series(thetas[lo:lo + size], self.nom,
+                                     self.thr, lib)
+                     for lo in range(0, len(thetas), size)]
+            got = [np.concatenate(p) for p in zip(*parts)]
+            for g, w in zip(got, want):
+                assert_bits_equal(g, w)
+        d, codes, similarity = got
+        case = {name: (VERDICTS[codes[k]], similarity[k])
+                for k, name in enumerate(cases)}
+        assert case["zero"][0] is Verdict.NORMAL
+        assert np.isnan(case["zero"][1])
+        # the first NaN wins, at the first signature or after finite ones
+        assert np.isinf(d[list(cases).index("overflow")])
+        assert case["overflow"][0] is Verdict.FAULT
+        assert np.isnan(case["overflow"][1])
+        assert case["overflow_alternating"][0] is Verdict.LOAD_INCREASE
+        assert np.isnan(case["overflow_alternating"][1])
+        # the first of equal maxima
+        assert case["tie"][0] is Verdict.FAULT
+        assert case["tie"][1] == pytest.approx(1.0, abs=1e-15)
+        assert 0.0 < case["subnormal"][1] < 1e-300
+        for name in ("negative_zeros", "zero_divisor",
+                     "underflowing_divisor"):
+            assert case[name][0] is Verdict.UNCLASSIFIED
+            assert_bits_equal(np.array([case[name][1]]), np.array([0.0]))
 
 
 def oracle_detection_times(t, d, t_start, t_end, thresholds):

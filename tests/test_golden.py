@@ -1,12 +1,15 @@
 """The bytes of the CLI's files: the 28 calibrate, build-library and suite
 files of the shipped scenarios against the committed record
-`scenarios/golden.sha256`, and a short pass whose files do not depend on
-the CPU code paths of numpy or of its BLAS library."""
+`scenarios/golden.sha256`, a short pass whose files do not depend on
+the CPU code paths of numpy or of its BLAS library, and a check of the
+source for products whose summation order numpy picks."""
 
+import ast
 import configparser
 import hashlib
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +107,64 @@ def test_bytes_do_not_depend_on_the_cpu_path(tmp_path):
     own = digests(tmp_path / "own")
     assert len(own) == 7
     assert digests(tmp_path / "other") == own
+
+
+PACKAGE = Path(gridarx.__file__).resolve().parent
+# numpy's products, whose summation order numpy or its BLAS library picks
+PRODUCTS = {"dot", "einsum", "matmul", "inner", "tensordot", "vdot"}
+# the functions that may call them: the spectral clamp of P, and the
+# eigenvalues of the `poles` command, which no run calls
+EXEMPT = {("rls.py", "_clamp"), ("circuit.py", "numeric_poles")}
+# the C API's products, and any CBLAS routine
+C_PRODUCTS = re.compile(r"\b(PyArray_EinsteinSum|PyArray_MatrixProduct\w*"
+                        r"|PyArray_InnerProduct|cblas_\w+)\s*\(")
+
+
+def dotted(node) -> str:
+    """`np.linalg.eigh` for the expression np.linalg.eigh, else ''."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = dotted(node.value)
+        return f"{base}.{node.attr}" if base else ""
+    return ""
+
+
+def product_sites(path: Path):
+    """(function, line, what) of each `@` and each call of a numpy product
+    or an np.linalg routine (its exception classes aside) in the module at
+    `path`; function is the innermost enclosing def, or ''."""
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            sites.append((func, node.lineno, "@"))
+        if isinstance(node, ast.Call):
+            name = dotted(node.func)
+            if (isinstance(node.func, ast.Attribute)
+                    and node.func.attr in PRODUCTS
+                    or ".linalg." in name and not name.endswith("Error")):
+                sites.append((func, node.lineno, name or node.func.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), "")
+    return sites
+
+
+def test_no_product_order_left_to_numpy():
+    """README's Artifacts promise, read from the source, since the record
+    holds no similarity: outside EXEMPT, no module of the package makes a
+    product whose summation order numpy or its BLAS picks, and the C
+    kernels call no product of numpy's C API and no CBLAS routine. Each
+    EXEMPT function still holds such a product, so the check sees them."""
+    found = [(path.name, *site) for path in sorted(PACKAGE.glob("*.py"))
+             for site in product_sites(path)]
+    assert [site for site in found if site[:2] not in EXEMPT] == []
+    assert {site[:2] for site in found} == EXEMPT
+    code = re.sub(r"/\*.*?\*/|//[^\n]*", "",
+                  (PACKAGE / "_kernels.c").read_text(), flags=re.S)
+    assert C_PRODUCTS.findall(code) == []

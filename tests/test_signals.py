@@ -12,15 +12,9 @@ from hypothesis import strategies as st
 from gridarx.pipeline import identify
 from gridarx.rls import ArxConfig
 from gridarx.scenario import ScenarioConfig
-from gridarx.signals import (
-    RbsConfig,
-    RbsStream,
-    abc_to_dq,
-    dq_to_abc,
-    rbs_generate,
-)
+from gridarx.signals import RbsConfig, RbsStream, rbs_generate
 from gridarx.simulate import SimResult, simulate
-from oracles import build_lagged_regressors
+from oracles import abc_to_dq, build_lagged_regressors, dq_to_abc
 
 
 def balanced_cosine(peak, omega_t, phase=0.0):
