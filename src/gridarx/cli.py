@@ -36,6 +36,7 @@ from .scenario import (
     run_calibration,
     run_scenario,
     run_suite,
+    write_artifact,
 )
 
 
@@ -97,10 +98,8 @@ def cmd_build_library(args) -> int:
     nominal, thresholds = _load_calibration(args.calibration)
     configs = [load_scenario(p, _overrides(args)) for p in args.config]
     library = build_library_from_scenarios(configs, nominal, thresholds)
-    os.makedirs(args.out, exist_ok=True)
+    write_artifact(args.out, "library.json", library.to_json())
     path = os.path.join(args.out, "library.json")
-    with open(path, "w") as fh:
-        fh.write(library.to_json())
     print(f"library with {len(library.signatures)} signatures written to {path}")
     return 0
 

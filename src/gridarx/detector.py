@@ -293,6 +293,36 @@ def distances(thetas, theta_star) -> np.ndarray:
     return _kernels.distance_block(thetas, theta_star)
 
 
+class RunningMean:
+    """The elementwise mean of rows given block by block, in time order,
+    with the bits of np.mean over the blocks joined (axis 0), the rows
+    taken C-contiguous. It keeps the sum and the row count, not the rows.
+
+    For C-contiguous rows of two values or more, np.add.reduce(x, axis=0)
+    adds the rows to 0.0 one after another; it sums pairwise only along
+    the fast axis. A sum from 0.0 is never -0.0, so the sum so far, taken
+    as row 0 of the next block's reduce, continues the one sum, and
+    np.mean divides it by the count. An empty block leaves the sum as it
+    was. Rows of one value would be summed pairwise, which this fold does
+    not continue."""
+
+    def __init__(self):
+        self.total = None  # the sum of the rows so far
+        self.count = 0
+
+    def add(self, rows) -> None:
+        rows = np.ascontiguousarray(rows, float)
+        if rows.shape[0] == 0:
+            return
+        self.count += rows.shape[0]
+        if self.total is not None:
+            rows = np.concatenate([self.total[None], rows])
+        self.total = np.add.reduce(rows, axis=0)
+
+    def mean(self) -> np.ndarray:
+        return self.total / self.count
+
+
 def calibrate_thresholds(d_values) -> Thresholds:
     """Scale the worst fault-free distance into trip thresholds."""
     d_values = np.asarray(d_values, float)
@@ -466,45 +496,66 @@ def build_library(scenario_runs, nominal: NominalPredictor,
                   thresholds: Thresholds, order: int) -> SignatureLibrary:
     """Record one unit-norm deviation signature per offline scenario run.
 
-    Each run is (label, t array, theta trajectory, t_start, t_end, source);
-    the label must be fault or load_increase, else ValueError, and t must
-    increase, else ValueError. The signature averages theta over the second
-    half of the disturbance window (the settled segment, past the estimator
-    transient). Runs with no snapshot in that half, or whose distance never
-    exceeds d_low inside the window, are rejected with
+    Each run is (label, pieces, t_start, t_end, source): `pieces` yields
+    the run's predictors as (t array, theta trajectory) pairs in time
+    order, and a run given as arrays is one piece. The label must be fault
+    or load_increase, else ValueError, and t must increase, within and
+    across pieces, else ValueError. The signature averages theta over the
+    second half of the disturbance window (the settled segment, past the
+    estimator transient). Runs with no snapshot in that half, or whose
+    distance never exceeds d_low inside the window, are rejected with
     InsufficientDataError: their signature would be empty or noise.
+
+    The runs and their pieces are read one at a time, each run's pieces
+    to their end before the next run is taken, and a piece is dropped once
+    read: of a run only the window's largest distance and the settled
+    half's running sum (`RunningMean`) are kept, so the signatures have
+    the bits of np.max and np.mean over the whole run's rows.
     """
     lib = SignatureLibrary(order=order)
-    for label, t, thetas, t_start, t_end, source in scenario_runs:
+    for label, pieces, t_start, t_end, source in scenario_runs:
         label = _signature_label(label, f"run {str(source)!r}")
+        lib.signatures.append(_signature(label, pieces, nominal, thresholds,
+                                         t_start, t_end, source))
+    return lib
+
+
+def _signature(label: Verdict, pieces, nominal: NominalPredictor,
+               thresholds: Thresholds, t_start: float, t_end: float,
+               source) -> Signature:
+    """`build_library`'s signature of one run, read piece by piece."""
+    settled = RunningMean()
+    d_max = None  # the largest distance inside the window so far
+    last = None  # the time of the last snapshot read
+    for t, thetas in pieces:
         t = np.asarray(t, float)
         thetas = np.asarray(thetas, float)
-        if not np.all(np.diff(t) > 0):
+        if t.size == 0:
+            continue
+        if not (np.all(np.diff(t) > 0) and (last is None or t[0] > last)):
             raise ValueError(f"run {source!r}: snapshot times must increase")
+        last = t[-1]
         # t increases, so each stretch is a slice: a view, not a copy
         lo, mid, hi = np.searchsorted(t, [t_start, (t_start + t_end) / 2.0,
                                           t_end])
-        if hi <= mid:  # and so, when the whole window is empty
-            raise InsufficientDataError(
-                f"run {source!r}: no snapshots in the settled second half "
-                "of the disturbance window"
-            )
-        d_window = distances(thetas[lo:hi], nominal.theta_star)
-        if float(np.max(d_window)) <= thresholds.d_low:
-            raise InsufficientDataError(
-                f"run {source!r}: distance never exceeded d_low inside the "
-                "disturbance window; signature would be noise"
-            )
-        delta = np.mean(thetas[mid:hi], axis=0) - nominal.theta_star
-        flat = delta.ravel()
-        norm = np.sqrt(np.add.reduce(flat * flat))
-        if norm <= 0:
-            raise InsufficientDataError(f"run {source!r}: zero deviation")
-        lib.signatures.append(
-            Signature(
-                label=label,
-                delta_theta=delta / norm,
-                source_scenario=str(source),
-            )
+        if lo < hi:
+            d = np.max(distances(thetas[lo:hi], nominal.theta_star))
+            d_max = d if d_max is None else np.maximum(d_max, d)
+        settled.add(thetas[mid:hi])
+    if not settled.count:  # and so, when the whole window is empty
+        raise InsufficientDataError(
+            f"run {source!r}: no snapshots in the settled second half "
+            "of the disturbance window"
         )
-    return lib
+    if float(d_max) <= thresholds.d_low:
+        raise InsufficientDataError(
+            f"run {source!r}: distance never exceeded d_low inside the "
+            "disturbance window; signature would be noise"
+        )
+    delta = settled.mean() - nominal.theta_star
+    flat = delta.ravel()
+    norm = np.sqrt(np.add.reduce(flat * flat))
+    if norm <= 0:
+        raise InsufficientDataError(f"run {source!r}: zero deviation")
+    return Signature(label=label, delta_theta=delta / norm,
+                     source_scenario=str(source))

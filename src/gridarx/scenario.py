@@ -626,32 +626,27 @@ def _updates_before(config: ScenarioConfig, t: float) -> int:
     return bisect.bisect_left(updates, t, key=lambda k: k * ts)
 
 
-def _window_rows(config: ScenarioConfig, t_lo: float, t_hi: float,
-                 prefixes: dict | None = None):
-    """The (t, theta) rows of the run's updates at t_lo <= t < t_hi, and
-    the estimator's state after the last block read: (t, thetas, state).
+def _window(config: ScenarioConfig, t_lo: float, t_hi: float,
+            prefixes: dict | None = None):
+    """A generator of the run's updates at t_lo <= t < t_hi, one
+    (t, thetas, state) triple per block read: the block's rows in the
+    window, views of the block's arrays, and the estimator's state after
+    the block.
 
     The run streams (see `_simulate_identify`, which `prefixes` is passed
-    to); the rows are kept in arrays sized for the window. The stream stops
-    after the first block that holds an update at or after t_hi, and is
-    closed there: what comes after it is never simulated or identified.
+    to), and nothing starts before the first triple is asked for. The
+    stream stops after the first block that holds an update at or after
+    t_hi, and is closed there: what comes after it is never simulated or
+    identified.
     """
-    size = _updates_before(config, t_hi) - _updates_before(config, t_lo)
-    t = np.empty(size)
-    thetas = np.empty((size, 2, 4 * config.identifier.order))
-    rows, state = 0, None
     blocks = _simulate_identify(config, prefixes)
     with contextlib.closing(blocks):
         for part, run in blocks:
             # t increases, so a block's window rows are a slice
             lo, hi = np.searchsorted(run.t, (t_lo, t_hi))
-            t[rows:rows + hi - lo] = run.t[lo:hi]
-            thetas[rows:rows + hi - lo] = run.theta[lo:hi]
-            rows += hi - lo
-            state = run.final_state
+            yield run.t[lo:hi], run.theta[lo:hi], run.final_state
             if hi < run.t.size:  # an update at or after t_hi
                 break
-    return t[:rows], thetas[:rows], state
 
 
 def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
@@ -661,7 +656,9 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     series used for threshold calibration is measured against theta* over
     the settled tail of the same run: the last `calibration_window`
     calibrated updates, whose mean is theta*. The run streams in blocks
-    and keeps only those rows, so its memory does not grow with its length.
+    (`_window`) and keeps only those rows, joined into arrays sized for
+    them, so its memory does not grow with its length. `calibration.json`
+    is written as a run's artifacts are (`write_artifact`).
     """
     cal_config = replace(config, disturbance=None)
     arx = cal_config.identifier
@@ -669,7 +666,17 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     k = max(arx.order + arx.burn_in,
             sample_count(cal_config.duration, cal_config.ts)
             - cal_config.calibration_window)
-    t, thetas, state = _window_rows(cal_config, k * cal_config.ts, math.inf)
+    t_lo = k * cal_config.ts
+    size = (_updates_before(cal_config, math.inf)
+            - _updates_before(cal_config, t_lo))
+    t = np.empty(size)
+    thetas = np.empty((size, 2, 4 * arx.order))
+    rows, state = 0, None
+    for t_part, theta_part, state in _window(cal_config, t_lo, math.inf):
+        t[rows:rows + t_part.size] = t_part
+        thetas[rows:rows + t_part.size] = theta_part
+        rows += t_part.size
+    t, thetas = t[:rows], thetas[:rows]
     if not state.calibrated:
         raise StageError(
             "identify",
@@ -683,9 +690,8 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     thresholds = (config.thresholds if config.thresholds is not None
                   else calibrate_thresholds(d_nominal))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "calibration.json"), "w") as fh:
-            fh.write(calibration_to_json(nominal, thresholds, cal_config))
+        write_artifact(out_dir, "calibration.json",
+                       calibration_to_json(nominal, thresholds, cal_config))
     return nominal, thresholds, state
 
 
@@ -802,6 +808,16 @@ class _ArtifactFiles:
         return False
 
 
+def write_artifact(out_dir: str, name: str, text: str) -> None:
+    """Write `text` to the file `name` in `out_dir` as a run writes its
+    artifacts (`_ArtifactFiles`): under a temporary name, moved into place
+    once written whole. A write that fails raises its own exception and
+    leaves the earlier file, if any, as it was."""
+    with _ArtifactFiles(out_dir) as files:
+        files.open(name).write(text.encode())
+        files.commit()
+
+
 def run_scenario(
     config: ScenarioConfig,
     nominal: NominalPredictor,
@@ -828,7 +844,12 @@ def run_scenario(
     the run has succeeded. A write that fails raises its own exception,
     with its type and message; as with any failure, nothing of the run
     is left in `out_dir`. A run with no disturbance inside it
-    (`disturbance_inside`) reports every delay as None. Thresholds pinned
+    (`disturbance_inside`) reports every delay as None. The final verdict
+    classifies the mean predictor over the settled half of the
+    disturbance window, or over the second half of a run without one,
+    which the run keeps as a running sum (`detector.RunningMean`), not as
+    rows: its memory depends on the block size, not on the run's length
+    or its window. Thresholds pinned
     in the scenario config take precedence over the calibration-supplied
     ones. A calibration or
     library of another model order than the run's is rejected with
@@ -885,7 +906,7 @@ def run_scenario(
     first_fault = first_not_normal = None  # the debounced delays
     last_code = -1  # the debounced verdict code of the last update
     timeline = []
-    settled = []  # armed theta rows inside the settle window
+    settled = det.RunningMean()  # of the armed theta rows in the window
 
     with (contextlib.nullcontext() if out_dir is None
           else _ArtifactFiles(out_dir)) as files:
@@ -937,9 +958,7 @@ def run_scenario(
             timeline.extend(changes)
             if stable.size:
                 last_code = int(stable[-1])
-            settle = (t >= settle_from) & (t < settle_to) & armed
-            if np.any(settle):
-                settled.append(thetas[settle])
+            settled.add(thetas[(t >= settle_from) & (t < settle_to) & armed])
 
             if files is not None:
                 for tk, v in changes:
@@ -952,10 +971,9 @@ def run_scenario(
                     writer.write(rows)
             lo += t.size
 
-        if settled:
+        if settled.count:
             final_event = det.classify(
-                np.concatenate(settled).mean(axis=0), nominal, thresholds,
-                library,
+                settled.mean(), nominal, thresholds, library,
                 match_floor=config.match_floor,
             )
             final_verdict = final_event.verdict
@@ -1039,9 +1057,13 @@ def build_library_from_scenarios(
 ) -> SignatureLibrary:
     """Run each labeled offline scenario and record its signature.
 
-    Of each run only the (t, theta) rows inside the disturbance window are
-    kept, the only ones `build_library` reads, and its stream stops after
-    the window (`_window_rows`). Runs that share a prefix (see
+    Each run is handed to `build_library` as a lazy stream of its (t,
+    theta) rows inside the disturbance window, the only ones it reads, one
+    piece per block (`_window`); a run's stream starts once the previous
+    run's is consumed, stops after the window and is closed there. No
+    window is kept: `build_library` folds each piece into the window's
+    largest distance and the settled half's running sum as it reads it.
+    Runs that share a prefix (see
     `_prefix_key`) identify it once; since the window starts after it, its
     record holds only the estimator's state, and the blocks before its
     edge are simulated but not identified. The record is complete, and
@@ -1075,14 +1097,18 @@ def build_library_from_scenarios(
             )
         _check_order(config, nominal, None)
     prefixes = {}
-    runs = []
-    for config in configs:
-        label = (Verdict.FAULT if config.disturbance.kind == "fault"
-                 else Verdict.LOAD_INCREASE)
-        t_start, t_end = config.disturbance.t_start, config.disturbance.t_end
-        t, thetas, _ = _window_rows(config, t_start, t_end, prefixes)
-        runs.append((label, t, thetas, t_start, t_end, config.name))
-    return build_library(runs, nominal, thresholds, config.identifier.order)
+
+    def runs():
+        for config in configs:
+            dist = config.disturbance
+            label = (Verdict.FAULT if dist.kind == "fault"
+                     else Verdict.LOAD_INCREASE)
+            pieces = ((t, thetas) for t, thetas, _ in _window(
+                config, dist.t_start, dist.t_end, prefixes))
+            yield label, pieces, dist.t_start, dist.t_end, config.name
+
+    return build_library(runs(), nominal, thresholds,
+                         configs[-1].identifier.order)
 
 
 def run_suite(
@@ -1100,9 +1126,11 @@ def run_suite(
     Runs that share a prefix (see `_prefix_key`) identify it once, from
     records kept for the duration of this call only; each run still writes
     every one of its artifact rows, so it does not read another run's
-    files. An empty manifest, or two scenarios whose file names give the
-    same name (compared case-insensitively, since their artifacts would
-    share a directory), raise ValueError before any run.
+    files. With `out_dir`, the table goes to `comparison.csv` there, written
+    as a run's artifacts are (`write_artifact`). An empty manifest, or two
+    scenarios whose file names give the same name (compared
+    case-insensitively, since their artifacts would share a directory),
+    raise ValueError before any run.
     """
     scenario_paths = list(scenario_paths)
     if not scenario_paths:
@@ -1152,9 +1180,8 @@ def run_suite(
             "",
         ])
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "comparison.csv"), "w") as fh:
-            fh.write("scenario,method,detected,verdict,dt1,dt2\n")
-            for row in rows:
-                fh.write(",".join(str(c) for c in row) + "\n")
+        write_artifact(out_dir, "comparison.csv",
+                       "scenario,method,detected,verdict,dt1,dt2\n"
+                       + "".join(",".join(str(c) for c in row) + "\n"
+                                 for row in rows))
     return reports, rows

@@ -5,8 +5,9 @@ by another route (a batch least-squares solve for the recursion, a fixed
 predictor's residual for the identification, `np.loadtxt` for a written
 `theta.csv`, a per-verdict loop for the debounce, the numpy forms of
 the regressors, the distances and the verdicts that the C passes of
-`_kernels.c` replace, and the fixed-order products of its loops over
-Python floats), so they live with the tests that use them. The Park
+`_kernels.c` replace, the fixed-order products of its loops over Python
+floats, and the signatures over whole arrays that the library build folds
+piece by piece), so they live with the tests that use them. The Park
 transforms are here too: the tests' own dq convention, which the package
 does not use.
 """
@@ -20,6 +21,9 @@ from gridarx.detector import (
     LOAD_CODE,
     NORMAL_CODE,
     UNCLASSIFIED_CODE,
+    InsufficientDataError,
+    Signature,
+    SignatureLibrary,
     Verdict,
 )
 from gridarx.rls import ConfigError
@@ -171,6 +175,32 @@ def distances_numpy(thetas, theta_star) -> np.ndarray:
     theta_star = np.asarray(theta_star, float)
     dev = (thetas - theta_star).reshape(thetas.shape[0], theta_star.size)
     return np.sqrt(np.add.reduce(dev * dev, 1))
+
+
+def build_library_numpy(runs, nominal, thresholds, order):
+    """`detector.build_library` over whole arrays, in numpy: each run is
+    (label, t, thetas, t_start, t_end, source), its window is the slice of
+    t_start <= t < t_end, and its signature is np.mean over the settled
+    half's slice less theta*, scaled to unit norm; a run whose settled half
+    is empty, or whose np.max of `distances_numpy` over the window is at
+    most d_low, raises InsufficientDataError."""
+    lib = SignatureLibrary(order=order)
+    for label, t, thetas, t_start, t_end, source in runs:
+        t = np.asarray(t, float)
+        thetas = np.asarray(thetas, float)
+        lo, mid, hi = np.searchsorted(t, [t_start, (t_start + t_end) / 2.0,
+                                          t_end])
+        if hi <= mid:
+            raise InsufficientDataError(f"run {source!r}: settled half empty")
+        d_window = distances_numpy(thetas[lo:hi], nominal.theta_star)
+        if float(np.max(d_window)) <= thresholds.d_low:
+            raise InsufficientDataError(f"run {source!r}: below d_low")
+        delta = np.mean(thetas[mid:hi], axis=0) - nominal.theta_star
+        flat = delta.ravel()
+        lib.signatures.append(Signature(
+            label=Verdict(label), source_scenario=str(source),
+            delta_theta=delta / np.sqrt(np.add.reduce(flat * flat))))
+    return lib
 
 
 def products_fixed(rows, matrix) -> np.ndarray:

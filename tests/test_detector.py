@@ -1,6 +1,8 @@
 """Detector unit behavior plus end-to-end discrimination on held-out runs."""
 
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from gridarx.detector import (
     DebounceState,
     DetectionEvent,
     InsufficientDataError,
+    RunningMean,
     Signature,
     SignatureLibrary,
     Thresholds,
@@ -35,6 +38,7 @@ from gridarx.rls import ArxConfig
 from gridarx.signals import RbsConfig
 from gridarx.simulate import DisturbanceSpec, simulate
 from oracles import (
+    build_library_numpy,
     classify_series_numpy,
     debounce_loop,
     distances_numpy,
@@ -994,6 +998,74 @@ class TestDebounce:
             assert state == want_state
 
 
+def mixed_rows(rng, m):
+    """m predictor snapshots of mixed magnitudes (1e-8 to 1e8), with whole
+    rows of -0.0, one column of -0.0 and one of subnormals."""
+    rows = rng.standard_normal((m,) + SHAPE) * 10.0 ** rng.uniform(
+        -8, 8, (m,) + SHAPE)
+    rows[rng.integers(0, m, m // 50 + 1)] = -0.0
+    rows[:, 1, -1] = -0.0
+    rows[:, 0, -1] = 5e-324 * rng.integers(1, 1000, m)
+    return rows
+
+
+class TestRunningMean:
+    SIZES = [0, 1, 3, 100, 8192, 8193]
+
+    def test_fold_has_the_bits_of_np_mean(self, rng):
+        """Pieces of 0, 1, 3, 100, 8192 and 8193 rows folded one after
+        another give np.mean over their join, as uint64; and so does every
+        prefix of them."""
+        rows = mixed_rows(rng, sum(self.SIZES))
+        cuts = np.cumsum([0] + self.SIZES)
+        mean = RunningMean()
+        for a, b in zip(cuts, cuts[1:]):
+            mean.add(rows[a:b])
+            assert mean.count == b
+            if b:
+                want = np.mean(rows[:b], axis=0)
+                assert np.array_equal(mean.mean().view(np.uint64),
+                                      want.view(np.uint64)), b
+
+    def test_np_mean_adds_rows_one_after_another(self, rng):
+        """The order the fold continues: np.mean over axis 0 is the sum of
+        the rows added to 0.0 from left to right (so a column of -0.0
+        gives 0.0), divided by their count. Pairwise summation, which numpy
+        uses along the fast axis, gives other bits on these rows, so a
+        change of numpy's order fails here."""
+        rows = mixed_rows(rng, sum(self.SIZES))
+        columns = rows.reshape(rows.shape[0], -1).T
+        sequential = np.array([functools.reduce(operator.add, c, 0.0)
+                               for c in columns.tolist()]).reshape(SHAPE)
+        want = sequential / rows.shape[0]
+        got = np.mean(rows, axis=0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        pairwise = np.add.reduce(np.ascontiguousarray(columns), axis=1)
+        assert not np.array_equal(pairwise, sequential.ravel())
+        mean = RunningMean()
+        mean.add(rows[:5000])
+        mean.add(rows[5000:])
+        assert np.array_equal(mean.mean().view(np.uint64),
+                              want.view(np.uint64))
+
+    def test_empty_block_leaves_the_sum(self):
+        mean = RunningMean()
+        mean.add(np.zeros((0,) + SHAPE))
+        assert mean.count == 0 and mean.total is None
+        rows = np.full((2,) + SHAPE, -0.0)
+        rows[1, 0, 0] = 5e-324
+        for block in (rows[:1], rows[:0], rows[1:], rows[:0]):
+            mean.add(block)
+        assert mean.count == 2
+        assert np.array_equal(mean.mean().view(np.uint64),
+                              np.mean(rows, axis=0).view(np.uint64))
+
+
+def one_piece(t, thetas):
+    """A run's predictors given as arrays: one (t, thetas) piece."""
+    return [(t, thetas)]
+
+
 class TestBuildLibrary:
     def test_synthetic_runs(self):
         nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
@@ -1003,13 +1075,68 @@ class TestBuildLibrary:
         sig[0, 0] = 1.0
         thetas = np.where((t >= 0.2)[:, None, None], 0.5 * sig, 0.0)
         lib = build_library(
-            [(Verdict.FAULT, t, thetas, 0.2, 0.8, "synthetic")], nom, thr,
-            order=ORDER)
+            [(Verdict.FAULT, one_piece(t, thetas), 0.2, 0.8, "synthetic")],
+            nom, thr, order=ORDER)
         assert len(lib.signatures) == 1
         entry = lib.signatures[0]
         assert entry.label is Verdict.FAULT
         assert np.linalg.norm(entry.delta_theta) == pytest.approx(1.0)
         assert entry.delta_theta[0, 0] == pytest.approx(1.0)
+        want = build_library_numpy(
+            [(Verdict.FAULT, t, thetas, 0.2, 0.8, "synthetic")], nom, thr,
+            ORDER)
+        assert lib.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("cuts", [[], [0, 0, 1], [17, 250, 251, 700],
+                                      list(range(0, 1000, 7))])
+    def test_pieces_equal_whole_arrays(self, rng, cuts):
+        """A run cut into pieces anywhere, empty ones included, gives the
+        bits of the array form over the whole run: the window and its
+        settled half span the cuts."""
+        nom = calibrate_nominal([0.0], rng.standard_normal((1,) + SHAPE),
+                                window=1)
+        thr = Thresholds(d_high=1e9, d_low=0.01)
+        t = np.arange(1000) * 1e-3
+        thetas = mixed_rows(rng, 1000)
+        thetas[:, 0, 0] = 1.0 + 1e-3 * rng.standard_normal(1000)
+        bounds = [0, *cuts, 1000]
+        pieces = [(t[a:b], thetas[a:b]) for a, b in zip(bounds, bounds[1:])]
+        runs = [(Verdict.FAULT, 0.2, 0.7, "a"),
+                (Verdict.LOAD_INCREASE, 0.1, 1.2, "b")]
+        lib = build_library([(label, iter(pieces), lo, hi, source)
+                             for label, lo, hi, source in runs],
+                            nom, thr, ORDER)
+        want = build_library_numpy([(label, t, thetas, lo, hi, source)
+                                    for label, lo, hi, source in runs],
+                                   nom, thr, ORDER)
+        assert lib.to_json() == want.to_json()
+        for got, ref in zip(lib.signatures, want.signatures):
+            assert np.array_equal(got.delta_theta.view(np.uint64),
+                                  ref.delta_theta.view(np.uint64))
+
+    def test_runs_read_one_at_a_time(self):
+        """A run's pieces are read to their end before the next run is
+        taken."""
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        thr = Thresholds(d_high=1.0, d_low=0.01)
+        t = np.linspace(0.0, 1.0, 101)
+        thetas = np.full((101,) + SHAPE, 0.1)
+        log = []
+
+        def pieces(name):
+            for a, b in ((0, 50), (50, 101)):
+                log.append((name, a))
+                yield t[a:b], thetas[a:b]
+            log.append((name, "end"))
+
+        def runs():
+            for name in ("a", "b"):
+                log.append(("run", name))
+                yield Verdict.FAULT, pieces(name), 0.2, 0.8, name
+
+        build_library(runs(), nom, thr, order=ORDER)
+        assert log == [("run", "a"), ("a", 0), ("a", 50), ("a", "end"),
+                       ("run", "b"), ("b", 0), ("b", 50), ("b", "end")]
 
     def test_quiet_run_rejected(self):
         nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
@@ -1018,8 +1145,8 @@ class TestBuildLibrary:
         thetas = np.zeros((101,) + SHAPE)
         thetas[:, 0, 0] = 0.1  # never exceeds d_low
         with pytest.raises(InsufficientDataError):
-            build_library([(Verdict.FAULT, t, thetas, 0.2, 0.8, "quiet")],
-                          nom, thr, order=ORDER)
+            build_library([(Verdict.FAULT, one_piece(t, thetas), 0.2, 0.8,
+                            "quiet")], nom, thr, order=ORDER)
 
     def test_times_must_increase(self):
         nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
@@ -1028,7 +1155,23 @@ class TestBuildLibrary:
         thetas = np.ones((11,) + SHAPE)
         with pytest.raises(ValueError, match="'back': snapshot times must "
                                              "increase"):
-            build_library([(Verdict.FAULT, t, thetas, 0.2, 0.8, "back")],
+            build_library([(Verdict.FAULT, one_piece(t, thetas), 0.2, 0.8,
+                            "back")], nom, thr, order=ORDER)
+
+    @pytest.mark.parametrize("shift", [0.0, -0.5])
+    def test_times_must_increase_across_pieces(self, shift):
+        """Each piece increasing is not enough: a piece must start after
+        the last snapshot before it, here at that time or before it, with
+        an empty piece between them."""
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        thr = Thresholds(d_high=1.0, d_low=0.01)
+        t = np.linspace(0.0, 1.0, 11)
+        thetas = np.ones((11,) + SHAPE)
+        pieces = [(t[:6], thetas[:6]), (t[:0], thetas[:0]),
+                  (t[5:] + shift, thetas[5:])]
+        with pytest.raises(ValueError, match="'split': snapshot times must "
+                                             "increase"):
+            build_library([(Verdict.FAULT, pieces, 0.2, 0.8, "split")],
                           nom, thr, order=ORDER)
 
     def test_empty_window_rejected(self):
@@ -1037,8 +1180,8 @@ class TestBuildLibrary:
         t = np.linspace(0.0, 1.0, 11)
         thetas = np.ones((11,) + SHAPE)
         with pytest.raises(InsufficientDataError):
-            build_library([(Verdict.FAULT, t, thetas, 5.0, 6.0, "late")],
-                          nom, thr, order=ORDER)
+            build_library([(Verdict.FAULT, one_piece(t, thetas), 5.0, 6.0,
+                            "late")], nom, thr, order=ORDER)
 
     def test_empty_settled_half_rejected(self):
         """Snapshots inside the window but none in its second half: the
@@ -1050,8 +1193,8 @@ class TestBuildLibrary:
         with pytest.raises(InsufficientDataError,
                            match="run 'short': no snapshots in the settled "
                                  "second half of the disturbance window"):
-            build_library([(Verdict.FAULT, t, thetas, 2.0, 9.0, "short")],
-                          nom, thr, order=ORDER)
+            build_library([(Verdict.FAULT, one_piece(t, thetas), 2.0, 9.0,
+                            "short")], nom, thr, order=ORDER)
 
 
 class TestSignatureLabels:
@@ -1082,8 +1225,8 @@ class TestSignatureLabels:
         t = np.linspace(0.0, 1.0, 11)
         thetas = np.full((11,) + SHAPE, 0.1)
         with pytest.raises(ValueError) as err:
-            build_library([(label, t, thetas, 0.2, 0.8, "src_run")], nom,
-                          thr, order=ORDER)
+            build_library([(label, one_piece(t, thetas), 0.2, 0.8,
+                             "src_run")], nom, thr, order=ORDER)
         value = getattr(label, "value", label)
         assert str(err.value).startswith(
             f"run 'src_run': label {value!r} is not a signature label")

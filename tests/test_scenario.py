@@ -23,7 +23,6 @@ from gridarx.detector import (
     SignatureLibrary,
     Thresholds,
     Verdict,
-    build_library,
     calibrate_thresholds,
     distances,
 )
@@ -56,7 +55,7 @@ from gridarx.simulate import (
     sample_count,
     simulate,
 )
-from oracles import read_theta_csv
+from oracles import build_library_numpy, read_theta_csv
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -848,20 +847,26 @@ class TestRunMemory:
 
     MEMORY_BLOCK = 2048
 
-    def peaks(self, call, durations):
-        """tracemalloc peak of `call(duration)` for each duration, the
-        short run first."""
+    def peaks(self, call, values):
+        """tracemalloc peak of `call(value)` for each value, the smaller
+        first."""
         peaks = {}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scenario_module, "SIMULATE_BLOCK", self.MEMORY_BLOCK)
-            for duration in durations:
+            for value in values:
                 tracemalloc.start()
                 try:
-                    call(duration)
-                    peaks[duration] = tracemalloc.get_traced_memory()[1]
+                    call(value)
+                    peaks[value] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
         return peaks
+
+    @staticmethod
+    def fault(t_end, duration=8.0):
+        return ScenarioConfig(name="memory", duration=duration,
+                              disturbance=DisturbanceSpec("fault", 0.2077,
+                                                          2.0, t_end))
 
     def test_peak_independent_of_run_length(self, default_cal, tmp_path):
         nominal, thresholds, _, _ = default_cal
@@ -876,6 +881,116 @@ class TestRunMemory:
         peaks = self.peaks(lambda duration: run_calibration(
             ScenarioConfig(duration=duration)), (4.0, 16.0))
         assert abs(peaks[16.0] / peaks[4.0] - 1.0) <= 0.05, peaks
+
+    def test_fault_free_peak_independent_of_run_length(self, default_cal,
+                                                       tmp_path):
+        """The final verdict of a run without a disturbance averages the
+        second half of the run, as a running sum."""
+        nominal, thresholds, _, _ = default_cal
+        peaks = self.peaks(lambda duration: run_scenario(
+            ScenarioConfig(name="memory", duration=duration), nominal,
+            thresholds, out_dir=str(tmp_path / str(duration))), (4.0, 16.0))
+        assert abs(peaks[16.0] / peaks[4.0] - 1.0) <= 0.05, peaks
+
+    def test_peak_independent_of_window_length(self, default_cal, tmp_path):
+        """A 1 s and a 4 s disturbance window: the final verdict averages
+        the settled half of the window as a running sum."""
+        nominal, thresholds, _, _ = default_cal
+        peaks = self.peaks(lambda t_end: run_scenario(
+            self.fault(t_end), nominal, thresholds,
+            out_dir=str(tmp_path / str(t_end))), (3.0, 6.0))
+        assert abs(peaks[6.0] / peaks[3.0] - 1.0) <= 0.05, peaks
+
+    def test_library_peak_independent_of_window_length(self, default_cal):
+        """A 1 s and a 4 s disturbance window: the library build keeps the
+        window's largest distance and the settled half's running sum, not
+        the window's rows."""
+        nominal, thresholds, _, _ = default_cal
+        peaks = self.peaks(lambda t_end: build_library_from_scenarios(
+            [self.fault(t_end)], nominal, thresholds), (3.0, 6.0))
+        assert abs(peaks[6.0] / peaks[3.0] - 1.0) <= 0.05, peaks
+
+
+class TestWholeFileWrites:
+    """calibration.json, library.json and comparison.csv are written as a
+    run's artifacts are, under a temporary name moved into place once
+    whole: a write that fails part way, as on a full disk, raises its own
+    OSError and leaves the earlier file's bytes and no `.partial` file."""
+
+    def fail_write(self, monkeypatch, name):
+        """The write of `name` puts half its bytes in the file, then raises
+        OSError("disk full")."""
+        opened = scenario_module._ArtifactFiles.open
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        def open_half(files, what):
+            fh = opened(files, what)
+            return HalfWritten(fh) if what == name else fh
+
+        monkeypatch.setattr(scenario_module._ArtifactFiles, "open",
+                            open_half)
+
+    def check(self, monkeypatch, out, name, write):
+        """`write(0)` writes `name` in `out`, and `write(1)` other bytes,
+        through the failing write."""
+        write(0)
+        before = (out / name).read_bytes()
+        self.fail_write(monkeypatch, name)
+        with pytest.raises(OSError, match="^disk full$"):
+            write(1)
+        assert os.listdir(out) == [name]
+        assert (out / name).read_bytes() == before
+
+    def test_calibration(self, tmp_path, monkeypatch):
+        config = ScenarioConfig(duration=1.0)
+        self.check(monkeypatch, tmp_path, "calibration.json",
+                   lambda k: run_calibration(
+                       replace(config, noise_seed=2 + k),
+                       out_dir=str(tmp_path)))
+        fresh = tmp_path / "fresh"
+        with pytest.raises(OSError, match="^disk full$"):
+            run_calibration(config, out_dir=str(fresh))
+        assert not fresh.exists()
+
+    def test_comparison(self, default_cal, tmp_path, monkeypatch):
+        """Scenario files that are missing give a table of error rows."""
+        nominal, thresholds, _, _ = default_cal
+        out = tmp_path / "suite"
+        self.check(monkeypatch, out, "comparison.csv",
+                   lambda k: run_suite([str(tmp_path / f"missing_{k}.ini")],
+                                       nominal, thresholds,
+                                       out_dir=str(out)))
+
+    def test_library(self, default_cal, tmp_path, monkeypatch, capsys):
+        from gridarx.cli import main
+
+        nominal, thresholds, _, config = default_cal
+        calibration = tmp_path / "calibration.json"
+        calibration.write_text(calibration_to_json(nominal, thresholds,
+                                                   config))
+        out = tmp_path / "lib"
+
+        def build(k):
+            ini = write_ini(tmp_path, f"fault_{k}.ini", (
+                f"[run]\nduration = 3.0\nnoise_seed = {2 + k}\n"
+                "[disturbance]\nkind = fault\nr_fault_pu = 0.2077\n"
+                "t_start = 1.0\nt_end = 2.0\n"))
+            rc = main(["build-library", "--config", ini, "--calibration",
+                       str(calibration), "--out", str(out)])
+            err = capsys.readouterr().err
+            if rc:  # the failed write's exit, passed on to `check`
+                assert (rc, err) == (2, "error: disk full\n")
+                raise OSError("disk full")
+
+        self.check(monkeypatch, out, "library.json", build)
 
 
 class TestFailedRun:
@@ -1613,8 +1728,9 @@ class TestLibraryStopsAtWindowEnd:
     @pytest.mark.parametrize("block", [OFF_EDGE_BLOCK, LIBRARY_BLOCK])
     def test_signatures_equal_build_library_on_a_full_pass(
             self, default_cal, tmp_path, block):
-        """The oracle simulates and identifies each run whole, and gives
-        `build_library` every row of it."""
+        """The oracle simulates and identifies each run whole, and takes
+        the array form's np.max and np.mean over every row of it
+        (`build_library_numpy`)."""
         nominal, thresholds, _, _ = default_cal
         configs = [load_scenario(share_ini(tmp_path, "base.ini")),
                    load_scenario(share_ini(tmp_path, "load.ini",
@@ -1631,12 +1747,13 @@ class TestLibraryStopsAtWindowEnd:
                      else Verdict.LOAD_INCREASE)
             runs.append((label, run.t, run.theta, dist.t_start, dist.t_end,
                          config.name))
-        want = build_library(runs, nominal, thresholds, 3)
+        want = build_library_numpy(runs, nominal, thresholds, 3)
         assert library.to_json() == want.to_json()
 
     def test_stopped_streams_are_closed(self, default_cal, tmp_path):
         """No simulator of a stream left early is still alive when the
-        signatures are built: each stream was closed where it stopped."""
+        next run's stream is made, or after the call: each stream was
+        closed where it stopped."""
         nominal, thresholds, _, _ = default_cal
         configs = [load_scenario(share_ini(tmp_path, "base.ini")),
                    load_scenario(share_ini(tmp_path, "load.ini",
@@ -1645,19 +1762,16 @@ class TestLibraryStopsAtWindowEnd:
         simulate_blocks = scenario_module.simulate_blocks
 
         def tracked(*args, **kwargs):
+            alive.append([ref() is not None for ref in simulators])
             blocks = simulate_blocks(*args, **kwargs)
             simulators.append(weakref.ref(blocks))
             return blocks
 
-        def checked(*args, **kwargs):
-            alive.extend(ref() is not None for ref in simulators)
-            return build_library(*args, **kwargs)
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scenario_module, "simulate_blocks", tracked)
-            mp.setattr(scenario_module, "build_library", checked)
             build_library_from_scenarios(configs, nominal, thresholds)
-        assert alive == [False, False]
+        alive.append([ref() is not None for ref in simulators])
+        assert alive == [[], [False], [False, False]]
 
 
 class TestVerdictTimeline:
