@@ -8,7 +8,8 @@
  * kernels depend on the CPU, so the outputs have the same bits on every
  * CPU:
  * - the RLS and simulator products sum each row left to right from 0.0
- *   (`dot`);
+ *   (`dot`), and the simulator's input product from its first term, as
+ *   `simulate._matvec` does;
  * - a distance sums its squares in the order of numpy's add.reduce over a
  *   contiguous row (`pairwise_sum_sq`);
  * - the product of a band snapshot's deviation with each signature sums
@@ -178,7 +179,10 @@ static void gemv(Py_ssize_t rows, Py_ssize_t cols, const double *a,
 
 typedef struct {
     Py_ssize_t m, n, r; /* rows, regressor length, outputs */
-    const double *Y, *Phi;  /* m x r, m x n */
+    /* the rows: Y (m x r) and Phi (m x n), or, with Y NULL, the streams v
+     * (with r columns) and i (with ni) that `fill_row` makes them of */
+    const double *Y, *Phi, *v, *i;
+    Py_ssize_t ni, order;
     double *stack;          /* [P; theta], (n + r) x n, updated in place */
     double *theta_traj;     /* m x r x n */
     double *innovation;     /* m x r */
@@ -188,19 +192,58 @@ typedef struct {
     PyObject *P;            /* the P block of stack, as an ndarray */
 } Rls;
 
+/* Fills y (nv) with the first difference of the stream v (N x nv) for
+ * update order + k, and phi (order (nv + ni)) with its lagged regressor,
+ * from v and i (N x ni): the output is difference d = order + k,
+ * dv(d) = v[d + 1] - v[d], and the regressor holds dv(d - 1), ...,
+ * dv(d - order), then di(d - 1), ..., di(d - order), as
+ * build_lagged_regressors lays them out. */
+static void fill_row(const double *v, const double *i, Py_ssize_t nv,
+                     Py_ssize_t ni, Py_ssize_t order, Py_ssize_t k,
+                     double *y, double *phi)
+{
+    const Py_ssize_t d = order + k;
+    for (Py_ssize_t j = 0; j < nv; j++)
+        y[j] = v[(d + 1) * nv + j] - v[d * nv + j];
+    for (Py_ssize_t lag = 1; lag <= order; lag++)
+        for (Py_ssize_t j = 0; j < nv; j++)
+            *phi++ = v[(d - lag + 1) * nv + j] - v[(d - lag) * nv + j];
+    for (Py_ssize_t lag = 1; lag <= order; lag++)
+        for (Py_ssize_t j = 0; j < ni; j++)
+            *phi++ = i[(d - lag + 1) * ni + j] - i[(d - lag) * ni + j];
+}
+
+/* Row k's output *y and regressor *phi: rows of Y and Phi, or, for
+ * streams, filled into buf (r + n doubles), so that no block of rows is
+ * stored. */
+static void rls_row(const Rls *s, Py_ssize_t k, double *buf, const double **y,
+                    const double **phi)
+{
+    if (s->Y) {
+        *y = s->Y + k * s->r;
+        *phi = s->Phi + k * s->n;
+    } else {
+        fill_row(s->v, s->i, s->r, s->ni, s->order, k, buf, buf + s->r);
+        *y = buf;
+        *phi = buf + s->r;
+    }
+}
+
 /* The block checks of `rls.rls_run`: RLS_NONFINITE_INPUT with *row the
- * first row of Y or Phi holding a NaN or an infinity, RLS_NONFINITE_P,
- * RLS_ASYMMETRIC_P when P != P' (compared as numbers, so +0.0 equals
- * -0.0), else RLS_DONE. */
-static int rls_check(const Rls *s, Py_ssize_t *row)
+ * first row whose output or regressor holds a NaN or an infinity,
+ * RLS_NONFINITE_P, RLS_ASYMMETRIC_P when P != P' (compared as numbers, so
+ * +0.0 equals -0.0), else RLS_DONE. buf holds r + n doubles. */
+static int rls_check(const Rls *s, double *buf, Py_ssize_t *row)
 {
     const Py_ssize_t n = s->n, r = s->r;
     for (Py_ssize_t k = 0; k < s->m; k++) {
+        const double *y, *phi;
         int finite = 1;
+        rls_row(s, k, buf, &y, &phi);
         for (Py_ssize_t j = 0; j < r; j++)
-            finite &= isfinite(s->Y[k * r + j]) != 0;
+            finite &= isfinite(y[j]) != 0;
         for (Py_ssize_t j = 0; j < n; j++)
-            finite &= isfinite(s->Phi[k * n + j]) != 0;
+            finite &= isfinite(phi[j]) != 0;
         if (!finite) {
             *row = k;
             return RLS_NONFINITE_INPUT;
@@ -219,7 +262,7 @@ static int rls_check(const Rls *s, Py_ssize_t *row)
 
 /* Steps rows *row, *row + 1, ... of the block, writing each row's theta
  * into theta_traj and its innovation e into innovation. `work` holds
- * n + r + n doubles.
+ * n + r + n + r + n doubles.
  *
  * Returns RLS_DONE after the last row. It returns early, with *row the
  * number of rows done, in two cases:
@@ -232,11 +275,12 @@ static int rls_steps(const Rls *s, double *work, Py_ssize_t *row, double *denom)
 {
     const Py_ssize_t n = s->n, r = s->r;
     double *P = s->stack, *theta = s->stack + n * n;
-    double *stack_phi = work, *K = work + n + r;
+    double *stack_phi = work, *K = work + n + r, *buf = work + 2 * n + r;
     const double lam2 = 2.0 * s->lam;
     for (Py_ssize_t k = *row; k < s->m; k++) {
-        const double *y = s->Y + k * r, *phi = s->Phi + k * n;
+        const double *y, *phi;
         double *e = s->innovation + k * r;
+        rls_row(s, k, buf, &y, &phi);
         gemv(n + r, n, s->stack, phi, stack_phi); /* [P phi; theta phi] */
         double d = s->lam + dot(n, phi, stack_phi);
         if (d <= s->min_denom) {
@@ -284,13 +328,13 @@ static int rls_run_rows(const Rls *s)
 {
     Py_ssize_t row = 0;
     double denom = NAN;
-    int status = rls_check(s, &row);
+    double *work = PyMem_Malloc((size_t)(3 * s->n + 2 * s->r) * sizeof *work);
+    if (!work) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    int status = rls_check(s, work, &row);
     if (status == RLS_DONE) {
-        double *work = PyMem_Malloc((size_t)(2 * s->n + s->r) * sizeof *work);
-        if (!work) {
-            PyErr_NoMemory();
-            return -1;
-        }
         while ((status = rls_steps(s, work, &row, &denom))
                    == RLS_CHECK_SPECTRUM) {
             PyObject *done = PyObject_CallOneArg(s->clamp, s->P);
@@ -298,8 +342,8 @@ static int rls_run_rows(const Rls *s)
                 break;
             Py_DECREF(done);
         }
-        PyMem_Free(work);
     }
+    PyMem_Free(work);
     switch (status) {
     case RLS_DONE:
         return 0;
@@ -361,39 +405,50 @@ static int rls_model(const char *func, PyObject *params, PyObject *count0,
     return 1;
 }
 
-/* Fills Y (m x nv) with the first differences of the stream v (N x nv)
- * from difference `order` on, and Phi (m x order (nv + ni)) with their
- * lagged regressors, from v and i (N x ni). Row k is update order + k: its
- * output is difference d = order + k, dv(d) = v[d + 1] - v[d], and its
- * regressor holds dv(d - 1), ..., dv(d - order), then di(d - 1), ...,
- * di(d - order), as build_lagged_regressors lays them out. */
-static void fill_rows(const double *v, const double *i, Py_ssize_t nv,
-                      Py_ssize_t ni, Py_ssize_t order, Py_ssize_t m,
-                      double *Y, double *Phi)
-{
-    for (Py_ssize_t k = 0; k < m; k++) {
-        const Py_ssize_t d = order + k;
-        for (Py_ssize_t j = 0; j < nv; j++)
-            Y[k * nv + j] = v[(d + 1) * nv + j] - v[d * nv + j];
-        for (Py_ssize_t lag = 1; lag <= order; lag++)
-            for (Py_ssize_t j = 0; j < nv; j++)
-                *Phi++ = v[(d - lag + 1) * nv + j] - v[(d - lag) * nv + j];
-        for (Py_ssize_t lag = 1; lag <= order; lag++)
-            for (Py_ssize_t j = 0; j < ni; j++)
-                *Phi++ = i[(d - lag + 1) * ni + j] - i[(d - lag) * ni + j];
-    }
-}
-
 /* The last extent of `a`, as the shape of np.ascontiguousarray(a) has it. */
 static npy_intp last_extent(PyArrayObject *a)
 {
     return PyArray_DIM(a, PyArray_NDIM(a) - 1);
 }
 
+/* The order argument of a stream call, or 0 with the error set when it
+ * is not an integer >= 1. */
+static Py_ssize_t stream_order(const char *func, PyObject *obj)
+{
+    Py_ssize_t order = PyLong_AsSsize_t(obj);
+    if (order >= 1)
+        return order;
+    if (!PyErr_Occurred())
+        PyErr_Format(PyExc_ValueError, "%s: order must be >= 1", func);
+    return 0;
+}
+
+/* The streams v and i as np.ascontiguousarray(x, float) makes them, new
+ * references in *a and *b (NULL where not made), and in *m the count of
+ * their updates, one per sample from order + 1 on; 0 with ValueError set
+ * when they are not two 2-D streams of equally many samples. */
+static int streams_of(PyObject *v, PyObject *i, Py_ssize_t order,
+                      PyArrayObject **a, PyArrayObject **b, npy_intp *m)
+{
+    if (!(*a = as_contiguous(v)) || !(*b = as_contiguous(i)))
+        return 0;
+    if (PyArray_NDIM(*a) != 2 || PyArray_NDIM(*b) != 2
+            || PyArray_DIM(*a, 0) != PyArray_DIM(*b, 0)) {
+        char vs[64], is[64];
+        shape_text(vs, sizeof vs, PyArray_NDIM(*a), PyArray_DIMS(*a));
+        shape_text(is, sizeof is, PyArray_NDIM(*b), PyArray_DIMS(*b));
+        PyErr_Format(PyExc_ValueError, "v_dq %s and i_dq %s are not two "
+                     "streams of equally many samples", vs, is);
+        return 0;
+    }
+    *m = PyArray_DIM(*a, 0) - order - 1;
+    *m = *m > 0 ? *m : 0;
+    return 1;
+}
+
 static const char rls_block_doc[] =
     "rls_block(params, count0, P, theta, a, b, t, order)\n"
-    "    -> (Y, Phi, P, theta, theta_traj, innovation, t, index,\n"
-    "        calibrated)\n\n"
+    "    -> (P, theta, theta_traj, innovation, t, index, calibrated)\n\n"
     "One block of the RLS recursion from the state (count0, P, theta) of\n"
     "the model params = (output_dim, regressor_len, burn_in, lam,\n"
     "min_denom, interval, ceiling_sq, clamp): copies the state into new P\n"
@@ -404,50 +459,36 @@ static const char rls_block_doc[] =
     "With t None, a and b are the block's rows Y and Phi, and t, index and\n"
     "calibrated come back None. Otherwise a and b are the streams v and i\n"
     "and t their time stamps: the block is the updates from sample\n"
-    "order + 1 on, whose new Y and Phi it fills with the first differences\n"
-    "of v and their lagged regressors, and t, index and calibrated are\n"
-    "their time stamps (a slice of t), sample indices and burn-in flags.\n\n"
+    "order + 1 on, each of whose rows (those of regressor_rows) is made\n"
+    "from the streams as it is checked or stepped, and t, index and\n"
+    "calibrated are their time stamps (a slice of t), sample indices and\n"
+    "burn-in flags.\n\n"
     "A block of the wrong dimensions or a rejected step raises\n"
     "UpdateRejectedError; an exception of clamp propagates.";
 
 static PyObject *rls_block(PyObject *self, PyObject *const *arg, Py_ssize_t nargs)
 {
     const char *func = "rls_block";
-    PyArrayObject *a = NULL, *b = NULL, *Y = NULL, *Phi = NULL, *stack = NULL,
-                  *P = NULL, *theta = NULL, *traj = NULL, *inn = NULL,
-                  *index = NULL, *calibrated = NULL;
+    PyArrayObject *a = NULL, *b = NULL, *stack = NULL, *P = NULL,
+                  *theta = NULL, *traj = NULL, *inn = NULL, *index = NULL,
+                  *calibrated = NULL;
     PyObject *t = NULL, *out = NULL;
-    Rls s;
+    Rls s = {0};
     Py_ssize_t burn_in, order = 0;
     if (!nargs_ok(func, nargs, 8)
             || !rls_model(func, arg[0], arg[1], &s, &burn_in))
         return NULL;
     const int streams = arg[6] != Py_None;
-    if (streams && (order = PyLong_AsSsize_t(arg[7])) < 1) {
-        if (!PyErr_Occurred())
-            PyErr_Format(PyExc_ValueError, "%s: order must be >= 1", func);
-        return NULL;
-    }
-    if (!(a = as_contiguous(arg[4])) || !(b = as_contiguous(arg[5])))
-        goto done;
-
-    npy_intp m, nv, ni = 0, regressor;
+    npy_intp m, nv, regressor;
     if (streams) {
-        if (PyArray_NDIM(a) != 2 || PyArray_NDIM(b) != 2
-                || PyArray_DIM(a, 0) != PyArray_DIM(b, 0)) {
-            char vs[64], is[64];
-            shape_text(vs, sizeof vs, PyArray_NDIM(a), PyArray_DIMS(a));
-            shape_text(is, sizeof is, PyArray_NDIM(b), PyArray_DIMS(b));
-            PyErr_Format(PyExc_ValueError, "v_dq %s and i_dq %s are not two "
-                         "streams of equally many samples", vs, is);
+        if (!(order = stream_order(func, arg[7]))
+                || !streams_of(arg[4], arg[5], order, &a, &b, &m))
             goto done;
-        }
-        m = PyArray_DIM(a, 0) - order - 1;
-        m = m > 0 ? m : 0;
         nv = PyArray_DIM(a, 1);
-        ni = PyArray_DIM(b, 1);
-        regressor = order * (nv + ni);
+        regressor = order * (nv + PyArray_DIM(b, 1));
     } else {
+        if (!(a = as_contiguous(arg[4])) || !(b = as_contiguous(arg[5])))
+            goto done;
         m = PyArray_DIM(a, 0);
         nv = last_extent(a);
         regressor = last_extent(b);
@@ -467,16 +508,8 @@ static PyObject *rls_block(PyObject *self, PyObject *const *arg, Py_ssize_t narg
                      "block", (Py_ssize_t)m, (Py_ssize_t)PyArray_DIM(b, 0));
         goto done;
     }
-    npy_intp rows[2] = {m, s.r}, regs[2] = {m, s.n},
-             stack_dims[2] = {s.n + s.r, s.n}, traj_dims[3] = {m, s.r, s.n};
-    if (streams) {
-        if (!(Y = empty(2, rows, NPY_DOUBLE))
-                || !(Phi = empty(2, regs, NPY_DOUBLE)))
-            goto done;
-    } else {
-        Y = (PyArrayObject *)Py_NewRef(a);
-        Phi = (PyArrayObject *)Py_NewRef(b);
-    }
+    npy_intp rows[2] = {m, s.r}, stack_dims[2] = {s.n + s.r, s.n},
+             traj_dims[3] = {m, s.r, s.n};
     /* P[...] = state.P and theta[...] = state.theta: numpy's assignment,
      * broadcasting and casting as it does */
     if (!(stack = empty(2, stack_dims, NPY_DOUBLE))
@@ -488,16 +521,17 @@ static PyObject *rls_block(PyObject *self, PyObject *const *arg, Py_ssize_t narg
             || !(inn = empty(2, rows, NPY_DOUBLE)))
         goto done;
     s.m = m;
-    s.Y = PyArray_DATA(Y);
-    s.Phi = PyArray_DATA(Phi);
     s.stack = PyArray_DATA(stack);
     s.P = (PyObject *)P;
     s.theta_traj = PyArray_DATA(traj);
     s.innovation = PyArray_DATA(inn);
     if (streams) {
         const npy_intp first = order + 1;
-        fill_rows(PyArray_DATA(a), PyArray_DATA(b), nv, ni, order, m,
-                  PyArray_DATA(Y), PyArray_DATA(Phi));
+        s.Y = s.Phi = NULL;
+        s.v = PyArray_DATA(a);
+        s.i = PyArray_DATA(b);
+        s.ni = PyArray_DIM(b, 1);
+        s.order = order;
         if (!(t = PySequence_GetSlice(arg[6], first, first + m))
                 || !(index = empty(1, &m, NPY_INTP))
                 || !(calibrated = empty(1, &m, NPY_BOOL)))
@@ -510,17 +544,18 @@ static PyObject *rls_block(PyObject *self, PyObject *const *arg, Py_ssize_t narg
             idx[k] = first + k;
             cal[k] = s.count0 + k + 1 >= burn_in;
         }
+    } else {
+        s.Y = PyArray_DATA(a);
+        s.Phi = PyArray_DATA(b);
     }
     if (rls_run_rows(&s) == 0)
-        out = Py_BuildValue("(OOOOOOOOO)", Y, Phi, P, theta, traj, inn,
+        out = Py_BuildValue("(OOOOOOO)", P, theta, traj, inn,
                             t ? t : Py_None,
                             index ? (PyObject *)index : Py_None,
                             calibrated ? (PyObject *)calibrated : Py_None);
 done:
     Py_XDECREF(a);
     Py_XDECREF(b);
-    Py_XDECREF(Y);
-    Py_XDECREF(Phi);
     Py_XDECREF(stack);
     Py_XDECREF(P);
     Py_XDECREF(theta);
@@ -532,45 +567,90 @@ done:
     return out;
 }
 
+static const char regressor_rows_doc[] =
+    "regressor_rows(v, i, order) -> (Y, Phi)\n\n"
+    "The rows that rls_block steps for the streams v and i, as new arrays:\n"
+    "for each update from sample order + 1 on, the first difference of v\n"
+    "it predicts (a row of Y) and its lagged regressor (a row of Phi).";
+
+static PyObject *regressor_rows(PyObject *self, PyObject *const *arg,
+                                Py_ssize_t nargs)
+{
+    const char *func = "regressor_rows";
+    PyArrayObject *a = NULL, *b = NULL, *Y = NULL, *Phi = NULL;
+    PyObject *out = NULL;
+    Py_ssize_t order;
+    npy_intp m;
+    if (nargs_ok(func, nargs, 3) && (order = stream_order(func, arg[2]))
+            && streams_of(arg[0], arg[1], order, &a, &b, &m)) {
+        const npy_intp nv = PyArray_DIM(a, 1), ni = PyArray_DIM(b, 1);
+        npy_intp rows[2] = {m, nv}, regs[2] = {m, order * (nv + ni)};
+        if ((Y = empty(2, rows, NPY_DOUBLE))
+                && (Phi = empty(2, regs, NPY_DOUBLE))) {
+            double *y = PyArray_DATA(Y), *phi = PyArray_DATA(Phi);
+            for (npy_intp k = 0; k < m; k++)
+                fill_row(PyArray_DATA(a), PyArray_DATA(b), nv, ni, order, k,
+                         y + k * nv, phi + k * regs[1]);
+            out = PyTuple_Pack(2, Y, Phi);
+        }
+    }
+    Py_XDECREF(a);
+    Py_XDECREF(b);
+    Py_XDECREF(Y);
+    Py_XDECREF(Phi);
+    return out;
+}
+
 /* ------------------------------------------------------------------------
  * The simulator step.
  */
 
 static const char sim_rows_doc[] =
-    "sim_rows(FC, x, drive, v)\n\n"
-    "Steps the state x (nx) over the m rows of drive (m x nx) with\n"
-    "FC = [F; Cv], an (nx + nv) x nx array: row k gives v[k] = Cv x and the\n"
-    "next state F x + drive[k], which overwrites drive[k].";
+    "sim_rows(FC, Gb, f, x, u, v)\n\n"
+    "Steps the state x (nx) in place over the m rows of the input u\n"
+    "(m x nu) with FC = [F; Cv], an (nx + nv) x nx array, Gb (nx x nu) and\n"
+    "the forcing f (nx): row k gives v[k] = Cv x and the next state\n"
+    "F x + (Gb u[k] + f), each row of Gb u[k] summed left to right from its\n"
+    "first product, as simulate._matvec sums it.";
 
 static PyObject *sim_rows(PyObject *self, PyObject *const *arg, Py_ssize_t nargs)
 {
     const char *func = "sim_rows";
-    const npy_intp any2[2] = {ANY, ANY};
-    PyArrayObject *FC, *x0, *drive, *v;
-    if (!nargs_ok(func, nargs, 4)
-            || !(drive = checked(func, arg[2], "drive", 'd', 1, 2, any2)))
+    const npy_intp any1[1] = {ANY}, any2[2] = {ANY, ANY};
+    PyArrayObject *FC, *Gb, *f, *x, *u, *v;
+    if (!nargs_ok(func, nargs, 6)
+            || !(x = checked(func, arg[3], "x", 'd', 1, 1, any1))
+            || !(u = checked(func, arg[4], "u", 'd', 0, 2, any2)))
         return NULL;
-    const npy_intp m = PyArray_DIM(drive, 0), nx = PyArray_DIM(drive, 1),
-                   rows[2] = {m, ANY};
-    if (!(v = checked(func, arg[3], "v", 'd', 1, 2, rows)))
+    const npy_intp nx = PyArray_DIM(x, 0), m = PyArray_DIM(u, 0),
+                   nu = PyArray_DIM(u, 1), rows[2] = {m, ANY},
+                   gb[2] = {nx, nu}, fx[1] = {nx};
+    if (!(v = checked(func, arg[5], "v", 'd', 1, 2, rows)))
         return NULL;
-    const npy_intp nv = PyArray_DIM(v, 1), fc[2] = {nx + nv, nx}, x[1] = {nx};
+    const npy_intp nv = PyArray_DIM(v, 1), fc[2] = {nx + nv, nx};
     if (!(FC = checked(func, arg[0], "FC", 'd', 0, 2, fc))
-            || !(x0 = checked(func, arg[1], "x", 'd', 0, 1, x)))
+            || !(Gb = checked(func, arg[1], "Gb", 'd', 0, 2, gb))
+            || !(f = checked(func, arg[2], "f", 'd', 0, 1, fx)))
         return NULL;
     double *work = PyMem_Malloc((size_t)(nx + nv) * sizeof *work);
     if (!work)
         return PyErr_NoMemory();
-    const double *fc_data = PyArray_DATA(FC), *xk = PyArray_DATA(x0);
-    double *drive_data = PyArray_DATA(drive), *v_data = PyArray_DATA(v);
+    const double *fc_data = PyArray_DATA(FC), *gb_data = PyArray_DATA(Gb),
+                 *f_data = PyArray_DATA(f), *u_data = PyArray_DATA(u);
+    double *xk = PyArray_DATA(x), *v_data = PyArray_DATA(v);
     for (npy_intp k = 0; k < m; k++) {
-        double *x_next = drive_data + k * nx;
+        const double *uk = u_data + k * nu;
         gemv(nx + nv, nx, fc_data, xk, work);
-        for (npy_intp j = 0; j < nx; j++)
-            x_next[j] = work[j] + x_next[j];
+        for (npy_intp j = 0; j < nx; j++) {
+            /* -0.0 + p is p for every p, so this sum has the bits of one
+             * that starts from its first product */
+            double drive = -0.0;
+            for (npy_intp c = 0; c < nu; c++)
+                drive += uk[c] * gb_data[j * nu + c];
+            xk[j] = work[j] + (drive + f_data[j]);
+        }
         for (npy_intp j = 0; j < nv; j++)
             v_data[k * nv + j] = work[nx + j];
-        xk = x_next;
     }
     PyMem_Free(work);
     Py_RETURN_NONE;
@@ -797,6 +877,7 @@ done:
 
 static PyMethodDef methods[] = {
     FASTCALL(rls_block),
+    FASTCALL(regressor_rows),
     FASTCALL(sim_rows),
     FASTCALL(distance_block),
     FASTCALL(classify_block),

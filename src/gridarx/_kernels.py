@@ -15,9 +15,11 @@ processes that import into one empty cache at once each load a whole
 module.
 
 A stream block takes two calls: `rls_block` converts the streams,
-allocates every output of `identify`, fills the regressors and steps the
-block, calling the spectral clamp of the covariance (`rls._clamp`, a
-Python callable in `ArxConfig.kernel_params`) when a step needs it;
+allocates every output of `identify` and steps the block, making each
+update's regressor as it goes (`regressor_rows` makes them all, for
+`IdentRun.y` and `.phi`), and calls the spectral clamp of the covariance
+(`rls._clamp`, a Python callable in `ArxConfig.kernel_params`) when a step
+needs it;
 `classify_block` takes each snapshot's distance, its band products with
 the signatures and its verdict in one pass. The arrays an entry point
 reads or writes in place are checked for dtype, shape, C-contiguity and
@@ -122,6 +124,7 @@ EXTENSION = _load()
 
 # the entry points (see their docstrings) and their exception
 rls_block = EXTENSION.rls_block
+regressor_rows = EXTENSION.regressor_rows
 sim_rows = EXTENSION.sim_rows
 distance_block = EXTENSION.distance_block
 classify_block = EXTENSION.classify_block

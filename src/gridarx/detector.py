@@ -157,8 +157,9 @@ class SignatureLibrary:
     def arrays(self):
         """(matrix, norms, codes) of the signatures: row s of `matrix` is
         signature s's delta_theta flattened, norms[s] its Frobenius norm
-        and codes[s] its label's verdict code; (None, None, None) for an
-        empty library.
+        (its `distances` to zero, summed in numpy's pairwise order) and
+        codes[s] its label's verdict code; (None, None, None) for an empty
+        library.
 
         Built once per content: kept until `signatures` holds other
         Signature objects than at the last call (one appended, removed or
@@ -173,7 +174,7 @@ class SignatureLibrary:
                 matrix = np.array([s.delta_theta for s in signatures],
                                   float).reshape(len(signatures), -1)
                 cached = (signatures, matrix,
-                          np.sqrt(np.add.reduce(matrix * matrix, 1)),
+                          distances(matrix, np.zeros(matrix.shape[1])),
                           np.array([FAULT_CODE if s.label is Verdict.FAULT
                                     else LOAD_CODE for s in signatures],
                                    np.intp))
@@ -304,7 +305,10 @@ class RunningMean:
     as row 0 of the next block's reduce, continues the one sum, and
     np.mean divides it by the count. An empty block leaves the sum as it
     was. Rows of one value would be summed pairwise, which this fold does
-    not continue."""
+    not continue. A block is folded FOLD_ROWS rows at a time, so the copy
+    that puts the sum in front of them stays that short."""
+
+    FOLD_ROWS = 256
 
     def __init__(self):
         self.total = None  # the sum of the rows so far
@@ -312,12 +316,12 @@ class RunningMean:
 
     def add(self, rows) -> None:
         rows = np.ascontiguousarray(rows, float)
-        if rows.shape[0] == 0:
-            return
         self.count += rows.shape[0]
-        if self.total is not None:
-            rows = np.concatenate([self.total[None], rows])
-        self.total = np.add.reduce(rows, axis=0)
+        for lo in range(0, rows.shape[0], self.FOLD_ROWS):
+            part = rows[lo:lo + self.FOLD_ROWS]
+            if self.total is not None:
+                part = np.concatenate([self.total[None], part])
+            self.total = np.add.reduce(part, axis=0)
 
     def mean(self) -> np.ndarray:
         return self.total / self.count
@@ -553,8 +557,7 @@ def _signature(label: Verdict, pieces, nominal: NominalPredictor,
             "disturbance window; signature would be noise"
         )
     delta = settled.mean() - nominal.theta_star
-    flat = delta.ravel()
-    norm = np.sqrt(np.add.reduce(flat * flat))
+    norm = distances(delta[None], np.zeros_like(delta))[0]
     if norm <= 0:
         raise InsufficientDataError(f"run {source!r}: zero deviation")
     return Signature(label=label, delta_theta=delta / norm,

@@ -190,12 +190,13 @@ def run_block(state: IdentifierState, a, b, t=None, order: int = 0):
     """The block of `rls_run` (a, b = Y, Phi, converted as
     np.ascontiguousarray(x, float) does) or of `pipeline.identify` (a, b =
     the streams v, i of time stamps t, whose updates from sample order + 1
-    on make the block): one kernel call, `_kernels.rls_block`.
+    on make the block, each row made from the streams as it is stepped):
+    one kernel call, `_kernels.rls_block`.
 
-    Returns (theta_traj, innovation, final_state, Y, Phi, t, index,
-    calibrated): for streams, Y and Phi are the block's rows, t, index and
-    calibrated the updates' time stamps, sample indices and burn-in flags
-    (None for rows). Every array is new, but t, a slice of the stream's.
+    Returns (theta_traj, innovation, final_state, t, index, calibrated):
+    for streams, t, index and calibrated are the updates' time stamps,
+    sample indices and burn-in flags (None for rows). Every array is new,
+    but t, a slice of the stream's.
     An exception raised by the clamp propagates, and the input state is
     left as it was.
     """
@@ -215,14 +216,15 @@ def run_block(state: IdentifierState, a, b, t=None, order: int = 0):
     # Phi and P finite, and P exactly symmetric (P == P' as numbers, so
     # that +0.0 and -0.0 agree). It then steps the rows, calling `_clamp`
     # on its P where a step needs the spectral check.
-    (Y, Phi, P, theta, theta_traj, innovation, t, index,
+    (P, theta, theta_traj, innovation, t, index,
      calibrated) = _kernels.rls_block(cfg.kernel_params, state.sample_count,
                                       state.P, state.theta, a, b, t, order)
     # theta and P are views of this call's own stack, which nothing else
     # holds, so they need no copies
-    final = IdentifierState(config=cfg, theta=theta, P=P,
-                            sample_count=state.sample_count + Y.shape[0])
-    return theta_traj, innovation, final, Y, Phi, t, index, calibrated
+    final = IdentifierState(
+        config=cfg, theta=theta, P=P,
+        sample_count=state.sample_count + theta_traj.shape[0])
+    return theta_traj, innovation, final, t, index, calibrated
 
 
 def rls_update(state: IdentifierState, y, phi) -> IdentifierState:

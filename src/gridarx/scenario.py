@@ -17,29 +17,18 @@ front: the samples (`samples.npy`), the distances (`distance.npy`) and
 every THETA_STRIDE-th predictor (`theta.npy`); no value is formatted as
 text. The detector carries its debounce, first crossings and
 transitions, and the baseline its one-cycle average, across blocks. Of
-the predictor trajectory a run keeps only the settle-window rows whose
-mean gives the final verdict, so its memory depends on the block size
-and the disturbance window, not on its length; a run without a
-disturbance averages, and so keeps, the second half of the run.
+the predictor trajectory a run keeps only the running sum of the
+settle-window rows whose mean gives the final verdict
+(`detector.RunningMean`), so its memory depends on the block size, not
+on its length or its disturbance window.
 
-Runs of one `run_suite` or `build_library_from_scenarios` call share their
-start when they have the same simulate arguments apart from the
-disturbance's kind, value and end, the same disturbance t_start and the
-same ArxConfig (`_prefix_key`). Each call holds one dict of records
-(`_Prefix`), which `run_suite` passes through `run_scenario` to
-`_simulate_identify`, the one place that reads or fills it. The first
-such run records its start up to the last simulator block edge at or
-before the disturbance start: the estimator state at that edge and, in a
-suite, the (t, theta, calibrated) rows of each block before it. The edge
-is the one point where runs part: the record joins the dict once the last
-block before it has been identified, so a stream stopped or failed later
-(the library build stops each one after its window's end) leaves it
-whole. The others simulate their whole stream, replay the record's blocks
-through the same loop as live ones and identify from the edge on; each
-run classifies and writes all of its own rows. The outputs do not change:
-every artifact is bitwise that of the run on its own. The record lives
-only for the call that made it; a suite's record holds about 201 bytes
-per sample before the edge.
+Every run simulates and identifies its own stream from its first sample:
+the runs of one `run_suite` or `build_library_from_scenarios` call share
+no rows and no estimator state, so each run's artifacts are bitwise those
+of a lone `run_scenario`, and a suite holds one run's blocks at a time.
+Only the simulator keeps something across runs: where the current noise
+of a run starts, worked out once per noise seed and run length
+(`simulate._noise_start`).
 """
 
 from __future__ import annotations
@@ -51,7 +40,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,14 +61,13 @@ from .detector import (
     first_time,
 )
 from .pipeline import identify
-from .rls import ArxConfig, IdentifierState
+from .rls import ArxConfig
 from .signals import RbsConfig
 from .simulate import (
     DisturbanceSpec,
     SIMULATE_BLOCK,
     SimResult,
     disturbance_inside,
-    disturbance_start,
     sample_count,
     simulate_blocks,
 )
@@ -484,50 +471,7 @@ def calibration_from_json(text: str):
 # end-to-end runs
 
 
-def _prefix_key(config: ScenarioConfig):
-    """What a run's samples before its disturbance starts depend on, and so
-    the identify updates that read only those: every `simulate` argument
-    except the disturbance's kind, value and end, and the ArxConfig. None
-    when no disturbance starts inside the run."""
-    if not disturbance_inside(config.disturbance, config.duration):
-        return None
-    return (config.circuit, config.excitation, config.duration, config.ts,
-            config.noise_std, config.noise_seed, tuple(config.i_op),
-            config.disturbance.t_start, config.identifier)
-
-
-@dataclass
-class _Prefix:
-    """The start of a run, which every run with the same `_prefix_key`
-    shares bitwise: recorded by the first of them given a `prefixes` dict,
-    which it joins once the last block before `edge` has been identified,
-    and resumed by the others given the same dict. A resumed run still
-    simulates from sample 0; it identifies from `edge` on.
-
-    `edge` is the last simulator block edge at or before the disturbance
-    start k_on. Each update of a block before `edge` reads only samples
-    before k_on; `state` is the estimator's state after the last of them. A
-    record of `run_scenario` keeps in `blocks` the rows of each block before
-    `edge`, which a resumed run replays; one of
-    `build_library_from_scenarios` keeps none (None). Nothing in it depends
-    on the nominal predictor, the library or the output directory.
-    """
-
-    edge: int
-    blocks: list | None
-    state: IdentifierState | None = None
-
-
-class _Rows(NamedTuple):
-    """What a run reads of a block's IdentRun, as a prefix record keeps it."""
-
-    t: np.ndarray
-    theta: np.ndarray
-    calibrated: np.ndarray
-
-
-def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
-                       rows: bool = False):
+def _simulate_identify(config: ScenarioConfig):
     """Simulate the scenario block by block and identify over its stream.
 
     The returned generator yields (samples, run) for each block of
@@ -538,44 +482,19 @@ def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
     left, so the blocks together are bitwise one whole-run identification;
     a run's `index` counts from its first prepended sample. A failure
     raises StageError tagged with the stage that failed.
-
-    `prefixes` maps `_prefix_key` to the _Prefix records of earlier runs;
-    this is the one place where runs share work. When it holds this run's
-    key, the simulator still runs from sample 0, the blocks before the
-    record's edge pair their samples with the record's `_Rows` (and are
-    skipped when it kept none), and identification starts at the edge
-    from its state: a consumer sees the same blocks as in a lone run.
-    Otherwise, when the run has a disturbance inside it and a whole block
-    before one, the stream records a new _Prefix as it passes, keeping
-    the rows of the blocks before its edge when `rows` is true, and adds
-    it to `prefixes` as soon as it is complete: when the last block before
-    the edge has been identified, before that block is yielded. A consumer
-    that stops the stream after that point, or a run that fails after it,
-    leaves a valid record.
     """
-    block = SIMULATE_BLOCK
-    key = _prefix_key(config) if prefixes is not None else None
-    resumed = prefixes.get(key) if key is not None else None
-    recording = None
-    if key is not None and resumed is None:
-        k_on = disturbance_start(config.disturbance, config.duration,
-                                 config.ts)
-        edge = k_on // block * block
-        if edge:
-            recording = _Prefix(edge, [] if rows else None)
     try:
         sim = simulate_blocks(
             config.circuit, config.disturbance, config.excitation,
             config.duration, config.ts, config.noise_std, config.noise_seed,
-            config.i_op, block=block,
+            config.i_op, block=SIMULATE_BLOCK,
         )
     except Exception as exc:
         raise StageError("simulate", str(exc)) from exc
 
     def blocks():
         overlap = config.identifier.order + 1
-        state = None if resumed is None else resumed.state
-        replay = iter(() if resumed is None else resumed.blocks or ())
+        state = None
         stream = None  # the last block, with the samples before it prepended
         hi = 0  # samples passed
         while True:
@@ -591,10 +510,6 @@ def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
                 v_dq=np.concatenate([stream.v_dq[-overlap:], part.v_dq]),
                 i_dq=np.concatenate([stream.i_dq[-overlap:], part.i_dq]),
                 ts=part.ts)
-            if resumed is not None and hi <= resumed.edge:
-                if resumed.blocks is not None:
-                    yield part, next(replay)
-                continue
             try:
                 run = identify(stream, config.identifier, state)
             except Exception as exc:
@@ -602,15 +517,6 @@ def _simulate_identify(config: ScenarioConfig, prefixes: dict | None = None,
                 raise StageError(
                     "identify", f"{exc} (block from update {first})") from exc
             state = run.final_state
-            if recording is not None and hi <= recording.edge:
-                if recording.blocks is not None:
-                    recording.blocks.append(
-                        _Rows(run.t, run.theta, run.calibrated))
-                if hi == recording.edge:
-                    # the record is complete, and stays valid whether or
-                    # not the stream goes on
-                    recording.state = state
-                    prefixes[key] = recording
             yield part, run
 
     return blocks()
@@ -626,20 +532,18 @@ def _updates_before(config: ScenarioConfig, t: float) -> int:
     return bisect.bisect_left(updates, t, key=lambda k: k * ts)
 
 
-def _window(config: ScenarioConfig, t_lo: float, t_hi: float,
-            prefixes: dict | None = None):
+def _window(config: ScenarioConfig, t_lo: float, t_hi: float):
     """A generator of the run's updates at t_lo <= t < t_hi, one
     (t, thetas, state) triple per block read: the block's rows in the
     window, views of the block's arrays, and the estimator's state after
     the block.
 
-    The run streams (see `_simulate_identify`, which `prefixes` is passed
-    to), and nothing starts before the first triple is asked for. The
-    stream stops after the first block that holds an update at or after
-    t_hi, and is closed there: what comes after it is never simulated or
-    identified.
+    The run streams (see `_simulate_identify`), and nothing starts before
+    the first triple is asked for. The stream stops after the first block
+    that holds an update at or after t_hi, and is closed there: what comes
+    after it is never simulated or identified.
     """
-    blocks = _simulate_identify(config, prefixes)
+    blocks = _simulate_identify(config)
     with contextlib.closing(blocks):
         for part, run in blocks:
             # t increases, so a block's window rows are a slice
@@ -824,8 +728,6 @@ def run_scenario(
     thresholds: Thresholds,
     library: SignatureLibrary | None = None,
     out_dir: str | None = None,
-    *,
-    prefixes: dict | None = None,
 ) -> RunReport:
     """Full pipeline for one scenario: simulate, identify, classify, report.
 
@@ -849,19 +751,12 @@ def run_scenario(
     disturbance window, or over the second half of a run without one,
     which the run keeps as a running sum (`detector.RunningMean`), not as
     rows: its memory depends on the block size, not on the run's length
-    or its window. Thresholds pinned
-    in the scenario config take precedence over the calibration-supplied
-    ones. A calibration or
-    library of another model order than the run's is rejected with
-    ValueError before anything is simulated.
-
-    `prefixes` maps `_prefix_key` to the `_Prefix` records of earlier runs
-    given the same dict; `run_suite` passes one to every run. It goes to
-    `_simulate_identify`, which replays a matching record's blocks through
-    the loop of live ones, or else records this run's. Every block's rows
-    are classified and written here either way, so the outputs are bitwise
-    those of a lone run, whatever nominal predictor, library or output
-    directory the other runs had.
+    or its window. The run simulates and identifies its own stream from
+    sample 0 and reads nothing another run made, so inside `run_suite` it
+    writes the bytes it writes alone. Thresholds pinned in the scenario
+    config take precedence over the calibration-supplied ones. A
+    calibration or library of another model order than the run's is
+    rejected with ValueError before anything is simulated.
     """
     _check_order(config, nominal, library)
     if config.thresholds is not None:
@@ -910,7 +805,7 @@ def run_scenario(
 
     with (contextlib.nullcontext() if out_dir is None
           else _ArtifactFiles(out_dir)) as files:
-        blocks = _simulate_identify(config, prefixes, rows=True)
+        blocks = _simulate_identify(config)
         if files is not None:
             updates = _updates_before(config, math.inf)
             writers = [_NpyWriter(files.open(name), shape) for name, shape in (
@@ -1063,16 +958,11 @@ def build_library_from_scenarios(
     run's is consumed, stops after the window and is closed there. No
     window is kept: `build_library` folds each piece into the window's
     largest distance and the settled half's running sum as it reads it.
-    Runs that share a prefix (see
-    `_prefix_key`) identify it once; since the window starts after it, its
-    record holds only the estimator's state, and the blocks before its
-    edge are simulated but not identified. The record is complete, and
-    registered, once the last block before its edge has been identified,
-    so a stream stopped later leaves it whole.
-    An empty list of scenarios, a scenario without a disturbance, with no
-    update in the settled half of its window (the rows the signature
-    averages), or of another model order than the calibration, raises
-    ValueError before anything is simulated.
+    Each run simulates and identifies its own stream from its first
+    sample. An empty list of scenarios, a scenario without a disturbance,
+    with no update in the settled half of its window (the rows the
+    signature averages), or of another model order than the calibration,
+    raises ValueError before anything is simulated.
     """
     configs = list(configs)
     if not configs:
@@ -1096,7 +986,6 @@ def build_library_from_scenarios(
                 "which the signature averages"
             )
         _check_order(config, nominal, None)
-    prefixes = {}
 
     def runs():
         for config in configs:
@@ -1104,7 +993,7 @@ def build_library_from_scenarios(
             label = (Verdict.FAULT if dist.kind == "fault"
                      else Verdict.LOAD_INCREASE)
             pieces = ((t, thetas) for t, thetas, _ in _window(
-                config, dist.t_start, dist.t_end, prefixes))
+                config, dist.t_start, dist.t_end))
             yield label, pieces, dist.t_start, dist.t_end, config.name
 
     return build_library(runs(), nominal, thresholds,
@@ -1123,11 +1012,10 @@ def run_suite(
 
     Returns (reports dict, table rows). Each scenario contributes one row
     for the parameter-deviation method and one for voltage limit-checking.
-    Runs that share a prefix (see `_prefix_key`) identify it once, from
-    records kept for the duration of this call only; each run still writes
-    every one of its artifact rows, so it does not read another run's
-    files. With `out_dir`, the table goes to `comparison.csv` there, written
-    as a run's artifacts are (`write_artifact`). An empty manifest, or two
+    Each run is a `run_scenario` of its own, which shares nothing with the
+    others, so its artifacts are bitwise those of a lone run. With
+    `out_dir`, the table goes to `comparison.csv` there, written as a
+    run's artifacts are (`write_artifact`). An empty manifest, or two
     scenarios whose file names give the same name (compared
     case-insensitively, since their artifacts would share a directory),
     raise ValueError before any run.
@@ -1147,14 +1035,13 @@ def run_suite(
         names.append(name)
     reports = {}
     rows = []
-    prefixes = {}
     for path, name in zip(scenario_paths, names):
         try:
             config = load_scenario(path, overrides)
             scen_out = (os.path.join(out_dir, name) if out_dir is not None
                         else None)
             report = run_scenario(config, nominal, thresholds, library,
-                                  out_dir=scen_out, prefixes=prefixes)
+                                  out_dir=scen_out)
         except Exception as exc:
             rows.append([name, "rarx", "error", str(exc), "", ""])
             rows.append([name, "limit_check", "error", str(exc), "", ""])

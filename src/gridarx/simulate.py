@@ -18,6 +18,7 @@ bits on every CPU.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -169,17 +170,17 @@ def disturbance_start(disturbance: DisturbanceSpec | None, duration: float,
     return int(round(disturbance.t_start / ts))
 
 
-def _step(v, x, FC, drive):
-    """Step from state x over the rows of `drive`, writing each sample's
-    PCC voltage into the rows of v; returns the state after the last.
+def _step(v, x, FC, Gb, forcing, u):
+    """Step the state x in place over the rows of the input `u`, writing
+    each sample's PCC voltage into the rows of v.
 
     FC is [F; Cv], the state transition over the voltage output: both
     multiply the state, so one product per sample gives F x and v = Cv x.
     The steps run in C (`_kernels.sim_rows`), each row of the product
-    summed left to right: row k makes [F x; Cv x] and x <- F x + drive[k],
-    written over the forcing row it consumes."""
-    _kernels.sim_rows(FC, x, drive, v)
-    return drive[-1]
+    summed left to right: row k makes [F x; Cv x] and x <- F x + (Gb u[k]
+    + forcing), Gb u[k] summed as `_matvec` sums it, so no block-sized
+    drive array is made."""
+    _kernels.sim_rows(FC, Gb, forcing, x, u, v)
 
 
 # The grid voltage vg behind the line, dq in p.u.: the stiff grid every
@@ -190,6 +191,20 @@ GRID_VOLTAGE = np.array([1.0, 0.0])
 # the block in which every scenario run is simulated, identified and
 # classified: it bounds what a run holds at once.
 SIMULATE_BLOCK = 8192
+
+
+@functools.lru_cache(maxsize=16)
+def _noise_start(seed: int, count: int) -> dict:
+    """The state of Philox(seed) after `count` standard normals, where the
+    current noise of a run of count / 2 samples starts: it depends on
+    nothing else, so runs of one noise seed and length discard the voltage
+    normals once. The normals are drawn in blocks, and a draw in blocks
+    leaves the state of one draw. Setting a bit generator's `state` copies
+    the values in, so no run can change the dict kept here."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    for lo in range(0, count, 2 * SIMULATE_BLOCK):
+        gen.standard_normal(min(2 * SIMULATE_BLOCK, count - lo))
+    return gen.bit_generator.state
 
 
 def simulate_blocks(
@@ -210,8 +225,9 @@ def simulate_blocks(
     state, the topology segment it is in, the excitation stream and two
     noise generators: one draws the voltage noise and the other, started
     from the same seed past the n x 2 voltage normals, the current noise,
-    which is the order one call over the whole run draws them in. Every
-    value is bitwise that of `simulate`.
+    which is the order one call over the whole run draws them in; that
+    start is worked out once per noise seed and run length
+    (`_noise_start`). Every value is bitwise that of `simulate`.
 
     Arguments are checked at the call; a non-finite voltage raises
     IntegrationError from the block it appears in.
@@ -242,9 +258,9 @@ def _simulate_blocks(params, segments, excitation, n, ts, noise_std,
     excite = None if excitation is None else RbsStream(excitation, 1.0 / ts)
     if noise_std > 0:
         noise_v = np.random.Generator(np.random.Philox(noise_seed))
-        noise_i = np.random.Generator(np.random.Philox(noise_seed))
-        for lo in range(0, 2 * n, 2 * block):
-            noise_i.standard_normal(min(2 * block, 2 * n - lo))
+        start = np.random.Philox(noise_seed)
+        start.state = _noise_start(noise_seed, 2 * n)
+        noise_i = np.random.Generator(start)
     x = equilibrium(nominal, i_op, GRID_VOLTAGE)
     seg = 0
     prev_model = nominal
@@ -269,11 +285,12 @@ def _simulate_blocks(params, segments, excitation, n, ts, noise_std,
                     prev_model = model
                 F, Gb, Ge = _discretize(model, ts)
                 FC = np.concatenate((F, model.C))
+                Gb = np.ascontiguousarray(Gb)
                 vg_forcing = _matvec(Ge, GRID_VOLTAGE)
                 entered = True
             stop = min(hi, k1)
-            drive = _matvec(Gb, i_inj[k - lo:stop - lo]) + vg_forcing
-            x = _step(v[k - lo:stop - lo], x, FC, drive)
+            _step(v[k - lo:stop - lo], x, FC, Gb, vg_forcing,
+                  i_inj[k - lo:stop - lo])
             k = stop
         if not np.all(np.isfinite(v)):
             raise IntegrationError(

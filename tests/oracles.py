@@ -177,6 +177,16 @@ def distances_numpy(thetas, theta_star) -> np.ndarray:
     return np.sqrt(np.add.reduce(dev * dev, 1))
 
 
+def norms_numpy(matrix) -> np.ndarray:
+    """The Frobenius norms of the rows of `matrix` in numpy, as
+    np.sqrt(add.reduce(m * m, 1)): a pairwise sum along each contiguous
+    row. A square that overflows makes an infinite norm, without a
+    warning."""
+    matrix = np.asarray(matrix, float)
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.add.reduce(matrix * matrix, 1))
+
+
 def build_library_numpy(runs, nominal, thresholds, order):
     """`detector.build_library` over whole arrays, in numpy: each run is
     (label, t, thetas, t_start, t_end, source), its window is the slice of
@@ -196,10 +206,9 @@ def build_library_numpy(runs, nominal, thresholds, order):
         if float(np.max(d_window)) <= thresholds.d_low:
             raise InsufficientDataError(f"run {source!r}: below d_low")
         delta = np.mean(thetas[mid:hi], axis=0) - nominal.theta_star
-        flat = delta.ravel()
         lib.signatures.append(Signature(
             label=Verdict(label), source_scenario=str(source),
-            delta_theta=delta / np.sqrt(np.add.reduce(flat * flat))))
+            delta_theta=delta / norms_numpy(delta.reshape(1, -1))[0]))
     return lib
 
 

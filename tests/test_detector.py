@@ -43,6 +43,7 @@ from oracles import (
     debounce_loop,
     distances_numpy,
     matvec_fixed,
+    norms_numpy,
     products_fixed,
 )
 
@@ -1059,6 +1060,25 @@ class TestRunningMean:
         assert mean.count == 2
         assert np.array_equal(mean.mean().view(np.uint64),
                               np.mean(rows, axis=0).view(np.uint64))
+
+
+class TestLibraryNorms:
+    def test_norms_have_the_bits_of_numpy(self, rng):
+        """The signature norms of `SignatureLibrary.arrays`, the kernel's
+        pairwise sum, against np.sqrt(add.reduce(m * m, 1)) as uint64: on
+        libraries of 1 to 8 signatures with magnitudes from 1e-300 to
+        1e300, where squares underflow and overflow, and with -0.0."""
+        for _ in range(300):
+            count = int(rng.integers(1, 9))
+            matrix = rng.standard_normal((count, SHAPE[0] * SHAPE[1])) \
+                * 10.0 ** rng.uniform(-300, 300, (count, 1))
+            matrix[0, rng.integers(matrix.shape[1])] = -0.0
+            library = SignatureLibrary(order=ORDER, signatures=[
+                Signature(Verdict.FAULT, row.reshape(SHAPE))
+                for row in matrix])
+            norms = library.arrays()[1]
+            assert np.array_equal(norms.view(np.uint64),
+                                  norms_numpy(matrix).view(np.uint64))
 
 
 def one_piece(t, thetas):

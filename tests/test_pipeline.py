@@ -726,7 +726,7 @@ class TestKernelSteps:
 
             params = (r, n, 2 * n, lam, MIN_GAIN_DENOMINATOR,
                       COV_CLAMP_INTERVAL, np.inf, never_clamp)
-            _, _, P, theta, theta_traj, innovation, _, _, _ = \
+            P, theta, theta_traj, innovation, _, _, _ = \
                 _kernels.rls_block(params, 0, stack[:n], stack[n:],
                                    y[None], phi[None], None, 0)
             assert_bits_equal(P, want[:n])
@@ -736,24 +736,30 @@ class TestKernelSteps:
 
     @pytest.mark.parametrize("nx", [4, 6], ids=["6x4", "8x6"])
     def test_simulator_steps_equal_numpy_formulas(self, nx):
-        """Kernel steps of random [F; Cv] stacks against the steps written
-        with `matvec_fixed`."""
+        """Kernel steps of random [F; Cv] stacks and input products
+        against the steps written with `matvec_fixed`, each input product
+        summed from its first term as `simulate._matvec` sums it."""
         rng = np.random.Generator(np.random.Philox(nx))
-        m = 40
+        m, nu = 40, 2
         for _ in range(50):
             FC = rng.standard_normal((nx + 2, nx)) / nx
+            Gb = rng.standard_normal((nx, nu))
+            f = rng.standard_normal(nx) * 10.0 ** rng.uniform(-6, 6)
             x0 = rng.standard_normal(nx) * 10.0 ** rng.uniform(-6, 6)
-            drive = rng.standard_normal((m, nx)) * \
+            u = rng.standard_normal((m, nu)) * \
                 10.0 ** rng.uniform(-6, 6, size=(m, 1))
-            want_x, want_v = np.empty((m, nx)), np.empty((m, 2))
+            want_v = np.empty((m, 2))
             x = x0
             for k in range(m):
                 FCx = matvec_fixed(FC, x)
-                x = want_x[k] = FCx[:nx] + drive[k]
+                drive = u[k, 0] * Gb[:, 0]
+                for c in range(1, nu):
+                    drive = drive + u[k, c] * Gb[:, c]
+                x = FCx[:nx] + (drive + f)
                 want_v[k] = FCx[nx:]
-            got_x, got_v = drive.copy(), np.empty((m, 2))
-            _kernels.sim_rows(FC, x0, got_x, got_v)
-            assert_bits_equal(got_x, want_x)
+            got_x, got_v = x0.copy(), np.empty((m, 2))
+            _kernels.sim_rows(FC, Gb, f, got_x, u, got_v)
+            assert_bits_equal(got_x, x)
             assert_bits_equal(got_v, want_v)
 
 
@@ -764,9 +770,11 @@ def contract_calls():
     n, r, m = 12, 2, 3
     rng = np.random.Generator(np.random.Philox(3))
     yield ("sim_rows", (),
-           {"FC": rng.standard_normal((6, 4)) / 4, "x": np.ones(4),
-            "drive": rng.standard_normal((m, 4)), "v": np.empty((m, 2))},
-           {"drive", "v"}, ())
+           {"FC": rng.standard_normal((6, 4)) / 4,
+            "Gb": rng.standard_normal((4, 2)), "f": np.ones(4),
+            "x": np.ones(4), "u": rng.standard_normal((m, 2)),
+            "v": np.empty((m, 2))},
+           {"x", "v"}, ())
     star = rng.standard_normal((r, n))
     yield ("classify_block",
            (star + rng.standard_normal((m, r, n)), star),

@@ -3,10 +3,8 @@ of end-to-end runs."""
 
 import configparser
 import filecmp
-import importlib
 import json
 import os
-import shutil
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -14,10 +12,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from gridarx import circuit as circuit_module
 from gridarx import rls as rls_module
 from gridarx import scenario as scenario_module
-from gridarx.circuit import CircuitParams, full_circuit_model
+from gridarx.circuit import CircuitParams
 from gridarx.detector import (
     Signature,
     SignatureLibrary,
@@ -669,8 +666,8 @@ class TestRunScenario:
             self, default_cal, t_start):
         """A disturbance that starts one step before the run's end starts
         inside the run; one that starts at the run's end does not. The
-        simulator, the shared prefix and the report agree on which, and
-        only the second warns that it starts at or after the run end."""
+        simulator and the report agree on which, and only the second
+        warns that it starts at or after the run end."""
         nominal, thresholds, _, _ = default_cal
         cfg = ScenarioConfig(name="edge", duration=3.0,
                              disturbance=DisturbanceSpec(
@@ -678,7 +675,6 @@ class TestRunScenario:
         inside = t_start < cfg.duration
         k_on = disturbance_start(cfg.disturbance, cfg.duration, cfg.ts)
         assert (k_on is not None) is inside
-        assert (scenario_module._prefix_key(cfg) is not None) is inside
         report = run_scenario(cfg, nominal, thresholds)
         if inside:
             # the settled half of the window lies after the run
@@ -900,6 +896,26 @@ class TestRunMemory:
             self.fault(t_end), nominal, thresholds,
             out_dir=str(tmp_path / str(t_end))), (3.0, 6.0))
         assert abs(peaks[6.0] / peaks[3.0] - 1.0) <= 0.05, peaks
+
+    def test_suite_peak_independent_of_disturbance_start(self, default_cal,
+                                                         tmp_path):
+        """A suite of a fault and a load of one seed, both from 2 s and
+        both from 6 s of 8 s: no run keeps what comes before its
+        disturbance for the next."""
+        nominal, thresholds, _, _ = default_cal
+
+        def suite(t_start):
+            paths = [write_ini(tmp_path, f"{kind}_{t_start:g}.ini", (
+                f"[run]\nduration = 8.0\n[disturbance]\nkind = {kind}\n"
+                f"{key} = {value}\nt_start = {t_start}\n"
+                f"t_end = {t_start + 1.0}\n"))
+                for kind, key, value in (("fault", "r_fault_pu", 0.2077),
+                                         ("load", "l_load_pu", 0.35))]
+            run_suite(paths, nominal, thresholds,
+                      out_dir=str(tmp_path / f"suite_{t_start:g}"))
+
+        peaks = self.peaks(suite, (2.0, 6.0))
+        assert abs(peaks[6.0] / peaks[2.0] - 1.0) <= 0.05, peaks
 
     def test_library_peak_independent_of_window_length(self, default_cal):
         """A 1 s and a 4 s disturbance window: the library build keeps the
@@ -1184,17 +1200,16 @@ class TestModelOrder:
             build_library_from_scenarios([], nominal, thresholds)
 
 
-# Prefix sharing: 1 s runs with the disturbance from 0.5 s, so samples
-# [0, 2500) come before it. Blocks of SHARE_BLOCK = 2500 / 4 samples put a
-# block edge exactly there, and the updates of the blocks before it,
-# [0, 2496), read only those samples; blocks of OFF_EDGE_BLOCK put the last
-# edge before it at sample 2499. The detector arms at update 500, inside
-# the prefix. The pinned thresholds put armed prefix rows on every side of
-# both of them.
-SHARE_BLOCK = 625
+# Short runs: 1 s with the disturbance from 0.5 s, so samples [0, 2500)
+# come before it. Blocks of START_BLOCK = 2500 / 4 samples put a block edge
+# exactly there, blocks of OFF_EDGE_BLOCK the last edge before it at sample
+# 2499, and blocks of LIBRARY_BLOCK an edge two samples past it, inside the
+# window the library reads. The detector arms at update 500, and the
+# pinned thresholds give every verdict before the disturbance starts.
+START_BLOCK = 625
 OFF_EDGE_BLOCK = 7
-LIBRARY_BLOCK = (4 * SHARE_BLOCK + 2) // 2
-SHARE_BASE = """\
+LIBRARY_BLOCK = (4 * START_BLOCK + 2) // 2
+BASE_INI = """\
 [run]
 duration = 1.0
 calibration_window = 500
@@ -1216,36 +1231,27 @@ d_high = 0.25
 d_low = 0.1
 """
 
-# (variant, line replaced in SHARE_BASE, its replacement). The first group
-# changes only what comes after the disturbance starts or how the rows are
-# judged, and may reuse the base run's prefix; the second changes the
-# prefix itself, and must not.
-MAY_SHARE = [
+# (variant, line replaced in BASE_INI, its replacement): the base run's
+# suite neighbours. The noise seed and the duration change where the
+# current noise starts, which the simulator keeps across runs.
+VARIANTS = [
     ("kind", "kind = fault\nr_fault_pu = 0.2077",
      "kind = load\nl_load_pu = 0.35"),
     ("value", "r_fault_pu = 0.2077", "r_fault_pu = 0.5"),
     ("t_end", "t_end = 0.75", "t_end = 0.9"),
     ("thresholds", "mode = manual\nd_high = 0.25\nd_low = 0.1",
      "mode = auto"),
-    ("match_floor", "[run]\n", "[run]\nmatch_floor = 0.0\n"),
-    ("hold", "[run]\n", "[run]\nhold = 7\n"),
-    ("calibration_window", "calibration_window = 500",
-     "calibration_window = 1500"),
-]
-MUST_NOT_SHARE = [
     ("noise_seed", "noise_seed = 2", "noise_seed = 3"),
-    ("excitation_seed", "seed = 1", "seed = 4"),
-    ("amplitude", "amplitude = 0.1", "amplitude = 0.12"),
-    ("forgetting", "forgetting = 0.999", "forgetting = 0.998"),
-    ("order", "order = 3", "order = 2"),
     ("duration", "duration = 1.0", "duration = 1.1"),
-    ("ts", "[run]\n", "[run]\nts = 1e-4\n"),
     ("t_start", "t_start = 0.5", "t_start = 0.55"),
-    ("circuit", "[excitation]", "[circuit]\nr1 = 2.1\n[excitation]"),
+    ("order", "order = 3", "order = 2"),
 ]
-def share_ini(root, path, change=None):
-    """SHARE_BASE with one line replaced, written to root / path."""
-    text = SHARE_BASE
+CHANGES = {name: (old, new) for name, old, new in VARIANTS}
+
+
+def base_ini(root, path, change=None):
+    """BASE_INI with one line replaced, written to root / path."""
+    text = BASE_INI
     if change is not None:
         old, new = change
         assert old in text, old
@@ -1267,37 +1273,12 @@ def random_library(seed=8):
     return lib
 
 
-def counting_suite(paths, nominal, thresholds, library, out_dir,
-                   block=SHARE_BLOCK):
-    """run_suite in blocks of `block` samples with the updates each run
-    passes to `identify` counted: (reports, [(scenario name, updates
-    identified)])."""
-    counts = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scenario_module, "SIMULATE_BLOCK", block)
-
-        def counted_identify(*args, **kwargs):
-            run = identify(*args, **kwargs)
-            counts[-1][1] += run.t.size
-            return run
-
-        def counted_run(config, *args, **kwargs):
-            counts.append([config.name, 0])
-            return run_scenario(config, *args, **kwargs)
-
-        mp.setattr(scenario_module, "identify", counted_identify)
-        mp.setattr(scenario_module, "run_scenario", counted_run)
-        reports, _ = run_suite(paths, nominal, thresholds, library,
-                               out_dir=out_dir)
-    return reports, [tuple(c) for c in counts]
-
-
 def lone_run(path, nominal, thresholds, library, out_dir):
-    """`path` run on its own, outside any suite, with the suite's block
-    size; the message of the StageError or ValueError it raises, else
+    """`path` run on its own, outside any suite, in blocks of START_BLOCK
+    samples; the message of the StageError or ValueError it raises, else
     None."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scenario_module, "SIMULATE_BLOCK", SHARE_BLOCK)
+        mp.setattr(scenario_module, "SIMULATE_BLOCK", START_BLOCK)
         try:
             run_scenario(load_scenario(path), nominal, thresholds, library,
                          out_dir=out_dir)
@@ -1316,27 +1297,6 @@ def assert_same_artifacts(got_dir, want_dir):
 def updates_of(config):
     return int(round(config.duration / config.ts)) + 1 - \
         (config.identifier.order + 1)
-
-
-def shared_updates(config, block):
-    """The updates of the blocks before the last block edge at or before
-    the disturbance start: those a run resumed from a record replays."""
-    k_on = disturbance_start(config.disturbance, config.duration, config.ts)
-    return k_on // block * block - config.identifier.order - 1
-
-
-def expected_counts(paths, block):
-    """The updates each run of the TestSharedPrefix suite identifies, in
-    blocks of `block` samples: all of them, or, where the run may share
-    the base run's prefix, all but those the base run recorded."""
-    full = {os.path.splitext(os.path.basename(p))[0]:
-            updates_of(load_scenario(p)) for p in paths}
-    full["order"] = 0  # rejected before it simulates
-    shared = shared_updates(load_scenario(paths[0]), block)
-    want = [("base", full["base"])]
-    want += [(name, full[name] - shared) for name, _, _ in MAY_SHARE]
-    want += [(name, full[name]) for name, _, _ in MUST_NOT_SHARE]
-    return want
 
 
 def library_updates(config, block):
@@ -1375,354 +1335,29 @@ def counting_library(configs, nominal, thresholds, block):
     return library, [tuple(c) for c in counts]
 
 
-class TestSharedPrefix:
-    """Runs of one suite that share everything before the disturbance
-    compute it once, and still write the bytes of a run on its own."""
-
-    @pytest.fixture(scope="class")
-    def shared_suite(self, default_cal, tmp_path_factory):
-        nominal, thresholds, _, _ = default_cal
-        root = tmp_path_factory.mktemp("share")
-        library = random_library()
-        paths = [share_ini(root, "base.ini")]
-        paths += [share_ini(root, f"{name}.ini", (old, new))
-                  for name, old, new in MAY_SHARE + MUST_NOT_SHARE]
-        reports, counts = counting_suite(paths, nominal, thresholds, library,
-                                         str(root / "suite"))
-        errors = {}
-        for path in paths:
-            name = os.path.splitext(os.path.basename(path))[0]
-            errors[name] = lone_run(path, nominal, thresholds, library,
-                                    str(root / "lone" / name))
-        return root, paths, reports, counts, errors
-
-    def test_block_edge_on_disturbance_start(self, tmp_path):
-        config = load_scenario(share_ini(tmp_path, "b.ini"))
-        k_on = int(round(config.disturbance.t_start / config.ts))
-        assert k_on % SHARE_BLOCK == 0
-        assert k_on // SHARE_BLOCK == 4
-        assert k_on // OFF_EDGE_BLOCK * OFF_EDGE_BLOCK == k_on - 1
-        assert config.calibration_window < shared_updates(config,
-                                                          OFF_EDGE_BLOCK)
-
-    def test_every_artifact_equals_a_lone_run(self, shared_suite):
-        """The order-2 variant is rejected before it simulates, against the
-        order-3 library, the same way in both; every other run writes the
-        same bytes."""
-        root, paths, reports, _, errors = shared_suite
-        failed = [name for name, rep in reports.items() if rep is None]
-        assert failed == ["order"]
-        assert errors["order"] == ("the library is of model order 3, but "
-                                   "the run's model order is 2")
-        assert not (root / "suite" / "order").exists()
-        for path in paths:
-            name = os.path.splitext(os.path.basename(path))[0]
-            if name != "order":
-                assert errors[name] is None
-                assert_same_artifacts(str(root / "suite" / name),
-                                      str(root / "lone" / name))
-
-    def test_prefix_verdicts_are_mixed(self, shared_suite):
-        """The reused rows carry every verdict, so a stale verdict shows."""
-        root = shared_suite[0]
-        events = (root / "suite" / "match_floor" / "events.jsonl")
-        seen = {json.loads(line)["verdict"]
-                for line in events.read_text().splitlines()
-                if json.loads(line)["t"] < 0.5}
-        assert seen == {"normal", "fault", "load_increase", "unclassified"}
-
-    def test_identify_skips_the_prefix_only_where_shared(self, shared_suite):
-        _, paths, _, counts, _ = shared_suite
-        assert counts == expected_counts(paths, SHARE_BLOCK)
-
-    @pytest.mark.parametrize("block", [SHARE_BLOCK, OFF_EDGE_BLOCK])
-    def test_record_outlives_a_failure_in_the_block_holding_the_start(
-            self, default_cal, tmp_path, block, monkeypatch):
-        """A fault of 1e306 p.u. overflows the disturbed model, so the first
-        run fails in the simulator block that holds its disturbance start.
-        Its record joined at the block edge before that block: the second
-        run resumes from it and writes the bytes of a lone run.
-
-        The loader rejects such a value, so the file holds 1e300 p.u.,
-        whose model is finite, and the simulator is handed the overflowing
-        model of 1e306 p.u. in its place."""
-        def overflowing_model(params, disturbance=None):
-            if disturbance == ("fault", 1e300):
-                return circuit_module._circuit_model(params, ("fault", 1e306))
-            return full_circuit_model(params, disturbance)
-
-        # gridarx.simulate is the function of that name once the package
-        # is imported
-        monkeypatch.setattr(importlib.import_module("gridarx.simulate"),
-                            "full_circuit_model", overflowing_model)
-        nominal, thresholds, _, _ = default_cal
-        paths = [share_ini(tmp_path, "in/huge.ini",
-                           ("r_fault_pu = 0.2077", "r_fault_pu = 1e300")),
-                 share_ini(tmp_path, "in/base.ini")]
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            reports, counts = counting_suite(paths, nominal, thresholds,
-                                             random_library(),
-                                             str(tmp_path / "suite"),
-                                             block=block)
-        assert reports["huge"] is None
-        assert not (tmp_path / "suite" / "huge").exists()
-        config = load_scenario(paths[1])
-        shared = shared_updates(config, block)
-        assert counts == [("huge", shared),
-                          ("base", updates_of(config) - shared)]
-        library = random_library()
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            error = lone_run(paths[0], nominal, thresholds, library,
-                             str(tmp_path / "lone" / "huge"))
-        assert error.startswith("[simulate] non-finite voltage trajectory")
-        assert lone_run(paths[1], nominal, thresholds, library,
-                        str(tmp_path / "lone" / "base")) is None
-        assert_same_artifacts(str(tmp_path / "suite" / "base"),
-                              str(tmp_path / "lone" / "base"))
-
-    # 7 puts the last block edge before the disturbance start one sample
-    # before it, 2500 on it, with one block before it
-    @pytest.mark.parametrize("sim_block", [OFF_EDGE_BLOCK, 2500])
-    def test_simulator_blocks_change_no_byte(self, default_cal, shared_suite,
-                                             tmp_path, sim_block):
-        nominal, thresholds, _, _ = default_cal
-        root, paths, _, _, _ = shared_suite
-        reports, counts = counting_suite(paths, nominal, thresholds,
-                                         random_library(),
-                                         str(tmp_path / "suite"),
-                                         block=sim_block)
-        assert [name for name, rep in reports.items() if rep is None] == \
-            ["order"]
-        for name in reports:
-            if name != "order":
-                assert_same_artifacts(str(tmp_path / "suite" / name),
-                                      str(root / "lone" / name))
-        assert counts == expected_counts(paths, sim_block)
-
-    def test_every_run_hands_its_writers_all_its_rows(self, default_cal,
-                                                      tmp_path):
-        """The recording run and the run resumed from its record each hand
-        their writers every row of their artifacts, those of the replayed
-        blocks included: a resumed run reads no other run's files. The
-        rows are counted where each writer's `write` receives them."""
-        nominal, thresholds, _, _ = default_cal
-        paths = [share_ini(tmp_path, "in/base.ini"),
-                 share_ini(tmp_path, "in/value.ini", MAY_SHARE[1][1:])]
-        given = {}  # the rows handed to the writers, by (run, artifact)
-
-        def counted(write):
-            def counted_write(writer, data):
-                # the writer's file is its run's `.<artifact>.partial`
-                run, temporary = os.path.split(writer.fh.name)
-                key = (os.path.basename(run),
-                       temporary[1:-len(".partial")])
-                given[key] = given.get(key, 0) + data.shape[0]
-                write(writer, data)
-            return counted_write
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_NpyWriter, "write", counted(_NpyWriter.write))
-            _, counts = counting_suite(paths, nominal, thresholds,
-                                       random_library(),
-                                       str(tmp_path / "suite"))
-        config = load_scenario(paths[0])
-        assert counts == [("base", updates_of(config)),
-                          ("value", updates_of(config)
-                           - shared_updates(config, SHARE_BLOCK))]
-        for name in ("samples.npy", "distance.npy", "theta.npy"):
-            for run in ("base", "value"):
-                path = tmp_path / "suite" / run / name
-                rows = np.load(path, allow_pickle=False).shape[0]
-                assert given[run, name] == rows > 0, (run, name)
-
-    @pytest.mark.parametrize("block", [SHARE_BLOCK, OFF_EDGE_BLOCK])
-    def test_samples_npy_holds_the_simulator_bits(self, default_cal,
-                                                  tmp_path, block):
-        """samples.npy loads without pickle as the simulator's [t, v_dq,
-        i_dq], bit for bit, under the shape and dtype its header gives: in a
-        lone run, in a suite's recording run, and in a suite run resumed
-        from that record. OFF_EDGE_BLOCK puts no block edge at the
-        disturbance start."""
-        nominal, thresholds, _, _ = default_cal
-        paths = [share_ini(tmp_path, "in/base.ini"),
-                 share_ini(tmp_path, "in/value.ini", MAY_SHARE[1][1:])]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scenario_module, "SIMULATE_BLOCK", block)
-            run_suite(paths, nominal, thresholds, random_library(),
-                      out_dir=str(tmp_path / "suite"))
-            run_scenario(load_scenario(paths[1]), nominal, thresholds,
-                         random_library(), out_dir=str(tmp_path / "lone"))
-        for out, path in ((tmp_path / "suite" / "base", paths[0]),
-                          (tmp_path / "suite" / "value", paths[1]),
-                          (tmp_path / "lone", paths[1])):
-            config = load_scenario(path)
-            sim = simulate(config.circuit, config.disturbance,
-                           config.excitation, config.duration, config.ts,
-                           config.noise_std, config.noise_seed, config.i_op)
-            want = np.column_stack([sim.t, sim.v_dq, sim.i_dq])
-            with open(out / "samples.npy", "rb") as fh:
-                version = np.lib.format.read_magic(fh)
-                shape, fortran, dtype = \
-                    np.lib.format.read_array_header_1_0(fh)
-            assert version == (1, 0)
-            assert (shape, fortran, dtype) == (
-                (sample_count(config.duration, config.ts), 5), False,
-                np.dtype("<f8"))
-            got = np.load(out / "samples.npy", allow_pickle=False)
-            assert got.shape == want.shape == shape
-            assert got.dtype == want.dtype == dtype
-            assert np.array_equal(got.view(np.uint64),
-                                  want.view(np.uint64)), out
-
-    @staticmethod
-    def resume(tmp_path, nominals, thresholds, between=lambda out: None):
-        """The base scenario run twice with one `prefixes` dict, the first
-        run with nominals[0] and the second with nominals[1], and `between`
-        called with the first run's out_dir in between; then the second
-        run alone. (resumed run's out_dir, lone run's out_dir)."""
-        path = share_ini(tmp_path, "in/base.ini")
-        prefixes = {}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scenario_module, "SIMULATE_BLOCK", SHARE_BLOCK)
-            for run, nominal in enumerate(nominals):
-                out = str(tmp_path / "suite" / str(run))
-                run_scenario(load_scenario(path), nominal, thresholds,
-                             random_library(), out_dir=out,
-                             prefixes=prefixes)
-                if not run:
-                    assert len(prefixes) == 1
-                    between(out)
-            lone = str(tmp_path / "lone")
-            run_scenario(load_scenario(path), nominals[1], thresholds,
-                         random_library(), out_dir=lone)
-        return out, lone
-
-    def test_resumed_run_with_another_nominal_writes_its_own_rows(
-            self, default_cal, tmp_path):
-        """The record keeps no distance: a run resumed from it with another
-        nominal predictor writes the distances of that predictor, as its
-        lone run does."""
-        nominal, thresholds, _, _ = default_cal
-        other = replace(nominal, theta_star=nominal.theta_star * 1.01)
-        resumed, lone = self.resume(tmp_path, (nominal, other), thresholds)
-        assert_same_artifacts(resumed, lone)
-
-    def test_resumed_run_outlives_the_recording_runs_files(self, default_cal,
-                                                          tmp_path):
-        """A run resumed from a record reads no file of the run that made
-        it: it still writes the bytes of its lone run after that run's
-        out_dir is deleted."""
-        nominal, thresholds, _, _ = default_cal
-        resumed, lone = self.resume(tmp_path, (nominal, nominal), thresholds,
-                                    between=shutil.rmtree)
-        assert_same_artifacts(resumed, lone)
-
-    @pytest.mark.parametrize("second", ["other/y.ini", "other/Y.ini",
-                                        "in/y.ini"])
-    def test_same_name_scenarios_rejected_before_any_run(
-            self, default_cal, tmp_path, second):
-        """Two scenarios whose artifacts would share a directory: the suite
-        runs neither of them."""
-        nominal, thresholds, _, _ = default_cal
-        paths = [share_ini(tmp_path, "in/base.ini"),
-                 share_ini(tmp_path, "in/y.ini"),
-                 share_ini(tmp_path, second)]
-        with pytest.raises(ValueError, match=r"(?i)scenarios .*in/y\.ini and "
-                           r".*y\.ini have the same name"):
-            counting_suite(paths, nominal, thresholds, random_library(),
-                           str(tmp_path / "suite"))
-        assert not (tmp_path / "suite").exists()
-
-    def test_empty_manifest_rejected(self, default_cal, tmp_path):
-        nominal, thresholds, _, _ = default_cal
-        with pytest.raises(ValueError, match="lists no scenarios"):
-            run_suite([], nominal, thresholds, out_dir=str(tmp_path / "s"))
-        assert not (tmp_path / "s").exists()
-
-    def test_library_build_shares_and_matches(self, default_cal, tmp_path):
-        """Blocks of LIBRARY_BLOCK samples put an edge two samples past the
-        disturbance start, inside the window the library reads: a record
-        that ran past the last edge before it would show in the
-        signature."""
-        nominal, thresholds, _, _ = default_cal
-        configs = [load_scenario(share_ini(tmp_path, "base.ini")),
-                   load_scenario(share_ini(tmp_path, "load.ini",
-                                           MAY_SHARE[0][1:]))]
-        counts = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scenario_module, "SIMULATE_BLOCK", LIBRARY_BLOCK)
-
-            def counted_identify(*args, **kwargs):
-                run = identify(*args, **kwargs)
-                counts.append(run.t.size)
-                return run
-
-            mp.setattr(scenario_module, "identify", counted_identify)
-            shared = build_library_from_scenarios(configs, nominal,
-                                                  thresholds)
-            alone = [build_library_from_scenarios([c], nominal, thresholds)
-                     for c in configs]
-        # each of the four streams stops after the block that passes
-        # t_end, and the shared build's second one resumes from the record
-        stop = library_updates(configs[0], LIBRARY_BLOCK)
-        assert stop < updates_of(configs[0])
-        assert sum(counts) == 4 * stop - shared_updates(configs[0],
-                                                        LIBRARY_BLOCK)
-        assert json.loads(shared.to_json())["signatures"] == [
-            json.loads(lib.to_json())["signatures"][0] for lib in alone]
-
-
 class TestLibraryStopsAtWindowEnd:
     """The library build reads only the disturbance window of each run, so
     it leaves each stream after the block that passes the window's end."""
 
     # 10**6: one block, which holds the whole run
-    @pytest.mark.parametrize("block", [OFF_EDGE_BLOCK, SHARE_BLOCK,
+    @pytest.mark.parametrize("block", [OFF_EDGE_BLOCK, START_BLOCK,
                                        LIBRARY_BLOCK, 10**6])
     def test_identifies_up_to_the_block_passing_t_end(self, default_cal,
                                                       tmp_path, block):
         nominal, thresholds, _, _ = default_cal
-        config = load_scenario(share_ini(tmp_path, "base.ini"))
+        config = load_scenario(base_ini(tmp_path, "base.ini"))
         _, counts = counting_library([config], nominal, thresholds, block)
         assert counts == [("base", library_updates(config, block))]
         if block < 10**6:
             assert counts[0][1] < updates_of(config)
 
-    @pytest.mark.parametrize("block", [OFF_EDGE_BLOCK, SHARE_BLOCK,
-                                       LIBRARY_BLOCK])
-    def test_later_scenarios_resume_from_the_stopped_record(
-            self, default_cal, tmp_path, block):
-        """The base stream stops after its window, past the disturbance
-        start; the others still resume from its record, the one with the
-        later t_end past the point where the base stream stopped."""
-        nominal, thresholds, _, _ = default_cal
-        changes = {name: (old, new) for name, old, new in MAY_SHARE}
-        configs = [load_scenario(share_ini(tmp_path, "base.ini"))]
-        configs += [load_scenario(share_ini(tmp_path, f"{name}.ini",
-                                            changes[name]))
-                    for name in ("kind", "t_end")]
-        library, counts = counting_library(configs, nominal, thresholds,
-                                           block)
-        shared = shared_updates(configs[0], block)
-        assert counts == [
-            ("base", library_updates(configs[0], block)),
-            ("kind", library_updates(configs[1], block) - shared),
-            ("t_end", library_updates(configs[2], block) - shared)]
-        assert library_updates(configs[0], block) < \
-            library_updates(configs[2], block)
-        alone = [build_library_from_scenarios([c], nominal, thresholds)
-                 for c in configs]
-        assert library.to_json() == SignatureLibrary(
-            order=3, signatures=[lib.signatures[0] for lib in alone]
-        ).to_json()
-
     def test_window_reaching_the_run_end_identifies_every_update(
             self, default_cal, tmp_path):
         nominal, thresholds, _, _ = default_cal
-        config = load_scenario(share_ini(tmp_path, "long.ini",
+        config = load_scenario(base_ini(tmp_path, "long.ini",
                                          ("t_end = 0.75", "t_end = 1.2")))
         _, counts = counting_library([config], nominal, thresholds,
-                                     SHARE_BLOCK)
+                                     START_BLOCK)
         assert counts == [("long", updates_of(config))]
 
     @pytest.mark.parametrize("block", [OFF_EDGE_BLOCK, LIBRARY_BLOCK])
@@ -1732,9 +1367,9 @@ class TestLibraryStopsAtWindowEnd:
         the array form's np.max and np.mean over every row of it
         (`build_library_numpy`)."""
         nominal, thresholds, _, _ = default_cal
-        configs = [load_scenario(share_ini(tmp_path, "base.ini")),
-                   load_scenario(share_ini(tmp_path, "load.ini",
-                                           MAY_SHARE[0][1:]))]
+        configs = [load_scenario(base_ini(tmp_path, "base.ini")),
+                   load_scenario(base_ini(tmp_path, "load.ini",
+                                           CHANGES["kind"]))]
         library, _ = counting_library(configs, nominal, thresholds, block)
         runs = []
         for config in configs:
@@ -1755,9 +1390,9 @@ class TestLibraryStopsAtWindowEnd:
         next run's stream is made, or after the call: each stream was
         closed where it stopped."""
         nominal, thresholds, _, _ = default_cal
-        configs = [load_scenario(share_ini(tmp_path, "base.ini")),
-                   load_scenario(share_ini(tmp_path, "load.ini",
-                                           MAY_SHARE[0][1:]))]
+        configs = [load_scenario(base_ini(tmp_path, "base.ini")),
+                   load_scenario(base_ini(tmp_path, "load.ini",
+                                           CHANGES["kind"]))]
         simulators, alive = [], []
         simulate_blocks = scenario_module.simulate_blocks
 
@@ -1791,6 +1426,122 @@ class TestVerdictTimeline:
 
 
 class TestRunSuite:
+    """Each run of a suite shares nothing with the others: it writes the
+    bytes of a lone run of its scenario."""
+
+    @pytest.fixture(scope="class")
+    def suite_and_lone_runs(self, default_cal, tmp_path_factory):
+        nominal, thresholds, _, _ = default_cal
+        root = tmp_path_factory.mktemp("suite")
+        library = random_library()
+        paths = [base_ini(root, "base.ini")]
+        paths += [base_ini(root, f"{name}.ini", (old, new))
+                  for name, old, new in VARIANTS]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_module, "SIMULATE_BLOCK", START_BLOCK)
+            reports, _ = run_suite(paths, nominal, thresholds, library,
+                                   out_dir=str(root / "suite"))
+        errors = {}
+        for path in paths:
+            name = os.path.splitext(os.path.basename(path))[0]
+            errors[name] = lone_run(path, nominal, thresholds, library,
+                                    str(root / "lone" / name))
+        return root, paths, reports, errors
+
+    def test_every_artifact_equals_a_lone_run(self, suite_and_lone_runs):
+        """The order-2 variant is rejected before it simulates, against the
+        order-3 library, the same way in both; every other run writes the
+        same bytes."""
+        root, paths, reports, errors = suite_and_lone_runs
+        failed = [name for name, rep in reports.items() if rep is None]
+        assert failed == ["order"]
+        assert errors["order"] == ("the library is of model order 3, but "
+                                   "the run's model order is 2")
+        assert not (root / "suite" / "order").exists()
+        for path in paths:
+            name = os.path.splitext(os.path.basename(path))[0]
+            if name != "order":
+                assert errors[name] is None
+                assert_same_artifacts(str(root / "suite" / name),
+                                      str(root / "lone" / name))
+
+    @pytest.mark.parametrize("block", [START_BLOCK, OFF_EDGE_BLOCK])
+    def test_samples_npy_holds_the_simulator_bits(self, default_cal,
+                                                  tmp_path, block):
+        """samples.npy loads without pickle as the simulator's [t, v_dq,
+        i_dq], bit for bit, under the shape and dtype its header gives: in
+        each run of a suite and in a lone run. OFF_EDGE_BLOCK puts no
+        block edge at the disturbance start."""
+        nominal, thresholds, _, _ = default_cal
+        paths = [base_ini(tmp_path, "in/base.ini"),
+                 base_ini(tmp_path, "in/value.ini", CHANGES["value"])]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_module, "SIMULATE_BLOCK", block)
+            run_suite(paths, nominal, thresholds, random_library(),
+                      out_dir=str(tmp_path / "suite"))
+            run_scenario(load_scenario(paths[1]), nominal, thresholds,
+                         random_library(), out_dir=str(tmp_path / "lone"))
+        for out, path in ((tmp_path / "suite" / "base", paths[0]),
+                          (tmp_path / "suite" / "value", paths[1]),
+                          (tmp_path / "lone", paths[1])):
+            config = load_scenario(path)
+            sim = simulate(config.circuit, config.disturbance,
+                           config.excitation, config.duration, config.ts,
+                           config.noise_std, config.noise_seed, config.i_op)
+            want = np.column_stack([sim.t, sim.v_dq, sim.i_dq])
+            with open(out / "samples.npy", "rb") as fh:
+                version = np.lib.format.read_magic(fh)
+                shape, fortran, dtype = \
+                    np.lib.format.read_array_header_1_0(fh)
+            assert version == (1, 0)
+            assert (shape, fortran, dtype) == (
+                (sample_count(config.duration, config.ts), 5), False,
+                np.dtype("<f8"))
+            got = np.load(out / "samples.npy", allow_pickle=False)
+            assert got.shape == want.shape == shape
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got.view(np.uint64),
+                                  want.view(np.uint64)), out
+
+    @pytest.mark.parametrize("second", ["other/y.ini", "other/Y.ini",
+                                        "in/y.ini"])
+    def test_same_name_scenarios_rejected_before_any_run(
+            self, default_cal, tmp_path, second):
+        """Two scenarios whose artifacts would share a directory: the suite
+        runs neither of them."""
+        nominal, thresholds, _, _ = default_cal
+        paths = [base_ini(tmp_path, "in/base.ini"),
+                 base_ini(tmp_path, "in/y.ini"),
+                 base_ini(tmp_path, second)]
+        with pytest.raises(ValueError, match=r"(?i)scenarios .*in/y\.ini and "
+                           r".*y\.ini have the same name"):
+            run_suite(paths, nominal, thresholds, random_library(),
+                      out_dir=str(tmp_path / "suite"))
+        assert not (tmp_path / "suite").exists()
+
+    def test_empty_manifest_rejected(self, default_cal, tmp_path):
+        nominal, thresholds, _, _ = default_cal
+        with pytest.raises(ValueError, match="lists no scenarios"):
+            run_suite([], nominal, thresholds, out_dir=str(tmp_path / "s"))
+        assert not (tmp_path / "s").exists()
+
+    def test_library_build_equals_per_run_builds(self, default_cal,
+                                                 tmp_path):
+        """A library built from two scenarios holds the signatures of the
+        two built one at a time. Blocks of LIBRARY_BLOCK samples put an
+        edge inside the window the library reads."""
+        nominal, thresholds, _, _ = default_cal
+        configs = [load_scenario(base_ini(tmp_path, "base.ini")),
+                   load_scenario(base_ini(tmp_path, "load.ini",
+                                          CHANGES["kind"]))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_module, "SIMULATE_BLOCK", LIBRARY_BLOCK)
+            both = build_library_from_scenarios(configs, nominal, thresholds)
+            alone = [build_library_from_scenarios([c], nominal, thresholds)
+                     for c in configs]
+        assert json.loads(both.to_json())["signatures"] == [
+            json.loads(lib.to_json())["signatures"][0] for lib in alone]
+
     def test_rows_and_error_isolation(self, default_cal, tmp_path):
         nominal, thresholds, _, _ = default_cal
         good = write_ini(

@@ -372,14 +372,29 @@ class TestBlockSimulator:
         assert np.array_equal(bits(got_v), bits(v_noise))
         assert np.array_equal(bits(got_i), bits(i_noise))
 
+    def test_noise_start_memo_changes_no_bit(self, params):
+        """A run whose current noise starts from the kept state
+        (`_noise_start`) gives the bits of a run that works it out afresh,
+        and so does a later run of that seed after a run of another seed:
+        no run changes the state kept for the others."""
+        memo = simulate_module._noise_start
+        memo.cache_clear()
+        runs = [simulate(params, self.dist, self.exc, 0.2, 2e-4, 1e-4, seed)
+                for seed in (3, 3, 4, 3)]
+        assert memo.cache_info().hits == 2
+        cold, warm, other, again = runs
+        assert not np.array_equal(other.i_dq, cold.i_dq)
+        for run in (warm, again):
+            assert np.array_equal(bits(run.v_dq), bits(cold.v_dq))
+            assert np.array_equal(bits(run.i_dq), bits(cold.i_dq))
+
     def test_bad_block_rejected(self, params):
         with pytest.raises(ValueError, match="block must be >= 1"):
             simulate_blocks(params, None, self.exc, 0.2, block=0)
 
     def test_non_finite_block_raises(self, params, monkeypatch):
-        def blow_up(v, x, FC, drive):
+        def blow_up(v, *args):
             v[:] = np.inf
-            return x
 
         monkeypatch.setattr(simulate_module, "_step", blow_up)
         blocks = simulate_blocks(params, None, self.exc, 0.2, block=100)
