@@ -3,8 +3,10 @@ of end-to-end runs."""
 
 import configparser
 import filecmp
+import importlib
 import json
 import os
+import shutil
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -12,9 +14,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from gridarx import circuit as circuit_module
 from gridarx import rls as rls_module
 from gridarx import scenario as scenario_module
-from gridarx.circuit import CircuitParams
+from gridarx.circuit import CircuitParams, full_circuit_model
 from gridarx.detector import (
     Signature,
     SignatureLibrary,
@@ -1232,8 +1235,9 @@ d_low = 0.1
 """
 
 # (variant, line replaced in BASE_INI, its replacement): the base run's
-# suite neighbours. The noise seed and the duration change where the
-# current noise starts, which the simulator keeps across runs.
+# suite neighbours, one key of each section changed. The noise seed, the
+# duration and the sample time change where the current noise starts,
+# which the simulator keeps across runs.
 VARIANTS = [
     ("kind", "kind = fault\nr_fault_pu = 0.2077",
      "kind = load\nl_load_pu = 0.35"),
@@ -1241,10 +1245,19 @@ VARIANTS = [
     ("t_end", "t_end = 0.75", "t_end = 0.9"),
     ("thresholds", "mode = manual\nd_high = 0.25\nd_low = 0.1",
      "mode = auto"),
+    ("match_floor", "[run]\n", "[run]\nmatch_floor = 0.0\n"),
+    ("hold", "[run]\n", "[run]\nhold = 7\n"),
+    ("calibration_window", "calibration_window = 500",
+     "calibration_window = 1500"),
     ("noise_seed", "noise_seed = 2", "noise_seed = 3"),
-    ("duration", "duration = 1.0", "duration = 1.1"),
-    ("t_start", "t_start = 0.5", "t_start = 0.55"),
+    ("excitation_seed", "seed = 1", "seed = 4"),
+    ("amplitude", "amplitude = 0.1", "amplitude = 0.12"),
+    ("forgetting", "forgetting = 0.999", "forgetting = 0.998"),
     ("order", "order = 3", "order = 2"),
+    ("duration", "duration = 1.0", "duration = 1.1"),
+    ("ts", "[run]\n", "[run]\nts = 1e-4\n"),
+    ("t_start", "t_start = 0.5", "t_start = 0.55"),
+    ("circuit", "[excitation]", "[circuit]\nr1 = 2.1\n[excitation]"),
 ]
 CHANGES = {name: (old, new) for name, old, new in VARIANTS}
 
@@ -1271,6 +1284,31 @@ def random_library(seed=8):
         vec = rng.standard_normal((2, 12))
         lib.signatures.append(Signature(label, vec / np.linalg.norm(vec)))
     return lib
+
+
+def counting_suite(paths, nominal, thresholds, library, out_dir,
+                   block=START_BLOCK):
+    """run_suite in blocks of `block` samples with the updates each run
+    passes to `identify` counted: (reports, [(scenario name, updates
+    identified)])."""
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario_module, "SIMULATE_BLOCK", block)
+
+        def counted_identify(*args, **kwargs):
+            run = identify(*args, **kwargs)
+            counts[-1][1] += run.t.size
+            return run
+
+        def counted_run(config, *args, **kwargs):
+            counts.append([config.name, 0])
+            return run_scenario(config, *args, **kwargs)
+
+        mp.setattr(scenario_module, "identify", counted_identify)
+        mp.setattr(scenario_module, "run_scenario", counted_run)
+        reports, _ = run_suite(paths, nominal, thresholds, library,
+                               out_dir=out_dir)
+    return reports, [tuple(c) for c in counts]
 
 
 def lone_run(path, nominal, thresholds, library, out_dir):
@@ -1350,6 +1388,32 @@ class TestLibraryStopsAtWindowEnd:
         assert counts == [("base", library_updates(config, block))]
         if block < 10**6:
             assert counts[0][1] < updates_of(config)
+
+    @pytest.mark.parametrize("block", [OFF_EDGE_BLOCK, START_BLOCK,
+                                       LIBRARY_BLOCK])
+    def test_later_scenarios_stop_at_their_own_window_end(
+            self, default_cal, tmp_path, block):
+        """The base stream stops after its window, past the disturbance
+        start; each later stream still identifies from its own first
+        update up to the block passing its own window's end, the one with
+        the later t_end past the point where the base stream stopped, and
+        the library holds the signatures of the three built alone."""
+        nominal, thresholds, _, _ = default_cal
+        configs = [load_scenario(base_ini(tmp_path, "base.ini"))]
+        configs += [load_scenario(base_ini(tmp_path, f"{name}.ini",
+                                           CHANGES[name]))
+                    for name in ("kind", "t_end")]
+        library, counts = counting_library(configs, nominal, thresholds,
+                                           block)
+        assert counts == [(config.name, library_updates(config, block))
+                          for config in configs]
+        assert library_updates(configs[0], block) < \
+            library_updates(configs[2], block)
+        alone = [build_library_from_scenarios([c], nominal, thresholds)
+                 for c in configs]
+        assert library.to_json() == SignatureLibrary(
+            order=3, signatures=[lib.signatures[0] for lib in alone]
+        ).to_json()
 
     def test_window_reaching_the_run_end_identifies_every_update(
             self, default_cal, tmp_path):
@@ -1437,22 +1501,30 @@ class TestRunSuite:
         paths = [base_ini(root, "base.ini")]
         paths += [base_ini(root, f"{name}.ini", (old, new))
                   for name, old, new in VARIANTS]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scenario_module, "SIMULATE_BLOCK", START_BLOCK)
-            reports, _ = run_suite(paths, nominal, thresholds, library,
-                                   out_dir=str(root / "suite"))
+        reports, counts = counting_suite(paths, nominal, thresholds, library,
+                                         str(root / "suite"))
         errors = {}
         for path in paths:
             name = os.path.splitext(os.path.basename(path))[0]
             errors[name] = lone_run(path, nominal, thresholds, library,
                                     str(root / "lone" / name))
-        return root, paths, reports, errors
+        return root, paths, reports, counts, errors
+
+    def test_block_edges_around_the_disturbance_start(self, tmp_path):
+        config = load_scenario(base_ini(tmp_path, "b.ini"))
+        k_on = int(round(config.disturbance.t_start / config.ts))
+        assert k_on == disturbance_start(config.disturbance, config.duration,
+                                         config.ts)
+        assert k_on % START_BLOCK == 0
+        assert k_on // START_BLOCK == 4
+        assert k_on // OFF_EDGE_BLOCK * OFF_EDGE_BLOCK == k_on - 1
+        assert 2 * LIBRARY_BLOCK == k_on + 2
 
     def test_every_artifact_equals_a_lone_run(self, suite_and_lone_runs):
         """The order-2 variant is rejected before it simulates, against the
         order-3 library, the same way in both; every other run writes the
         same bytes."""
-        root, paths, reports, errors = suite_and_lone_runs
+        root, paths, reports, _, errors = suite_and_lone_runs
         failed = [name for name, rep in reports.items() if rep is None]
         assert failed == ["order"]
         assert errors["order"] == ("the library is of model order 3, but "
@@ -1464,6 +1536,130 @@ class TestRunSuite:
                 assert errors[name] is None
                 assert_same_artifacts(str(root / "suite" / name),
                                       str(root / "lone" / name))
+
+    def test_suite_verdicts_are_mixed(self, suite_and_lone_runs):
+        """The rows before the disturbance carry every verdict, so a wrong
+        verdict shows in the artifacts compared with a lone run's."""
+        root = suite_and_lone_runs[0]
+        events = (root / "suite" / "match_floor" / "events.jsonl")
+        seen = {json.loads(line)["verdict"]
+                for line in events.read_text().splitlines()
+                if json.loads(line)["t"] < 0.5}
+        assert seen == {"normal", "fault", "load_increase", "unclassified"}
+
+    def test_every_run_identifies_every_update(self, suite_and_lone_runs):
+        """Each run identifies its whole stream from its first update,
+        whatever ran before it; the rejected order-2 run identifies
+        none."""
+        _, paths, _, counts, _ = suite_and_lone_runs
+        want = []
+        for path in paths:
+            config = load_scenario(path)
+            want.append((config.name, 0 if config.name == "order"
+                         else updates_of(config)))
+        assert counts == want
+
+    # 7 puts the last block edge before the disturbance start one sample
+    # before it, 2500 on it, with one block before it
+    @pytest.mark.parametrize("sim_block", [OFF_EDGE_BLOCK, 2500])
+    def test_simulator_blocks_change_no_byte(self, default_cal,
+                                             suite_and_lone_runs, tmp_path,
+                                             sim_block):
+        nominal, thresholds, _, _ = default_cal
+        root, paths, _, _, _ = suite_and_lone_runs
+        reports, _ = counting_suite(paths, nominal, thresholds,
+                                    random_library(),
+                                    str(tmp_path / "suite"),
+                                    block=sim_block)
+        assert [name for name, rep in reports.items() if rep is None] == \
+            ["order"]
+        for name in reports:
+            if name != "order":
+                assert_same_artifacts(str(tmp_path / "suite" / name),
+                                      str(root / "lone" / name))
+
+    @pytest.mark.parametrize("block", [START_BLOCK, OFF_EDGE_BLOCK])
+    def test_run_after_a_failure_in_the_block_holding_the_start(
+            self, default_cal, tmp_path, block, monkeypatch):
+        """A fault of 1e306 p.u. overflows the disturbed model, so the first
+        run fails in the simulator block that holds its disturbance start,
+        after it has drawn its noise start. The second run, of the same
+        noise seed and duration, identifies its whole stream and writes
+        the bytes of a lone run.
+
+        The loader rejects such a value, so the file holds 1e300 p.u.,
+        whose model is finite, and the simulator is handed the overflowing
+        model of 1e306 p.u. in its place."""
+        def overflowing_model(params, disturbance=None):
+            if disturbance == ("fault", 1e300):
+                return circuit_module._circuit_model(params, ("fault", 1e306))
+            return full_circuit_model(params, disturbance)
+
+        # gridarx.simulate is the function of that name once the package
+        # is imported
+        monkeypatch.setattr(importlib.import_module("gridarx.simulate"),
+                            "full_circuit_model", overflowing_model)
+        nominal, thresholds, _, _ = default_cal
+        paths = [base_ini(tmp_path, "in/huge.ini",
+                          ("r_fault_pu = 0.2077", "r_fault_pu = 1e300")),
+                 base_ini(tmp_path, "in/base.ini")]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            reports, counts = counting_suite(paths, nominal, thresholds,
+                                             random_library(),
+                                             str(tmp_path / "suite"),
+                                             block=block)
+        assert reports["huge"] is None
+        assert not (tmp_path / "suite" / "huge").exists()
+        config = load_scenario(paths[1])
+        k_on = disturbance_start(config.disturbance, config.duration,
+                                 config.ts)
+        # the failed run identified the blocks before the one holding k_on
+        assert counts == [("huge", k_on // block * block
+                           - config.identifier.order - 1),
+                          ("base", updates_of(config))]
+        library = random_library()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            error = lone_run(paths[0], nominal, thresholds, library,
+                             str(tmp_path / "lone" / "huge"))
+        assert error.startswith("[simulate] non-finite voltage trajectory")
+        assert lone_run(paths[1], nominal, thresholds, library,
+                        str(tmp_path / "lone" / "base")) is None
+        assert_same_artifacts(str(tmp_path / "suite" / "base"),
+                              str(tmp_path / "lone" / "base"))
+
+    def test_every_run_hands_its_writers_all_its_rows(self, default_cal,
+                                                      tmp_path):
+        """Each run of a suite hands its writers every row of its
+        artifacts. The rows are counted where each writer's `write`
+        receives them."""
+        nominal, thresholds, _, _ = default_cal
+        paths = [base_ini(tmp_path, "in/base.ini"),
+                 base_ini(tmp_path, "in/value.ini", CHANGES["value"])]
+        given = {}  # the rows handed to the writers, by (run, artifact)
+
+        def counted(write):
+            def counted_write(writer, data):
+                # the writer's file is its run's `.<artifact>.partial`
+                run, temporary = os.path.split(writer.fh.name)
+                key = (os.path.basename(run),
+                       temporary[1:-len(".partial")])
+                given[key] = given.get(key, 0) + data.shape[0]
+                write(writer, data)
+            return counted_write
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_NpyWriter, "write", counted(_NpyWriter.write))
+            _, counts = counting_suite(paths, nominal, thresholds,
+                                       random_library(),
+                                       str(tmp_path / "suite"))
+        config = load_scenario(paths[0])
+        assert counts == [("base", updates_of(config)),
+                          ("value", updates_of(config))]
+        for name in ("samples.npy", "distance.npy", "theta.npy"):
+            for run in ("base", "value"):
+                path = tmp_path / "suite" / run / name
+                rows = np.load(path, allow_pickle=False).shape[0]
+                assert given[run, name] == rows > 0, (run, name)
 
     @pytest.mark.parametrize("block", [START_BLOCK, OFF_EDGE_BLOCK])
     def test_samples_npy_holds_the_simulator_bits(self, default_cal,
@@ -1502,6 +1698,50 @@ class TestRunSuite:
             assert got.dtype == want.dtype == dtype
             assert np.array_equal(got.view(np.uint64),
                                   want.view(np.uint64)), out
+
+    @staticmethod
+    def back_to_back(tmp_path, nominals, thresholds, between=lambda out: None):
+        """The base scenario run twice in one process, the first run with
+        nominals[0] and the second with nominals[1], and `between` called
+        with the first run's out_dir in between; then the second run alone
+        with a cold noise-start memo. (second run's out_dir, lone run's
+        out_dir)."""
+        path = base_ini(tmp_path, "in/base.ini")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_module, "SIMULATE_BLOCK", START_BLOCK)
+            for run, nominal in enumerate(nominals):
+                out = str(tmp_path / "suite" / str(run))
+                run_scenario(load_scenario(path), nominal, thresholds,
+                             random_library(), out_dir=out)
+                if not run:
+                    between(out)
+            lone = str(tmp_path / "lone")
+            importlib.import_module("gridarx.simulate") \
+                ._noise_start.cache_clear()
+            run_scenario(load_scenario(path), nominals[1], thresholds,
+                         random_library(), out_dir=lone)
+        return out, lone
+
+    def test_run_with_another_nominal_writes_its_own_rows(
+            self, default_cal, tmp_path):
+        """A run after one of the same scenario with another nominal
+        predictor writes the distances of its own predictor, as its lone
+        run does."""
+        nominal, thresholds, _, _ = default_cal
+        other = replace(nominal, theta_star=nominal.theta_star * 1.01)
+        second, lone = self.back_to_back(tmp_path, (nominal, other),
+                                         thresholds)
+        assert_same_artifacts(second, lone)
+
+    def test_run_outlives_an_earlier_runs_files(self, default_cal,
+                                                tmp_path):
+        """A run reads no file of an earlier run of its scenario: it still
+        writes the bytes of its lone run after that run's out_dir is
+        deleted."""
+        nominal, thresholds, _, _ = default_cal
+        second, lone = self.back_to_back(tmp_path, (nominal, nominal),
+                                         thresholds, between=shutil.rmtree)
+        assert_same_artifacts(second, lone)
 
     @pytest.mark.parametrize("second", ["other/y.ini", "other/Y.ini",
                                         "in/y.ini"])
