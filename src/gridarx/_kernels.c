@@ -1,8 +1,10 @@
 /* The per-sample loops of gridarx, as a CPython extension module built on
  * numpy's C API: the RLS recursion of `rls.rls_run` with the regressor
- * fill of `pipeline.identify`, the simulator step of `simulate._step`, and
- * the distance and verdict passes of `detector.distances` and
- * `detector.classify_series`.
+ * fill of `pipeline.identify`, the simulator step of `simulate._step`, the
+ * distance and verdict passes of `detector.distances` and
+ * `detector.classify_series`, the debounce of `detector.debounce` with a
+ * run's transitions and first times, and the running sums of
+ * `detector.RunningMean` and the baseline's one-cycle average.
  *
  * Every sum is made in a fixed order, and none by a BLAS library, whose
  * kernels depend on the CPU, so the outputs have the same bits on every
@@ -14,17 +16,21 @@
  *   contiguous row (`pairwise_sum_sq`);
  * - the product of a band snapshot's deviation with each signature sums
  *   left to right from 0.0 too (`dot`);
+ * - a running sum adds one row or sample after another (`add_rows`,
+ *   `cycle_average`), the order of numpy's axis-0 add.reduce over
+ *   C-contiguous rows and of np.cumsum;
  * - everything else is one IEEE operation per entry, as a numpy ufunc
  *   makes it. The file is compiled with -ffp-contract=off, so that no
  *   multiply and add fuse into an FMA, and without -ffast-math, so that no
  *   sum is reordered.
  *
- * `rls_block` and `classify_block` each take a stream block in one call:
- * they convert their inputs as np.ascontiguousarray(x, float) does,
- * allocate every output and fill it. `rls_block` calls back into Python
- * for one thing only, the rare spectral clamp of the covariance, and then
- * carries on with the block. The arrays that an entry point reads or
- * writes in place (`sim_rows`, the signature arrays) must be aligned,
+ * `rls_block`, `classify_block` and `debounce_block` each take a stream
+ * block in one call: they convert their inputs as
+ * np.ascontiguousarray(x, float) does (the codes as intp), allocate every
+ * output and fill it. `rls_block` calls back into Python for one thing
+ * only, the rare spectral clamp of the covariance, and then carries on
+ * with the block. The arrays that an entry point reads or writes in place
+ * (`sim_rows`, the signature arrays, the running sums) must be aligned,
  * C-contiguous ndarrays of the dtype and shape it names, in native byte
  * order, writable where written; any other raises ValueError naming the
  * function and the argument. `_kernels.py` compiles and loads this file.
@@ -869,6 +875,249 @@ done:
 }
 
 /* ------------------------------------------------------------------------
+ * The debounce of a verdict stream, the running sum of rows and the
+ * baseline's one-cycle average.
+ */
+
+/* The integer attribute `name` of `obj` into *value; 0 with the error set
+ * otherwise. */
+static int get_int(PyObject *obj, const char *name, Py_ssize_t *value)
+{
+    PyObject *v = PyObject_GetAttrString(obj, name);
+    if (!v)
+        return 0;
+    *value = PyLong_AsSsize_t(v);
+    Py_DECREF(v);
+    return !(*value == -1 && PyErr_Occurred());
+}
+
+/* obj.name = value; 0 with the error set otherwise. */
+static int set_int(PyObject *obj, const char *name, Py_ssize_t value)
+{
+    PyObject *v = PyLong_FromSsize_t(value);
+    int ok = v && PyObject_SetAttrString(obj, name, v) == 0;
+    Py_XDECREF(v);
+    return ok;
+}
+
+#define FIRST_TIMES 5
+
+static const char debounce_block_doc[] =
+    "debounce_block(codes, hold, state, armed, t, d, window, found)\n"
+    "    -> (stable, changes, found)\n\n"
+    "One block of a verdict code stream (codes >= 0, as intp), debounced\n"
+    "from where the DebounceState `state` stands (its integers current and\n"
+    "candidate, -1 for none, and streak), which is left where the block\n"
+    "ends: a code is reported once it has held for `hold` updates in a\n"
+    "row, the stream's first at once. Codes before index `armed` count as\n"
+    "normal. stable holds the reported codes, changes the indices where one\n"
+    "differs from the one reported before it.\n\n"
+    "With window = (t_start, t_end, d_low, d_high) and t and d the block's\n"
+    "update times and distances (float64 arrays), the five entries of found\n"
+    "are, of the updates from `armed` on, the first at t >= t_start with\n"
+    "d > d_high, with d > d_low, the first at t >= t_end with d <= d_low,\n"
+    "and the first at t >= t_start reported as fault, as other than normal,\n"
+    "as t - t_start (t - t_end for the third); an entry that is not None\n"
+    "stays. With window None, t and d are not read and found comes back\n"
+    "as it was.";
+
+static PyObject *debounce_block(PyObject *self, PyObject *const *arg,
+                                Py_ssize_t nargs)
+{
+    const char *func = "debounce_block";
+    PyArrayObject *codes, *t = NULL, *d = NULL, *stable = NULL,
+                  *changes = NULL;
+    PyObject *found = NULL, *out = NULL;
+    Py_ssize_t hold, armed, current, candidate, streak;
+    double w[4], first[FIRST_TIMES];
+    int have[FIRST_TIMES];
+    const int timed = nargs == 8 && arg[6] != Py_None;
+    if (!nargs_ok(func, nargs, 8)
+            || (((hold = PyLong_AsSsize_t(arg[1])) == -1
+                 || (armed = PyLong_AsSsize_t(arg[3])) == -1)
+                && PyErr_Occurred()))
+        return NULL;
+    if (hold < 1)
+        return PyErr_Format(PyExc_ValueError, "hold must be >= 1, got %zd",
+                            hold);
+    if (!PyTuple_Check(arg[7]) || PyTuple_GET_SIZE(arg[7]) != FIRST_TIMES)
+        return PyErr_Format(PyExc_ValueError, "%s: argument found: expected "
+                            "a tuple of %d entries, each a time or None",
+                            func, FIRST_TIMES);
+    for (int j = 0; j < FIRST_TIMES; j++)
+        have[j] = PyTuple_GET_ITEM(arg[7], j) != Py_None;
+    if (timed && !PyTuple_Check(arg[6]))
+        return PyErr_Format(PyExc_ValueError, "%s: argument window: "
+                            "expected a tuple or None", func);
+    if ((timed && !PyArg_ParseTuple(arg[6], "dddd;window: expected (t_start, "
+                                    "t_end, d_low, d_high)",
+                                    &w[0], &w[1], &w[2], &w[3]))
+            || !get_int(arg[2], "current", &current)
+            || !get_int(arg[2], "candidate", &candidate)
+            || !get_int(arg[2], "streak", &streak)
+            || !(codes = (PyArrayObject *)PyArray_FROM_OTF(
+                     arg[0], NPY_INTP, NPY_ARRAY_IN_ARRAY
+                                       | NPY_ARRAY_ENSUREARRAY)))
+        return NULL;
+    npy_intp n = PyArray_SIZE(codes), count = 0;
+    if (PyArray_NDIM(codes) != 1) {
+        PyErr_Format(PyExc_ValueError, "%s: argument codes: expected one "
+                     "dimension, got %d", func, PyArray_NDIM(codes));
+        goto done;
+    }
+    if ((timed && (!(t = checked(func, arg[4], "t", 'd', 0, 1, &n))
+                   || !(d = checked(func, arg[5], "d", 'd', 0, 1, &n))))
+            || !(stable = empty(1, &n, NPY_INTP))
+            || !(changes = empty(1, &n, NPY_INTP)))
+        goto done;
+    const npy_intp *code = PyArray_DATA(codes);
+    npy_intp *report = PyArray_DATA(stable), *at = PyArray_DATA(changes);
+    const double *tk = timed ? PyArray_DATA(t) : NULL,
+                 *dk = timed ? PyArray_DATA(d) : NULL;
+    Py_ssize_t before = current; /* the code reported before update k */
+    for (npy_intp k = 0; k < n; before = current, k++) {
+        const npy_intp c = k < armed ? NORMAL_CODE : code[k];
+        if (c < 0) {
+            PyErr_Format(PyExc_ValueError, "%s: code %zd is negative: %zd",
+                         func, (Py_ssize_t)k, (Py_ssize_t)c);
+            goto done;
+        }
+        if (current < 0)
+            current = c;
+        if (c == current) {
+            candidate = -1;
+            streak = 0;
+        } else {
+            streak = c == candidate ? streak + 1 : 1;
+            candidate = c;
+            if (streak >= hold) {
+                current = c;
+                candidate = -1;
+                streak = 0;
+            }
+        }
+        report[k] = current;
+        if (current != before)
+            at[count++] = k;
+        if (timed && k >= armed) {
+            const int on = tk[k] >= w[0];
+            const int hit[FIRST_TIMES] = {
+                on && dk[k] > w[3], on && dk[k] > w[2],
+                tk[k] >= w[1] && dk[k] <= w[2],
+                on && current == FAULT_CODE, on && current != NORMAL_CODE};
+            for (int j = 0; j < FIRST_TIMES; j++)
+                if (!have[j] && hit[j]) {
+                    have[j] = 2; /* found in this block */
+                    first[j] = tk[k] - w[j == 2];
+                }
+        }
+    }
+    PyArray_Dims size = {&count, 1};
+    PyObject *resized = PyArray_Resize(changes, &size, 0, NPY_CORDER);
+    Py_XDECREF(resized);
+    if (!resized || !set_int(arg[2], "current", current)
+            || !set_int(arg[2], "candidate", candidate)
+            || !set_int(arg[2], "streak", streak)
+            || !(found = PyTuple_New(FIRST_TIMES)))
+        goto done;
+    for (int j = 0; j < FIRST_TIMES; j++) {
+        PyObject *item = have[j] == 2 ? PyFloat_FromDouble(first[j])
+                                      : Py_NewRef(PyTuple_GET_ITEM(arg[7], j));
+        if (!item)
+            goto done;
+        PyTuple_SET_ITEM(found, j, item);
+    }
+    out = PyTuple_Pack(3, stable, changes, found);
+done:
+    Py_DECREF(codes);
+    Py_XDECREF(stable);
+    Py_XDECREF(changes);
+    Py_XDECREF(found);
+    return out;
+}
+
+static const char add_rows_doc[] =
+    "add_rows(total, rows)\n\n"
+    "Adds the rows of `rows` (m, *shape) to `total` (shape) in place, one\n"
+    "row after another, each value on its own: the order in which numpy's\n"
+    "add.reduce over axis 0 sums C-contiguous rows of two values or more,\n"
+    "from 0.0. rows is converted as np.ascontiguousarray(rows, float).";
+
+static PyObject *add_rows(PyObject *self, PyObject *const *arg,
+                          Py_ssize_t nargs)
+{
+    const char *func = "add_rows";
+    PyArrayObject *rows, *total;
+    if (!nargs_ok(func, nargs, 2) || !(rows = as_contiguous(arg[1])))
+        return NULL;
+    if (!(total = checked(func, arg[0], "total", 'd', 1,
+                          PyArray_NDIM(rows) - 1, PyArray_DIMS(rows) + 1))) {
+        Py_DECREF(rows);
+        return NULL;
+    }
+    const npy_intp m = PyArray_DIM(rows, 0), w = PyArray_SIZE(total);
+    const double *x = PyArray_DATA(rows);
+    double *sum = PyArray_DATA(total);
+    for (npy_intp k = 0; k < m; k++)
+        for (npy_intp j = 0; j < w; j++)
+            sum[j] += x[k * w + j];
+    Py_DECREF(rows);
+    Py_RETURN_NONE;
+}
+
+static const char cycle_average_doc[] =
+    "cycle_average(v, history, total, count) -> averages\n\n"
+    "The moving averages over one cycle of n samples, per column, of the\n"
+    "block v (m, cols) of a stream of which `count` samples came before:\n"
+    "sample k adds its change to the window sum `total` (cols), the sample\n"
+    "entering less the one leaving, n samples back (0.0 before the\n"
+    "stream's start), which the ring `history` (n, cols) holds at row\n"
+    "(count + k) % n, where the entering one takes its place; its average\n"
+    "is the sum over min(count + k + 1, n). The order of np.cumsum over\n"
+    "the changes. total and history are updated in place.";
+
+static PyObject *cycle_average(PyObject *self, PyObject *const *arg,
+                               Py_ssize_t nargs)
+{
+    const char *func = "cycle_average";
+    const npy_intp any2[2] = {ANY, ANY};
+    PyArrayObject *v, *history, *total, *out = NULL;
+    Py_ssize_t count;
+    if (!nargs_ok(func, nargs, 4)
+            || ((count = PyLong_AsSsize_t(arg[3])) == -1 && PyErr_Occurred())
+            || !(history = checked(func, arg[1], "history", 'd', 1, 2, any2)))
+        return NULL;
+    const npy_intp n = PyArray_DIM(history, 0), cols = PyArray_DIM(history, 1),
+                   rows[2] = {ANY, cols};
+    if (n < 1 || count < 0)
+        return PyErr_Format(PyExc_ValueError, "%s: need a history row and a "
+                            "count >= 0, got %zd and %zd", func,
+                            (Py_ssize_t)n, count);
+    if (!(total = checked(func, arg[2], "total", 'd', 1, 1, &cols))
+            || !(v = as_contiguous(arg[0])))
+        return NULL;
+    if (checked(func, (PyObject *)v, "v", 'd', 0, 2, rows)) {
+        npy_intp dims[2] = {PyArray_DIM(v, 0), cols};
+        if ((out = empty(2, dims, NPY_DOUBLE))) {
+            const double *x = PyArray_DATA(v);
+            double *ring = PyArray_DATA(history), *sum = PyArray_DATA(total),
+                   *avg = PyArray_DATA(out);
+            for (npy_intp k = 0; k < dims[0]; k++, count++) {
+                double *old = ring + (count % n) * cols;
+                const double window = (double)(count < n ? count + 1 : n);
+                for (npy_intp j = 0; j < cols; j++) {
+                    sum[j] = sum[j] + (x[k * cols + j] - old[j]);
+                    old[j] = x[k * cols + j];
+                    avg[k * cols + j] = sum[j] / window;
+                }
+            }
+        }
+    }
+    Py_DECREF(v);
+    return (PyObject *)out;
+}
+
+/* ------------------------------------------------------------------------
  * The module.
  */
 
@@ -881,6 +1130,9 @@ static PyMethodDef methods[] = {
     FASTCALL(sim_rows),
     FASTCALL(distance_block),
     FASTCALL(classify_block),
+    FASTCALL(debounce_block),
+    FASTCALL(add_rows),
+    FASTCALL(cycle_average),
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef module = {

@@ -1,8 +1,9 @@
 """The per-sample loops of gridarx, a C extension module compiled at import.
 
 `_kernels.c` holds the block kernels of `pipeline.identify` (and
-`rls.rls_run`), `detector.classify_series` and `detector.distances`, and
-the step loop of `simulate._step`. It is built on numpy's C API: it is
+`rls.rls_run`), `detector.classify_series`, `detector.distances` and
+`detector.debounce`, the running sums of `detector.RunningMean` and of the
+baseline's one-cycle average, and the step loop of `simulate._step`. It is built on numpy's C API: it is
 compiled with the C compiler `CC` against the headers of the running
 Python (`INCLUDE`) and numpy (`NUMPY_INCLUDE`) into an extension module in
 the `__pycache__` directory beside it, whose name carries the sha256 of
@@ -14,14 +15,16 @@ writes under a temporary name, which is then moved into place, so
 processes that import into one empty cache at once each load a whole
 module.
 
-A stream block takes two calls: `rls_block` converts the streams,
+A stream block takes three calls: `rls_block` converts the streams,
 allocates every output of `identify` and steps the block, making each
 update's regressor as it goes (`regressor_rows` makes them all, for
 `IdentRun.y` and `.phi`), and calls the spectral clamp of the covariance
 (`rls._clamp`, a Python callable in `ArxConfig.kernel_params`) when a step
 needs it;
 `classify_block` takes each snapshot's distance, its band products with
-the signatures and its verdict in one pass. The arrays an entry point
+the signatures and its verdict in one pass; `debounce_block` debounces
+the verdicts, carrying the state as integers, and returns the block's
+transitions and the first times of the disturbance window. The arrays an entry point
 reads or writes in place are checked for dtype, shape, C-contiguity and
 writability, raising ValueError naming the function and the argument.
 Every product sums left to right in C, so no output depends on the BLAS
@@ -128,4 +131,7 @@ regressor_rows = EXTENSION.regressor_rows
 sim_rows = EXTENSION.sim_rows
 distance_block = EXTENSION.distance_block
 classify_block = EXTENSION.classify_block
+debounce_block = EXTENSION.debounce_block
+add_rows = EXTENSION.add_rows
+cycle_average = EXTENSION.cycle_average
 UpdateRejectedError = EXTENSION.UpdateRejectedError

@@ -12,7 +12,10 @@ pass (its deviation and distance, summed in the order of numpy's
 add.reduce; for a band snapshot its products with the signatures, each
 summed left to right; then its similarity, best match and verdict code).
 The signature matrix is built once per library content
-(`SignatureLibrary.arrays`).
+(`SignatureLibrary.arrays`). The debounce of the verdicts, a run's
+transitions and its first times are one loop in C as well
+(`_kernels.debounce_block`), and so are the running sums of
+`RunningMean` and `calibrate_nominal`.
 """
 
 from __future__ import annotations
@@ -246,7 +249,7 @@ class DetectionEvent:
 
 def calibrate_nominal(t, thetas, window: int) -> NominalPredictor:
     """Elementwise mean of the last `window` predictor snapshots: thetas
-    (m, rows, cols) taken at times t (m,).
+    (m, rows, cols) taken at times t (m,), summed as `RunningMean` sums.
 
     A snapshot in the window holding a NaN or an infinity raises
     ValueError naming its index in `thetas`: the mean would carry it into
@@ -264,7 +267,9 @@ def calibrate_nominal(t, thetas, window: int) -> NominalPredictor:
         raise InsufficientDataError(
             f"need {window} snapshots, have {thetas.shape[0]}"
         )
-    theta_star = np.mean(thetas[-window:], axis=0)
+    mean = RunningMean()
+    mean.add(thetas[-window:])
+    theta_star = mean.mean()
     if not np.isfinite(theta_star).all():
         finite = np.isfinite(thetas[-window:]).all(axis=(1, 2))
         if not finite.all():
@@ -295,33 +300,27 @@ def distances(thetas, theta_star) -> np.ndarray:
 
 
 class RunningMean:
-    """The elementwise mean of rows given block by block, in time order,
-    with the bits of np.mean over the blocks joined (axis 0), the rows
-    taken C-contiguous. It keeps the sum and the row count, not the rows.
+    """The elementwise mean of rows given block by block, in time order.
+    It keeps the sum and the row count, not the rows.
 
-    For C-contiguous rows of two values or more, np.add.reduce(x, axis=0)
-    adds the rows to 0.0 one after another; it sums pairwise only along
-    the fast axis. A sum from 0.0 is never -0.0, so the sum so far, taken
-    as row 0 of the next block's reduce, continues the one sum, and
-    np.mean divides it by the count. An empty block leaves the sum as it
-    was. Rows of one value would be summed pairwise, which this fold does
-    not continue. A block is folded FOLD_ROWS rows at a time, so the copy
-    that puts the sum in front of them stays that short."""
-
-    FOLD_ROWS = 256
+    The sum adds the rows to 0.0 one after another, each value on its own,
+    in a loop of the package's own (`_kernels.add_rows`), and the mean
+    divides it by the count: for rows of two values or more, the bits of
+    np.mean over the blocks joined (axis 0), whose add.reduce sums
+    C-contiguous rows in that order (pairwise only along the fast axis).
+    An empty block leaves the sum as it was."""
 
     def __init__(self):
         self.total = None  # the sum of the rows so far
         self.count = 0
 
     def add(self, rows) -> None:
-        rows = np.ascontiguousarray(rows, float)
-        self.count += rows.shape[0]
-        for lo in range(0, rows.shape[0], self.FOLD_ROWS):
-            part = rows[lo:lo + self.FOLD_ROWS]
-            if self.total is not None:
-                part = np.concatenate([self.total[None], part])
-            self.total = np.add.reduce(part, axis=0)
+        rows = np.asarray(rows, float)
+        if rows.shape[0]:
+            if self.total is None:
+                self.total = np.zeros(rows.shape[1:])
+            _kernels.add_rows(self.total, rows)
+            self.count += rows.shape[0]
 
     def mean(self) -> np.ndarray:
         return self.total / self.count
@@ -397,18 +396,6 @@ def classify(
                           matched_label=label, matched_similarity=sim)
 
 
-def first_time(t, mask, t0: float, found=None):
-    """The first t where `mask` holds, minus t0; None when it never does.
-
-    A series given in consecutive blocks carries `found`: the result of the
-    call on the blocks before. A time found there is kept, so the call on
-    the last block returns the result of one call on their join.
-    """
-    if found is not None:
-        return found
-    return float(t[mask][0] - t0) if np.any(mask) else None
-
-
 def detection_times(t, d, t_start: float, t_end: float,
                     thresholds: Thresholds, found=(None, None, None)):
     """Detection and recovery delays from a distance time series:
@@ -419,81 +406,50 @@ def detection_times(t, d, t_start: float, t_end: float,
     minus t_start. dt2: first time at or after t_end at which d is back at
     d_low or below, minus t_end. Each is None when no crossing occurs.
 
-    A series given in consecutive blocks carries `found` as `first_time`
-    does, for each of the three.
+    A series given in consecutive blocks carries `found`, the result of
+    the call on the blocks before: a time found there is kept, so the call
+    on the last block returns the result of one call on their join. The
+    first three times of `_kernels.debounce_block`, which times a run's
+    blocks, here over codes that are all normal.
     """
-    t = np.asarray(t, float)
-    d = np.asarray(d, float)
-    after_start = t >= t_start
-    return (first_time(t, after_start & (d > thresholds.d_high), t_start,
-                       found[0]),
-            first_time(t, after_start & (d > thresholds.d_low), t_start,
-                       found[1]),
-            first_time(t, (t >= t_end) & (d <= thresholds.d_low), t_end,
-                       found[2]))
+    t = np.ascontiguousarray(t, float)
+    window = (t_start, t_end, thresholds.d_low, thresholds.d_high)
+    return _kernels.debounce_block(
+        np.full(t.shape, NORMAL_CODE), 1, DebounceState(), 0, t,
+        np.ascontiguousarray(d, float), window, (*found, None, None))[2][:3]
 
 
 @dataclass
 class DebounceState:
-    """Where `debounce` left a verdict stream: the reported verdict (None
-    before the first) and the candidate verdict with its streak."""
+    """Where `debounce` left a code stream, as integers: the reported code
+    (-1 before the first) and the candidate code (-1 for none) with its
+    streak."""
 
-    current: object = None
-    candidate: object = None
+    current: int = -1
+    candidate: int = -1
     streak: int = 0
 
 
-def debounce(verdicts, hold: int = DEFAULT_HOLD,
-             state: DebounceState | None = None):
-    """Suppress single-sample verdict chatter.
+def debounce(codes, hold: int = DEFAULT_HOLD,
+             state: DebounceState | None = None) -> np.ndarray:
+    """Suppress single-sample verdict chatter in an array of verdict codes
+    (each >= 0, such as `classify_series` returns; VERDICTS[codes] gives
+    the members), as an intp array of the reported codes.
 
-    The reported verdict changes only after the raw verdict has held its new
-    value for `hold` consecutive samples. Verdicts may be any values that
-    compare with ==, such as Verdict members or their integer codes. An
-    array gives an array of its dtype; anything else gives a list.
+    The reported code changes only after the raw code has held its new
+    value for `hold` consecutive samples; a stream's first code is
+    reported at once.
 
     A stream given in consecutive blocks passes one `state` to every call:
     each call starts where it stands and leaves it where the block ends, so
     the blocks' outputs join into the output of one call on their join.
-
-    Computed on whole runs of equal verdicts: a run switches the report to
-    its value at its `hold`-th sample, counted from where its streak began
-    (for the first run, in the block before when it continues the state's
-    candidate; at once for a stream's first verdict), and each sample
-    reports the last run to switch at or before it.
+    One loop in C (`_kernels.debounce_block`), which a run also asks for
+    its transitions and its first times.
     """
-    if hold < 1:
-        raise ValueError(f"hold must be >= 1, got {hold}")
     if state is None:
         state = DebounceState()
-    is_array = isinstance(verdicts, np.ndarray)
-    values = verdicts if is_array else np.array(verdicts, dtype=object)
-    n = values.shape[0]
-    if n == 0:
-        return values if is_array else []
-    starts = np.flatnonzero(np.concatenate(([True],
-                                            values[1:] != values[:-1])))
-    ends = np.append(starts[1:], n)
-    began = starts.copy()  # where each run's streak began
-    if state.current is None:
-        began[0] = 1 - hold  # the first verdict is reported at once
-    elif state.candidate is not None and values[0] == state.candidate:
-        began[0] = -state.streak
-    switch = began + hold - 1
-    switches = switch < ends
-    # the index of the verdict each sample reports, -1 for the state's
-    source = np.full(n, -1, dtype=np.intp)
-    source[switch[switches]] = starts[switches]
-    np.maximum.accumulate(source, out=source)
-    out = values[source]
-    if source[0] < 0:
-        out[source < 0] = state.current
-    state.current = out[-1]
-    if values[-1] == state.current:
-        state.candidate, state.streak = None, 0
-    else:
-        state.candidate, state.streak = values[-1], int(n - began[-1])
-    return out if is_array else out.tolist()
+    return _kernels.debounce_block(codes, hold, state, 0, None, None, None,
+                                   (None,) * 5)[0]
 
 
 def build_library(scenario_runs, nominal: NominalPredictor,
@@ -534,18 +490,20 @@ def _signature(label: Verdict, pieces, nominal: NominalPredictor,
     for t, thetas in pieces:
         t = np.asarray(t, float)
         thetas = np.asarray(thetas, float)
-        if t.size == 0:
-            continue
-        if not (np.all(np.diff(t) > 0) and (last is None or t[0] > last)):
-            raise ValueError(f"run {source!r}: snapshot times must increase")
-        last = t[-1]
-        # t increases, so each stretch is a slice: a view, not a copy
-        lo, mid, hi = np.searchsorted(t, [t_start, (t_start + t_end) / 2.0,
-                                          t_end])
-        if lo < hi:
-            d = np.max(distances(thetas[lo:hi], nominal.theta_star))
-            d_max = d if d_max is None else np.maximum(d_max, d)
-        settled.add(thetas[mid:hi])
+        if t.size:
+            if not (np.all(np.diff(t) > 0)
+                    and (last is None or t[0] > last)):
+                raise ValueError(
+                    f"run {source!r}: snapshot times must increase")
+            last = t[-1]
+            # t increases, so each stretch is a slice: a view, not a copy
+            lo, mid, hi = np.searchsorted(
+                t, [t_start, (t_start + t_end) / 2.0, t_end])
+            if lo < hi:
+                d = np.max(distances(thetas[lo:hi], nominal.theta_star))
+                d_max = d if d_max is None else np.maximum(d_max, d)
+            settled.add(thetas[mid:hi])
+        del t, thetas  # before the next piece is read
     if not settled.count:  # and so, when the whole window is empty
         raise InsufficientDataError(
             f"run {source!r}: no snapshots in the settled second half "

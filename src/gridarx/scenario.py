@@ -7,20 +7,22 @@ sets no window runs from 10 s to 20 s. All randomness flows from the seeds
 in the config, so a run is reproducible byte-for-byte.
 
 A run is one loop over the simulator's blocks of SIMULATE_BLOCK samples.
-Each block is identified as it arrives, with the stream's last
-`order + 1` samples prepended, and then classified; the simulator and the
-estimator each carry their state from block to block, which gives bitwise
-the run of one call over the whole stream. Each block's rows go to the
-artifact files as they arrive, written by the run's own process as the
-float64 bytes of three `.npy` files, whose headers the config fixes up
-front: the samples (`samples.npy`), the distances (`distance.npy`) and
-every THETA_STRIDE-th predictor (`theta.npy`); no value is formatted as
-text. The detector carries its debounce, first crossings and
-transitions, and the baseline its one-cycle average, across blocks. Of
+Each block is identified as it arrives, with copies of the stream's last
+`order + 1` samples prepended, and then classified; the simulator and
+the estimator each carry their state from block to block, which gives
+bitwise the run of one call over the whole stream. Each block's rows go
+to the artifact files as they arrive, written by the run's own process
+as the float64 bytes of three `.npy` files, whose headers the config
+fixes up front: the samples (`samples.npy`), the distances
+(`distance.npy`) and every THETA_STRIDE-th predictor (`theta.npy`); no
+value is formatted as text. The detector carries its debounce, first
+crossings and transitions across blocks in one kernel call per block
+(`_kernels.debounce_block`), and the baseline its one-cycle average. Of
 the predictor trajectory a run keeps only the running sum of the
 settle-window rows whose mean gives the final verdict
-(`detector.RunningMean`), so its memory depends on the block size, not
-on its length or its disturbance window.
+(`detector.RunningMean`). A run lets go of each block before it asks for
+the next, so it holds one block at a time: its memory depends on the
+block size, not on its length or its disturbance window.
 
 Every run simulates and identifies its own stream from its first sample:
 the runs of one `run_suite` or `build_library_from_scenarios` call share
@@ -38,11 +40,13 @@ import configparser
 import contextlib
 import json
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import _kernels
 from . import detector as det
 from .baseline import VoltageLimits, limit_check
 from .circuit import CircuitParams
@@ -55,10 +59,7 @@ from .detector import (
     calibrate_nominal,
     calibrate_thresholds,
     classify_series,
-    debounce,
-    detection_times,
     distances,
-    first_time,
 )
 from .pipeline import identify
 from .rls import ArxConfig
@@ -71,8 +72,9 @@ from .simulate import (
     sample_count,
     simulate_blocks,
 )
-# Not called here: kept as a module attribute so that tools which wrap
-# `gridarx.scenario.simulate` by name still resolve it.
+# Not called here: kept as module attributes so that tools which wrap
+# `gridarx.scenario.simulate` and `.debounce` by name still resolve them.
+from .detector import debounce  # noqa: F401
 from .simulate import simulate  # noqa: F401
 
 FLOAT_FMT = "%.17g"
@@ -381,7 +383,7 @@ class _NpyWriter:
 
     def write(self, data: np.ndarray) -> None:
         """Append the rows of the 2-D float array `data`."""
-        self.fh.write(np.ascontiguousarray(data, "<f8").tobytes())
+        self.fh.write(np.ascontiguousarray(data, "<f8"))
 
 
 def _write_csv(path: str, header: str, data: np.ndarray) -> None:
@@ -495,7 +497,7 @@ def _simulate_identify(config: ScenarioConfig):
     def blocks():
         overlap = config.identifier.order + 1
         state = None
-        stream = None  # the last block, with the samples before it prepended
+        tail = None  # copies of the stream's last `overlap` samples
         hi = 0  # samples passed
         while True:
             try:
@@ -505,11 +507,10 @@ def _simulate_identify(config: ScenarioConfig):
             except Exception as exc:
                 raise StageError("simulate", str(exc)) from exc
             lo, hi = hi, hi + part.t.size
-            stream = part if stream is None else SimResult(
-                t=np.concatenate([stream.t[-overlap:], part.t]),
-                v_dq=np.concatenate([stream.v_dq[-overlap:], part.v_dq]),
-                i_dq=np.concatenate([stream.i_dq[-overlap:], part.i_dq]),
-                ts=part.ts)
+            stream = part if tail is None else SimResult(
+                t=np.concatenate([tail[0], part.t]),
+                v_dq=np.concatenate([tail[1], part.v_dq]),
+                i_dq=np.concatenate([tail[2], part.i_dq]), ts=part.ts)
             try:
                 run = identify(stream, config.identifier, state)
             except Exception as exc:
@@ -517,7 +518,11 @@ def _simulate_identify(config: ScenarioConfig):
                 raise StageError(
                     "identify", f"{exc} (block from update {first})") from exc
             state = run.final_state
+            tail = [a[-overlap:].copy()
+                    for a in (stream.t, stream.v_dq, stream.i_dq)]
+            del stream
             yield part, run
+            del part, run  # before the next block is simulated
 
     return blocks()
 
@@ -548,8 +553,10 @@ def _window(config: ScenarioConfig, t_lo: float, t_hi: float):
         for part, run in blocks:
             # t increases, so a block's window rows are a slice
             lo, hi = np.searchsorted(run.t, (t_lo, t_hi))
+            done = hi < run.t.size  # an update at or after t_hi
             yield run.t[lo:hi], run.theta[lo:hi], run.final_state
-            if hi < run.t.size:  # an update at or after t_hi
+            del part, run  # before the next block is asked for
+            if done:
                 break
 
 
@@ -580,6 +587,7 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
         t[rows:rows + t_part.size] = t_part
         thetas[rows:rows + t_part.size] = theta_part
         rows += t_part.size
+        del t_part, theta_part  # views of the block
     t, thetas = t[:rows], thetas[:rows]
     if not state.calibrated:
         raise StageError(
@@ -637,15 +645,6 @@ class RunReport:
             "warnings": self.warnings,
         }
         return json.dumps(doc, indent=2)
-
-
-def _transitions(t, codes, prev: int = -1):
-    """(t, verdict value) at each change of the verdict code series, and at
-    its first snapshot unless the stream's earlier blocks ended on code
-    `prev`."""
-    change = np.flatnonzero(np.diff(codes, prepend=prev))
-    return [(tk, det.VERDICTS[c].value)
-            for tk, c in zip(t[change].tolist(), codes[change].tolist())]
 
 
 def _check_order(config: ScenarioConfig, nominal, library) -> None:
@@ -783,8 +782,6 @@ def run_scenario(
         settle_from, settle_to = (t_start + t_end) / 2.0, t_end
     else:
         settle_from, settle_to = config.duration / 2.0, np.inf
-    normal = det.VERDICT_CODE[Verdict.NORMAL]
-    fault = det.VERDICT_CODE[Verdict.FAULT]
 
     # Baseline limit checking, banded around the nominal operating point.
     # A limit relay measures the fundamental component, so the broadband
@@ -795,11 +792,15 @@ def run_scenario(
     cycle_average = _CycleAverage(config.ts, config.circuit.f_base)
     baseline_first = None
 
-    # What the run carries from block to block.
+    # What the run carries from block to block. Without a disturbance
+    # inside the run, the stand-in window [duration, duration] would time
+    # the last update, so no delay is searched for.
     debounced = det.DebounceState()
-    crossings = (None, None, None)  # dt1_high, dt1_low, dt2
-    first_fault = first_not_normal = None  # the debounced delays
-    last_code = -1  # the debounced verdict code of the last update
+    window = ((t_start, t_end, thresholds.d_low, thresholds.d_high)
+              if inside else None)
+    # dt1_high, dt1_low, dt2, then the debounced delays: the first stable
+    # fault verdict and the first stable non-normal one after t_start
+    found = (None,) * 5
     timeline = []
     settled = det.RunningMean()  # of the armed theta rows in the window
 
@@ -815,7 +816,11 @@ def run_scenario(
             events = files.open("events.jsonl")
 
         lo = 0  # run index of the block's first update
-        for part, run in blocks:
+
+        def take(part, run):
+            """Check, classify, time and write one block. Its arrays are
+            locals here, so none of them outlives the call."""
+            nonlocal baseline_first, found, lo
             hits = (limit_check(cycle_average(part.v_dq), limits)
                     & (part.t >= t_start) & (part.t < t_end))
             if baseline_first is None and np.any(hits):
@@ -832,32 +837,22 @@ def run_scenario(
             # The estimator restarts from scratch in each run and needs the
             # same settling time the nominal predictor was calibrated with;
             # until then the distance reflects cold-start convergence, not
-            # the grid. Keep the detector disarmed over that initial stretch.
-            armed = run.calibrated.copy()
-            armed[: max(0, config.calibration_window - lo)] = False
-            codes = np.where(armed, raw, normal)
-            stable = debounce(codes, config.hold, debounced)
-            # without a disturbance inside the run, the stand-in window
-            # [duration, duration] would time the last update
-            if inside:
-                crossings = detection_times(t[armed], d[armed], t_start,
-                                            t_end, thresholds, crossings)
-                # debounced delays: first stable fault verdict / first
-                # stable non-normal verdict after t_start
-                after = armed & (t >= t_start)
-                first_fault = first_time(t, after & (stable == fault),
-                                         t_start, first_fault)
-                first_not_normal = first_time(t, after & (stable != normal),
-                                              t_start, first_not_normal)
-            changes = _transitions(t, stable, last_code)
-            timeline.extend(changes)
-            if stable.size:
-                last_code = int(stable[-1])
-            settled.add(thetas[(t >= settle_from) & (t < settle_to) & armed])
+            # the grid. Keep the detector disarmed over that initial stretch:
+            # the block's updates from `armed` on (burn-in ends once, so the
+            # calibrated updates are a suffix).
+            armed = max(config.calibration_window - lo,
+                        t.size - int(np.count_nonzero(run.calibrated)))
+            stable, at, found = _kernels.debounce_block(
+                raw, config.hold, debounced, armed, t, d, window, found)
+            changes = [(tk, det.VERDICTS[c].value, dk) for tk, c, dk in zip(
+                t[at].tolist(), stable[at].tolist(), d[at].tolist())]
+            timeline.extend(change[:2] for change in changes)
+            # t increases, so the armed rows in the settle window are a slice
+            first, last = np.searchsorted(t, (settle_from, settle_to))
+            settled.add(thetas[max(first, armed):last])
 
             if files is not None:
-                for tk, v in changes:
-                    dk = float(d[np.searchsorted(t, tk)])
+                for tk, v, dk in changes:
                     events.write((json.dumps({"t": tk, "verdict": v, "d": dk})
                                   + "\n").encode("ascii"))
                 for writer, rows in zip(writers, (
@@ -865,6 +860,10 @@ def run_scenario(
                         _theta_rows(t, thetas, lo, THETA_STRIDE))):
                     writer.write(rows)
             lo += t.size
+
+        for part, run in blocks:
+            take(part, run)
+            del part, run  # before the next block is asked for
 
         if settled.count:
             final_event = det.classify(
@@ -880,7 +879,7 @@ def run_scenario(
                 "normal by default"
             )
 
-        dt1_high, dt1_low, dt2 = crossings
+        dt1_high, dt1_low, dt2, first_fault, first_not_normal = found
         report = RunReport(
             name=config.name,
             thresholds=thresholds,
@@ -910,32 +909,30 @@ class _CycleAverage:
     averages of its block's samples, over the samples so far until a whole
     cycle of n has come.
 
-    The window sum is np.cumsum of the carried sum and each sample's
-    change to it: the sample entering less the one leaving, n samples
-    back, which is 0.0 before the stream's start. That is one fixed order
-    of additions. It carries the sum, the last n samples and the sample
-    count, so blocks give the bits of one call on their join.
+    The window sum adds each sample's change to the carried sum, the
+    sample entering less the one leaving, n samples back, which is 0.0
+    before the stream's start: one fixed order of additions, np.cumsum's,
+    in a loop of the package's own (`_kernels.cycle_average`). It carries
+    the sum, the last n samples (a ring) and the sample count, so blocks
+    give the bits of one call on their join.
     """
 
     def __init__(self, ts: float, f_base: float):
         self.n = max(1, int(round(1.0 / (f_base * ts))))
-        self.history = None  # the stream's last n samples
-        self.total = None  # the window sum after the last sample, (1, cols)
+        self.history = None  # the stream's last n samples, a ring
+        self.total = None  # the window sum after the last sample
         self.count = 0  # samples seen
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        n, m = self.n, v.shape[0]
-        if n == 1:
+        if self.n == 1:
             return v
         if self.history is None:
-            self.history = np.zeros((n, v.shape[1]))
-            self.total = np.zeros((1, v.shape[1]))
-        x = np.concatenate([self.history, v])
-        sums = np.cumsum(np.concatenate([self.total, v - x[:m]]), axis=0)
-        self.total, self.history = sums[-1:], x[m:].copy()
-        counts = np.minimum(np.arange(self.count + 1, self.count + m + 1), n)
-        self.count += m
-        return sums[1:] / counts[:, None]
+            self.history = np.zeros((self.n, v.shape[1]))
+            self.total = np.zeros(v.shape[1])
+        averages = _kernels.cycle_average(v, self.history, self.total,
+                                          self.count)
+        self.count += v.shape[0]
+        return averages
 
 
 def _nominal_pcc_voltage(config: ScenarioConfig) -> np.ndarray:
@@ -992,7 +989,8 @@ def build_library_from_scenarios(
             dist = config.disturbance
             label = (Verdict.FAULT if dist.kind == "fault"
                      else Verdict.LOAD_INCREASE)
-            pieces = ((t, thetas) for t, thetas, _ in _window(
+            # a map, unlike a generator expression, keeps no piece
+            pieces = map(operator.itemgetter(0, 1), _window(
                 config, dist.t_start, dist.t_end))
             yield label, pieces, dist.t_start, dist.t_end, config.name
 

@@ -4,8 +4,9 @@ None of these is on a run's path: each recomputes a result of the package
 by another route (a batch least-squares solve for the recursion, a fixed
 predictor's residual for the identification, `np.loadtxt` for a written
 `theta.csv`, a per-verdict loop for the debounce, the numpy forms of
-the regressors, the distances and the verdicts that the C passes of
-`_kernels.c` replace, the fixed-order products of its loops over Python
+the regressors, the distances, the verdicts, the debounce, the
+transitions and the first times that the C passes of `_kernels.c`
+replace, the fixed-order products of its loops over Python
 floats, and the signatures over whole arrays that the library build folds
 piece by piece), so they live with the tests that use them. The Park
 transforms are here too: the tests' own dq convention, which the package
@@ -21,6 +22,7 @@ from gridarx.detector import (
     LOAD_CODE,
     NORMAL_CODE,
     UNCLASSIFIED_CODE,
+    VERDICTS,
     InsufficientDataError,
     Signature,
     SignatureLibrary,
@@ -120,29 +122,95 @@ def read_theta_csv(path: str, rows: int = 2):
     return t, data[:, 1:].reshape(-1, rows, cols)
 
 
-def debounce_loop(verdicts, hold: int, state):
-    """`detector.debounce` as a loop over the verdicts, one at a time: the
-    list of reported verdicts, with `state` (a DebounceState) carried."""
+def debounce_loop(codes, hold: int, state):
+    """`detector.debounce` as a loop over the codes, one at a time: the
+    list of reported codes, with `state` (a DebounceState, -1 for none)
+    carried."""
     out = []
     current, candidate, streak = state.current, state.candidate, state.streak
-    for v in verdicts:
-        if current is None:
+    for v in codes:
+        if current < 0:
             current = v
         if v == current:
-            candidate, streak = None, 0
+            candidate, streak = -1, 0
         elif v == candidate:
             streak += 1
             if streak >= hold:
                 current = v
-                candidate, streak = None, 0
+                candidate, streak = -1, 0
         else:
             candidate, streak = v, 1
             if hold == 1:
                 current = v
-                candidate, streak = None, 0
+                candidate, streak = -1, 0
         out.append(current)
     state.current, state.candidate, state.streak = current, candidate, streak
     return out
+
+
+def debounce_numpy(codes, hold: int, state):
+    """`detector.debounce` on whole runs of equal codes, as numpy array
+    operations (the package's form before the C loop), with `state` (a
+    DebounceState, -1 for none) carried: a run switches the report to its
+    value at its `hold`-th sample, counted from where its streak began (for
+    the first run, in the block before when it continues the state's
+    candidate; at once for a stream's first code), and each sample
+    reports the last run to switch at or before it."""
+    n = codes.shape[0]
+    if n == 0:
+        return codes
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    ends = np.append(starts[1:], n)
+    began = starts.copy()  # where each run's streak began
+    if state.current < 0:
+        began[0] = 1 - hold  # the first code is reported at once
+    elif state.candidate >= 0 and codes[0] == state.candidate:
+        began[0] = -state.streak
+    switch = began + hold - 1
+    switches = switch < ends
+    # the index of the code each sample reports, -1 for the state's
+    source = np.full(n, -1, dtype=np.intp)
+    source[switch[switches]] = starts[switches]
+    np.maximum.accumulate(source, out=source)
+    out = codes[source]
+    if source[0] < 0:
+        out[source < 0] = state.current
+    state.current = int(out[-1])
+    if codes[-1] == state.current:
+        state.candidate, state.streak = -1, 0
+    else:
+        state.candidate, state.streak = int(codes[-1]), int(n - began[-1])
+    return out
+
+
+def transitions_numpy(t, codes, prev: int = -1):
+    """(t, verdict value) at each change of the verdict code series, and at
+    its first snapshot unless the stream's earlier blocks ended on code
+    `prev`."""
+    change = np.flatnonzero(np.diff(codes, prepend=prev))
+    return [(tk, VERDICTS[c].value)
+            for tk, c in zip(t[change].tolist(), codes[change].tolist())]
+
+
+def first_time(t, mask, t0: float, found=None):
+    """The first t where `mask` holds, minus t0; None when it never does,
+    or `found` when an earlier block found one."""
+    if found is not None:
+        return found
+    return float(t[mask][0] - t0) if np.any(mask) else None
+
+
+def detection_times_numpy(t, d, t_start, t_end, thresholds,
+                          found=(None, None, None)):
+    """`detector.detection_times` as numpy masks: (dt1_high, dt1_low,
+    dt2), each carried from `found` as `first_time` carries it."""
+    after_start = t >= t_start
+    return (first_time(t, after_start & (d > thresholds.d_high), t_start,
+                       found[0]),
+            first_time(t, after_start & (d > thresholds.d_low), t_start,
+                       found[1]),
+            first_time(t, (t >= t_end) & (d <= thresholds.d_low), t_end,
+                       found[2]))
 
 
 def build_lagged_regressors(dv: np.ndarray, di: np.ndarray, order: int):

@@ -3,14 +3,17 @@
 import functools
 import json
 import operator
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridarx import _kernels
 from gridarx.detector import (
     DEFAULT_MATCH_FLOOR,
+    FAULT_CODE,
     NORMAL_CODE,
     DebounceState,
     DetectionEvent,
@@ -41,10 +44,14 @@ from oracles import (
     build_library_numpy,
     classify_series_numpy,
     debounce_loop,
+    debounce_numpy,
+    detection_times_numpy,
     distances_numpy,
+    first_time,
     matvec_fixed,
     norms_numpy,
     products_fixed,
+    transitions_numpy,
 )
 
 ORDER = 3
@@ -945,38 +952,44 @@ class TestDetectionTimes:
 
 
 class TestDebounce:
-    N, F = Verdict.NORMAL, Verdict.FAULT
+    N, F = NORMAL_CODE, FAULT_CODE
 
     def test_single_sample_chatter_suppressed(self):
-        raw = [self.N, self.N, self.F, self.N, self.N]
-        assert debounce(raw, hold=3) == [self.N] * 5
+        raw = np.array([self.N, self.N, self.F, self.N, self.N])
+        assert debounce(raw, hold=3).tolist() == [self.N] * 5
 
     def test_sustained_change_passes(self):
-        raw = [self.N] * 3 + [self.F] * 5
+        raw = np.array([self.N] * 3 + [self.F] * 5)
         out = debounce(raw, hold=3)
-        assert out == [self.N] * 5 + [self.F] * 3
+        assert out.tolist() == [self.N] * 5 + [self.F] * 3
 
     def test_hold_one_is_identity(self):
-        raw = [self.N, self.F, self.N, self.F]
-        assert debounce(raw, hold=1) == raw
+        raw = np.array([self.N, self.F, self.N, self.F])
+        assert debounce(raw, hold=1).tolist() == raw.tolist()
 
     def test_bad_hold(self):
-        with pytest.raises(ValueError):
-            debounce([self.N], hold=0)
+        with pytest.raises(ValueError, match="hold must be >= 1, got 0"):
+            debounce(np.array([self.N]), hold=0)
+
+    def test_negative_code_rejected_and_state_kept(self):
+        state = DebounceState()
+        debounce(np.array([self.F]), 3, state)
+        with pytest.raises(ValueError, match="code 1 is negative"):
+            debounce(np.array([self.N, -1]), 3, state)
+        assert state == DebounceState(current=self.F)
 
     @pytest.mark.parametrize("hold", [1, 2, 3, 5])
     def test_state_carried_across_blocks(self, hold):
         """Blocks that share one state give the output of one call, with
         edges inside streaks and on the first verdict."""
         rng = np.random.default_rng(hold)
-        codes = rng.choice(4, 500, p=[0.55, 0.15, 0.15, 0.15]).tolist()
+        codes = rng.choice(4, 500, p=[0.55, 0.15, 0.15, 0.15])
         want = debounce(codes, hold)
         for cuts in ([0, 1, 2, 3, 250, 251, 500], [0, 7, 100, 499, 500]):
             state = DebounceState()
-            got = []
-            for a, b in zip(cuts, cuts[1:]):
-                got += debounce(codes[a:b], hold, state)
-            assert got == want, cuts
+            got = [debounce(codes[a:b], hold, state)
+                   for a, b in zip(cuts, cuts[1:])]
+            assert np.concatenate(got).tolist() == want.tolist(), cuts
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 7)),
@@ -986,7 +999,7 @@ class TestDebounce:
     def test_blocks_equal_the_loop(self, runs, cuts, hold):
         """A code stream of random runs, split into random blocks (empty
         ones too): each block's output and the state it leaves are the
-        per-verdict loop's, and the output keeps the codes' dtype."""
+        per-verdict loop's, as an intp array."""
         codes = np.array([v for v, length in runs for _ in range(length)],
                          dtype=np.intp)
         edges = sorted(min(c, codes.size) for c in cuts)
@@ -994,9 +1007,122 @@ class TestDebounce:
         for a, b in zip([0] + edges, edges + [codes.size]):
             got = debounce(codes[a:b], hold, state)
             want = debounce_loop(codes[a:b].tolist(), hold, want_state)
-            assert got.dtype == codes.dtype
+            assert got.dtype == np.intp
             assert got.tolist() == want
             assert state == want_state
+
+
+def bits(values):
+    """Each float of `values` as its uint64 bits, None as None."""
+    return [None if v is None else int(np.float64(v).view(np.uint64))
+            for v in values]
+
+
+class TestDebounceBlock:
+    """`_kernels.debounce_block`, a run's one call per block, against the
+    array forms it replaced (`oracles.debounce_numpy`,
+    `transitions_numpy` and `detection_times_numpy` with `first_time`),
+    block by block with what a run carries."""
+
+    THR = Thresholds(d_high=1.0, d_low=0.1)
+    TS = 2e-4
+
+    @staticmethod
+    def parent_blocks(t, d, raw, arm_from, hold, window, cuts):
+        """A run's bookkeeping over the blocks as the array forms did it:
+        the stable codes, the transitions and the five first times."""
+        state = DebounceState()
+        crossings, first_fault, first_not_normal = (None,) * 3, None, None
+        last_code, stable, changes = -1, [], []
+        t_start, t_end = window
+        for a, b in zip(cuts, cuts[1:]):
+            tb, db = t[a:b], d[a:b]
+            armed = np.arange(a, b) >= arm_from
+            codes = np.where(armed, raw[a:b], NORMAL_CODE)
+            out = debounce_numpy(codes, hold, state)
+            crossings = detection_times_numpy(
+                tb[armed], db[armed], t_start, t_end, TestDebounceBlock.THR,
+                crossings)
+            after = armed & (tb >= t_start)
+            first_fault = first_time(tb, after & (out == FAULT_CODE),
+                                     t_start, first_fault)
+            first_not_normal = first_time(tb, after & (out != NORMAL_CODE),
+                                          t_start, first_not_normal)
+            changes += transitions_numpy(tb, out, last_code)
+            if out.size:
+                last_code = int(out[-1])
+            stable.append(out)
+        return (np.concatenate(stable), changes,
+                (*crossings, first_fault, first_not_normal))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), hold=st.integers(1, 5),
+           sizes=st.lists(st.sampled_from([0, 1, 3, 2048]), min_size=1,
+                          max_size=6),
+           arm=st.floats(0.0, 1.0), start=st.floats(-0.1, 1.1),
+           length=st.floats(0.0, 0.6))
+    def test_blocks_equal_the_array_forms(self, seed, hold, sizes, arm,
+                                          start, length):
+        """Random code and distance streams (d on each threshold too) in
+        blocks of 0, 1, 3 and 2048 updates, with the state carried: the
+        codes, the transitions and the five delays are bitwise those of
+        the array forms."""
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        t = np.arange(1, n + 1) * self.TS
+        raw = rng.choice(4, n, p=[0.5, 0.2, 0.2, 0.1])
+        d = rng.choice([0.0, 0.05, self.THR.d_low, 0.5, self.THR.d_high,
+                        2.0], n)
+        arm_from = int(arm * n)
+        t_start = start * n * self.TS
+        window = (t_start, t_start + length * n * self.TS)
+        cuts = np.cumsum([0] + sizes).tolist()
+        want = self.parent_blocks(t, d, raw, arm_from, hold, window, cuts)
+        state, found, stable, changes = DebounceState(), (None,) * 5, [], []
+        for a, b in zip(cuts, cuts[1:]):
+            out, at, found = _kernels.debounce_block(
+                raw[a:b], hold, state, max(0, arm_from - a), t[a:b], d[a:b],
+                (*window, self.THR.d_low, self.THR.d_high), found)
+            assert out.dtype == np.intp and at.dtype == np.intp
+            changes += [(t[a + k], VERDICTS[out[k]].value)
+                        for k in at.tolist()]
+            stable.append(out)
+        assert np.concatenate(stable).tolist() == want[0].tolist()
+        assert bits(tk for tk, _ in changes) == bits(tk for tk, _ in want[1])
+        assert [v for _, v in changes] == [v for _, v in want[1]]
+        assert bits(found) == bits(want[2])
+
+    def test_no_window_searches_no_time(self):
+        """Without a window (a run with no disturbance inside it) found
+        comes back as given and the debounce runs as ever."""
+        codes = np.array([FAULT_CODE] * 4)
+        found = (None, 1.5, None, None, None)
+        out, at, got = _kernels.debounce_block(
+            codes, 1, DebounceState(), 0, None, None, None, found)
+        assert out.tolist() == codes.tolist() and at.tolist() == [0]
+        assert got is not found and got == found
+
+    @pytest.mark.parametrize("args, message", [
+        ((np.zeros(3, np.intp), 1, DebounceState(), 0, np.zeros(2),
+          np.zeros(3), (0.0, 1.0, 0.1, 1.0), (None,) * 5),
+         "argument t: expected a C-contiguous float64 array of shape (3,)"),
+        ((np.zeros(3, np.intp), 1, DebounceState(), 0, np.zeros(3),
+          np.zeros((3, 1)), (0.0, 1.0, 0.1, 1.0), (None,) * 5),
+         "argument d: expected a C-contiguous float64 array of shape (3,)"),
+        ((np.zeros((3, 1), np.intp), 1, DebounceState(), 0, None, None,
+          None, (None,) * 5), "argument codes: expected one dimension"),
+        ((np.zeros(3, np.intp), 1, DebounceState(), 0, None, None, None,
+          (None,) * 3), "argument found: expected a tuple of 5"),
+        ((np.zeros(3, np.intp), 1, DebounceState(), 0, np.zeros(3),
+          np.zeros(3), (0.0, 1.0), (None,) * 5), "window: expected"),
+        ((np.zeros(3, np.intp), 1, DebounceState(), 0, np.zeros(3),
+          np.zeros(3), [0.0, 1.0, 0.1, 1.0], (None,) * 5),
+         "argument window: expected a tuple"),
+    ], ids=["t_length", "d_shape", "codes_2d", "found_3", "window_2",
+            "window_list"])
+    def test_bad_arguments_named(self, args, message):
+        with pytest.raises((ValueError, TypeError), match=re.escape(message)):
+            _kernels.debounce_block(*args)
 
 
 def mixed_rows(rng, m):
@@ -1060,6 +1186,31 @@ class TestRunningMean:
         assert mean.count == 2
         assert np.array_equal(mean.mean().view(np.uint64),
                               np.mean(rows, axis=0).view(np.uint64))
+
+
+    @pytest.mark.parametrize("m, window", [(1, 1), (2, 1), (300, 257),
+                                           (9000, 8193)])
+    def test_calibration_mean_has_the_bits_of_np_mean(self, rng, m, window):
+        """theta* of `calibrate_nominal`, the kernel's row-by-row sum,
+        against np.mean(axis=0) as uint64, on rows of mixed magnitudes
+        with rows and a column of -0.0 and subnormals."""
+        rows = mixed_rows(rng, m)
+        nom = calibrate_nominal(np.arange(m), rows, window)
+        want = np.mean(rows[-window:], axis=0)
+        assert np.array_equal(nom.theta_star.view(np.uint64),
+                              want.view(np.uint64))
+
+    def test_kernel_checks_the_sum(self):
+        """`add_rows` writes the sum in place: it must be a writable
+        float64 array of the rows' shape."""
+        rows = np.ones((4,) + SHAPE)
+        total = np.zeros(SHAPE)
+        total.flags.writeable = False
+        for bad, message in ((np.zeros(SHAPE[::-1]), "shape (2, 12)"),
+                             (np.zeros(SHAPE, np.float32), "float64"),
+                             (total, "writable")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _kernels.add_rows(bad, rows)
 
 
 class TestLibraryNorms:

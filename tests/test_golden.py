@@ -112,6 +112,13 @@ def test_bytes_do_not_depend_on_the_cpu_path(tmp_path):
 PACKAGE = Path(gridarx.__file__).resolve().parent
 # numpy's products, whose summation order numpy or its BLAS library picks
 PRODUCTS = {"dot", "einsum", "matmul", "inner", "tensordot", "vdot"}
+# numpy's float reductions and scans, whose summation order numpy picks
+# (pairwise along a contiguous axis, one row after another across rows):
+# called from np, or as a method given an axis; `reduce` and `accumulate`
+# are those of any ufunc, np.add's among them
+REDUCTIONS = {"sum", "nansum", "mean", "nanmean", "average", "std", "var",
+              "nanstd", "nanvar", "cumsum", "nancumsum", "reduce",
+              "accumulate"}
 # the functions that may call them: the spectral clamp of P, and the
 # eigenvalues of the `poles` command, which no run calls
 EXEMPT = {("rls.py", "_clamp"), ("circuit.py", "numeric_poles")}
@@ -131,9 +138,10 @@ def dotted(node) -> str:
 
 
 def product_sites(path: Path):
-    """(function, line, what) of each `@` and each call of a numpy product
-    or an np.linalg routine (its exception classes aside) in the module at
-    `path`; function is the innermost enclosing def, or ''."""
+    """(function, line, what) of each `@` and each call of a numpy product,
+    reduction or scan, or of an np.linalg routine (its exception classes
+    aside), in the module at `path`; function is the innermost enclosing
+    def, or ''."""
     sites = []
 
     def visit(node, func):
@@ -144,10 +152,12 @@ def product_sites(path: Path):
             sites.append((func, node.lineno, "@"))
         if isinstance(node, ast.Call):
             name = dotted(node.func)
-            if (isinstance(node.func, ast.Attribute)
-                    and node.func.attr in PRODUCTS
+            attr = getattr(node.func, "attr", None)
+            if (attr in PRODUCTS
+                    or attr in REDUCTIONS and (name.startswith("np.")
+                                               or node.args or node.keywords)
                     or ".linalg." in name and not name.endswith("Error")):
-                sites.append((func, node.lineno, name or node.func.attr))
+                sites.append((func, node.lineno, name or attr))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -158,9 +168,10 @@ def product_sites(path: Path):
 def test_no_product_order_left_to_numpy():
     """README's Artifacts promise, read from the source, since the record
     holds no similarity: outside EXEMPT, no module of the package makes a
-    product whose summation order numpy or its BLAS picks, and the C
-    kernels call no product of numpy's C API and no CBLAS routine. Each
-    EXEMPT function still holds such a product, so the check sees them."""
+    product, a float reduction along an axis or a scan whose summation
+    order numpy or its BLAS picks, and the C kernels call no product of
+    numpy's C API and no CBLAS routine. Each EXEMPT function still holds
+    such a product, so the check sees them."""
     found = [(path.name, *site) for path in sorted(PACKAGE.glob("*.py"))
              for site in product_sites(path)]
     assert [site for site in found if site[:2] not in EXEMPT] == []
@@ -168,3 +179,22 @@ def test_no_product_order_left_to_numpy():
     code = re.sub(r"/\*.*?\*/|//[^\n]*", "",
                   (PACKAGE / "_kernels.c").read_text(), flags=re.S)
     assert C_PRODUCTS.findall(code) == []
+
+
+def test_the_source_check_sees_reductions(tmp_path):
+    """`product_sites` flags the reductions and scans the package gave up
+    for loops of its own (`RunningMean`'s and `calibrate_nominal`'s axis-0
+    sums, the baseline's window sum); a maximum, which has one value
+    whatever the order, and a method of that name given no axis (such as
+    `RunningMean.mean`) stay unflagged."""
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(x, settled):\n"
+        "    a = np.mean(x, axis=0)\n"
+        "    b = np.add.reduce(x, axis=0)\n"
+        "    c = np.cumsum(x, axis=0)\n"
+        "    d = x.sum(axis=1) + x.mean(0) + settled.mean()\n"
+        "    return a + b + c + d + np.max(x, axis=0)\n")
+    assert product_sites(module) == [
+        ("f", 2, "np.mean"), ("f", 3, "np.add.reduce"), ("f", 4, "np.cumsum"),
+        ("f", 5, "x.sum"), ("f", 5, "x.mean")]

@@ -781,6 +781,11 @@ def contract_calls():
            {"matrix": rng.standard_normal((2, r * n)),
             "norms": np.ones(2), "sig_codes": np.array([1, 2])},
            set(), (0.1, 10.0, 0.8))
+    yield ("add_rows", (), {"total": np.zeros((r, n))}, {"total"},
+           (rng.standard_normal((m, r, n)),))
+    yield ("cycle_average", (rng.standard_normal((m, 2)),),
+           {"history": np.zeros((5, 2)), "total": np.zeros(2)},
+           {"history", "total"}, (0,))
 
 
 def read_only(a):

@@ -18,7 +18,9 @@ from gridarx import circuit as circuit_module
 from gridarx import rls as rls_module
 from gridarx import scenario as scenario_module
 from gridarx.circuit import CircuitParams, full_circuit_model
+from gridarx import _kernels
 from gridarx.detector import (
+    DebounceState,
     Signature,
     SignatureLibrary,
     Thresholds,
@@ -35,7 +37,6 @@ from gridarx.scenario import (
     StageError,
     _NpyWriter,
     _CycleAverage,
-    _transitions,
     _write_csv,
     build_library_from_scenarios,
     calibration_from_json,
@@ -1476,6 +1477,8 @@ class TestLibraryStopsAtWindowEnd:
 class TestVerdictTimeline:
     @pytest.mark.parametrize("m", [0, 1, 200])
     def test_transitions_match_loop(self, m):
+        """The transitions the kernel marks, at hold 1 (the codes as
+        given), against a loop over the verdicts."""
         rng = np.random.default_rng(m)
         t = np.arange(m) * 2e-4
         members = list(Verdict)
@@ -1486,7 +1489,57 @@ class TestVerdictTimeline:
             if v != prev:
                 want.append((float(tk), v.value))
                 prev = v
-        assert _transitions(t, codes) == want
+        _, at, _ = _kernels.debounce_block(codes, 1, DebounceState(), 0,
+                                           None, None, None, (None,) * 5)
+        assert [(t[k], members[codes[k]].value) for k in at] == want
+
+
+class TestRunHoldsOneBlock:
+    """A run lets go of each block before it identifies the next: the
+    IdentRun of block k, and its predictor trajectory, are dead once block
+    k + 1 is identified, in a run, a calibration and a library build."""
+
+    BLOCK = 500
+
+    def runs_alive(self, monkeypatch, call):
+        """Call `call()` with `identify` wrapped: at each block's identify
+        call, whether each earlier block's IdentRun or trajectory is still
+        alive; and how many blocks were identified."""
+        refs, alive = [], []
+
+        def tracked(*args, **kwargs):
+            alive.extend(ref() is not None for ref in refs)
+            run = identify(*args, **kwargs)
+            refs[:] = [weakref.ref(run), weakref.ref(run.theta)]
+            return run
+
+        monkeypatch.setattr(scenario_module, "SIMULATE_BLOCK", self.BLOCK)
+        monkeypatch.setattr(scenario_module, "identify", tracked)
+        call()
+        return alive
+
+    def test_run_scenario(self, default_cal, tmp_path, monkeypatch):
+        nominal, thresholds, _, _ = default_cal
+        config = ScenarioConfig(name="one_block", duration=1.0,
+                                disturbance=DisturbanceSpec(
+                                    "fault", 0.2077, 0.4, 0.8))
+        alive = self.runs_alive(monkeypatch, lambda: run_scenario(
+            config, nominal, thresholds, out_dir=str(tmp_path)))
+        assert len(alive) == 2 * (sample_count(1.0, config.ts)
+                                  // self.BLOCK)
+        assert not any(alive)
+
+    def test_calibration_and_library(self, default_cal, monkeypatch):
+        nominal, thresholds, _, _ = default_cal
+        config = ScenarioConfig(duration=1.0, calibration_window=2000)
+        fault = replace(config, name="one_block", disturbance=DisturbanceSpec(
+            "fault", 0.2077, 0.4, 0.8))
+        for call in (lambda: run_calibration(config),
+                     lambda: build_library_from_scenarios(
+                         [fault], nominal, thresholds)):
+            alive = self.runs_alive(monkeypatch, call)
+            assert len(alive) >= 2 * 7
+            assert not any(alive)
 
 
 class TestRunSuite:
