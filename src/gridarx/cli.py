@@ -15,6 +15,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -128,8 +129,8 @@ def cmd_suite(args) -> int:
                                   overrides=_overrides(args))
     except ValueError as exc:  # the manifest's checks, before any run
         raise ValueError(f"{args.manifest}: {exc}") from exc
-    for row in rows:
-        print(",".join(str(c) for c in row))
+    # quoted as in comparison.csv
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     failed = [name for name, rep in reports.items() if rep is None]
     if failed:
         print(f"failed scenarios: {', '.join(failed)}", file=sys.stderr)
@@ -142,29 +143,22 @@ def cmd_poles(args) -> int:
     params = CircuitParams()
     report = {"normalization": "s in units of the grid frequency omega_g",
               "fault": [], "load": []}
-    for rf in args.r_fault:
-        formula = fault_poles(rf, params)
-        numeric = sorted(numeric_poles(simplified_fault_model(rf, params)),
-                         key=lambda z: z.imag)
-        formula = sorted(formula, key=lambda z: z.imag)
-        err = max(abs(f - n) for f, n in zip(formula, numeric))
-        report["fault"].append({
-            "r_fault_pu": rf,
-            "formula": [[z.real, z.imag] for z in formula],
-            "numeric": [[z.real, z.imag] for z in numeric],
-            "max_abs_error": err,
-        })
-    for ll in args.l_load:
-        formula = sorted(load_poles(ll, params), key=lambda z: z.imag)
-        numeric = sorted(numeric_poles(simplified_load_model(ll, params)),
-                         key=lambda z: z.imag)
-        err = max(abs(f - n) for f, n in zip(formula, numeric))
-        report["load"].append({
-            "l_load_pu": ll,
-            "formula": [[z.real, z.imag] for z in formula],
-            "numeric": [[z.real, z.imag] for z in numeric],
-            "max_abs_error": err,
-        })
+    for kind, key, values, poles, model in (
+            ("fault", "r_fault_pu", args.r_fault, fault_poles,
+             simplified_fault_model),
+            ("load", "l_load_pu", args.l_load, load_poles,
+             simplified_load_model)):
+        for value in values:
+            formula = sorted(poles(value, params), key=lambda z: z.imag)
+            numeric = sorted(numeric_poles(model(value, params)),
+                             key=lambda z: z.imag)
+            report[kind].append({
+                key: value,
+                "formula": [[z.real, z.imag] for z in formula],
+                "numeric": [[z.real, z.imag] for z in numeric],
+                "max_abs_error": max(abs(f - n)
+                                     for f, n in zip(formula, numeric)),
+            })
     print(json.dumps(report, indent=2))
     worst = max(
         [e["max_abs_error"] for e in report["fault"] + report["load"]],

@@ -7,22 +7,25 @@ sets no window runs from 10 s to 20 s. All randomness flows from the seeds
 in the config, so a run is reproducible byte-for-byte.
 
 A run is one loop over the simulator's blocks of SIMULATE_BLOCK samples.
-Each block is identified as it arrives, with copies of the stream's last
-`order + 1` samples prepended, and then classified; the simulator and
-the estimator each carry their state from block to block, which gives
-bitwise the run of one call over the whole stream. Each block's rows go
-to the artifact files as they arrive, written by the run's own process
-as the float64 bytes of three `.npy` files, whose headers the config
-fixes up front: the samples (`samples.npy`), the distances
-(`distance.npy`) and every THETA_STRIDE-th predictor (`theta.npy`); no
-value is formatted as text. The detector carries its debounce, first
-crossings and transitions across blocks in one kernel call per block
-(`_kernels.debounce_block`), and the baseline its one-cycle average. Of
-the predictor trajectory a run keeps only the running sum of the
-settle-window rows whose mean gives the final verdict
-(`detector.RunningMean`). A run lets go of each block before it asks for
-the next, so it holds one block at a time: its memory depends on the
-block size, not on its length or its disturbance window.
+One generator (`_simulate_identify`) identifies each block as it arrives,
+with copies of the stream's last `order + 1` samples prepended, for a
+run, a calibration and a library build alike; the simulator and the
+estimator each carry their state from block to block, which gives
+bitwise the run of one call over the whole stream. A run hands each
+block's samples to the baseline, which carries its one-cycle average,
+and each block's IdentRun to its `Detector`, which holds what the
+detector carries across blocks: the debounce, the first crossings and
+transitions, taken in one kernel call per block
+(`_kernels.debounce_block`), and, of the predictor trajectory, only the
+running sum of the settle-window rows whose mean gives the final verdict
+(`detector.RunningMean`). Each block's rows go to the artifact files as
+they arrive, written by the run's own process as the float64 bytes of
+three `.npy` files, whose headers the config fixes up front: the samples
+(`samples.npy`), the distances (`distance.npy`) and every THETA_STRIDE-th
+predictor (`theta.npy`); no value is formatted as text. A run lets go of
+each block before it asks for the next, so it holds one block at a time:
+its memory depends on the block size, not on its length or its
+disturbance window.
 
 Every run simulates and identifies its own stream from its first sample:
 the runs of one `run_suite` or `build_library_from_scenarios` call share
@@ -38,6 +41,8 @@ from __future__ import annotations
 import bisect
 import configparser
 import contextlib
+import csv
+import io
 import json
 import math
 import operator
@@ -473,20 +478,12 @@ def calibration_from_json(text: str):
 # end-to-end runs
 
 
-def _simulate_identify(config: ScenarioConfig):
-    """Simulate the scenario block by block and identify over its stream.
-
-    The returned generator yields (samples, run) for each block of
-    SIMULATE_BLOCK samples: the simulator's SimResult and the IdentRun of
-    the updates whose output samples are in it. Each block is identified
-    with the stream's last `order + 1` samples before it prepended, where
-    its first regressor begins, and from the state the previous block
-    left, so the blocks together are bitwise one whole-run identification;
-    a run's `index` counts from its first prepended sample. A failure
-    raises StageError tagged with the stage that failed.
-    """
+def _simulated(config: ScenarioConfig):
+    """The scenario's simulator blocks of SIMULATE_BLOCK samples, as
+    `simulate_blocks` yields them; a failure raises StageError tagged
+    with the simulate stage."""
     try:
-        sim = simulate_blocks(
+        yield from simulate_blocks(
             config.circuit, config.disturbance, config.excitation,
             config.duration, config.ts, config.noise_std, config.noise_seed,
             config.i_op, block=SIMULATE_BLOCK,
@@ -494,37 +491,41 @@ def _simulate_identify(config: ScenarioConfig):
     except Exception as exc:
         raise StageError("simulate", str(exc)) from exc
 
-    def blocks():
-        overlap = config.identifier.order + 1
-        state = None
-        tail = None  # copies of the stream's last `overlap` samples
-        hi = 0  # samples passed
-        while True:
-            try:
-                part = next(sim)
-            except StopIteration:
-                return
-            except Exception as exc:
-                raise StageError("simulate", str(exc)) from exc
-            lo, hi = hi, hi + part.t.size
-            stream = part if tail is None else SimResult(
-                t=np.concatenate([tail[0], part.t]),
-                v_dq=np.concatenate([tail[1], part.v_dq]),
-                i_dq=np.concatenate([tail[2], part.i_dq]), ts=part.ts)
-            try:
-                run = identify(stream, config.identifier, state)
-            except Exception as exc:
-                first = lo - (stream.t.size - part.t.size)
-                raise StageError(
-                    "identify", f"{exc} (block from update {first})") from exc
-            state = run.final_state
-            tail = [a[-overlap:].copy()
-                    for a in (stream.t, stream.v_dq, stream.i_dq)]
-            del stream
-            yield part, run
-            del part, run  # before the next block is simulated
 
-    return blocks()
+def _simulate_identify(config: ScenarioConfig):
+    """Simulate the scenario block by block and identify over its stream.
+
+    A generator of (samples, run) for each block of SIMULATE_BLOCK
+    samples: the simulator's SimResult and the IdentRun of the updates
+    whose output samples are in it. Each block is identified with the
+    stream's last `order + 1` samples before it prepended, where its first
+    regressor begins, and from the state the previous block left, so the
+    blocks together are bitwise one whole-run identification; a run's
+    `index` counts from its first prepended sample. A failure raises
+    StageError tagged with the stage that failed.
+    """
+    overlap = config.identifier.order + 1
+    state = None
+    tail = None  # copies of the stream's last `overlap` samples
+    hi = 0  # samples passed
+    for part in _simulated(config):
+        lo, hi = hi, hi + part.t.size
+        stream = part if tail is None else SimResult(
+            t=np.concatenate([tail[0], part.t]),
+            v_dq=np.concatenate([tail[1], part.v_dq]),
+            i_dq=np.concatenate([tail[2], part.i_dq]), ts=part.ts)
+        try:
+            run = identify(stream, config.identifier, state)
+        except Exception as exc:
+            first = lo - (stream.t.size - part.t.size)
+            raise StageError(
+                "identify", f"{exc} (block from update {first})") from exc
+        state = run.final_state
+        tail = [a[-overlap:].copy()
+                for a in (stream.t, stream.v_dq, stream.i_dq)]
+        del stream
+        yield part, run
+        del part, run  # before the next block is simulated
 
 
 def _updates_before(config: ScenarioConfig, t: float) -> int:
@@ -721,6 +722,111 @@ def write_artifact(out_dir: str, name: str, text: str) -> None:
         files.commit()
 
 
+class Detector:
+    """The detector of one run: it classifies, arms, debounces and times
+    the run's updates as they come, one block's IdentRun at a time
+    (`push`), and gives the final verdict at the end (`finish`). It holds
+    what a run carries from block to block: the debounce, the five first
+    times, the timeline, the settled running mean and the count of updates
+    pushed, so blocks of any size give the outputs of one whole-run push.
+
+    Thresholds pinned in the scenario config take precedence over the
+    calibration-supplied ones. A calibration or library of another model
+    order than the run's is rejected with ValueError on construction.
+    """
+
+    def __init__(self, config: ScenarioConfig, nominal: NominalPredictor,
+                 thresholds: Thresholds,
+                 library: SignatureLibrary | None = None):
+        _check_order(config, nominal, library)
+        self.config, self.nominal = config, nominal
+        self.thresholds = (config.thresholds if config.thresholds is not None
+                           else thresholds)
+        self.library = library or SignatureLibrary(
+            order=config.identifier.order)
+        self.warnings = []
+        inside = disturbance_inside(config.disturbance, config.duration)
+        if config.disturbance is not None:
+            self.t_start = config.disturbance.t_start
+            self.t_end = config.disturbance.t_end
+            if not inside:
+                self.warnings.append(
+                    "disturbance window starts at or after the run end; "
+                    "detection delays are reported as never"
+                )
+        else:
+            self.t_start = self.t_end = config.duration
+        # Final classification from the quasi-steady estimate: the mean
+        # theta over the settled half of the disturbance window (or the run
+        # tail when there is no disturbance), classified once. Averaging
+        # suppresses the sample-to-sample estimator jitter that makes
+        # per-sample verdicts flicker near the thresholds.
+        if inside:
+            self.settle = ((self.t_start + self.t_end) / 2.0, self.t_end)
+        else:
+            self.settle = (config.duration / 2.0, np.inf)
+        # Without a disturbance inside the run, the stand-in window
+        # [duration, duration] would time the last update, so no delay is
+        # searched for.
+        self.window = ((self.t_start, self.t_end, self.thresholds.d_low,
+                        self.thresholds.d_high) if inside else None)
+        self.debounced = det.DebounceState()
+        # dt1_high, dt1_low, dt2, then the debounced delays: the first
+        # stable fault verdict and the first stable non-normal one after
+        # t_start
+        self.found = (None,) * 5
+        self.timeline = []  # [(t, verdict value)] debounced transitions
+        self.settled = det.RunningMean()  # of the armed rows in `settle`
+        self.updates = 0  # updates pushed so far
+
+    def push(self, run) -> tuple:
+        """Take the run's next block of updates, an IdentRun: (d, changes),
+        the block's distances and its debounced transitions as (t, verdict
+        value, d) triples. A snapshot that cannot be classified raises
+        StageError tagged with the detector stage."""
+        t, thetas = run.t, run.theta
+        try:
+            d, raw, _ = classify_series(thetas, self.nominal,
+                                        self.thresholds, self.library,
+                                        self.config.match_floor)
+        except Exception as exc:
+            raise StageError("detector", f"{exc} (block from update "
+                                         f"{self.updates})") from exc
+        # The estimator restarts from scratch in each run and needs the
+        # same settling time the nominal predictor was calibrated with;
+        # until then the distance reflects cold-start convergence, not the
+        # grid. Keep the detector disarmed over that initial stretch: the
+        # block's updates from `armed` on (burn-in ends once, so the
+        # calibrated updates are a suffix).
+        armed = max(self.config.calibration_window - self.updates,
+                    t.size - int(np.count_nonzero(run.calibrated)))
+        stable, at, self.found = _kernels.debounce_block(
+            raw, self.config.hold, self.debounced, armed, t, d, self.window,
+            self.found)
+        changes = [(tk, det.VERDICTS[c].value, dk) for tk, c, dk in zip(
+            t[at].tolist(), stable[at].tolist(), d[at].tolist())]
+        self.timeline.extend(change[:2] for change in changes)
+        # t increases, so the armed rows in the settle window are a slice
+        first, last = np.searchsorted(t, self.settle)
+        self.settled.add(thetas[max(first, armed):last])
+        self.updates += t.size
+        return d, changes
+
+    def finish(self) -> Verdict:
+        """The final verdict: the settled mean's, or normal, with a
+        warning, when no armed update fell in the settle window."""
+        if self.settled.count:
+            return det.classify(self.settled.mean(), self.nominal,
+                                self.thresholds, self.library,
+                                match_floor=self.config.match_floor).verdict
+        self.warnings.append(
+            f"no armed update falls in the settle window "
+            f"[{self.settle[0]:g}, {self.settle[1]:g}) s; the final verdict "
+            "is normal by default"
+        )
+        return Verdict.NORMAL
+
+
 def run_scenario(
     config: ScenarioConfig,
     nominal: NominalPredictor,
@@ -730,59 +836,36 @@ def run_scenario(
 ) -> RunReport:
     """Full pipeline for one scenario: simulate, identify, classify, report.
 
-    The run streams: each block of SIMULATE_BLOCK samples is simulated,
-    identified and classified in turn, and the outputs are those of one
-    whole-run pass. When `out_dir` is given, the run writes three
-    little-endian float64 `.npy` files, each header first from the shapes
-    the config fixes and then each block's rows as their bytes:
-    `samples.npy` (samples, 5), columns t, v_d, v_q, i_d, i_q;
-    `distance.npy` (updates, 2), columns t, d, with updates = samples -
-    order - 1; and `theta.npy` (ceil(updates / THETA_STRIDE), 1 + 8 *
-    order), columns t and the predictor's rows flattened (theta_d_1, ...,
-    theta_q_1, ...), after every THETA_STRIDE-th update from the first.
-    It also writes an events JSON-lines stream and a JSON report. Each
-    file is written as its rows arrive and under a temporary name until
-    the run has succeeded. A write that fails raises its own exception,
-    with its type and message; as with any failure, nothing of the run
-    is left in `out_dir`. A run with no disturbance inside it
-    (`disturbance_inside`) reports every delay as None. The final verdict
-    classifies the mean predictor over the settled half of the
-    disturbance window, or over the second half of a run without one,
-    which the run keeps as a running sum (`detector.RunningMean`), not as
-    rows: its memory depends on the block size, not on the run's length
-    or its window. The run simulates and identifies its own stream from
-    sample 0 and reads nothing another run made, so inside `run_suite` it
-    writes the bytes it writes alone. Thresholds pinned in the scenario
-    config take precedence over the calibration-supplied ones. A
-    calibration or library of another model order than the run's is
-    rejected with ValueError before anything is simulated.
+    The run is one loop over the simulator's blocks of SIMULATE_BLOCK
+    samples (`_simulate_identify`): each block's samples go through the
+    baseline, its IdentRun to the run's `Detector` (`push`), and both to
+    the writers; the outputs are those of one whole-run pass. When
+    `out_dir` is given, the run writes three little-endian float64 `.npy`
+    files, each header first from the shapes the config fixes and then
+    each block's rows as their bytes: `samples.npy` (samples, 5), columns
+    t, v_d, v_q, i_d, i_q; `distance.npy` (updates, 2), columns t, d, with
+    updates = samples - order - 1; and `theta.npy` (ceil(updates /
+    THETA_STRIDE), 1 + 8 * order), columns t and the predictor's rows
+    flattened (theta_d_1, ..., theta_q_1, ...), after every
+    THETA_STRIDE-th update from the first. It also writes an events
+    JSON-lines stream and a JSON report. Each file is written as its rows
+    arrive and under a temporary name until the run has succeeded. A
+    write that fails raises its own exception, with its type and message;
+    as with any failure, nothing of the run is left in `out_dir`. A run
+    with no disturbance inside it (`disturbance_inside`) reports every
+    delay as None. The final verdict (`Detector.finish`) classifies the
+    mean predictor over the settled half of the disturbance window, or
+    over the second half of a run without one, which the run keeps as a
+    running sum (`detector.RunningMean`), not as rows: its memory depends
+    on the block size, not on the run's length or its window. The run
+    simulates and identifies its own stream from sample 0 and reads
+    nothing another run made, so inside `run_suite` it writes the bytes
+    it writes alone. Thresholds pinned in the scenario config take
+    precedence over the calibration-supplied ones. A calibration or
+    library of another model order than the run's is rejected with
+    ValueError before anything is simulated.
     """
-    _check_order(config, nominal, library)
-    if config.thresholds is not None:
-        thresholds = config.thresholds
-    order = config.identifier.order
-    library = library or SignatureLibrary(order=order)
-    warnings = []
-    inside = disturbance_inside(config.disturbance, config.duration)
-    if config.disturbance is not None:
-        t_start, t_end = config.disturbance.t_start, config.disturbance.t_end
-        if not inside:
-            warnings.append(
-                "disturbance window starts at or after the run end; "
-                "detection delays are reported as never"
-            )
-    else:
-        t_start, t_end = config.duration, config.duration
-    # Final classification from the quasi-steady estimate: the mean theta
-    # over the settled half of the disturbance window (or the run tail when
-    # there is no disturbance), classified once. Averaging suppresses the
-    # sample-to-sample estimator jitter that makes per-sample verdicts
-    # flicker near the thresholds.
-    if inside:
-        settle_from, settle_to = (t_start + t_end) / 2.0, t_end
-    else:
-        settle_from, settle_to = config.duration / 2.0, np.inf
-
+    detector = Detector(config, nominal, thresholds, library)
     # Baseline limit checking, banded around the nominal operating point.
     # A limit relay measures the fundamental component, so the broadband
     # excitation ripple is removed with a trailing one-cycle average before
@@ -792,109 +875,52 @@ def run_scenario(
     cycle_average = _CycleAverage(config.ts, config.circuit.f_base)
     baseline_first = None
 
-    # What the run carries from block to block. Without a disturbance
-    # inside the run, the stand-in window [duration, duration] would time
-    # the last update, so no delay is searched for.
-    debounced = det.DebounceState()
-    window = ((t_start, t_end, thresholds.d_low, thresholds.d_high)
-              if inside else None)
-    # dt1_high, dt1_low, dt2, then the debounced delays: the first stable
-    # fault verdict and the first stable non-normal one after t_start
-    found = (None,) * 5
-    timeline = []
-    settled = det.RunningMean()  # of the armed theta rows in the window
-
     with (contextlib.nullcontext() if out_dir is None
           else _ArtifactFiles(out_dir)) as files:
-        blocks = _simulate_identify(config)
         if files is not None:
             updates = _updates_before(config, math.inf)
             writers = [_NpyWriter(files.open(name), shape) for name, shape in (
                 ("samples.npy", (sample_count(config.duration, config.ts), 5)),
                 ("distance.npy", (updates, 2)),
-                ("theta.npy", (-(-updates // THETA_STRIDE), 1 + 8 * order)))]
+                ("theta.npy", (-(-updates // THETA_STRIDE),
+                               1 + 8 * config.identifier.order)))]
             events = files.open("events.jsonl")
 
-        lo = 0  # run index of the block's first update
-
-        def take(part, run):
-            """Check, classify, time and write one block. Its arrays are
-            locals here, so none of them outlives the call."""
-            nonlocal baseline_first, found, lo
+        for part, run in _simulate_identify(config):
             hits = (limit_check(cycle_average(part.v_dq), limits)
-                    & (part.t >= t_start) & (part.t < t_end))
+                    & (part.t >= detector.t_start) & (part.t < detector.t_end))
             if baseline_first is None and np.any(hits):
                 baseline_first = float(part.t[hits][0])
-
-            t, thetas = run.t, run.theta
-            try:
-                d, raw, _ = classify_series(
-                    thetas, nominal, thresholds, library, config.match_floor
-                )
-            except Exception as exc:
-                raise StageError(
-                    "detector", f"{exc} (block from update {lo})") from exc
-            # The estimator restarts from scratch in each run and needs the
-            # same settling time the nominal predictor was calibrated with;
-            # until then the distance reflects cold-start convergence, not
-            # the grid. Keep the detector disarmed over that initial stretch:
-            # the block's updates from `armed` on (burn-in ends once, so the
-            # calibrated updates are a suffix).
-            armed = max(config.calibration_window - lo,
-                        t.size - int(np.count_nonzero(run.calibrated)))
-            stable, at, found = _kernels.debounce_block(
-                raw, config.hold, debounced, armed, t, d, window, found)
-            changes = [(tk, det.VERDICTS[c].value, dk) for tk, c, dk in zip(
-                t[at].tolist(), stable[at].tolist(), d[at].tolist())]
-            timeline.extend(change[:2] for change in changes)
-            # t increases, so the armed rows in the settle window are a slice
-            first, last = np.searchsorted(t, (settle_from, settle_to))
-            settled.add(thetas[max(first, armed):last])
-
+            lo = detector.updates  # run index of the block's first update
+            d, changes = detector.push(run)
             if files is not None:
                 for tk, v, dk in changes:
                     events.write((json.dumps({"t": tk, "verdict": v, "d": dk})
                                   + "\n").encode("ascii"))
                 for writer, rows in zip(writers, (
-                        _samples_rows(part), np.column_stack([t, d]),
-                        _theta_rows(t, thetas, lo, THETA_STRIDE))):
+                        _samples_rows(part), np.column_stack([run.t, d]),
+                        _theta_rows(run.t, run.theta, lo, THETA_STRIDE))):
                     writer.write(rows)
-            lo += t.size
+            del part, run, hits, d, changes  # before the next block
 
-        for part, run in blocks:
-            take(part, run)
-            del part, run  # before the next block is asked for
-
-        if settled.count:
-            final_event = det.classify(
-                settled.mean(), nominal, thresholds, library,
-                match_floor=config.match_floor,
-            )
-            final_verdict = final_event.verdict
-        else:
-            final_verdict = Verdict.NORMAL
-            warnings.append(
-                f"no armed update falls in the settle window "
-                f"[{settle_from:g}, {settle_to:g}) s; the final verdict is "
-                "normal by default"
-            )
-
-        dt1_high, dt1_low, dt2, first_fault, first_not_normal = found
+        final_verdict = detector.finish()
+        dt1_high, dt1_low, dt2, first_fault, first_not_normal = detector.found
         report = RunReport(
             name=config.name,
-            thresholds=thresholds,
+            thresholds=detector.thresholds,
             dt1_high=dt1_high,
             dt1_low=dt1_low,
             dt2=dt2,
             dt1_high_debounced=first_fault,
             dt1_low_debounced=first_not_normal,
             final_verdict=final_verdict,
-            verdict_timeline=timeline,
+            verdict_timeline=detector.timeline,
             baseline_detected=baseline_first is not None,
             baseline_first_violation=baseline_first,
             config_echo=config.echo(),
-            library_provenance=[s.source_scenario for s in library.signatures],
-            warnings=warnings,
+            library_provenance=[s.source_scenario
+                                for s in detector.library.signatures],
+            warnings=detector.warnings,
         )
 
         if files is not None:
@@ -905,7 +931,8 @@ def run_scenario(
 
 class _CycleAverage:
     """Causal moving average over one fundamental cycle, per column, of a
-    stream of samples given in consecutive blocks: each call returns the
+    stream of dq samples (k, 2) given in consecutive blocks: each call
+    returns the
     averages of its block's samples, over the samples so far until a whole
     cycle of n has come.
 
@@ -918,17 +945,13 @@ class _CycleAverage:
     """
 
     def __init__(self, ts: float, f_base: float):
-        self.n = max(1, int(round(1.0 / (f_base * ts))))
-        self.history = None  # the stream's last n samples, a ring
-        self.total = None  # the window sum after the last sample
+        # ScenarioConfig keeps f_base <= 1 / (2 ts), so n >= 2
+        self.n = int(round(1.0 / (f_base * ts)))
+        self.history = np.zeros((self.n, 2))  # the last n samples, a ring
+        self.total = np.zeros(2)  # the window sum after the last sample
         self.count = 0  # samples seen
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        if self.n == 1:
-            return v
-        if self.history is None:
-            self.history = np.zeros((self.n, v.shape[1]))
-            self.total = np.zeros(v.shape[1])
         averages = _kernels.cycle_average(v, self.history, self.total,
                                           self.count)
         self.count += v.shape[0]
@@ -1065,8 +1088,11 @@ def run_suite(
             "",
         ])
     if out_dir is not None:
-        write_artifact(out_dir, "comparison.csv",
-                       "scenario,method,detected,verdict,dt1,dt2\n"
-                       + "".join(",".join(str(c) for c in row) + "\n"
-                                 for row in rows))
+        # csv quotes a field with a comma, a quote or a line break, such
+        # as an error message, so each row reads back whole
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(
+            [["scenario", "method", "detected", "verdict", "dt1", "dt2"]]
+            + rows)
+        write_artifact(out_dir, "comparison.csv", text.getvalue())
     return reports, rows

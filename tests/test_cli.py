@@ -1,7 +1,9 @@
 """Command-line interface: each subcommand exercised end to end on
 compressed scenarios."""
 
+import csv
 import glob
+import io
 import json
 import os
 import subprocess
@@ -10,9 +12,17 @@ import sys
 import numpy as np
 import pytest
 
+from gridarx.circuit import (
+    CircuitParams,
+    fault_poles,
+    load_poles,
+    numeric_poles,
+    simplified_fault_model,
+    simplified_load_model,
+)
 from gridarx.cli import main
 from gridarx.detector import SignatureLibrary
-from gridarx.scenario import calibration_from_json
+from gridarx.scenario import calibration_from_json, load_scenario
 
 MINI_CAL = """\
 [run]
@@ -210,6 +220,31 @@ class TestSuite:
                    "--calibration", workspace["calibration.json"],
                    "--out", str(tmp_path / "out")])
         assert rc == 1
+
+    def test_error_rows_read_back_whole(self, workspace, tmp_path, capsys):
+        """A failed scenario's message, which holds commas, is one quoted
+        field: every row of comparison.csv and of stdout reads back as six
+        fields through csv.reader."""
+        bad = tmp_path / "typo.ini"
+        bad.write_text("[run]\ndurtion = 1\n")
+        with pytest.raises(ValueError) as err:
+            load_scenario(str(bad))
+        message = str(err.value)
+        assert "," in message
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{workspace['fault.ini']}\n{bad}\n")
+        out = tmp_path / "suite"
+        rc = main(["suite", "--manifest", str(manifest),
+                   "--calibration", workspace["calibration.json"],
+                   "--out", str(out)])
+        assert rc == 1
+        with open(out / "comparison.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        printed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert printed == table[1:]
+        assert [len(row) for row in table] == [6] * 5
+        assert table[3:] == [["typo", method, "error", message, "", ""]
+                             for method in ("rarx", "limit_check")]
 
 
 def _library_file(tmp_path, **entry):
@@ -464,6 +499,30 @@ class TestPoles:
         doc = json.loads(capsys.readouterr().out)
         assert doc["fault"][0]["r_fault_pu"] == 1.0
         assert doc["load"][0]["l_load_pu"] == 0.2
+
+    def test_whole_document(self, capsys):
+        """The printed JSON of one fault and one load point, key order
+        included, against the closed forms and the eigenvalue oracle."""
+        params = CircuitParams()
+
+        def entry(key, value, formula, model):
+            formula = sorted(formula, key=lambda z: z.imag)
+            numeric = sorted(numeric_poles(model), key=lambda z: z.imag)
+            return {key: value,
+                    "formula": [[z.real, z.imag] for z in formula],
+                    "numeric": [[z.real, z.imag] for z in numeric],
+                    "max_abs_error": max(abs(f - n) for f, n in
+                                         zip(formula, numeric))}
+
+        want = {
+            "normalization": "s in units of the grid frequency omega_g",
+            "fault": [entry("r_fault_pu", 1.0, fault_poles(1.0, params),
+                            simplified_fault_model(1.0, params))],
+            "load": [entry("l_load_pu", 0.2, load_poles(0.2, params),
+                           simplified_load_model(0.2, params))],
+        }
+        assert main(["poles", "--r-fault", "1.0", "--l-load", "0.2"]) == 0
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
 
 
 def test_installed_script_entry_point():

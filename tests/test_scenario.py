@@ -33,6 +33,7 @@ from gridarx.rls import ArxConfig
 from gridarx.scenario import (
     FLOAT_FMT,
     SCENARIO_SCHEMA,
+    Detector,
     ScenarioConfig,
     StageError,
     _NpyWriter,
@@ -1540,6 +1541,77 @@ class TestRunHoldsOneBlock:
             alive = self.runs_alive(monkeypatch, call)
             assert len(alive) >= 2 * 7
             assert not any(alive)
+
+
+class TestDetector:
+    """A run's `Detector` gives the same outputs however its updates are
+    cut into blocks: one short run identified once, pushed whole and in
+    slices of a few sizes."""
+
+    CONFIGS = {
+        # a fault inside the run, armed after 2000 updates
+        "fault": ScenarioConfig(name="pushed", duration=3.0,
+                                calibration_window=2000,
+                                disturbance=DisturbanceSpec(
+                                    "fault", 0.2077, 1.5, 2.5)),
+        # a disturbance from the run end on, never armed: both warnings
+        "late": ScenarioConfig(name="late", duration=3.0,
+                               calibration_window=20000,
+                               disturbance=DisturbanceSpec(
+                                   "fault", 0.2077, 3.0, 4.0)),
+    }
+
+    @staticmethod
+    def pushed(config, nominal, thresholds, run, size):
+        """What a Detector gives when `run` is pushed in slices of `size`
+        updates: (d, transitions, first times, timeline, final verdict,
+        warnings)."""
+        detector = Detector(config, nominal, thresholds, random_library())
+        ds, changes = [], []
+        for lo in range(0, run.t.size, size):
+            part = slice(lo, lo + size)
+            d, block_changes = detector.push(replace(
+                run, t=run.t[part], theta=run.theta[part],
+                calibrated=run.calibrated[part]))
+            ds.append(d)
+            changes += block_changes
+        verdict = detector.finish()
+        return (np.concatenate(ds), changes, detector.found,
+                detector.timeline, verdict, detector.warnings)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_outputs_equal_across_block_sizes(self, default_cal, name):
+        nominal, thresholds, _, _ = default_cal
+        config = self.CONFIGS[name]
+        run = identify(simulate(
+            config.circuit, config.disturbance, config.excitation,
+            config.duration, config.ts, config.noise_std, config.noise_seed,
+            config.i_op), config.identifier)
+        whole = self.pushed(config, nominal, thresholds, run, run.t.size)
+        d, changes, found, timeline, verdict, warnings = whole
+        assert d.size == run.t.size
+        if name == "fault":
+            assert len(changes) > 2 and None not in found[:2]
+            assert warnings == []
+        else:
+            assert [v for _, v, _ in changes] == ["normal"]
+            assert found == (None,) * 5
+            assert verdict is Verdict.NORMAL and len(warnings) == 2
+        for size in (1, 3, 100, 8192):
+            got = self.pushed(config, nominal, thresholds, run, size)
+            assert np.array_equal(got[0].view(np.uint64),
+                                  d.view(np.uint64)), size
+            assert got[1:] == whole[1:], size
+
+    def test_pinned_thresholds_take_precedence(self, default_cal):
+        nominal, thresholds, _, _ = default_cal
+        pinned = Thresholds(d_high=2.0, d_low=1.0)
+        config = self.CONFIGS["fault"]
+        assert Detector(config, nominal, thresholds).thresholds == thresholds
+        detector = Detector(replace(config, thresholds=pinned), nominal,
+                            thresholds)
+        assert detector.thresholds == pinned
+        assert detector.window == (1.5, 2.5, 1.0, 2.0)
 
 
 class TestRunSuite:
