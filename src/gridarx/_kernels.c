@@ -1,7 +1,8 @@
 /* The per-sample loops of gridarx, as a CPython extension module built on
  * numpy's C API: the RLS recursion of `rls.rls_run` with the regressor
- * fill of `pipeline.identify`, the simulator step of `simulate._step`, the
- * distance and verdict passes of `detector.distances` and
+ * fill of `pipeline.identify`, the simulator step (`sim_rows`, called by
+ * `simulate._simulate_blocks` for each block's overlap with each topology
+ * segment), the distance and verdict passes of `detector.distances` and
  * `detector.classify_series`, the debounce of `detector.debounce` with a
  * run's transitions and first times, and the running sums of
  * `detector.RunningMean` and the baseline's one-cycle average.

@@ -3,7 +3,9 @@
 `_kernels.c` holds the block kernels of `pipeline.identify` (and
 `rls.rls_run`), `detector.classify_series`, `detector.distances` and
 `detector.debounce`, the running sums of `detector.RunningMean` and of the
-baseline's one-cycle average, and the step loop of `simulate._step`. It is built on numpy's C API: it is
+baseline's one-cycle average, and the step loop that
+`simulate._simulate_blocks` calls for each block's overlap with each
+topology segment (`sim_rows`). It is built on numpy's C API: it is
 compiled with the C compiler `CC` against the headers of the running
 Python (`INCLUDE`) and numpy (`NUMPY_INCLUDE`) into an extension module in
 the `__pycache__` directory beside it, whose name carries the sha256 of

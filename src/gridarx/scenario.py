@@ -507,9 +507,7 @@ def _simulate_identify(config: ScenarioConfig):
     overlap = config.identifier.order + 1
     state = None
     tail = None  # copies of the stream's last `overlap` samples
-    hi = 0  # samples passed
     for part in _simulated(config):
-        lo, hi = hi, hi + part.t.size
         stream = part if tail is None else SimResult(
             t=np.concatenate([tail[0], part.t]),
             v_dq=np.concatenate([tail[1], part.v_dq]),
@@ -517,7 +515,7 @@ def _simulate_identify(config: ScenarioConfig):
         try:
             run = identify(stream, config.identifier, state)
         except Exception as exc:
-            first = lo - (stream.t.size - part.t.size)
+            first = 0 if state is None else state.sample_count
             raise StageError(
                 "identify", f"{exc} (block from update {first})") from exc
         state = run.final_state
@@ -574,13 +572,12 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     """
     cal_config = replace(config, disturbance=None)
     arx = cal_config.identifier
-    # the update of sample k is calibrated from k = order + burn_in on
-    k = max(arx.order + arx.burn_in,
-            sample_count(cal_config.duration, cal_config.ts)
-            - cal_config.calibration_window)
+    # the update of sample k is calibrated from k = order + burn_in on;
+    # the tail is the updates of samples k, ..., n - 1
+    n = sample_count(cal_config.duration, cal_config.ts)
+    k = max(arx.order + arx.burn_in, n - cal_config.calibration_window)
     t_lo = k * cal_config.ts
-    size = (_updates_before(cal_config, math.inf)
-            - _updates_before(cal_config, t_lo))
+    size = max(0, n - k)
     t = np.empty(size)
     thetas = np.empty((size, 2, 4 * arx.order))
     rows, state = 0, None
@@ -589,7 +586,6 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
         thetas[rows:rows + t_part.size] = theta_part
         rows += t_part.size
         del t_part, theta_part  # views of the block
-    t, thetas = t[:rows], thetas[:rows]
     if not state.calibrated:
         raise StageError(
             "identify",
@@ -878,9 +874,10 @@ def run_scenario(
     with (contextlib.nullcontext() if out_dir is None
           else _ArtifactFiles(out_dir)) as files:
         if files is not None:
-            updates = _updates_before(config, math.inf)
+            n = sample_count(config.duration, config.ts)
+            updates = max(0, n - config.identifier.order - 1)
             writers = [_NpyWriter(files.open(name), shape) for name, shape in (
-                ("samples.npy", (sample_count(config.duration, config.ts), 5)),
+                ("samples.npy", (n, 5)),
                 ("distance.npy", (updates, 2)),
                 ("theta.npy", (-(-updates // THETA_STRIDE),
                                1 + 8 * config.identifier.order)))]

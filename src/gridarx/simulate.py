@@ -6,9 +6,14 @@ circuit is integrated with the trapezoidal rule at a fixed step; at the
 disturbance start/end instants the topology is switched with energy-carrying
 states carried over by name.
 
+A run is walked as its topology segments: the samples before, during and
+after the disturbance window, each with its model and the arrays it is
+stepped with, made once per run; a segment with no sample is never entered.
 `simulate_blocks` streams a run in blocks of samples and holds one block at
-a time; `simulate` joins its blocks into the whole run. Both give the same
-bits for any block size.
+a time: each block's overlap with each segment is stepped in one
+`_kernels.sim_rows` call, after the state is carried across the switch
+where the model changes. `simulate` joins its blocks into the whole run.
+Both give the same bits for any block size.
 
 Every product is computed in a fixed order over numpy's elementwise
 operations (`_matvec`, `_solve`) or in the C step loop, never through the
@@ -170,19 +175,6 @@ def disturbance_start(disturbance: DisturbanceSpec | None, duration: float,
     return int(round(disturbance.t_start / ts))
 
 
-def _step(v, x, FC, Gb, forcing, u):
-    """Step the state x in place over the rows of the input `u`, writing
-    each sample's PCC voltage into the rows of v.
-
-    FC is [F; Cv], the state transition over the voltage output: both
-    multiply the state, so one product per sample gives F x and v = Cv x.
-    The steps run in C (`_kernels.sim_rows`), each row of the product
-    summed left to right: row k makes [F x; Cv x] and x <- F x + (Gb u[k]
-    + forcing), Gb u[k] summed as `_matvec` sums it, so no block-sized
-    drive array is made."""
-    _kernels.sim_rows(FC, Gb, forcing, x, u, v)
-
-
 # The grid voltage vg behind the line, dq in p.u.: the stiff grid every
 # run is connected to.
 GRID_VOLTAGE = np.array([1.0, 0.0])
@@ -226,40 +218,64 @@ def simulate_blocks(
     """The run of `simulate`, as an iterator of SimResults over consecutive
     blocks of `block` samples (the last one may be shorter).
 
+    The run's segments are built first, as (k0, k1, model, stepper) for
+    the samples k0 <= k < k1: before the disturbance, during it (k_off
+    clipped to the run's end) and after it. Each block is then stepped
+    over its overlap with each segment in order, the state mapped by name
+    (`_map_state`) where the model changes. An empty segment overlaps no
+    block, so a disturbance from t = 0 starts in its own segment and a
+    window under half a step leaves the nominal run.
+
     Only one block is held at a time. The generator carries the circuit
-    state, the topology segment it is in, the excitation stream and two
+    state, the model it is a state of, the excitation stream and two
     noise generators: one draws the voltage noise and the other, started
     from the same seed past the n x 2 voltage normals, the current noise,
     which is the order one call over the whole run draws them in; that
     start is worked out once per noise seed and run length
     (`_noise_start`). Every value is bitwise that of `simulate`.
 
-    Arguments are checked at the call; a non-finite voltage raises
+    Arguments are checked at the call: a duration or ts that is not
+    finite and positive, a noise_std that is not finite and >= 0, or a
+    block under 1 raises ValueError naming it. A non-finite voltage raises
     IntegrationError from the block it appears in.
     """
-    if duration <= 0 or ts <= 0:
-        raise ValueError("duration and ts must be positive")
+    for name, value in (("duration", duration), ("ts", ts)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and >= 0, got "
+                         f"{noise_std!r}")
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     n = sample_count(duration, ts)
     nominal = full_circuit_model(params, None)
+    plain = (nominal, _stepper(nominal, ts))
+    segments = [(0, n, *plain)]  # (k0, k1, model, stepper), k0 <= k < k1
     k_on = disturbance_start(disturbance, duration, ts)
-    segments = []  # (start index, end index exclusive, model)
-    if k_on is None:
-        segments.append((0, n, nominal))
-    else:
+    if k_on is not None:
         k_off = min(n, int(round(disturbance.t_end / ts)))
-        segments += [(0, k_on, nominal),
-                     (k_on, k_off, full_circuit_model(
-                         params, (disturbance.kind, disturbance.value_pu))),
-                     (k_off, n, nominal)]
-    return _simulate_blocks(params, segments, excitation, n, ts, noise_std,
-                            noise_seed, np.asarray(i_op, float), block)
+        shunt = full_circuit_model(params, (disturbance.kind,
+                                            disturbance.value_pu))
+        segments = [(0, k_on, *plain),
+                    (k_on, k_off, shunt, _stepper(shunt, ts)),
+                    (k_off, n, *plain)]
+    return _simulate_blocks(params, nominal, segments, excitation, n, ts,
+                            noise_std, noise_seed, np.asarray(i_op, float),
+                            block)
 
 
-def _simulate_blocks(params, segments, excitation, n, ts, noise_std,
+def _stepper(model: StateSpaceModel, ts: float):
+    """The arrays that `_kernels.sim_rows` steps `model` with: FC = [F;
+    Cv], the state transition over the voltage output, which both multiply
+    the state, so one product per sample gives F x and v = Cv x; Gb; and
+    the grid's forcing Ge vg."""
+    F, Gb, Ge = _discretize(model, ts)
+    return (np.concatenate((F, model.C)), np.ascontiguousarray(Gb),
+            _matvec(Ge, GRID_VOLTAGE))
+
+
+def _simulate_blocks(params, nominal, segments, excitation, n, ts, noise_std,
                      noise_seed, i_op, block):
-    nominal = segments[0][2]
     excite = None if excitation is None else RbsStream(excitation, 1.0 / ts)
     if noise_std > 0:
         noise_v = np.random.Generator(np.random.Philox(noise_seed))
@@ -267,36 +283,20 @@ def _simulate_blocks(params, segments, excitation, n, ts, noise_std,
         start.state = _noise_start(noise_seed, 2 * n)
         noise_i = np.random.Generator(start)
     x = equilibrium(nominal, i_op, GRID_VOLTAGE)
-    seg = 0
-    prev_model = nominal
-    _, k1, model = segments[seg]
-    entered = False  # FC, Gb and the vg forcing are those of `model`
+    model = nominal  # the topology x is a state of
     for lo in range(0, n, block):
         hi = min(n, lo + block)
         i_inj = i_op + (np.zeros((hi - lo, 2)) if excite is None
                         else excite.take(hi - lo))
         v = np.empty((hi - lo, 2))
-        k = lo
-        while k < hi:
-            if k == k1:  # next segment
-                seg += 1
-                _, k1, model = segments[seg]
-                entered = False
-                continue
-            if not entered:
-                # a window shorter than half a step never switches
-                if model is not prev_model:
-                    x = _map_state(x, prev_model, model, params)
-                    prev_model = model
-                F, Gb, Ge = _discretize(model, ts)
-                FC = np.concatenate((F, model.C))
-                Gb = np.ascontiguousarray(Gb)
-                vg_forcing = _matvec(Ge, GRID_VOLTAGE)
-                entered = True
-            stop = min(hi, k1)
-            _step(v[k - lo:stop - lo], x, FC, Gb, vg_forcing,
-                  i_inj[k - lo:stop - lo])
-            k = stop
+        for k0, k1, to, stepper in segments:
+            a, b = max(lo, k0) - lo, min(hi, k1) - lo  # block rows in it
+            if a < b:  # never for an empty segment
+                if to is not model:
+                    x = _map_state(x, model, to, params)
+                    model = to
+                # row k: v[k] = Cv x, then x <- F x + (Gb u[k] + Ge vg)
+                _kernels.sim_rows(*stepper, x, i_inj[a:b], v[a:b])
         if not np.all(np.isfinite(v)):
             raise IntegrationError(
                 "non-finite voltage trajectory; check step size and "

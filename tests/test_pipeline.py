@@ -687,9 +687,10 @@ def never_clamp(P):
 
 
 class TestKernelSteps:
-    """The C step loops of `rls_run` and `simulate._step` sum each product
-    left to right, so that a step has the bits of the formulas written
-    with `matvec_fixed` on any CPU."""
+    """The C step loops of `rls_run` and `_kernels.sim_rows`, which the
+    simulator's segment walk calls, sum each product left to right, so
+    that a step has the bits of the formulas written with `matvec_fixed`
+    on any CPU."""
 
     @pytest.mark.parametrize("n, r", [(12, 2), (12, 1)],
                              ids=["14x12", "13x12"])

@@ -8,6 +8,7 @@ matrix code with the integrator under test.
 """
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -134,6 +135,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             simulate(params, None, None, 1.0, ts=-1e-4)
 
+    @pytest.mark.parametrize("name, value", [
+        ("duration", math.inf), ("duration", math.nan), ("ts", math.inf),
+        ("ts", math.nan), ("noise_std", -1.0), ("noise_std", math.inf),
+        ("noise_std", math.nan)])
+    @pytest.mark.parametrize("call", [simulate, simulate_blocks])
+    def test_bad_argument_named(self, params, call, name, value):
+        """A negative noise_std used to give the noiseless run, an infinite
+        duration an OverflowError and a NaN duration or ts an unnamed
+        ValueError; each is now rejected at the call, by name."""
+        kwargs = dict(duration=0.2, ts=2e-4, noise_std=1e-4)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+            call(params, None, RbsConfig(seed=3), **kwargs)
+
 
 class TestDeterminism:
     def test_identical_seeds_identical_output(self, params):
@@ -257,8 +272,9 @@ class TestTopologySwitch:
 def oracle_voltage(params, disturbance, excitation, duration, ts=2e-4,
                    i_op=(1.0, 0.0), vg=(1.0, 0.0), matmul=False):
     """Noiseless PCC voltage by the step loop written out with fresh arrays
-    every step: per topology segment, the forcing Gb u + Ge vg of all its
-    steps, then v[k] = C x and x = F x + drive[k]. The forcing sums its
+    every step: per topology segment (the window's end clipped to the
+    run's), the forcing Gb u + Ge vg of all its steps, then v[k] = C x and
+    x = F x + drive[k]. The forcing sums its
     terms in order and the step's products are `matvec_fixed`, all over
     Python floats; with `matmul`, both are numpy's matrix products
     instead, whose summation order is the BLAS library's."""
@@ -269,7 +285,7 @@ def oracle_voltage(params, disturbance, excitation, duration, ts=2e-4,
     disturbed = full_circuit_model(params, (disturbance.kind,
                                             disturbance.value_pu))
     k_on = int(round(disturbance.t_start / ts))
-    k_off = int(round(disturbance.t_end / ts))
+    k_off = min(n, int(round(disturbance.t_end / ts)))
     x = equilibrium(nominal, np.asarray(i_op, float), vg)
     v = np.empty((n, 2))
     prev = nominal
@@ -393,13 +409,62 @@ class TestBlockSimulator:
             simulate_blocks(params, None, self.exc, 0.2, block=0)
 
     def test_non_finite_block_raises(self, params, monkeypatch):
-        def blow_up(v, *args):
-            v[:] = np.inf
+        def blow_up(*args):
+            args[-1][:] = np.inf  # the voltage rows
 
-        monkeypatch.setattr(simulate_module, "_step", blow_up)
+        monkeypatch.setattr(simulate_module._kernels, "sim_rows", blow_up)
         blocks = simulate_blocks(params, None, self.exc, 0.2, block=100)
         with pytest.raises(simulate_module.IntegrationError):
             next(blocks)
+
+
+class TestSegmentWalk:
+    """The edges of the simulator's topology segments, at blocks of one
+    sample, of 7 and 250 and of the whole run, with noise off and on: each
+    block size gives the bits of the one-call run and, noiseless, those of
+    the fresh-array loop."""
+
+    exc = RbsConfig(seed=4)
+    # 0.2 s at 2e-4: samples 0..1000
+    edges = {
+        # on at sample 0, so the nominal segment before it is empty
+        "from_t0": DisturbanceSpec("fault", 0.3, 0.0, 0.12),
+        # off at the run's last sample, and past its end: k_off is clipped
+        # to n, and the last nominal segment is empty
+        "to_last_sample": DisturbanceSpec("load", 0.35, 0.05, 0.2),
+        "past_the_end": DisturbanceSpec("fault", 0.3, 0.05, 0.5),
+    }
+    blocks = [1, 7, 250, 4096]
+
+    @pytest.mark.parametrize("block", blocks)
+    @pytest.mark.parametrize("noise_std", [0.0, 1e-4])
+    @pytest.mark.parametrize("edge", sorted(edges))
+    def test_edge_segments(self, params, edge, block, noise_std):
+        dist = self.edges[edge]
+        t, v, i = joined(simulate_blocks(
+            params, dist, self.exc, 0.2, 2e-4, noise_std, 3, block=block))
+        want = simulate(params, dist, self.exc, 0.2, 2e-4, noise_std, 3)
+        assert np.array_equal(t, want.t)
+        assert np.array_equal(bits(v), bits(want.v_dq))
+        assert np.array_equal(bits(i), bits(want.i_dq))
+        if noise_std == 0.0:
+            assert np.array_equal(bits(v), bits(oracle_voltage(
+                params, dist, self.exc, 0.2)))
+
+    @pytest.mark.parametrize("block", blocks)
+    @pytest.mark.parametrize("noise_std", [0.0, 1e-4])
+    @pytest.mark.parametrize("t_start", [0.0, 0.05])
+    def test_window_under_half_a_step_is_the_undisturbed_run(
+            self, params, t_start, block, noise_std):
+        """t_start and t_end round to one sample: the disturbed segment is
+        empty and the run is bitwise the one without a disturbance."""
+        dist = DisturbanceSpec("fault", 0.3, t_start, t_start + 0.4 * 2e-4)
+        t, v, i = joined(simulate_blocks(
+            params, dist, self.exc, 0.2, 2e-4, noise_std, 3, block=block))
+        want = simulate(params, None, self.exc, 0.2, 2e-4, noise_std, 3)
+        assert np.array_equal(t, want.t)
+        assert np.array_equal(bits(v), bits(want.v_dq))
+        assert np.array_equal(bits(i), bits(want.i_dq))
 
 
 class TestIdentificationResidual:
