@@ -24,7 +24,6 @@ from .detector import (
     calibrate_thresholds,
     classify,
     classify_series,
-    detection_times,
     distances,
 )
 from .pipeline import IdentRun, identify

@@ -1,11 +1,12 @@
 /* The per-sample loops of gridarx, as a CPython extension module built on
- * numpy's C API: the RLS recursion of `rls.rls_run` with the regressor
+ * numpy's C API: the RLS recursion of `rls.run_block` with the regressor
  * fill of `pipeline.identify`, the simulator step (`sim_rows`, called by
  * `simulate._simulate_blocks` for each block's overlap with each topology
  * segment), the distance and verdict passes of `detector.distances` and
- * `detector.classify_series`, the debounce of `detector.debounce` with a
- * run's transitions and first times, and the running sums of
- * `detector.RunningMean` and the baseline's one-cycle average.
+ * `detector.classify_series`, the debounce of `scenario.Detector` (and
+ * `detector.debounce`) with a run's transitions and first times, and the
+ * running sums of `detector.RunningMean` and the baseline's one-cycle
+ * average.
  *
  * Every sum is made in a fixed order, and none by a BLAS library, whose
  * kernels depend on the CPU, so the outputs have the same bits on every
@@ -236,7 +237,7 @@ static void rls_row(const Rls *s, Py_ssize_t k, double *buf, const double **y,
     }
 }
 
-/* The block checks of `rls.rls_run`: RLS_NONFINITE_INPUT with *row the
+/* The block checks of `rls.run_block`: RLS_NONFINITE_INPUT with *row the
  * first row whose output or regressor holds a NaN or an infinity,
  * RLS_NONFINITE_P, RLS_ASYMMETRIC_P when P != P' (compared as numbers, so
  * +0.0 equals -0.0), else RLS_DONE. buf holds r + n doubles. */

@@ -1,9 +1,10 @@
 """The per-sample loops of gridarx, a C extension module compiled at import.
 
-`_kernels.c` holds the block kernels of `pipeline.identify` (and
-`rls.rls_run`), `detector.classify_series`, `detector.distances` and
-`detector.debounce`, the running sums of `detector.RunningMean` and of the
-baseline's one-cycle average, and the step loop that
+`_kernels.c` holds the block kernels of `rls.run_block` (for
+`pipeline.identify` and `rls.rls_update`), `detector.classify_series`,
+`detector.distances` and `scenario.Detector`'s debounce with a run's first
+times (and `detector.debounce`), the running sums of `detector.RunningMean`
+and of the baseline's one-cycle average, and the step loop that
 `simulate._simulate_blocks` calls for each block's overlap with each
 topology segment (`sim_rows`). It is built on numpy's C API: it is
 compiled with the C compiler `CC` against the headers of the running

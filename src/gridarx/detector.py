@@ -11,18 +11,21 @@ The distances and the verdicts are computed in C (`_kernels.c`):
 pass (its deviation and distance, summed in the order of numpy's
 add.reduce; for a band snapshot its products with the signatures, each
 summed left to right; then its similarity, best match and verdict code).
-The signature matrix is built once per library content
-(`SignatureLibrary.arrays`). The debounce of the verdicts, a run's
-transitions and its first times are one loop in C as well
-(`_kernels.debounce_block`), and so are the running sums of
+The signature matrix is built once per library
+(`SignatureLibrary.arrays`), which cannot change once made. The debounce
+of the verdicts, a run's transitions and its first times (the delays
+dt1_high, dt1_low and dt2 of the distance and the two debounced ones) are
+one loop in C as well (`_kernels.debounce_block`, which
+`scenario.Detector` calls once per block), and so are the running sums of
 `RunningMean` and `calibrate_nominal`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -149,42 +152,33 @@ class Signature:
     source_scenario: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignatureLibrary:
+    """The signatures a run's band snapshots are matched against. A library
+    cannot change once made: `signatures` is a tuple (a list given is
+    copied into one) of frozen Signatures, whose delta_theta is not to be
+    written in place."""
+
     order: int
-    signatures: list = field(default_factory=list)
-    # (signatures, matrix, norms, codes) of the last `arrays` call
-    _arrays: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    signatures: tuple = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "signatures", tuple(self.signatures))
+
+    @cached_property
     def arrays(self):
-        """(matrix, norms, codes) of the signatures: row s of `matrix` is
-        signature s's delta_theta flattened, norms[s] its Frobenius norm
-        (its `distances` to zero, summed in numpy's pairwise order) and
-        codes[s] its label's verdict code; (None, None, None) for an empty
-        library.
-
-        Built once per content: kept until `signatures` holds other
-        Signature objects than at the last call (one appended, removed or
-        replaced). A Signature is frozen, and its delta_theta is not to be
-        written in place.
-        """
-        signatures = tuple(self.signatures)
-        cached = self._arrays
-        if (cached is None or len(cached[0]) != len(signatures)
-                or any(a is not b for a, b in zip(cached[0], signatures))):
-            if signatures:
-                matrix = np.array([s.delta_theta for s in signatures],
-                                  float).reshape(len(signatures), -1)
-                cached = (signatures, matrix,
-                          distances(matrix, np.zeros(matrix.shape[1])),
-                          np.array([FAULT_CODE if s.label is Verdict.FAULT
-                                    else LOAD_CODE for s in signatures],
-                                   np.intp))
-            else:
-                cached = (signatures, None, None, None)
-            self._arrays = cached
-        return cached[1:]
+        """(matrix, norms, codes) of the signatures, built once per
+        library: row s of `matrix` is signature s's delta_theta flattened,
+        norms[s] its Frobenius norm (its `distances` to zero, summed in
+        numpy's pairwise order) and codes[s] its label's verdict code;
+        (None, None, None) for an empty library."""
+        if not self.signatures:
+            return None, None, None
+        matrix = np.array([s.delta_theta for s in self.signatures],
+                          float).reshape(len(self.signatures), -1)
+        return (matrix, distances(matrix, np.zeros(matrix.shape[1])),
+                np.array([FAULT_CODE if s.label is Verdict.FAULT
+                          else LOAD_CODE for s in self.signatures], np.intp))
 
     def to_json(self) -> str:
         doc = {
@@ -213,7 +207,7 @@ class SignatureLibrary:
         the entry."""
         doc = json_typed(json.loads(text), dict, "top level")
         order = json_count(doc["order"], "order")
-        lib = cls(order=order)
+        signatures = []
         for k, entry in enumerate(json_typed(doc["signatures"], list,
                                              "signatures")):
             entry = json_typed(entry, dict, f"library entry {k}")
@@ -231,11 +225,9 @@ class SignatureLibrary:
                 )
             delta = json_numbers(entry["delta_theta"], f"{where}: delta_theta",
                                  1).reshape(2, 4 * order)
-            lib.signatures.append(
-                Signature(label=label, delta_theta=delta,
-                          source_scenario=source)
-            )
-        return lib
+            signatures.append(Signature(label=label, delta_theta=delta,
+                                        source_scenario=source))
+        return cls(order=order, signatures=signatures)
 
 
 @dataclass(frozen=True)
@@ -247,15 +239,14 @@ class DetectionEvent:
     matched_similarity: float | None = None
 
 
-def calibrate_nominal(t, thetas, window: int) -> NominalPredictor:
-    """Elementwise mean of the last `window` predictor snapshots: thetas
-    (m, rows, cols) taken at times t (m,), summed as `RunningMean` sums.
+def calibrate_nominal(t, thetas) -> NominalPredictor:
+    """Elementwise mean of the predictor snapshots thetas (m, rows, cols)
+    taken at times t (m,), summed as `RunningMean` sums; m is recorded as
+    the calibration window. No snapshot raises InsufficientDataError.
 
-    A snapshot in the window holding a NaN or an infinity raises
-    ValueError naming its index in `thetas`: the mean would carry it into
-    every distance measured from it."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    A snapshot holding a NaN or an infinity raises ValueError naming its
+    index in `thetas`: the mean would carry it into every distance
+    measured from it."""
     t = np.asarray(t, float)
     thetas = np.asarray(thetas, float)
     if thetas.ndim != 3 or t.shape != thetas.shape[:1]:
@@ -263,26 +254,20 @@ def calibrate_nominal(t, thetas, window: int) -> NominalPredictor:
             f"need t (m,) and thetas (m, rows, cols), got {t.shape} and "
             f"{thetas.shape}"
         )
-    if thetas.shape[0] < window:
-        raise InsufficientDataError(
-            f"need {window} snapshots, have {thetas.shape[0]}"
-        )
+    if not t.size:
+        raise InsufficientDataError("no snapshots to calibrate from")
     mean = RunningMean()
-    mean.add(thetas[-window:])
+    mean.add(thetas)
     theta_star = mean.mean()
     if not np.isfinite(theta_star).all():
-        finite = np.isfinite(thetas[-window:]).all(axis=(1, 2))
+        finite = np.isfinite(thetas).all(axis=(1, 2))
         if not finite.all():
-            k = thetas.shape[0] - window + int(np.argmin(finite))
             raise ValueError(
-                f"snapshot {k} holds a non-finite value; theta* would "
-                "carry it"
+                f"snapshot {int(np.argmin(finite))} holds a non-finite "
+                "value; theta* would carry it"
             )
-    return NominalPredictor(
-        theta_star=theta_star,
-        calibration_window=window,
-        calibrated_at=float(t[-1]),
-    )
+    return NominalPredictor(theta_star=theta_star, calibration_window=t.size,
+                            calibrated_at=float(t[-1]))
 
 
 def distances(thetas, theta_star) -> np.ndarray:
@@ -368,7 +353,7 @@ def classify_series(thetas, nominal: NominalPredictor, thresholds: Thresholds,
     if nominal is None:
         raise ValueError("nominal predictor is not calibrated")
     return _kernels.classify_block(thetas, nominal.theta_star,
-                                   *library.arrays(), thresholds.d_low,
+                                   *library.arrays, thresholds.d_low,
                                    thresholds.d_high, match_floor)
 
 
@@ -394,29 +379,6 @@ def classify(
     label = None if verdict is Verdict.UNCLASSIFIED else verdict
     return DetectionEvent(verdict=verdict, d=float(d[0]), t=t,
                           matched_label=label, matched_similarity=sim)
-
-
-def detection_times(t, d, t_start: float, t_end: float,
-                    thresholds: Thresholds, found=(None, None, None)):
-    """Detection and recovery delays from a distance time series:
-    (dt1_high, dt1_low, dt2).
-
-    dt1_high / dt1_low: first time at or after t_start at which d exceeds
-    d_high (the low-impedance trip) / d_low (the high-impedance trip),
-    minus t_start. dt2: first time at or after t_end at which d is back at
-    d_low or below, minus t_end. Each is None when no crossing occurs.
-
-    A series given in consecutive blocks carries `found`, the result of
-    the call on the blocks before: a time found there is kept, so the call
-    on the last block returns the result of one call on their join. The
-    first three times of `_kernels.debounce_block`, which times a run's
-    blocks, here over codes that are all normal.
-    """
-    t = np.ascontiguousarray(t, float)
-    window = (t_start, t_end, thresholds.d_low, thresholds.d_high)
-    return _kernels.debounce_block(
-        np.full(t.shape, NORMAL_CODE), 1, DebounceState(), 0, t,
-        np.ascontiguousarray(d, float), window, (*found, None, None))[2][:3]
 
 
 @dataclass
@@ -472,12 +434,10 @@ def build_library(scenario_runs, nominal: NominalPredictor,
     half's running sum (`RunningMean`) are kept, so the signatures have
     the bits of np.max and np.mean over the whole run's rows.
     """
-    lib = SignatureLibrary(order=order)
-    for label, pieces, t_start, t_end, source in scenario_runs:
-        label = _signature_label(label, f"run {str(source)!r}")
-        lib.signatures.append(_signature(label, pieces, nominal, thresholds,
-                                         t_start, t_end, source))
-    return lib
+    return SignatureLibrary(order, [
+        _signature(_signature_label(label, f"run {str(source)!r}"), pieces,
+                   nominal, thresholds, t_start, t_end, source)
+        for label, pieces, t_start, t_end, source in scenario_runs])
 
 
 def _signature(label: Verdict, pieces, nominal: NominalPredictor,

@@ -4,13 +4,13 @@ trajectory and deviation distance out.
 Glue between the simulator (or a replayed stream), the recursive
 estimator, and the detector. `identify` makes one kernel call per block
 (`_kernels.rls_block`, through `rls.run_block`): it checks the block as
-`rls.rls_run` does and steps the RLS recursion over it, making each
-update's output and lagged regressor from the first differences of the
-streams as it goes, without storing them; only the spectral clamp of the
-covariance (`rls._clamp`) runs in Python mid-block. A run split into
-blocks, with the final state carried from one block to the next, gives the
-same trajectory bitwise as one whole run; the per-sample semantics are
-those of `rls.rls_update`.
+`run_block` checks a block of rows and steps the RLS recursion over it,
+making each update's output and lagged regressor from the first
+differences of the streams as it goes, without storing them; only the
+spectral clamp of the covariance (`rls._clamp`) runs in Python mid-block.
+A run split into blocks, with the final state carried from one block to
+the next, gives the same trajectory bitwise as one whole run; the
+per-sample semantics are those of `rls.rls_update`.
 """
 
 from __future__ import annotations

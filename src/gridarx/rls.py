@@ -5,8 +5,8 @@ consuming one (output, regressor) pair per step. Both output rows regress on
 the same regressor with the same forgetting factor, so the Kalman gain and
 covariance are shared and the theta update is a joint rank-1 correction.
 
-The recursion exists once, in the block kernel of `rls_run`
-(`run_block`, which `pipeline.identify` also calls): one C call
+The recursion exists once, in the block kernel `run_block`, which
+`pipeline.identify` calls for a stream's updates: one C call
 (`_kernels.rls_block`) validates a block of rows once (its shapes,
 finiteness and an exactly symmetric P), allocates its outputs and steps
 the rows; for the rare spectral clamp of P it calls `_clamp`, which
@@ -143,27 +143,6 @@ def init_identifier(config: ArxConfig) -> IdentifierState:
     )
 
 
-def rls_run(state: IdentifierState, Y, Phi):
-    """Run the recursion over a block of (output, regressor) rows.
-
-    Y is (m, output_dim), Phi is (m, regressor_len); row k is one step:
-
-    K    = P phi / (lambda + phi' P phi)
-    e    = y - theta phi
-    theta <- theta + e K'
-    P    <- (P - K phi' P) / lambda, re-symmetrized
-
-    Returns (theta_traj, innovation, final_state): theta_traj[k] is the
-    estimate after row k, innovation[k] the one-step prediction error e of
-    row k. The block is validated once, before any step; a rejected block or
-    step raises UpdateRejectedError. The input state's P must be finite and
-    exactly symmetric (P == P', as every P made here is): the stacked
-    update below relies on it, and any other P is rejected the same way.
-    The input state is never modified.
-    """
-    return run_block(state, Y, Phi)[:3]
-
-
 def _clamp(ceiling: float, P: np.ndarray) -> None:
     """Clamp the spectrum of the symmetric P at `ceiling`, in place.
 
@@ -187,18 +166,29 @@ def _clamp(ceiling: float, P: np.ndarray) -> None:
 
 
 def run_block(state: IdentifierState, a, b, t=None, order: int = 0):
-    """The block of `rls_run` (a, b = Y, Phi, converted as
-    np.ascontiguousarray(x, float) does) or of `pipeline.identify` (a, b =
-    the streams v, i of time stamps t, whose updates from sample order + 1
-    on make the block, each row made from the streams as it is stepped):
-    one kernel call, `_kernels.rls_block`.
+    """Run the recursion over a block in one kernel call
+    (`_kernels.rls_block`). The block is rows (a, b) = (Y, Phi), converted
+    as np.ascontiguousarray(x, float) does, or the updates of
+    `pipeline.identify`'s streams a, b = v, i of time stamps t from sample
+    order + 1 on, each row made from the streams as it is stepped. Y is
+    (m, output_dim), Phi is (m, regressor_len); row k is one step:
+
+    K    = P phi / (lambda + phi' P phi)
+    e    = y - theta phi
+    theta <- theta + e K'
+    P    <- (P - K phi' P) / lambda, re-symmetrized
 
     Returns (theta_traj, innovation, final_state, t, index, calibrated):
-    for streams, t, index and calibrated are the updates' time stamps,
-    sample indices and burn-in flags (None for rows). Every array is new,
-    but t, a slice of the stream's.
-    An exception raised by the clamp propagates, and the input state is
-    left as it was.
+    theta_traj[k] is the estimate after row k and innovation[k] the
+    one-step prediction error e of row k; for streams, t, index and
+    calibrated are the updates' time stamps, sample indices and burn-in
+    flags (None for rows). Every array is new, but t, a slice of the
+    stream's. The block is validated once, before any step; a rejected
+    block or step raises UpdateRejectedError. The input state's P must be
+    finite and exactly symmetric (P == P', as every P made here is): the
+    stacked update below relies on it, and any other P is rejected the
+    same way. An exception raised by the clamp propagates. The input state
+    is never modified.
     """
     cfg = state.config
     # P and theta are the row blocks of one (n + r) x n array `stack` =
@@ -230,9 +220,9 @@ def run_block(state: IdentifierState, a, b, t=None, order: int = 0):
 def rls_update(state: IdentifierState, y, phi) -> IdentifierState:
     """One recursive step; returns the updated state, input state untouched.
 
-    A one-row call into `rls_run`.
+    A one-row call into `run_block`.
     """
     y = np.asarray(y, dtype=float).reshape(1, -1)
     phi = np.asarray(phi, dtype=float).reshape(1, -1)
-    return rls_run(state, y, phi)[2]
+    return run_block(state, y, phi)[2]
 

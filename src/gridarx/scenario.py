@@ -592,7 +592,7 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
             f"run too short: {state.sample_count} updates, "
             f"burn-in needs {arx.burn_in}",
         )
-    nominal = calibrate_nominal(t, thetas, t.size)
+    nominal = calibrate_nominal(t, thetas)
     # threshold calibration uses the settled window only: the estimator's
     # cold-start convergence transient is not nominal operation
     d_nominal = distances(thetas, nominal.theta_star)
@@ -655,10 +655,11 @@ def _check_order(config: ScenarioConfig, nominal, library) -> None:
         )
     shape = None if nominal is None else np.shape(nominal.theta_star)
     if shape is not None and shape != (2, 4 * order):
+        held = f" (model order {shape[-1] // 4})" if shape else ""
         raise ValueError(
-            f"the calibration's nominal predictor has shape {shape} (model "
-            f"order {shape[-1] // 4}), but the run's model order is {order}, "
-            f"which needs {(2, 4 * order)}"
+            f"the calibration's nominal predictor has shape {shape}{held}, "
+            f"but the run's model order is {order}, which needs "
+            f"{(2, 4 * order)}"
         )
 
 

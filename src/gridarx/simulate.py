@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,9 +236,11 @@ def simulate_blocks(
     (`_noise_start`). Every value is bitwise that of `simulate`.
 
     Arguments are checked at the call: a duration or ts that is not
-    finite and positive, a noise_std that is not finite and >= 0, or a
-    block under 1 raises ValueError naming it. A non-finite voltage raises
-    IntegrationError from the block it appears in.
+    finite and positive, a noise_std that is not finite and >= 0, a
+    block that is not an integer >= 1 or a noise_seed that is not an
+    integer >= 0 (numpy integers are integers) raises ValueError naming
+    it. A non-finite voltage raises IntegrationError from the block it
+    appears in.
     """
     for name, value in (("duration", duration), ("ts", ts)):
         if not (math.isfinite(value) and value > 0):
@@ -245,8 +248,12 @@ def simulate_blocks(
     if not (math.isfinite(noise_std) and noise_std >= 0):
         raise ValueError(f"noise_std must be finite and >= 0, got "
                          f"{noise_std!r}")
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
+    for name, value, least in (("block", block, 1),
+                               ("noise_seed", noise_seed, 0)):
+        if not (hasattr(value, "__index__")
+                and operator.index(value) >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got "
+                             f"{value!r}")
     n = sample_count(duration, ts)
     nominal = full_circuit_model(params, None)
     plain = (nominal, _stepper(nominal, ts))

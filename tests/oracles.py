@@ -202,8 +202,11 @@ def first_time(t, mask, t0: float, found=None):
 
 def detection_times_numpy(t, d, t_start, t_end, thresholds,
                           found=(None, None, None)):
-    """`detector.detection_times` as numpy masks: (dt1_high, dt1_low,
-    dt2), each carried from `found` as `first_time` carries it."""
+    """The first three times of `_kernels.debounce_block` (a run's
+    dt1_high, dt1_low and dt2 over its armed updates) as numpy masks, each
+    carried from `found` as `first_time` carries it: the first t >=
+    t_start with d > d_high, and with d > d_low, less t_start; the first t
+    >= t_end with d <= d_low, less t_end."""
     after_start = t >= t_start
     return (first_time(t, after_start & (d > thresholds.d_high), t_start,
                        found[0]),
@@ -262,7 +265,7 @@ def build_library_numpy(runs, nominal, thresholds, order):
     half's slice less theta*, scaled to unit norm; a run whose settled half
     is empty, or whose np.max of `distances_numpy` over the window is at
     most d_low, raises InsufficientDataError."""
-    lib = SignatureLibrary(order=order)
+    signatures = []
     for label, t, thetas, t_start, t_end, source in runs:
         t = np.asarray(t, float)
         thetas = np.asarray(thetas, float)
@@ -274,10 +277,10 @@ def build_library_numpy(runs, nominal, thresholds, order):
         if float(np.max(d_window)) <= thresholds.d_low:
             raise InsufficientDataError(f"run {source!r}: below d_low")
         delta = np.mean(thetas[mid:hi], axis=0) - nominal.theta_star
-        lib.signatures.append(Signature(
+        signatures.append(Signature(
             label=Verdict(label), source_scenario=str(source),
             delta_theta=delta / norms_numpy(delta.reshape(1, -1))[0]))
-    return lib
+    return SignatureLibrary(order=order, signatures=signatures)
 
 
 def products_fixed(rows, matrix) -> np.ndarray:

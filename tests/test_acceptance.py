@@ -170,13 +170,12 @@ def test_criterion_7_property_suites():
     # classifier branch exclusivity over 1e4 random snapshots
     shape = (2, 12)
     from gridarx.detector import calibrate_nominal
-    nominal = calibrate_nominal([0.0], np.zeros((1,) + shape), window=1)
+    nominal = calibrate_nominal([0.0], np.zeros((1,) + shape))
     thr = Thresholds(d_high=1.0, d_low=0.1)
-    lib = SignatureLibrary(order=3)
     sig = rng.standard_normal(shape)
-    lib.signatures.append(
+    lib = SignatureLibrary(order=3, signatures=[
         Signature(label=Verdict.FAULT, delta_theta=sig / np.linalg.norm(sig))
-    )
+    ])
     for _ in range(10_000):
         theta = rng.standard_normal(shape) * rng.choice([0.01, 0.2, 2.0])
         ev = classify(theta, nominal, thr, lib)

@@ -1,4 +1,5 @@
-"""The names the bench's span tracer wraps resolve in gridarx.
+"""The names the bench's span tracer wraps resolve in gridarx, and every
+public definition of gridarx is used outside the tests.
 
 `bench/spans.py` replaces module attributes of gridarx by name (its
 `TARGETS`), so a name deleted or renamed in `src/` breaks a traced bench
@@ -7,6 +8,8 @@ run (`bench/run.py --trace 1`). Some names stay for that alone: the
 `pipeline.rls_update`, `scenario.simulate` and `simulate.rbs_generate`.
 """
 
+import ast
+import glob
 import importlib
 import importlib.util
 import os
@@ -29,3 +32,50 @@ def traced_names():
 def test_traced_name_resolves(module, attribute):
     assert module.split(".")[0] == "gridarx"
     assert callable(getattr(importlib.import_module(module), attribute))
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src", "gridarx")
+BENCH = os.path.dirname(SPANS)
+
+
+def referenced(node) -> set:
+    """The names `node` refers to: its names, attributes and imports.
+    Docstrings and comments hold none."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_public_definition_is_used_outside_tests():
+    """Each public top-level function and class of `src/gridarx` is
+    referenced by another top-level statement of `src/gridarx` (the
+    package's `__init__` exports do not count) or used by the bench, where
+    the names its span tracer wraps count: a second form that only tests
+    reach has no place in the package."""
+    statements, public = [], []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            statements.append((node, referenced(node)))
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                public.append((os.path.basename(path), node))
+    used = {attribute for _, attribute in traced_names()}
+    for path in glob.glob(os.path.join(BENCH, "*.py")):
+        with open(path) as fh:
+            used |= referenced(ast.parse(fh.read()))
+    unused = [f"{module}: {node.name}" for module, node in public
+              if node.name not in used
+              and not any(node.name in names for other, names in statements
+                          if other is not node)]
+    assert not unused

@@ -1,5 +1,6 @@
 """Detector unit behavior plus end-to-end discrimination on held-out runs."""
 
+import dataclasses
 import functools
 import json
 import operator
@@ -30,7 +31,6 @@ from gridarx.detector import (
     classify,
     classify_series,
     debounce,
-    detection_times,
     distances,
     json_numbers,
 )
@@ -99,13 +99,11 @@ def assert_same_event(got, want):
 
 
 def flat_library(vectors_labels):
-    lib = SignatureLibrary(order=ORDER)
-    for vec, label in vectors_labels:
-        vec = np.asarray(vec, float)
-        lib.signatures.append(
-            Signature(label=label, delta_theta=vec / np.linalg.norm(vec))
-        )
-    return lib
+    vectors = [(np.asarray(vec, float), label)
+               for vec, label in vectors_labels]
+    return SignatureLibrary(order=ORDER, signatures=[
+        Signature(label=label, delta_theta=vec / np.linalg.norm(vec))
+        for vec, label in vectors])
 
 
 def oracle_calibrate_nominal(stream, window):
@@ -119,12 +117,11 @@ def oracle_calibrate_nominal(stream, window):
 class TestCalibrateNominal:
     def test_constant_stream(self):
         theta = np.full(SHAPE, 0.7)
-        t = 0.1 * np.arange(10)
-        nom = calibrate_nominal(t, np.broadcast_to(theta, (10,) + SHAPE),
-                                window=5)
+        t = 0.1 * np.arange(5)
+        nom = calibrate_nominal(t, np.broadcast_to(theta, (5,) + SHAPE))
         assert np.array_equal(nom.theta_star, theta)
         assert nom.calibration_window == 5
-        assert nom.calibrated_at == pytest.approx(0.9)
+        assert nom.calibrated_at == pytest.approx(0.4)
 
     def test_averaging_suppresses_jitter(self, rng):
         """Mean of w i.i.d.-jittered snapshots wanders like eps/sqrt(w)."""
@@ -133,7 +130,7 @@ class TestCalibrateNominal:
         errs = []
         for _ in range(trials):
             thetas = base + eps * rng.standard_normal((w,) + SHAPE)
-            nom = calibrate_nominal(np.arange(w), thetas, w)
+            nom = calibrate_nominal(np.arange(w), thetas)
             errs.append(np.linalg.norm(nom.theta_star - base))
         expected = eps * np.sqrt(base.size / w)
         assert np.mean(errs) == pytest.approx(expected, rel=0.2)
@@ -141,14 +138,17 @@ class TestCalibrateNominal:
     @pytest.mark.parametrize("m, window", [(1, 1), (7, 3), (5000, 5000),
                                            (6000, 4999)])
     def test_bitwise_equal_to_list_oracle(self, rng, m, window):
+        """The tail of `window` rows, passed as slices, against the list
+        oracle's mean of the last `window` snapshots."""
         t = rng.uniform(0.0, 10.0, m)
         thetas = rng.standard_normal((m,) + SHAPE)
-        nom = calibrate_nominal(t, thetas, window)
+        nom = calibrate_nominal(t[-window:], thetas[-window:])
         theta_star, calibrated_at = oracle_calibrate_nominal(
             zip(t, thetas), window)
         assert np.array_equal(nom.theta_star.view(np.uint64),
                               theta_star.view(np.uint64))
         assert nom.calibrated_at == calibrated_at
+        assert nom.calibration_window == window
 
     def test_peak_memory_independent_of_rows(self, rng):
         """The call reads the snapshots in place: on 49,974 rows (9.6 MB,
@@ -160,37 +160,35 @@ class TestCalibrateNominal:
         thetas = rng.standard_normal((m,) + SHAPE)
         tracemalloc.start()
         try:
-            calibrate_nominal(t, thetas, 5000)
+            calibrate_nominal(t, thetas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 1024, peak
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_snapshot_in_window_named(self, value):
+    def test_non_finite_snapshot_named(self, value):
         thetas = np.ones((10,) + SHAPE)
         thetas[6, 1, 4] = value
         thetas[8, 0, 0] = value
         with pytest.raises(ValueError, match=r"^snapshot 6 holds a non-fin"):
-            calibrate_nominal(np.arange(10.0), thetas, window=5)
+            calibrate_nominal(np.arange(10.0), thetas)
 
-    def test_non_finite_snapshot_before_window_unused(self):
-        thetas = np.ones((10,) + SHAPE)
+    def test_only_the_rows_given_are_used(self):
+        """A slice past a non-finite snapshot: its tail's mean, time and
+        row count."""
+        thetas = np.concatenate([np.zeros((5,) + SHAPE),
+                                 np.ones((5,) + SHAPE)])
         thetas[4, 1, 4] = np.nan
-        nom = calibrate_nominal(np.arange(10.0), thetas, window=5)
+        t = np.array([0.0] * 5 + [1.0] * 5)
+        nom = calibrate_nominal(t[5:], thetas[5:])
         assert np.array_equal(nom.theta_star, np.ones(SHAPE))
-
-    def test_too_few_snapshots(self):
-        with pytest.raises(InsufficientDataError):
-            calibrate_nominal([0.0], np.ones((1,) + SHAPE), window=2)
+        assert nom.calibrated_at == 1.0
+        assert nom.calibration_window == 5
 
     def test_empty_stream(self):
         with pytest.raises(InsufficientDataError):
-            calibrate_nominal([], np.zeros((0,) + SHAPE), window=1)
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            calibrate_nominal([0.0], np.ones((1,) + SHAPE), window=0)
+            calibrate_nominal([], np.zeros((0,) + SHAPE))
 
     @pytest.mark.parametrize("t, thetas", [
         (np.zeros(3), np.zeros((2,) + SHAPE)),
@@ -198,14 +196,7 @@ class TestCalibrateNominal:
     ])
     def test_mismatched_shapes_rejected(self, t, thetas):
         with pytest.raises(ValueError, match="need t"):
-            calibrate_nominal(t, thetas, window=1)
-
-    def test_only_tail_used(self):
-        thetas = np.concatenate([np.zeros((5,) + SHAPE),
-                                 np.ones((5,) + SHAPE)])
-        nom = calibrate_nominal([0.0] * 5 + [1.0] * 5, thetas, window=5)
-        assert np.array_equal(nom.theta_star, np.ones(SHAPE))
-        assert nom.calibrated_at == 1.0
+            calibrate_nominal(t, thetas)
 
 
 class TestFrobeniusDistance:
@@ -309,7 +300,7 @@ class TestMatchSignature:
     sits in the band, so the library decides."""
 
     thresholds = Thresholds(d_high=10.0, d_low=1e-6)
-    nominal = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+    nominal = calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
 
     def _match(self, theta, lib):
         ev = classify(theta, self.nominal, self.thresholds, lib)
@@ -365,7 +356,7 @@ class TestClassify:
     thresholds = Thresholds(d_high=1.0, d_low=0.1)
 
     def _nominal(self):
-        return calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        return calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
 
     def test_normal_branch(self):
         nom = self._nominal()
@@ -434,7 +425,7 @@ class TestClassify:
 
 class TestClassifySeries:
     thr = Thresholds(d_high=1.0, d_low=0.1)
-    nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+    nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
 
     def _check(self, thetas, lib, match_floor=0.8):
         """The series and the one-row call both agree with the oracle."""
@@ -564,7 +555,7 @@ class TestClassifySeries:
 
 class TestClassifyNonFinite:
     thr = Thresholds(d_high=1.0, d_low=0.1)
-    nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+    nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
     lib = flat_library([(np.ones(SHAPE), Verdict.FAULT)])
 
     def test_nan_snapshot_named(self):
@@ -611,7 +602,7 @@ class TestClassifyMemory:
         taken whole (192 B a row, twice) would exceed it."""
         import tracemalloc
 
-        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
         thr = Thresholds(d_high=1.0, d_low=0.1)
         lib = flat_library([(np.ones(SHAPE), Verdict.FAULT)])
         peaks = {}
@@ -641,7 +632,7 @@ def fault_run():
     sim = simulate(CircuitParams(), DisturbanceSpec("fault", 0.2077, 1.2, 2.0),
                    RbsConfig(amplitude=0.1, chip_rate=5000.0, seed=1), 2.4)
     run = identify(sim, ArxConfig())
-    nominal = calibrate_nominal(run.t[:5000], run.theta[:5000], 2000)
+    nominal = calibrate_nominal(run.t[3000:5000], run.theta[3000:5000])
     d = distances(run.theta, nominal.theta_star)
     thresholds = Thresholds(d_high=float(np.quantile(d, 0.95)),
                             d_low=float(np.quantile(d, 0.6)))
@@ -753,22 +744,33 @@ class TestKernelPasses:
         assert got[2][band] == pytest.approx(want[2][band], rel=1e-12,
                                              abs=0.0)
 
-    def test_library_change_reaches_next_call(self, fault_run):
-        """The signature matrix is kept between calls, and rebuilt when a
-        signature is appended or replaced."""
+    def test_library_cannot_change_in_place(self, fault_run):
+        """A library's signatures are a tuple, copied from the list it was
+        given, and its arrays are built once."""
+        signatures = fault_run[3]
+        given = list(signatures[:1])
+        library = SignatureLibrary(order=ORDER, signatures=given)
+        given.append(signatures[1])
+        assert library.signatures == (signatures[0],)
+        assert library.arrays is library.arrays
+        assert library.arrays[0].shape == (1, SHAPE[0] * SHAPE[1])
+        with pytest.raises(AttributeError):
+            library.signatures.append(signatures[1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            library.signatures = tuple(signatures)
+
+    def test_new_library_classifies_as_numpy_form(self, fault_run):
+        """Libraries made with a signature added or replaced each classify
+        as the numpy form does, and differently from the one before."""
         thetas, nominal, thresholds, signatures = fault_run
-        library = SignatureLibrary(order=ORDER, signatures=signatures[:1])
-        assert library.arrays()[0] is library.arrays()[0]
+        # the deviation of a band row: its similarity becomes 1
+        band_row = Signature(Verdict.LOAD_INCREASE,
+                             self.unit_deviation(thetas[7000], nominal))
         calls = []
-        for change in (
-                lambda: None,
-                # the deviation of a band row: its similarity becomes 1
-                lambda: library.signatures.append(Signature(
-                    Verdict.LOAD_INCREASE, self.unit_deviation(
-                        thetas[7000], nominal))),
-                lambda: library.signatures.__setitem__(0, Signature(
-                    Verdict.LOAD_INCREASE, signatures[0].delta_theta))):
-            change()
+        for sigs in ([signatures[0]], [signatures[0], band_row],
+                     [Signature(Verdict.LOAD_INCREASE,
+                                signatures[0].delta_theta), band_row]):
+            library = SignatureLibrary(order=ORDER, signatures=sigs)
             got = classify_series(thetas, nominal, thresholds, library)
             want = classify_series_numpy(thetas, nominal, thresholds,
                                          library, DEFAULT_MATCH_FLOOR)
@@ -789,7 +791,7 @@ class TestBandProducts:
     """`classify_block`'s products of band deviations with the signatures,
     on values at the ends of the float range, against `dot_fixed`."""
 
-    nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+    nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
     # d_high = inf keeps a deviation whose squares overflow in the band
     thr = Thresholds(d_high=np.inf, d_low=1e-300)
 
@@ -806,9 +808,9 @@ class TestBandProducts:
                             (zero_first, Verdict.LOAD_INCREASE)])
         # norms 1e-200 and 0: a divisor that underflows to 0, and one that
         # is 0 (or NaN, times an infinite d)
-        lib.signatures += [Signature(Verdict.LOAD_INCREASE, 1e-200 * unit),
-                           Signature(Verdict.FAULT, np.zeros(SHAPE))]
-        return lib
+        return SignatureLibrary(order=ORDER, signatures=lib.signatures + (
+            Signature(Verdict.LOAD_INCREASE, 1e-200 * unit),
+            Signature(Verdict.FAULT, np.zeros(SHAPE))))
 
     @staticmethod
     def snapshots():
@@ -844,7 +846,7 @@ class TestBandProducts:
                                          DEFAULT_MATCH_FLOOR,
                                          products=dot_fixed_products)
             # the numpy column sums of the other tests give the same bits
-            flat, matrix = thetas.reshape(len(thetas), -1), lib.arrays()[0]
+            flat, matrix = thetas.reshape(len(thetas), -1), lib.arrays[0]
             assert_bits_equal(products_fixed(flat, matrix),
                               dot_fixed_products(flat, matrix))
         for size in (len(thetas), 1, 3):
@@ -885,70 +887,6 @@ def oracle_detection_times(t, d, t_start, t_end, thresholds):
     return (first(lambda dk: dk > thresholds.d_high, t_start),
             first(lambda dk: dk > thresholds.d_low, t_start),
             first(lambda dk: dk <= thresholds.d_low, t_end))
-
-
-class TestDetectionTimes:
-    thr = Thresholds(d_high=1.0, d_low=0.1)
-
-    def test_step_crossing(self):
-        t = np.arange(100) * 1e-3
-        d = np.where((t >= 0.030) & (t < 0.060), 2.0, 0.01)
-        dt1_high, dt1_low, dt2 = detection_times(t, d, 0.028, 0.060,
-                                                 self.thr)
-        assert dt1_high == pytest.approx(0.002)
-        assert dt1_low == pytest.approx(0.002)
-        assert dt2 == pytest.approx(0.0)
-
-    def test_low_trip(self):
-        t = np.arange(100) * 1e-3
-        d = np.where(t >= 0.050, 0.5, 0.01)
-        dt1_high, dt1_low, dt2 = detection_times(t, d, 0.050, 0.090,
-                                                 self.thr)
-        assert dt1_high is None
-        assert dt1_low == pytest.approx(0.0)
-        assert dt2 is None
-
-    def test_never_trips(self):
-        t = np.arange(10) * 1e-3
-        d = np.full(10, 0.01)
-        dt1_high, dt1_low, dt2 = detection_times(t, d, 0.0, 0.005, self.thr)
-        assert dt1_high is None and dt1_low is None
-        assert dt2 == pytest.approx(0.0)
-
-    def test_never_recovers(self):
-        t = np.arange(10) * 1e-3
-        d = np.full(10, 5.0)
-        dt1_high, dt1_low, dt2 = detection_times(t, d, 0.0, 0.005, self.thr)
-        assert dt1_high == pytest.approx(0.0)
-        assert dt1_low == pytest.approx(0.0)
-        assert dt2 is None
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_scan_oracle(self, seed):
-        """Both trip levels and the recovery, with d exactly on each
-        threshold at some samples."""
-        rng = np.random.default_rng(seed)
-        t = np.arange(400) * 1e-3
-        d = rng.choice([0.0, 0.05, self.thr.d_low, 0.5, self.thr.d_high,
-                        2.0], size=t.size)
-        t_start, t_end = rng.uniform(0.0, 0.4, 2)
-        got = detection_times(t, d, t_start, t_end, self.thr)
-        assert got == oracle_detection_times(t, d, t_start, t_end, self.thr)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_found_carried_across_blocks(self, seed):
-        """Blocks that pass each call's result to the next give the result
-        of one call."""
-        rng = np.random.default_rng(seed)
-        t = np.arange(400) * 1e-3
-        d = rng.choice([0.0, 0.05, 0.5, 2.0], size=t.size,
-                       p=[0.4, 0.3, 0.2, 0.1])
-        t_start, t_end = rng.uniform(0.0, 0.4, 2)
-        found = (None, None, None)
-        for a, b in zip([0, 1, 37, 200, 399], [1, 37, 200, 399, 400]):
-            found = detection_times(t[a:b], d[a:b], t_start, t_end,
-                                    self.thr, found)
-        assert found == detection_times(t, d, t_start, t_end, self.thr)
 
 
 class TestDebounce:
@@ -1092,6 +1030,75 @@ class TestDebounceBlock:
         assert [v for _, v in changes] == [v for _, v in want[1]]
         assert bits(found) == bits(want[2])
 
+    @classmethod
+    def crossings(cls, t, d, t_start, t_end, found=(None,) * 3):
+        """The kernel's first three times (dt1_high, dt1_low, dt2) over
+        codes that are all normal, armed from the first update."""
+        t = np.asarray(t, float)
+        window = (t_start, t_end, cls.THR.d_low, cls.THR.d_high)
+        return _kernels.debounce_block(
+            np.full(t.size, NORMAL_CODE), 1, DebounceState(), 0, t,
+            np.asarray(d, float), window, (*found, None, None))[2][:3]
+
+    def test_step_crossing(self):
+        t = np.arange(100) * 1e-3
+        d = np.where((t >= 0.030) & (t < 0.060), 2.0, 0.01)
+        dt1_high, dt1_low, dt2 = self.crossings(t, d, 0.028, 0.060)
+        assert dt1_high == pytest.approx(0.002)
+        assert dt1_low == pytest.approx(0.002)
+        assert dt2 == pytest.approx(0.0)
+
+    def test_low_trip(self):
+        t = np.arange(100) * 1e-3
+        d = np.where(t >= 0.050, 0.5, 0.01)
+        dt1_high, dt1_low, dt2 = self.crossings(t, d, 0.050, 0.090)
+        assert dt1_high is None
+        assert dt1_low == pytest.approx(0.0)
+        assert dt2 is None
+
+    def test_never_trips(self):
+        t = np.arange(10) * 1e-3
+        d = np.full(10, 0.01)
+        dt1_high, dt1_low, dt2 = self.crossings(t, d, 0.0, 0.005)
+        assert dt1_high is None and dt1_low is None
+        assert dt2 == pytest.approx(0.0)
+
+    def test_never_recovers(self):
+        t = np.arange(10) * 1e-3
+        d = np.full(10, 5.0)
+        dt1_high, dt1_low, dt2 = self.crossings(t, d, 0.0, 0.005)
+        assert dt1_high == pytest.approx(0.0)
+        assert dt1_low == pytest.approx(0.0)
+        assert dt2 is None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_crossings_match_scan_oracle(self, seed):
+        """Both trip levels and the recovery, with d exactly on each
+        threshold at some samples."""
+        rng = np.random.default_rng(seed)
+        t = np.arange(400) * 1e-3
+        d = rng.choice([0.0, 0.05, self.THR.d_low, 0.5, self.THR.d_high,
+                        2.0], size=t.size)
+        t_start, t_end = rng.uniform(0.0, 0.4, 2)
+        got = self.crossings(t, d, t_start, t_end)
+        assert got == oracle_detection_times(t, d, t_start, t_end, self.THR)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_crossings_carried_across_blocks(self, seed):
+        """Blocks that pass each call's times to the next give the times
+        of one call."""
+        rng = np.random.default_rng(seed)
+        t = np.arange(400) * 1e-3
+        d = rng.choice([0.0, 0.05, 0.5, 2.0], size=t.size,
+                       p=[0.4, 0.3, 0.2, 0.1])
+        t_start, t_end = rng.uniform(0.0, 0.4, 2)
+        found = (None, None, None)
+        for a, b in zip([0, 1, 37, 200, 399], [1, 37, 200, 399, 400]):
+            found = self.crossings(t[a:b], d[a:b], t_start, t_end, found)
+        assert found == self.crossings(t, d, t_start, t_end)
+        assert found == oracle_detection_times(t, d, t_start, t_end,
+                                               self.THR)
+
     def test_no_window_searches_no_time(self):
         """Without a window (a run with no disturbance inside it) found
         comes back as given and the debounce runs as ever."""
@@ -1195,7 +1202,7 @@ class TestRunningMean:
         against np.mean(axis=0) as uint64, on rows of mixed magnitudes
         with rows and a column of -0.0 and subnormals."""
         rows = mixed_rows(rng, m)
-        nom = calibrate_nominal(np.arange(m), rows, window)
+        nom = calibrate_nominal(np.arange(m)[-window:], rows[-window:])
         want = np.mean(rows[-window:], axis=0)
         assert np.array_equal(nom.theta_star.view(np.uint64),
                               want.view(np.uint64))
@@ -1227,7 +1234,7 @@ class TestLibraryNorms:
             library = SignatureLibrary(order=ORDER, signatures=[
                 Signature(Verdict.FAULT, row.reshape(SHAPE))
                 for row in matrix])
-            norms = library.arrays()[1]
+            norms = library.arrays[1]
             assert np.array_equal(norms.view(np.uint64),
                                   norms_numpy(matrix).view(np.uint64))
 
@@ -1239,7 +1246,7 @@ def one_piece(t, thetas):
 
 class TestBuildLibrary:
     def test_synthetic_runs(self):
-        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
         thr = Thresholds(d_high=1.0, d_low=0.01)
         t = np.linspace(0.0, 1.0, 101)
         sig = np.zeros(SHAPE)
@@ -1264,8 +1271,7 @@ class TestBuildLibrary:
         """A run cut into pieces anywhere, empty ones included, gives the
         bits of the array form over the whole run: the window and its
         settled half span the cuts."""
-        nom = calibrate_nominal([0.0], rng.standard_normal((1,) + SHAPE),
-                                window=1)
+        nom = calibrate_nominal([0.0], rng.standard_normal((1,) + SHAPE))
         thr = Thresholds(d_high=1e9, d_low=0.01)
         t = np.arange(1000) * 1e-3
         thetas = mixed_rows(rng, 1000)
@@ -1288,7 +1294,7 @@ class TestBuildLibrary:
     def test_runs_read_one_at_a_time(self):
         """A run's pieces are read to their end before the next run is
         taken."""
-        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
         thr = Thresholds(d_high=1.0, d_low=0.01)
         t = np.linspace(0.0, 1.0, 101)
         thetas = np.full((101,) + SHAPE, 0.1)
@@ -1310,7 +1316,7 @@ class TestBuildLibrary:
                        ("run", "b"), ("b", 0), ("b", 50), ("b", "end")]
 
     def test_quiet_run_rejected(self):
-        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
         thr = Thresholds(d_high=1.0, d_low=0.5)
         t = np.linspace(0.0, 1.0, 101)
         thetas = np.zeros((101,) + SHAPE)
@@ -1320,7 +1326,7 @@ class TestBuildLibrary:
                             "quiet")], nom, thr, order=ORDER)
 
     def test_times_must_increase(self):
-        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
         thr = Thresholds(d_high=1.0, d_low=0.01)
         t = np.linspace(0.0, 1.0, 11)[::-1]
         thetas = np.ones((11,) + SHAPE)
@@ -1334,7 +1340,7 @@ class TestBuildLibrary:
         """Each piece increasing is not enough: a piece must start after
         the last snapshot before it, here at that time or before it, with
         an empty piece between them."""
-        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
         thr = Thresholds(d_high=1.0, d_low=0.01)
         t = np.linspace(0.0, 1.0, 11)
         thetas = np.ones((11,) + SHAPE)
@@ -1346,7 +1352,7 @@ class TestBuildLibrary:
                           nom, thr, order=ORDER)
 
     def test_empty_window_rejected(self):
-        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
         thr = Thresholds(d_high=1.0, d_low=0.01)
         t = np.linspace(0.0, 1.0, 11)
         thetas = np.ones((11,) + SHAPE)
@@ -1357,7 +1363,7 @@ class TestBuildLibrary:
     def test_empty_settled_half_rejected(self):
         """Snapshots inside the window but none in its second half: the
         signature would be the mean of no rows."""
-        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
         thr = Thresholds(d_high=1.0, d_low=0.01)
         t = np.linspace(0.0, 3.0, 31)
         thetas = np.ones((31,) + SHAPE)
@@ -1391,7 +1397,7 @@ class TestSignatureLabels:
     @pytest.mark.parametrize("label", [Verdict.NORMAL, Verdict.UNCLASSIFIED,
                                        "normal", "bogus"])
     def test_build_library_rejects_label(self, label):
-        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE), window=1)
+        nom = calibrate_nominal([0.0], np.zeros((1,) + SHAPE))
         thr = Thresholds(d_high=1.0, d_low=0.01)
         t = np.linspace(0.0, 1.0, 11)
         thetas = np.full((11,) + SHAPE, 0.1)

@@ -19,7 +19,7 @@ from gridarx.rls import (
     IdentifierState,
     UpdateRejectedError,
     init_identifier,
-    rls_run,
+    run_block,
 )
 from gridarx.signals import RbsConfig
 from gridarx.simulate import SimResult, simulate
@@ -306,7 +306,7 @@ class TestBlockErrors:
         Y = np.zeros((3, 1))
         Phi = np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 0.0]])
         with pytest.raises(UpdateRejectedError, match="at sample 1 of"):
-            rls_run(state, Y, Phi)
+            run_block(state, Y, Phi)
         assert_unchanged(state, snap)
 
 
@@ -343,7 +343,7 @@ class TestClampCallback:
         assert err.value is error
         assert_unchanged(state, snap)
 
-    def test_rls_run_raises_the_clamps_exception(self, monkeypatch):
+    def test_row_block_raises_the_clamps_exception(self, monkeypatch):
         error = self.broken_clamp(monkeypatch)
         config = ArxConfig(order=1, input_dim=1, output_dim=1,
                            forgetting=0.95, p0_scale=1e2, p_max=1e3)
@@ -352,7 +352,7 @@ class TestClampCallback:
                                 sample_count=COV_CLAMP_INTERVAL - 2)
         snap = snapshot(state)
         with pytest.raises(ClampBroke) as err:
-            rls_run(state, np.zeros((5, 1)), np.zeros((5, 2)))
+            run_block(state, np.zeros((5, 1)), np.zeros((5, 2)))
         assert err.value is error
         assert_unchanged(state, snap)
 
@@ -395,15 +395,15 @@ class TestClampCallback:
         monkeypatch.setattr(rls_module, "_clamp", lambda ceiling, P: None)
         noop = ArxConfig(order=1, input_dim=1, output_dim=1,
                          forgetting=0.95, p0_scale=1e2, p_max=1e3)
-        first = rls_run(IdentifierState(config=noop, theta=state.theta,
-                                        P=state.P, sample_count=snap[2]),
-                        Y[:1], Phi[:1])
+        first = run_block(IdentifierState(config=noop, theta=state.theta,
+                                          P=state.P, sample_count=snap[2]),
+                          Y[:1], Phi[:1])
         halfway = first[2]
         halfway.P *= 0.5
-        rest = rls_run(halfway, Y[1:], Phi[1:])
+        rest = run_block(halfway, Y[1:], Phi[1:])
 
         monkeypatch.setattr(rls_module, "_clamp", halve)
-        thetas, innovations, final = rls_run(state, Y, Phi)
+        thetas, innovations, final = run_block(state, Y, Phi)[:3]
         assert len(seen) == 1
         P = seen[0]
         assert P.dtype == np.float64 and P.shape == (2, 2)
@@ -439,7 +439,7 @@ class TestClampCallback:
         Phi[2:, 0] = 1.0  # rows 0 and 1 (the clamp after 1) have no gain
         with pytest.raises(UpdateRejectedError,
                            match="is not positive at sample 2 of"):
-            rls_run(state, Y, Phi)
+            run_block(state, Y, Phi)
         assert calls == 1
         assert_unchanged(state, snap)
 
@@ -468,13 +468,13 @@ class TestClampCallback:
         start = IdentifierState(
             config=config, theta=np.zeros((1, 2)),
             P=3.0 * config.covariance_ceiling * np.eye(2), sample_count=3)
-        whole = rls_run(start, Y, Phi)[2]
+        whole = run_block(start, Y, Phi)[2]
         want, seen[:] = list(seen), []
         assert len(want) == 4  # at 50, 100, 150 and 200
 
         state = start
         for lo in range(0, m, size):
-            state = rls_run(state, Y[lo:lo + size], Phi[lo:lo + size])[2]
+            state = run_block(state, Y[lo:lo + size], Phi[lo:lo + size])[2]
         assert len(seen) == len(want)
         for got, ref in zip(seen, want):
             assert_bits_equal(got, ref)
@@ -504,11 +504,11 @@ class TestClampCallback:
         Y, Phi = np.zeros((COV_CLAMP_INTERVAL, 1)), np.zeros(
             (COV_CLAMP_INTERVAL, 2))
         for _ in range(1000):
-            rls_run(state, Y, Phi)
+            run_block(state, Y, Phi)
         tracemalloc.start()
         try:
             for _ in range(10_000):
-                rls_run(state, Y, Phi)
+                run_block(state, Y, Phi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -604,7 +604,8 @@ class TestBitPatterns:
                                                              output_dim))
         ref = oracle_rls(Y, Phi, config)
         assert ref[-1] >= 1  # the ceiling clamp really fired
-        thetas, innovations, final = rls_run(init_identifier(config), Y, Phi)
+        thetas, innovations, final = run_block(init_identifier(config), Y,
+                                               Phi)[:3]
         assert_bits_equal(thetas, ref[0])
         assert_bits_equal(innovations, ref[1])
         assert_bits_equal(final.theta, ref[3])
@@ -624,9 +625,9 @@ class TestBitPatterns:
             1e-3 * rng.standard_normal((m, r))
         return Y, Phi
 
-    def assert_rls_run_bits_match(self, state, Y, Phi):
+    def assert_row_block_bits_match(self, state, Y, Phi):
         ref = oracle_rls(Y, Phi, state.config, state)
-        thetas, innovations, final = rls_run(state, Y, Phi)
+        thetas, innovations, final = run_block(state, Y, Phi)[:3]
         assert np.isfinite(thetas).all() and np.isfinite(final.P).all()
         assert_bits_equal(thetas, ref[0])
         assert_bits_equal(innovations, ref[1])
@@ -648,7 +649,7 @@ class TestBitPatterns:
         state = IdentifierState(
             config=config, theta=np.zeros((output_dim, config.regressor_len)),
             P=3.0 * config.covariance_ceiling * np.eye(config.regressor_len))
-        ref = self.assert_rls_run_bits_match(state, Y, Phi)
+        ref = self.assert_row_block_bits_match(state, Y, Phi)
         assert ref[-1] >= 1  # the ceiling clamp really fired
 
     @pytest.mark.parametrize("output_dim", [1, 2, 3])
@@ -666,11 +667,11 @@ class TestBitPatterns:
         Phi = Phi * scale
         state = IdentifierState(config=config, theta=np.zeros((output_dim, n)),
                                 P=np.diag(1.0 / scale ** 2))
-        # rls_run's finiteness check looks at each value, so no sum of
+        # run_block's finiteness check looks at each value, so no sum of
         # squares overflows on these finite values and nothing warns
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            ref = self.assert_rls_run_bits_match(state, Y, Phi)
+            ref = self.assert_row_block_bits_match(state, Y, Phi)
         assert ref[-1] == 0
         assert np.abs(ref[4]).max() > 1e280 and np.abs(ref[4]).min() < 1e-280
 
@@ -687,7 +688,7 @@ def never_clamp(P):
 
 
 class TestKernelSteps:
-    """The C step loops of `rls_run` and `_kernels.sim_rows`, which the
+    """The C step loops of `rls.run_block` and `_kernels.sim_rows`, which the
     simulator's segment walk calls, sum each product left to right, so
     that a step has the bits of the formulas written with `matvec_fixed`
     on any CPU."""

@@ -9,7 +9,7 @@ from gridarx.rls import (
     ConfigError,
     UpdateRejectedError,
     init_identifier,
-    rls_run,
+    run_block,
     rls_update,
 )
 from oracles import SingularDataError, batch_weighted_ls
@@ -148,7 +148,7 @@ class TestUpdate:
         state.P[3, 7] = np.nextafter(state.P[3, 7], np.inf)
         before = state.theta.copy(), state.P.copy()
         with pytest.raises(UpdateRejectedError, match="not exactly symmetric"):
-            rls_run(state, np.zeros((5, 2)), np.zeros((5, 12)))
+            run_block(state, np.zeros((5, 2)), np.zeros((5, 12)))
         assert np.array_equal(state.theta, before[0])
         assert np.array_equal(state.P, before[1])
         assert state.sample_count == 1
@@ -159,7 +159,7 @@ class TestUpdate:
         state.P[5, 5] = np.nan
         before = state.theta.copy(), state.P.copy()
         with pytest.raises(UpdateRejectedError, match="P holds a non-finite"):
-            rls_run(state, np.zeros((5, 2)), np.zeros((5, 12)))
+            run_block(state, np.zeros((5, 2)), np.zeros((5, 12)))
         assert np.array_equal(state.theta, before[0])
         assert np.array_equal(state.P, before[1], equal_nan=True)
 
@@ -170,7 +170,8 @@ class TestUpdate:
         state = init_identifier(ArxConfig())
         Y = np.array([[1e200, -1e200]])
         with np.errstate(over="ignore"):
-            thetas, innovation, final = rls_run(state, Y, np.zeros((1, 12)))
+            thetas, innovation, final = run_block(state, Y,
+                                                  np.zeros((1, 12)))[:3]
         assert np.array_equal(innovation, Y)
         assert final.sample_count == 1
 
@@ -303,8 +304,8 @@ def resymmetrise_oracle(P, lam):
 
 
 def resymmetrise_kernel(P, lam):
-    """The ufunc sequence of `rls_run`: divide by 2 lambda in place, copy
-    the transpose, add."""
+    """The ufunc sequence of `rls.run_block`: divide by 2 lambda in place,
+    copy the transpose, add."""
     P = P.copy()
     np.divide(P, np.array([2.0 * lam]), P)
     sym = np.ascontiguousarray(P.T)
@@ -313,7 +314,7 @@ def resymmetrise_kernel(P, lam):
 
 
 class TestHalvedDivisor:
-    """`rls_run` computes (P/lambda + (P/lambda)')/2 as P/(2 lambda) +
+    """`rls.run_block` computes (P/lambda + (P/lambda)')/2 as P/(2 lambda) +
     (P/(2 lambda))'. 2 lambda is exact and halving a normal number is
     exact, so both give the same bits wherever every entry of P/lambda is
     at least 2**-1021 in magnitude, or zero. The exception is subnormal

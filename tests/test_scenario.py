@@ -21,6 +21,7 @@ from gridarx.circuit import CircuitParams, full_circuit_model
 from gridarx import _kernels
 from gridarx.detector import (
     DebounceState,
+    NominalPredictor,
     Signature,
     SignatureLibrary,
     Thresholds,
@@ -57,7 +58,7 @@ from gridarx.simulate import (
     sample_count,
     simulate,
 )
-from oracles import build_library_numpy, read_theta_csv
+from oracles import build_library_numpy, detection_times_numpy, read_theta_csv
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -744,6 +745,42 @@ class TestRunScenario:
         assert report.dt1_high is None  # nothing reaches 1e6
 
 
+class TestRunDelays:
+    """A run's reported delays against the numpy masks of
+    `oracles.detection_times_numpy` over the armed rows of its own
+    distance.npy: the detector is armed from update calibration_window on
+    (past burn-in), and the first times are taken from there."""
+
+    @pytest.mark.parametrize("t_start, t_end, found", [
+        (1.5, 2.5, True), (3.5, 4.5, False)],
+        ids=["inside", "after-run-end"])
+    def test_delays_equal_oracle_bitwise(self, default_cal, tmp_path,
+                                         t_start, t_end, found):
+        nominal, thresholds, _, _ = default_cal
+        cfg = ScenarioConfig(name="delays", duration=3.0,
+                             disturbance=DisturbanceSpec(
+                                 "fault", 0.2077, t_start, t_end))
+        run_scenario(cfg, nominal, thresholds, out_dir=str(tmp_path))
+        doc = json.loads((tmp_path / "report.json").read_text())
+        t, d = np.load(tmp_path / "distance.npy").T
+        armed = max(cfg.calibration_window, cfg.identifier.burn_in)
+        want = detection_times_numpy(t[armed:], d[armed:], t_start, t_end,
+                                     thresholds)
+        got = tuple(doc[key] for key in ("dt1_high", "dt1_low", "dt2"))
+        assert self.bits(got) == self.bits(want)
+        if found:
+            assert got[0] is not None and got[1] is not None
+        else:
+            assert got == (None, None, None)
+            assert doc["dt1_high_debounced"] is None
+            assert doc["dt1_low_debounced"] is None
+
+    @staticmethod
+    def bits(delays):
+        return [None if v is None else int(np.float64(v).view(np.uint64))
+                for v in delays]
+
+
 # The run of `block_edge_config` has 35,001 samples, the disturbance on at
 # sample 24,004 and off at 32,004. Each simulator block is identified with
 # the last order + 1 = 4 samples of the stream before it prepended, so the
@@ -1170,6 +1207,14 @@ class TestModelOrder:
                                              r"model order is 2"):
             run_scenario(config, nominal, thresholds)
 
+    def test_zero_dimensional_nominal_named(self, no_simulation):
+        """A theta* of no dimension has no model order to name; its shape
+        is named all the same."""
+        nominal = NominalPredictor(np.zeros(()), 1, 0.0)
+        with pytest.raises(ValueError, match=r"shape \(\), but the run's "
+                                             r"model order is 3"):
+            Detector(ScenarioConfig(), nominal, Thresholds(1.0, 0.1))
+
     def test_library_build_of_an_empty_settled_half(self, default_cal,
                                                      no_simulation):
         """Every scenario is checked before the first one is simulated: the
@@ -1281,11 +1326,11 @@ def random_library(seed=8):
     """Two unit signatures in random directions: in-band rows match one of
     them with a similarity spread around 0."""
     rng = np.random.default_rng(seed)
-    lib = SignatureLibrary(order=3)
+    signatures = []
     for label in (Verdict.FAULT, Verdict.LOAD_INCREASE):
         vec = rng.standard_normal((2, 12))
-        lib.signatures.append(Signature(label, vec / np.linalg.norm(vec)))
-    return lib
+        signatures.append(Signature(label, vec / np.linalg.norm(vec)))
+    return SignatureLibrary(order=3, signatures=signatures)
 
 
 def counting_suite(paths, nominal, thresholds, library, out_dir,

@@ -404,9 +404,25 @@ class TestBlockSimulator:
             assert np.array_equal(bits(run.v_dq), bits(cold.v_dq))
             assert np.array_equal(bits(run.i_dq), bits(cold.i_dq))
 
-    def test_bad_block_rejected(self, params):
-        with pytest.raises(ValueError, match="block must be >= 1"):
-            simulate_blocks(params, None, self.exc, 0.2, block=0)
+    @pytest.mark.parametrize("name, value", [
+        ("block", 0), ("block", 2.5), ("block", np.float64(4.0)),
+        ("noise_seed", -1), ("noise_seed", 1.5), ("noise_seed", None)])
+    def test_bad_block_rejected(self, params, name, value):
+        """At the call, before the first block is asked for, with a
+        ValueError naming the argument."""
+        least = {"block": 1, "noise_seed": 0}[name]
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer "
+                                             rf">= {least}, got"):
+            simulate_blocks(params, None, self.exc, 0.2, **{name: value})
+
+    def test_numpy_integers_accepted(self, params):
+        whole = simulate(params, None, self.exc, 0.2, noise_seed=3)
+        parts = list(simulate_blocks(params, None, self.exc, 0.2,
+                                     noise_seed=np.int64(3),
+                                     block=np.int32(300)))
+        assert [p.t.size for p in parts] == [300, 300, 300, 101]
+        assert np.array_equal(np.concatenate([p.v_dq for p in parts]),
+                              whole.v_dq)
 
     def test_non_finite_block_raises(self, params, monkeypatch):
         def blow_up(*args):
