@@ -4,9 +4,9 @@
  * `simulate._simulate_blocks` for each block's overlap with each topology
  * segment), the distance and verdict passes of `detector.distances` and
  * `detector.classify_series`, the debounce of `scenario.Detector` (and
- * `detector.debounce`) with a run's transitions and first times, and the
- * running sums of `detector.RunningMean` and the baseline's one-cycle
- * average.
+ * `detector.debounce`) with a run's transitions and first times, carried
+ * in two arrays, and the running sums of `detector.RunningMean` and the
+ * baseline's one-cycle average.
  *
  * Every sum is made in a fixed order, and none by a BLAS library, whose
  * kernels depend on the CPU, so the outputs have the same bits on every
@@ -32,10 +32,11 @@
  * output and fill it. `rls_block` calls back into Python for one thing
  * only, the rare spectral clamp of the covariance, and then carries on
  * with the block. The arrays that an entry point reads or writes in place
- * (`sim_rows`, the signature arrays, the running sums) must be aligned,
- * C-contiguous ndarrays of the dtype and shape it names, in native byte
- * order, writable where written; any other raises ValueError naming the
- * function and the argument. `_kernels.py` compiles and loads this file.
+ * (`sim_rows`, the signature arrays, the debounce's state and first
+ * times, the running sums) must be aligned, C-contiguous ndarrays of the
+ * dtype and shape it names, in native byte order, writable where written;
+ * any other raises ValueError naming the function and the argument.
+ * `_kernels.py` compiles and loads this file.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -881,58 +882,38 @@ done:
  * baseline's one-cycle average.
  */
 
-/* The integer attribute `name` of `obj` into *value; 0 with the error set
- * otherwise. */
-static int get_int(PyObject *obj, const char *name, Py_ssize_t *value)
-{
-    PyObject *v = PyObject_GetAttrString(obj, name);
-    if (!v)
-        return 0;
-    *value = PyLong_AsSsize_t(v);
-    Py_DECREF(v);
-    return !(*value == -1 && PyErr_Occurred());
-}
-
-/* obj.name = value; 0 with the error set otherwise. */
-static int set_int(PyObject *obj, const char *name, Py_ssize_t value)
-{
-    PyObject *v = PyLong_FromSsize_t(value);
-    int ok = v && PyObject_SetAttrString(obj, name, v) == 0;
-    Py_XDECREF(v);
-    return ok;
-}
-
 #define FIRST_TIMES 5
 
 static const char debounce_block_doc[] =
     "debounce_block(codes, hold, state, armed, t, d, window, found)\n"
-    "    -> (stable, changes, found)\n\n"
+    "    -> (stable, changes)\n\n"
     "One block of a verdict code stream (codes >= 0, as intp), debounced\n"
-    "from where the DebounceState `state` stands (its integers current and\n"
-    "candidate, -1 for none, and streak), which is left where the block\n"
-    "ends: a code is reported once it has held for `hold` updates in a\n"
-    "row, the stream's first at once. Codes before index `armed` count as\n"
-    "normal. stable holds the reported codes, changes the indices where one\n"
-    "differs from the one reported before it.\n\n"
+    "from where `state` stands, an int64 array (current, candidate, streak)\n"
+    "with -1 for none, which is left where the block ends: a code is\n"
+    "reported once it has held for `hold` updates in a row, the stream's\n"
+    "first at once. Codes before index `armed` count as normal. stable holds\n"
+    "the reported codes, changes the indices where one differs from the one\n"
+    "reported before it.\n\n"
     "With window = (t_start, t_end, d_low, d_high) and t and d the block's\n"
-    "update times and distances (float64 arrays), the five entries of found\n"
-    "are, of the updates from `armed` on, the first at t >= t_start with\n"
-    "d > d_high, with d > d_low, the first at t >= t_end with d <= d_low,\n"
-    "and the first at t >= t_start reported as fault, as other than normal,\n"
-    "as t - t_start (t - t_end for the third); an entry that is not None\n"
-    "stays. With window None, t and d are not read and found comes back\n"
-    "as it was.";
+    "update times and distances (float64 arrays), the float64 array found\n"
+    "(5,) takes, of the updates from `armed` on, the first at t >= t_start\n"
+    "with d > d_high, with d > d_low, the first at t >= t_end with\n"
+    "d <= d_low, and the first at t >= t_start reported as fault, as other\n"
+    "than normal, as t - t_start (t - t_end for the third); NaN is not yet\n"
+    "found, and an entry that is not NaN stays. With window None, t, d and\n"
+    "found are not read. state and found are written only when the call\n"
+    "succeeds.";
 
 static PyObject *debounce_block(PyObject *self, PyObject *const *arg,
                                 Py_ssize_t nargs)
 {
     const char *func = "debounce_block";
-    PyArrayObject *codes, *t = NULL, *d = NULL, *stable = NULL,
-                  *changes = NULL;
-    PyObject *found = NULL, *out = NULL;
-    Py_ssize_t hold, armed, current, candidate, streak;
+    const npy_intp three = 3, five = FIRST_TIMES;
+    PyArrayObject *codes, *state, *found = NULL, *t = NULL, *d = NULL,
+                  *stable = NULL, *changes = NULL;
+    PyObject *out = NULL;
+    Py_ssize_t hold, armed;
     double w[4], first[FIRST_TIMES];
-    int have[FIRST_TIMES];
     const int timed = nargs == 8 && arg[6] != Py_None;
     if (!nargs_ok(func, nargs, 8)
             || (((hold = PyLong_AsSsize_t(arg[1])) == -1
@@ -942,25 +923,23 @@ static PyObject *debounce_block(PyObject *self, PyObject *const *arg,
     if (hold < 1)
         return PyErr_Format(PyExc_ValueError, "hold must be >= 1, got %zd",
                             hold);
-    if (!PyTuple_Check(arg[7]) || PyTuple_GET_SIZE(arg[7]) != FIRST_TIMES)
-        return PyErr_Format(PyExc_ValueError, "%s: argument found: expected "
-                            "a tuple of %d entries, each a time or None",
-                            func, FIRST_TIMES);
-    for (int j = 0; j < FIRST_TIMES; j++)
-        have[j] = PyTuple_GET_ITEM(arg[7], j) != Py_None;
     if (timed && !PyTuple_Check(arg[6]))
         return PyErr_Format(PyExc_ValueError, "%s: argument window: "
                             "expected a tuple or None", func);
-    if ((timed && !PyArg_ParseTuple(arg[6], "dddd;window: expected (t_start, "
-                                    "t_end, d_low, d_high)",
-                                    &w[0], &w[1], &w[2], &w[3]))
-            || !get_int(arg[2], "current", &current)
-            || !get_int(arg[2], "candidate", &candidate)
-            || !get_int(arg[2], "streak", &streak)
+    if ((timed && (!PyArg_ParseTuple(arg[6], "dddd;window: expected (t_start, "
+                                     "t_end, d_low, d_high)",
+                                     &w[0], &w[1], &w[2], &w[3])
+                   || !(found = checked(func, arg[7], "found", 'd', 1, 1,
+                                        &five))))
+            || !(state = checked(func, arg[2], "state", 'i', 1, 1, &three))
             || !(codes = (PyArrayObject *)PyArray_FROM_OTF(
                      arg[0], NPY_INTP, NPY_ARRAY_IN_ARRAY
                                        | NPY_ARRAY_ENSUREARRAY)))
         return NULL;
+    npy_int64 *carried = PyArray_DATA(state), current = carried[0],
+              candidate = carried[1], streak = carried[2];
+    if (timed)
+        memcpy(first, PyArray_DATA(found), sizeof first);
     npy_intp n = PyArray_SIZE(codes), count = 0;
     if (PyArray_NDIM(codes) != 1) {
         PyErr_Format(PyExc_ValueError, "%s: argument codes: expected one "
@@ -976,7 +955,7 @@ static PyObject *debounce_block(PyObject *self, PyObject *const *arg,
     npy_intp *report = PyArray_DATA(stable), *at = PyArray_DATA(changes);
     const double *tk = timed ? PyArray_DATA(t) : NULL,
                  *dk = timed ? PyArray_DATA(d) : NULL;
-    Py_ssize_t before = current; /* the code reported before update k */
+    npy_int64 before = current; /* the code reported before update k */
     for (npy_intp k = 0; k < n; before = current, k++) {
         const npy_intp c = k < armed ? NORMAL_CODE : code[k];
         if (c < 0) {
@@ -1008,33 +987,24 @@ static PyObject *debounce_block(PyObject *self, PyObject *const *arg,
                 tk[k] >= w[1] && dk[k] <= w[2],
                 on && current == FAULT_CODE, on && current != NORMAL_CODE};
             for (int j = 0; j < FIRST_TIMES; j++)
-                if (!have[j] && hit[j]) {
-                    have[j] = 2; /* found in this block */
+                if (hit[j] && isnan(first[j]))
                     first[j] = tk[k] - w[j == 2];
-                }
         }
     }
     PyArray_Dims size = {&count, 1};
     PyObject *resized = PyArray_Resize(changes, &size, 0, NPY_CORDER);
     Py_XDECREF(resized);
-    if (!resized || !set_int(arg[2], "current", current)
-            || !set_int(arg[2], "candidate", candidate)
-            || !set_int(arg[2], "streak", streak)
-            || !(found = PyTuple_New(FIRST_TIMES)))
-        goto done;
-    for (int j = 0; j < FIRST_TIMES; j++) {
-        PyObject *item = have[j] == 2 ? PyFloat_FromDouble(first[j])
-                                      : Py_NewRef(PyTuple_GET_ITEM(arg[7], j));
-        if (!item)
-            goto done;
-        PyTuple_SET_ITEM(found, j, item);
+    if (resized && (out = PyTuple_Pack(2, stable, changes))) {
+        carried[0] = current;
+        carried[1] = candidate;
+        carried[2] = streak;
+        if (timed)
+            memcpy(PyArray_DATA(found), first, sizeof first);
     }
-    out = PyTuple_Pack(3, stable, changes, found);
 done:
     Py_DECREF(codes);
     Py_XDECREF(stable);
     Py_XDECREF(changes);
-    Py_XDECREF(found);
     return out;
 }
 

@@ -26,10 +26,13 @@ update's regressor as it goes (`regressor_rows` makes them all, for
 needs it;
 `classify_block` takes each snapshot's distance, its band products with
 the signatures and its verdict in one pass; `debounce_block` debounces
-the verdicts, carrying the state as integers, and returns the block's
-transitions and the first times of the disturbance window. The arrays an entry point
-reads or writes in place are checked for dtype, shape, C-contiguity and
-writability, raising ValueError naming the function and the argument.
+the verdicts and returns the block's transitions, and updates in place
+two arrays that a run carries: the debounce's state (int64 current,
+candidate and streak) and the five first times of the disturbance window
+(float64, NaN until found), written only when the call succeeds. The
+arrays an entry point reads or writes in place are checked for dtype,
+shape, C-contiguity and writability, raising ValueError naming the
+function and the argument.
 Every product sums left to right in C, so no output depends on the BLAS
 library numpy was built with. A missing compiler, Python or
 numpy header or a failed compile raises ImportError naming what was

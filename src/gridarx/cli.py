@@ -216,10 +216,7 @@ def main(argv=None) -> int:
             args.l_load = [0.35, 0.5]
     try:
         return args.func(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (StageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,8 +16,10 @@ The signature matrix is built once per library
 of the verdicts, a run's transitions and its first times (the delays
 dt1_high, dt1_low and dt2 of the distance and the two debounced ones) are
 one loop in C as well (`_kernels.debounce_block`, which
-`scenario.Detector` calls once per block), and so are the running sums of
-`RunningMean` and `calibrate_nominal`.
+`scenario.Detector` calls once per block), which updates two arrays in
+place: the debounce's state (`debounce_state`) and the five first times,
+NaN until found. So are the running sums of `RunningMean` and
+`calibrate_nominal`.
 """
 
 from __future__ import annotations
@@ -381,19 +383,16 @@ def classify(
                           matched_label=label, matched_similarity=sim)
 
 
-@dataclass
-class DebounceState:
-    """Where `debounce` left a code stream, as integers: the reported code
-    (-1 before the first) and the candidate code (-1 for none) with its
-    streak."""
-
-    current: int = -1
-    candidate: int = -1
-    streak: int = 0
+def debounce_state() -> np.ndarray:
+    """Where `debounce` stands before a stream's first code: the int64
+    array (current, candidate, streak) of the reported code (-1 before the
+    first) and the candidate code (-1 for none) with its streak, which
+    each call updates in place."""
+    return np.array([-1, -1, 0], np.int64)
 
 
 def debounce(codes, hold: int = DEFAULT_HOLD,
-             state: DebounceState | None = None) -> np.ndarray:
+             state: np.ndarray | None = None) -> np.ndarray:
     """Suppress single-sample verdict chatter in an array of verdict codes
     (each >= 0, such as `classify_series` returns; VERDICTS[codes] gives
     the members), as an intp array of the reported codes.
@@ -402,16 +401,17 @@ def debounce(codes, hold: int = DEFAULT_HOLD,
     value for `hold` consecutive samples; a stream's first code is
     reported at once.
 
-    A stream given in consecutive blocks passes one `state` to every call:
-    each call starts where it stands and leaves it where the block ends, so
-    the blocks' outputs join into the output of one call on their join.
-    One loop in C (`_kernels.debounce_block`), which a run also asks for
-    its transitions and its first times.
+    A stream given in consecutive blocks passes one `state`
+    (`debounce_state`) to every call: each call starts where it stands and
+    leaves it where the block ends, so the blocks' outputs join into the
+    output of one call on their join; a call that raises leaves it as it
+    was. One loop in C (`_kernels.debounce_block`), which a run also asks
+    for its transitions and its first times.
     """
     if state is None:
-        state = DebounceState()
+        state = debounce_state()
     return _kernels.debounce_block(codes, hold, state, 0, None, None, None,
-                                   (None,) * 5)[0]
+                                   None)[0]
 
 
 def build_library(scenario_runs, nominal: NominalPredictor,

@@ -16,16 +16,18 @@ block's samples to the baseline, which carries its one-cycle average,
 and each block's IdentRun to its `Detector`, which holds what the
 detector carries across blocks: the debounce, the first crossings and
 transitions, taken in one kernel call per block
-(`_kernels.debounce_block`), and, of the predictor trajectory, only the
-running sum of the settle-window rows whose mean gives the final verdict
-(`detector.RunningMean`). Each block's rows go to the artifact files as
-they arrive, written by the run's own process as the float64 bytes of
-three `.npy` files, whose headers the config fixes up front: the samples
-(`samples.npy`), the distances (`distance.npy`) and every THETA_STRIDE-th
-predictor (`theta.npy`); no value is formatted as text. A run lets go of
-each block before it asks for the next, so it holds one block at a time:
-its memory depends on the block size, not on its length or its
-disturbance window.
+(`_kernels.debounce_block`, which updates the debounce's state and the
+first times, NaN until found, in place), and, of the predictor
+trajectory, only the running sum of the settle-window rows whose mean
+gives the final verdict (`detector.RunningMean`); the report turns a
+first time still NaN into None. Each block's rows go to the artifact
+files as they arrive, written by the run's own process as the float64
+bytes of three `.npy` files, whose headers the config fixes up front: the
+samples (`samples.npy`), the distances (`distance.npy`) and every
+THETA_STRIDE-th predictor (`theta.npy`); no value is formatted as text.
+A run lets go of each block before it asks for the next, so it holds one
+block at a time: its memory depends on the block size, not on its length
+or its disturbance window.
 
 Every run simulates and identifies its own stream from its first sample:
 the runs of one `run_suite` or `build_library_from_scenarios` call share
@@ -47,6 +49,7 @@ import json
 import math
 import operator
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -136,7 +139,11 @@ class ScenarioConfig:
                 ("match_floor", -1 <= self.match_floor <= 1, "in [-1, 1]"),
                 ("hold", self.hold >= 1, ">= 1"),
                 ("limit_fraction", self.limit_fraction > 0, "> 0"),
-                ("calibration_window", self.calibration_window >= 1, ">= 1")):
+                ("calibration_window", self.calibration_window >= 1, ">= 1"),
+                # the debounce kernel takes both as a C ssize_t
+                ("hold", self.hold <= sys.maxsize, f"<= {sys.maxsize}"),
+                ("calibration_window", self.calibration_window <= sys.maxsize,
+                 f"<= {sys.maxsize}")):
             value = getattr(self, key)
             if isinstance(value, float) and not math.isfinite(value):
                 ok, need = False, "finite"
@@ -767,11 +774,11 @@ class Detector:
         # searched for.
         self.window = ((self.t_start, self.t_end, self.thresholds.d_low,
                         self.thresholds.d_high) if inside else None)
-        self.debounced = det.DebounceState()
+        self.debounced = det.debounce_state()
         # dt1_high, dt1_low, dt2, then the debounced delays: the first
         # stable fault verdict and the first stable non-normal one after
-        # t_start
-        self.found = (None,) * 5
+        # t_start; NaN until found
+        self.found = np.full(5, np.nan)
         self.timeline = []  # [(t, verdict value)] debounced transitions
         self.settled = det.RunningMean()  # of the armed rows in `settle`
         self.updates = 0  # updates pushed so far
@@ -797,7 +804,7 @@ class Detector:
         # calibrated updates are a suffix).
         armed = max(self.config.calibration_window - self.updates,
                     t.size - int(np.count_nonzero(run.calibrated)))
-        stable, at, self.found = _kernels.debounce_block(
+        stable, at = _kernels.debounce_block(
             raw, self.config.hold, self.debounced, armed, t, d, self.window,
             self.found)
         changes = [(tk, det.VERDICTS[c].value, dk) for tk, c, dk in zip(
@@ -902,7 +909,8 @@ def run_scenario(
             del part, run, hits, d, changes  # before the next block
 
         final_verdict = detector.finish()
-        dt1_high, dt1_low, dt2, first_fault, first_not_normal = detector.found
+        dt1_high, dt1_low, dt2, first_fault, first_not_normal = (
+            None if math.isnan(x) else x for x in detector.found.tolist())
         report = RunReport(
             name=config.name,
             thresholds=detector.thresholds,

@@ -124,10 +124,11 @@ def read_theta_csv(path: str, rows: int = 2):
 
 def debounce_loop(codes, hold: int, state):
     """`detector.debounce` as a loop over the codes, one at a time: the
-    list of reported codes, with `state` (a DebounceState, -1 for none)
+    list of reported codes, with `state` (the int64 array (current,
+    candidate, streak) of `detector.debounce_state`, -1 for none)
     carried."""
     out = []
-    current, candidate, streak = state.current, state.candidate, state.streak
+    current, candidate, streak = state.tolist()
     for v in codes:
         if current < 0:
             current = v
@@ -144,14 +145,15 @@ def debounce_loop(codes, hold: int, state):
                 current = v
                 candidate, streak = -1, 0
         out.append(current)
-    state.current, state.candidate, state.streak = current, candidate, streak
+    state[:] = current, candidate, streak
     return out
 
 
 def debounce_numpy(codes, hold: int, state):
     """`detector.debounce` on whole runs of equal codes, as numpy array
-    operations (the package's form before the C loop), with `state` (a
-    DebounceState, -1 for none) carried: a run switches the report to its
+    operations (the package's form before the C loop), with `state` (the
+    int64 array (current, candidate, streak) of `detector.debounce_state`,
+    -1 for none) carried: a run switches the report to its
     value at its `hold`-th sample, counted from where its streak began (for
     the first run, in the block before when it continues the state's
     candidate; at once for a stream's first code), and each sample
@@ -159,13 +161,14 @@ def debounce_numpy(codes, hold: int, state):
     n = codes.shape[0]
     if n == 0:
         return codes
+    current, candidate, streak = state.tolist()
     starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
     ends = np.append(starts[1:], n)
     began = starts.copy()  # where each run's streak began
-    if state.current < 0:
+    if current < 0:
         began[0] = 1 - hold  # the first code is reported at once
-    elif state.candidate >= 0 and codes[0] == state.candidate:
-        began[0] = -state.streak
+    elif candidate >= 0 and codes[0] == candidate:
+        began[0] = -streak
     switch = began + hold - 1
     switches = switch < ends
     # the index of the code each sample reports, -1 for the state's
@@ -174,12 +177,12 @@ def debounce_numpy(codes, hold: int, state):
     np.maximum.accumulate(source, out=source)
     out = codes[source]
     if source[0] < 0:
-        out[source < 0] = state.current
-    state.current = int(out[-1])
-    if codes[-1] == state.current:
-        state.candidate, state.streak = -1, 0
+        out[source < 0] = current
+    current = int(out[-1])
+    if codes[-1] == current:
+        state[:] = current, -1, 0
     else:
-        state.candidate, state.streak = int(codes[-1]), int(n - began[-1])
+        state[:] = current, int(codes[-1]), int(n - began[-1])
     return out
 
 

@@ -1,5 +1,5 @@
 """The names the bench's span tracer wraps resolve in gridarx, and every
-public definition of gridarx is used outside the tests.
+public definition and C entry point of gridarx is used outside the tests.
 
 `bench/spans.py` replaces module attributes of gridarx by name (its
 `TARGETS`), so a name deleted or renamed in `src/` breaks a traced bench
@@ -13,6 +13,7 @@ import glob
 import importlib
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -79,3 +80,33 @@ def test_every_public_definition_is_used_outside_tests():
               and not any(node.name in names for other, names in statements
                           if other is not node)]
     assert not unused
+
+
+def kernel_names() -> list:
+    """The entry points in `_kernels.c`'s methods[] table."""
+    with open(os.path.join(SRC, "_kernels.c")) as fh:
+        source = fh.read()
+    table = source[source.index("methods[] = {"):]
+    return re.findall(r"FASTCALL\((\w+)\)", table[:table.index("};")])
+
+
+def test_every_kernel_is_bound_and_used():
+    """Each entry point of `_kernels.c` is bound in `_kernels.py` and
+    called as `_kernels.<name>` by another module of `src/gridarx`: a
+    kernel that only tests reach has no place in the extension."""
+    names = kernel_names()
+    assert names
+    with open(os.path.join(SRC, "_kernels.py")) as fh:
+        bound = {target.id for node in ast.parse(fh.read()).body
+                 if isinstance(node, ast.Assign) for target in node.targets
+                 if isinstance(target, ast.Name)}
+    used = set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        if os.path.basename(path) != "_kernels.py":
+            with open(path) as fh:
+                used |= {node.attr for node in ast.walk(ast.parse(fh.read()))
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.value, ast.Name)
+                         and node.value.id == "_kernels"}
+    assert [name for name in names if name not in bound] == []
+    assert [name for name in names if name not in used] == []

@@ -162,6 +162,22 @@ class TestRun:
             f"error: {bad}: [circuit] r1 must be > 0\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["hold", "calibration_window"])
+    def test_count_beyond_ssize_t_exits_2_naming_key(self, workspace,
+                                                     tmp_path, capsys, key):
+        huge = 99999999999999999999
+        bad = tmp_path / "huge.ini"
+        bad.write_text(MINI_FAULT.replace("[run]\n",
+                                          f"[run]\n{key} = {huge}\n"))
+        rc = main(["run", "--config", str(bad),
+                   "--calibration", workspace["calibration.json"],
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: [run] {key}: must be <= {sys.maxsize}, got "
+            f"{huge}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_override_exits_2_naming_option(self, workspace,
                                                           tmp_path, capsys):
         rc = main(["run", "--config", workspace["fault.ini"],

@@ -16,7 +16,6 @@ from gridarx.detector import (
     DEFAULT_MATCH_FLOOR,
     FAULT_CODE,
     NORMAL_CODE,
-    DebounceState,
     DetectionEvent,
     InsufficientDataError,
     RunningMean,
@@ -31,6 +30,7 @@ from gridarx.detector import (
     classify,
     classify_series,
     debounce,
+    debounce_state,
     distances,
     json_numbers,
 )
@@ -910,11 +910,22 @@ class TestDebounce:
             debounce(np.array([self.N]), hold=0)
 
     def test_negative_code_rejected_and_state_kept(self):
-        state = DebounceState()
+        """A rejected block writes neither the state nor the first times,
+        though its updates before the negative code would change both."""
+        state = debounce_state()
         debounce(np.array([self.F]), 3, state)
         with pytest.raises(ValueError, match="code 1 is negative"):
             debounce(np.array([self.N, -1]), 3, state)
-        assert state == DebounceState(current=self.F)
+        assert state.tolist() == [self.F, -1, 0]
+        found = np.array([np.nan, 0.5, np.nan, -0.0, np.nan])
+        before = found.copy()
+        with pytest.raises(ValueError, match="code 1 is negative"):
+            _kernels.debounce_block(np.array([self.N, -1]), 1, state, 0,
+                                    np.array([1.0, 2.0]), np.array([2.0, 0.0]),
+                                    (0.0, 1.0, 0.1, 1.0), found)
+        assert state.tolist() == [self.F, -1, 0]
+        assert found.view(np.uint64).tolist() == before.view(
+            np.uint64).tolist()
 
     @pytest.mark.parametrize("hold", [1, 2, 3, 5])
     def test_state_carried_across_blocks(self, hold):
@@ -924,7 +935,7 @@ class TestDebounce:
         codes = rng.choice(4, 500, p=[0.55, 0.15, 0.15, 0.15])
         want = debounce(codes, hold)
         for cuts in ([0, 1, 2, 3, 250, 251, 500], [0, 7, 100, 499, 500]):
-            state = DebounceState()
+            state = debounce_state()
             got = [debounce(codes[a:b], hold, state)
                    for a, b in zip(cuts, cuts[1:])]
             assert np.concatenate(got).tolist() == want.tolist(), cuts
@@ -941,19 +952,30 @@ class TestDebounce:
         codes = np.array([v for v, length in runs for _ in range(length)],
                          dtype=np.intp)
         edges = sorted(min(c, codes.size) for c in cuts)
-        state, want_state = DebounceState(), DebounceState()
+        state, want_state = debounce_state(), debounce_state()
         for a, b in zip([0] + edges, edges + [codes.size]):
             got = debounce(codes[a:b], hold, state)
             want = debounce_loop(codes[a:b].tolist(), hold, want_state)
             assert got.dtype == np.intp
             assert got.tolist() == want
-            assert state == want_state
+            assert state.tolist() == want_state.tolist()
 
 
 def bits(values):
     """Each float of `values` as its uint64 bits, None as None."""
     return [None if v is None else int(np.float64(v).view(np.uint64))
             for v in values]
+
+
+def times(found):
+    """The kernel's first times `found`, NaN (not yet found) as None."""
+    return tuple(None if np.isnan(v) else v for v in found.tolist())
+
+
+def readonly(array):
+    """`array`, made read-only."""
+    array.flags.writeable = False
+    return array
 
 
 class TestDebounceBlock:
@@ -969,7 +991,7 @@ class TestDebounceBlock:
     def parent_blocks(t, d, raw, arm_from, hold, window, cuts):
         """A run's bookkeeping over the blocks as the array forms did it:
         the stable codes, the transitions and the five first times."""
-        state = DebounceState()
+        state = debounce_state()
         crossings, first_fault, first_not_normal = (None,) * 3, None, None
         last_code, stable, changes = -1, [], []
         t_start, t_end = window
@@ -1016,9 +1038,10 @@ class TestDebounceBlock:
         window = (t_start, t_start + length * n * self.TS)
         cuts = np.cumsum([0] + sizes).tolist()
         want = self.parent_blocks(t, d, raw, arm_from, hold, window, cuts)
-        state, found, stable, changes = DebounceState(), (None,) * 5, [], []
+        state, found = debounce_state(), np.full(5, np.nan)
+        stable, changes = [], []
         for a, b in zip(cuts, cuts[1:]):
-            out, at, found = _kernels.debounce_block(
+            out, at = _kernels.debounce_block(
                 raw[a:b], hold, state, max(0, arm_from - a), t[a:b], d[a:b],
                 (*window, self.THR.d_low, self.THR.d_high), found)
             assert out.dtype == np.intp and at.dtype == np.intp
@@ -1028,17 +1051,20 @@ class TestDebounceBlock:
         assert np.concatenate(stable).tolist() == want[0].tolist()
         assert bits(tk for tk, _ in changes) == bits(tk for tk, _ in want[1])
         assert [v for _, v in changes] == [v for _, v in want[1]]
-        assert bits(found) == bits(want[2])
+        assert bits(times(found)) == bits(want[2])
 
     @classmethod
-    def crossings(cls, t, d, t_start, t_end, found=(None,) * 3):
-        """The kernel's first three times (dt1_high, dt1_low, dt2) over
-        codes that are all normal, armed from the first update."""
+    def crossings(cls, t, d, t_start, t_end, found=None):
+        """The kernel's first three times (dt1_high, dt1_low, dt2), None
+        for none, over codes that are all normal, armed from the first
+        update, carried in `found` (a new array when not given)."""
         t = np.asarray(t, float)
+        found = np.full(5, np.nan) if found is None else found
         window = (t_start, t_end, cls.THR.d_low, cls.THR.d_high)
-        return _kernels.debounce_block(
-            np.full(t.size, NORMAL_CODE), 1, DebounceState(), 0, t,
-            np.asarray(d, float), window, (*found, None, None))[2][:3]
+        _kernels.debounce_block(
+            np.full(t.size, NORMAL_CODE), 1, debounce_state(), 0, t,
+            np.asarray(d, float), window, found)
+        return times(found)[:3]
 
     def test_step_crossing(self):
         t = np.arange(100) * 1e-3
@@ -1092,40 +1118,84 @@ class TestDebounceBlock:
         d = rng.choice([0.0, 0.05, 0.5, 2.0], size=t.size,
                        p=[0.4, 0.3, 0.2, 0.1])
         t_start, t_end = rng.uniform(0.0, 0.4, 2)
-        found = (None, None, None)
+        found = np.full(5, np.nan)
         for a, b in zip([0, 1, 37, 200, 399], [1, 37, 200, 399, 400]):
-            found = self.crossings(t[a:b], d[a:b], t_start, t_end, found)
-        assert found == self.crossings(t, d, t_start, t_end)
-        assert found == oracle_detection_times(t, d, t_start, t_end,
-                                               self.THR)
+            got = self.crossings(t[a:b], d[a:b], t_start, t_end, found)
+        assert got == self.crossings(t, d, t_start, t_end)
+        assert got == oracle_detection_times(t, d, t_start, t_end, self.THR)
+
+    def test_found_entry_kept(self):
+        """A first time already found stays, though a later block's updates
+        hit it; the entries not yet found take the block's first hits."""
+        t = np.arange(1, 6) * 1e-3
+        d = np.array([2.0, 2.0, 0.0, 0.0, 2.0])
+        codes = np.full(t.size, FAULT_CODE)
+        window = (0.0, 0.002, self.THR.d_low, self.THR.d_high)
+        fresh = np.full(5, np.nan)
+        _kernels.debounce_block(codes, 1, debounce_state(), 0, t, d, window,
+                                fresh)
+        assert not np.isnan(fresh).any()
+        found = np.array([0.5, np.nan, 0.25, np.nan, -0.0])
+        before = found.copy()
+        _kernels.debounce_block(codes, 1, debounce_state(), 0, t, d, window,
+                                found)
+        kept = [0, 2, 4]
+        assert found[kept].view(np.uint64).tolist() == before[kept].view(
+            np.uint64).tolist()
+        assert found[[1, 3]].tolist() == fresh[[1, 3]].tolist()
 
     def test_no_window_searches_no_time(self):
         """Without a window (a run with no disturbance inside it) found
-        comes back as given and the debounce runs as ever."""
+        is left as given and the debounce runs as ever."""
         codes = np.array([FAULT_CODE] * 4)
-        found = (None, 1.5, None, None, None)
-        out, at, got = _kernels.debounce_block(
-            codes, 1, DebounceState(), 0, None, None, None, found)
+        found = np.array([np.nan, 1.5, np.nan, np.nan, np.nan])
+        before = found.copy()
+        out, at = _kernels.debounce_block(
+            codes, 1, debounce_state(), 0, None, None, None, found)
         assert out.tolist() == codes.tolist() and at.tolist() == [0]
-        assert got is not found and got == found
+        assert found.view(np.uint64).tolist() == before.view(
+            np.uint64).tolist()
+
+    WINDOW = (0.0, 1.0, 0.1, 1.0)
 
     @pytest.mark.parametrize("args, message", [
-        ((np.zeros(3, np.intp), 1, DebounceState(), 0, np.zeros(2),
-          np.zeros(3), (0.0, 1.0, 0.1, 1.0), (None,) * 5),
+        ((np.zeros(3, np.intp), 1, debounce_state(), 0, np.zeros(2),
+          np.zeros(3), WINDOW, np.full(5, np.nan)),
          "argument t: expected a C-contiguous float64 array of shape (3,)"),
-        ((np.zeros(3, np.intp), 1, DebounceState(), 0, np.zeros(3),
-          np.zeros((3, 1)), (0.0, 1.0, 0.1, 1.0), (None,) * 5),
+        ((np.zeros(3, np.intp), 1, debounce_state(), 0, np.zeros(3),
+          np.zeros((3, 1)), WINDOW, np.full(5, np.nan)),
          "argument d: expected a C-contiguous float64 array of shape (3,)"),
-        ((np.zeros((3, 1), np.intp), 1, DebounceState(), 0, None, None,
-          None, (None,) * 5), "argument codes: expected one dimension"),
-        ((np.zeros(3, np.intp), 1, DebounceState(), 0, None, None, None,
-          (None,) * 3), "argument found: expected a tuple of 5"),
-        ((np.zeros(3, np.intp), 1, DebounceState(), 0, np.zeros(3),
-          np.zeros(3), (0.0, 1.0), (None,) * 5), "window: expected"),
-        ((np.zeros(3, np.intp), 1, DebounceState(), 0, np.zeros(3),
-          np.zeros(3), [0.0, 1.0, 0.1, 1.0], (None,) * 5),
+        ((np.zeros((3, 1), np.intp), 1, debounce_state(), 0, None, None,
+          None, None), "argument codes: expected one dimension"),
+        ((np.zeros(3, np.intp), 1, np.array([-1, -1, 0], np.int32), 0,
+          None, None, None, None),
+         "argument state: expected a writable C-contiguous int64 array of "
+         "shape (3,), got an ndarray of dtype 'i4'"),
+        ((np.zeros(3, np.intp), 1, np.array([-1, 0], np.int64), 0, None,
+          None, None, None),
+         "argument state: expected a writable C-contiguous int64 array of "
+         "shape (3,), got an ndarray of dtype 'i8' and shape (2,)"),
+        ((np.zeros(3, np.intp), 1, readonly(debounce_state()), 0, None,
+          None, None, None),
+         "argument state: expected a writable C-contiguous int64 array of "
+         "shape (3,), got an ndarray of dtype 'i8' and shape (3,), "
+         "read-only"),
+        ((np.zeros(3, np.intp), 1, debounce_state(), 0, np.zeros(3),
+          np.zeros(3), WINDOW, np.full(3, np.nan)),
+         "argument found: expected a writable C-contiguous float64 array of "
+         "shape (5,), got an ndarray of dtype 'f8' and shape (3,)"),
+        ((np.zeros(3, np.intp), 1, debounce_state(), 0, np.zeros(3),
+          np.zeros(3), WINDOW, readonly(np.full(5, np.nan))),
+         "argument found: expected a writable C-contiguous float64 array of "
+         "shape (5,), got an ndarray of dtype 'f8' and shape (5,), "
+         "read-only"),
+        ((np.zeros(3, np.intp), 1, debounce_state(), 0, np.zeros(3),
+          np.zeros(3), (0.0, 1.0), np.full(5, np.nan)), "window: expected"),
+        ((np.zeros(3, np.intp), 1, debounce_state(), 0, np.zeros(3),
+          np.zeros(3), list(WINDOW), np.full(5, np.nan)),
          "argument window: expected a tuple"),
-    ], ids=["t_length", "d_shape", "codes_2d", "found_3", "window_2",
+    ], ids=["t_length", "d_shape", "codes_2d", "state_dtype", "state_shape",
+            "state_readonly", "found_3", "found_readonly", "window_2",
             "window_list"])
     def test_bad_arguments_named(self, args, message):
         with pytest.raises((ValueError, TypeError), match=re.escape(message)):

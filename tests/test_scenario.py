@@ -7,6 +7,7 @@ import importlib
 import json
 import os
 import shutil
+import sys
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -20,13 +21,13 @@ from gridarx import scenario as scenario_module
 from gridarx.circuit import CircuitParams, full_circuit_model
 from gridarx import _kernels
 from gridarx.detector import (
-    DebounceState,
     NominalPredictor,
     Signature,
     SignatureLibrary,
     Thresholds,
     Verdict,
     calibrate_thresholds,
+    debounce_state,
     distances,
 )
 from gridarx.pipeline import identify
@@ -61,6 +62,8 @@ from gridarx.simulate import (
 from oracles import build_library_numpy, detection_times_numpy, read_theta_csv
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+# a count beyond sys.maxsize, which no C ssize_t holds
+HUGE = 99999999999999999999
 
 
 def write_ini(tmp_path, name, text):
@@ -212,6 +215,10 @@ class TestLoadScenario:
         ("[run]\nhold = 0\n", "[run] hold: must be >= 1, got 0"),
         ("[run]\ncalibration_window = 0\n",
          "[run] calibration_window: must be >= 1, got 0"),
+        (f"[run]\nhold = {HUGE}\n",
+         f"[run] hold: must be <= {sys.maxsize}, got {HUGE}"),
+        (f"[run]\ncalibration_window = {HUGE}\n",
+         f"[run] calibration_window: must be <= {sys.maxsize}, got {HUGE}"),
         ("[run]\nnoise_std = -1\n", "[run] noise_std: must be >= 0, got -1.0"),
         ("[run]\nnoise_std = nan\n", "[run] noise_std: must be finite, got 'nan'"),
         ("[run]\nmatch_floor = nan\n",
@@ -320,6 +327,11 @@ CONFIG_CHECKS = [
      "[run] limit_fraction: must be > 0, got 0.0"),
     ("[run]\ncalibration_window = 0\n", {"calibration_window": 0},
      "[run] calibration_window: must be >= 1, got 0"),
+    # above sys.maxsize: the debounce kernel takes both as a C ssize_t
+    (f"[run]\nhold = {HUGE}\n", {"hold": HUGE},
+     f"[run] hold: must be <= {sys.maxsize}, got {HUGE}"),
+    (f"[run]\ncalibration_window = {HUGE}\n", {"calibration_window": HUGE},
+     f"[run] calibration_window: must be <= {sys.maxsize}, got {HUGE}"),
     ("[excitation]\nchip_rate = 10000\n",
      {"excitation": RbsConfig(amplitude=0.1, chip_rate=10000.0, seed=1)},
      "[excitation] chip_rate: must be <= the sampling rate 1/ts = 5000.0, "
@@ -1535,8 +1547,8 @@ class TestVerdictTimeline:
             if v != prev:
                 want.append((float(tk), v.value))
                 prev = v
-        _, at, _ = _kernels.debounce_block(codes, 1, DebounceState(), 0,
-                                           None, None, None, (None,) * 5)
+        _, at = _kernels.debounce_block(codes, 1, debounce_state(), 0, None,
+                                        None, None, None)
         assert [(t[k], members[codes[k]].value) for k in at] == want
 
 
@@ -1609,8 +1621,8 @@ class TestDetector:
     @staticmethod
     def pushed(config, nominal, thresholds, run, size):
         """What a Detector gives when `run` is pushed in slices of `size`
-        updates: (d, transitions, first times, timeline, final verdict,
-        warnings)."""
+        updates: (d, transitions, first times (None for one not found),
+        timeline, final verdict, warnings)."""
         detector = Detector(config, nominal, thresholds, random_library())
         ds, changes = [], []
         for lo in range(0, run.t.size, size):
@@ -1621,8 +1633,10 @@ class TestDetector:
             ds.append(d)
             changes += block_changes
         verdict = detector.finish()
-        return (np.concatenate(ds), changes, detector.found,
-                detector.timeline, verdict, detector.warnings)
+        found = tuple(None if np.isnan(v) else v
+                      for v in detector.found.tolist())
+        return (np.concatenate(ds), changes, found, detector.timeline,
+                verdict, detector.warnings)
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_outputs_equal_across_block_sizes(self, default_cal, name):
