@@ -165,6 +165,20 @@ static int nargs_ok(const char *func, Py_ssize_t nargs, Py_ssize_t want)
     return 0;
 }
 
+/* The integer `obj`, the argument `name`, as a Py_ssize_t in *value; 0
+ * with the error set when it is not an integer, or ValueError naming the
+ * argument when it lies outside the ssize_t range. */
+static int ssize_arg(const char *func, PyObject *obj, const char *name,
+                     Py_ssize_t *value)
+{
+    if ((*value = PyLong_AsSsize_t(obj)) != -1 || !PyErr_Occurred())
+        return 1;
+    if (PyErr_ExceptionMatches(PyExc_OverflowError))
+        PyErr_Format(PyExc_ValueError, "%s: argument %s: %R is outside the "
+                     "range of a C ssize_t", func, name, obj);
+    return 0;
+}
+
 /* ------------------------------------------------------------------------
  * The RLS recursion.
  */
@@ -915,10 +929,8 @@ static PyObject *debounce_block(PyObject *self, PyObject *const *arg,
     Py_ssize_t hold, armed;
     double w[4], first[FIRST_TIMES];
     const int timed = nargs == 8 && arg[6] != Py_None;
-    if (!nargs_ok(func, nargs, 8)
-            || (((hold = PyLong_AsSsize_t(arg[1])) == -1
-                 || (armed = PyLong_AsSsize_t(arg[3])) == -1)
-                && PyErr_Occurred()))
+    if (!nargs_ok(func, nargs, 8) || !ssize_arg(func, arg[1], "hold", &hold)
+            || !ssize_arg(func, arg[3], "armed", &armed))
         return NULL;
     if (hold < 1)
         return PyErr_Format(PyExc_ValueError, "hold must be >= 1, got %zd",

@@ -31,6 +31,7 @@ keep their bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -82,6 +83,13 @@ class ArxConfig:
             raise ConfigError(f"order must be >= 1, got {self.order}")
         if self.input_dim < 1 or self.output_dim < 1:
             raise ConfigError("input_dim and output_dim must be >= 1")
+        # P holds regressor_len**2 float64 values, which no array of more
+        # than sys.maxsize bytes can address
+        if self.regressor_len ** 2 * 8 > sys.maxsize:
+            raise ConfigError(
+                f"order {self.order} needs a covariance P of "
+                f"{self.regressor_len}**2 float64 values, more than "
+                f"{sys.maxsize} bytes can address")
         if not 0.0 < self.forgetting <= 1.0:
             raise ConfigError(
                 f"forgetting factor must be in (0, 1], got {self.forgetting}"

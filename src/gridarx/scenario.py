@@ -19,9 +19,10 @@ transitions, taken in one kernel call per block
 (`_kernels.debounce_block`, which updates the debounce's state and the
 first times, NaN until found, in place), and, of the predictor
 trajectory, only the running sum of the settle-window rows whose mean
-gives the final verdict (`detector.RunningMean`); the report turns a
-first time still NaN into None. Each block's rows go to the artifact
-files as they arrive, written by the run's own process as the float64
+gives the final verdict (`detector.RunningMean`); the run's RunReport,
+whose fields are the keys of its `report.json`, turns a first time still
+NaN into None. Each block's rows go to the artifact files as they
+arrive, written by the run's own process as the float64
 bytes of three `.npy` files, whose headers the config fixes up front: the
 samples (`samples.npy`), the distances (`distance.npy`) and every
 THETA_STRIDE-th predictor (`theta.npy`); no value is formatted as text.
@@ -611,8 +612,23 @@ def run_calibration(config: ScenarioConfig, out_dir: str | None = None):
     return nominal, thresholds, state
 
 
+@dataclass(frozen=True)
+class BaselineResult:
+    """Voltage limit checking's result for one run: whether the banded
+    one-cycle average left its limits inside the disturbance window, and
+    the time it first did, None if never."""
+
+    detected: bool
+    first_violation: float | None
+
+
 @dataclass
 class RunReport:
+    """One run's results. Its fields are the keys of `report.json`, in
+    order, and `to_json` writes them as `dataclasses.asdict` gives them:
+    thresholds and baseline as nested objects, final_verdict as its
+    value."""
+
     name: str
     thresholds: Thresholds
     dt1_high: float | None
@@ -622,33 +638,13 @@ class RunReport:
     dt1_low_debounced: float | None
     final_verdict: Verdict
     verdict_timeline: list  # [(t, verdict str), ...] debounced transitions
-    baseline_detected: bool
-    baseline_first_violation: float | None
-    config_echo: dict = field(default_factory=dict)
+    baseline: BaselineResult
+    config: dict = field(default_factory=dict)
     library_provenance: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "thresholds": {"d_high": self.thresholds.d_high,
-                           "d_low": self.thresholds.d_low},
-            "dt1_high": self.dt1_high,
-            "dt1_low": self.dt1_low,
-            "dt2": self.dt2,
-            "dt1_high_debounced": self.dt1_high_debounced,
-            "dt1_low_debounced": self.dt1_low_debounced,
-            "final_verdict": self.final_verdict.value,
-            "verdict_timeline": [(t, v) for t, v in self.verdict_timeline],
-            "baseline": {
-                "detected": self.baseline_detected,
-                "first_violation": self.baseline_first_violation,
-            },
-            "config": self.config_echo,
-            "library_provenance": self.library_provenance,
-            "warnings": self.warnings,
-        }
-        return json.dumps(doc, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def _check_order(config: ScenarioConfig, nominal, library) -> None:
@@ -852,7 +848,8 @@ def run_scenario(
     THETA_STRIDE), 1 + 8 * order), columns t and the predictor's rows
     flattened (theta_d_1, ..., theta_q_1, ...), after every
     THETA_STRIDE-th update from the first. It also writes an events
-    JSON-lines stream and a JSON report. Each file is written as its rows
+    JSON-lines stream and `report.json`, the returned RunReport as
+    `RunReport.to_json` gives it. Each file is written as its rows
     arrive and under a temporary name until the run has succeeded. A
     write that fails raises its own exception, with its type and message;
     as with any failure, nothing of the run is left in `out_dir`. A run
@@ -921,9 +918,9 @@ def run_scenario(
             dt1_low_debounced=first_not_normal,
             final_verdict=final_verdict,
             verdict_timeline=detector.timeline,
-            baseline_detected=baseline_first is not None,
-            baseline_first_violation=baseline_first,
-            config_echo=config.echo(),
+            baseline=BaselineResult(baseline_first is not None,
+                                    baseline_first),
+            config=config.echo(),
             library_provenance=[s.source_scenario
                                 for s in detector.library.signatures],
             warnings=detector.warnings,
@@ -1038,7 +1035,8 @@ def run_suite(
     """Run every scenario in the manifest; failures are isolated per row.
 
     Returns (reports dict, table rows). Each scenario contributes one row
-    for the parameter-deviation method and one for voltage limit-checking.
+    for the parameter-deviation method and one for voltage limit-checking,
+    from its report's final verdict and delays and from its `baseline`.
     Each run is a `run_scenario` of its own, which shares nothing with the
     others, so its artifacts are bitwise those of a lone run. With
     `out_dir`, the table goes to `comparison.csv` there, written as a
@@ -1087,10 +1085,10 @@ def run_suite(
         ])
         rows.append([
             name, "limit_check",
-            "detected" if report.baseline_detected else "not_detected",
-            "fault" if report.baseline_detected else "normal",
-            ("never" if report.baseline_first_violation is None
-             else f"{report.baseline_first_violation:.6g}"),
+            "detected" if report.baseline.detected else "not_detected",
+            "fault" if report.baseline.detected else "normal",
+            ("never" if report.baseline.first_violation is None
+             else f"{report.baseline.first_violation:.6g}"),
             "",
         ])
     if out_dir is not None:

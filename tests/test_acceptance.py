@@ -105,12 +105,12 @@ def test_criterion_5_baseline_contrast(lif_reports, discrimination):
     """Voltage limit-checking sees the 20 ohm fault but misses both
     high-impedance severities that the parameter-deviation detector
     classifies as faults."""
-    assert lif_reports[0.999].baseline_detected
+    assert lif_reports[0.999].baseline.detected
     hif_seen = 0
     for (name, seed), report in discrimination["reports"].items():
         if name.startswith("hif"):
             hif_seen += 1
-            assert not report.baseline_detected, (name, seed)
+            assert not report.baseline.detected, (name, seed)
             assert report.final_verdict is Verdict.FAULT, (name, seed)
     assert hif_seen >= 2  # both severities covered (600 and 1000 ohm)
 

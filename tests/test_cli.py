@@ -84,6 +84,22 @@ class TestCalibrate:
         assert main(["calibrate", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_unaddressable_order_exits_2_naming_key(self, tmp_path, capsys):
+        """An order whose covariance no array can address is the file's
+        error, raised before anything is simulated."""
+        huge = 99999999999999999999
+        bad = tmp_path / "huge_order.ini"
+        bad.write_text(f"[run]\nduration = 0.05\n[identifier]\n"
+                       f"order = {huge}\n")
+        rc = main(["calibrate", "--config", str(bad),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: [identifier] order {huge} needs a covariance P "
+            f"of {4 * huge}**2 float64 values, more than {sys.maxsize} bytes "
+            "can address\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestBuildLibrary:
     def test_two_signatures(self, workspace, tmp_path):
@@ -135,14 +151,17 @@ class TestBuildLibrary:
 
 
 class TestRun:
-    def test_report_artifacts(self, workspace, tmp_path):
+    def test_report_artifacts(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "run")
         rc = main(["run", "--config", workspace["fault.ini"],
                    "--calibration", workspace["calibration.json"],
                    "--out", out])
         assert rc == 0
         with open(os.path.join(out, "report.json")) as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        # the run prints the report it writes
+        assert capsys.readouterr().out == text + "\n"
+        doc = json.loads(text)
         assert doc["name"] == "fault"
         assert doc["dt1_high"] is not None
         for fname in ("samples.npy", "distance.npy", "theta.npy"):

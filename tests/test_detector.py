@@ -1194,9 +1194,17 @@ class TestDebounceBlock:
         ((np.zeros(3, np.intp), 1, debounce_state(), 0, np.zeros(3),
           np.zeros(3), list(WINDOW), np.full(5, np.nan)),
          "argument window: expected a tuple"),
+        ((np.zeros(3, np.intp), 10**20, debounce_state(), 0, None, None,
+          None, None),
+         "argument hold: 100000000000000000000 is outside the range of a C "
+         "ssize_t"),
+        ((np.zeros(3, np.intp), 1, debounce_state(), -10**20, None, None,
+          None, None),
+         "argument armed: -100000000000000000000 is outside the range of a "
+         "C ssize_t"),
     ], ids=["t_length", "d_shape", "codes_2d", "state_dtype", "state_shape",
             "state_readonly", "found_3", "found_readonly", "window_2",
-            "window_list"])
+            "window_list", "hold_huge", "armed_huge"])
     def test_bad_arguments_named(self, args, message):
         with pytest.raises((ValueError, TypeError), match=re.escape(message)):
             _kernels.debounce_block(*args)

@@ -35,7 +35,9 @@ from gridarx.rls import ArxConfig
 from gridarx.scenario import (
     FLOAT_FMT,
     SCENARIO_SCHEMA,
+    BaselineResult,
     Detector,
+    RunReport,
     ScenarioConfig,
     StageError,
     _NpyWriter,
@@ -135,6 +137,9 @@ class TestLoadScenario:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"rho": 0}, "--rho: order must be >= 1, got 0"),
+        ({"rho": HUGE}, f"--rho: order {HUGE} needs a covariance P of "
+         f"{4 * HUGE}**2 float64 values, more than {sys.maxsize} bytes can "
+         "address"),
         ({"forgetting": 1.5},
          "--lambda: forgetting factor must be in (0, 1], got 1.5"),
         ({"seed": -2}, "--seed: seed must be >= 0, got -2"),
@@ -195,6 +200,11 @@ class TestLoadScenario:
         ("[thresholds]\nmode = manual\nd_high = 1\nd_low = 2\n",
          "[thresholds] need 0 < d_low < d_high"),
         ("[identifier]\norder = 0\n", "[identifier] order must be >= 1"),
+        # a covariance P beyond the address space
+        (f"[identifier]\norder = {HUGE}\n",
+         f"[identifier] order {HUGE} needs a covariance P of "
+         f"{4 * HUGE}**2 float64 values, more than {sys.maxsize} bytes can "
+         "address"),
         ("[identifier]\nforgetting = 1.5\n",
          "[identifier] forgetting factor must be in (0, 1], got 1.5"),
         ("[identifier]\np_max = 1\n",
@@ -658,13 +668,32 @@ class TestRunScenario:
         verdicts = [v for _, v in report.verdict_timeline]
         assert "fault" in verdicts
 
+    def test_report_json_keys_are_the_fields_in_order(self):
+        """report.json is RunReport field for field: its keys are the
+        fields in order, the keys under "baseline" are BaselineResult's,
+        the thresholds an object of their own and the verdict its value."""
+        report = RunReport(
+            name="layout", thresholds=Thresholds(d_high=2.0, d_low=1.0),
+            dt1_high=0.01, dt1_low=0.005, dt2=None, dt1_high_debounced=0.02,
+            dt1_low_debounced=None, final_verdict=Verdict.FAULT,
+            verdict_timeline=[(1.5, "fault")],
+            baseline=BaselineResult(detected=True, first_violation=1.25))
+        doc = json.loads(report.to_json())
+        assert list(doc) == [f.name for f in fields(RunReport)]
+        assert list(doc["baseline"]) == [f.name
+                                         for f in fields(BaselineResult)]
+        assert doc["baseline"] == {"detected": True, "first_violation": 1.25}
+        assert doc["thresholds"] == {"d_high": 2.0, "d_low": 1.0}
+        assert doc["final_verdict"] == "fault"
+        assert doc["verdict_timeline"] == [[1.5, "fault"]]
+
     def test_no_disturbance_stays_normal(self, default_cal):
         nominal, thresholds, _, _ = default_cal
         cfg = ScenarioConfig(name="quiet", duration=4.0)
         report = run_scenario(cfg, nominal, thresholds)
         assert report.final_verdict is Verdict.NORMAL
         assert report.dt1_high is None
-        assert not report.baseline_detected
+        assert not report.baseline.detected
         # no disturbance is not one that starts after the run
         assert report.warnings == []
 
