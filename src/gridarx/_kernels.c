@@ -210,7 +210,7 @@ typedef struct {
     double *theta_traj;     /* m x r x n */
     double *innovation;     /* m x r */
     double lam, min_denom, ceiling_sq;
-    long long count0, interval;
+    Py_ssize_t count0, interval;
     PyObject *clamp;        /* clamps P's spectrum in place, called on P */
     PyObject *P;            /* the P block of stack, as an ndarray */
 } Rls;
@@ -409,15 +409,19 @@ static int rls_model(const char *func, PyObject *params, PyObject *count0,
                      "in a callable", func);
         return 0;
     }
-    s->r = PyLong_AsSsize_t(PyTuple_GET_ITEM(params, 0));
-    s->n = PyLong_AsSsize_t(PyTuple_GET_ITEM(params, 1));
-    *burn_in = PyLong_AsSsize_t(PyTuple_GET_ITEM(params, 2));
+    if (!ssize_arg(func, PyTuple_GET_ITEM(params, 0), "output_dim", &s->r)
+            || !ssize_arg(func, PyTuple_GET_ITEM(params, 1), "regressor_len",
+                          &s->n)
+            || !ssize_arg(func, PyTuple_GET_ITEM(params, 2), "burn_in",
+                          burn_in)
+            || !ssize_arg(func, PyTuple_GET_ITEM(params, 5), "interval",
+                          &s->interval)
+            || !ssize_arg(func, count0, "count0", &s->count0))
+        return 0;
     s->lam = PyFloat_AsDouble(PyTuple_GET_ITEM(params, 3));
     s->min_denom = PyFloat_AsDouble(PyTuple_GET_ITEM(params, 4));
-    s->interval = PyLong_AsLongLong(PyTuple_GET_ITEM(params, 5));
     s->ceiling_sq = PyFloat_AsDouble(PyTuple_GET_ITEM(params, 6));
     s->clamp = PyTuple_GET_ITEM(params, 7);
-    s->count0 = PyLong_AsLongLong(count0);
     if (PyErr_Occurred())
         return 0;
     if (s->r < 1 || s->n < 1 || s->interval < 1) {
@@ -438,11 +442,12 @@ static npy_intp last_extent(PyArrayObject *a)
  * is not an integer >= 1. */
 static Py_ssize_t stream_order(const char *func, PyObject *obj)
 {
-    Py_ssize_t order = PyLong_AsSsize_t(obj);
+    Py_ssize_t order;
+    if (!ssize_arg(func, obj, "order", &order))
+        return 0;
     if (order >= 1)
         return order;
-    if (!PyErr_Occurred())
-        PyErr_Format(PyExc_ValueError, "%s: order must be >= 1", func);
+    PyErr_Format(PyExc_ValueError, "%s: order must be >= 1", func);
     return 0;
 }
 
@@ -1068,7 +1073,7 @@ static PyObject *cycle_average(PyObject *self, PyObject *const *arg,
     PyArrayObject *v, *history, *total, *out = NULL;
     Py_ssize_t count;
     if (!nargs_ok(func, nargs, 4)
-            || ((count = PyLong_AsSsize_t(arg[3])) == -1 && PyErr_Occurred())
+            || !ssize_arg(func, arg[3], "count", &count)
             || !(history = checked(func, arg[1], "history", 'd', 1, 2, any2)))
         return NULL;
     const npy_intp n = PyArray_DIM(history, 0), cols = PyArray_DIM(history, 1),

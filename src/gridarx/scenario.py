@@ -14,18 +14,20 @@ estimator each carry their state from block to block, which gives
 bitwise the run of one call over the whole stream. A run hands each
 block's samples to the baseline, which carries its one-cycle average,
 and each block's IdentRun to its `Detector`, which holds what the
-detector carries across blocks: the debounce, the first crossings and
-transitions, taken in one kernel call per block
-(`_kernels.debounce_block`, which updates the debounce's state and the
-first times, NaN until found, in place), and, of the predictor
-trajectory, only the running sum of the settle-window rows whose mean
-gives the final verdict (`detector.RunningMean`); the run's RunReport,
-whose fields are the keys of its `report.json`, turns a first time still
-NaN into None. Each block's rows go to the artifact files as they
-arrive, written by the run's own process as the float64
-bytes of three `.npy` files, whose headers the config fixes up front: the
-samples (`samples.npy`), the distances (`distance.npy`) and every
-THETA_STRIDE-th predictor (`theta.npy`); no value is formatted as text.
+detector carries across blocks: the debounce and the first crossings,
+taken in one kernel call per block (`_kernels.debounce_block`, which
+updates the debounce's state and the first times, NaN until found, in
+place), the count of transitions and, of the predictor trajectory, only
+the running sum of the settle-window rows whose mean gives the final
+verdict (`detector.RunningMean`). Each block's transitions go to
+`events.jsonl` as they come, the run's one record of them; the run's
+RunReport, whose fields are the keys of its `report.json`, counts them
+and turns a first time still NaN into None. Each block's rows go to the
+artifact files as they arrive, written by the run's own process as the
+float64 bytes of three `.npy` files, whose headers the config fixes up
+front: the samples (`samples.npy`), the distances (`distance.npy`) and
+every THETA_STRIDE-th predictor (`theta.npy`); no value is formatted as
+text.
 A run lets go of each block before it asks for the next, so it holds one
 block at a time: its memory depends on the block size, not on its length
 or its disturbance window.
@@ -627,7 +629,8 @@ class RunReport:
     """One run's results. Its fields are the keys of `report.json`, in
     order, and `to_json` writes them as `dataclasses.asdict` gives them:
     thresholds and baseline as nested objects, final_verdict as its
-    value."""
+    value. transitions counts the debounced transitions, which the run's
+    `events.jsonl` lists, one line each."""
 
     name: str
     thresholds: Thresholds
@@ -637,7 +640,7 @@ class RunReport:
     dt1_high_debounced: float | None
     dt1_low_debounced: float | None
     final_verdict: Verdict
-    verdict_timeline: list  # [(t, verdict str), ...] debounced transitions
+    transitions: int  # debounced transitions, the lines of events.jsonl
     baseline: BaselineResult
     config: dict = field(default_factory=dict)
     library_provenance: list = field(default_factory=list)
@@ -727,8 +730,10 @@ class Detector:
     the run's updates as they come, one block's IdentRun at a time
     (`push`), and gives the final verdict at the end (`finish`). It holds
     what a run carries from block to block: the debounce, the five first
-    times, the timeline, the settled running mean and the count of updates
-    pushed, so blocks of any size give the outputs of one whole-run push.
+    times, the count of transitions, the settled running mean and the
+    count of updates pushed, so blocks of any size give the outputs of one
+    whole-run push. The transitions themselves are `push`'s to return,
+    not the detector's to keep.
 
     Thresholds pinned in the scenario config take precedence over the
     calibration-supplied ones. A calibration or library of another model
@@ -775,7 +780,7 @@ class Detector:
         # stable fault verdict and the first stable non-normal one after
         # t_start; NaN until found
         self.found = np.full(5, np.nan)
-        self.timeline = []  # [(t, verdict value)] debounced transitions
+        self.transitions = 0  # debounced transitions so far
         self.settled = det.RunningMean()  # of the armed rows in `settle`
         self.updates = 0  # updates pushed so far
 
@@ -805,7 +810,7 @@ class Detector:
             self.found)
         changes = [(tk, det.VERDICTS[c].value, dk) for tk, c, dk in zip(
             t[at].tolist(), stable[at].tolist(), d[at].tolist())]
-        self.timeline.extend(change[:2] for change in changes)
+        self.transitions += len(changes)
         # t increases, so the armed rows in the settle window are a slice
         first, last = np.searchsorted(t, self.settle)
         self.settled.add(thetas[max(first, armed):last])
@@ -847,24 +852,24 @@ def run_scenario(
     updates = samples - order - 1; and `theta.npy` (ceil(updates /
     THETA_STRIDE), 1 + 8 * order), columns t and the predictor's rows
     flattened (theta_d_1, ..., theta_q_1, ...), after every
-    THETA_STRIDE-th update from the first. It also writes an events
-    JSON-lines stream and `report.json`, the returned RunReport as
-    `RunReport.to_json` gives it. Each file is written as its rows
-    arrive and under a temporary name until the run has succeeded. A
-    write that fails raises its own exception, with its type and message;
-    as with any failure, nothing of the run is left in `out_dir`. A run
-    with no disturbance inside it (`disturbance_inside`) reports every
-    delay as None. The final verdict (`Detector.finish`) classifies the
-    mean predictor over the settled half of the disturbance window, or
-    over the second half of a run without one, which the run keeps as a
-    running sum (`detector.RunningMean`), not as rows: its memory depends
+    THETA_STRIDE-th update from the first. It also writes
+    `events.jsonl`, one line {"t", "verdict", "d"} per debounced
+    transition, the run's one record of them, and `report.json`, the
+    returned RunReport as `RunReport.to_json` gives it. Each file is
+    written as its rows arrive and under a temporary name until the run
+    has succeeded. A write that fails raises its own exception, with its
+    type and message; as with any failure, nothing of the run is left in
+    `out_dir`. A run with no disturbance inside it (`disturbance_inside`)
+    reports every delay as None. The final verdict (`Detector.finish`)
+    classifies the mean predictor over the settled half of the disturbance
+    window, or over the second half of a run without one, which the run keeps
+    as a running sum (`detector.RunningMean`), not as rows: its memory depends
     on the block size, not on the run's length or its window. The run
-    simulates and identifies its own stream from sample 0 and reads
-    nothing another run made, so inside `run_suite` it writes the bytes
-    it writes alone. Thresholds pinned in the scenario config take
-    precedence over the calibration-supplied ones. A calibration or
-    library of another model order than the run's is rejected with
-    ValueError before anything is simulated.
+    simulates and identifies its own stream from sample 0 and reads nothing
+    another run made, so inside `run_suite` it writes the bytes it writes
+    alone. Thresholds pinned in the scenario config take precedence over the
+    calibration-supplied ones. A calibration or library of another model order
+    than the run's is rejected with ValueError before anything is simulated.
     """
     detector = Detector(config, nominal, thresholds, library)
     # Baseline limit checking, banded around the nominal operating point.
@@ -917,7 +922,7 @@ def run_scenario(
             dt1_high_debounced=first_fault,
             dt1_low_debounced=first_not_normal,
             final_verdict=final_verdict,
-            verdict_timeline=detector.timeline,
+            transitions=detector.transitions,
             baseline=BaselineResult(baseline_first is not None,
                                     baseline_first),
             config=config.echo(),

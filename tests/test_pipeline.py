@@ -826,6 +826,44 @@ class TestEntryPointContract:
         with pytest.raises(ValueError, match=f"^{func}: argument {name}: "):
             entry(*before, *arrays.values(), *after)
 
+    @pytest.mark.parametrize("func, name", [
+        ("cycle_average", "count"), ("regressor_rows", "order"),
+        ("rls_block", "order"), ("rls_block", "count0"),
+        ("rls_block", "output_dim"), ("rls_block", "regressor_len"),
+        ("rls_block", "burn_in"), ("rls_block", "interval")])
+    def test_huge_integer_refused_by_name(self, func, name):
+        """An integer argument beyond a C ssize_t raises ValueError naming
+        its entry point and itself, not a bare OverflowError; an item of
+        rls_block's params tuple is named as the tuple orders them."""
+        config = ArxConfig()
+        state = init_identifier(config)
+        v, i = np.zeros((8, 2)), np.zeros((8, 2))
+        # each call's arguments, and where each integer argument sits: its
+        # position, or its position in the params tuple as (0, item)
+        args, where = {
+            "cycle_average": ([np.zeros((3, 2)), np.zeros((5, 2)),
+                               np.zeros(2), 0], {"count": 3}),
+            "regressor_rows": ([v, i, config.order], {"order": 2}),
+            "rls_block": ([config.kernel_params, 0, state.P, state.theta, v,
+                           i, np.arange(8.0), config.order],
+                          {"count0": 1, "order": 7, "output_dim": (0, 0),
+                           "regressor_len": (0, 1), "burn_in": (0, 2),
+                           "interval": (0, 5)}),
+        }[func]
+        entry = getattr(_kernels, func)
+        entry(*args)
+        at = where[name]
+        if isinstance(at, tuple):
+            params = list(args[0])
+            params[at[1]] = 10**20
+            args[0] = tuple(params)
+        else:
+            args[at] = 10**20
+        with pytest.raises(ValueError, match=f"^{func}: argument {name}: "
+                           "100000000000000000000 is outside the range of "
+                           "a C ssize_t$"):
+            entry(*args)
+
     @pytest.mark.parametrize("convert", [
         lambda x: x.tolist(), lambda x: x.astype(np.float32),
         np.asfortranarray, lambda x: np.repeat(x, 2, axis=0)[::2]],

@@ -74,6 +74,12 @@ def write_ini(tmp_path, name, text):
     return str(path)
 
 
+def read_events(run_dir):
+    """The events of a run's `events.jsonl`, one dict per line."""
+    with open(os.path.join(run_dir, "events.jsonl")) as fh:
+        return [json.loads(line) for line in fh]
+
+
 class TestLoadScenario:
     def test_shipped_hif_scenario(self):
         cfg = load_scenario(os.path.join(SCENARIO_DIR, "hif_600ohm.ini"))
@@ -660,12 +666,14 @@ class TestRunScenario:
                                os.path.join(out_b, fname), shallow=False), \
                 fname
 
-    def test_fault_trips_and_recovers(self, default_cal, short_fault_config):
+    def test_fault_trips_and_recovers(self, default_cal, short_fault_config,
+                                      tmp_path):
         nominal, thresholds, _, _ = default_cal
-        report = run_scenario(short_fault_config, nominal, thresholds)
+        report = run_scenario(short_fault_config, nominal, thresholds,
+                              out_dir=str(tmp_path))
         assert report.dt1_high is not None
         assert report.dt1_high < 0.05
-        verdicts = [v for _, v in report.verdict_timeline]
+        verdicts = [event["verdict"] for event in read_events(tmp_path)]
         assert "fault" in verdicts
 
     def test_report_json_keys_are_the_fields_in_order(self):
@@ -676,7 +684,7 @@ class TestRunScenario:
             name="layout", thresholds=Thresholds(d_high=2.0, d_low=1.0),
             dt1_high=0.01, dt1_low=0.005, dt2=None, dt1_high_debounced=0.02,
             dt1_low_debounced=None, final_verdict=Verdict.FAULT,
-            verdict_timeline=[(1.5, "fault")],
+            transitions=3,
             baseline=BaselineResult(detected=True, first_violation=1.25))
         doc = json.loads(report.to_json())
         assert list(doc) == [f.name for f in fields(RunReport)]
@@ -685,7 +693,7 @@ class TestRunScenario:
         assert doc["baseline"] == {"detected": True, "first_violation": 1.25}
         assert doc["thresholds"] == {"d_high": 2.0, "d_low": 1.0}
         assert doc["final_verdict"] == "fault"
-        assert doc["verdict_timeline"] == [[1.5, "fault"]]
+        assert doc["transitions"] == 3
 
     def test_no_disturbance_stays_normal(self, default_cal):
         nominal, thresholds, _, _ = default_cal
@@ -916,6 +924,27 @@ class TestBlockSize:
         whole = block_runs[BLOCK_SIZES[-1]][1]
         for block in BLOCK_SIZES[:-1]:
             assert block_runs[block][1] == whole, block
+
+    def test_events_are_the_transitions(self, default_cal, block_edge_config,
+                                        block_runs):
+        """events.jsonl is the one record of a run's transitions: at each
+        block size it has report.json's `transitions` lines, whose (t,
+        verdict) pairs are those `Detector.push` gives for the whole run."""
+        nominal, thresholds, _, _ = default_cal
+        cfg = block_edge_config
+        run = identify(simulate(
+            cfg.circuit, cfg.disturbance, cfg.excitation, cfg.duration,
+            cfg.ts, cfg.noise_std, cfg.noise_seed, cfg.i_op), cfg.identifier)
+        library = SignatureLibrary.from_json(block_runs[BLOCK_SIZES[-1]][1])
+        _, changes = Detector(cfg, nominal, thresholds, library).push(run)
+        want = [(t, verdict) for t, verdict, _ in changes]
+        assert [verdict for _, verdict in want] == ["normal", "fault"]
+        for block in BLOCK_SIZES:
+            run_dir = block_runs[block][0]
+            events = read_events(run_dir)
+            with open(os.path.join(run_dir, "report.json")) as fh:
+                assert json.load(fh)["transitions"] == len(events), block
+            assert [(e["t"], e["verdict"]) for e in events] == want, block
 
 
 class TestRunMemory:
@@ -1651,7 +1680,8 @@ class TestDetector:
     def pushed(config, nominal, thresholds, run, size):
         """What a Detector gives when `run` is pushed in slices of `size`
         updates: (d, transitions, first times (None for one not found),
-        timeline, final verdict, warnings)."""
+        the detector's count of transitions, which is the number it
+        returned, final verdict, warnings)."""
         detector = Detector(config, nominal, thresholds, random_library())
         ds, changes = [], []
         for lo in range(0, run.t.size, size):
@@ -1661,10 +1691,11 @@ class TestDetector:
                 calibrated=run.calibrated[part]))
             ds.append(d)
             changes += block_changes
+        assert detector.transitions == len(changes)
         verdict = detector.finish()
         found = tuple(None if np.isnan(v) else v
                       for v in detector.found.tolist())
-        return (np.concatenate(ds), changes, found, detector.timeline,
+        return (np.concatenate(ds), changes, found, detector.transitions,
                 verdict, detector.warnings)
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -1676,7 +1707,7 @@ class TestDetector:
             config.duration, config.ts, config.noise_std, config.noise_seed,
             config.i_op), config.identifier)
         whole = self.pushed(config, nominal, thresholds, run, run.t.size)
-        d, changes, found, timeline, verdict, warnings = whole
+        d, changes, found, transitions, verdict, warnings = whole
         assert d.size == run.t.size
         if name == "fault":
             assert len(changes) > 2 and None not in found[:2]
