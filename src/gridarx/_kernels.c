@@ -13,7 +13,9 @@
  * CPU:
  * - the RLS and simulator products sum each row left to right from 0.0
  *   (`dot`), and the simulator's input product from its first term, as
- *   `simulate._matvec` does;
+ *   `simulate._matvec` does; the RLS step's P phi adds P's rows, each
+ *   scaled by its phi entry, from 0.0 in row order, which for an exactly
+ *   symmetric P gives each entry the bits of its row's `dot`;
  * - a distance sums its squares in the order of numpy's add.reduce over a
  *   contiguous row (`pairwise_sum_sq`);
  * - the product of a band snapshot's deviation with each signature sums
@@ -144,18 +146,6 @@ static PyArrayObject *empty(int ndim, npy_intp *dims, int type)
     return (PyArrayObject *)PyArray_SimpleNew(ndim, dims, type);
 }
 
-/* Rows lo to hi of the 2-D C-contiguous float64 `base`, as a view. */
-static PyArrayObject *row_view(PyArrayObject *base, npy_intp lo, npy_intp hi)
-{
-    npy_intp dims[2] = {hi - lo, PyArray_DIM(base, 1)};
-    PyArrayObject *view = (PyArrayObject *)PyArray_New(
-        &PyArray_Type, 2, dims, NPY_DOUBLE, NULL,
-        (double *)PyArray_DATA(base) + lo * dims[1], 0, NPY_ARRAY_CARRAY, NULL);
-    if (view && PyArray_SetBaseObject(view, Py_NewRef((PyObject *)base)) < 0)
-        Py_CLEAR(view);
-    return view;
-}
-
 static int nargs_ok(const char *func, Py_ssize_t nargs, Py_ssize_t want)
 {
     if (nargs == want)
@@ -200,19 +190,23 @@ static void gemv(Py_ssize_t rows, Py_ssize_t cols, const double *a,
         y[i] = dot(cols, a + i * cols, x);
 }
 
+/* One `rls_block` call: its model, its rows and its own P and theta,
+ * which the steps update in place, P the data of the ndarray P_array that
+ * the clamp is called on. */
 typedef struct {
     Py_ssize_t m, n, r; /* rows, regressor length, outputs */
     /* the rows: Y (m x r) and Phi (m x n), or, with Y NULL, the streams v
      * (with r columns) and i (with ni) that `fill_row` makes them of */
     const double *Y, *Phi, *v, *i;
     Py_ssize_t ni, order;
-    double *stack;          /* [P; theta], (n + r) x n, updated in place */
+    double *P;              /* n x n, exactly symmetric, updated in place */
+    double *theta;          /* r x n, updated in place */
     double *theta_traj;     /* m x r x n */
     double *innovation;     /* m x r */
     double lam, min_denom, ceiling_sq;
     Py_ssize_t count0, interval;
-    PyObject *clamp;        /* clamps P's spectrum in place, called on P */
-    PyObject *P;            /* the P block of stack, as an ndarray */
+    PyObject *clamp;        /* clamps P's spectrum in place */
+    PyObject *P_array;
 } Rls;
 
 /* Fills y (nv) with the first difference of the stream v (N x nv) for
@@ -267,7 +261,7 @@ static int all_finite(Py_ssize_t n, const double *x)
 static int rls_check(const Rls *s)
 {
     const Py_ssize_t n = s->n;
-    const double *P = s->stack;
+    const double *P = s->P;
     if (!all_finite(n * n, P))
         return RLS_NONFINITE_P;
     for (Py_ssize_t i = 0; i < n; i++)
@@ -279,7 +273,21 @@ static int rls_check(const Rls *s)
 
 /* Steps rows *row, *row + 1, ... of the block, writing each row's theta
  * into theta_traj and its innovation e into innovation. `work` holds
- * n + r + n + r + n doubles.
+ * P phi and K (n doubles each) and `rls_row`'s buf (r + n doubles). Each
+ * step reads P once, for P phi, and updates it in one walk over its upper
+ * triangle:
+ *
+ *   K     = P phi / (lambda + phi' P phi)
+ *   e     = y - theta phi
+ *   theta <- theta + e K'
+ *   P     <- A / (2 lambda) + A' / (2 lambda),  A = P - (P phi) K'
+ *
+ * P phi is the sum of P's rows, row j scaled by phi[j], added from 0.0 in
+ * j order: as P == P', entry i sums the products of P's row i in `dot`'s
+ * order, and a sum from +0.0 ignores the sign of a zero product, so a P
+ * whose mirrored zeros differ in sign gives the bits of `dot` too. Pair
+ * (i, j) of A reads P[i][j] and P[j][i], each from its own entry, and
+ * writes their sum to both, so P stays exactly symmetric.
  *
  * Returns RLS_DONE after the last row. It returns early, with *row the
  * number of rows done, in three cases:
@@ -293,8 +301,8 @@ static int rls_check(const Rls *s)
 static int rls_steps(const Rls *s, double *work, Py_ssize_t *row, double *denom)
 {
     const Py_ssize_t n = s->n, r = s->r;
-    double *P = s->stack, *theta = s->stack + n * n;
-    double *stack_phi = work, *K = work + n + r, *buf = work + 2 * n + r;
+    double *P = s->P, *theta = s->theta;
+    double *Pphi = work, *K = work + n, *buf = work + 2 * n;
     const double lam2 = 2.0 * s->lam;
     for (Py_ssize_t k = *row; k < s->m; k++) {
         const double *y, *phi;
@@ -304,32 +312,33 @@ static int rls_steps(const Rls *s, double *work, Py_ssize_t *row, double *denom)
             *row = k;
             return RLS_NONFINITE_INPUT;
         }
-        gemv(n + r, n, s->stack, phi, stack_phi); /* [P phi; theta phi] */
-        double d = s->lam + dot(n, phi, stack_phi);
+        memset(Pphi, 0, (size_t)n * sizeof *Pphi); /* +0.0 */
+        for (Py_ssize_t j = 0; j < n; j++)
+            for (Py_ssize_t i = 0; i < n; i++)
+                Pphi[i] += P[j * n + i] * phi[j];
+        double d = s->lam + dot(n, phi, Pphi);
         if (d <= s->min_denom) {
             *row = k;
             *denom = d;
             return RLS_REJECTED;
         }
         for (Py_ssize_t j = 0; j < n; j++)
-            K[j] = stack_phi[j] / d;
+            K[j] = Pphi[j] / d;
         for (Py_ssize_t i = 0; i < r; i++) {
-            e[i] = y[i] - stack_phi[n + i];
-            stack_phi[n + i] = -e[i]; /* stack_phi is now [P phi; -e] */
-        }
-        /* stack - [P phi; -e] K' */
-        for (Py_ssize_t i = 0; i < n + r; i++) {
-            double *row_i = s->stack + i * n, a = stack_phi[i];
+            double *theta_i = theta + i * n;
+            e[i] = y[i] - dot(n, theta_i, phi);
             for (Py_ssize_t j = 0; j < n; j++)
-                row_i[j] = row_i[j] - a * K[j];
+                theta_i[j] = theta_i[j] + e[i] * K[j];
         }
         memcpy(s->theta_traj + k * r * n, theta, (size_t)(r * n) * sizeof *theta);
-        /* P <- A + A' with A = P / (2 lambda) */
         for (Py_ssize_t i = 0; i < n; i++) {
-            P[i * n + i] = P[i * n + i] / lam2 + P[i * n + i] / lam2;
+            double *P_i = P + i * n, a = Pphi[i];
+            double u = P_i[i] - a * K[i];
+            P_i[i] = u / lam2 + u / lam2;
             for (Py_ssize_t j = i + 1; j < n; j++) {
-                double sum = P[i * n + j] / lam2 + P[j * n + i] / lam2;
-                P[i * n + j] = sum;
+                double sum = (P_i[j] - a * K[j]) / lam2
+                             + (P[j * n + i] - Pphi[j] * K[i]) / lam2;
+                P_i[j] = sum;
                 P[j * n + i] = sum;
             }
         }
@@ -351,7 +360,7 @@ static int rls_run_rows(const Rls *s)
 {
     Py_ssize_t row = 0;
     double denom = NAN;
-    double *work = PyMem_Malloc((size_t)(3 * s->n + 2 * s->r) * sizeof *work);
+    double *work = PyMem_Malloc((size_t)(3 * s->n + s->r) * sizeof *work);
     if (!work) {
         PyErr_NoMemory();
         return -1;
@@ -360,7 +369,7 @@ static int rls_run_rows(const Rls *s)
     if (status == RLS_DONE) {
         while ((status = rls_steps(s, work, &row, &denom))
                    == RLS_CHECK_SPECTRUM) {
-            PyObject *done = PyObject_CallOneArg(s->clamp, s->P);
+            PyObject *done = PyObject_CallOneArg(s->clamp, s->P_array);
             if (!done)
                 break;
             Py_DECREF(done);
@@ -495,8 +504,8 @@ static const char rls_block_doc[] =
 static PyObject *rls_block(PyObject *self, PyObject *const *arg, Py_ssize_t nargs)
 {
     const char *func = "rls_block";
-    PyArrayObject *a = NULL, *b = NULL, *stack = NULL, *P = NULL,
-                  *theta = NULL, *traj = NULL, *inn = NULL;
+    PyArrayObject *a = NULL, *b = NULL, *P = NULL, *theta = NULL,
+                  *traj = NULL, *inn = NULL;
     PyObject *t = NULL, *out = NULL;
     Rls s = {0};
     Py_ssize_t order = 0;
@@ -532,21 +541,21 @@ static PyObject *rls_block(PyObject *self, PyObject *const *arg, Py_ssize_t narg
                      "block", (Py_ssize_t)m, (Py_ssize_t)PyArray_DIM(b, 0));
         goto done;
     }
-    npy_intp rows[2] = {m, s.r}, stack_dims[2] = {s.n + s.r, s.n},
-             traj_dims[3] = {m, s.r, s.n};
+    npy_intp rows[2] = {m, s.r}, P_dims[2] = {s.n, s.n},
+             theta_dims[2] = {s.r, s.n}, traj_dims[3] = {m, s.r, s.n};
     /* P[...] = state.P and theta[...] = state.theta: numpy's assignment,
      * broadcasting and casting as it does */
-    if (!(stack = empty(2, stack_dims, NPY_DOUBLE))
-            || !(P = row_view(stack, 0, s.n))
-            || !(theta = row_view(stack, s.n, s.n + s.r))
+    if (!(P = empty(2, P_dims, NPY_DOUBLE))
+            || !(theta = empty(2, theta_dims, NPY_DOUBLE))
             || PyArray_CopyObject(P, arg[2]) < 0
             || PyArray_CopyObject(theta, arg[3]) < 0
             || !(traj = empty(3, traj_dims, NPY_DOUBLE))
             || !(inn = empty(2, rows, NPY_DOUBLE)))
         goto done;
     s.m = m;
-    s.stack = PyArray_DATA(stack);
-    s.P = (PyObject *)P;
+    s.P = PyArray_DATA(P);
+    s.theta = PyArray_DATA(theta);
+    s.P_array = (PyObject *)P;
     s.theta_traj = PyArray_DATA(traj);
     s.innovation = PyArray_DATA(inn);
     if (streams) {
@@ -567,7 +576,6 @@ static PyObject *rls_block(PyObject *self, PyObject *const *arg, Py_ssize_t narg
 done:
     Py_XDECREF(a);
     Py_XDECREF(b);
-    Py_XDECREF(stack);
     Py_XDECREF(P);
     Py_XDECREF(theta);
     Py_XDECREF(traj);

@@ -12,10 +12,11 @@ finite P once, allocates its outputs and steps the rows, checking each
 row finite as it steps it; for the rare spectral clamp of P it calls
 `_clamp`, which `ArxConfig.kernel_params` hands it, and then goes on with
 the block.
-The kernel keeps P and theta stacked as one
-(regressor_len + output_dim) x regressor_len array, so that one rank-1
-correction per step updates both, with the bits of the textbook formulas
-(negation is exact, and the symmetrisation's addition is commutative).
+Each step reads P once, for P phi, and updates it in one walk over its
+upper triangle that writes each entry and its mirror with one sum, so P
+stays exactly symmetric; theta gets its own rank-1 correction. As P == P',
+P phi is made as the sum of P's rows scaled by phi, which gives each entry
+the bits of its row's left-to-right sum.
 The C steps sum each product left to right, so their bits depend on the
 source and the compiler flags, not on the CPU; only the clamp's `eigh`
 goes through numpy's LAPACK. `rls_update` is its one-row call.
@@ -185,7 +186,7 @@ def run_block(state: IdentifierState, a, b, t=None, order: int = 0):
     K    = P phi / (lambda + phi' P phi)
     e    = y - theta phi
     theta <- theta + e K'
-    P    <- (P - K phi' P) / lambda, re-symmetrized
+    P    <- (P - (P phi) K') / lambda, re-symmetrized
 
     Returns (theta_traj, innovation, final_state, t): theta_traj[k] is
     the estimate after row k and innovation[k] the one-step prediction
@@ -196,23 +197,12 @@ def run_block(state: IdentifierState, a, b, t=None, order: int = 0):
     rejected step raises UpdateRejectedError naming the first row at fault,
     after the steps before it (a clamp among them) were taken on the
     block's own copy of the state. The input state's P must be finite and
-    exactly symmetric (P == P', as every P made here is): the stacked
-    update below relies on it, and any other P is rejected the same way.
+    exactly symmetric (P == P', as every P made here is): the kernel's
+    P phi relies on it, and any other P is rejected the same way.
     An exception raised by the clamp propagates. The input state is never
     modified.
     """
     cfg = state.config
-    # P and theta are the row blocks of one (n + r) x n array `stack` =
-    # [P; theta]: one product [P phi; theta phi], each row summed left to
-    # right, and one rank-1 product of [P phi; -e] with K', then one
-    # subtract, update both blocks. The bits are those of the formulas
-    # above with the same sums:
-    # - theta - (-e) K' is theta + e K', since negation is exact;
-    # - the P block becomes P - (P phi) K', the transpose of P - K (P phi)'
-    #   when P is exactly symmetric, which the update requires of its input
-    #   and keeps: the symmetrisation A/(2 lambda) + (A/(2 lambda))' then
-    #   gives the same bits for A and A', because addition is commutative.
-    #
     # The kernel first checks the block's dimensions, every value of P
     # finite and P exactly symmetric (P == P' as numbers, so that +0.0 and
     # -0.0 agree). It then steps the rows, each checked finite as it is
@@ -220,8 +210,8 @@ def run_block(state: IdentifierState, a, b, t=None, order: int = 0):
     P, theta, theta_traj, innovation, t = _kernels.rls_block(
         cfg.kernel_params, state.sample_count, state.P, state.theta, a, b, t,
         order)
-    # theta and P are views of this call's own stack, which nothing else
-    # holds, so they need no copies
+    # theta and P are this call's own arrays, which nothing else holds,
+    # so they need no copies
     final = IdentifierState(
         config=cfg, theta=theta, P=P,
         sample_count=state.sample_count + theta_traj.shape[0])

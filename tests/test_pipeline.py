@@ -719,8 +719,8 @@ class TestBitPatterns:
     @pytest.mark.parametrize("input_dim, output_dim, order",
                              [(1, 1, 1), (3, 1, 2), (2, 3, 1)])
     def test_other_shapes_with_clamp(self, input_dim, output_dim, order):
-        """The stacked [P; theta] layout depends on the output count and
-        the regressor length: other shapes than the shipped 2 x 12, each
+        """P's and theta's extents depend on the output count and the
+        regressor length: other shapes than the shipped 2 x 12, each
         through an unexcited stretch where the ceiling clamp fires."""
         config = ArxConfig(order=order, input_dim=input_dim,
                            output_dim=output_dim, forgetting=0.95,
@@ -824,46 +824,50 @@ class TestKernelSteps:
     on any CPU."""
 
     @pytest.mark.parametrize("n, r", [(12, 2), (12, 1)],
-                             ids=["14x12", "13x12"])
+                             ids=["2x12", "1x12"])
     def test_rls_steps_equal_numpy_formulas(self, n, r):
-        """One kernel step on random [P; theta] stacks against the step
-        written with numpy's elementwise operations and `matvec_fixed`."""
+        """One kernel step on random P and theta against the step written
+        with numpy's elementwise operations and `matvec_fixed`."""
         rng = np.random.Generator(np.random.Philox(n + r))
         lam = 0.99
         h = n // 2
         for trial in range(300):
             A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
             B = A @ A.T + np.eye(n)
-            stack = np.concatenate([B + B.T, rng.standard_normal((r, n))])
+            P = B + B.T
+            theta = rng.standard_normal((r, n))
             scale = 10.0 ** rng.uniform(-6, 6)
             phi = scale * rng.standard_normal(n)
             phi[rng.integers(n)] = -0.0
             y = scale * rng.standard_normal(r)
             if trial % 2:
                 # signed zeros where the rank-1 terms are zeros: P phi and
-                # K vanish in their second half, where theta and the
-                # off-diagonal blocks of P hold -0.0
-                stack[:h, h:] = stack[h:n, :h] = -0.0
-                stack[n:, h:] = -0.0
+                # K vanish in their second half, where theta holds -0.0 and
+                # the off-diagonal blocks of P hold mirrored zeros of
+                # opposite sign, +0.0 above the diagonal and -0.0 below it
+                # or the reverse (P == P' compares them as numbers)
+                upper = 0.0 if trial % 4 == 1 else -0.0
+                P[:h, h:] = upper
+                P[h:, :h] = -upper
+                theta[:, h:] = -0.0
                 phi[h:] = np.where(rng.random(n - h) < 0.5, 0.0, -0.0)
 
-            stack_phi = matvec_fixed(stack, phi)
-            d = lam + matvec_fixed(phi[None], stack_phi[:n])[0]
-            K = stack_phi[:n] / d
-            e = y - stack_phi[n:]
-            stack_phi[n:] = -e
-            want = stack - np.outer(stack_phi, K)
-            A = want[:n] / (2.0 * lam)
-            want[:n] = A + A.T.copy()
+            Pphi = matvec_fixed(P, phi)
+            d = lam + matvec_fixed(phi[None], Pphi)[0]
+            K = Pphi / d
+            e = y - matvec_fixed(theta, phi)
+            want_theta = theta + np.outer(e, K)
+            A = (P - np.outer(Pphi, K)) / (2.0 * lam)
+            want_P = A + A.T.copy()
 
             params = (r, n, lam, MIN_GAIN_DENOMINATOR, COV_CLAMP_INTERVAL,
                       np.inf, never_clamp)
-            P, theta, theta_traj, innovation, _ = \
-                _kernels.rls_block(params, 0, stack[:n], stack[n:],
-                                   y[None], phi[None], None, 0)
-            assert_bits_equal(P, want[:n])
-            assert_bits_equal(theta, want[n:])
-            assert_bits_equal(theta_traj[0], want[n:])
+            got_P, got_theta, theta_traj, innovation, _ = \
+                _kernels.rls_block(params, 0, P, theta, y[None], phi[None],
+                                   None, 0)
+            assert_bits_equal(got_P, want_P)
+            assert_bits_equal(got_theta, want_theta)
+            assert_bits_equal(theta_traj[0], want_theta)
             assert_bits_equal(innovation[0], e)
 
     @pytest.mark.parametrize("nx", [4, 6], ids=["6x4", "8x6"])

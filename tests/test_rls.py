@@ -140,7 +140,7 @@ class TestUpdate:
         assert state.sample_count == 0
 
     def test_asymmetric_covariance_rejected_state_unchanged(self):
-        """The stacked update needs P == P' exactly; a P whose one
+        """The update needs P == P' exactly; a P whose one
         off-diagonal pair is 1 ulp apart is refused before any step."""
         state = rls_update(init_identifier(ArxConfig()), np.ones(2),
                            np.ones(12))
