@@ -34,6 +34,6 @@ from .rls import (
     rls_update,
 )
 from .signals import RbsConfig, rbs_generate
-from .simulate import DisturbanceSpec, SimResult, simulate
+from .simulate import DisturbanceSpec, SimResult
 
 __version__ = "0.1.0"

@@ -41,17 +41,6 @@ from .scenario import (
 )
 
 
-def _overrides(args) -> dict:
-    out = {}
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    if getattr(args, "forgetting", None) is not None:
-        out["forgetting"] = args.forgetting
-    if getattr(args, "rho", None) is not None:
-        out["rho"] = args.rho
-    return out
-
-
 def _parse_file(path, parse):
     """`parse` of the text in `path`; a malformed file raises ValueError
     naming it."""
@@ -79,16 +68,10 @@ def _load_library(path):
 
 def _add_common(parser):
     parser.add_argument("--out", default="out", help="artifact directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override excitation seed")
-    parser.add_argument("--lambda", dest="forgetting", type=float,
-                        default=None, help="override forgetting factor")
-    parser.add_argument("--rho", type=int, default=None,
-                        help="override model order")
 
 
 def cmd_calibrate(args) -> int:
-    config = load_scenario(args.config, _overrides(args))
+    config = load_scenario(args.config)
     nominal, thresholds, _ = run_calibration(config, out_dir=args.out)
     print(f"calibration written to {os.path.join(args.out, 'calibration.json')}")
     print(f"d_high={thresholds.d_high:.6g} d_low={thresholds.d_low:.6g}")
@@ -97,7 +80,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_build_library(args) -> int:
     nominal, thresholds = _load_calibration(args.calibration)
-    configs = [load_scenario(p, _overrides(args)) for p in args.config]
+    configs = [load_scenario(p) for p in args.config]
     library = build_library_from_scenarios(configs, nominal, thresholds)
     write_artifact(args.out, "library.json", library.to_json())
     path = os.path.join(args.out, "library.json")
@@ -106,7 +89,7 @@ def cmd_build_library(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = load_scenario(args.config, _overrides(args))
+    config = load_scenario(args.config)
     nominal, thresholds = _load_calibration(args.calibration)
     library = _load_library(args.library)
     report = run_scenario(config, nominal, thresholds, library,
@@ -125,8 +108,7 @@ def cmd_suite(args) -> int:
     library = _load_library(args.library)
     try:
         reports, rows = run_suite(paths, nominal, thresholds, library,
-                                  out_dir=args.out,
-                                  overrides=_overrides(args))
+                                  out_dir=args.out)
     except ValueError as exc:  # the manifest's checks, before any run
         raise ValueError(f"{args.manifest}: {exc}") from exc
     # quoted as in comparison.csv

@@ -1,7 +1,7 @@
 """Scenario configuration, end-to-end runs, and reporting.
 
 Scenario files are INI text (key/value with sections); unset keys fall back
-to the built-in `default_profile` (reference circuit values, 5 kHz
+to `ScenarioConfig`'s defaults (reference circuit values, 5 kHz
 sampling, 0.1 p.u. excitation, no disturbance); a disturbance whose file
 sets no window runs from 10 s to 20 s. All randomness flows from the seeds
 in the config, so a run is reproducible byte-for-byte.
@@ -197,11 +197,6 @@ class ScenarioConfig:
         return doc
 
 
-def default_profile(name: str = "default_profile") -> ScenarioConfig:
-    """Built-in reference experiment profile."""
-    return ScenarioConfig(name=name)
-
-
 # The keys each scenario section accepts, with the type each is read as;
 # anything else is an error.
 SCENARIO_SCHEMA = {
@@ -291,8 +286,8 @@ def _build(where: str, make, *args, **kwargs):
         raise ValueError(f"{where} {exc}") from None
 
 
-def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
-    """Parse an INI scenario file on top of the default profile.
+def load_scenario(path: str) -> ScenarioConfig:
+    """Parse an INI scenario file on top of `ScenarioConfig`'s defaults.
 
     Recognized sections and keys are those of SCENARIO_SCHEMA; an unknown
     section or key, a value that does not parse, is not finite or is out of
@@ -300,9 +295,9 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
     makes unread (d_high without mode = manual, a value of another
     disturbance kind or of a disabled excitation, both units of one
     disturbance value) raises ValueError naming the file, the section and
-    the key. A bad override is not the file's: its error names the option
-    (`--seed`, `--rho` or `--lambda`) instead of the path, as does a seed
-    override for a scenario whose excitation is disabled.
+    the key. The file is the one source of a run's settings: its seed, its
+    model order and its forgetting factor are `[excitation] seed`,
+    `[identifier] order` and `[identifier] forgetting`.
     Disturbance impedance may be given in p.u. (r_fault_pu / l_load_pu) or
     physical units (r_fault_ohm / l_load_h).
     """
@@ -310,8 +305,7 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
     with open(path) as fh:
         parser.read_file(fh)
     given = _read_keys(path, parser)
-    base = default_profile(name=os.path.splitext(os.path.basename(path))[0])
-    overrides = overrides or {}
+    base = ScenarioConfig(name=os.path.splitext(os.path.basename(path))[0])
 
     circuit = _build(f"{path}: [circuit]", replace, base.circuit,
                      **given["circuit"])
@@ -319,7 +313,7 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
     values, where = given["disturbance"], f"{path}: [disturbance]"
     kind = values.pop("kind", "none")
     disturbance = None
-    if kind in ("none", "off"):
+    if kind == "none":
         _reject(where, values, "kind = fault or load")
     elif kind not in _VALUE_KEYS:
         raise ValueError(f"{where} kind: unknown kind {kind!r}; expected one "
@@ -351,24 +345,11 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
     excitation = None
     if values.pop("enabled", True):
         excitation = _build(where, replace, base.excitation, **values)
-        if "seed" in overrides:
-            excitation = _build("--seed:", replace, excitation,
-                                seed=int(overrides["seed"]))
     else:
         _reject(where, values, "enabled = true")
-        if "seed" in overrides:
-            raise ValueError("--seed: ignored unless the scenario's "
-                             "[excitation] enabled = true")
 
     identifier = _build(f"{path}: [identifier]", replace, base.identifier,
                         **given["identifier"])
-    # an override's error is not the file's: it names the option instead
-    if "rho" in overrides:
-        identifier = _build("--rho:", replace, identifier,
-                            order=int(overrides["rho"]))
-    if "forgetting" in overrides:
-        identifier = _build("--lambda:", replace, identifier,
-                            forgetting=float(overrides["forgetting"]))
 
     values, where = given["thresholds"], f"{path}: [thresholds]"
     mode = values.pop("mode", "auto")
@@ -785,10 +766,19 @@ class Detector:
         else:
             self.settle = (config.duration / 2.0, np.inf)
         # Without a disturbance inside the run, the stand-in window
-        # [duration, duration] would time the last update, so no delay is
-        # searched for.
+        # [duration, duration] would time the last update, and a detector
+        # that arms at or after t_end would time updates past the window,
+        # so no delay is searched for.
+        armed_at = _armed_at(config)
+        timed = inside and armed_at < self.t_end
+        if inside and not timed:
+            self.warnings.append(
+                f"the detector arms at {armed_at:g} s, at or after "
+                f"the disturbance window ends at {self.t_end:g} s; detection "
+                "delays are reported as never"
+            )
         self.window = ((self.t_start, self.t_end, self.thresholds.d_low,
-                        self.thresholds.d_high) if inside else None)
+                        self.thresholds.d_high) if timed else None)
         self.debounced = det.debounce_state()
         # dt1_high, dt1_low, dt2, then the debounced delays: the first
         # stable fault verdict and the first stable non-normal one after
@@ -871,12 +861,14 @@ def run_scenario(
     written as its rows arrive and under a temporary name until the run
     has succeeded. A write that fails raises its own exception, with its
     type and message; as with any failure, nothing of the run is left in
-    `out_dir`. A run with no disturbance inside it (`disturbance_inside`)
-    reports every delay as None. The final verdict (`Detector.finish`)
-    classifies the mean predictor over the settled half of the disturbance
-    window, or over the second half of a run without one, which the run keeps
-    as a running sum (`detector.RunningMean`), not as rows: its memory depends
-    on the block size, not on the run's length or its window. The run
+    `out_dir`. A run with no disturbance inside it (`disturbance_inside`),
+    or whose detector arms at or after the window's end, reports every
+    delay as None, the latter with a warning. The final verdict
+    (`Detector.finish`) classifies the mean predictor over the settled half
+    of the disturbance window, or over the second half of a run without
+    one, which the run keeps as a running sum (`detector.RunningMean`), not
+    as rows: its memory depends on the block size, not on the run's length
+    or its window. The run
     simulates and identifies its own stream from sample 0 and reads nothing
     another run made, so inside `run_suite` it writes the bytes it writes
     alone. Thresholds pinned in the scenario config take precedence over the
@@ -1050,7 +1042,6 @@ def run_suite(
     thresholds: Thresholds,
     library: SignatureLibrary | None = None,
     out_dir: str | None = None,
-    overrides: dict | None = None,
 ):
     """Run every scenario in the manifest; failures are isolated per row.
 
@@ -1082,7 +1073,7 @@ def run_suite(
     rows = []
     for path, name in zip(scenario_paths, names):
         try:
-            config = load_scenario(path, overrides)
+            config = load_scenario(path)
             scen_out = (os.path.join(out_dir, name) if out_dir is not None
                         else None)
             report = run_scenario(config, nominal, thresholds, library,

@@ -7,6 +7,7 @@ import glob
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -233,15 +234,39 @@ class TestRun:
             f"{huge}\n")
         assert not (tmp_path / "out").exists()
 
-    def test_negative_seed_override_exits_2_naming_option(self, workspace,
-                                                          tmp_path, capsys):
-        rc = main(["run", "--config", workspace["fault.ini"],
+    def test_options_name_files_only(self, capsys):
+        """The scenario file is the one source of a run's settings: the
+        options name the input files and the output directory."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
+            "--help", "--config", "--calibration", "--library", "--out"}
+
+    def test_arming_after_window_end_reports_no_delays(self, workspace,
+                                                       tmp_path, capsys):
+        """The shipped 600 ohm fault in a 3 s run with the window
+        [0.2, 0.9) s: the detector arms at 1.0008 s, after the window, so
+        no delay is searched for, and the report says why."""
+        parser = configparser.ConfigParser()
+        parser.read(os.path.join(SCENARIOS, "hif_600ohm.ini"))
+        parser["run"]["duration"] = "3.0"
+        parser["disturbance"]["t_start"] = "0.2"
+        parser["disturbance"]["t_end"] = "0.9"
+        path = tmp_path / "early.ini"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        rc = main(["run", "--config", str(path),
                    "--calibration", workspace["calibration.json"],
-                   "--seed", "-2", "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert capsys.readouterr().err == \
-            "error: --seed: seed must be >= 0, got -2\n"
-        assert not (tmp_path / "out").exists()
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        for key in ("dt1_high", "dt1_low", "dt2", "dt1_high_debounced",
+                    "dt1_low_debounced"):
+            assert doc[key] is None, key
+        assert doc["warnings"][0] == (
+            "the detector arms at 1.0008 s, at or after the disturbance "
+            "window ends at 0.9 s; detection delays are reported as never")
 
     def test_writer_error_exits_2_with_message(self, workspace, tmp_path,
                                                capsys, monkeypatch):

@@ -18,10 +18,11 @@ import hashlib
 import gridarx
 from gridarx.rls import ArxConfig
 from gridarx.signals import RbsConfig
+from gridarx.simulate import simulate
 
 
 def digest():
-    sim = gridarx.simulate(gridarx.CircuitParams(), None, RbsConfig(
+    sim = simulate(gridarx.CircuitParams(), None, RbsConfig(
         amplitude=0.1, chip_rate=5000.0, seed=1), 0.2)
     run = gridarx.identify(sim, ArxConfig())
     return hashlib.sha256(sim.v_dq.tobytes() + run.theta.tobytes()

@@ -3,7 +3,6 @@ of end-to-end runs."""
 
 import configparser
 import filecmp
-import importlib
 import json
 import os
 import shutil
@@ -18,6 +17,7 @@ import pytest
 from gridarx import circuit as circuit_module
 from gridarx import rls as rls_module
 from gridarx import scenario as scenario_module
+from gridarx import simulate as simulate_module
 from gridarx.circuit import CircuitParams, full_circuit_model
 from gridarx import _kernels
 from gridarx.detector import (
@@ -48,7 +48,6 @@ from gridarx.scenario import (
     calibration_from_json,
     calibration_to_json,
     load_scenario,
-    default_profile,
     run_calibration,
     run_scenario,
     run_suite,
@@ -101,7 +100,7 @@ class TestLoadScenario:
     def test_defaults_fill_unset_keys(self, tmp_path):
         path = write_ini(tmp_path, "minimal.ini", "[run]\nduration = 2.0\n")
         cfg = load_scenario(path)
-        base = default_profile()
+        base = ScenarioConfig()
         assert cfg.duration == 2.0
         assert cfg.ts == base.ts
         assert cfg.noise_std == base.noise_std
@@ -135,45 +134,10 @@ class TestLoadScenario:
         assert path in msg and "[disturbance]" in msg
         assert all(key in msg for key in keys)
 
-    def test_overrides(self, tmp_path):
-        path = write_ini(tmp_path, "ovr.ini", "[run]\nduration = 2.0\n")
-        cfg = load_scenario(path, {"seed": 9, "rho": 2, "forgetting": 0.99})
-        assert cfg.excitation.seed == 9
-        assert cfg.identifier.order == 2
-        assert cfg.identifier.forgetting == pytest.approx(0.99)
-
-    @pytest.mark.parametrize("overrides, message", [
-        ({"rho": 0}, "--rho: order must be >= 1, got 0"),
-        ({"rho": HUGE}, f"--rho: order {HUGE} needs a covariance P of "
-         f"{4 * HUGE}**2 float64 values, more than {sys.maxsize} bytes can "
-         "address"),
-        ({"forgetting": 1.5},
-         "--lambda: forgetting factor must be in (0, 1], got 1.5"),
-        ({"seed": -2}, "--seed: seed must be >= 0, got -2"),
-    ])
-    def test_bad_override_does_not_blame_the_file(self, tmp_path, overrides,
-                                                  message):
-        path = write_ini(tmp_path, "ovr.ini", "[run]\nduration = 2.0\n")
-        with pytest.raises(ValueError) as err:
-            load_scenario(path, overrides)
-        assert str(err.value) == message
-
     def test_excitation_disable(self, tmp_path):
         path = write_ini(tmp_path, "noexc.ini",
                          "[excitation]\nenabled = false\n")
         assert load_scenario(path).excitation is None
-
-    @pytest.mark.parametrize("seed", [3, -5])
-    def test_seed_override_of_disabled_excitation_rejected(self, tmp_path,
-                                                           seed):
-        """A seed for an excitation that does not run would be dropped
-        without a word: it is an error naming the option."""
-        path = write_ini(tmp_path, "noexc.ini",
-                         "[excitation]\nenabled = false\n")
-        with pytest.raises(ValueError) as err:
-            load_scenario(path, {"seed": seed})
-        assert str(err.value) == ("--seed: ignored unless the scenario's "
-                                  "[excitation] enabled = true")
 
     @pytest.mark.parametrize("text, where", [
         ("[run]\ndurtion = 1\n",
@@ -261,6 +225,10 @@ class TestLoadScenario:
         ("[disturbance]\nkind = fault\nr_fault_pu = 1e306\n",
          "[disturbance] r_fault_pu: fault resistance 1e+306 p.u.: the "
          "circuit model overflows"),
+        # `none` is the one spelling of no disturbance
+        ("[disturbance]\nkind = off\n",
+         "[disturbance] kind: unknown kind 'off'; expected one of fault, "
+         "load, none"),
     ])
     def test_bad_value_names_file_section_key(self, tmp_path, text, where):
         path = write_ini(tmp_path, "bad.ini", text)
@@ -381,7 +349,7 @@ class TestScenarioConfigChecks:
             ScenarioConfig(**values)
         assert str(err.value) == message
         with pytest.raises(ValueError) as err:
-            replace(default_profile(), **values)
+            replace(ScenarioConfig(), **values)
         assert str(err.value) == message
         path = write_ini(tmp_path, "bad.ini", text)
         with pytest.raises(ValueError) as err:
@@ -399,7 +367,7 @@ class TestScenarioConfigChecks:
             ScenarioConfig(**{key: value})
         assert str(err.value) == message
         with pytest.raises(ValueError) as err:
-            replace(default_profile(), **{key: value})
+            replace(ScenarioConfig(), **{key: value})
         assert str(err.value) == message
 
     @pytest.mark.parametrize("section, dataclass", [
@@ -1903,10 +1871,8 @@ class TestRunSuite:
                 return circuit_module._circuit_model(params, ("fault", 1e306))
             return full_circuit_model(params, disturbance)
 
-        # gridarx.simulate is the function of that name once the package
-        # is imported
-        monkeypatch.setattr(importlib.import_module("gridarx.simulate"),
-                            "full_circuit_model", overflowing_model)
+        monkeypatch.setattr(simulate_module, "full_circuit_model",
+                            overflowing_model)
         nominal, thresholds, _, _ = default_cal
         paths = [base_ini(tmp_path, "in/huge.ini",
                           ("r_fault_pu = 0.2077", "r_fault_pu = 1e300")),
@@ -2024,8 +1990,7 @@ class TestRunSuite:
                 if not run:
                     between(out)
             lone = str(tmp_path / "lone")
-            importlib.import_module("gridarx.simulate") \
-                ._noise_start.cache_clear()
+            simulate_module._noise_start.cache_clear()
             run_scenario(load_scenario(path), nominals[1], thresholds,
                          random_library(), out_dir=lone)
         return out, lone

@@ -7,12 +7,12 @@ steady-state response through DFT multiplication — a path that shares no
 matrix code with the integrator under test.
 """
 
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+from gridarx import simulate as simulate_module
 from gridarx.circuit import CircuitParams, full_circuit_model
 from gridarx.pipeline import identify
 from gridarx.simulate import (
@@ -27,10 +27,6 @@ from gridarx.simulate import (
 )
 from gridarx.signals import RbsConfig, rbs_generate
 from oracles import matvec_fixed, residual_ratio
-
-# the module itself: the package re-exports its `simulate` function under
-# the module's name
-simulate_module = importlib.import_module("gridarx.simulate")
 
 
 def scalar_nominal_model(params):
