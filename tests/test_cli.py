@@ -234,15 +234,6 @@ class TestRun:
             f"{huge}\n")
         assert not (tmp_path / "out").exists()
 
-    def test_options_name_files_only(self, capsys):
-        """The scenario file is the one source of a run's settings: the
-        options name the input files and the output directory."""
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--help"])
-        assert exc.value.code == 0
-        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
-            "--help", "--config", "--calibration", "--library", "--out"}
-
     def test_arming_after_window_end_reports_no_delays(self, workspace,
                                                        tmp_path, capsys):
         """The shipped 600 ohm fault in a 3 s run with the window
@@ -281,6 +272,38 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err == "error: disk full\n"
         assert not out.exists()
+
+
+class TestOptions:
+    """The scenario file is the one source of a run's settings: the
+    options name the input files and the output directory."""
+
+    @pytest.mark.parametrize("command, options", [
+        ("calibrate", {"--config"}),
+        ("build-library", {"--config", "--calibration"}),
+        ("run", {"--config", "--calibration", "--library"}),
+        ("suite", {"--manifest", "--calibration", "--library"}),
+    ])
+    def test_options_name_files_only(self, capsys, command, options):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == \
+            options | {"--help", "--out"}
+
+    @pytest.mark.parametrize("option", ["--seed", "--lambda", "--rho"])
+    def test_setting_option_exits_2_before_any_run(self, workspace, tmp_path,
+                                                   capsys, option):
+        """A run's seed, forgetting factor and order are set in its
+        scenario file; the option is an error, not a silent no-op."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", workspace["fault.ini"],
+                  "--calibration", workspace["calibration.json"],
+                  option, "1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSuite:

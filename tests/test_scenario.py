@@ -134,6 +134,17 @@ class TestLoadScenario:
         assert path in msg and "[disturbance]" in msg
         assert all(key in msg for key in keys)
 
+    def test_file_sets_seed_order_forgetting(self, tmp_path):
+        """The file is the one source of a run's seed, model order and
+        forgetting factor."""
+        path = write_ini(tmp_path, "set.ini",
+                         "[excitation]\nseed = 9\n"
+                         "[identifier]\norder = 2\nforgetting = 0.99\n")
+        cfg = load_scenario(path)
+        assert cfg.excitation.seed == 9
+        assert cfg.identifier.order == 2
+        assert cfg.identifier.forgetting == pytest.approx(0.99)
+
     def test_excitation_disable(self, tmp_path):
         path = write_ini(tmp_path, "noexc.ini",
                          "[excitation]\nenabled = false\n")
@@ -208,6 +219,9 @@ class TestLoadScenario:
          "[run] match_floor: must be in [-1, 1], got 5.0"),
         ("[run]\nnoise_seed = -3\n", "[run] noise_seed: must be >= 0, got -3"),
         ("[excitation]\nseed = -1\n", "[excitation] seed must be >= 0, got -1"),
+        # a seed of an excitation that does not run would be dropped
+        ("[excitation]\nenabled = false\nseed = 3\n",
+         "[excitation] seed: ignored unless enabled = true"),
         ("[run]\nlimit_fraction = 0\n",
          "[run] limit_fraction: must be > 0, got 0.0"),
         ("[excitation]\namplitude = nan\n",
